@@ -76,18 +76,13 @@ struct EpisodeOutcome {
 };
 
 // Runs one episode to completion on a fresh simulator. Never throws; oracle
-// failures and infrastructure breakage land in `violations`. Dispatches to
-// the fleet runner when cfg.fleet_shards > 0.
+// failures and infrastructure breakage land in `violations`. Classic
+// episodes run one Testbed; cfg.fleet_shards > 0 runs the fleet (E13)
+// topology: that many shard testbeds behind a 2PC coordinator, cross-shard
+// workload at cfg.cross_ratio, and the fleet atomicity oracle after the
+// wind-down heals and recovers everything.
 EpisodeOutcome RunEpisode(const EpisodeConfig& cfg,
                           const RunOptions& run = {});
-
-// The fleet (E13) episode runner: cfg.fleet_shards shard testbeds behind a
-// 2PC coordinator, cross-shard workload at cfg.cross_ratio, fleet fault
-// kinds applied with state guards, and — after wind-down heals and recovers
-// everything — the fleet atomicity oracle plus per-shard structural checks.
-// RunEpisode forwards here; callable directly by tests.
-EpisodeOutcome RunFleetEpisode(const EpisodeConfig& cfg,
-                               const RunOptions& run = {});
 
 // Determinism cross-check: executes the episode twice from its seed with a
 // trace recorder installed and returns the auditor's verdict — identical
@@ -149,9 +144,6 @@ class ChaosExplorer {
   // shrunk deterministically (shrinking itself fans across failures; each
   // shrink is internally sequential and a pure function of its config).
   ExplorerReport RunCampaign();
-
-  // Historical name; same campaign.
-  ExplorerReport Run() { return RunCampaign(); }
 
  private:
   ExplorerOptions options_;

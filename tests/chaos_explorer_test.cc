@@ -72,7 +72,7 @@ TEST(ChaosExplorerTest, BoundedCorpusHoldsEveryOracle) {
   ExplorerOptions opts;
   opts.base_seed = 1;
   opts.episodes = 6;
-  const ExplorerReport report = ChaosExplorer(opts).Run();
+  const ExplorerReport report = ChaosExplorer(opts).RunCampaign();
   EXPECT_EQ(report.episodes_run, 6u);
   EXPECT_TRUE(report.ok()) << report.violations << " violating episodes; "
                            << "first failing seed "
@@ -95,7 +95,7 @@ TEST(ChaosExplorerTest, AblationFoundShrunkAndReplayable) {
   opts.gen.allow_replication = false;
   opts.gen.run_us_min = 600'000;
   opts.gen.run_us_max = 900'000;
-  const ExplorerReport report = ChaosExplorer(opts).Run();
+  const ExplorerReport report = ChaosExplorer(opts).RunCampaign();
   ASSERT_EQ(report.failures.size(), 1u)
       << "the planted guard-off violation was not found";
   const ShrunkFailure& f = report.failures[0];

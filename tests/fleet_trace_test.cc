@@ -39,12 +39,12 @@ TEST(FleetTraceTest, TwoHundredSeedsAreHashNeutralUnderTracing) {
   uint64_t total_records = 0;
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     const EpisodeConfig cfg = SmallFleetConfig(seed);
-    const EpisodeOutcome plain = RunFleetEpisode(cfg);
+    const EpisodeOutcome plain = RunEpisode(cfg);
 
     rlobs::SpanTracer tracer;
     RunOptions run;
     run.sink = &tracer;
-    const EpisodeOutcome traced = RunFleetEpisode(cfg, run);
+    const EpisodeOutcome traced = RunEpisode(cfg, run);
 
     ASSERT_EQ(plain.Hash(), traced.Hash()) << "seed " << seed;
     ASSERT_EQ(plain.committed, traced.committed) << "seed " << seed;
@@ -60,7 +60,7 @@ TEST(FleetTraceTest, AssembledTraceIsWellFormedAndStitchesNodes) {
   rlobs::SpanTracer tracer;
   RunOptions run;
   run.sink = &tracer;
-  const EpisodeOutcome out = RunFleetEpisode(cfg, run);
+  const EpisodeOutcome out = RunEpisode(cfg, run);
   ASSERT_GT(tracer.records().size(), 0u);
   (void)out;
 
