@@ -370,7 +370,14 @@ Task<void> Database::Recover() {
   } else {
     co_await RedoPartitioned(scan.records, candidates, horizons);
   }
-  wal_->ResumeAt(scan.next_block, scan.next_lsn);
+  // Resume above every LSN the recovered checkpoint captured. An empty tail
+  // (a cut right after a checkpoint whose replay block is still unwritten)
+  // scans no records, and restarting the LSNs at 1 would put every later
+  // commit at or below a horizon: the next recovery would skip it.
+  const uint64_t resume_lsn = std::max(
+      {scan.next_lsn, meta_.replay_lsn,
+       *std::max_element(horizons.begin(), horizons.end()) + 1});
+  wal_->ResumeAt(scan.next_block, resume_lsn);
 
   // Adopt the in-doubt txns before any checkpoint runs: their first_lsn
   // values are what hold the replay point at (or before) their prepare
