@@ -44,7 +44,7 @@ FleetTestbed::FleetTestbed(rlsim::Simulator& sim, FleetOptions options)
     nodes_.push_back(std::make_unique<rlshard::ShardNode>(
         sim_, fabric_, shard_endpoints[i], kCoordEndpoint,
         [bed]() -> rldb::Database* {
-          return bed->db_open() && bed->psu().mains_on() ? &bed->db() : nullptr;
+          return bed->up() ? &bed->db() : nullptr;
         },
         options_.node));
     fabric_.Connect(kCoordEndpoint, shard_endpoints[i], options_.link);
@@ -77,7 +77,7 @@ rlsim::Task<void> FleetTestbed::Shutdown() {
 
 rldb::Database* FleetTestbed::shard_db(size_t i) {
   Testbed& bed = *beds_.at(i);
-  return bed.db_open() && bed.psu().mains_on() ? &bed.db() : nullptr;
+  return bed.up() ? &bed.db() : nullptr;
 }
 
 void FleetTestbed::KillShard(size_t i) {

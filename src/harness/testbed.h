@@ -79,6 +79,8 @@ class Testbed {
 
   rldb::Database& db() { return *db_; }
   bool db_open() const { return db_ != nullptr; }
+  // Powered with an open engine: the testbed can serve transactions.
+  bool up() const { return db_open() && psu_->mains_on(); }
 
   // --- Fault injection ------------------------------------------------------
 
@@ -126,6 +128,7 @@ class Testbed {
 
   rapilog::RapiLogDevice* rapilog() { return rapilog_.get(); }
   rlpow::PowerSupply& psu() { return *psu_; }
+  const rlpow::PowerSupply& psu() const { return *psu_; }
   rlvmm::VirtualMachine* vm() { return vm_.get(); }
   // Null in kNative mode (no guest stack). The per-stage latency benches
   // read its request_latency histogram for the VMM leg of the commit path.
