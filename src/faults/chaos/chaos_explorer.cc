@@ -131,7 +131,8 @@ class Episode {
   // RapiLog's contract: with the power guard on, the emergency flush drains
   // the buffer inside the hold-up window — buffered-ack loss is a violation.
   // With the guard ablated, loss is the EXPECTED planted failure.
-  void CheckPowerGuard(Testbed& bed, const std::string& where);
+  void CheckPowerGuard(const rapilog::RapiLogDevice* rapilog,
+                       const std::string& where);
 
   // --trace (RunOptions::trace) prints applied events and recovery outcomes
   // with their virtual timestamps. Printing never affects the episode.
@@ -262,9 +263,9 @@ Task<void> Episode::CheckTree(rldb::Database& db, std::string where) {
   }
 }
 
-void Episode::CheckPowerGuard(Testbed& bed, const std::string& where) {
-  if (bed.rapilog() != nullptr && cfg_.power_guard &&
-      bed.rapilog()->lost_data()) {
+void Episode::CheckPowerGuard(const rapilog::RapiLogDevice* rapilog,
+                              const std::string& where) {
+  if (rapilog != nullptr && cfg_.power_guard && rapilog->lost_data()) {
     out_.violations.push_back(where +
                               "rapilog lost buffered data despite guard");
   }
@@ -538,7 +539,7 @@ class ClassicEpisode : public Episode {
       out_.violations.push_back(
           "recovery-equivalence probe died on the crash images");
     }
-    CheckPowerGuard(bed_, "");
+    CheckPowerGuard(bed_.rapilog(), "");
   }
 
   Testbed bed_;
@@ -696,8 +697,9 @@ class FleetEpisode : public Episode {
     for (size_t i = 0; i < fleet_.shard_count(); ++i) {
       const std::string shard = "shard " + std::to_string(i);
       co_await CheckTree(*dbs[i], shard);
-      CheckPowerGuard(fleet_.shard(i), shard + ": ");
+      CheckPowerGuard(fleet_.shard(i).rapilog(), shard + ": ");
     }
+    CheckPowerGuard(&fleet_.coordinator_rapilog(), "coordinator: ");
     co_await fleet_.Shutdown();
   }
 

@@ -40,8 +40,8 @@ enum class FaultKind {
   kRecoverShard,        // arg = shard index; power + crash recovery
   kPartitionShard,      // arg = shard index; coord<->shard link down
   kHealShard,           // arg = shard index; link back up
-  kKillCoordinator,     // decision-log disk power + volatile state
-  kRecoverCoordinator,  // disk power back, decision log rescanned
+  kKillCoordinator,     // volatile state + the coordinator host's mains
+  kRecoverCoordinator,  // mains back, decision log rescanned
 };
 
 std::string ToString(FaultKind k);

@@ -22,15 +22,23 @@ FleetTestbed::FleetTestbed(rlsim::Simulator& sim, FleetOptions options)
     shard_endpoints.push_back(rlshard::ShardDirectory::EndpointName(i));
   }
 
-  // The coordinator's decision log rides a small dedicated SSD.
+  // The coordinator's decision log rides a small dedicated SSD behind
+  // RapiLog. RapiLog registers with the PSU before the disk's sink, so the
+  // guard sees the warning before the disk sees the rails drop.
+  coord_psu_ = std::make_unique<rlpow::PowerSupply>(sim_, options_.shard.psu);
   rlstor::SimBlockDevice::Options disk_opts;
   disk_opts.geometry.sector_count = 512ull * 1024;  // 256 MiB
   disk_opts.name = "coord-log";
   coord_disk_ = std::make_unique<rlstor::SimBlockDevice>(
       sim_, disk_opts, std::make_unique<rlstor::SsdModel>(rlstor::SsdParams{}));
+  coord_rapilog_ = std::make_unique<rapilog::RapiLogDevice>(
+      sim_, *coord_psu_, *coord_disk_,
+      CalibrateDrainRate(options_.shard.rapilog, DiskSetup::kSsdLog));
+  coord_disk_power_ = std::make_unique<DiskPowerSink>(*coord_disk_);
+  coord_psu_->Register(coord_disk_power_.get());
 
   coordinator_ = std::make_unique<rlshard::TxnCoordinator>(
-      sim_, fabric_, kCoordEndpoint, shard_endpoints, *coord_disk_,
+      sim_, fabric_, kCoordEndpoint, shard_endpoints, *coord_rapilog_,
       options_.shard.db.profile, options_.coordinator);
 
   for (size_t i = 0; i < options_.shards; ++i) {
@@ -124,17 +132,18 @@ void FleetTestbed::KillCoordinator() {
   if (!coordinator_->alive()) {
     return;
   }
-  // Disk first so an in-flight decision write fails like real hardware, then
-  // the volatile state.
-  coord_disk_->PowerLoss();
   coordinator_->Crash();
+  coord_psu_->CutMains();
 }
 
 rlsim::Task<void> FleetTestbed::RecoverCoordinator() {
   if (coordinator_->alive()) {
     co_return;
   }
-  coord_disk_->PowerRestore();
+  coord_psu_->RestoreMains();
+  // As after a guest crash: every decision the dead incarnation was promised
+  // reaches the disk before the new one rescans the log.
+  co_await coord_rapilog_->Quiesce();
   co_await coordinator_->Recover();
 }
 

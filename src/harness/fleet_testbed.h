@@ -2,10 +2,12 @@
 //
 // Each shard is a full Testbed (its own PSU, disks, microkernel, VMM,
 // RapiLog device and database engine — an independent failure domain); the
-// coordinator is a separate node with a durable decision log on its own
-// disk. One deterministic NetworkFabric carries all coordinator<->shard
-// traffic ("coord" <-> "shard-i" links), distinct from any per-shard
-// replication fabric.
+// coordinator is a separate host with its own PSU, and its decision log
+// writes through a RapiLog device in front of a dedicated SSD — the shard
+// hosts' trusted log path, so a decision is durable once it is buffered.
+// One deterministic NetworkFabric carries all coordinator<->shard traffic
+// ("coord" <-> "shard-i" links), distinct from any per-shard replication
+// fabric.
 //
 // Fault surface: kill/recover a shard (power), crash/reboot its guest,
 // partition/heal a shard's link, kill/recover the coordinator. All
@@ -34,7 +36,8 @@ struct FleetOptions {
   // this.
   uint64_t key_space = 1 << 20;
   // Template for every shard's testbed; `instance` is overwritten with
-  // "shard-i." per shard.
+  // "shard-i." per shard. Its `psu` and `rapilog` also build the
+  // coordinator host's PSU and decision-log RapiLog device.
   TestbedOptions shard;
   // Coordinator <-> shard link characteristics.
   rlnet::LinkParams link;
@@ -72,12 +75,16 @@ class FleetTestbed {
   rlsim::Task<void> RecoverShardGuest(size_t i);
   void PartitionShard(size_t i);                 // coord<->shard link down
   void HealShard(size_t i);
-  void KillCoordinator();                        // volatile state + disk power
+  // Volatile state dies, then the coordinator host's mains are cut:
+  // RapiLog's guard flushes buffered decisions inside the hold-up window.
+  void KillCoordinator();
+  // Mains back, RapiLog drained, decision log rescanned.
   rlsim::Task<void> RecoverCoordinator();
 
   bool shard_powered(size_t i) const { return beds_.at(i)->psu().mains_on(); }
   bool shard_partitioned(size_t i) const;
   bool coordinator_alive() const { return coordinator_->alive(); }
+  rapilog::RapiLogDevice& coordinator_rapilog() { return *coord_rapilog_; }
 
   // Waits (polling) until no shard holds an in-doubt transaction and the
   // coordinator has no decision pushes outstanding. Returns false if
@@ -95,7 +102,11 @@ class FleetTestbed {
   rlnet::NetworkFabric fabric_;
 
   std::vector<std::unique_ptr<Testbed>> beds_;
+  // The coordinator host.
+  std::unique_ptr<rlpow::PowerSupply> coord_psu_;
   std::unique_ptr<rlstor::SimBlockDevice> coord_disk_;
+  std::unique_ptr<rapilog::RapiLogDevice> coord_rapilog_;
+  std::unique_ptr<DiskPowerSink> coord_disk_power_;
   std::unique_ptr<rlshard::TxnCoordinator> coordinator_;
   std::vector<std::unique_ptr<rlshard::ShardNode>> nodes_;
 };

@@ -45,17 +45,25 @@ std::string ToString(DiskSetup d) {
   return "unknown";
 }
 
-// Powers a physical disk with the rails.
-class Testbed::DiskPowerSink : public rlpow::PowerSink {
- public:
-  explicit DiskPowerSink(SimBlockDevice& dev) : dev_(dev) {}
-  void OnPowerDown() override { dev_.PowerLoss(); }
-  void OnPowerRestore() override { dev_.PowerRestore(); }
-  void OnOutageAbsorbed() override { dev_.ExitEmergencyMode(); }
-
- private:
-  SimBlockDevice& dev_;
-};
+rapilog::RapiLogOptions CalibrateDrainRate(rapilog::RapiLogOptions options,
+                                           DiskSetup disks) {
+  if (options.worst_case_drain_mbps !=
+      rapilog::RapiLogOptions{}.worst_case_drain_mbps) {
+    return options;
+  }
+  switch (disks) {
+    case DiskSetup::kSsdLog:
+      options.worst_case_drain_mbps = 150.0;
+      break;
+    case DiskSetup::kBbwc:
+      options.worst_case_drain_mbps = 100.0;
+      break;
+    case DiskSetup::kSharedHdd:
+    case DiskSetup::kSeparateHdd:
+      break;  // the conservative default fits a rotating log disk
+  }
+  return options;
+}
 
 // The guest is stopped at the power-fail warning (it is doomed anyway, and
 // killing it immediately dedicates the remaining hold-up energy — and the
@@ -160,23 +168,7 @@ void Testbed::BuildDevices() {
   }
 
   if (options_.mode == DeploymentMode::kRapiLog) {
-    // Calibrate the admission budget's worst-case drain rate to the log
-    // device, as the paper does by measuring its disk. Left alone if the
-    // caller chose a non-default rate (e.g. the overstated-budget ablation).
-    if (options_.rapilog.worst_case_drain_mbps ==
-        rapilog::RapiLogOptions{}.worst_case_drain_mbps) {
-      switch (options_.disks) {
-        case DiskSetup::kSsdLog:
-          options_.rapilog.worst_case_drain_mbps = 150.0;
-          break;
-        case DiskSetup::kBbwc:
-          options_.rapilog.worst_case_drain_mbps = 100.0;
-          break;
-        case DiskSetup::kSharedHdd:
-        case DiskSetup::kSeparateHdd:
-          break;  // the conservative default fits a rotating log disk
-      }
-    }
+    options_.rapilog = CalibrateDrainRate(options_.rapilog, options_.disks);
     // RapiLog registers itself with the PSU here — before the disk sinks.
     rapilog_ = std::make_unique<rapilog::RapiLogDevice>(
         sim_, *psu_, *log_physical, options_.rapilog);

@@ -42,6 +42,24 @@ enum class DiskSetup {
 std::string ToString(DeploymentMode m);
 std::string ToString(DiskSetup d);
 
+// Calibrates the admission budget's worst-case drain rate to the log device
+// `disks` puts behind RapiLog, as the paper does by measuring its disk. A
+// caller's non-default rate (e.g. the overstated-budget ablation) is kept.
+rapilog::RapiLogOptions CalibrateDrainRate(rapilog::RapiLogOptions options,
+                                           DiskSetup disks);
+
+// Powers a physical disk with the rails.
+class DiskPowerSink : public rlpow::PowerSink {
+ public:
+  explicit DiskPowerSink(rlstor::SimBlockDevice& dev) : dev_(dev) {}
+  void OnPowerDown() override { dev_.PowerLoss(); }
+  void OnPowerRestore() override { dev_.PowerRestore(); }
+  void OnOutageAbsorbed() override { dev_.ExitEmergencyMode(); }
+
+ private:
+  rlstor::SimBlockDevice& dev_;
+};
+
 // Replicated topology: a LogShipper interposed on the primary's log path,
 // streaming to `replicas` ReplicaNodes ("replica-0"...) over a NetworkFabric.
 // The replicas are separate failure domains (their disks do not ride the
@@ -157,7 +175,6 @@ class Testbed {
   const TestbedOptions& options() const { return options_; }
 
  private:
-  class DiskPowerSink;
   class GuestPowerSink;
   class ShipperPowerSink;
 

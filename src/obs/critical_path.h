@@ -4,15 +4,15 @@
 // tree per transaction (see trace_context.h), the interesting question is
 // where the *client-visible* latency of each transaction class actually
 // went: the longest causally-ordered chain from the root's begin to its end
-// — client → coordinator → slowest prepare → decision-log fsync → decision
+// — client → coordinator → slowest prepare → decision-log write → decision
 // fanout → ack. This module computes that chain per root and aggregates the
 // per-edge time by root kind ("transaction class").
 //
 // Algorithm: for each root, walk backwards from the root's end. At each
 // node, pick the child that finished last at or before the cursor; the gap
 // between that child's end and the cursor is the node's own critical time
-// (its "self" segment — e.g. the coordinator's decision-log fsync between
-// the slowest vote and the decision fanout), then descend into the child
+// (its "self" segment — e.g. the coordinator's own work between the
+// slowest vote and the decision fanout), then descend into the child
 // with the cursor moved to the child's end. A node with no remaining child
 // before the cursor contributes its [begin, cursor] stretch and the walk
 // resumes at its parent — so after the decision fanout is spent, the

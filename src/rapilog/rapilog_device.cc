@@ -145,6 +145,25 @@ Task<BlockStatus> RapiLogDevice::Read(uint64_t lba, std::span<uint8_t> out) {
   co_return BlockStatus::kOk;
 }
 
+// Suspends the drain for drain_linger; a power-fail warning ends it early.
+struct RapiLogDevice::LingerAwaiter {
+  RapiLogDevice& dev;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    dev.lingering_ = h;
+    const uint64_t gen = ++dev.linger_gen_;
+    dev.sim_.Schedule(dev.options_.drain_linger,
+                      [d = &dev, gen] { d->EndLinger(gen); });
+  }
+  void await_resume() const noexcept {}
+};
+
+void RapiLogDevice::EndLinger(uint64_t gen) {
+  if (lingering_ && gen == linger_gen_) {
+    std::exchange(lingering_, nullptr).resume();
+  }
+}
+
 Task<void> RapiLogDevice::DrainLoop() {
   bool lingered = false;
   while (true) {
@@ -161,7 +180,7 @@ Task<void> RapiLogDevice::DrainLoop() {
         options_.drain_linger > Duration::Zero() &&
         buffered_bytes_ < max_buffer_bytes_ / 2) {
       lingered = true;
-      co_await sim_.Sleep(options_.drain_linger);
+      co_await LingerAwaiter{*this};
       continue;
     }
     lingered = false;
@@ -237,8 +256,13 @@ void RapiLogDevice::OnPowerFailWarning(rlsim::Duration time_remaining) {
   // Seal the disk for the emergency flush: the trusted driver discards the
   // dead guest's queued requests so the drain is not stuck behind them.
   log_disk_.EnterEmergencyMode();
-  // The drain loop is already eager; the flag only stops new admissions.
+  // The flag stops new admissions and further lingering; a linger already
+  // in progress ends now, so the flush starts at the warning.
   drain_wake_.NotifyAll();
+  if (lingering_) {
+    sim_.Schedule(Duration::Zero(),
+                  [this, gen = linger_gen_] { EndLinger(gen); });
+  }
 }
 
 void RapiLogDevice::OnOutageAbsorbed() {

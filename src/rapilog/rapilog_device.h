@@ -22,6 +22,7 @@
 // is exactly what group-committing WAL implementations do.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -57,7 +58,8 @@ struct RapiLogOptions {
   rlsim::Duration drain_start_reserve = rlsim::Duration::Millis(20);
   // How long the drain lingers before writing out the buffer tail, giving
   // tail-block rewrites a chance to be absorbed instead of each version
-  // paying a physical write. Skipped during an emergency flush.
+  // paying a physical write. Skipped, or cut short, during an emergency
+  // flush.
   rlsim::Duration drain_linger = rlsim::Duration::Micros(200);
 };
 
@@ -129,7 +131,11 @@ class RapiLogDevice : public rlstor::BlockDevice, public rlpow::PowerSink {
     std::vector<uint8_t> data;
   };
 
+  struct LingerAwaiter;
+
   rlsim::Task<void> DrainLoop();
+  // Resumes the lingering drain if linger `gen` is still the current one.
+  void EndLinger(uint64_t gen);
   uint64_t ComputeBudget(const rlpow::PowerSupply& psu) const;
 
   rlsim::Simulator& sim_;
@@ -141,6 +147,10 @@ class RapiLogDevice : public rlstor::BlockDevice, public rlpow::PowerSink {
   uint64_t buffered_bytes_ = 0;
   bool emergency_ = false;
   bool powered_ = true;
+  // The drain while it lingers, and the generation of that linger (a timer
+  // from a linger the warning already ended must not end a later one).
+  std::coroutine_handle<> lingering_;
+  uint64_t linger_gen_ = 0;
 
   rlsim::WaitQueue drain_wake_;
   rlsim::WaitQueue space_available_;

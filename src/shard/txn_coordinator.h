@@ -108,9 +108,9 @@ class TxnCoordinator {
                                   std::vector<ShardOps> parts,
                                   uint64_t parent_span = 0);
 
-  // Volatile-state death. The caller should cut the decision device's power
-  // first so an in-flight decision write fails like real hardware. Pending
-  // Executes resolve kUnknown; messages are dropped until Recover().
+  // Volatile-state death; the caller then takes the decision device's power
+  // away. Pending Executes resolve kUnknown, even if their decision write
+  // still lands; messages are dropped until Recover().
   void Crash();
 
   // Restores service after Crash(): caller restores device power, then this

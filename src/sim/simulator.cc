@@ -131,14 +131,20 @@ size_t Simulator::pending_tasks() const {
 }
 
 void Simulator::ReapFinishedTasks() {
-  for (auto it = roots_.begin(); it != roots_.end();) {
-    if (it->task.done()) {
-      it->task.Rethrow();  // propagate uncaught task exceptions to Run()
-      it = roots_.erase(it);
-    } else {
-      ++it;
-    }
+  const auto done = [](const RootTask& r) { return r.task.done(); };
+  // Propagate the first uncaught task exception to Run(). Finished roots
+  // ahead of it are reaped first; the failed root itself stays.
+  const auto failed = std::find_if(
+      roots_.begin(), roots_.end(),
+      [](const RootTask& r) { return r.task.failed(); });
+  if (failed != roots_.end()) {
+    const auto kept = roots_.erase(
+        std::remove_if(roots_.begin(), failed, done), failed);
+    kept->task.Rethrow();
   }
+  // One pass: thousands of parked roots (timers, pushers) stay live, so a
+  // per-root erase would be quadratic.
+  std::erase_if(roots_, done);
 }
 
 }  // namespace rlsim

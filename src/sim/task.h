@@ -182,6 +182,11 @@ class [[nodiscard]] Task<void> {
     handle_.resume();
   }
 
+  // True once the task has ended with an uncaught exception.
+  bool failed() const {
+    return handle_ && handle_.done() && handle_.promise().exception_;
+  }
+
   // Rethrows the task's exception, if it ended with one. Only meaningful
   // once done().
   void Rethrow() {

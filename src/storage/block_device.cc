@@ -65,8 +65,8 @@ bool SimBlockDevice::RangeOk(uint64_t lba, size_t bytes) const {
 }
 
 void SimBlockDevice::MarkDirty(uint64_t lba) {
-  if (dirty_set_.insert(lba).second) {
-    dirty_fifo_.push_back(lba);
+  if (dirty_set_.try_emplace(lba, next_dirty_seq_).second) {
+    dirty_fifo_.emplace_back(lba, next_dirty_seq_++);
   }
 }
 
@@ -203,7 +203,7 @@ Task<BlockStatus> SimBlockDevice::CachedPath(uint64_t lba,
   const uint64_t cache_capacity_sectors =
       options_.cache_capacity_bytes / kSectorSize;
   while (powered_ &&
-         dirty_fifo_.size() + sectors > cache_capacity_sectors) {
+         dirty_set_.size() + sectors > cache_capacity_sectors) {
     co_await space_available_.Wait();
   }
   if (!powered_) {
@@ -238,7 +238,7 @@ Task<BlockStatus> SimBlockDevice::Flush() {
   const TimePoint start = sim_.now();
   rlsim::SpanScope span(sim_, options_.name, "io-flush", 0);
   if (options_.cache_policy == WriteCachePolicy::kWriteBack) {
-    while (powered_ && (!dirty_fifo_.empty() || destage_active_)) {
+    while (powered_ && (!dirty_set_.empty() || destage_active_)) {
       co_await flush_done_.Wait();
     }
     if (!powered_) {
@@ -256,19 +256,25 @@ Task<BlockStatus> SimBlockDevice::Flush() {
 
 Task<void> SimBlockDevice::DestageLoop() {
   while (true) {
-    if (!powered_ || emergency_mode_ || dirty_fifo_.empty()) {
+    if (!powered_ || emergency_mode_ || dirty_set_.empty()) {
       co_await destage_wake_.Wait();
       continue;
     }
     // Gather a contiguous run starting at the oldest dirty sector, so
-    // sequential dirtied regions destage as large medium writes.
-    const uint64_t start_lba = dirty_fifo_.front();
+    // sequential dirtied regions destage as large medium writes. Sectors
+    // a run absorbs leave stale fifo entries behind; skip those first.
+    while (true) {
+      const auto it = dirty_set_.find(dirty_fifo_.front().first);
+      if (it != dirty_set_.end() && it->second == dirty_fifo_.front().second) {
+        break;
+      }
+      dirty_fifo_.pop_front();
+    }
+    const uint64_t start_lba = dirty_fifo_.front().first;
     dirty_fifo_.pop_front();
     dirty_set_.erase(start_lba);
     uint32_t run = 1;
-    while (run < kMaxDestageRun && dirty_set_.contains(start_lba + run)) {
-      dirty_set_.erase(start_lba + run);
-      std::erase(dirty_fifo_, start_lba + run);
+    while (run < kMaxDestageRun && dirty_set_.erase(start_lba + run) > 0) {
       ++run;
     }
 

@@ -14,7 +14,8 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
+#include <utility>
 
 #include "src/sim/simulator.h"
 #include "src/sim/stats.h"
@@ -108,7 +109,7 @@ class SimBlockDevice : public BlockDevice {
   const Stats& stats() const { return stats_; }
   Stats& stats() { return stats_; }
   const Options& options() const { return options_; }
-  uint64_t dirty_sectors() const { return dirty_fifo_.size(); }
+  uint64_t dirty_sectors() const { return dirty_set_.size(); }
 
  private:
   rlsim::Task<void> DestageLoop();
@@ -142,8 +143,14 @@ class SimBlockDevice : public BlockDevice {
   };
   std::optional<InflightWrite> inflight_medium_write_;
 
-  std::deque<uint64_t> dirty_fifo_;
-  std::unordered_set<uint64_t> dirty_set_;
+  // Destage order: (lba, sequence) in the order sectors were first dirtied.
+  // dirty_set_ maps each dirty sector to the sequence of its live fifo
+  // entry; an entry whose sequence no longer matches (its sector was
+  // destaged as part of another run, and maybe re-dirtied since) is stale
+  // and skipped when it reaches the front.
+  std::deque<std::pair<uint64_t, uint64_t>> dirty_fifo_;
+  std::unordered_map<uint64_t, uint64_t> dirty_set_;
+  uint64_t next_dirty_seq_ = 0;
   bool destage_active_ = false;
   rlsim::WaitQueue destage_wake_;
   rlsim::WaitQueue space_available_;

@@ -215,6 +215,27 @@ TEST(RapiLogDeviceTest, PowerCutWithoutGuardLosesData) {
   EXPECT_GT(f.rapilog.stats().lost_bytes.value(), 0);
 }
 
+TEST(RapiLogDeviceTest, PowerFailWarningEndsALingerInProgress) {
+  // The drain lingers longer than the ~32 ms hold-up window. Left alone it
+  // would still be lingering when the rails drop; the guard ends the linger
+  // at the warning and flushes. Without the guard the block dies buffered.
+  for (const bool guard : {true, false}) {
+    RapiLogOptions opt;
+    opt.drain_linger = Duration::Millis(50);
+    opt.enable_power_guard = guard;
+    Fixture f(opt);
+    f.sim.Spawn([](Fixture& fx) -> Task<void> {
+      co_await fx.rapilog.Write(0, Block(4096, 7), false);
+      fx.psu.CutMains();
+    }(f));
+    f.sim.Run();
+    EXPECT_EQ(f.rapilog.lost_data(), !guard) << "guard " << guard;
+    std::vector<uint8_t> sector(512);
+    f.disk.image().ReadDurable(0, sector);
+    EXPECT_EQ(sector == Block(512, 7), guard) << "guard " << guard;
+  }
+}
+
 TEST(RapiLogDeviceTest, WritesDuringEmergencyAreNotAcked) {
   Fixture f;
   BlockStatus late_status = BlockStatus::kOk;

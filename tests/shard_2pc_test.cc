@@ -195,24 +195,33 @@ TEST(TwoPcTest, PartitionedParticipantAbortsAtomically) {
 
 TEST(TwoPcTest, CoordinatorCrashMidDecisionResolvesConsistently) {
   // Kill the coordinator at offsets sweeping the whole 2PC window — before
-  // the prepares land, mid-vote, mid-decision-write (torn decision-log
-  // tail), and after the decision is durable. Every offset must resolve
-  // consistently; at least one must catch the protocol in flight.
+  // the prepares land, mid-vote, mid-decision-write (the decision record
+  // buffered in the coordinator's RapiLog, the client not yet acked), with
+  // the acked decision buffered but not yet drained to the SSD (~227-710 us
+  // here), and after it has drained. Every offset must resolve
+  // consistently; at least one must catch the protocol in flight, and at
+  // least one must find a decision in the buffer for the guard to flush.
   int unknowns = 0;
-  for (const int64_t kill_us : {50, 200, 500, 1000, 2000, 4000, 8000}) {
+  int buffered_kills = 0;
+  for (const int64_t kill_us : {50, 200, 227, 300, 500, 1000, 2000, 4000,
+                                8000}) {
     Simulator sim;
     FleetTestbed fleet(sim, SmallFleet(2));
     const uint64_t k0 = 30, k1 = (1 << 19) + 30;
     TxnOutcome outcome = TxnOutcome::kAborted;
     bool has0 = false, has1 = true, resolved = false;
+    uint64_t buffered = 0;
     sim.Spawn([](Simulator& s, FleetTestbed& f, uint64_t a, uint64_t b,
                  int64_t at_us, TxnOutcome& out, bool& ha, bool& hb,
-                 bool& res) -> Task<void> {
+                 bool& res, uint64_t& buf) -> Task<void> {
       co_await f.Start();
       std::vector<ShardOps> parts;
       parts.push_back(ShardOps{.shard = 0, .ops = {Op(a)}});
       parts.push_back(ShardOps{.shard = 1, .ops = {Op(b)}});
-      s.Schedule(Duration::Micros(at_us), [&f] { f.KillCoordinator(); });
+      s.Schedule(Duration::Micros(at_us), [&f, &buf] {
+        buf = f.coordinator_rapilog().buffered_bytes();
+        f.KillCoordinator();
+      });
       out = co_await f.coordinator().Execute(4, std::move(parts));
       co_await s.Sleep(Duration::Millis(50));
       if (!f.coordinator_alive()) {
@@ -224,8 +233,16 @@ TEST(TwoPcTest, CoordinatorCrashMidDecisionResolvesConsistently) {
       ha = co_await HasKey(f, a);
       hb = co_await HasKey(f, b);
       co_await f.Shutdown();
-    }(sim, fleet, k0, k1, kill_us, outcome, has0, has1, resolved));
+    }(sim, fleet, k0, k1, kill_us, outcome, has0, has1, resolved,
+      buffered));
     sim.Run();
+    if (buffered > 0) {
+      ++buffered_kills;
+      // The guard flushed the buffered decision: it stands.
+      EXPECT_TRUE(has0) << "kill at " << kill_us << "us";
+    }
+    EXPECT_FALSE(fleet.coordinator_rapilog().lost_data())
+        << "kill at " << kill_us << "us";
     // A coordinator crash can never manufacture an abort ack: the outcome is
     // either a durably-decided commit or unknown.
     EXPECT_NE(outcome, TxnOutcome::kAborted) << "kill at " << kill_us << "us";
@@ -240,6 +257,142 @@ TEST(TwoPcTest, CoordinatorCrashMidDecisionResolvesConsistently) {
   }
   // The sweep must actually have caught the protocol mid-flight.
   EXPECT_GT(unknowns, 0);
+  EXPECT_GT(buffered_kills, 0);
+}
+
+// One cross-shard transaction. Once both shards have voted yes, both
+// coordinator<->shard links go down: the votes are already on the wire, the
+// decision push will not be. The coordinator dies as soon as the client is
+// acked, while the commit decision still sits in its RapiLog buffer. After
+// the rails have dropped the coordinator recovers and the links heal; the
+// shards learn the outcome only from the recovered decision log.
+//
+// RapiLog's drain lingers 50 ms here, longer than the PSU's 32 ms hold-up
+// window: left to itself it would still be lingering when the rails drop.
+// The guard ends the linger at the power-fail warning and flushes.
+struct BufferedDecisionKill {
+  TxnOutcome outcome = TxnOutcome::kUnknown;
+  uint64_t buffered_at_kill = 0;
+  bool lost_data = false;
+  rlfault::VerifyResult verdict;
+};
+
+BufferedDecisionKill KillWithDecisionBuffered(bool power_guard) {
+  Simulator sim;
+  FleetOptions opt = SmallFleet(2);
+  opt.shard.rapilog.drain_linger = Duration::Millis(50);
+  opt.shard.rapilog.enable_power_guard = power_guard;
+  FleetTestbed fleet(sim, opt);
+  rlfault::FleetChecker checker;
+  BufferedDecisionKill result;
+  sim.Spawn([](Simulator& s, FleetTestbed& f, rlfault::FleetChecker& ck,
+               BufferedDecisionKill& res) -> Task<void> {
+    co_await f.Start();
+    const uint64_t gid = 9, a = 70, b = (1 << 19) + 70;
+    std::vector<rlfault::TrackedWrite> writes;
+    writes.push_back({.key = a, .value = Op(a).value});
+    writes.push_back({.key = b, .value = Op(b).value});
+    ck.OnTxnAttempt(gid, std::move(writes));
+    s.Spawn([](Simulator& sm, FleetTestbed& fl) -> Task<void> {
+      const rlsim::TimePoint give_up = sm.now() + Duration::Millis(10);
+      while (fl.node(0).stats().votes_yes.value() +
+                     fl.node(1).stats().votes_yes.value() <
+                 2 &&
+             sm.now() < give_up) {
+        co_await sm.Sleep(Duration::Micros(1));
+      }
+      fl.PartitionShard(0);
+      fl.PartitionShard(1);
+    }(s, f));
+    std::vector<ShardOps> parts;
+    parts.push_back(ShardOps{.shard = 0, .ops = {Op(a)}});
+    parts.push_back(ShardOps{.shard = 1, .ops = {Op(b)}});
+    res.outcome = co_await f.coordinator().Execute(gid, std::move(parts));
+    if (res.outcome == TxnOutcome::kCommitted) {
+      ck.OnCommitAcked(gid);
+    }
+    res.buffered_at_kill = f.coordinator_rapilog().buffered_bytes();
+    f.KillCoordinator();
+    co_await s.Sleep(Duration::Millis(100));  // the rails have dropped
+    res.lost_data = f.coordinator_rapilog().lost_data();
+    co_await f.RecoverCoordinator();
+    f.HealShard(0);
+    f.HealShard(1);
+    EXPECT_TRUE(co_await f.ResolveAllInDoubt(Duration::Seconds(10)));
+    const std::vector<rldb::Database*> dbs = {f.shard_db(0), f.shard_db(1)};
+    res.verdict = co_await ck.VerifyAfterRecovery(f.directory(), dbs);
+    co_await f.Shutdown();
+  }(sim, fleet, checker, result));
+  sim.Run();
+  return result;
+}
+
+TEST(TwoPcTest, PowerGuardFlushesBufferedDecision) {
+  const BufferedDecisionKill guarded = KillWithDecisionBuffered(true);
+  EXPECT_EQ(guarded.outcome, TxnOutcome::kCommitted);
+  EXPECT_GT(guarded.buffered_at_kill, 0u);
+  EXPECT_FALSE(guarded.lost_data);
+  EXPECT_TRUE(guarded.verdict.ok()) << guarded.verdict.Summary();
+  EXPECT_EQ(guarded.verdict.keys_checked, 2u);
+
+  // Without the guard the same acknowledged decision dies in the buffer,
+  // the shards presume abort, and the oracle convicts the lost commit.
+  const BufferedDecisionKill unguarded = KillWithDecisionBuffered(false);
+  EXPECT_EQ(unguarded.outcome, TxnOutcome::kCommitted);
+  EXPECT_GT(unguarded.buffered_at_kill, 0u);
+  EXPECT_TRUE(unguarded.lost_data);
+  EXPECT_EQ(unguarded.verdict.lost_writes, 2u)
+      << unguarded.verdict.Summary();
+}
+
+TEST(TwoPcTest, AbsorbedCoordinatorOutageKeepsTheDecisionLog) {
+  // The coordinator dies and its mains return 5 ms later, inside the 32 ms
+  // hold-up window: the rails never drop, and the power-fail warning has put
+  // RapiLog and the coord-log disk into emergency mode. Both must stand
+  // down, or the rescan cannot read the log back and later decisions stay
+  // buffered.
+  Simulator sim;
+  FleetTestbed fleet(sim, SmallFleet(2));
+  TxnOutcome first = TxnOutcome::kUnknown, second = TxnOutcome::kUnknown;
+  bool first_recovered = false, second_drained = false, all_keys = false;
+  sim.Spawn([](Simulator& s, FleetTestbed& f, TxnOutcome& out1,
+               TxnOutcome& out2, bool& recovered, bool& drained,
+               bool& keys) -> Task<void> {
+    co_await f.Start();
+    const uint64_t a = 80, b = (1 << 19) + 80, c = 81, d = (1 << 19) + 81;
+    std::vector<ShardOps> parts;
+    parts.push_back(ShardOps{.shard = 0, .ops = {Op(a)}});
+    parts.push_back(ShardOps{.shard = 1, .ops = {Op(b)}});
+    out1 = co_await f.coordinator().Execute(10, std::move(parts));
+    f.KillCoordinator();
+    co_await s.Sleep(Duration::Millis(5));
+    EXPECT_TRUE(f.coordinator_rapilog().emergency());
+    co_await f.RecoverCoordinator();
+    recovered = f.coordinator().decision_log().IsCommitted(10);
+    EXPECT_FALSE(f.coordinator_rapilog().emergency());
+
+    const int64_t drained_before =
+        f.coordinator_rapilog().stats().drained_writes.value();
+    parts.clear();
+    parts.push_back(ShardOps{.shard = 0, .ops = {Op(c)}});
+    parts.push_back(ShardOps{.shard = 1, .ops = {Op(d)}});
+    out2 = co_await f.coordinator().Execute(11, std::move(parts));
+    co_await s.Sleep(Duration::Millis(5));  // linger + one SSD program
+    drained = f.coordinator_rapilog().buffered_bytes() == 0 &&
+              f.coordinator_rapilog().stats().drained_writes.value() >
+                  drained_before;
+    EXPECT_TRUE(co_await f.ResolveAllInDoubt(Duration::Seconds(5)));
+    keys = co_await HasKey(f, a) && co_await HasKey(f, b) &&
+           co_await HasKey(f, c) && co_await HasKey(f, d);
+    co_await f.Shutdown();
+  }(sim, fleet, first, second, first_recovered, second_drained, all_keys));
+  sim.Run();
+  EXPECT_EQ(first, TxnOutcome::kCommitted);
+  EXPECT_TRUE(first_recovered);
+  EXPECT_EQ(second, TxnOutcome::kCommitted);
+  EXPECT_TRUE(second_drained);
+  EXPECT_TRUE(all_keys);
+  EXPECT_FALSE(fleet.coordinator_rapilog().lost_data());
 }
 
 TEST(TwoPcTest, InDoubtParticipantSurvivesOwnCrashAndResolves) {

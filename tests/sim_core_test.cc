@@ -156,6 +156,28 @@ TEST(SimulatorTest, TaskExceptionPropagatesFromRun) {
   EXPECT_THROW(sim.Run(), std::runtime_error);
 }
 
+TEST(SimulatorTest, FirstFailedRootInSpawnOrderIsRethrownAndKept) {
+  Simulator sim;
+  const auto fail_after = [](Simulator& s, int64_t ms,
+                             const char* what) -> Task<void> {
+    co_await s.Sleep(Duration::Millis(ms));
+    throw std::runtime_error(what);
+  };
+  sim.Spawn([](Simulator& s) -> Task<void> {
+    co_await s.Sleep(Duration::Millis(1));
+  }(sim));
+  sim.Spawn(fail_after(sim, 2, "first"));
+  sim.Spawn(fail_after(sim, 1, "second"));
+  try {
+    sim.Run();
+    ADD_FAILURE() << "Run() did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "first");
+  }
+  // The failed root stays registered: the next Run() reports it again.
+  EXPECT_THROW(sim.Run(), std::runtime_error);
+}
+
 TEST(SimulatorTest, AwaitedTaskExceptionReachesParent) {
   Simulator sim;
   bool caught = false;
