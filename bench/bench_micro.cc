@@ -272,7 +272,7 @@ CampaignTiming TimeCampaign(int jobs, uint64_t episodes) {
 
 int RunPerfSuite(const std::string& json_path, int jobs) {
   const double crc_table = CrcThroughputMibps(&rlsim::Crc32cTableDriven);
-  const double crc_slice8 = CrcThroughputMibps(&rlsim::Crc32c);
+  const double crc_slice8 = CrcThroughputMibps(&rlsim::Crc32cSlice8);
   const double pooled_eps = PooledEventsPerSec();
   const double naive_eps = NaiveQueueEventsPerSec();
 

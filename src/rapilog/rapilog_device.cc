@@ -61,6 +61,7 @@ Task<BlockStatus> RapiLogDevice::Write(uint64_t lba,
   if (!fifo_.empty() && fifo_.back().lba == lba &&
       fifo_.back().data.size() == data.size()) {
     fifo_.back().data.assign(data.begin(), data.end());
+    fifo_.back().stamp = ++last_stamp_;
     stats_.absorbed_writes.Add();
     co_await sim_.Sleep(options_.ack_base_cost +
                         Duration::Nanos(static_cast<int64_t>(data.size() / 10)));
@@ -88,12 +89,16 @@ Task<BlockStatus> RapiLogDevice::Write(uint64_t lba,
     co_return BlockStatus::kDeviceOff;
   }
 
-  Entry entry;
+  Entry& entry = fifo_.emplace_back();
   entry.lba = lba;
+  entry.stamp = ++last_stamp_;
+  entry.buffered_at = sim_.now();
   entry.data.assign(data.begin(), data.end());
   buffered_bytes_ += entry.data.size();
-  fifo_.push_back(std::move(entry));
   drain_wake_.NotifyAll();
+  if (DrainRequested()) {
+    CutLinger();
+  }
 
   co_await sim_.Sleep(options_.ack_base_cost +
                       Duration::Nanos(static_cast<int64_t>(data.size() / 10)));
@@ -145,18 +150,25 @@ Task<BlockStatus> RapiLogDevice::Read(uint64_t lba, std::span<uint8_t> out) {
   co_return BlockStatus::kOk;
 }
 
-// Suspends the drain for drain_linger; a power-fail warning ends it early.
+// Suspends the drain for `wait`; CutLinger() ends it early.
 struct RapiLogDevice::LingerAwaiter {
   RapiLogDevice& dev;
+  Duration wait;
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) {
     dev.lingering_ = h;
     const uint64_t gen = ++dev.linger_gen_;
-    dev.sim_.Schedule(dev.options_.drain_linger,
-                      [d = &dev, gen] { d->EndLinger(gen); });
+    dev.sim_.Schedule(wait, [d = &dev, gen] { d->EndLinger(gen); });
   }
   void await_resume() const noexcept {}
 };
+
+void RapiLogDevice::CutLinger() {
+  if (lingering_) {
+    sim_.Schedule(Duration::Zero(),
+                  [this, gen = linger_gen_] { EndLinger(gen); });
+  }
+}
 
 void RapiLogDevice::EndLinger(uint64_t gen) {
   if (lingering_ && gen == linger_gen_) {
@@ -165,47 +177,52 @@ void RapiLogDevice::EndLinger(uint64_t gen) {
 }
 
 Task<void> RapiLogDevice::DrainLoop() {
-  bool lingered = false;
+  // The batch being drained: every entry stamped at or below this. A batch
+  // is the whole backlog at the moment a drain run was called for; entries
+  // buffered or absorbed after that wait for the next run.
+  uint64_t batch_end = 0;
   while (true) {
     if (!powered_ || fifo_.empty()) {
       drained_.NotifyAll();
-      lingered = false;
       co_await drain_wake_.Wait();
       continue;
     }
-    // Linger briefly before chasing the live tail: an imminent rewrite of
-    // the same block is then absorbed in memory instead of costing another
-    // physical write. Never linger in an emergency or once over half full.
-    if (!emergency_ && !lingered &&
-        options_.drain_linger > Duration::Zero() &&
-        buffered_bytes_ < max_buffer_bytes_ / 2) {
-      lingered = true;
-      co_await LingerAwaiter{*this};
-      continue;
-    }
-    lingered = false;
-    // Coalesce a run of physically contiguous entries into one disk write
-    // (log appends are contiguous by construction, so under load the drain
-    // streams at media rate instead of paying per-entry actuator trips).
-    // Entries are peeked, not popped: they must stay visible to reads and
-    // to the occupancy accounting until they are actually on the disk.
-    constexpr size_t kMaxRunEntries = 64;
-    std::vector<std::pair<uint64_t, std::vector<uint8_t>>> run;
-    {
-      uint64_t next_lba = fifo_.front().lba;
-      for (const Entry& e : fifo_) {
-        if (run.size() >= kMaxRunEntries || e.lba != next_lba) {
-          break;
-        }
-        run.emplace_back(e.lba, e.data);
-        next_lba = e.lba + e.data.size() / kSectorSize;
+    // Drain in half-budget batches instead of chasing the live tail: on a
+    // shared spindle every small FUA write costs a seek and breaks whatever
+    // sequential stream the other tenants had going. Below the threshold
+    // the backlog lingers until it has waited out the residency bound.
+    if (DrainRequested()) {
+      batch_end = last_stamp_;
+    } else if (fifo_.front().stamp > batch_end) {
+      const rlsim::TimePoint due =
+          fifo_.front().buffered_at + options_.drain_linger;
+      if (sim_.now() < due) {
+        co_await LingerAwaiter{*this, due - sim_.now()};
+        continue;
       }
+      batch_end = last_stamp_;
     }
+    // Coalesce a run of physically contiguous entries into one disk write
+    // (log appends are contiguous by construction, so the drain streams at
+    // media rate instead of paying per-entry actuator trips). Entries are
+    // copied, not popped: they must stay visible to reads and to the
+    // occupancy accounting until they are actually on the disk.
+    constexpr size_t kMaxRunEntries = 64;
+    const uint64_t run_lba = fifo_.front().lba;
+    uint64_t next_lba = run_lba;
+    uint64_t run_end = 0;  // stamp of the run's last entry
+    size_t run_entries = 0;
     std::vector<uint8_t> payload;
-    for (const auto& [lba, data] : run) {
-      payload.insert(payload.end(), data.begin(), data.end());
+    for (const Entry& e : fifo_) {
+      if (run_entries == kMaxRunEntries || e.lba != next_lba ||
+          e.stamp > batch_end) {
+        break;
+      }
+      payload.insert(payload.end(), e.data.begin(), e.data.end());
+      next_lba = e.lba + e.data.size() / kSectorSize;
+      run_end = e.stamp;
+      ++run_entries;
     }
-    const uint64_t run_lba = run.front().first;
     BlockStatus st;
     {
       // The hold-up-critical physical write behind the guest's back.
@@ -224,18 +241,15 @@ Task<void> RapiLogDevice::DrainLoop() {
       co_await sim_.Sleep(Duration::Micros(200));
       continue;
     }
-    // Retire the written prefix. The last entry of the run may have been
-    // absorbed (superseded) while we were writing; retire it only if it
-    // still holds what we wrote.
-    for (const auto& [lba, data] : run) {
-      if (fifo_.empty() || fifo_.front().lba != lba ||
-          fifo_.front().data != data) {
-        break;
-      }
-      buffered_bytes_ -= fifo_.front().data.size();
+    // Retire the written prefix. An entry absorbed (superseded) while we
+    // were writing carries a newer stamp than the run and stays buffered;
+    // so do entries of a FIFO that a power cycle emptied and refilled.
+    while (!fifo_.empty() && fifo_.front().stamp <= run_end) {
+      const uint64_t bytes = fifo_.front().data.size();
+      buffered_bytes_ -= bytes;
       fifo_.pop_front();
       stats_.drained_writes.Add();
-      stats_.drained_bytes.Add(static_cast<int64_t>(data.size()));
+      stats_.drained_bytes.Add(static_cast<int64_t>(bytes));
     }
     space_available_.NotifyAll();
     if (fifo_.empty()) {
@@ -259,10 +273,7 @@ void RapiLogDevice::OnPowerFailWarning(rlsim::Duration time_remaining) {
   // The flag stops new admissions and further lingering; a linger already
   // in progress ends now, so the flush starts at the warning.
   drain_wake_.NotifyAll();
-  if (lingering_) {
-    sim_.Schedule(Duration::Zero(),
-                  [this, gen = linger_gen_] { EndLinger(gen); });
-  }
+  CutLinger();
 }
 
 void RapiLogDevice::OnOutageAbsorbed() {
@@ -297,9 +308,13 @@ void RapiLogDevice::OnPowerRestore() {
 }
 
 Task<void> RapiLogDevice::Quiesce() {
+  // Asks for the whole backlog now: no residency wait.
+  ++quiescers_;
+  CutLinger();
   while (powered_ && !fifo_.empty()) {
     co_await drained_.Wait();
   }
+  --quiescers_;
 }
 
 }  // namespace rapilog

@@ -56,11 +56,12 @@ struct RapiLogOptions {
   // guest request plus the drain's own worst-case seek+rotation must fit in
   // the hold-up window before any buffered byte moves.
   rlsim::Duration drain_start_reserve = rlsim::Duration::Millis(20);
-  // How long the drain lingers before writing out the buffer tail, giving
-  // tail-block rewrites a chance to be absorbed instead of each version
-  // paying a physical write. Skipped, or cut short, during an emergency
-  // flush.
-  rlsim::Duration drain_linger = rlsim::Duration::Micros(200);
+  // Residency bound: the longest a backlog below half the budget waits for
+  // a drain run. Below that threshold the drain lingers, so the log disk
+  // sees one large run per half budget instead of chasing the live tail,
+  // and tail-block rewrites are absorbed in memory. Crossing the threshold,
+  // Quiesce() and the power-fail warning all end a linger at once.
+  rlsim::Duration drain_linger = rlsim::Duration::Seconds(1);
 };
 
 class RapiLogDevice : public rlstor::BlockDevice, public rlpow::PowerSink {
@@ -128,12 +129,25 @@ class RapiLogDevice : public rlstor::BlockDevice, public rlpow::PowerSink {
  private:
   struct Entry {
     uint64_t lba = 0;
+    // Absorption generation: a fresh stamp each time a write lands in the
+    // entry, so the drain can tell whether it still holds what was written.
+    // Stamps increase along the FIFO.
+    uint64_t stamp = 0;
+    // When the entry was first buffered (the residency bound runs from here).
+    rlsim::TimePoint buffered_at;
     std::vector<uint8_t> data;
   };
 
   struct LingerAwaiter;
 
   rlsim::Task<void> DrainLoop();
+  // True when the whole backlog should drain now, without lingering.
+  bool DrainRequested() const {
+    return emergency_ || quiescers_ > 0 ||
+           buffered_bytes_ >= max_buffer_bytes_ / 2;
+  }
+  // Ends a linger in progress (from the event loop, not inline).
+  void CutLinger();
   // Resumes the lingering drain if linger `gen` is still the current one.
   void EndLinger(uint64_t gen);
   uint64_t ComputeBudget(const rlpow::PowerSupply& psu) const;
@@ -145,10 +159,12 @@ class RapiLogDevice : public rlstor::BlockDevice, public rlpow::PowerSink {
 
   std::deque<Entry> fifo_;
   uint64_t buffered_bytes_ = 0;
+  uint64_t last_stamp_ = 0;
+  int quiescers_ = 0;  // Quiesce() calls waiting for an empty buffer
   bool emergency_ = false;
   bool powered_ = true;
   // The drain while it lingers, and the generation of that linger (a timer
-  // from a linger the warning already ended must not end a later one).
+  // from a linger that was already ended must not end a later one).
   std::coroutine_handle<> lingering_;
   uint64_t linger_gen_ = 0;
 

@@ -15,8 +15,8 @@ Task<void> FleetWorkload::RunClient(rlshard::TxnCoordinator& coordinator,
                                     const rlshard::ShardDirectory& directory,
                                     int client_id, const bool* stop,
                                     rlfault::FleetChecker* checker) {
-  rlsim::Rng rng((static_cast<uint64_t>(client_id) + 1) *
-                 0x9e3779b97f4a7c15ull);
+  rlsim::Rng rng(seed_ ^ ((static_cast<uint64_t>(client_id) + 1) *
+                          0x9e3779b97f4a7c15ull));
   const size_t shards = directory.shards();
   const size_t home = static_cast<size_t>(client_id) % shards;
   const std::string client_name = "client-" + std::to_string(client_id);

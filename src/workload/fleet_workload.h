@@ -48,13 +48,16 @@ class FleetWorkload {
     rlsim::Histogram txn_latency;
   };
 
+  // Client RNG streams derive from the simulator's seed, so a run seed
+  // changes the transaction mix.
   FleetWorkload(rlsim::Simulator& sim, FleetConfig config)
-      : sim_(sim), config_(config) {}
+      : sim_(sim), config_(config), seed_(sim.rng().Next()) {}
 
   // Drives transactions until *stop. `client_id` determines the home shard
-  // (client_id mod shards), the RNG stream, and the global-id namespace —
-  // ids are (client_id + 1) << 40 | seq, unique fleet-wide and across
-  // recoveries. `checker` may be null (pure benchmarking).
+  // (client_id mod shards), the RNG stream (with the run seed), and the
+  // global-id namespace — ids are (client_id + 1) << 40 | seq, unique
+  // fleet-wide and across recoveries. `checker` may be null (pure
+  // benchmarking).
   rlsim::Task<void> RunClient(rlshard::TxnCoordinator& coordinator,
                               const rlshard::ShardDirectory& directory,
                               int client_id, const bool* stop,
@@ -65,6 +68,7 @@ class FleetWorkload {
  private:
   rlsim::Simulator& sim_;
   FleetConfig config_;
+  uint64_t seed_;
   Stats stats_;
 };
 

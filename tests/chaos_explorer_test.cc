@@ -84,9 +84,9 @@ TEST(ChaosExplorerTest, BoundedCorpusHoldsEveryOracle) {
 
 TEST(ChaosExplorerTest, AblationFoundShrunkAndReplayable) {
   // Plant the known violation: RapiLog with the power guard disabled loses
-  // acked commits when a cut lands inside recovery/checkpoint churn. The
-  // explorer must find it, shrink it to at most 3 fault events, and the
-  // minimal schedule must replay bit-for-bit.
+  // the acked commits still buffered at a cut (the episode's closing
+  // plug-pull is one). The explorer must find it, shrink it to at most 3
+  // fault events, and the minimal schedule must replay bit-for-bit.
   ExplorerOptions opts;
   opts.base_seed = 16;  // first guard-off failure in the nightly seed walk
   opts.episodes = 1;

@@ -61,11 +61,11 @@ uint64_t CorpusHash(size_t fleet_shards) {
 // Same corpora as `rapilog_chaos --seed 1 --episodes 20` and
 // `rapilog_chaos --fleet 2 --seed 1 --episodes 20`.
 TEST(GoldenCorpusTest, ClassicSeed1x20) {
-  EXPECT_EQ(CorpusHash(0), 0x490515aab191b1fcull);
+  EXPECT_EQ(CorpusHash(0), 0xb1530604ae6f7af6ull);
 }
 
 TEST(GoldenCorpusTest, Fleet2Seed1x20) {
-  EXPECT_EQ(CorpusHash(2), 0x2501922116b298e8ull);
+  EXPECT_EQ(CorpusHash(2), 0xe3ff9cba918551bdull);
 }
 
 }  // namespace

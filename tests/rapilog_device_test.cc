@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -287,6 +288,139 @@ TEST(RapiLogDeviceTest, MisalignedWriteRejected) {
   }(f.rapilog, st));
   f.sim.Run();
   EXPECT_EQ(st, BlockStatus::kOutOfRange);
+}
+
+TEST(RapiLogDeviceTest, SteadyStreamDrainsOncePerThresholdCrossing) {
+  // 64 KiB budget: the threshold is 32 KiB, eight 4 KiB log appends. One
+  // append every 5 ms never crosses it alone, and the 1 s residency bound
+  // never runs out, so the drain writes exactly one run per crossing
+  // instead of chasing every append.
+  RapiLogOptions opt;
+  opt.max_buffer_bytes_override = 64 * 1024;
+  Fixture f(opt);
+  f.sim.Spawn([](Simulator& s, RapiLogDevice& d) -> Task<void> {
+    for (uint64_t i = 0; i < 64; ++i) {
+      co_await d.Write(i * 8, Block(4096, static_cast<uint8_t>(i)), false);
+      co_await s.Sleep(Duration::Millis(5));
+    }
+  }(f.sim, f.rapilog));
+  f.sim.Run();
+  EXPECT_EQ(f.disk.stats().writes.value(), 8);
+  EXPECT_EQ(f.rapilog.stats().drained_writes.value(), 64);
+  EXPECT_EQ(f.rapilog.stats().drained_bytes.value(), 64 * 4096);
+  EXPECT_EQ(f.rapilog.buffered_bytes(), 0u);
+}
+
+TEST(RapiLogDeviceTest, QuiesceEndsAResidencyWait) {
+  Fixture f;
+  Duration quiesce_took;
+  int64_t disk_writes_before = -1;
+  f.sim.Spawn([](Simulator& s, Fixture& fx, Duration& took,
+                 int64_t& before) -> Task<void> {
+    co_await fx.rapilog.Write(0, Block(4096, 5), false);
+    co_await s.Sleep(Duration::Millis(10));
+    before = fx.disk.stats().writes.value();  // still lingering
+    const TimePoint t0 = s.now();
+    co_await fx.rapilog.Quiesce();
+    took = s.now() - t0;
+  }(f.sim, f, quiesce_took, disk_writes_before));
+  f.sim.Run();
+  EXPECT_EQ(disk_writes_before, 0);
+  // One mechanical write, not the rest of the 1 s residency bound.
+  EXPECT_LT(quiesce_took, Duration::Millis(30));
+  EXPECT_TRUE(f.disk.image().IsDurable(0));
+}
+
+TEST(RapiLogDeviceTest, BufferedBytesNeverExceedTheBudget) {
+  // Four writers append with no think time, far faster than the drain.
+  RapiLogOptions opt;
+  opt.max_buffer_bytes_override = 32 * 1024;
+  Fixture f(opt);
+  uint64_t most_buffered = 0;
+  for (uint64_t w = 0; w < 4; ++w) {
+    f.sim.Spawn([](RapiLogDevice& d, uint64_t writer,
+                   uint64_t& most) -> Task<void> {
+      for (uint64_t i = 0; i < 32; ++i) {
+        co_await d.Write((writer * 64 + i) * 8, Block(4096, 1), false);
+        most = std::max(most, d.buffered_bytes());
+      }
+    }(f.rapilog, w, most_buffered));
+  }
+  f.sim.Run();
+  EXPECT_LE(most_buffered, f.rapilog.max_buffer_bytes());
+  EXPECT_GT(most_buffered, f.rapilog.max_buffer_bytes() / 2);
+  EXPECT_LE(static_cast<uint64_t>(f.rapilog.stats().buffer_occupancy.max()),
+            f.rapilog.max_buffer_bytes());
+  EXPECT_EQ(f.rapilog.stats().drained_writes.value(), 4 * 32);
+}
+
+TEST(RapiLogDeviceTest, PowerCutWithHalfBudgetBacklogOnBusySpindle) {
+  // Just under half the budget sits buffered (no drain run has started),
+  // while another tenant keeps the shared spindle busy with scattered
+  // writes. The guard must still get the whole backlog down inside the
+  // hold-up window; without it the backlog dies.
+  for (const bool guard : {true, false}) {
+    RapiLogOptions opt;
+    opt.enable_power_guard = guard;
+    Fixture f(opt);
+    const uint64_t blocks = f.rapilog.max_buffer_bytes() / 2 / 4096 - 1;
+    int64_t drained_at_cut = -1, destaged_at_cut = -1;
+    f.sim.Spawn([](Fixture& fx) -> Task<void> {
+      for (uint64_t i = 0; fx.disk.powered(); ++i) {
+        const uint64_t lba = 100'000 + (i * 7919) % 100'000;
+        if (co_await fx.disk.Write(lba, Block(4096, 9), false) !=
+            BlockStatus::kOk) {
+          break;
+        }
+      }
+    }(f));
+    f.sim.Spawn([](Simulator& s, Fixture& fx, uint64_t n, int64_t& drained,
+                   int64_t& destaged) -> Task<void> {
+      for (uint64_t i = 0; i < n; ++i) {
+        co_await fx.rapilog.Write(i * 8, Block(4096, static_cast<uint8_t>(i)),
+                                  false);
+        co_await s.Sleep(Duration::Micros(300));
+      }
+      drained = fx.rapilog.stats().drained_writes.value();
+      destaged = fx.disk.stats().destaged_sectors.value();
+      fx.psu.CutMains();
+    }(f.sim, f, blocks, drained_at_cut, destaged_at_cut));
+    f.sim.Run();
+    EXPECT_EQ(drained_at_cut, 0) << "guard " << guard;
+    EXPECT_GT(destaged_at_cut, 0) << "guard " << guard;
+    EXPECT_EQ(f.rapilog.lost_data(), !guard) << "guard " << guard;
+    if (guard) {
+      for (uint64_t i = 0; i < blocks; ++i) {
+        std::vector<uint8_t> sector(512);
+        f.disk.image().ReadDurable(i * 8, sector);
+        EXPECT_EQ(sector, Block(512, static_cast<uint8_t>(i))) << i;
+      }
+    }
+  }
+}
+
+TEST(RapiLogDeviceTest, EntryAbsorbedMidWriteStaysBufferedAndDrainsNext) {
+  Fixture f;
+  uint64_t buffered_after_rewrite = 0;
+  f.sim.Spawn([](Simulator& s, Fixture& fx, uint64_t& buffered) -> Task<void> {
+    co_await fx.rapilog.Write(40, Block(4096, 1), false);
+    s.Spawn(fx.rapilog.Quiesce());
+    // The drain's write of version 1 is now in flight on the HDD.
+    co_await s.Sleep(Duration::Micros(100));
+    co_await fx.rapilog.Write(40, Block(4096, 2), false);
+    buffered = fx.rapilog.buffered_bytes();
+    co_await fx.rapilog.Quiesce();
+  }(f.sim, f, buffered_after_rewrite));
+  f.sim.Run();
+  EXPECT_EQ(buffered_after_rewrite, 4096u);
+  EXPECT_EQ(f.rapilog.stats().absorbed_writes.value(), 1);
+  // Version 1's write did not retire the entry; version 2 drained next.
+  EXPECT_EQ(f.disk.stats().writes.value(), 2);
+  EXPECT_EQ(f.rapilog.stats().drained_writes.value(), 1);
+  EXPECT_EQ(f.rapilog.buffered_bytes(), 0u);
+  std::vector<uint8_t> sector(512);
+  f.disk.image().ReadDurable(40, sector);
+  EXPECT_EQ(sector, Block(512, 2));
 }
 
 }  // namespace

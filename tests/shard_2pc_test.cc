@@ -267,9 +267,10 @@ TEST(TwoPcTest, CoordinatorCrashMidDecisionResolvesConsistently) {
 // the rails have dropped the coordinator recovers and the links heal; the
 // shards learn the outcome only from the recovered decision log.
 //
-// RapiLog's drain lingers 50 ms here, longer than the PSU's 32 ms hold-up
-// window: left to itself it would still be lingering when the rails drop.
-// The guard ends the linger at the power-fail warning and flushes.
+// RapiLog's residency bound is 50 ms here, longer than the PSU's 32 ms
+// hold-up window, and the decision is far below half the budget: left to
+// itself the drain would still be lingering when the rails drop. The guard
+// ends the linger at the power-fail warning and flushes.
 struct BufferedDecisionKill {
   TxnOutcome outcome = TxnOutcome::kUnknown;
   uint64_t buffered_at_kill = 0;
@@ -377,8 +378,16 @@ TEST(TwoPcTest, AbsorbedCoordinatorOutageKeepsTheDecisionLog) {
     parts.push_back(ShardOps{.shard = 0, .ops = {Op(c)}});
     parts.push_back(ShardOps{.shard = 1, .ops = {Op(d)}});
     out2 = co_await f.coordinator().Execute(11, std::move(parts));
-    co_await s.Sleep(Duration::Millis(5));  // linger + one SSD program
-    drained = f.coordinator_rapilog().buffered_bytes() == 0 &&
+    // The drain batches below half its budget, so ask for the decision
+    // explicitly; once the device has stood down it lands within one SSD
+    // program.
+    bool quiesced = false;
+    s.Spawn([](rapilog::RapiLogDevice& rl, bool& done) -> Task<void> {
+      co_await rl.Quiesce();
+      done = true;
+    }(f.coordinator_rapilog(), quiesced));
+    co_await s.Sleep(Duration::Millis(5));
+    drained = quiesced && f.coordinator_rapilog().buffered_bytes() == 0 &&
               f.coordinator_rapilog().stats().drained_writes.value() >
                   drained_before;
     EXPECT_TRUE(co_await f.ResolveAllInDoubt(Duration::Seconds(5)));

@@ -1,7 +1,9 @@
-// CRC-32C: the slice-by-8 production implementation must agree with the
-// one-byte-at-a-time table-driven reference for every input — all small
-// lengths (covering every tail-loop count), unaligned starts, random
-// payloads, seed chaining — plus the standard known-answer vector.
+// CRC-32C: both fast implementations — the production entry point (the
+// CPU's CRC instruction where the host has one) and the portable
+// slice-by-8 — must agree with the one-byte-at-a-time table-driven
+// reference for every input: all small lengths (covering every tail-loop
+// count), unaligned starts, random payloads, seed chaining — plus the
+// standard known-answer vector.
 #include "src/sim/crc32.h"
 
 #include <gtest/gtest.h>
@@ -18,22 +20,32 @@ std::span<const uint8_t> Bytes(const char* s) {
   return {reinterpret_cast<const uint8_t*>(s), std::strlen(s)};
 }
 
+using CrcFn = uint32_t (*)(std::span<const uint8_t>, uint32_t);
+const struct {
+  const char* name;
+  CrcFn crc;
+} kFast[] = {{"Crc32c", &rlsim::Crc32c}, {"Crc32cSlice8", &rlsim::Crc32cSlice8}};
+
 TEST(Crc32cTest, KnownAnswerVector) {
   // The canonical CRC-32C check value (RFC 3720 appendix / every
   // implementation's self-test): crc32c("123456789") == 0xE3069283.
-  EXPECT_EQ(rlsim::Crc32c(Bytes("123456789")), 0xE3069283u);
+  for (const auto& f : kFast) {
+    EXPECT_EQ(f.crc(Bytes("123456789"), 0), 0xE3069283u) << f.name;
+  }
   EXPECT_EQ(rlsim::Crc32cTableDriven(Bytes("123456789")), 0xE3069283u);
 }
 
 TEST(Crc32cTest, EmptyInput) {
-  EXPECT_EQ(rlsim::Crc32c({}), 0u);
-  EXPECT_EQ(rlsim::Crc32c({}), rlsim::Crc32cTableDriven({}));
-  // An empty update must preserve any seed, not reset it.
-  EXPECT_EQ(rlsim::Crc32c({}, 0xDEADBEEF), 0xDEADBEEFu);
+  EXPECT_EQ(rlsim::Crc32cTableDriven({}), 0u);
+  for (const auto& f : kFast) {
+    EXPECT_EQ(f.crc({}, 0), 0u) << f.name;
+    // An empty update must preserve any seed, not reset it.
+    EXPECT_EQ(f.crc({}, 0xDEADBEEF), 0xDEADBEEFu) << f.name;
+  }
   EXPECT_EQ(rlsim::Crc32cTableDriven({}, 0xDEADBEEF), 0xDEADBEEFu);
 }
 
-TEST(Crc32cTest, SliceBy8MatchesTableOnEveryLength) {
+TEST(Crc32cTest, FastPathsMatchTableOnEveryLength) {
   // 0..129 covers: pure tail loop (<8), exactly one word, word+tail for
   // every tail size, and many words. Random payloads so table symmetry
   // can't mask a byte-order bug.
@@ -44,8 +56,10 @@ TEST(Crc32cTest, SliceBy8MatchesTableOnEveryLength) {
   }
   for (size_t len = 0; len <= buf.size(); ++len) {
     const std::span<const uint8_t> data(buf.data(), len);
-    EXPECT_EQ(rlsim::Crc32c(data), rlsim::Crc32cTableDriven(data))
-        << "length " << len;
+    for (const auto& f : kFast) {
+      EXPECT_EQ(f.crc(data, 0), rlsim::Crc32cTableDriven(data))
+          << f.name << " length " << len;
+    }
   }
 }
 
@@ -59,8 +73,10 @@ TEST(Crc32cTest, UnalignedStartsMatch) {
   }
   for (size_t offset = 0; offset < 16; ++offset) {
     const std::span<const uint8_t> data(buf.data() + offset, 64);
-    EXPECT_EQ(rlsim::Crc32c(data), rlsim::Crc32cTableDriven(data))
-        << "offset " << offset;
+    for (const auto& f : kFast) {
+      EXPECT_EQ(f.crc(data, 0), rlsim::Crc32cTableDriven(data))
+          << f.name << " offset " << offset;
+    }
   }
 }
 
@@ -72,18 +88,21 @@ TEST(Crc32cTest, SeedsAndChainingMatch) {
   }
   const std::span<const uint8_t> all(buf);
   for (uint32_t seed : {0u, 1u, 0xFFFFFFFFu, 0x12345678u}) {
-    EXPECT_EQ(rlsim::Crc32c(all, seed),
-              rlsim::Crc32cTableDriven(all, seed))
-        << "seed " << seed;
+    for (const auto& f : kFast) {
+      EXPECT_EQ(f.crc(all, seed), rlsim::Crc32cTableDriven(all, seed))
+          << f.name << " seed " << seed;
+    }
   }
   // Feeding a split buffer through the seed parameter equals one pass, for
-  // both implementations and any cut point (this is what WAL record
+  // every implementation and any cut point (this is what WAL record
   // verification relies on).
   for (size_t cut : {0u, 1u, 7u, 8u, 9u, 128u, 256u, 257u}) {
     const std::span<const uint8_t> head(buf.data(), cut);
     const std::span<const uint8_t> tail(buf.data() + cut, buf.size() - cut);
-    EXPECT_EQ(rlsim::Crc32c(tail, rlsim::Crc32c(head)), rlsim::Crc32c(all))
-        << "cut " << cut;
+    for (const auto& f : kFast) {
+      EXPECT_EQ(f.crc(tail, f.crc(head, 0)), f.crc(all, 0))
+          << f.name << " cut " << cut;
+    }
     EXPECT_EQ(rlsim::Crc32cTableDriven(tail, rlsim::Crc32cTableDriven(head)),
               rlsim::Crc32cTableDriven(all))
         << "cut " << cut;
@@ -97,8 +116,10 @@ TEST(Crc32cTest, LargeRandomBuffersMatch) {
     for (uint8_t& b : buf) {
       b = static_cast<uint8_t>(rng.Next());
     }
-    EXPECT_EQ(rlsim::Crc32c(buf), rlsim::Crc32cTableDriven(buf))
-        << "size " << size;
+    for (const auto& f : kFast) {
+      EXPECT_EQ(f.crc(buf, 0), rlsim::Crc32cTableDriven(buf))
+          << f.name << " size " << size;
+    }
   }
 }
 
