@@ -146,6 +146,11 @@ std::vector<BufferPool::Frame*> BufferPool::DirtyFrames() {
       out.push_back(&f);
     }
   }
+  // Page order, not frame order: CLOCK reuse scatters page ids across the
+  // frame slots, and the checkpoint's in-place phase writes in this order.
+  std::sort(out.begin(), out.end(), [](const Frame* a, const Frame* b) {
+    return a->page_id < b->page_id;
+  });
   return out;
 }
 

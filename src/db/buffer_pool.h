@@ -60,7 +60,9 @@ class BufferPool {
   // Pinned lookup without I/O; nullptr if not resident.
   Frame* FindResident(uint64_t page_id);
 
-  // All dirty frames (checkpoint input).
+  // All dirty frames in ascending page_id order (checkpoint input). The
+  // checkpoint journals and writes pages back in this order, so the
+  // in-place phase sweeps the data disk once instead of seeking per page.
   std::vector<Frame*> DirtyFrames();
   size_t dirty_count() const { return dirty_count_; }
 

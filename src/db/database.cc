@@ -1,6 +1,7 @@
 #include "src/db/database.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -92,11 +93,19 @@ Database::Database(rlsim::Simulator& sim, CpuContext& cpu,
 }
 
 Task<void> Database::ThrottleDirtyPages() {
+  // Opened only once the commit actually waits, so an unthrottled commit
+  // emits nothing; one span covers the whole wait however many checkpoints
+  // it takes.
+  std::optional<rlsim::SpanScope> wait_span;
   while (pool_->dirty_count() >= dirty_throttle_pages_) {
     if (closing_ || wal_->halted()) {
       // A halted WAL can never satisfy a checkpoint's Force(), so waiting
       // here would respawn failing checkpoints in a zero-time loop.
       throw EngineHalted();
+    }
+    if (!wait_span.has_value()) {
+      wait_span.emplace(sim_, "db", "dirty-throttle",
+                        static_cast<int64_t>(pool_->dirty_count()));
     }
     MaybeScheduleCheckpoint();
     co_await checkpoint_done_->Wait();

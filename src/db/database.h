@@ -190,10 +190,10 @@ class Database {
            rlstor::BlockDevice& data_dev, rlstor::BlockDevice& log_dev,
            DbOptions options);
 
-  // A consistent snapshot taken under the apply mutex: sealed page images
-  // plus the metadata describing them. Staging copies memory only (zero
-  // simulated time), so commits never observe a checkpoint stall; the I/O
-  // happens afterwards from the staged images.
+  // A consistent snapshot taken under the apply mutex: sealed page images,
+  // in ascending page id, plus the metadata describing them. Staging copies
+  // memory only (zero simulated time); the I/O happens afterwards from the
+  // staged images, and commits wait for it only at the dirty throttle.
   struct StagedCheckpoint {
     MetaContent meta;
     // Per-slice low-water LSNs: records at or below horizons[s] whose key

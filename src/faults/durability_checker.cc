@@ -34,10 +34,13 @@ void DurabilityChecker::OnCommitAttempt(uint64_t token,
   pending_.emplace(token, Pending{++clock_, std::move(writes)});
 }
 
-void DurabilityChecker::Apply(const TrackedWrite& w, uint64_t at) {
+void DurabilityChecker::Apply(TrackedWrite&& w, uint64_t at) {
   Committed& c = committed_[w.key];
-  c.value = w.is_delete ? std::nullopt
-                        : std::optional<std::vector<uint8_t>>(w.value);
+  if (w.is_delete) {
+    c.value.reset();
+  } else {
+    c.value = std::move(w.value);
+  }
   c.acked_at = std::max(c.acked_at, at);
 }
 
@@ -45,8 +48,8 @@ void DurabilityChecker::OnCommitAcked(uint64_t token) {
   const auto it = pending_.find(token);
   RL_CHECK_MSG(it != pending_.end(), "ack for unknown commit token");
   const uint64_t at = ++clock_;
-  for (const TrackedWrite& w : it->second.writes) {
-    Apply(w, at);
+  for (TrackedWrite& w : it->second.writes) {
+    Apply(std::move(w), at);
   }
   pending_.erase(it);
 }
@@ -70,15 +73,15 @@ Task<VerifyResult> DurabilityChecker::Verify(KeyReader read) {
   // map's iteration order must not decide which promoted commit wins a key
   // both touched, nor the order of the verification reads below.
   for (const uint64_t token : rlsim::SortedKeys(pending_)) {
-    const Pending& p = pending_.at(token);
+    Pending& p = pending_.at(token);
     // Each key is judged by what the store holds. Its own value is evidence
     // that the commit landed. A key an acknowledged commit rewrote after
     // this attempt proves nothing otherwise: the two may have written it in
     // either order. Anything else on a key is evidence it did not land.
-    std::vector<const TrackedWrite*> landed;
+    std::vector<TrackedWrite*> landed;
     size_t judged = 0;
     bool definite = false;
-    for (const TrackedWrite& w : p.writes) {
+    for (TrackedWrite& w : p.writes) {
       std::vector<uint8_t> got;
       const bool found = co_await read(w.key, &got);
       const bool matches_new =
@@ -108,8 +111,9 @@ Task<VerifyResult> DurabilityChecker::Verify(KeyReader read) {
     }
     if (landed.size() == judged) {
       ++result.promoted_pending;
-      for (const TrackedWrite* w : landed) {
-        Apply(*w, p.attempted_at);
+      // pending_ is cleared below, so the promoted values move.
+      for (TrackedWrite* w : landed) {
+        Apply(std::move(*w), p.attempted_at);
       }
     } else if (definite) {
       ++result.atomicity_violations;
@@ -118,8 +122,11 @@ Task<VerifyResult> DurabilityChecker::Verify(KeyReader read) {
   }
   pending_.clear();
 
-  // Every acknowledged write must be present.
-  for (const auto& [key, c] : committed_) {
+  // Every acknowledged write must be present. Ascending key order keeps the
+  // read sequence, and with it every downstream hash, independent of the
+  // hash map's layout.
+  for (const uint64_t key : rlsim::SortedKeys(committed_)) {
+    const Committed& c = committed_.at(key);
     ++result.keys_checked;
     std::vector<uint8_t> got;
     const bool found = co_await read(key, &got);

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -88,8 +87,9 @@ class DurabilityChecker {
     std::vector<TrackedWrite> writes;
   };
 
-  // Sets the key's model value; acked_at never moves back.
-  void Apply(const TrackedWrite& w, uint64_t at);
+  // Sets the key's model value, taking the write's value buffer; acked_at
+  // never moves back.
+  void Apply(TrackedWrite&& w, uint64_t at);
 
   // Ticks once per attempt and per ack. Only the order matters: a key whose
   // acked_at is later than a pending commit's attempted_at may have been
@@ -97,7 +97,8 @@ class DurabilityChecker {
   // evidence about that commit, while an older acked value is evidence it
   // did not land.
   uint64_t clock_ = 0;
-  std::map<uint64_t, Committed> committed_;
+  // Unordered for lookup cost; Verify reads it back in ascending key order.
+  std::unordered_map<uint64_t, Committed> committed_;
   std::unordered_map<uint64_t, Pending> pending_;
 };
 

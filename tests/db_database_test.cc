@@ -4,11 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
+#include <string_view>
 
+#include "src/db/errors.h"
 #include "src/sim/rng.h"
 #include "src/sim/simulator.h"
+#include "src/sim/sync.h"
+#include "src/sim/trace.h"
 #include "src/storage/block_device.h"
 
 namespace rldb {
@@ -17,8 +23,89 @@ namespace {
 using rlsim::Duration;
 using rlsim::Simulator;
 using rlsim::Task;
+using rlsim::TimePoint;
+using rlstor::BlockStatus;
 using rlstor::SimBlockDevice;
 using rlstor::WriteCachePolicy;
+
+// The engine's view of the data disk: forwards every request to the disk
+// and records it, so a test can see the order a checkpoint's writes arrive
+// in. Writes can also be held at a closed gate, or can trigger a power cut
+// at the n-th in-place write of a checkpoint (a write after the journal
+// header's FUA write and before the next flush).
+class DataDiskProbe : public rlstor::BlockDevice {
+ public:
+  struct Request {
+    uint64_t lba = 0;
+    bool fua = false;
+    bool flush = false;
+  };
+
+  DataDiskProbe(Simulator& sim, rlstor::BlockDevice& disk, uint64_t header_lba)
+      : disk_(disk), header_lba_(header_lba), gate_(sim) {}
+
+  const rlstor::Geometry& geometry() const override {
+    return disk_.geometry();
+  }
+  Task<BlockStatus> Read(uint64_t lba, std::span<uint8_t> out) override {
+    return disk_.Read(lba, out);
+  }
+  Task<BlockStatus> Write(uint64_t lba, std::span<const uint8_t> data,
+                          bool fua) override {
+    while (gate_closed_) {
+      co_await gate_.Wait();
+    }
+    requests.push_back({lba, fua, false});
+    if (in_place_ && in_place_writes_++ == cut_at_in_place_write) {
+      cut();
+    }
+    if (fua && lba == header_lba_) {
+      in_place_ = true;
+      in_place_writes_ = 0;
+    }
+    co_return co_await disk_.Write(lba, data, fua);
+  }
+  Task<BlockStatus> Flush() override {
+    requests.push_back({0, false, true});
+    in_place_ = false;
+    return disk_.Flush();
+  }
+
+  void CloseGate() { gate_closed_ = true; }
+  void OpenGate() {
+    gate_closed_ = false;
+    gate_.NotifyAll();
+  }
+
+  // LBAs of the in-place phase of the last checkpoint recorded: the writes
+  // after the last journal-header write, up to the next flush.
+  std::vector<uint64_t> LastInPlacePhase() const {
+    size_t i = requests.size();
+    while (i > 0 &&
+           !(requests[i - 1].fua && requests[i - 1].lba == header_lba_)) {
+      --i;
+    }
+    std::vector<uint64_t> lbas;
+    for (; i > 0 && i < requests.size() && !requests[i].flush; ++i) {
+      lbas.push_back(requests[i].lba);
+    }
+    return lbas;
+  }
+
+  std::vector<Request> requests;
+  // In-place write (0-based) at which cut() runs, before the write reaches
+  // the disk; -1 never cuts.
+  int64_t cut_at_in_place_write = -1;
+  std::function<void()> cut;
+
+ private:
+  rlstor::BlockDevice& disk_;
+  uint64_t header_lba_;
+  bool in_place_ = false;
+  int64_t in_place_writes_ = 0;
+  bool gate_closed_ = false;
+  rlsim::WaitQueue gate_;
+};
 
 struct EngineFixture {
   explicit EngineFixture(EngineProfile profile = PostgresLikeProfile(),
@@ -35,7 +122,8 @@ struct EngineFixture {
                                     .cache_policy =
                                         WriteCachePolicy::kWriteBack,
                                     .name = "log"},
-            rlstor::MakeDefaultSsd()) {
+            rlstor::MakeDefaultSsd()),
+        probe(sim, data, PageLba(0, profile.page_bytes)) {
     options.profile = profile;
     options.durability = mode;
     options.pool_pages = 1024;
@@ -44,7 +132,7 @@ struct EngineFixture {
   }
 
   Task<void> OpenDb() {
-    db = co_await Database::Open(sim, cpu, data, log, options);
+    db = co_await Database::Open(sim, cpu, probe, log, options);
   }
 
   std::vector<uint8_t> Value(uint64_t seed) const {
@@ -84,6 +172,7 @@ struct EngineFixture {
   NativeCpu cpu;
   SimBlockDevice data;
   SimBlockDevice log;
+  DataDiskProbe probe;  // the engine's data disk: `data` behind a recorder
   DbOptions options;
   std::unique_ptr<Database> db;
 };
@@ -403,6 +492,215 @@ TEST(DatabaseTest, LargeWorkloadTriggersAutomaticCheckpoints) {
   }(f));
   f.sim.Run();
   EXPECT_GT(f.db->stats().checkpoints.value(), 0);
+}
+
+// A pool of 64 frames over a tree of about 200 leaves. The load and a pass
+// of scattered reads cycle the frame slots through CLOCK eviction, and the
+// final commit updates keys in scattered order, so the pages it dirties sit
+// in frame slots in no particular page order. `expected` receives the
+// committed contents, key -> value seed.
+constexpr uint64_t kScrambleKeys = 8000;
+
+void UseSmallPool(EngineFixture& fx) {
+  fx.options.pool_pages = 64;
+  fx.options.profile.checkpoint_dirty_pages = 40;
+}
+
+Task<void> DirtyScrambledFrames(EngineFixture& fx,
+                                std::map<uint64_t, uint64_t>& expected) {
+  co_await fx.OpenDb();
+  for (uint64_t base = 0; base < kScrambleKeys; base += 100) {
+    const uint64_t txn = fx.db->Begin();
+    for (uint64_t k = base; k < base + 100; ++k) {
+      co_await fx.db->Put(txn, k, fx.Value(k));
+      expected[k] = k;
+    }
+    EXPECT_EQ(co_await fx.db->Commit(txn), DbStatus::kOk);
+  }
+  co_await fx.db->Checkpoint();
+  EXPECT_EQ(fx.db->pool().dirty_count(), 0u);
+  rlsim::Rng rng(7);
+  for (int i = 0; i < 400; ++i) {
+    co_await fx.db->ReadCommitted(rng.NextBelow(kScrambleKeys), nullptr);
+  }
+  const uint64_t txn = fx.db->Begin();
+  for (uint64_t i = 1; i <= 30; ++i) {
+    const uint64_t key = i * 2654435761ull % kScrambleKeys;
+    co_await fx.db->Put(txn, key, fx.Value(key + 1));
+    expected[key] = key + 1;
+  }
+  EXPECT_EQ(co_await fx.db->Commit(txn), DbStatus::kOk);
+}
+
+TEST(DatabaseTest, CheckpointWritesPagesInPlaceInPageOrder) {
+  EngineFixture f;
+  UseSmallPool(f);
+  std::vector<uint64_t> in_place;
+  f.sim.Spawn([](EngineFixture& fx, std::vector<uint64_t>& out) -> Task<void> {
+    std::map<uint64_t, uint64_t> expected;
+    co_await DirtyScrambledFrames(fx, expected);
+    fx.probe.requests.clear();
+    co_await fx.db->Checkpoint();
+    out = fx.probe.LastInPlacePhase();
+  }(f, in_place));
+  f.sim.Run();
+  // One write per dirty leaf, in strictly ascending LBA order: one sweep
+  // across the data disk instead of a seek per page.
+  EXPECT_GE(in_place.size(), 20u);
+  EXPECT_EQ(std::adjacent_find(in_place.begin(), in_place.end(),
+                               std::greater_equal<>()),
+            in_place.end());
+}
+
+TEST(DatabaseTest, PowerCutAtEveryInPlaceWriteRecoversFromJournal) {
+  // Once the journal header is durable, the journal repairs whatever the
+  // in-place phase left behind, so the order of those writes is free. Cut
+  // power as each in-place write of one page-ordered checkpoint is issued:
+  // with earlier writes still in the volatile cache, partly destaged.
+  size_t writes = 0;
+  {
+    EngineFixture f;
+    UseSmallPool(f);
+    f.sim.Spawn([](EngineFixture& fx, size_t& n) -> Task<void> {
+      std::map<uint64_t, uint64_t> expected;
+      co_await DirtyScrambledFrames(fx, expected);
+      co_await fx.db->Checkpoint();
+      n = fx.probe.LastInPlacePhase().size();
+    }(f, writes));
+    f.sim.Run();
+  }
+  ASSERT_GE(writes, 20u);
+
+  for (size_t cut = 0; cut < writes; ++cut) {
+    SCOPED_TRACE("cut at in-place write " + std::to_string(cut));
+    EngineFixture f;
+    UseSmallPool(f);
+    f.probe.cut = [&f] {
+      f.data.PowerLoss();
+      f.log.PowerLoss();
+    };
+    f.sim.Spawn([](EngineFixture& fx, size_t cut_at,
+                   size_t journaled) -> Task<void> {
+      std::map<uint64_t, uint64_t> expected;
+      co_await DirtyScrambledFrames(fx, expected);
+      fx.probe.cut_at_in_place_write = static_cast<int64_t>(cut_at);
+      bool halted = false;
+      try {
+        co_await fx.db->Checkpoint();
+      } catch (const EngineHalted&) {
+        halted = true;
+      }
+      EXPECT_TRUE(halted);
+      fx.probe.cut_at_in_place_write = -1;
+      co_await fx.db->Close();
+      fx.db.reset();
+      fx.data.PowerRestore();
+      fx.log.PowerRestore();
+      co_await fx.OpenDb();
+      EXPECT_EQ(fx.db->stats().repaired_from_journal.value(),
+                static_cast<int64_t>(journaled));
+      EXPECT_EQ(co_await fx.db->CommittedCount(), expected.size());
+      for (const auto& [key, seed] : expected) {
+        std::vector<uint8_t> got;
+        EXPECT_TRUE(co_await fx.db->ReadCommitted(key, &got)) << key;
+        EXPECT_EQ(got, fx.Value(seed)) << key;
+      }
+      co_await fx.db->CheckTreeStructure();
+    }(f, cut, writes));
+    f.sim.Run();
+  }
+}
+
+// Collects the dirty-throttle spans of a run.
+class ThrottleSpans : public rlsim::TraceEventSink {
+ public:
+  struct Span {
+    TimePoint begin;
+    TimePoint end;
+    bool closed = false;
+  };
+
+  void OnTraceEvent(TimePoint, std::string_view, std::string_view,
+                    uint32_t) override {}
+  void OnSpanBegin(TimePoint at, std::string_view, std::string_view kind,
+                   uint64_t span_id, uint64_t, int64_t) override {
+    if (kind == "dirty-throttle") {
+      open_[span_id] = spans.size();
+      spans.push_back({at, at});
+    }
+  }
+  void OnSpanEnd(TimePoint at, std::string_view, std::string_view,
+                 uint64_t span_id, int64_t) override {
+    const auto it = open_.find(span_id);
+    if (it != open_.end()) {
+      spans[it->second].end = at;
+      spans[it->second].closed = true;
+      open_.erase(it);
+    }
+  }
+
+  std::vector<Span> spans;
+
+ private:
+  std::map<uint64_t, size_t> open_;
+};
+
+TEST(DatabaseTest, ThrottledCommitEmitsOneDirtyThrottleSpan) {
+  // Hold the data disk's writes at a gate so the first checkpoint cannot
+  // finish: commits keep dirtying pages until one reaches the throttle
+  // (96 pages in a 128-frame pool) and waits. It waits through that
+  // checkpoint and the one it then spawns, under a single span.
+  EngineFixture f;
+  f.options.pool_pages = 128;
+  f.options.profile.checkpoint_dirty_pages = 16;
+  ThrottleSpans sink;
+  f.sim.set_tracer(&sink);
+  struct Throttled {
+    TimePoint start;
+    TimePoint end;
+    TimePoint gate_opened;
+    int commits = 0;
+  } throttled;
+  f.sim.Spawn([](EngineFixture& fx, Throttled& out) -> Task<void> {
+    std::map<uint64_t, uint64_t> expected;
+    co_await DirtyScrambledFrames(fx, expected);
+    co_await fx.db->Checkpoint();
+    fx.probe.CloseGate();
+    fx.sim.Spawn([](EngineFixture& fx2, Throttled& t) -> Task<void> {
+      co_await fx2.sim.Sleep(Duration::Millis(500));
+      t.gate_opened = fx2.sim.now();
+      fx2.probe.OpenGate();
+    }(fx, out));
+    for (uint64_t i = 0; i < 1000; ++i) {
+      const uint64_t txn = fx.db->Begin();
+      for (uint64_t j = 0; j < 8; ++j) {
+        const uint64_t key = (i * 8 + j) * 2654435761ull % kScrambleKeys;
+        co_await fx.db->Put(txn, key, fx.Value(i));
+      }
+      const TimePoint start = fx.sim.now();
+      EXPECT_EQ(co_await fx.db->Commit(txn), DbStatus::kOk);
+      ++out.commits;
+      if (fx.sim.now() - start > Duration::Millis(100)) {
+        out.start = start;
+        out.end = fx.sim.now();
+        break;
+      }
+    }
+  }(f, throttled));
+  f.sim.Run();
+  f.sim.set_tracer(nullptr);
+
+  ASSERT_GT(throttled.end, throttled.start) << "no commit was throttled";
+  EXPECT_GT(throttled.commits, 1);
+  // Exactly one span, from the throttled commit alone, open across the
+  // whole stall: it began before the gate opened and ended after it.
+  ASSERT_EQ(sink.spans.size(), 1u);
+  const ThrottleSpans::Span& span = sink.spans[0];
+  EXPECT_TRUE(span.closed);
+  EXPECT_GE(span.begin, throttled.start);
+  EXPECT_LE(span.end, throttled.end);
+  EXPECT_LT(span.begin, throttled.gate_opened);
+  EXPECT_GT(span.end, throttled.gate_opened);
 }
 
 }  // namespace
