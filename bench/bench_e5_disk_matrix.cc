@@ -5,9 +5,10 @@
 // write latency (battery-backed write cache, SSD) it never hurts beyond the
 // virtualisation overhead. The matrix reproduces both.
 #include <cstdio>
+#include <string>
 #include <vector>
 
-#include "bench/bench_common.h"
+#include "bench/bench_tpcc_sweep.h"
 
 namespace {
 
@@ -19,7 +20,8 @@ using rlharness::DiskSetup;
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const int jobs = rlbench::SweepJobsFromArgs(argc, argv);
   const struct {
     const char* name;
     DiskSetup setup;
@@ -38,25 +40,36 @@ int main() {
       {"rapilog", DeploymentMode::kRapiLog},
   };
 
-  PrintHeader(
-      "E5: TPC-C-lite throughput (txns/s) by storage configuration, "
-      "16 clients, pg-like");
-  Table table;
-  table.Row({"disks", "native", "virt", "rapilog", "rapi/virt"});
-
+  std::vector<rlbench::TpccRunConfig> cells;
   for (const auto& disk : disks) {
-    std::vector<double> rates;
     for (const auto& arm : arms) {
       rlbench::TpccRunConfig cfg;
       cfg.testbed = rlbench::DefaultTestbed(arm.mode, disk.setup,
                                             rldb::PostgresLikeProfile());
       cfg.tpcc = rlbench::DefaultTpcc();
       cfg.clients = 16;
-      rates.push_back(rlbench::RunTpcc(cfg).txns_per_sec);
+      cells.push_back(cfg);
     }
-    table.Row({disk.name, Fmt(rates[0], "%.0f"), Fmt(rates[1], "%.0f"),
-               Fmt(rates[2], "%.0f"),
-               Fmt(rates[1] > 0 ? rates[2] / rates[1] : 0, "%.2fx")});
+  }
+  const std::vector<rlbench::RunResult> results =
+      rlbench::RunTpccMany(cells, jobs);
+
+  PrintHeader(
+      "E5: TPC-C-lite throughput (txns/s) by storage configuration, "
+      "16 clients, pg-like");
+  Table table;
+  table.Row({"disks", "native", "virt", "rapilog", "rapi/virt",
+             "aborts virt/rapi"});
+  for (size_t d = 0; d < std::size(disks); ++d) {
+    const rlbench::RunResult* r = &results[d * std::size(arms)];
+    table.Row({disks[d].name, Fmt(r[0].txns_per_sec, "%.0f"),
+               Fmt(r[1].txns_per_sec, "%.0f"), Fmt(r[2].txns_per_sec, "%.0f"),
+               Fmt(r[1].txns_per_sec > 0
+                       ? r[2].txns_per_sec / r[1].txns_per_sec
+                       : 0,
+                   "%.2fx"),
+               std::to_string(r[1].lock_aborts) + "/" +
+                   std::to_string(r[2].lock_aborts)});
   }
   table.Print();
   std::printf(

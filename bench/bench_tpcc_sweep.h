@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -50,7 +51,8 @@ inline void RunTpccClientSweep(const char* experiment,
   PrintHeader(std::string(experiment) + ": TPC-C-lite throughput (txns/s) " +
               "vs clients, profile=" + profile.name + ", shared HDD");
   Table table;
-  table.Row({"clients", "native", "virt", "rapilog", "unsafe", "rapi/virt"});
+  table.Row({"clients", "native", "virt", "rapilog", "unsafe", "rapi/virt",
+             "aborts virt/rapi"});
   for (size_t row = 0; row < client_counts.size(); ++row) {
     const RunResult* r = &results[row * 4];
     table.Row({Fmt(client_counts[row], "%.0f"), Fmt(r[0].txns_per_sec, "%.0f"),
@@ -59,7 +61,9 @@ inline void RunTpccClientSweep(const char* experiment,
                Fmt(r[1].txns_per_sec > 0
                        ? r[2].txns_per_sec / r[1].txns_per_sec
                        : 0,
-                   "%.2fx")});
+                   "%.2fx"),
+               std::to_string(r[1].lock_aborts) + "/" +
+                   std::to_string(r[2].lock_aborts)});
   }
   table.Print();
   std::printf(

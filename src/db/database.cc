@@ -33,25 +33,22 @@ std::string ToString(DbStatus s) {
 
 namespace {
 
-// Journal header page payload (after the 32-byte page header):
-//   [u64 seq][u32 count][kRedoSlices * u64 horizon][count * u64 page_id]
-//   [serialised MetaContent sector]
-// The horizon array is the fuzzy-checkpoint metadata: per-slice low-water
-// LSNs, valid for redo only when the header's seq matches the recovered
-// checkpoint's seq (any torn or stale header degrades recovery to the
-// global replay point, never to wrong data).
-constexpr size_t kJournalSeqOff = kPageHeaderBytes;
-constexpr size_t kJournalCountOff = kJournalSeqOff + 8;
-constexpr size_t kJournalHorizonOff = kJournalCountOff + 4;
-constexpr size_t kJournalIdsOff = kJournalHorizonOff + kRedoSlices * 8;
-
+// The journal's page-id list (layout.h "Checkpoint journal") continues from
+// the header onto as many id pages as it needs. Horizons are the
+// fuzzy-checkpoint metadata: per-slice low-water LSNs, valid for redo only
+// when the header's seq matches the recovered checkpoint's seq (any torn or
+// stale header degrades recovery to the global replay point, never to wrong
+// data).
 constexpr uint64_t kJournalHeaderPage = 0;
 
-// Page-id entries that fit in one journal header page alongside the
-// embedded metadata sector.
-uint32_t JournalHeaderCapacity(uint32_t page_bytes) {
+// Id pages (header excluded) that a list of `count` page ids spills onto.
+uint32_t SpillIdPages(const JournalLayout& journal, size_t count) {
+  if (count <= journal.header_ids) {
+    return 0;
+  }
   return static_cast<uint32_t>(
-      (page_bytes - kJournalIdsOff - rlstor::kSectorSize) / 8);
+      (count - journal.header_ids + journal.ids_per_page - 1) /
+      journal.ids_per_page);
 }
 
 }  // namespace
@@ -63,7 +60,9 @@ Database::Database(rlsim::Simulator& sim, CpuContext& cpu,
       cpu_(cpu),
       data_dev_(data_dev),
       log_dev_(log_dev),
-      options_(std::move(options)) {
+      options_(std::move(options)),
+      journal_(JournalLayoutFor(options_.journal_pages,
+                                options_.profile.page_bytes)) {
   RL_CHECK_MSG(options_.journal_pages >
                    options_.profile.checkpoint_dirty_pages,
                "journal must be able to hold a full checkpoint");
@@ -79,12 +78,10 @@ Database::Database(rlsim::Simulator& sim, CpuContext& cpu,
   checkpoint_mutex_ = std::make_unique<rlsim::SimMutex>(sim_);
   checkpoint_done_ = std::make_unique<rlsim::WaitQueue>(sim_);
 
-  // A checkpoint's dirty set must fit the journal region AND its header
-  // page; commits throttle safely below that, and the automatic checkpoint
-  // threshold sits below the throttle so the stall is normally never hit.
-  const uint32_t capacity =
-      std::min<uint32_t>(JournalHeaderCapacity(options_.profile.page_bytes),
-                         options_.journal_pages - 1);
+  // A checkpoint's dirty set must fit the journal's slots; commits throttle
+  // safely below that, and the automatic checkpoint threshold sits below the
+  // throttle so the stall is normally never hit.
+  const uint32_t capacity = journal_.capacity;
   dirty_throttle_pages_ = std::min(capacity - capacity / 8,
                                    options_.pool_pages * 3 / 4);
   RL_CHECK_MSG(options_.profile.checkpoint_dirty_pages < dirty_throttle_pages_,
@@ -184,34 +181,64 @@ Task<void> Database::WriteMeta(const MetaContent& meta) {
   }
 }
 
-Task<Database::JournalHeaderInfo> Database::ReadJournalHeader() {
+Task<Database::JournalHeaderInfo> Database::ReadJournalHeader(
+    uint64_t durable_seq) {
   JournalHeaderInfo info;
   stats_.journal_header_reads.Add();
   const uint32_t page_bytes = options_.profile.page_bytes;
-  std::vector<uint8_t> header(page_bytes);
-  const bool ok = co_await pool_->ReadPageDirect(kJournalHeaderPage, header);
-  if (!ok || !PageValid(header, kJournalHeaderPage) ||
-      ReadPageHeader(header).type != PageType::kJournalHeader) {
+  std::vector<uint8_t> page(page_bytes);
+  const bool ok = co_await pool_->ReadPageDirect(kJournalHeaderPage, page);
+  if (!ok || !PageValid(page, kJournalHeaderPage) ||
+      ReadPageHeader(page).type != PageType::kJournalHeader) {
     co_return info;  // fresh device, torn header, or not a journal header
   }
-  const uint32_t count = LoadScalar<uint32_t>(header, kJournalCountOff);
-  RL_CHECK(kJournalIdsOff + count * 8ull + kSectorSize <= page_bytes);
-  info.page_ids.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    info.page_ids.push_back(
-        LoadScalar<uint64_t>(header, kJournalIdsOff + i * 8ull));
-  }
+  const uint64_t seq = LoadScalar<uint64_t>(page, kJournalSeqOff);
+  const uint32_t count = LoadScalar<uint32_t>(page, kJournalCountOff);
+  RL_CHECK_MSG(count <= journal_.capacity,
+               "journal lists " << count << " pages, capacity "
+                                << journal_.capacity);
   for (uint32_t s = 0; s < kRedoSlices; ++s) {
     info.horizons[s] =
-        LoadScalar<uint64_t>(header, kJournalHorizonOff + s * 8ull);
+        LoadScalar<uint64_t>(page, kJournalHorizonOff + s * 8ull);
   }
   // The header embeds the metadata of the checkpoint that wrote it; the page
   // CRC already passed, so a corrupt blob here is real corruption.
-  const auto meta = DeserializeMeta(std::span<const uint8_t>(
-      header.data() + kJournalIdsOff + count * 8ull, kSectorSize));
-  RL_CHECK_MSG(meta.has_value(), "journal meta corrupt");
+  const auto meta = DeserializeMeta(
+      std::span<const uint8_t>(page.data() + kJournalMetaOff, kSectorSize));
+  RL_CHECK_MSG(meta.has_value() && meta->seq == seq, "journal meta corrupt");
   info.meta = *meta;
   info.valid = true;
+  if (seq <= durable_seq) {
+    // Nothing to replay. The id pages may already belong to a later
+    // checkpoint that died before its header was written.
+    co_return info;
+  }
+  info.page_ids.reserve(count);
+  const uint32_t in_header = std::min(count, journal_.header_ids);
+  for (uint32_t i = 0; i < in_header; ++i) {
+    info.page_ids.push_back(
+        LoadScalar<uint64_t>(page, kJournalHeaderIdsOff + i * 8ull));
+  }
+  // The id pages were flushed before the header's FUA write, so each one
+  // must be intact and carry the header's seq; anything else is corruption,
+  // exactly as for a bad slot.
+  for (uint32_t p = 1; info.page_ids.size() < count; ++p) {
+    const bool read_ok = co_await pool_->ReadPageDirect(p, page);
+    if (!read_ok) {
+      throw EngineHalted();  // device died mid-recovery; retry replays
+    }
+    RL_CHECK_MSG(PageValid(page, p) &&
+                     ReadPageHeader(page).type == PageType::kJournalIds &&
+                     LoadScalar<uint64_t>(page, kJournalSeqOff) == seq,
+                 "journal id page " << p << " corrupt or stale for seq "
+                                    << seq);
+    const size_t n =
+        std::min<size_t>(count - info.page_ids.size(), journal_.ids_per_page);
+    for (size_t i = 0; i < n; ++i) {
+      info.page_ids.push_back(
+          LoadScalar<uint64_t>(page, kJournalIdPageIdsOff + i * 8));
+    }
+  }
   co_return info;
 }
 
@@ -222,7 +249,7 @@ Task<void> Database::ReplayJournal(const JournalHeaderInfo& header) {
   std::vector<uint8_t> image(page_bytes);
   for (size_t i = 0; i < header.page_ids.size(); ++i) {
     const uint64_t page_id = header.page_ids[i];
-    const uint64_t slot = 1 + i;
+    const uint64_t slot = journal_.id_pages + i;
     const bool read_ok = co_await pool_->ReadPageDirect(slot, image);
     if (!read_ok) {
       // Device died mid-recovery (power cut or disk fault during replay):
@@ -232,11 +259,7 @@ Task<void> Database::ReplayJournal(const JournalHeaderInfo& header) {
     }
     RL_CHECK_MSG(PageValid(image, page_id),
                  "journal slot " << slot << " corrupt for page " << page_id);
-    const bool write_ok =
-        co_await pool_->WritePageDirect(page_id, image, /*fua=*/false);
-    if (!write_ok) {
-      throw EngineHalted();
-    }
+    co_await WritePageOrHalt(page_id, image, /*fua=*/false);
     stats_.repaired_from_journal.Add();
   }
   co_await data_dev_.Flush();
@@ -267,11 +290,12 @@ Task<void> Database::Recover() {
   tree_ = std::make_unique<BTree>(*pool_, options_.profile.value_bytes,
                                   &next_free_page_);
   auto meta = co_await ReadBestMeta();
-  // The journal header page is read exactly once per recovery; the parsed
-  // result feeds the replay decision, the embedded metadata, and the fuzzy
-  // redo horizons below.
-  const JournalHeaderInfo jh = co_await ReadJournalHeader();
-  if (jh.valid && jh.meta.seq > (meta.has_value() ? meta->seq : 0)) {
+  // The journal header page (and, for a journal to replay, its id pages) is
+  // read exactly once per recovery; the parsed result feeds the replay
+  // decision, the embedded metadata, and the fuzzy redo horizons below.
+  const uint64_t durable_seq = meta.has_value() ? meta->seq : 0;
+  const JournalHeaderInfo jh = co_await ReadJournalHeader(durable_seq);
+  if (jh.valid && jh.meta.seq > durable_seq) {
     co_await ReplayJournal(jh);
     meta = jh.meta;
   }
@@ -848,11 +872,8 @@ Task<void> Database::CheckpointLocked() {
 Database::StagedCheckpoint Database::StageCheckpoint() {
   StagedCheckpoint staged;
   std::vector<BufferPool::Frame*> dirty = pool_->DirtyFrames();
-  RL_CHECK_MSG(dirty.size() + 1 <= options_.journal_pages,
+  RL_CHECK_MSG(dirty.size() <= journal_.capacity,
                "checkpoint dirty set exceeds journal capacity");
-  RL_CHECK_MSG(dirty.size() <=
-                   JournalHeaderCapacity(options_.profile.page_bytes),
-               "checkpoint dirty set exceeds journal header capacity");
 
   // Replay point: everything applied so far is captured by this snapshot;
   // transactions whose records are logged but not yet applied must replay.
@@ -907,62 +928,87 @@ Database::StagedCheckpoint Database::StageCheckpoint() {
   return staged;
 }
 
-Task<void> Database::PersistCheckpoint(StagedCheckpoint staged) {
+Task<void> Database::WritePageOrHalt(uint64_t page_id,
+                                     std::span<const uint8_t> image,
+                                     bool fua) {
+  const bool ok = co_await pool_->WritePageDirect(page_id, image, fua);
+  if (!ok) {
+    throw EngineHalted();
+  }
+}
+
+std::vector<std::vector<uint8_t>> Database::EncodeJournal(
+    const StagedCheckpoint& staged) const {
   const uint32_t page_bytes = options_.profile.page_bytes;
+  const size_t count = staged.pages.size();
+  std::vector<std::vector<uint8_t>> pages(
+      1 + SpillIdPages(journal_, count), std::vector<uint8_t>(page_bytes, 0));
+  std::vector<uint8_t>& header = pages[0];
+  PageHeader ph;
+  ph.page_id = kJournalHeaderPage;
+  ph.type = PageType::kJournalHeader;
+  WritePageHeader(header, ph);
+  StoreScalar<uint64_t>(header, kJournalSeqOff, staged.meta.seq);
+  StoreScalar<uint32_t>(header, kJournalCountOff,
+                        static_cast<uint32_t>(count));
+  for (uint32_t s = 0; s < kRedoSlices; ++s) {
+    StoreScalar<uint64_t>(header, kJournalHorizonOff + s * 8,
+                          staged.horizons[s]);
+  }
+  const std::vector<uint8_t> meta_blob = SerializeMeta(staged.meta);
+  std::copy(meta_blob.begin(), meta_blob.end(),
+            header.begin() + static_cast<ptrdiff_t>(kJournalMetaOff));
+  for (size_t p = 1; p < pages.size(); ++p) {
+    ph.page_id = p;
+    ph.type = PageType::kJournalIds;
+    WritePageHeader(pages[p], ph);
+    StoreScalar<uint64_t>(pages[p], kJournalSeqOff, staged.meta.seq);
+  }
+  for (size_t i = 0; i < count; ++i) {
+    const uint64_t id = staged.pages[i].first->page_id;
+    if (i < journal_.header_ids) {
+      StoreScalar<uint64_t>(header, kJournalHeaderIdsOff + i * 8, id);
+    } else {
+      const size_t spill = i - journal_.header_ids;
+      StoreScalar<uint64_t>(pages[1 + spill / journal_.ids_per_page],
+                            kJournalIdPageIdsOff +
+                                spill % journal_.ids_per_page * 8,
+                            id);
+    }
+  }
+  for (size_t p = 0; p < pages.size(); ++p) {
+    SealPage(pages[p], p);
+  }
+  return pages;
+}
+
+Task<void> Database::PersistCheckpoint(StagedCheckpoint staged) {
   auto clear_flags = [&staged] {
     for (auto& [frame, image] : staged.pages) {
       frame->in_checkpoint = false;
     }
   };
   try {
-    // 1. Page images into the journal slots.
+    // 1. Id pages, then page images into the journal slots, then one flush:
+    //    the whole page-id list is durable before the header names it.
+    const std::vector<std::vector<uint8_t>> id_pages = EncodeJournal(staged);
+    for (size_t p = 1; p < id_pages.size(); ++p) {
+      co_await WritePageOrHalt(p, id_pages[p], /*fua=*/false);
+    }
     for (size_t i = 0; i < staged.pages.size(); ++i) {
-      const uint64_t slot = 1 + i;
-      const bool ok = co_await pool_->WritePageDirect(
-          slot, staged.pages[i].second, /*fua=*/false);
-      if (!ok) {
-        throw EngineHalted();
-      }
+      co_await WritePageOrHalt(journal_.id_pages + i, staged.pages[i].second,
+                               /*fua=*/false);
     }
     co_await data_dev_.Flush();
 
     // 2. Journal header (commits the checkpoint).
-    std::vector<uint8_t> header(page_bytes, 0);
-    PageHeader jh;
-    jh.page_id = kJournalHeaderPage;
-    jh.type = PageType::kJournalHeader;
-    WritePageHeader(header, jh);
-    StoreScalar<uint64_t>(header, kJournalSeqOff, staged.meta.seq);
-    StoreScalar<uint32_t>(header, kJournalCountOff,
-                          static_cast<uint32_t>(staged.pages.size()));
-    for (uint32_t s = 0; s < kRedoSlices; ++s) {
-      StoreScalar<uint64_t>(header, kJournalHorizonOff + s * 8,
-                            staged.horizons[s]);
-    }
-    for (size_t i = 0; i < staged.pages.size(); ++i) {
-      StoreScalar<uint64_t>(header, kJournalIdsOff + i * 8,
-                            staged.pages[i].first->page_id);
-    }
-    const std::vector<uint8_t> meta_blob = SerializeMeta(staged.meta);
-    std::copy(meta_blob.begin(), meta_blob.end(),
-              header.begin() + static_cast<ptrdiff_t>(
-                                   kJournalIdsOff + staged.pages.size() * 8));
-    SealPage(header, kJournalHeaderPage);
-    {
-      const bool ok = co_await pool_->WritePageDirect(kJournalHeaderPage,
-                                                      header, /*fua=*/true);
-      if (!ok) {
-        throw EngineHalted();
-      }
-    }
+    co_await WritePageOrHalt(kJournalHeaderPage, id_pages[0], /*fua=*/true);
 
-    // 3. Pages in place, from the staged images.
-    for (const auto& [frame, image] : staged.pages) {
-      const bool ok = co_await pool_->WritePageDirect(frame->page_id, image,
-                                                      /*fua=*/false);
-      if (!ok) {
-        throw EngineHalted();
-      }
+    // 3. Pages in place, from the staged images. Each image is freed once
+    //    written: from here on the journal, not host memory, backs it.
+    for (auto& [frame, image] : staged.pages) {
+      co_await WritePageOrHalt(frame->page_id, image, /*fua=*/false);
+      std::vector<uint8_t>().swap(image);
     }
     co_await data_dev_.Flush();
 

@@ -209,7 +209,9 @@ class Database {
   struct JournalHeaderInfo {
     bool valid = false;      // page present, CRC-clean, right type
     MetaContent meta;        // checkpoint metadata embedded in the header
-    std::vector<uint64_t> page_ids;  // journaled page ids, slot order
+    // Journaled page ids, slot order; read (header, then id pages) only for
+    // a journal newer than the durable metadata, the one recovery replays.
+    std::vector<uint64_t> page_ids;
     std::array<uint64_t, kRedoSlices> horizons{};  // per-slice low-water LSN
   };
 
@@ -217,7 +219,7 @@ class Database {
   rlsim::Task<void> FormatFresh();
   rlsim::Task<std::optional<MetaContent>> ReadBestMeta();
   rlsim::Task<void> WriteMeta(const MetaContent& meta);
-  rlsim::Task<JournalHeaderInfo> ReadJournalHeader();
+  rlsim::Task<JournalHeaderInfo> ReadJournalHeader(uint64_t durable_seq);
   rlsim::Task<void> ReplayJournal(const JournalHeaderInfo& header);
   rlsim::Task<void> ApplyRecord(const LogRecord& rec);
   rlsim::Task<void> RedoSequential(const std::vector<LogRecord>& records,
@@ -230,6 +232,14 @@ class Database {
                                         horizons);
   rlsim::Task<void> ThrottleDirtyPages();
   StagedCheckpoint StageCheckpoint();  // caller must hold apply_mutex_
+  // Writes one page straight to the data device; a failed write means the
+  // machine died under the checkpoint.
+  rlsim::Task<void> WritePageOrHalt(uint64_t page_id,
+                                    std::span<const uint8_t> image, bool fua);
+  // The journal's header page (index 0) and the id pages the staged page
+  // list spills onto, sealed and ready to write.
+  std::vector<std::vector<uint8_t>> EncodeJournal(
+      const StagedCheckpoint& staged) const;
   rlsim::Task<void> PersistCheckpoint(StagedCheckpoint staged);
   rlsim::Task<void> CheckpointLocked();
   void MaybeScheduleCheckpoint();
@@ -239,6 +249,7 @@ class Database {
   rlstor::BlockDevice& data_dev_;
   rlstor::BlockDevice& log_dev_;
   DbOptions options_;
+  JournalLayout journal_;  // id pages and slots of the journal region
 
   std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<LogWriter> wal_;
@@ -253,7 +264,7 @@ class Database {
   std::map<uint64_t, Txn> txns_;
 
   // Dirty-page throttling: commits stall once this many pages are dirty,
-  // until a checkpoint retires them. Derived from the journal header's id
+  // until a checkpoint retires them. Derived from the journal's slot
   // capacity and the pool size.
   uint32_t dirty_throttle_pages_ = 0;
   // Set by Close(): parked client operations unwind with EngineHalted.

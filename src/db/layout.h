@@ -5,10 +5,13 @@
 //   sector 0, 1        — two alternating metadata slots (pick highest valid
 //                        sequence number at open; a torn meta write leaves
 //                        the other slot intact)
-//   page 0             — checkpoint-journal header page
-//   pages 1..J-1       — checkpoint-journal data pages (page images)
+//   page 0             — checkpoint-journal header page (the commit point)
+//   pages 1..N-1       — checkpoint-journal id pages (the page-id list,
+//                        continued past the header)
+//   pages N..J-1       — checkpoint-journal slots (page images)
 //   pages J..          — B+-tree pages
-// where page p starts at sector kFirstPageSector + p * (page_bytes / 512).
+// where page p starts at sector kFirstPageSector + p * (page_bytes / 512),
+// J is DbOptions::journal_pages, and N comes from JournalLayoutFor below.
 //
 // Every page embeds {page_id, crc} in its header so torn pages are detected
 // at read time and repairable from the checkpoint journal.
@@ -37,6 +40,7 @@ enum class PageType : uint8_t {
   kInternal = 2,
   kJournalHeader = 3,
   kJournalData = 4,
+  kJournalIds = 5,
 };
 
 // Fixed 32-byte page header.
@@ -176,6 +180,51 @@ inline uint32_t RedoSliceOf(uint64_t key) {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   x ^= x >> 31;
   return static_cast<uint32_t>(x & (kRedoSlices - 1));
+}
+
+// --- Checkpoint journal ------------------------------------------------------
+//
+// Header page (page 0) payload, after the 32-byte page header:
+//   [u64 seq][u32 count][kRedoSlices * u64 horizon]
+//   [serialised MetaContent sector][u64 page_id ...]
+// Id page (pages 1..N-1) payload: [u64 seq][u64 page_id ...]
+// The page-id list runs through the header's id area, then id page 1, 2, ...
+// in order; id i names the page whose image sits in slot i (page N + i).
+// Every id page carries its checkpoint's seq, so recovery tells a stale id
+// page (left by an earlier checkpoint) from the header's own.
+inline constexpr size_t kJournalSeqOff = kPageHeaderBytes;
+inline constexpr size_t kJournalCountOff = kJournalSeqOff + 8;
+inline constexpr size_t kJournalHorizonOff = kJournalCountOff + 4;
+inline constexpr size_t kJournalMetaOff =
+    kJournalHorizonOff + kRedoSlices * 8;
+inline constexpr size_t kJournalHeaderIdsOff =
+    kJournalMetaOff + rlstor::kSectorSize;
+inline constexpr size_t kJournalIdPageIdsOff = kJournalSeqOff + 8;
+
+// How a journal region of `journal_pages` pages divides into id pages and
+// slots: `id_pages` (header included) is the fewest pages whose id room
+// covers the remaining `capacity` slots.
+struct JournalLayout {
+  uint32_t id_pages = 1;
+  uint32_t capacity = 0;
+  uint32_t header_ids = 0;    // page ids the header page holds
+  uint32_t ids_per_page = 0;  // page ids each further id page holds
+};
+
+inline JournalLayout JournalLayoutFor(uint32_t journal_pages,
+                                      uint32_t page_bytes) {
+  RL_CHECK(journal_pages >= 2 && page_bytes > kJournalHeaderIdsOff);
+  JournalLayout j;
+  j.header_ids =
+      static_cast<uint32_t>((page_bytes - kJournalHeaderIdsOff) / 8);
+  j.ids_per_page =
+      static_cast<uint32_t>((page_bytes - kJournalIdPageIdsOff) / 8);
+  while (j.header_ids + uint64_t{j.id_pages - 1} * j.ids_per_page <
+         journal_pages - j.id_pages) {
+    ++j.id_pages;
+  }
+  j.capacity = journal_pages - j.id_pages;
+  return j;
 }
 
 }  // namespace rldb

@@ -34,22 +34,103 @@ void DurabilityChecker::OnCommitAttempt(uint64_t token,
   pending_.emplace(token, Pending{++clock_, std::move(writes)});
 }
 
-void DurabilityChecker::Apply(TrackedWrite&& w, uint64_t at) {
-  Committed& c = committed_[w.key];
-  if (w.is_delete) {
-    c.value.reset();
-  } else {
-    c.value = std::move(w.value);
+namespace {
+
+constexpr size_t kValueChunkBytes = size_t{64} << 10;
+
+size_t SlotOf(uint64_t key, size_t mask) {
+  uint64_t x = key + 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return static_cast<size_t>(x ^ (x >> 31)) & mask;
+}
+
+}  // namespace
+
+const DurabilityChecker::Committed* DurabilityChecker::Find(
+    uint64_t key) const {
+  if (slots_.empty()) {
+    return nullptr;
   }
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = SlotOf(key, mask); slots_[i] != 0; i = (i + 1) & mask) {
+    const Committed& c = committed_[slots_[i] - 1];
+    if (c.key == key) {
+      return &c;
+    }
+  }
+  return nullptr;
+}
+
+DurabilityChecker::Committed& DurabilityChecker::FindOrInsert(uint64_t key) {
+  if (2 * (committed_.size() + 1) > slots_.size()) {
+    // Grow to twice the size and re-seat every key.
+    slots_.assign(std::max<size_t>(64, 2 * slots_.size()), 0);
+    const size_t mask = slots_.size() - 1;
+    for (size_t n = 0; n < committed_.size(); ++n) {
+      size_t i = SlotOf(committed_[n].key, mask);
+      while (slots_[i] != 0) {
+        i = (i + 1) & mask;
+      }
+      slots_[i] = static_cast<uint32_t>(n + 1);
+    }
+  }
+  const size_t mask = slots_.size() - 1;
+  size_t i = SlotOf(key, mask);
+  for (; slots_[i] != 0; i = (i + 1) & mask) {
+    Committed& c = committed_[slots_[i] - 1];
+    if (c.key == key) {
+      return c;
+    }
+  }
+  committed_.push_back(Committed{.key = key});
+  slots_[i] = static_cast<uint32_t>(committed_.size());
+  return committed_.back();
+}
+
+std::span<const uint8_t> DurabilityChecker::ValueOf(
+    const Committed& c) const {
+  return std::span<const uint8_t>(chunks_[c.chunk]).subspan(c.offset, c.size);
+}
+
+bool DurabilityChecker::Matches(const Committed& c, bool found,
+                                const std::vector<uint8_t>& got) const {
+  if (!c.has_value) {
+    return !found;
+  }
+  const std::span<const uint8_t> want = ValueOf(c);
+  return found && std::equal(got.begin(), got.end(), want.begin(), want.end());
+}
+
+void DurabilityChecker::Apply(const TrackedWrite& w, uint64_t at) {
+  Committed& c = FindOrInsert(w.key);
   c.acked_at = std::max(c.acked_at, at);
+  c.has_value = !w.is_delete;
+  if (w.is_delete) {
+    return;
+  }
+  const size_t size = w.value.size();
+  if (c.room == 0 || size > c.room) {
+    if (chunks_.empty() || chunk_used_ + size > chunks_.back().size()) {
+      chunks_.emplace_back(std::max(kValueChunkBytes, size));
+      chunk_used_ = 0;
+    }
+    c.chunk = static_cast<uint32_t>(chunks_.size() - 1);
+    c.offset = static_cast<uint32_t>(chunk_used_);
+    c.room = static_cast<uint32_t>(size);
+    chunk_used_ += size;
+  }
+  c.size = static_cast<uint32_t>(size);
+  std::copy(w.value.begin(), w.value.end(),
+            chunks_[c.chunk].begin() + static_cast<ptrdiff_t>(c.offset));
 }
 
 void DurabilityChecker::OnCommitAcked(uint64_t token) {
   const auto it = pending_.find(token);
   RL_CHECK_MSG(it != pending_.end(), "ack for unknown commit token");
   const uint64_t at = ++clock_;
-  for (TrackedWrite& w : it->second.writes) {
-    Apply(std::move(w), at);
+  for (const TrackedWrite& w : it->second.writes) {
+    Apply(w, at);
   }
   pending_.erase(it);
 }
@@ -78,7 +159,7 @@ Task<VerifyResult> DurabilityChecker::Verify(KeyReader read) {
     // that the commit landed. A key an acknowledged commit rewrote after
     // this attempt proves nothing otherwise: the two may have written it in
     // either order. Anything else on a key is evidence it did not land.
-    std::vector<TrackedWrite*> landed;
+    std::vector<const TrackedWrite*> landed;
     size_t judged = 0;
     bool definite = false;
     for (TrackedWrite& w : p.writes) {
@@ -86,9 +167,8 @@ Task<VerifyResult> DurabilityChecker::Verify(KeyReader read) {
       const bool found = co_await read(w.key, &got);
       const bool matches_new =
           w.is_delete ? !found : (found && got == w.value);
-      const auto c = committed_.find(w.key);
-      if (!matches_new && c != committed_.end() &&
-          c->second.acked_at > p.attempted_at) {
+      const Committed* c = Find(w.key);
+      if (!matches_new && c != nullptr && c->acked_at > p.attempted_at) {
         continue;
       }
       ++judged;
@@ -99,11 +179,7 @@ Task<VerifyResult> DurabilityChecker::Verify(KeyReader read) {
       // Partial application is an atomicity violation only where a landed
       // write is told apart from the key's prior committed value.
       const bool matches_prior =
-          c == committed_.end()
-              ? !found
-              : (c->second.value.has_value()
-                     ? (found && got == *c->second.value)
-                     : !found);
+          c == nullptr ? !found : Matches(*c, found, got);
       definite = definite || !matches_prior;
     }
     if (landed.empty()) {
@@ -111,9 +187,8 @@ Task<VerifyResult> DurabilityChecker::Verify(KeyReader read) {
     }
     if (landed.size() == judged) {
       ++result.promoted_pending;
-      // pending_ is cleared below, so the promoted values move.
-      for (TrackedWrite* w : landed) {
-        Apply(std::move(*w), p.attempted_at);
+      for (const TrackedWrite* w : landed) {
+        Apply(*w, p.attempted_at);
       }
     } else if (definite) {
       ++result.atomicity_violations;
@@ -125,14 +200,18 @@ Task<VerifyResult> DurabilityChecker::Verify(KeyReader read) {
   // Every acknowledged write must be present. Ascending key order keeps the
   // read sequence, and with it every downstream hash, independent of the
   // hash map's layout.
-  for (const uint64_t key : rlsim::SortedKeys(committed_)) {
-    const Committed& c = committed_.at(key);
+  std::vector<uint32_t> order(committed_.size());
+  for (uint32_t n = 0; n < order.size(); ++n) {
+    order[n] = n;
+  }
+  std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
+    return committed_[a].key < committed_[b].key;
+  });
+  for (const uint32_t n : order) {
     ++result.keys_checked;
     std::vector<uint8_t> got;
-    const bool found = co_await read(key, &got);
-    const bool matches =
-        c.value.has_value() ? (found && got == *c.value) : !found;
-    if (!matches) {
+    const bool found = co_await read(committed_[n].key, &got);
+    if (!Matches(committed_[n], found, got)) {
       ++result.lost_writes;
     }
   }

@@ -11,7 +11,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -76,20 +76,33 @@ class DurabilityChecker {
   rlsim::Task<VerifyResult> Verify(KeyReader read);
 
  private:
-  // Latest acknowledged value of a key (nullopt = acknowledged delete) and
-  // when it was acknowledged, on the checker's event clock.
+  // Latest acknowledged state of a key: its value (held in the value arena;
+  // no value = acknowledged delete) and when it was acknowledged, on the
+  // checker's event clock.
   struct Committed {
-    std::optional<std::vector<uint8_t>> value;
+    uint64_t key = 0;
     uint64_t acked_at = 0;
+    uint32_t chunk = 0;   // value bytes: chunks_[chunk][offset, offset+size)
+    uint32_t offset = 0;
+    uint32_t size = 0;
+    uint32_t room = 0;    // bytes reserved at (chunk, offset)
+    bool has_value = false;
   };
   struct Pending {
     uint64_t attempted_at = 0;
     std::vector<TrackedWrite> writes;
   };
 
-  // Sets the key's model value, taking the write's value buffer; acked_at
-  // never moves back.
-  void Apply(TrackedWrite&& w, uint64_t at);
+  // Sets the key's model value; acked_at never moves back.
+  void Apply(const TrackedWrite& w, uint64_t at);
+
+  // The key's model entry, or nullptr if no commit touching it was acked.
+  const Committed* Find(uint64_t key) const;
+  Committed& FindOrInsert(uint64_t key);
+  std::span<const uint8_t> ValueOf(const Committed& c) const;
+  // Whether the store's answer for a key (found, got) is the model's `c`.
+  bool Matches(const Committed& c, bool found,
+               const std::vector<uint8_t>& got) const;
 
   // Ticks once per attempt and per ack. Only the order matters: a key whose
   // acked_at is later than a pending commit's attempted_at may have been
@@ -97,8 +110,17 @@ class DurabilityChecker {
   // evidence about that commit, while an older acked value is evidence it
   // did not land.
   uint64_t clock_ = 0;
-  // Unordered for lookup cost; Verify reads it back in ascending key order.
-  std::unordered_map<uint64_t, Committed> committed_;
+  // The model, one entry per key, in first-ack order. Verify reads it back
+  // in ascending key order.
+  std::vector<Committed> committed_;
+  // Key -> committed_ index + 1 (0 = empty slot): open addressing with
+  // linear probing, at most half full. Keys are never removed.
+  std::vector<uint32_t> slots_;
+  // Value arena: fixed-size chunks, appended to and never moved, so a key's
+  // value costs no heap block of its own. A rewrite reuses the key's room
+  // when the new value fits (values are row slots of one fixed size).
+  std::vector<std::vector<uint8_t>> chunks_;
+  size_t chunk_used_ = 0;  // bytes taken in chunks_.back()
   std::unordered_map<uint64_t, Pending> pending_;
 };
 

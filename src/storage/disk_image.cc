@@ -24,11 +24,52 @@ void DiskImage::CheckRange(uint64_t sector) const {
                "sector " << sector << " beyond capacity " << sector_count_);
 }
 
+std::span<uint8_t> DiskImage::SectorBytes(Extent& e, uint64_t sector) {
+  return std::span<uint8_t>(e.bytes).subspan(
+      (sector % kExtentSectors) * kSectorSize, kSectorSize);
+}
+
+std::span<const uint8_t> DiskImage::SectorBytes(const Extent& e,
+                                                uint64_t sector) {
+  return std::span<const uint8_t>(e.bytes).subspan(
+      (sector % kExtentSectors) * kSectorSize, kSectorSize);
+}
+
+const DiskImage::Extent* DiskImage::Find(const ExtentMap& map,
+                                         uint64_t sector) {
+  const auto it = map.find(sector / kExtentSectors);
+  if (it == map.end() || (it->second.present & Bit(sector)) == 0) {
+    return nullptr;
+  }
+  return &it->second;
+}
+
+void DiskImage::PutDurable(uint64_t sector, std::span<const uint8_t> data) {
+  Extent& e = durable_[sector / kExtentSectors];
+  const auto bytes = SectorBytes(e, sector);
+  std::copy(data.begin(), data.end(), bytes.begin());
+  e.present |= Bit(sector);
+  e.torn &= static_cast<uint16_t>(~Bit(sector));
+}
+
+void DiskImage::DropCached(uint64_t sector) {
+  const auto it = cache_.find(sector / kExtentSectors);
+  if (it == cache_.end() || (it->second.present & Bit(sector)) == 0) {
+    return;
+  }
+  it->second.present &= static_cast<uint16_t>(~Bit(sector));
+  --cached_sectors_;
+  if (it->second.present == 0) {
+    cache_.erase(it);
+  }
+}
+
 void DiskImage::Read(uint64_t sector, std::span<uint8_t> out) const {
   CheckRange(sector);
   RL_CHECK(out.size() == kSectorSize);
-  if (auto it = cache_.find(sector); it != cache_.end()) {
-    std::copy(it->second.begin(), it->second.end(), out.begin());
+  if (const Extent* e = Find(cache_, sector)) {
+    const auto bytes = SectorBytes(*e, sector);
+    std::copy(bytes.begin(), bytes.end(), out.begin());
     return;
   }
   ReadDurable(sector, out);
@@ -37,8 +78,9 @@ void DiskImage::Read(uint64_t sector, std::span<uint8_t> out) const {
 void DiskImage::ReadDurable(uint64_t sector, std::span<uint8_t> out) const {
   CheckRange(sector);
   RL_CHECK(out.size() == kSectorSize);
-  if (auto it = durable_.find(sector); it != durable_.end()) {
-    std::copy(it->second.begin(), it->second.end(), out.begin());
+  if (const Extent* e = Find(durable_, sector)) {
+    const auto bytes = SectorBytes(*e, sector);
+    std::copy(bytes.begin(), bytes.end(), out.begin());
   } else {
     std::fill(out.begin(), out.end(), uint8_t{0});
   }
@@ -47,63 +89,75 @@ void DiskImage::ReadDurable(uint64_t sector, std::span<uint8_t> out) const {
 void DiskImage::WriteCached(uint64_t sector, std::span<const uint8_t> data) {
   CheckRange(sector);
   RL_CHECK(data.size() == kSectorSize);
-  Sector& s = cache_[sector];
-  std::copy(data.begin(), data.end(), s.begin());
-  torn_.erase(sector);
+  Extent& e = cache_[sector / kExtentSectors];
+  const auto bytes = SectorBytes(e, sector);
+  std::copy(data.begin(), data.end(), bytes.begin());
+  if ((e.present & Bit(sector)) == 0) {
+    e.present |= Bit(sector);
+    ++cached_sectors_;
+  }
+  if (const auto it = durable_.find(sector / kExtentSectors);
+      it != durable_.end()) {
+    it->second.torn &= static_cast<uint16_t>(~Bit(sector));
+  }
 }
 
 void DiskImage::WriteDurable(uint64_t sector, std::span<const uint8_t> data) {
   CheckRange(sector);
   RL_CHECK(data.size() == kSectorSize);
-  Sector& s = durable_[sector];
-  std::copy(data.begin(), data.end(), s.begin());
-  cache_.erase(sector);  // the medium now holds the newest contents
-  torn_.erase(sector);
+  PutDurable(sector, data);
+  DropCached(sector);  // the medium now holds the newest contents
 }
 
 void DiskImage::Harden(uint64_t sector) {
-  auto it = cache_.find(sector);
-  if (it == cache_.end()) {
+  const Extent* e = Find(cache_, sector);
+  if (e == nullptr) {
     return;
   }
-  durable_[sector] = it->second;
-  cache_.erase(it);
-  torn_.erase(sector);
+  PutDurable(sector, SectorBytes(*e, sector));
+  DropCached(sector);
 }
 
 void DiskImage::HardenAll() {
   // simlint: ordered-ok (pure state fold: every cached sector moves to the
   // durable map; no I/O, no events, and the result is order-independent)
-  for (const auto& [sector, data] : cache_) {
-    durable_[sector] = data;
-    torn_.erase(sector);
+  for (const auto& [index, e] : cache_) {
+    for (uint64_t i = 0; i < kExtentSectors; ++i) {
+      const uint64_t sector = index * kExtentSectors + i;
+      if ((e.present & Bit(sector)) != 0) {
+        PutDurable(sector, SectorBytes(e, sector));
+      }
+    }
   }
   cache_.clear();
+  cached_sectors_ = 0;
 }
 
 void DiskImage::PowerLoss(int64_t torn_sector) {
   cache_.clear();
+  cached_sectors_ = 0;
   if (torn_sector >= 0) {
     const uint64_t sector = static_cast<uint64_t>(torn_sector);
     CheckRange(sector);
-    Sector& s = durable_[sector];
-    s.fill(kTornFill);
-    torn_[sector] = true;
+    Extent& e = durable_[sector / kExtentSectors];
+    const auto bytes = SectorBytes(e, sector);
+    std::fill(bytes.begin(), bytes.end(), kTornFill);
+    e.present |= Bit(sector);
+    e.torn |= Bit(sector);
   }
 }
 
 SectorState DiskImage::state(uint64_t sector) const {
   CheckRange(sector);
-  if (cache_.contains(sector)) {
+  if (Find(cache_, sector) != nullptr) {
     return SectorState::kCachedVolatile;
   }
-  if (torn_.contains(sector)) {
-    return SectorState::kTorn;
+  const Extent* e = Find(durable_, sector);
+  if (e == nullptr) {
+    return SectorState::kUnwritten;
   }
-  if (durable_.contains(sector)) {
-    return SectorState::kDurable;
-  }
-  return SectorState::kUnwritten;
+  return (e->torn & Bit(sector)) != 0 ? SectorState::kTorn
+                                      : SectorState::kDurable;
 }
 
 bool DiskImage::IsDurable(uint64_t sector) const {
@@ -112,15 +166,22 @@ bool DiskImage::IsDurable(uint64_t sector) const {
 }
 
 std::vector<uint64_t> DiskImage::DurableSectorList() const {
+  std::vector<uint64_t> extents;
+  extents.reserve(durable_.size());
+  // simlint: ordered-ok (collected set is sorted before it is used)
+  for (const auto& [index, e] : durable_) {
+    extents.push_back(index);
+  }
+  std::sort(extents.begin(), extents.end());
   std::vector<uint64_t> sectors;
-  sectors.reserve(durable_.size());
-  // simlint: ordered-ok (collected set is sorted before it is returned)
-  for (const auto& [sector, contents] : durable_) {
-    if (!torn_.contains(sector)) {
-      sectors.push_back(sector);
+  for (const uint64_t index : extents) {
+    const Extent& e = durable_.at(index);
+    for (uint64_t i = 0; i < kExtentSectors; ++i) {
+      if (((e.present & ~e.torn) >> i & 1u) != 0) {
+        sectors.push_back(index * kExtentSectors + i);
+      }
     }
   }
-  std::sort(sectors.begin(), sectors.end());
   return sectors;
 }
 

@@ -2,7 +2,10 @@
 // ledger distinguishing durable bytes (survive power loss) from bytes that
 // only exist in a volatile write cache.
 //
-// Sparse: unwritten sectors read as zeros and consume no memory.
+// Sparse: unwritten sectors read as zeros. Sectors are held in aligned
+// 16-sector (8 KiB) extents with a presence mask, so an engine page or a run
+// of log blocks costs one allocation, not one per sector; an extent exists
+// only once one of its sectors has been written.
 #pragma once
 
 #include <array>
@@ -54,8 +57,8 @@ class DiskImage {
   bool IsDurable(uint64_t sector) const;
 
   // Number of sectors currently held only in the volatile cache.
-  size_t cached_sector_count() const { return cache_.size(); }
-  uint64_t cached_bytes() const { return cache_.size() * kSectorSize; }
+  size_t cached_sector_count() const { return cached_sectors_; }
+  uint64_t cached_bytes() const { return cached_sectors_ * kSectorSize; }
 
   // Reads only what is on the durable medium (what recovery would see after
   // a power cut), ignoring the volatile cache.
@@ -66,14 +69,34 @@ class DiskImage {
   std::vector<uint64_t> DurableSectorList() const;
 
  private:
-  using Sector = std::array<uint8_t, kSectorSize>;
+  static constexpr uint64_t kExtentSectors = 16;
+
+  struct Extent {
+    std::array<uint8_t, kExtentSectors * kSectorSize> bytes;
+    uint16_t present = 0;  // bit i: sector i of the extent holds contents
+    uint16_t torn = 0;     // durable layer only: present sectors a cut tore
+  };
+  using ExtentMap = std::unordered_map<uint64_t, Extent>;
+
+  static uint16_t Bit(uint64_t sector) {
+    return static_cast<uint16_t>(1u << (sector % kExtentSectors));
+  }
+  static std::span<uint8_t> SectorBytes(Extent& e, uint64_t sector);
+  static std::span<const uint8_t> SectorBytes(const Extent& e,
+                                              uint64_t sector);
+  // The extent holding `sector` if that sector is present in `map`.
+  static const Extent* Find(const ExtentMap& map, uint64_t sector);
+  // Stores `data` as the durable contents of `sector`, clearing any tear.
+  void PutDurable(uint64_t sector, std::span<const uint8_t> data);
+  // Drops `sector` from the volatile cache, if it is there.
+  void DropCached(uint64_t sector);
 
   void CheckRange(uint64_t sector) const;
 
   uint64_t sector_count_;
-  std::unordered_map<uint64_t, Sector> durable_;
-  std::unordered_map<uint64_t, Sector> cache_;
-  std::unordered_map<uint64_t, bool> torn_;  // value unused; presence = torn
+  ExtentMap durable_;
+  ExtentMap cache_;
+  size_t cached_sectors_ = 0;
 };
 
 }  // namespace rlstor

@@ -31,8 +31,7 @@ using rlstor::WriteCachePolicy;
 // The engine's view of the data disk: forwards every request to the disk
 // and records it, so a test can see the order a checkpoint's writes arrive
 // in. Writes can also be held at a closed gate, or can trigger a power cut
-// at the n-th in-place write of a checkpoint (a write after the journal
-// header's FUA write and before the next flush).
+// just before the write recorded at a given request index reaches the disk.
 class DataDiskProbe : public rlstor::BlockDevice {
  public:
   struct Request {
@@ -56,18 +55,13 @@ class DataDiskProbe : public rlstor::BlockDevice {
       co_await gate_.Wait();
     }
     requests.push_back({lba, fua, false});
-    if (in_place_ && in_place_writes_++ == cut_at_in_place_write) {
+    if (static_cast<int64_t>(requests.size()) - 1 == cut_at_request) {
       cut();
-    }
-    if (fua && lba == header_lba_) {
-      in_place_ = true;
-      in_place_writes_ = 0;
     }
     co_return co_await disk_.Write(lba, data, fua);
   }
   Task<BlockStatus> Flush() override {
     requests.push_back({0, false, true});
-    in_place_ = false;
     return disk_.Flush();
   }
 
@@ -81,8 +75,7 @@ class DataDiskProbe : public rlstor::BlockDevice {
   // after the last journal-header write, up to the next flush.
   std::vector<uint64_t> LastInPlacePhase() const {
     size_t i = requests.size();
-    while (i > 0 &&
-           !(requests[i - 1].fua && requests[i - 1].lba == header_lba_)) {
+    while (i > 0 && !IsHeaderWrite(i - 1)) {
       --i;
     }
     std::vector<uint64_t> lbas;
@@ -92,17 +85,20 @@ class DataDiskProbe : public rlstor::BlockDevice {
     return lbas;
   }
 
+  // Whether request `i` is the journal header's FUA write, which commits a
+  // checkpoint.
+  bool IsHeaderWrite(size_t i) const {
+    return requests[i].fua && requests[i].lba == header_lba_;
+  }
+
   std::vector<Request> requests;
-  // In-place write (0-based) at which cut() runs, before the write reaches
-  // the disk; -1 never cuts.
-  int64_t cut_at_in_place_write = -1;
+  // Index in `requests` of the write before which cut() runs; -1 never cuts.
+  int64_t cut_at_request = -1;
   std::function<void()> cut;
 
  private:
   rlstor::BlockDevice& disk_;
   uint64_t header_lba_;
-  bool in_place_ = false;
-  int64_t in_place_writes_ = 0;
   bool gate_closed_ = false;
   rlsim::WaitQueue gate_;
 };
@@ -552,38 +548,70 @@ TEST(DatabaseTest, CheckpointWritesPagesInPlaceInPageOrder) {
             in_place.end());
 }
 
-TEST(DatabaseTest, PowerCutAtEveryInPlaceWriteRecoversFromJournal) {
-  // Once the journal header is durable, the journal repairs whatever the
-  // in-place phase left behind, so the order of those writes is free. Cut
-  // power as each in-place write of one page-ordered checkpoint is issued:
-  // with earlier writes still in the volatile cache, partly destaged.
-  size_t writes = 0;
+// Cuts power before each write of one checkpoint in turn: journal slots, id
+// pages, the header, the in-place writes and the metadata, with earlier
+// writes still in the volatile cache, partly destaged. `setup` configures a
+// fresh fixture; `dirty` opens the engine and leaves the dirty set the
+// checkpoint stages, recording the committed contents (key -> value seed).
+// Every cut must recover the committed contents exactly (the content hash
+// of an uncut run, whose values are checked key by key): a cut before the
+// header write finds no journal to replay and redoes the log; a cut after
+// it repairs every journaled page in place. Returns the number of cuts.
+size_t SweepCheckpointPowerCuts(
+    const std::function<void(EngineFixture&)>& setup,
+    const std::function<Task<void>(EngineFixture&,
+                                   std::map<uint64_t, uint64_t>&)>& dirty) {
+  // Dry run: the request indices of the checkpoint's writes. The engine is
+  // deterministic, so every later run issues the same requests.
+  std::vector<size_t> writes;
+  size_t header = 0;
+  uint64_t journaled = 0;
+  uint64_t content = 0;  // ContentHash of the committed contents
   {
     EngineFixture f;
-    UseSmallPool(f);
-    f.sim.Spawn([](EngineFixture& fx, size_t& n) -> Task<void> {
+    setup(f);
+    size_t first = 0;
+    f.sim.Spawn([](EngineFixture& fx, size_t& start, uint64_t& staged,
+                   uint64_t& hash, const auto& d) -> Task<void> {
       std::map<uint64_t, uint64_t> expected;
-      co_await DirtyScrambledFrames(fx, expected);
+      co_await d(fx, expected);
+      staged = fx.db->pool().dirty_count();
+      start = fx.probe.requests.size();
       co_await fx.db->Checkpoint();
-      n = fx.probe.LastInPlacePhase().size();
-    }(f, writes));
+      EXPECT_EQ(co_await fx.db->CommittedCount(), expected.size());
+      for (const auto& [key, seed] : expected) {
+        std::vector<uint8_t> got;
+        EXPECT_TRUE(co_await fx.db->ReadCommitted(key, &got)) << key;
+        EXPECT_EQ(got, fx.Value(seed)) << key;
+      }
+      hash = co_await fx.db->ContentHash();
+    }(f, first, journaled, content, dirty));
     f.sim.Run();
+    for (size_t i = first; i < f.probe.requests.size(); ++i) {
+      if (!f.probe.requests[i].flush) {
+        writes.push_back(i);
+      }
+      if (f.probe.IsHeaderWrite(i)) {
+        header = i;
+      }
+    }
   }
-  ASSERT_GE(writes, 20u);
+  EXPECT_GT(header, 0u);
 
-  for (size_t cut = 0; cut < writes; ++cut) {
-    SCOPED_TRACE("cut at in-place write " + std::to_string(cut));
+  for (const size_t at : writes) {
+    SCOPED_TRACE("cut before request " + std::to_string(at));
     EngineFixture f;
-    UseSmallPool(f);
+    setup(f);
     f.probe.cut = [&f] {
       f.data.PowerLoss();
       f.log.PowerLoss();
     };
-    f.sim.Spawn([](EngineFixture& fx, size_t cut_at,
-                   size_t journaled) -> Task<void> {
+    const uint64_t repaired = at > header ? journaled : 0;
+    f.sim.Spawn([](EngineFixture& fx, size_t cut_at, uint64_t want_repaired,
+                   uint64_t want_content, const auto& d) -> Task<void> {
       std::map<uint64_t, uint64_t> expected;
-      co_await DirtyScrambledFrames(fx, expected);
-      fx.probe.cut_at_in_place_write = static_cast<int64_t>(cut_at);
+      co_await d(fx, expected);
+      fx.probe.cut_at_request = static_cast<int64_t>(cut_at);
       bool halted = false;
       try {
         co_await fx.db->Checkpoint();
@@ -591,24 +619,105 @@ TEST(DatabaseTest, PowerCutAtEveryInPlaceWriteRecoversFromJournal) {
         halted = true;
       }
       EXPECT_TRUE(halted);
-      fx.probe.cut_at_in_place_write = -1;
+      fx.probe.cut_at_request = -1;
       co_await fx.db->Close();
       fx.db.reset();
       fx.data.PowerRestore();
       fx.log.PowerRestore();
       co_await fx.OpenDb();
       EXPECT_EQ(fx.db->stats().repaired_from_journal.value(),
-                static_cast<int64_t>(journaled));
-      EXPECT_EQ(co_await fx.db->CommittedCount(), expected.size());
-      for (const auto& [key, seed] : expected) {
-        std::vector<uint8_t> got;
-        EXPECT_TRUE(co_await fx.db->ReadCommitted(key, &got)) << key;
-        EXPECT_EQ(got, fx.Value(seed)) << key;
-      }
+                static_cast<int64_t>(want_repaired));
+      EXPECT_EQ(co_await fx.db->ContentHash(), want_content);
       co_await fx.db->CheckTreeStructure();
-    }(f, cut, writes));
+    }(f, at, repaired, content, dirty));
     f.sim.Run();
   }
+  return writes.size();
+}
+
+TEST(DatabaseTest, PowerCutAtEveryCheckpointWriteRecovers) {
+  // Once the journal header is durable, the journal repairs whatever the
+  // in-place phase left behind, so the order of those writes is free.
+  const size_t cuts = SweepCheckpointPowerCuts(UseSmallPool,
+                                               DirtyScrambledFrames);
+  // Slots, header, in-place writes and metadata of a >= 20-page checkpoint.
+  EXPECT_GE(cuts, 2 * 20 + 2u);
+}
+
+// A 4 KiB-page engine whose journal region (1200 pages) is far larger than
+// the page ids one 4 KiB header page holds (378), with the commercial
+// profile's 512-page checkpoint threshold. Wide rows (four to a leaf) make
+// a tree of several hundred pages from a short load.
+void UseCommercialJournal(EngineFixture& fx) {
+  fx.options.profile = CommercialLikeProfile();
+  fx.options.profile.value_bytes = 960;
+  fx.options.profile.checkpoint_dirty_pages = 512;
+  fx.options.pool_pages = 700;
+  fx.options.journal_pages = 1200;
+}
+
+constexpr uint64_t kHeaderIdsAt4K = 378;
+
+// Loads more leaves than the header has id room for, without a checkpoint:
+// the dirty set exceeds 378 pages, so the next checkpoint's id list spills
+// onto an id page.
+Task<void> DirtyPastHeader(EngineFixture& fx,
+                           std::map<uint64_t, uint64_t>& expected) {
+  co_await fx.OpenDb();
+  constexpr uint64_t kKeys = 1000;
+  for (uint64_t base = 0; base < kKeys; base += 250) {
+    const uint64_t txn = fx.db->Begin();
+    for (uint64_t k = base; k < base + 250; ++k) {
+      co_await fx.db->Put(txn, k, fx.Value(k));
+      expected[k] = k;
+    }
+    EXPECT_EQ(co_await fx.db->Commit(txn), DbStatus::kOk);
+  }
+  EXPECT_EQ(fx.db->stats().checkpoints.value(), 0);
+  EXPECT_GT(fx.db->pool().dirty_count(), kHeaderIdsAt4K);
+}
+
+TEST(DatabaseTest, SmallPageJournalSpillsIdsPastTheHeader) {
+  EngineFixture f;
+  UseCommercialJournal(f);
+  uint64_t staged = 0;
+  f.sim.Spawn([](EngineFixture& fx, uint64_t& n) -> Task<void> {
+    std::map<uint64_t, uint64_t> expected;
+    co_await DirtyPastHeader(fx, expected);
+    n = fx.db->pool().dirty_count();
+    fx.probe.requests.clear();
+    co_await fx.db->Checkpoint();
+    co_await fx.PowerFailAndReopen();
+    EXPECT_EQ(co_await fx.db->CommittedCount(), expected.size());
+    for (const auto& [key, seed] : expected) {
+      std::vector<uint8_t> got;
+      EXPECT_TRUE(co_await fx.db->ReadCommitted(key, &got)) << key;
+      EXPECT_EQ(got, fx.Value(seed)) << key;
+    }
+    co_await fx.db->CheckTreeStructure();
+  }(f, staged));
+  f.sim.Run();
+  EXPECT_GT(staged, kHeaderIdsAt4K) << staged;
+  // The id list continued onto journal page 1, written before the header.
+  const uint64_t id_page_lba = PageLba(1, 4096);
+  const auto& reqs = f.probe.requests;
+  const auto id_write = std::find_if(reqs.begin(), reqs.end(), [&](auto& r) {
+    return !r.flush && r.lba == id_page_lba;
+  });
+  const auto header_write =
+      std::find_if(reqs.begin(), reqs.end(), [&](auto& r) {
+        return r.fua && r.lba == PageLba(0, 4096);
+      });
+  ASSERT_NE(id_write, reqs.end());
+  ASSERT_NE(header_write, reqs.end());
+  EXPECT_LT(id_write, header_write);
+}
+
+TEST(DatabaseTest, SmallPageJournalSurvivesPowerCutAtEveryWrite) {
+  const size_t cuts =
+      SweepCheckpointPowerCuts(UseCommercialJournal, DirtyPastHeader);
+  // Slots, an id page, header, in-place writes and metadata.
+  EXPECT_GE(cuts, 2 * kHeaderIdsAt4K + 3);
 }
 
 // Collects the dirty-throttle spans of a run.
