@@ -33,6 +33,11 @@ BufferPool::Frame* BufferPool::FindResident(uint64_t page_id) {
   return f;
 }
 
+const BufferPool::Frame* BufferPool::Peek(uint64_t page_id) const {
+  const auto it = page_to_frame_.find(page_id);
+  return it == page_to_frame_.end() ? nullptr : &frames_[it->second];
+}
+
 BufferPool::Frame* BufferPool::EvictOne() {
   // CLOCK over clean, unpinned, valid frames; invalid frames are free.
   const size_t n = frames_.size();
@@ -52,6 +57,26 @@ BufferPool::Frame* BufferPool::EvictOne() {
     page_to_frame_.erase(f.page_id);
     f.valid = false;
     stats_.evictions.Add();
+    return &f;
+  }
+  // Last resort: a clean frame a running checkpoint staged. The frames of a
+  // stalled checkpoint plus the dirty frames the throttle allows can fill
+  // the pool.
+  for (size_t step = 0; step < n; ++step) {
+    Frame& f = frames_[clock_hand_];
+    clock_hand_ = (clock_hand_ + 1) % n;
+    if (f.pins > 0 || f.dirty) {
+      continue;
+    }
+    if (!f.staged.empty()) {
+      evicted_staged_.emplace(f.page_id, f.staged);
+    }
+    f.in_checkpoint = false;
+    f.staged = {};
+    page_to_frame_.erase(f.page_id);
+    f.valid = false;
+    stats_.evictions.Add();
+    stats_.staged_evictions.Add();
     return &f;
   }
   RL_UNREACHABLE(
@@ -75,6 +100,23 @@ Task<BufferPool::Frame*> BufferPool::Fetch(uint64_t page_id) {
     break;
   }
   stats_.misses.Add();
+  if (const auto it = evicted_staged_.find(page_id);
+      it != evicted_staged_.end()) {
+    // The device still holds the pre-checkpoint version.
+    const std::span<const uint8_t> image = it->second;
+    evicted_staged_.erase(it);
+    Frame* f = EvictOne();
+    std::copy(image.begin(), image.end(), f->data.begin());
+    f->in_checkpoint = true;
+    f->staged = image;
+    f->page_id = page_id;
+    f->valid = true;
+    f->dirty = false;
+    f->pins = 1;
+    f->referenced = true;
+    page_to_frame_[page_id] = static_cast<size_t>(f - frames_.data());
+    co_return f;
+  }
   auto completion = std::make_shared<rlsim::Completion<bool>>(sim_);
   pending_reads_.emplace(page_id, completion);
 
@@ -162,16 +204,41 @@ void BufferPool::MarkClean(Frame* frame) {
   }
 }
 
+void BufferPool::Stage(Frame* frame, std::span<const uint8_t> image) {
+  RL_CHECK(image.size() == page_bytes_);
+  frame->in_checkpoint = true;
+  frame->staged = image;
+}
+
+void BufferPool::Unstage(uint64_t page_id) {
+  if (const auto it = page_to_frame_.find(page_id);
+      it != page_to_frame_.end()) {
+    frames_[it->second].staged = {};
+  } else {
+    evicted_staged_.erase(page_id);
+  }
+}
+
+void BufferPool::EndCheckpoint() {
+  for (Frame& f : frames_) {
+    f.in_checkpoint = false;
+    f.staged = {};
+  }
+  evicted_staged_.clear();
+}
+
 void BufferPool::Reset() {
   for (Frame& f : frames_) {
     f.valid = false;
     f.dirty = false;
     f.in_checkpoint = false;
+    f.staged = {};
     f.pins = 0;
     f.referenced = false;
   }
   page_to_frame_.clear();
   pending_reads_.clear();
+  evicted_staged_.clear();
   dirty_count_ = 0;
 }
 
@@ -179,8 +246,15 @@ Task<bool> BufferPool::WritePageDirect(uint64_t page_id,
                                        std::span<const uint8_t> image,
                                        bool fua) {
   RL_CHECK(image.size() == page_bytes_);
-  const BlockStatus st =
-      co_await device_.Write(PageLba(page_id, page_bytes_), image, fua);
+  return WriteImageDirect(PageLba(page_id, page_bytes_), image, fua);
+}
+
+Task<bool> BufferPool::WriteImageDirect(uint64_t lba,
+                                        std::span<const uint8_t> image,
+                                        bool fua) {
+  RL_CHECK(!image.empty() && image.size() <= page_bytes_ &&
+           image.size() % rlstor::kSectorSize == 0);
+  const BlockStatus st = co_await device_.Write(lba, image, fua);
   if (st == BlockStatus::kOk) {
     stats_.page_writes.Add();
   }

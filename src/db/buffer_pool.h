@@ -4,11 +4,15 @@
 // are never written back individually (in-place page writes happen solely
 // inside the journaled checkpoint, which is what makes recovery see a
 // structurally consistent B+-tree — see Database::Checkpoint). The engine
-// checkpoints before the dirty set can exhaust the pool.
+// checkpoints before the dirty set can exhaust the pool. Frames a running
+// checkpoint has staged are evicted only when nothing else can be; until
+// the page's in-place write lands, the pool then serves it from the staged
+// image.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -25,10 +29,13 @@ class BufferPool {
     uint64_t page_id = 0;
     bool valid = false;
     bool dirty = false;
-    // Set while a checkpoint has staged this frame's image but not yet
-    // persisted it in place: the frame must not be evicted (a re-fetch from
-    // the device would resurrect the pre-checkpoint version).
+    // Set while a checkpoint that staged this frame's image runs: CLOCK
+    // passes the frame over, and it is evicted only as a last resort.
     bool in_checkpoint = false;
+    // That image, until its in-place write lands: a re-fetch from the
+    // device before then would resurrect the pre-checkpoint version, so an
+    // eviction keeps the image to serve the page from.
+    std::span<const uint8_t> staged;
     int pins = 0;
     bool referenced = false;  // CLOCK bit
     std::vector<uint8_t> data;
@@ -39,6 +46,7 @@ class BufferPool {
     rlsim::Counter hits;
     rlsim::Counter misses;
     rlsim::Counter evictions;
+    rlsim::Counter staged_evictions;  // last-resort evictions of staged frames
     rlsim::Counter page_reads;
     rlsim::Counter page_writes;
     rlsim::Histogram read_latency;  // ns, device reads only
@@ -59,6 +67,8 @@ class BufferPool {
 
   // Pinned lookup without I/O; nullptr if not resident.
   Frame* FindResident(uint64_t page_id);
+  // Unpinned read-only lookup for inspection; nullptr if not resident.
+  const Frame* Peek(uint64_t page_id) const;
 
   // All dirty frames in ascending page_id order (checkpoint input). The
   // checkpoint journals and writes pages back in this order, so the
@@ -68,6 +78,16 @@ class BufferPool {
 
   // Marks a frame clean (checkpoint wrote it out).
   void MarkClean(Frame* frame);
+
+  // A checkpoint staged `image` as the next on-disk version of `frame`'s
+  // page. The image must stay alive until Unstage(page id) or
+  // EndCheckpoint().
+  void Stage(Frame* frame, std::span<const uint8_t> image);
+  // The page's staged image is on the device: a fetch after an eviction
+  // reads the device again.
+  void Unstage(uint64_t page_id);
+  // The checkpoint finished or gave up: no frame is staged any more.
+  void EndCheckpoint();
 
   // Drops every frame (crash simulation: the guest's memory is gone).
   void Reset();
@@ -80,6 +100,11 @@ class BufferPool {
   rlsim::Task<bool> WritePageDirect(uint64_t page_id,
                                     std::span<const uint8_t> image,
                                     bool fua);
+  // Writes a page image, or a prefix of whole sectors of one as the
+  // checkpoint journal does, at `lba`; counts as one page write.
+  rlsim::Task<bool> WriteImageDirect(uint64_t lba,
+                                     std::span<const uint8_t> image,
+                                     bool fua);
   rlsim::Task<bool> ReadPageDirect(uint64_t page_id,
                                    std::span<uint8_t> out);
   rlstor::BlockDevice& device() { return device_; }
@@ -95,6 +120,8 @@ class BufferPool {
   // In-flight reads so concurrent fetches of one page issue one device read.
   std::unordered_map<uint64_t, std::shared_ptr<rlsim::Completion<bool>>>
       pending_reads_;
+  // Staged images of pages evicted before their in-place write.
+  std::unordered_map<uint64_t, std::span<const uint8_t>> evicted_staged_;
   size_t clock_hand_ = 0;
   size_t dirty_count_ = 0;
   Stats stats_;

@@ -78,9 +78,9 @@ Database::Database(rlsim::Simulator& sim, CpuContext& cpu,
   checkpoint_mutex_ = std::make_unique<rlsim::SimMutex>(sim_);
   checkpoint_done_ = std::make_unique<rlsim::WaitQueue>(sim_);
 
-  // A checkpoint's dirty set must fit the journal's slots; commits throttle
-  // safely below that, and the automatic checkpoint threshold sits below the
-  // throttle so the stall is normally never hit.
+  // A checkpoint's dirty set must fit the journal's capacity; commits
+  // throttle safely below that, and the automatic checkpoint threshold sits
+  // below the throttle so the stall is normally never hit.
   const uint32_t capacity = journal_.capacity;
   dirty_throttle_pages_ = std::min(capacity - capacity / 8,
                                    options_.pool_pages * 3 / 4);
@@ -194,9 +194,9 @@ Task<Database::JournalHeaderInfo> Database::ReadJournalHeader(
   }
   const uint64_t seq = LoadScalar<uint64_t>(page, kJournalSeqOff);
   const uint32_t count = LoadScalar<uint32_t>(page, kJournalCountOff);
-  RL_CHECK_MSG(count <= journal_.capacity,
-               "journal lists " << count << " pages, capacity "
-                                << journal_.capacity);
+  RL_CHECK_MSG(count <= journal_.id_room,
+               "journal lists " << count << " pages, room for "
+                                << journal_.id_room);
   for (uint32_t s = 0; s < kRedoSlices; ++s) {
     info.horizons[s] =
         LoadScalar<uint64_t>(page, kJournalHorizonOff + s * 8ull);
@@ -213,16 +213,16 @@ Task<Database::JournalHeaderInfo> Database::ReadJournalHeader(
     // checkpoint that died before its header was written.
     co_return info;
   }
-  info.page_ids.reserve(count);
+  info.entries.reserve(count);
   const uint32_t in_header = std::min(count, journal_.header_ids);
   for (uint32_t i = 0; i < in_header; ++i) {
-    info.page_ids.push_back(
-        LoadScalar<uint64_t>(page, kJournalHeaderIdsOff + i * 8ull));
+    info.entries.push_back(DecodeJournalEntry(
+        LoadScalar<uint64_t>(page, kJournalHeaderIdsOff + i * 8ull)));
   }
   // The id pages were flushed before the header's FUA write, so each one
   // must be intact and carry the header's seq; anything else is corruption,
-  // exactly as for a bad slot.
-  for (uint32_t p = 1; info.page_ids.size() < count; ++p) {
+  // exactly as for a bad image.
+  for (uint32_t p = 1; info.entries.size() < count; ++p) {
     const bool read_ok = co_await pool_->ReadPageDirect(p, page);
     if (!read_ok) {
       throw EngineHalted();  // device died mid-recovery; retry replays
@@ -233,10 +233,10 @@ Task<Database::JournalHeaderInfo> Database::ReadJournalHeader(
                  "journal id page " << p << " corrupt or stale for seq "
                                     << seq);
     const size_t n =
-        std::min<size_t>(count - info.page_ids.size(), journal_.ids_per_page);
+        std::min<size_t>(count - info.entries.size(), journal_.ids_per_page);
     for (size_t i = 0; i < n; ++i) {
-      info.page_ids.push_back(
-          LoadScalar<uint64_t>(page, kJournalIdPageIdsOff + i * 8));
+      info.entries.push_back(DecodeJournalEntry(
+          LoadScalar<uint64_t>(page, kJournalIdPageIdsOff + i * 8)));
     }
   }
   co_return info;
@@ -244,23 +244,32 @@ Task<Database::JournalHeaderInfo> Database::ReadJournalHeader(
 
 Task<void> Database::ReplayJournal(const JournalHeaderInfo& header) {
   // The checkpoint committed but its in-place writes may be incomplete:
-  // copy every journaled page image into place.
+  // copy every journaled page image into place, walking the packed images
+  // by their lengths and zero-filling each back to a page.
   const uint32_t page_bytes = options_.profile.page_bytes;
   std::vector<uint8_t> image(page_bytes);
-  for (size_t i = 0; i < header.page_ids.size(); ++i) {
-    const uint64_t page_id = header.page_ids[i];
-    const uint64_t slot = journal_.id_pages + i;
-    const bool read_ok = co_await pool_->ReadPageDirect(slot, image);
-    if (!read_ok) {
+  uint64_t lba = PageLba(journal_.id_pages, page_bytes);
+  for (const JournalEntry& e : header.entries) {
+    const size_t len = size_t{e.sectors} * kSectorSize;
+    RL_CHECK_MSG(e.sectors > 0 && len <= page_bytes,
+                 "journal image of page " << e.page_id << " spans "
+                                          << e.sectors << " sectors");
+    std::fill(image.begin() + static_cast<ptrdiff_t>(len), image.end(),
+              uint8_t{0});
+    const BlockStatus st = co_await data_dev_.Read(
+        lba, std::span<uint8_t>(image.data(), len));
+    if (st != BlockStatus::kOk) {
       // Device died mid-recovery (power cut or disk fault during replay):
       // machine death, not corruption. The journal is untouched, so the
       // next recovery attempt replays it from the start.
       throw EngineHalted();
     }
-    RL_CHECK_MSG(PageValid(image, page_id),
-                 "journal slot " << slot << " corrupt for page " << page_id);
-    co_await WritePageOrHalt(page_id, image, /*fua=*/false);
+    RL_CHECK_MSG(PageValid(image, e.page_id),
+                 "journal image at sector " << lba << " corrupt for page "
+                                            << e.page_id);
+    co_await WritePageOrHalt(e.page_id, image, /*fua=*/false);
     stats_.repaired_from_journal.Add();
+    lba += e.sectors;
   }
   co_await data_dev_.Flush();
   // Persist the embedded metadata into the regular slots so the next open is
@@ -839,6 +848,8 @@ void Database::MaybeScheduleCheckpoint() {
       [](Database& db) -> Task<void> {
         try {
           co_await db.Checkpoint();
+        } catch (const rlsim::CheckFailure&) {
+          throw;  // a broken invariant, not a dead machine
         } catch (...) {
           // Machine died mid-checkpoint; the journal makes this safe and the
           // harness will reopen the database.
@@ -856,24 +867,35 @@ Task<void> Database::Checkpoint() {
     auto guard = co_await apply_mutex_->Lock();
     staged = StageCheckpoint();
   }
-  // Write-ahead rule for the checkpoint: the log covering everything staged
-  // must be durable before the staged pages overwrite old state.
-  co_await wal_->Force();
   co_await PersistCheckpoint(std::move(staged));
 }
 
 Task<void> Database::CheckpointLocked() {
   // Recovery path: the caller already holds the apply mutex and runs alone.
-  StagedCheckpoint staged = StageCheckpoint();
-  co_await wal_->Force();
-  co_await PersistCheckpoint(std::move(staged));
+  co_await PersistCheckpoint(StageCheckpoint());
 }
 
 Database::StagedCheckpoint Database::StageCheckpoint() {
   StagedCheckpoint staged;
   std::vector<BufferPool::Frame*> dirty = pool_->DirtyFrames();
-  RL_CHECK_MSG(dirty.size() <= journal_.capacity,
-               "checkpoint dirty set exceeds journal capacity");
+  // The throttle is soft: commits that passed it together can apply past
+  // it. The journal still takes the set while its packed images fit.
+  const uint32_t page_bytes = options_.profile.page_bytes;
+  staged.pages.resize(dirty.size());
+  uint64_t sectors = 0;
+  for (size_t i = 0; i < dirty.size(); ++i) {
+    const size_t used =
+        PageUsedBytes(dirty[i]->data, options_.profile.value_bytes);
+    JournalEntry& e = staged.pages[i].entry;
+    e.page_id = dirty[i]->page_id;
+    e.sectors = static_cast<uint32_t>((used + kSectorSize - 1) / kSectorSize);
+    sectors += e.sectors;
+  }
+  RL_CHECK_MSG(dirty.size() <= journal_.id_room &&
+                   sectors <= uint64_t{journal_.capacity} * page_bytes /
+                                  kSectorSize,
+               "checkpoint of " << dirty.size() << " pages (" << sectors
+                                << " sectors) overflows the journal");
 
   // Replay point: everything applied so far is captured by this snapshot;
   // transactions whose records are logged but not yet applied must replay.
@@ -917,13 +939,20 @@ Database::StagedCheckpoint Database::StageCheckpoint() {
     }
   }
 
-  staged.pages.reserve(dirty.size());
-  for (BufferPool::Frame* f : dirty) {
-    std::vector<uint8_t> image = f->data;
-    SealPage(image, f->page_id);
-    f->in_checkpoint = true;  // pin the frame contents against eviction
+  // Each image is the frame's used prefix with a zeroed tail, so the page
+  // written in place, its journal image and its CRC all describe one
+  // canonical page, and the journal needs only the prefix.
+  for (size_t i = 0; i < dirty.size(); ++i) {
+    BufferPool::Frame* f = dirty[i];
+    StagedPage& page = staged.pages[i];
+    const size_t used = PageUsedBytes(f->data, options_.profile.value_bytes);
+    page.image.reserve(page_bytes);
+    page.image.assign(f->data.begin(),
+                      f->data.begin() + static_cast<ptrdiff_t>(used));
+    page.image.resize(page_bytes);
+    SealPage(page.image, f->page_id);
+    pool_->Stage(f, page.image);
     pool_->MarkClean(f);
-    staged.pages.emplace_back(f, std::move(image));
   }
   return staged;
 }
@@ -965,7 +994,7 @@ std::vector<std::vector<uint8_t>> Database::EncodeJournal(
     StoreScalar<uint64_t>(pages[p], kJournalSeqOff, staged.meta.seq);
   }
   for (size_t i = 0; i < count; ++i) {
-    const uint64_t id = staged.pages[i].first->page_id;
+    const uint64_t id = EncodeJournalEntry(staged.pages[i].entry);
     if (i < journal_.header_ids) {
       StoreScalar<uint64_t>(header, kJournalHeaderIdsOff + i * 8, id);
     } else {
@@ -983,32 +1012,47 @@ std::vector<std::vector<uint8_t>> Database::EncodeJournal(
 }
 
 Task<void> Database::PersistCheckpoint(StagedCheckpoint staged) {
-  auto clear_flags = [&staged] {
-    for (auto& [frame, image] : staged.pages) {
-      frame->in_checkpoint = false;
-    }
-  };
   try {
-    // 1. Id pages, then page images into the journal slots, then one flush:
-    //    the whole page-id list is durable before the header names it.
+    // Write-ahead rule for the checkpoint: the log covering everything
+    // staged must be durable before the staged pages overwrite old state.
+    co_await wal_->Force();
+
+    // 1. Id pages, then the images packed back to back after them, then one
+    //    flush: the whole page-id list is durable before the header names
+    //    it. One sequential stream of used sectors only.
+    const uint32_t page_bytes = options_.profile.page_bytes;
+    const uint32_t page_sectors = page_bytes / kSectorSize;
     const std::vector<std::vector<uint8_t>> id_pages = EncodeJournal(staged);
     for (size_t p = 1; p < id_pages.size(); ++p) {
       co_await WritePageOrHalt(p, id_pages[p], /*fua=*/false);
     }
-    for (size_t i = 0; i < staged.pages.size(); ++i) {
-      co_await WritePageOrHalt(journal_.id_pages + i, staged.pages[i].second,
-                               /*fua=*/false);
+    uint64_t lba = PageLba(journal_.id_pages, page_bytes);
+    for (const StagedPage& page : staged.pages) {
+      const bool ok = co_await pool_->WriteImageDirect(
+          lba,
+          std::span<const uint8_t>(page.image.data(),
+                                   size_t{page.entry.sectors} * kSectorSize),
+          /*fua=*/false);
+      if (!ok) {
+        throw EngineHalted();
+      }
+      lba += page.entry.sectors;
     }
     co_await data_dev_.Flush();
 
     // 2. Journal header (commits the checkpoint).
     co_await WritePageOrHalt(kJournalHeaderPage, id_pages[0], /*fua=*/true);
+    stats_.journal_sectors.Add(static_cast<int64_t>(
+        lba - PageLba(journal_.id_pages, page_bytes) +
+        uint64_t{page_sectors} * id_pages.size()));
 
     // 3. Pages in place, from the staged images. Each image is freed once
-    //    written: from here on the journal, not host memory, backs it.
-    for (auto& [frame, image] : staged.pages) {
-      co_await WritePageOrHalt(frame->page_id, image, /*fua=*/false);
-      std::vector<uint8_t>().swap(image);
+    //    written: from here on the device, not host memory, backs it.
+    for (StagedPage& page : staged.pages) {
+      co_await WritePageOrHalt(page.entry.page_id, page.image,
+                               /*fua=*/false);
+      pool_->Unstage(page.entry.page_id);
+      std::vector<uint8_t>().swap(page.image);
     }
     co_await data_dev_.Flush();
 
@@ -1016,10 +1060,10 @@ Task<void> Database::PersistCheckpoint(StagedCheckpoint staged) {
     co_await WriteMeta(staged.meta);
     co_await data_dev_.Flush();
   } catch (...) {
-    clear_flags();
+    pool_->EndCheckpoint();
     throw;
   }
-  clear_flags();
+  pool_->EndCheckpoint();
   meta_ = staged.meta;
   stats_.checkpoints.Add();
 }

@@ -81,6 +81,9 @@ class Database {
     rlsim::Counter redo_skipped_by_horizon;  // redo records a horizon retired
     rlsim::Counter redo_installed_ops;  // tree mutations the redo performed
     rlsim::Counter journal_header_reads;  // journal header page reads/recovery
+    // Sectors checkpoints wrote into the journal: header, id pages and the
+    // packed page images.
+    rlsim::Counter journal_sectors;
     rlsim::Counter repaired_from_journal;
     rlsim::Counter prepares;            // durable 2PC yes-votes
     rlsim::Counter in_doubt_recovered;  // prepared txns rebuilt at recovery
@@ -190,6 +193,14 @@ class Database {
            rlstor::BlockDevice& data_dev, rlstor::BlockDevice& log_dev,
            DbOptions options);
 
+  // One staged page: its journal entry (the whole sectors of its used
+  // prefix, which is all the journal writes) and its sealed image with the
+  // free tail zeroed.
+  struct StagedPage {
+    JournalEntry entry;
+    std::vector<uint8_t> image;
+  };
+
   // A consistent snapshot taken under the apply mutex: sealed page images,
   // in ascending page id, plus the metadata describing them. Staging copies
   // memory only (zero simulated time); the I/O happens afterwards from the
@@ -200,7 +211,7 @@ class Database {
     // falls in slice s are fully captured by this checkpoint's page images,
     // so a later recovery may skip re-applying them.
     std::array<uint64_t, kRedoSlices> horizons{};
-    std::vector<std::pair<BufferPool::Frame*, std::vector<uint8_t>>> pages;
+    std::vector<StagedPage> pages;
   };
 
   // The journal header page, read and parsed once per recovery and shared by
@@ -209,9 +220,9 @@ class Database {
   struct JournalHeaderInfo {
     bool valid = false;      // page present, CRC-clean, right type
     MetaContent meta;        // checkpoint metadata embedded in the header
-    // Journaled page ids, slot order; read (header, then id pages) only for
-    // a journal newer than the durable metadata, the one recovery replays.
-    std::vector<uint64_t> page_ids;
+    // Journaled pages, image order; read (header, then id pages) only for a
+    // journal newer than the durable metadata, the one recovery replays.
+    std::vector<JournalEntry> entries;
     std::array<uint64_t, kRedoSlices> horizons{};  // per-slice low-water LSN
   };
 
@@ -240,6 +251,8 @@ class Database {
   // list spills onto, sealed and ready to write.
   std::vector<std::vector<uint8_t>> EncodeJournal(
       const StagedCheckpoint& staged) const;
+  // Forces the log, then writes the staged checkpoint: journal, header,
+  // pages in place, metadata.
   rlsim::Task<void> PersistCheckpoint(StagedCheckpoint staged);
   rlsim::Task<void> CheckpointLocked();
   void MaybeScheduleCheckpoint();
@@ -249,7 +262,7 @@ class Database {
   rlstor::BlockDevice& data_dev_;
   rlstor::BlockDevice& log_dev_;
   DbOptions options_;
-  JournalLayout journal_;  // id pages and slots of the journal region
+  JournalLayout journal_;  // id pages and capacity of the journal region
 
   std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<LogWriter> wal_;
@@ -264,8 +277,8 @@ class Database {
   std::map<uint64_t, Txn> txns_;
 
   // Dirty-page throttling: commits stall once this many pages are dirty,
-  // until a checkpoint retires them. Derived from the journal's slot
-  // capacity and the pool size.
+  // until a checkpoint retires them. Derived from the journal's capacity
+  // and the pool size.
   uint32_t dirty_throttle_pages_ = 0;
   // Set by Close(): parked client operations unwind with EngineHalted.
   bool closing_ = false;

@@ -8,13 +8,18 @@
 //   page 0             — checkpoint-journal header page (the commit point)
 //   pages 1..N-1       — checkpoint-journal id pages (the page-id list,
 //                        continued past the header)
-//   pages N..J-1       — checkpoint-journal slots (page images)
+//   pages N..J-1       — checkpoint-journal image area: each staged page's
+//                        used prefix in whole sectors, packed back to back
+//                        from the first sector of page N
 //   pages J..          — B+-tree pages
 // where page p starts at sector kFirstPageSector + p * (page_bytes / 512),
 // J is DbOptions::journal_pages, and N comes from JournalLayoutFor below.
 //
 // Every page embeds {page_id, crc} in its header so torn pages are detected
-// at read time and repairable from the checkpoint journal.
+// at read time and repairable from the checkpoint journal. A checkpoint
+// writes each page canonically: the bytes past its used length (see
+// PageUsedBytes) are zero, so the journal can drop that tail and recovery
+// zero-fills it back under the same CRC.
 #pragma once
 
 #include <cstdint>
@@ -113,6 +118,23 @@ inline bool PageValid(std::span<const uint8_t> page, uint64_t expect_id) {
   return h.page_id == expect_id && h.crc == ComputePageCrc(page);
 }
 
+// Bytes of a B+-tree page that hold data: the header plus the node's
+// entries (btree.h node layout). The rest is the node's free tail, which
+// may still hold entries a split or delete moved away. Pages of any other
+// type count as full.
+inline size_t PageUsedBytes(std::span<const uint8_t> page,
+                            uint32_t value_bytes) {
+  const PageHeader h = ReadPageHeader(page);
+  size_t used = page.size();
+  if (h.type == PageType::kLeaf) {
+    used = kPageHeaderBytes + h.nkeys * (8ull + value_bytes);
+  } else if (h.type == PageType::kInternal) {
+    used = kPageHeaderBytes + 8 + h.nkeys * 16ull;
+  }
+  RL_CHECK(used <= page.size());
+  return used;
+}
+
 // Database metadata, persisted in a 512-byte sector slot.
 struct MetaContent {
   uint64_t seq = 0;              // checkpoint sequence number
@@ -186,12 +208,17 @@ inline uint32_t RedoSliceOf(uint64_t key) {
 //
 // Header page (page 0) payload, after the 32-byte page header:
 //   [u64 seq][u32 count][kRedoSlices * u64 horizon]
-//   [serialised MetaContent sector][u64 page_id ...]
-// Id page (pages 1..N-1) payload: [u64 seq][u64 page_id ...]
-// The page-id list runs through the header's id area, then id page 1, 2, ...
-// in order; id i names the page whose image sits in slot i (page N + i).
-// Every id page carries its checkpoint's seq, so recovery tells a stale id
-// page (left by an earlier checkpoint) from the header's own.
+//   [serialised MetaContent sector][u64 entry ...]
+// Id page (pages 1..N-1) payload: [u64 seq][u64 entry ...]
+// The entry list runs through the header's id area, then id page 1, 2, ...
+// in order. Entry i names a page id (low 48 bits) and the length in sectors
+// of its image (the bits above). Image i is that many sectors of the sealed
+// page's prefix, starting right after image i-1; image 0 starts at page N.
+// A page's image covers its used bytes (PageUsedBytes) rounded up to whole
+// sectors; recovery zero-fills the rest and checks the page CRC, so a torn
+// or short image is caught, never trusted. Every id page carries its
+// checkpoint's seq, so recovery tells a stale id page (left by an earlier
+// checkpoint) from the header's own.
 inline constexpr size_t kJournalSeqOff = kPageHeaderBytes;
 inline constexpr size_t kJournalCountOff = kJournalSeqOff + 8;
 inline constexpr size_t kJournalHorizonOff = kJournalCountOff + 4;
@@ -201,14 +228,38 @@ inline constexpr size_t kJournalHeaderIdsOff =
     kJournalMetaOff + rlstor::kSectorSize;
 inline constexpr size_t kJournalIdPageIdsOff = kJournalSeqOff + 8;
 
+// One id-list entry: a journaled page and the sectors its image spans.
+struct JournalEntry {
+  uint64_t page_id = 0;
+  uint32_t sectors = 0;
+};
+
+inline constexpr unsigned kJournalSectorsShift = 48;
+
+inline uint64_t EncodeJournalEntry(const JournalEntry& e) {
+  RL_CHECK_MSG(e.page_id >> kJournalSectorsShift == 0,
+               "page id " << e.page_id << " does not fit a journal entry");
+  return e.page_id | uint64_t{e.sectors} << kJournalSectorsShift;
+}
+
+inline JournalEntry DecodeJournalEntry(uint64_t raw) {
+  return JournalEntry{
+      .page_id = raw & ((uint64_t{1} << kJournalSectorsShift) - 1),
+      .sectors = static_cast<uint32_t>(raw >> kJournalSectorsShift)};
+}
+
 // How a journal region of `journal_pages` pages divides into id pages and
-// slots: `id_pages` (header included) is the fewest pages whose id room
-// covers the remaining `capacity` slots.
+// image area: `id_pages` (header included) is the fewest pages whose id
+// room covers the remaining `capacity` pages, the image area. The dirty
+// throttle keeps a checkpoint below `capacity` pages, so its images fit
+// even when none has a free tail; a checkpoint fits as long as its entries
+// fit `id_room` and its packed images the image area.
 struct JournalLayout {
   uint32_t id_pages = 1;
-  uint32_t capacity = 0;
+  uint32_t capacity = 0;      // pages in the image area
   uint32_t header_ids = 0;    // page ids the header page holds
   uint32_t ids_per_page = 0;  // page ids each further id page holds
+  uint32_t id_room = 0;       // entries the header and id pages hold
 };
 
 inline JournalLayout JournalLayoutFor(uint32_t journal_pages,
@@ -224,6 +275,7 @@ inline JournalLayout JournalLayoutFor(uint32_t journal_pages,
     ++j.id_pages;
   }
   j.capacity = journal_pages - j.id_pages;
+  j.id_room = j.header_ids + (j.id_pages - 1) * j.ids_per_page;
   return j;
 }
 

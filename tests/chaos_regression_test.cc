@@ -61,7 +61,7 @@ uint64_t CorpusHash(size_t fleet_shards) {
 // Same corpora as `rapilog_chaos --seed 1 --episodes 20` and
 // `rapilog_chaos --fleet 2 --seed 1 --episodes 20`.
 TEST(GoldenCorpusTest, ClassicSeed1x20) {
-  EXPECT_EQ(CorpusHash(0), 0x3dc39ac1d058a860ull);
+  EXPECT_EQ(CorpusHash(0), 0x8ef0c5f744a4a71dull);
 }
 
 TEST(GoldenCorpusTest, Fleet2Seed1x20) {

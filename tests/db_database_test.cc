@@ -36,6 +36,7 @@ class DataDiskProbe : public rlstor::BlockDevice {
  public:
   struct Request {
     uint64_t lba = 0;
+    uint64_t sectors = 0;
     bool fua = false;
     bool flush = false;
   };
@@ -54,14 +55,15 @@ class DataDiskProbe : public rlstor::BlockDevice {
     while (gate_closed_) {
       co_await gate_.Wait();
     }
-    requests.push_back({lba, fua, false});
+    requests.push_back({lba, data.size() / rlstor::kSectorSize, fua, false});
     if (static_cast<int64_t>(requests.size()) - 1 == cut_at_request) {
+      cut_data.assign(data.begin(), data.end());
       cut();
     }
     co_return co_await disk_.Write(lba, data, fua);
   }
   Task<BlockStatus> Flush() override {
-    requests.push_back({0, false, true});
+    requests.push_back({0, 0, false, true});
     return disk_.Flush();
   }
 
@@ -95,6 +97,7 @@ class DataDiskProbe : public rlstor::BlockDevice {
   // Index in `requests` of the write before which cut() runs; -1 never cuts.
   int64_t cut_at_request = -1;
   std::function<void()> cut;
+  std::vector<uint8_t> cut_data;  // what that write carried
 
  private:
   rlstor::BlockDevice& disk_;
@@ -548,8 +551,107 @@ TEST(DatabaseTest, CheckpointWritesPagesInPlaceInPageOrder) {
             in_place.end());
 }
 
-// Cuts power before each write of one checkpoint in turn: journal slots, id
-// pages, the header, the in-place writes and the metadata, with earlier
+using FixtureSetup = std::function<void(EngineFixture&)>;
+using DirtySet = std::function<Task<void>(EngineFixture&,
+                                          std::map<uint64_t, uint64_t>&)>;
+
+// One uncut checkpoint of the dirty set `dirty` leaves, on a fresh fixture
+// configured by `setup`. The engine is deterministic, so every later run of
+// the same setup issues the same requests.
+struct CheckpointRun {
+  std::vector<DataDiskProbe::Request> requests;  // the whole run's
+  size_t first = 0;    // index of the checkpoint's first request
+  size_t header = 0;   // index of its journal-header write
+  uint64_t staged = 0;
+  int64_t journal_sectors = 0;  // Database::Stats::journal_sectors
+  uint64_t content = 0;  // ContentHash of the committed contents
+};
+
+CheckpointRun DryRunCheckpoint(const FixtureSetup& setup,
+                               const DirtySet& dirty) {
+  CheckpointRun run;
+  EngineFixture f;
+  setup(f);
+  f.sim.Spawn([](EngineFixture& fx, CheckpointRun& out,
+                 const DirtySet& d) -> Task<void> {
+    std::map<uint64_t, uint64_t> expected;
+    co_await d(fx, expected);
+    out.staged = fx.db->pool().dirty_count();
+    out.first = fx.probe.requests.size();
+    const int64_t sectors = fx.db->stats().journal_sectors.value();
+    co_await fx.db->Checkpoint();
+    out.journal_sectors = fx.db->stats().journal_sectors.value() - sectors;
+    EXPECT_EQ(co_await fx.db->CommittedCount(), expected.size());
+    for (const auto& [key, seed] : expected) {
+      std::vector<uint8_t> got;
+      EXPECT_TRUE(co_await fx.db->ReadCommitted(key, &got)) << key;
+      EXPECT_EQ(got, fx.Value(seed)) << key;
+    }
+    out.content = co_await fx.db->ContentHash();
+  }(f, run, dirty));
+  f.sim.Run();
+  for (size_t i = run.first; i < f.probe.requests.size(); ++i) {
+    if (f.probe.IsHeaderWrite(i)) {
+      run.header = i;
+    }
+  }
+  run.requests = f.probe.requests;
+  EXPECT_GT(run.header, 0u);
+  return run;
+}
+
+void PowerCut(EngineFixture& fx) {
+  fx.data.PowerLoss();
+  fx.log.PowerLoss();
+}
+
+// Runs `dirty` on a fresh fixture, runs `cut` just before request `cut_at`
+// of the checkpoint that follows, and once the checkpoint halts cuts the
+// power, calls `inspect` on the dark disks and recovers. The engine must
+// recover `want_content` and repair exactly `want_repaired` pages from the
+// journal.
+void CutCheckpointAndRecover(
+    const FixtureSetup& setup, const DirtySet& dirty, size_t cut_at,
+    const std::function<void(EngineFixture&)>& cut, uint64_t want_repaired,
+    uint64_t want_content,
+    const std::function<void(EngineFixture&)>& inspect = nullptr) {
+  EngineFixture f;
+  setup(f);
+  f.probe.cut = [&f, &cut] { cut(f); };
+  f.sim.Spawn([](EngineFixture& fx, size_t at, uint64_t repaired,
+                 uint64_t content, const DirtySet& d,
+                 const std::function<void(EngineFixture&)>& look)
+                  -> Task<void> {
+    std::map<uint64_t, uint64_t> expected;
+    co_await d(fx, expected);
+    fx.probe.cut_at_request = static_cast<int64_t>(at);
+    bool halted = false;
+    try {
+      co_await fx.db->Checkpoint();
+    } catch (const EngineHalted&) {
+      halted = true;
+    }
+    EXPECT_TRUE(halted);
+    fx.probe.cut_at_request = -1;
+    PowerCut(fx);
+    co_await fx.db->Close();
+    fx.db.reset();
+    if (look) {
+      look(fx);
+    }
+    fx.data.PowerRestore();
+    fx.log.PowerRestore();
+    co_await fx.OpenDb();
+    EXPECT_EQ(fx.db->stats().repaired_from_journal.value(),
+              static_cast<int64_t>(repaired));
+    EXPECT_EQ(co_await fx.db->ContentHash(), content);
+    co_await fx.db->CheckTreeStructure();
+  }(f, cut_at, want_repaired, want_content, dirty, inspect));
+  f.sim.Run();
+}
+
+// Cuts power before each write of one checkpoint in turn: id pages, journal
+// images, the header, the in-place writes and the metadata, with earlier
 // writes still in the volatile cache, partly destaged. `setup` configures a
 // fresh fixture; `dirty` opens the engine and leaves the dirty set the
 // checkpoint stages, recording the committed contents (key -> value seed).
@@ -557,82 +659,20 @@ TEST(DatabaseTest, CheckpointWritesPagesInPlaceInPageOrder) {
 // of an uncut run, whose values are checked key by key): a cut before the
 // header write finds no journal to replay and redoes the log; a cut after
 // it repairs every journaled page in place. Returns the number of cuts.
-size_t SweepCheckpointPowerCuts(
-    const std::function<void(EngineFixture&)>& setup,
-    const std::function<Task<void>(EngineFixture&,
-                                   std::map<uint64_t, uint64_t>&)>& dirty) {
-  // Dry run: the request indices of the checkpoint's writes. The engine is
-  // deterministic, so every later run issues the same requests.
-  std::vector<size_t> writes;
-  size_t header = 0;
-  uint64_t journaled = 0;
-  uint64_t content = 0;  // ContentHash of the committed contents
-  {
-    EngineFixture f;
-    setup(f);
-    size_t first = 0;
-    f.sim.Spawn([](EngineFixture& fx, size_t& start, uint64_t& staged,
-                   uint64_t& hash, const auto& d) -> Task<void> {
-      std::map<uint64_t, uint64_t> expected;
-      co_await d(fx, expected);
-      staged = fx.db->pool().dirty_count();
-      start = fx.probe.requests.size();
-      co_await fx.db->Checkpoint();
-      EXPECT_EQ(co_await fx.db->CommittedCount(), expected.size());
-      for (const auto& [key, seed] : expected) {
-        std::vector<uint8_t> got;
-        EXPECT_TRUE(co_await fx.db->ReadCommitted(key, &got)) << key;
-        EXPECT_EQ(got, fx.Value(seed)) << key;
-      }
-      hash = co_await fx.db->ContentHash();
-    }(f, first, journaled, content, dirty));
-    f.sim.Run();
-    for (size_t i = first; i < f.probe.requests.size(); ++i) {
-      if (!f.probe.requests[i].flush) {
-        writes.push_back(i);
-      }
-      if (f.probe.IsHeaderWrite(i)) {
-        header = i;
-      }
+size_t SweepCheckpointPowerCuts(const FixtureSetup& setup,
+                                const DirtySet& dirty) {
+  const CheckpointRun run = DryRunCheckpoint(setup, dirty);
+  size_t cuts = 0;
+  for (size_t at = run.first; at < run.requests.size(); ++at) {
+    if (run.requests[at].flush) {
+      continue;
     }
-  }
-  EXPECT_GT(header, 0u);
-
-  for (const size_t at : writes) {
     SCOPED_TRACE("cut before request " + std::to_string(at));
-    EngineFixture f;
-    setup(f);
-    f.probe.cut = [&f] {
-      f.data.PowerLoss();
-      f.log.PowerLoss();
-    };
-    const uint64_t repaired = at > header ? journaled : 0;
-    f.sim.Spawn([](EngineFixture& fx, size_t cut_at, uint64_t want_repaired,
-                   uint64_t want_content, const auto& d) -> Task<void> {
-      std::map<uint64_t, uint64_t> expected;
-      co_await d(fx, expected);
-      fx.probe.cut_at_request = static_cast<int64_t>(cut_at);
-      bool halted = false;
-      try {
-        co_await fx.db->Checkpoint();
-      } catch (const EngineHalted&) {
-        halted = true;
-      }
-      EXPECT_TRUE(halted);
-      fx.probe.cut_at_request = -1;
-      co_await fx.db->Close();
-      fx.db.reset();
-      fx.data.PowerRestore();
-      fx.log.PowerRestore();
-      co_await fx.OpenDb();
-      EXPECT_EQ(fx.db->stats().repaired_from_journal.value(),
-                static_cast<int64_t>(want_repaired));
-      EXPECT_EQ(co_await fx.db->ContentHash(), want_content);
-      co_await fx.db->CheckTreeStructure();
-    }(f, at, repaired, content, dirty));
-    f.sim.Run();
+    CutCheckpointAndRecover(setup, dirty, at, PowerCut,
+                            at > run.header ? run.staged : 0, run.content);
+    ++cuts;
   }
-  return writes.size();
+  return cuts;
 }
 
 TEST(DatabaseTest, PowerCutAtEveryCheckpointWriteRecovers) {
@@ -640,7 +680,7 @@ TEST(DatabaseTest, PowerCutAtEveryCheckpointWriteRecovers) {
   // in-place phase left behind, so the order of those writes is free.
   const size_t cuts = SweepCheckpointPowerCuts(UseSmallPool,
                                                DirtyScrambledFrames);
-  // Slots, header, in-place writes and metadata of a >= 20-page checkpoint.
+  // Images, header, in-place writes and metadata of a >= 20-page checkpoint.
   EXPECT_GE(cuts, 2 * 20 + 2u);
 }
 
@@ -716,8 +756,255 @@ TEST(DatabaseTest, SmallPageJournalSpillsIdsPastTheHeader) {
 TEST(DatabaseTest, SmallPageJournalSurvivesPowerCutAtEveryWrite) {
   const size_t cuts =
       SweepCheckpointPowerCuts(UseCommercialJournal, DirtyPastHeader);
-  // Slots, an id page, header, in-place writes and metadata.
+  // Images, an id page, header, in-place writes and metadata.
   EXPECT_GE(cuts, 2 * kHeaderIdsAt4K + 3);
+}
+
+// The journal writes of a checkpoint's images: the writes between its first
+// request and its header that land past the journal's id pages.
+std::vector<DataDiskProbe::Request> JournalImageWrites(
+    const CheckpointRun& run, const DbOptions& options) {
+  const uint32_t page_bytes = options.profile.page_bytes;
+  const uint64_t images_at = PageLba(
+      JournalLayoutFor(options.journal_pages, page_bytes).id_pages,
+      page_bytes);
+  std::vector<DataDiskProbe::Request> out;
+  for (size_t i = run.first; i < run.header; ++i) {
+    const DataDiskProbe::Request& r = run.requests[i];
+    if (!r.flush && r.lba >= images_at &&
+        r.lba < PageLba(options.journal_pages, page_bytes)) {
+      out.push_back(r);
+    }
+  }
+  return out;
+}
+
+TEST(DatabaseTest, JournalEntryCarriesSectorsAboveThePageId) {
+  const JournalEntry e{.page_id = (uint64_t{1} << 48) - 1, .sectors = 16};
+  const uint64_t raw = EncodeJournalEntry(e);
+  EXPECT_EQ(raw >> 48, 16u);
+  EXPECT_EQ(DecodeJournalEntry(raw).page_id, e.page_id);
+  EXPECT_EQ(DecodeJournalEntry(raw).sectors, 16u);
+  EXPECT_THROW(EncodeJournalEntry({.page_id = uint64_t{1} << 48,
+                                   .sectors = 1}),
+               rlsim::CheckFailure);
+}
+
+TEST(DatabaseTest, TornJournalImageBeforeTheHeaderIsNotReplayed) {
+  const CheckpointRun run = DryRunCheckpoint(UseSmallPool,
+                                             DirtyScrambledFrames);
+  EngineFixture defaults;
+  UseSmallPool(defaults);
+  const std::vector<DataDiskProbe::Request> images =
+      JournalImageWrites(run, defaults.options);
+  const auto multi = std::find_if(images.begin(), images.end(),
+                                  [](auto& r) { return r.sectors >= 2; });
+  ASSERT_NE(multi, images.end());
+  size_t at = run.first;
+  while (run.requests[at].lba != multi->lba || run.requests[at].flush) {
+    ++at;
+  }
+  // The write fault lands the first half of the image's sectors durably and
+  // fails the write; the power goes before the header is written.
+  CutCheckpointAndRecover(
+      UseSmallPool, DirtyScrambledFrames, at,
+      [](EngineFixture& fx) { fx.data.InjectWriteFaults(1); },
+      /*want_repaired=*/0, run.content, [&](EngineFixture& fx) {
+        const uint64_t half = multi->sectors / 2;
+        std::vector<uint8_t> durable(multi->sectors * rlstor::kSectorSize);
+        for (uint64_t i = 0; i < multi->sectors; ++i) {
+          fx.data.image().ReadDurable(
+              multi->lba + i,
+              std::span<uint8_t>(durable).subspan(i * rlstor::kSectorSize,
+                                                  rlstor::kSectorSize));
+        }
+        const auto& wrote = fx.probe.cut_data;
+        ASSERT_EQ(wrote.size(), durable.size());
+        // Torn: the prefix landed, the image as a whole did not.
+        EXPECT_TRUE(std::equal(
+            wrote.begin(),
+            wrote.begin() + static_cast<ptrdiff_t>(half * rlstor::kSectorSize),
+            durable.begin()));
+        EXPECT_NE(wrote, durable);
+      });
+}
+
+// A sequential load: every leaf but the last has split, so each keeps the
+// entries it handed to its right sibling as stale bytes past its used
+// length. 2000 keys, no checkpoint yet.
+Task<void> DirtySplitLeaves(EngineFixture& fx,
+                            std::map<uint64_t, uint64_t>& expected) {
+  co_await fx.OpenDb();
+  for (uint64_t base = 0; base < 2000; base += 100) {
+    const uint64_t txn = fx.db->Begin();
+    for (uint64_t k = base; k < base + 100; ++k) {
+      co_await fx.db->Put(txn, k, fx.Value(k));
+      expected[k] = k;
+    }
+    EXPECT_EQ(co_await fx.db->Commit(txn), DbStatus::kOk);
+  }
+  EXPECT_EQ(fx.db->stats().checkpoints.value(), 0);
+}
+
+TEST(DatabaseTest, StaleTailPageRoundTripsThroughJournalReplay) {
+  const auto setup = [](EngineFixture&) {};
+  const CheckpointRun run = DryRunCheckpoint(setup, DirtySplitLeaves);
+  EngineFixture f;
+  f.probe.cut = [&f] { PowerCut(f); };
+  struct Result {
+    size_t stale = 0;
+    size_t compared = 0;
+  } result;
+  f.sim.Spawn([](EngineFixture& fx, const CheckpointRun& dry,
+                 Result& out) -> Task<void> {
+    std::map<uint64_t, uint64_t> expected;
+    co_await DirtySplitLeaves(fx, expected);
+    // The canonical image of every dirty page: its used prefix, a zeroed
+    // tail, sealed.
+    const uint32_t page_bytes = fx.options.profile.page_bytes;
+    std::map<uint64_t, std::vector<uint8_t>> canonical;
+    for (uint64_t pid = fx.options.journal_pages;
+         pid < fx.options.journal_pages + 200; ++pid) {
+      const BufferPool::Frame* frame = fx.db->pool().Peek(pid);
+      if (frame == nullptr || !frame->dirty) {
+        continue;
+      }
+      const size_t used =
+          PageUsedBytes(frame->data, fx.options.profile.value_bytes);
+      std::vector<uint8_t> image(frame->data.begin(),
+                                 frame->data.begin() +
+                                     static_cast<ptrdiff_t>(used));
+      image.resize(page_bytes);
+      SealPage(image, pid);
+      if (!std::equal(image.begin() + static_cast<ptrdiff_t>(used),
+                      image.end(), frame->data.begin() +
+                                       static_cast<ptrdiff_t>(used))) {
+        ++out.stale;
+      }
+      canonical.emplace(pid, std::move(image));
+    }
+    EXPECT_EQ(canonical.size(), fx.db->pool().dirty_count());
+    // Cut before the first in-place write: every page must come back from
+    // its packed journal image.
+    fx.probe.cut_at_request = static_cast<int64_t>(dry.header + 1);
+    bool halted = false;
+    try {
+      co_await fx.db->Checkpoint();
+    } catch (const EngineHalted&) {
+      halted = true;
+    }
+    EXPECT_TRUE(halted);
+    fx.probe.cut_at_request = -1;
+    co_await fx.db->Close();
+    fx.db.reset();
+    fx.data.PowerRestore();
+    fx.log.PowerRestore();
+    co_await fx.OpenDb();
+    EXPECT_EQ(fx.db->stats().repaired_from_journal.value(),
+              static_cast<int64_t>(canonical.size()));
+    for (const auto& [pid, image] : canonical) {
+      std::vector<uint8_t> disk(page_bytes);
+      EXPECT_EQ(co_await fx.data.Read(PageLba(pid, page_bytes), disk),
+                BlockStatus::kOk);
+      EXPECT_EQ(disk, image) << "page " << pid;
+      ++out.compared;
+    }
+    EXPECT_EQ(co_await fx.db->ContentHash(), dry.content);
+  }(f, run, result));
+  f.sim.Run();
+  EXPECT_EQ(result.compared, run.staged);
+  EXPECT_GT(result.stale, 10u);
+}
+
+TEST(DatabaseTest, SmallPageJournalPacksImagesPastTheIdPages) {
+  const CheckpointRun run =
+      DryRunCheckpoint(UseCommercialJournal, DirtyPastHeader);
+  EngineFixture f;
+  UseCommercialJournal(f);
+  const JournalLayout layout = JournalLayoutFor(f.options.journal_pages, 4096);
+  ASSERT_GT(layout.id_pages, 1u);
+  const std::vector<DataDiskProbe::Request> images =
+      JournalImageWrites(run, f.options);
+  ASSERT_EQ(images.size(), run.staged);
+  // One stream: image 0 right after the id pages, each next image right
+  // after the one before, most of them shorter than a page.
+  EXPECT_EQ(images[0].lba, PageLba(layout.id_pages, 4096));
+  uint64_t sectors = 0;
+  size_t short_images = 0;
+  size_t unaligned = 0;
+  for (size_t i = 0; i < images.size(); ++i) {
+    if (i > 0) {
+      EXPECT_EQ(images[i].lba, images[i - 1].lba + images[i - 1].sectors);
+    }
+    EXPECT_GE(images[i].sectors, 1u);
+    EXPECT_LE(images[i].sectors, 8u);
+    sectors += images[i].sectors;
+    short_images += images[i].sectors < 8 ? 1 : 0;
+    unaligned += (images[i].lba - kFirstPageSector) % 8 != 0 ? 1 : 0;
+  }
+  EXPECT_GT(short_images, run.staged / 2);
+  EXPECT_GT(unaligned, 0u);
+  EXPECT_LT(sectors, run.staged * 8);
+  // The sector count covers the header and the id page in full and each
+  // image by its own length.
+  EXPECT_EQ(run.journal_sectors, static_cast<int64_t>(2 * 8 + sectors));
+  // A cut after the header replays every packed image.
+  CutCheckpointAndRecover(UseCommercialJournal, DirtyPastHeader,
+                          run.header + 1, PowerCut, run.staged, run.content);
+}
+
+TEST(DatabaseTest, OneCommitPastTheJournalPageCapacityStillCheckpoints) {
+  // The dirty throttle is soft: it admits a commit while the dirty set is
+  // below it, and that commit's whole write-set then applies. Here one
+  // commit of 150 scattered keys dirties more leaves than the 80-page
+  // journal has pages (79 past the header). The packed images of those
+  // half-full leaves still fit, so the checkpoint must take them all.
+  EngineFixture f;
+  f.options.pool_pages = 256;
+  f.options.journal_pages = 80;
+  f.options.profile.checkpoint_dirty_pages = 40;
+  const JournalLayout layout = JournalLayoutFor(80, 8192);
+  uint64_t images = 0;
+  f.sim.Spawn([](EngineFixture& fx, uint64_t& out) -> Task<void> {
+    std::map<uint64_t, uint64_t> expected;
+    co_await fx.OpenDb();
+    for (uint64_t base = 0; base < kScrambleKeys; base += 100) {
+      const uint64_t txn = fx.db->Begin();
+      for (uint64_t k = base; k < base + 100; ++k) {
+        co_await fx.db->Put(txn, k, fx.Value(k));
+        expected[k] = k;
+      }
+      EXPECT_EQ(co_await fx.db->Commit(txn), DbStatus::kOk);
+    }
+    co_await fx.db->Checkpoint();
+    fx.probe.requests.clear();
+    const uint64_t txn = fx.db->Begin();
+    for (uint64_t i = 1; i <= 150; ++i) {
+      const uint64_t key = i * 2654435761ull % kScrambleKeys;
+      co_await fx.db->Put(txn, key, fx.Value(key + 3));
+      expected[key] = key + 3;
+    }
+    EXPECT_EQ(co_await fx.db->Commit(txn), DbStatus::kOk);
+    co_await fx.db->Checkpoint();  // waits out the one the commit started
+    EXPECT_EQ(fx.db->pool().dirty_count(), 0u);
+    const uint64_t images_at = PageLba(1, 8192);
+    for (const DataDiskProbe::Request& r : fx.probe.requests) {
+      if (!r.flush && r.lba >= images_at && r.lba < PageLba(80, 8192)) {
+        ++out;
+      }
+    }
+    co_await fx.PowerFailAndReopen();
+    EXPECT_EQ(co_await fx.db->CommittedCount(), expected.size());
+    for (const auto& [key, seed] : expected) {
+      std::vector<uint8_t> got;
+      EXPECT_TRUE(co_await fx.db->ReadCommitted(key, &got)) << key;
+      EXPECT_EQ(got, fx.Value(seed)) << key;
+    }
+    co_await fx.db->CheckTreeStructure();
+  }(f, images));
+  f.sim.Run();
+  EXPECT_EQ(layout.id_pages, 1u);
+  EXPECT_GT(images, layout.capacity);
 }
 
 // Collects the dirty-throttle spans of a run.
@@ -810,6 +1097,55 @@ TEST(DatabaseTest, ThrottledCommitEmitsOneDirtyThrottleSpan) {
   EXPECT_LE(span.end, throttled.end);
   EXPECT_LT(span.begin, throttled.gate_opened);
   EXPECT_GT(span.end, throttled.gate_opened);
+}
+
+TEST(DatabaseTest, StalledCheckpointEvictsStagedFramesInsteadOfFailing) {
+  // A checkpoint held at a closed gate keeps its ~90 staged frames until
+  // its in-place writes land, while the commits behind it dirty pages up to
+  // the throttle (96 pages in a 128-frame pool): staged plus dirty frames
+  // outgrow the pool. Fetches must then evict clean staged frames and serve
+  // those pages from the staged images, not fail.
+  EngineFixture f;
+  f.options.pool_pages = 128;
+  f.options.profile.checkpoint_dirty_pages = 90;
+  struct Outcome {
+    int commits = 0;
+    int64_t staged_evictions = 0;
+  } outcome;
+  f.sim.Spawn([](EngineFixture& fx, Outcome& out) -> Task<void> {
+    std::map<uint64_t, uint64_t> expected;
+    co_await DirtyScrambledFrames(fx, expected);
+    co_await fx.db->Checkpoint();
+    fx.probe.CloseGate();
+    fx.sim.Spawn([](EngineFixture& fx2) -> Task<void> {
+      co_await fx2.sim.Sleep(Duration::Millis(500));
+      fx2.probe.OpenGate();
+    }(fx));
+    for (uint64_t i = 0; i < 600; ++i) {
+      const uint64_t key = (i + 31) * 2654435761ull % kScrambleKeys;
+      const uint64_t txn = fx.db->Begin();
+      co_await fx.db->Put(txn, key, fx.Value(key + i + 2));
+      EXPECT_EQ(co_await fx.db->Commit(txn), DbStatus::kOk);
+      expected[key] = key + i + 2;
+      ++out.commits;
+    }
+    out.staged_evictions = fx.db->pool().stats().staged_evictions.value();
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_EQ(co_await fx.db->CommittedCount(), expected.size());
+      for (const auto& [key, seed] : expected) {
+        std::vector<uint8_t> got;
+        EXPECT_TRUE(co_await fx.db->ReadCommitted(key, &got)) << key;
+        EXPECT_EQ(got, fx.Value(seed)) << key;
+      }
+      co_await fx.db->CheckTreeStructure();
+      if (round == 0) {
+        co_await fx.PowerFailAndReopen();
+      }
+    }
+  }(f, outcome));
+  f.sim.Run();
+  EXPECT_EQ(outcome.commits, 600);
+  EXPECT_GT(outcome.staged_evictions, 0);
 }
 
 }  // namespace

@@ -42,7 +42,13 @@ std::shared_ptr<bool> SpawnFleet(Simulator& sim, rlwork::KvWorkload& kv,
                                  rlfault::DurabilityChecker* checker) {
   auto stop = std::make_shared<bool>(false);
   for (int c = 0; c < count; ++c) {
-    sim.Spawn(kv.RunClient(db, id_base + c, stop.get(), checker));
+    // Each client owns a reference to the flag: a client still parked in
+    // Commit when the caller drops its copy reads the flag when it resumes.
+    sim.Spawn([](rlwork::KvWorkload& w, rldb::Database& d, int id,
+                 std::shared_ptr<bool> flag,
+                 rlfault::DurabilityChecker* chk) -> Task<void> {
+      co_await w.RunClient(d, id, flag.get(), chk);
+    }(kv, db, id_base + c, stop, checker));
   }
   return stop;
 }

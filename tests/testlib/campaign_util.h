@@ -33,7 +33,8 @@ rlharness::TestbedOptions ReplicatedCampaignOptions(
 rlwork::KvConfig WriteHeavyKv();
 
 // Spawns `count` workload clients with ids id_base..id_base+count-1 sharing
-// one stop flag (returned; set *flag = true to wind the fleet down). Client
+// one stop flag (returned; set *flag = true to wind the fleet down). The
+// clients keep the flag alive, so the caller may drop its copy. Client
 // ids seed the per-client RNG streams, so callers that care about exact
 // reproduction must keep passing the ids they always used.
 std::shared_ptr<bool> SpawnFleet(rlsim::Simulator& sim,
