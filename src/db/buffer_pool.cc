@@ -39,15 +39,19 @@ const BufferPool::Frame* BufferPool::Peek(uint64_t page_id) const {
 }
 
 BufferPool::Frame* BufferPool::EvictOne() {
-  // CLOCK over clean, unpinned, valid frames; invalid frames are free.
+  // CLOCK over clean, unpinned, valid frames; invalid frames are free
+  // unless pinned, which marks a frame a miss is reading into.
   const size_t n = frames_.size();
   for (size_t step = 0; step < 2 * n; ++step) {
     Frame& f = frames_[clock_hand_];
     clock_hand_ = (clock_hand_ + 1) % n;
+    if (f.pins > 0) {
+      continue;
+    }
     if (!f.valid) {
       return &f;
     }
-    if (f.pins > 0 || f.dirty || f.in_checkpoint) {
+    if (f.dirty || f.in_checkpoint) {
       continue;
     }
     if (f.referenced) {
@@ -120,7 +124,10 @@ Task<BufferPool::Frame*> BufferPool::Fetch(uint64_t page_id) {
   auto completion = std::make_shared<rlsim::Completion<bool>>(sim_);
   pending_reads_.emplace(page_id, completion);
 
+  // The frame stays pinned while invalid during the read, so no other miss
+  // or Create can take it before the read lands.
   Frame* f = EvictOne();
+  f->pins = 1;
   const rlsim::TimePoint start = sim_.now();
   bool ok = false;
   try {
@@ -130,11 +137,13 @@ Task<BufferPool::Frame*> BufferPool::Fetch(uint64_t page_id) {
     // paravirtual request). Resolve the pending-read record so waiters do
     // not park forever on a completion nobody will ever fire — each retries
     // and unwinds through its own failure path.
+    f->pins = 0;
     pending_reads_.erase(page_id);
     completion->Complete(false);
     throw;
   }
   if (!ok) {
+    f->pins = 0;
     pending_reads_.erase(page_id);
     completion->Complete(false);
     throw EngineHalted();

@@ -247,10 +247,10 @@ void Testbed::BuildGuestStack() {
 
   guest_data_dev_ = std::make_unique<rlvmm::VirtualBlockDevice>(
       sim_, *vm_, *kernel_, data_ep, data_partition_->geometry(),
-      "guest-data-vblk");
+      data_partition_->volatile_write_cache(), "guest-data-vblk");
   guest_log_dev_ = std::make_unique<rlvmm::VirtualBlockDevice>(
       sim_, *vm_, *kernel_, log_ep, log_target->geometry(),
-      "guest-log-vblk");
+      log_target->volatile_write_cache(), "guest-log-vblk");
 
   cpu_ = std::make_unique<rldb::GuestCpu>(*vm_);
 }

@@ -98,6 +98,9 @@ class RapiLogDevice : public rlstor::BlockDevice, public rlpow::PowerSink {
 
   // The point of the paper: a log-disk flush costs next to nothing.
   rlsim::Task<rlstor::BlockStatus> Flush() override;
+  // The hold-up guarantee covers the buffer, so nothing acknowledged is
+  // volatile: a guest that probed this sends no flush at all.
+  bool volatile_write_cache() const override { return false; }
 
   // Read-your-writes: newest buffered contents shadow the disk.
   rlsim::Task<rlstor::BlockStatus> Read(uint64_t lba,

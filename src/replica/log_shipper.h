@@ -113,6 +113,12 @@ class LogShipper : public rlstor::BlockDevice {
   // Local flush; in quorum mode additionally waits until everything shipped
   // so far is majority-durable (this is the WAL's commit durability point).
   rlsim::Task<rlstor::BlockStatus> Flush() override;
+  // In quorum mode Flush is the quorum durability point, so it must reach
+  // the shipper; in async mode it is only the local device's flush.
+  bool volatile_write_cache() const override {
+    return options_.mode == ShipMode::kQuorumAck ||
+           local_.volatile_write_cache();
+  }
 
   rlsim::Task<rlstor::BlockStatus> Read(uint64_t lba,
                                         std::span<uint8_t> out) override;

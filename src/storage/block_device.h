@@ -46,6 +46,12 @@ class BlockDevice {
   // Completes once every previously acknowledged write is durable.
   virtual rlsim::Task<BlockStatus> Flush() = 0;
 
+  // Whether an acknowledged write can sit in volatile state until Flush():
+  // the virtio-blk FLUSH feature, or Linux's write-cache queue flag. When
+  // false, a write is durable on acknowledgement, Flush() has nothing to do,
+  // and a guest driver that probed this answer never sends one.
+  virtual bool volatile_write_cache() const = 0;
+
   // Trusted-layer emergency seal (power failing): the driver discards queued
   // and future requests except forced-unit-access writes, dedicating the
   // device to an emergency flush. Cleared by power restore. No-op by
@@ -83,6 +89,10 @@ class SimBlockDevice : public BlockDevice {
   rlsim::Task<BlockStatus> Write(uint64_t lba, std::span<const uint8_t> data,
                                  bool fua) override;
   rlsim::Task<BlockStatus> Flush() override;
+  // Write-through and battery-backed caches are durable on acknowledgement.
+  bool volatile_write_cache() const override {
+    return options_.cache_policy == WriteCachePolicy::kWriteBack;
+  }
 
   // Power events (called by the power substrate or by fault injection).
   void PowerLoss();

@@ -39,6 +39,10 @@ class PartitionDevice : public BlockDevice {
     co_return co_await parent_.Flush();
   }
 
+  bool volatile_write_cache() const override {
+    return parent_.volatile_write_cache();
+  }
+
   void EnterEmergencyMode() override { parent_.EnterEmergencyMode(); }
 
  private:

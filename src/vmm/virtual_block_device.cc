@@ -72,12 +72,14 @@ VirtualBlockDevice::VirtualBlockDevice(rlsim::Simulator& sim,
                                        rlkern::Kernel& kernel,
                                        rlkern::SlotAddr backend_ep,
                                        rlstor::Geometry geometry,
+                                       bool volatile_write_cache,
                                        std::string name)
     : sim_(sim),
       vm_(vm),
       kernel_(kernel),
       backend_ep_(backend_ep),
       geometry_(geometry),
+      volatile_write_cache_(volatile_write_cache),
       name_(std::move(name)) {}
 
 Task<BlockStatus> VirtualBlockDevice::Transact(IpcMessage msg,
@@ -134,6 +136,13 @@ Task<BlockStatus> VirtualBlockDevice::Write(uint64_t lba,
 }
 
 Task<BlockStatus> VirtualBlockDevice::Flush() {
+  if (!volatile_write_cache_) {
+    // Every acknowledged write is already durable: nothing to ask the host.
+    // A crashed guest still unwinds here, as it would at the VM exit.
+    vm_.CheckAlive(vm_.incarnation());
+    stats_.elided_flushes.Add();
+    co_return BlockStatus::kOk;
+  }
   IpcMessage msg;
   msg.label = kBlkFlush;
   msg.words = {0, 0, 0};

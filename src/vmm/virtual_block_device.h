@@ -11,6 +11,13 @@
 // disk's backend at a rapilog::RapiLogDevice gives the "rapilog"
 // configuration — the guest is unmodified either way, exactly as in the
 // paper.
+//
+// Like a virtio-blk driver reading the FLUSH feature bit at probe time, the
+// guest device is told once whether its backend keeps acknowledged writes in
+// a volatile cache. A RapiLog backend does not (its buffer is covered by the
+// hold-up guarantee), nor does a write-through or battery-backed disk, so the
+// guest completes their flushes itself, with no VM exit. A write-back backend
+// still receives every flush.
 #pragma once
 
 #include <cstdint>
@@ -62,17 +69,22 @@ class VirtualBlockDevice : public rlstor::BlockDevice {
   struct Stats {
     rlsim::Counter reads;
     rlsim::Counter writes;
-    rlsim::Counter flushes;
+    rlsim::Counter flushes;            // sent to the backend
+    rlsim::Counter elided_flushes;     // completed in the guest, no VM exit
     rlsim::Histogram request_latency;  // ns, guest-observed
   };
 
-  // `name` labels this device's trace spans ("guest-log-vblk" etc.), so a
-  // testbed with several virtual disks stays distinguishable in a trace.
+  // `geometry` and `volatile_write_cache` are the backend's answers, read
+  // once when the device is built. `name` labels this device's trace spans
+  // ("guest-log-vblk" etc.), so a testbed with several virtual disks stays
+  // distinguishable in a trace.
   VirtualBlockDevice(rlsim::Simulator& sim, VirtualMachine& vm,
                      rlkern::Kernel& kernel, rlkern::SlotAddr backend_ep,
-                     rlstor::Geometry geometry, std::string name = "vblk");
+                     rlstor::Geometry geometry, bool volatile_write_cache,
+                     std::string name = "vblk");
 
   const rlstor::Geometry& geometry() const override { return geometry_; }
+  bool volatile_write_cache() const override { return volatile_write_cache_; }
 
   rlsim::Task<rlstor::BlockStatus> Read(uint64_t lba,
                                         std::span<uint8_t> out) override;
@@ -95,6 +107,7 @@ class VirtualBlockDevice : public rlstor::BlockDevice {
   rlkern::Kernel& kernel_;
   rlkern::SlotAddr backend_ep_;
   rlstor::Geometry geometry_;
+  bool volatile_write_cache_;
   std::string name_;
   Stats stats_;
 };

@@ -10,7 +10,9 @@
 #include <memory>
 #include <string_view>
 
+#include "src/db/buffer_pool.h"
 #include "src/db/errors.h"
+#include "src/db/layout.h"
 #include "src/sim/rng.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
@@ -30,8 +32,9 @@ using rlstor::WriteCachePolicy;
 
 // The engine's view of the data disk: forwards every request to the disk
 // and records it, so a test can see the order a checkpoint's writes arrive
-// in. Writes can also be held at a closed gate, or can trigger a power cut
-// just before the write recorded at a given request index reaches the disk.
+// in. Writes (or reads) can also be held at a closed gate, or can trigger a
+// power cut just before the write recorded at a given request index reaches
+// the disk.
 class DataDiskProbe : public rlstor::BlockDevice {
  public:
   struct Request {
@@ -48,7 +51,10 @@ class DataDiskProbe : public rlstor::BlockDevice {
     return disk_.geometry();
   }
   Task<BlockStatus> Read(uint64_t lba, std::span<uint8_t> out) override {
-    return disk_.Read(lba, out);
+    while (read_gate_closed_) {
+      co_await gate_.Wait();
+    }
+    co_return co_await disk_.Read(lba, out);
   }
   Task<BlockStatus> Write(uint64_t lba, std::span<const uint8_t> data,
                           bool fua) override {
@@ -66,10 +72,18 @@ class DataDiskProbe : public rlstor::BlockDevice {
     requests.push_back({0, 0, false, true});
     return disk_.Flush();
   }
+  bool volatile_write_cache() const override {
+    return disk_.volatile_write_cache();
+  }
 
   void CloseGate() { gate_closed_ = true; }
   void OpenGate() {
     gate_closed_ = false;
+    gate_.NotifyAll();
+  }
+  void CloseReadGate() { read_gate_closed_ = true; }
+  void OpenReadGate() {
+    read_gate_closed_ = false;
     gate_.NotifyAll();
   }
 
@@ -103,6 +117,7 @@ class DataDiskProbe : public rlstor::BlockDevice {
   rlstor::BlockDevice& disk_;
   uint64_t header_lba_;
   bool gate_closed_ = false;
+  bool read_gate_closed_ = false;
   rlsim::WaitQueue gate_;
 };
 
@@ -1146,6 +1161,62 @@ TEST(DatabaseTest, StalledCheckpointEvictsStagedFramesInsteadOfFailing) {
   f.sim.Run();
   EXPECT_EQ(outcome.commits, 600);
   EXPECT_GT(outcome.staged_evictions, 0);
+}
+
+TEST(BufferPoolTest, FrameReadingForAMissIsNotHandedOutAgain) {
+  // A miss takes a victim frame and then waits for the device read; until
+  // the read lands the frame holds no page. Here the read is held at a gate
+  // while a Create runs, and every frame the clock hand passes first is
+  // dirty or recently referenced, so the hand reaches the reading frame
+  // before any frame it could evict. The Create must get another frame.
+  constexpr uint32_t kPageBytes = 4096;
+  constexpr uint32_t kFrames = 8;
+  Simulator sim;
+  SimBlockDevice disk(
+      sim,
+      SimBlockDevice::Options{.geometry = {.sector_count = 1 << 16},
+                              .cache_policy = WriteCachePolicy::kWriteBack,
+                              .name = "data"},
+      rlstor::MakeDefaultSsd());
+  DataDiskProbe probe(sim, disk, /*header_lba=*/0);
+  BufferPool pool(sim, probe, kPageBytes, kFrames);
+  struct Frames {
+    const BufferPool::Frame* fetched = nullptr;
+    const BufferPool::Frame* created = nullptr;
+  } frames;
+  sim.Spawn([](Simulator& s, DataDiskProbe& gate, BufferPool& p,
+               Frames& out) -> Task<void> {
+    for (const uint64_t page : {1, 2}) {
+      std::vector<uint8_t> image(kPageBytes);
+      SealPage(image, page);
+      EXPECT_TRUE(co_await p.WritePageDirect(page, image, /*fua=*/true));
+    }
+    // The first frame: clean and referenced.
+    p.Unpin(co_await p.Fetch(1), /*mark_dirty=*/false);
+    // All frames but the last: dirty.
+    for (uint64_t page = 100; page < 100 + kFrames - 2; ++page) {
+      p.Unpin(p.Create(page), /*mark_dirty=*/true);
+    }
+    // The last frame goes to a miss whose read waits at the gate.
+    gate.CloseReadGate();
+    s.Spawn([](BufferPool& p2, Frames& o) -> Task<void> {
+      o.fetched = co_await p2.Fetch(2);
+    }(p, out));
+    co_await s.Sleep(Duration::Millis(1));
+    out.created = p.Create(200);
+    gate.OpenReadGate();
+  }(sim, probe, pool, frames));
+  sim.Run();
+
+  ASSERT_NE(frames.fetched, nullptr);
+  ASSERT_NE(frames.created, nullptr);
+  EXPECT_NE(frames.fetched, frames.created);
+  EXPECT_EQ(pool.Peek(2), frames.fetched);
+  EXPECT_EQ(pool.Peek(200), frames.created);
+  EXPECT_EQ(frames.created->page_id, 200u);
+  EXPECT_TRUE(frames.created->dirty);
+  // The clean frame was the one to go.
+  EXPECT_EQ(pool.Peek(1), nullptr);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // partition/heal catch-up.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <vector>
 
 #include "src/faults/durability_checker.h"
 #include "src/harness/testbed.h"
@@ -172,6 +174,90 @@ TEST(ReplicationIntegrationTest, RapiLogWithQuorumReplicationRecovers) {
 
   EXPECT_GT(verdict.keys_checked, 0u);
   EXPECT_TRUE(verdict.ok()) << verdict.Summary();
+}
+
+TEST(ReplicationIntegrationTest, QuorumAckOverRapiLogWaitsForTheQuorum) {
+  // RapiLog below the shipper caches nothing, but in quorum-ack mode the
+  // shipper's Flush is the commit's durability point: the guest must keep
+  // sending it, and a commit must wait for a majority of replicas. With all
+  // replicas partitioned a commit stays pending until the links heal.
+  Simulator sim;
+  TestbedOptions opt = rltest::ReplicatedCampaignOptions(
+      DeploymentMode::kRapiLog, rlrep::ShipMode::kQuorumAck, /*replicas=*/3);
+  opt.replication.link.base_latency = Duration::Millis(2);
+  Testbed bed(sim, opt);
+  struct Outcome {
+    int commits = 0;
+    rlsim::Duration min_commit = Duration::Seconds(1);
+    bool pending_while_partitioned = false;
+    bool committed_after_heal = false;
+  } out;
+  sim.Spawn([](Simulator& s, Testbed& b, Outcome& o) -> Task<void> {
+    co_await b.Start();
+    const std::vector<uint8_t> value(b.db().options().profile.value_bytes, 7);
+    for (uint64_t key = 0; key < 20; ++key) {
+      const uint64_t txn = b.db().Begin();
+      EXPECT_EQ(co_await b.db().Put(txn, key, value), rldb::DbStatus::kOk);
+      const rlsim::TimePoint start = s.now();
+      EXPECT_EQ(co_await b.db().Commit(txn), rldb::DbStatus::kOk);
+      o.min_commit = std::min(o.min_commit, s.now() - start);
+      ++o.commits;
+    }
+    for (size_t r = 0; r < b.replica_count(); ++r) {
+      b.PartitionReplica(r);
+    }
+    bool done = false;
+    s.Spawn([](Testbed& b2, const std::vector<uint8_t>& v,
+               bool& finished) -> Task<void> {
+      const uint64_t txn = b2.db().Begin();
+      EXPECT_EQ(co_await b2.db().Put(txn, 100, v), rldb::DbStatus::kOk);
+      EXPECT_EQ(co_await b2.db().Commit(txn), rldb::DbStatus::kOk);
+      finished = true;
+    }(b, value, done));
+    co_await s.Sleep(Duration::Millis(200));
+    o.pending_while_partitioned = !done;
+    for (size_t r = 0; r < b.replica_count(); ++r) {
+      b.HealReplica(r);
+    }
+    co_await s.Sleep(Duration::Millis(500));
+    o.committed_after_heal = done;
+  }(sim, bed, out));
+  sim.Run();
+
+  EXPECT_TRUE(bed.guest_log_dev()->volatile_write_cache());
+  EXPECT_EQ(out.commits, 20);
+  // A round trip to a replica is at least 4 ms.
+  EXPECT_GE(out.min_commit, Duration::Millis(4));
+  EXPECT_TRUE(out.pending_while_partitioned);
+  EXPECT_TRUE(out.committed_after_heal);
+  EXPECT_GE(bed.guest_log_dev()->stats().flushes.value(), out.commits + 1);
+  EXPECT_EQ(bed.guest_log_dev()->stats().elided_flushes.value(), 0);
+  EXPECT_GE(bed.shipper()->stats().quorum_wait.count(), out.commits + 1);
+}
+
+TEST(ReplicationIntegrationTest, AsyncShipperOverRapiLogTakesNoFlush) {
+  // Async mode never waits on the network, so the shipper answers as RapiLog
+  // below it does, and the guest completes its log flushes itself.
+  Simulator sim;
+  Testbed bed(sim,
+              rltest::ReplicatedCampaignOptions(DeploymentMode::kRapiLog,
+                                                rlrep::ShipMode::kAsync,
+                                                /*replicas=*/3));
+  rlwork::KvWorkload kv(sim, rltest::WriteHeavyKv());
+  sim.Spawn([](Simulator& s, Testbed& b, rlwork::KvWorkload& w) -> Task<void> {
+    co_await b.Start();
+    co_await w.Load(b.db(), 300);
+    auto stop = rltest::SpawnFleet(s, w, b.db(), 0, 4, nullptr);
+    co_await s.Sleep(Duration::Millis(300));
+    *stop = true;
+  }(sim, bed, kv));
+  sim.Run();
+
+  EXPECT_FALSE(bed.guest_log_dev()->volatile_write_cache());
+  EXPECT_GT(bed.guest_log_dev()->stats().elided_flushes.value(), 0);
+  EXPECT_EQ(bed.guest_log_dev()->stats().flushes.value(), 0);
+  EXPECT_EQ(bed.rapilog()->stats().flush_calls.value(), 0);
+  EXPECT_GT(bed.shipper()->next_seq(), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/faults/durability_checker.h"
 #include "src/harness/testbed.h"
@@ -268,6 +269,103 @@ TEST(TestbedTest, DiskSetupsAllWork) {
     sim.Run();
     EXPECT_GT(tpcc.stats().committed.value(), 10)
         << "setup " << ToString(setup);
+  }
+}
+
+// What the log path saw during a short TPC-C run.
+struct LogFlushCounts {
+  int64_t wal_flush_cycles = 0;
+  int64_t vblk_flushes = 0;         // sent to the log backend
+  int64_t vblk_elided_flushes = 0;  // completed inside the guest
+  int64_t rapilog_flush_calls = 0;
+  bool vblk_volatile_write_cache = false;
+};
+
+LogFlushCounts RunAndCountLogFlushes(DeploymentMode mode) {
+  Simulator sim;
+  Testbed bed(sim, SmallOptions(mode, DiskSetup::kSharedHdd));
+  rlwork::TpccLite tpcc(sim, SmallTpcc());
+  bool stop = false;
+  sim.Spawn([](Simulator& s, Testbed& b, rlwork::TpccLite& w,
+               bool& stop_flag) -> Task<void> {
+    co_await b.Start();
+    co_await w.LoadInitial(b.db());
+    for (int c = 0; c < 4; ++c) {
+      s.Spawn(w.RunClient(b.db(), c, &stop_flag, nullptr));
+    }
+    co_await s.Sleep(Duration::Millis(500));
+    stop_flag = true;
+  }(sim, bed, tpcc, stop));
+  sim.Run();
+  EXPECT_GT(tpcc.stats().committed.value(), 10) << ToString(mode);
+  LogFlushCounts c;
+  c.wal_flush_cycles = bed.db().log_writer().stats().flush_cycles.value();
+  const auto& vblk = bed.guest_log_dev()->stats();
+  c.vblk_flushes = vblk.flushes.value();
+  c.vblk_elided_flushes = vblk.elided_flushes.value();
+  c.vblk_volatile_write_cache = bed.guest_log_dev()->volatile_write_cache();
+  if (bed.rapilog() != nullptr) {
+    c.rapilog_flush_calls = bed.rapilog()->stats().flush_calls.value();
+  }
+  return c;
+}
+
+TEST(TestbedTest, RapiLogLogDiskReceivesNoFlush) {
+  // RapiLog holds nothing volatile, so the guest's log disk completes every
+  // WAL flush itself: no flush leaves the guest, and RapiLog sees none.
+  const LogFlushCounts rapi = RunAndCountLogFlushes(DeploymentMode::kRapiLog);
+  EXPECT_FALSE(rapi.vblk_volatile_write_cache);
+  EXPECT_GT(rapi.wal_flush_cycles, 0);
+  EXPECT_EQ(rapi.vblk_flushes, 0);
+  EXPECT_EQ(rapi.vblk_elided_flushes, rapi.wal_flush_cycles);
+  EXPECT_EQ(rapi.rapilog_flush_calls, 0);
+}
+
+TEST(TestbedTest, VirtLogDiskForwardsEveryFlush) {
+  // Under kVirt the backend is a write-back partition: each WAL flush cycle
+  // still costs one flush request to it.
+  const LogFlushCounts virt = RunAndCountLogFlushes(DeploymentMode::kVirt);
+  EXPECT_TRUE(virt.vblk_volatile_write_cache);
+  EXPECT_GT(virt.wal_flush_cycles, 0);
+  EXPECT_EQ(virt.vblk_flushes, virt.wal_flush_cycles);
+  EXPECT_EQ(virt.vblk_elided_flushes, 0);
+}
+
+TEST(TestbedTest, WriteBackDataDiskReceivesEveryCheckpointFlush) {
+  // A checkpoint flushes the data disk three times: after the journal, after
+  // the in-place pages and after the metadata. Behind a write-back cache
+  // each of them must reach the disk; a battery-backed cache has nothing to
+  // flush, so the guest sends none.
+  for (const DiskSetup setup : {DiskSetup::kSeparateHdd, DiskSetup::kBbwc}) {
+    Simulator sim;
+    Testbed bed(sim, SmallOptions(DeploymentMode::kRapiLog, setup));
+    int64_t flushes_before = -1;
+    int64_t flushes_after = -1;
+    sim.Spawn([](Testbed& b, int64_t& before, int64_t& after) -> Task<void> {
+      co_await b.Start();
+      rldb::Database& db = b.db();
+      const std::vector<uint8_t> value(db.options().profile.value_bytes, 1);
+      for (uint64_t key = 0; key < 8; ++key) {
+        const uint64_t txn = db.Begin();
+        EXPECT_EQ(co_await db.Put(txn, key * 1000, value),
+                  rldb::DbStatus::kOk);
+        EXPECT_EQ(co_await db.Commit(txn), rldb::DbStatus::kOk);
+      }
+      EXPECT_GT(db.pool().dirty_count(), 0u);
+      before = b.data_disk().stats().flushes.value();
+      co_await db.Checkpoint();
+      after = b.data_disk().stats().flushes.value();
+      EXPECT_EQ(db.pool().dirty_count(), 0u);
+    }(bed, flushes_before, flushes_after));
+    sim.Run();
+    ASSERT_GE(flushes_before, 0) << ToString(setup);
+    if (setup == DiskSetup::kBbwc) {
+      EXPECT_FALSE(bed.data_disk().volatile_write_cache());
+      EXPECT_EQ(flushes_after, flushes_before);
+    } else {
+      EXPECT_TRUE(bed.data_disk().volatile_write_cache());
+      EXPECT_EQ(flushes_after - flushes_before, 3);
+    }
   }
 }
 

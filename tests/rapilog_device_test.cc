@@ -423,5 +423,12 @@ TEST(RapiLogDeviceTest, EntryAbsorbedMidWriteStaysBufferedAndDrainsNext) {
   EXPECT_EQ(sector, Block(512, 2));
 }
 
+TEST(RapiLogDeviceTest, ReportsNoVolatileWriteCache) {
+  // The hold-up guarantee covers the buffer, whatever the disk below caches.
+  Fixture f;
+  EXPECT_TRUE(f.disk.volatile_write_cache());
+  EXPECT_FALSE(f.rapilog.volatile_write_cache());
+}
+
 }  // namespace
 }  // namespace rapilog

@@ -297,5 +297,27 @@ TEST(LogShipperTest, WritesWhilePoweredOffFail) {
   EXPECT_EQ(rig.shipper->next_seq(), 0u);
 }
 
+TEST(LogShipperTest, VolatileWriteCacheFollowsModeAndLocalDevice) {
+  // Quorum-ack: Flush is the commit's quorum durability point, so the
+  // shipper always asks for it. Async: it answers as its local device does.
+  for (const auto policy : {rlstor::WriteCachePolicy::kWriteBack,
+                            rlstor::WriteCachePolicy::kWriteThrough}) {
+    for (const ShipMode mode : {ShipMode::kAsync, ShipMode::kQuorumAck}) {
+      Simulator sim;
+      rlnet::NetworkFabric fabric(sim);
+      SimBlockDevice local(
+          sim,
+          SimBlockDevice::Options{.geometry = {.sector_count = kSectors},
+                                  .cache_policy = policy},
+          rlstor::MakeDefaultSsd());
+      const LogShipper shipper(sim, fabric, "primary", {"replica-0"}, local,
+                               ShipperOptions{.mode = mode});
+      EXPECT_EQ(shipper.volatile_write_cache(),
+                mode == ShipMode::kQuorumAck || local.volatile_write_cache())
+          << ToString(mode) << " " << rlstor::ToString(policy);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rlrep

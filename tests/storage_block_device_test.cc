@@ -252,5 +252,21 @@ TEST(BlockDeviceTest, SyncCommitPatternLimitedByRotation) {
   EXPECT_GT(commits_per_sec, 60.0);
 }
 
+TEST(BlockDeviceTest, OnlyWriteBackReportsAVolatileCache) {
+  // Write-through and battery-backed writes are durable on acknowledgement,
+  // so only a write-back cache needs a flush.
+  Simulator sim;
+  const SimBlockDevice write_back(sim, SmallDisk(WriteCachePolicy::kWriteBack),
+                                  MakeDefaultHdd());
+  const SimBlockDevice write_through(
+      sim, SmallDisk(WriteCachePolicy::kWriteThrough), MakeDefaultHdd());
+  const SimBlockDevice bbwc(
+      sim, SmallDisk(WriteCachePolicy::kBatteryBackedWriteBack),
+      MakeDefaultHdd());
+  EXPECT_TRUE(write_back.volatile_write_cache());
+  EXPECT_FALSE(write_through.volatile_write_cache());
+  EXPECT_FALSE(bbwc.volatile_write_cache());
+}
+
 }  // namespace
 }  // namespace rlstor

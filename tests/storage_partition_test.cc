@@ -108,5 +108,19 @@ TEST(PartitionTest, FlushReachesParent) {
   EXPECT_TRUE(f.disk.image().IsDurable(1));
 }
 
+TEST(PartitionTest, VolatileWriteCacheIsTheParents) {
+  Fixture f;
+  EXPECT_TRUE(f.disk.volatile_write_cache());
+  EXPECT_TRUE(f.low.volatile_write_cache());
+  SimBlockDevice bbwc(
+      f.sim,
+      SimBlockDevice::Options{
+          .geometry = {.sector_count = 1000},
+          .cache_policy = WriteCachePolicy::kBatteryBackedWriteBack},
+      MakeDefaultSsd());
+  const PartitionDevice part(bbwc, 0, 100);
+  EXPECT_FALSE(part.volatile_write_cache());
+}
+
 }  // namespace
 }  // namespace rlstor

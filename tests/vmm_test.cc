@@ -87,13 +87,14 @@ TEST(VirtualMachineTest, CrashCallbacksFire) {
 // Full paravirtual stack: guest -> VM exit -> kernel IPC -> backend ->
 // physical disk, and back.
 struct StackFixture {
-  StackFixture()
+  explicit StackFixture(
+      rlstor::WriteCachePolicy policy = rlstor::WriteCachePolicy::kWriteBack)
       : kernel(sim),
         vm(sim, VmParams{}),
         disk(sim,
              rlstor::SimBlockDevice::Options{
                  .geometry = {.sector_count = 1 << 16},
-                 .cache_policy = rlstor::WriteCachePolicy::kWriteBack},
+                 .cache_policy = policy},
              rlstor::MakeDefaultHdd()) {
     root = kernel.BootstrapCNode(64);
     EXPECT_EQ(kernel.BootstrapUntyped(root, 0, 1 << 20), KernelStatus::kOk);
@@ -105,7 +106,8 @@ struct StackFixture {
     backend->Start();
     vdisk = std::make_unique<VirtualBlockDevice>(sim, vm, kernel,
                                                  SlotAddr{root, 1},
-                                                 disk.geometry());
+                                                 disk.geometry(),
+                                                 disk.volatile_write_cache());
   }
 
   Simulator sim;
@@ -165,6 +167,56 @@ TEST(VirtualBlockDeviceTest, FlushForwardedToBackend) {
   f.sim.Run();
   EXPECT_EQ(fst, BlockStatus::kOk);
   EXPECT_TRUE(f.disk.image().IsDurable(0));
+}
+
+TEST(VirtualBlockDeviceTest, FlushToCacheFreeBackendCompletesInGuest) {
+  // The backend answered "no volatile cache" at probe time: a flush costs no
+  // VM exit and no backend request, and takes no time.
+  StackFixture f(rlstor::WriteCachePolicy::kWriteThrough);
+  EXPECT_FALSE(f.vdisk->volatile_write_cache());
+  BlockStatus fst = BlockStatus::kDeviceOff;
+  Duration flush_latency = Duration::Seconds(1);
+  f.sim.Spawn([](Simulator& s, VirtualBlockDevice& d, BlockStatus& out,
+                 Duration& lat) -> Task<void> {
+    co_await d.Write(0, std::vector<uint8_t>(512, 9), false);
+    const TimePoint t0 = s.now();
+    out = co_await d.Flush();
+    lat = s.now() - t0;
+  }(f.sim, *f.vdisk, fst, flush_latency));
+  f.sim.Run();
+  EXPECT_EQ(fst, BlockStatus::kOk);
+  EXPECT_EQ(flush_latency, Duration::Zero());
+  EXPECT_TRUE(f.disk.image().IsDurable(0));
+  EXPECT_EQ(f.backend->requests_served(), 1u);
+  EXPECT_EQ(f.vdisk->stats().flushes.value(), 0);
+  EXPECT_EQ(f.vdisk->stats().elided_flushes.value(), 1);
+}
+
+TEST(VirtualBlockDeviceTest, FlushToWriteBackBackendIsARequest) {
+  StackFixture f;
+  EXPECT_TRUE(f.vdisk->volatile_write_cache());
+  f.sim.Spawn([](VirtualBlockDevice& d) -> Task<void> {
+    EXPECT_EQ(co_await d.Flush(), BlockStatus::kOk);
+  }(*f.vdisk));
+  f.sim.Run();
+  EXPECT_EQ(f.backend->requests_served(), 1u);
+  EXPECT_EQ(f.vdisk->stats().flushes.value(), 1);
+  EXPECT_EQ(f.vdisk->stats().elided_flushes.value(), 0);
+}
+
+TEST(VirtualBlockDeviceTest, ElidedFlushOfACrashedGuestUnwinds) {
+  StackFixture f(rlstor::WriteCachePolicy::kBatteryBackedWriteBack);
+  f.vm.Crash();
+  bool crashed_seen = false;
+  f.sim.Spawn([](VirtualBlockDevice& d, bool& crashed) -> Task<void> {
+    try {
+      co_await d.Flush();
+    } catch (const GuestCrashed&) {
+      crashed = true;
+    }
+  }(*f.vdisk, crashed_seen));
+  f.sim.Run();
+  EXPECT_TRUE(crashed_seen);
 }
 
 TEST(VirtualBlockDeviceTest, GuestCrashDuringIoUnwinds) {
