@@ -9,7 +9,6 @@
 
 namespace rlharness {
 
-using rlkern::CapRights;
 using rlkern::KernelStatus;
 using rlkern::ObjectType;
 using rlkern::SlotAddr;
@@ -228,13 +227,13 @@ void Testbed::BuildGuestStack() {
   power_sinks_.push_back(std::make_unique<GuestPowerSink>(
       *vm_, rapilog_ != nullptr && options_.rapilog.enable_power_guard));
 
-  root_cnode_ = kernel_->BootstrapCNode(64);
-  RL_CHECK(kernel_->BootstrapUntyped(root_cnode_, 0, 1 << 20) ==
+  const rlkern::ObjectId root_cnode = kernel_->BootstrapCNode(64);
+  RL_CHECK(kernel_->BootstrapUntyped(root_cnode, 0, 1 << 20) ==
            KernelStatus::kOk);
-  RL_CHECK(kernel_->Retype(SlotAddr{root_cnode_, 0}, ObjectType::kEndpoint, 0,
-                           root_cnode_, 1, 2) == KernelStatus::kOk);
-  const SlotAddr data_ep{root_cnode_, 1};
-  const SlotAddr log_ep{root_cnode_, 2};
+  RL_CHECK(kernel_->Retype(SlotAddr{root_cnode, 0}, ObjectType::kEndpoint, 0,
+                           root_cnode, 1, 2) == KernelStatus::kOk);
+  const SlotAddr data_ep{root_cnode, 1};
+  const SlotAddr log_ep{root_cnode, 2};
 
   rlstor::BlockDevice* log_target = &LogTarget();
 

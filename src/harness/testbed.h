@@ -209,7 +209,6 @@ class Testbed {
   std::unique_ptr<rlvmm::VirtualMachine> vm_;
   std::unique_ptr<rlvmm::BlockBackend> data_backend_;
   std::unique_ptr<rlvmm::BlockBackend> log_backend_;
-  rlkern::ObjectId root_cnode_ = rlkern::kNullObject;
 
   // Guest-visible devices.
   std::unique_ptr<rlvmm::VirtualBlockDevice> guest_data_dev_;

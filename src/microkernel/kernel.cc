@@ -1,6 +1,8 @@
 #include "src/microkernel/kernel.h"
 
 #include <algorithm>
+#include <deque>
+#include <optional>
 #include <utility>
 
 #include "src/sim/check.h"
@@ -11,24 +13,6 @@ using rlsim::Completion;
 using rlsim::Duration;
 using rlsim::Task;
 using rlsim::WaitQueue;
-
-std::string ToString(ObjectType t) {
-  switch (t) {
-    case ObjectType::kUntyped:
-      return "untyped";
-    case ObjectType::kCNode:
-      return "cnode";
-    case ObjectType::kTcb:
-      return "tcb";
-    case ObjectType::kEndpoint:
-      return "endpoint";
-    case ObjectType::kNotification:
-      return "notification";
-    case ObjectType::kFrame:
-      return "frame";
-  }
-  return "unknown";
-}
 
 std::string ToString(KernelStatus s) {
   switch (s) {
@@ -42,84 +26,47 @@ std::string ToString(KernelStatus s) {
       return "slot-occupied";
     case KernelStatus::kTypeMismatch:
       return "type-mismatch";
-    case KernelStatus::kNoRights:
-      return "no-rights";
     case KernelStatus::kOutOfMemory:
       return "out-of-memory";
     case KernelStatus::kInvalidArgument:
       return "invalid-argument";
-    case KernelStatus::kDeadObject:
-      return "dead-object";
   }
   return "unknown";
 }
 
 namespace {
 
-// Memory footprint of fixed-size kernel objects.
-size_t FixedObjectBytes(ObjectType type, size_t requested) {
-  switch (type) {
-    case ObjectType::kEndpoint:
-    case ObjectType::kNotification:
-      return 16;
-    case ObjectType::kTcb:
-      return 1024;
-    case ObjectType::kCNode:
-    case ObjectType::kFrame:
-    case ObjectType::kUntyped:
-      return requested;
-  }
-  return requested;
-}
+// Kernel entry and IPC costs, in the vicinity of published seL4 numbers on
+// period hardware.
+constexpr Duration kSyscallOverhead = Duration::Nanos(300);
+constexpr Duration kIpcTransfer = Duration::Nanos(700);
 
+constexpr size_t kEndpointBytes = 16;
 constexpr size_t kBytesPerCNodeSlot = 32;
 
 }  // namespace
 
-struct Kernel::CNodeData {
-  std::vector<std::optional<Capability>> slots;
-};
-
-struct Kernel::UntypedData {
-  size_t bytes = 0;
-  size_t watermark = 0;
-  std::vector<ObjectId> children;
-};
-
-struct Kernel::PendingSend {
+struct Kernel::PendingCall {
   IpcMessage msg;
-  // Non-null iff the sender used Call.
   std::shared_ptr<Completion<IpcMessage>> reply;
-  // Non-null iff the sender blocks until delivery (Send/Call, not NbSend).
-  std::shared_ptr<Completion<bool>> delivered;
-};
-
-struct Kernel::EndpointData {
-  std::deque<std::shared_ptr<PendingSend>> senders;
-  std::unique_ptr<WaitQueue> recv_wait;
-};
-
-struct Kernel::NotificationData {
-  uint64_t word = 0;
-  std::unique_ptr<WaitQueue> wait;
 };
 
 struct Kernel::Object {
-  ObjectId id = kNullObject;
   ObjectType type = ObjectType::kUntyped;
-  bool alive = true;
-  size_t cap_count = 0;
   size_t bytes = 0;
   ObjectId parent_untyped = kNullObject;
 
-  std::unique_ptr<CNodeData> cnode;
-  std::unique_ptr<UntypedData> untyped;
-  std::unique_ptr<EndpointData> endpoint;
-  std::unique_ptr<NotificationData> notification;
+  // kCNode.
+  std::vector<std::optional<Capability>> slots;
+  // kUntyped: bytes handed out so far, and the objects they became.
+  size_t watermark = 0;
+  std::vector<ObjectId> children;
+  // kEndpoint.
+  std::deque<PendingCall> callers;
+  std::unique_ptr<WaitQueue> recv_wait;
 };
 
-Kernel::Kernel(rlsim::Simulator& sim, KernelParams params)
-    : sim_(sim), params_(params) {}
+Kernel::Kernel(rlsim::Simulator& sim) : sim_(sim) {}
 
 Kernel::~Kernel() = default;
 
@@ -137,60 +84,15 @@ const Kernel::Object& Kernel::Obj(ObjectId id) const {
 
 ObjectId Kernel::AllocateObject(ObjectType type, size_t bytes) {
   auto obj = std::make_unique<Object>();
-  obj->id = objects_.size() + 1;
   obj->type = type;
   obj->bytes = bytes;
-  switch (type) {
-    case ObjectType::kCNode:
-      obj->cnode = std::make_unique<CNodeData>();
-      obj->cnode->slots.resize(std::max<size_t>(1, bytes / kBytesPerCNodeSlot));
-      break;
-    case ObjectType::kUntyped:
-      obj->untyped = std::make_unique<UntypedData>();
-      obj->untyped->bytes = bytes;
-      break;
-    case ObjectType::kEndpoint:
-      obj->endpoint = std::make_unique<EndpointData>();
-      obj->endpoint->recv_wait = std::make_unique<WaitQueue>(sim_);
-      break;
-    case ObjectType::kNotification:
-      obj->notification = std::make_unique<NotificationData>();
-      obj->notification->wait = std::make_unique<WaitQueue>(sim_);
-      break;
-    case ObjectType::kTcb:
-    case ObjectType::kFrame:
-      break;
+  if (type == ObjectType::kCNode) {
+    obj->slots.resize(std::max<size_t>(1, bytes / kBytesPerCNodeSlot));
+  } else if (type == ObjectType::kEndpoint) {
+    obj->recv_wait = std::make_unique<WaitQueue>(sim_);
   }
   objects_.push_back(std::move(obj));
   return objects_.size();
-}
-
-void Kernel::DestroyObject(ObjectId id) {
-  Object& obj = Obj(id);
-  if (!obj.alive) {
-    return;
-  }
-  if (obj.type == ObjectType::kEndpoint) {
-    RL_CHECK_MSG(obj.endpoint->senders.empty() &&
-                     obj.endpoint->recv_wait->waiter_count() == 0,
-                 "destroying endpoint with blocked threads");
-  }
-  obj.alive = false;
-  // Unlink from the retype parent's child list.
-  if (obj.parent_untyped != kNullObject) {
-    Object& parent = Obj(obj.parent_untyped);
-    if (parent.alive && parent.untyped != nullptr) {
-      std::erase(parent.untyped->children, id);
-    }
-  }
-  // A dying CNode drops every capability it holds.
-  if (obj.type == ObjectType::kCNode) {
-    for (CPtr i = 0; i < obj.cnode->slots.size(); ++i) {
-      if (obj.cnode->slots[i].has_value()) {
-        RemoveCapAt(SlotAddr{id, i}, /*reparent_children=*/true);
-      }
-    }
-  }
 }
 
 KernelStatus Kernel::ResolveSlot(SlotAddr slot, bool must_hold_cap,
@@ -199,13 +101,10 @@ KernelStatus Kernel::ResolveSlot(SlotAddr slot, bool must_hold_cap,
     return KernelStatus::kInvalidSlot;
   }
   const Object& cn = Obj(slot.cnode);
-  if (!cn.alive || cn.type != ObjectType::kCNode) {
+  if (cn.type != ObjectType::kCNode || slot.index >= cn.slots.size()) {
     return KernelStatus::kInvalidSlot;
   }
-  if (slot.index >= cn.cnode->slots.size()) {
-    return KernelStatus::kInvalidSlot;
-  }
-  auto& entry = const_cast<Object&>(cn).cnode->slots[slot.index];
+  auto& entry = const_cast<Object&>(cn).slots[slot.index];
   if (must_hold_cap && !entry.has_value()) {
     return KernelStatus::kEmptySlot;
   }
@@ -218,57 +117,17 @@ KernelStatus Kernel::ResolveSlot(SlotAddr slot, bool must_hold_cap,
   return KernelStatus::kOk;
 }
 
-void Kernel::PlaceCap(SlotAddr dst, const Capability& cap,
-                      std::optional<SlotAddr> parent) {
-  Object& cn = Obj(dst.cnode);
-  RL_CHECK(cn.type == ObjectType::kCNode);
-  RL_CHECK(!cn.cnode->slots[dst.index].has_value());
-  cn.cnode->slots[dst.index] = cap;
-  ++Obj(cap.object).cap_count;
-  if (parent.has_value()) {
-    cdt_parent_[dst] = *parent;
-    cdt_children_[*parent].push_back(dst);
+KernelStatus Kernel::ResolveEndpoint(SlotAddr slot, Object** ep_out) const {
+  Capability* cap = nullptr;
+  if (KernelStatus st = ResolveSlot(slot, true, &cap);
+      st != KernelStatus::kOk) {
+    return st;
   }
-}
-
-void Kernel::RemoveCapAt(SlotAddr slot, bool reparent_children) {
-  Object& cn = Obj(slot.cnode);
-  auto& entry = cn.cnode->slots[slot.index];
-  RL_CHECK(entry.has_value());
-  const ObjectId target = entry->object;
-  entry.reset();
-
-  // CDT maintenance.
-  const auto parent_it = cdt_parent_.find(slot);
-  std::optional<SlotAddr> parent;
-  if (parent_it != cdt_parent_.end()) {
-    parent = parent_it->second;
-    auto& siblings = cdt_children_[*parent];
-    std::erase(siblings, slot);
-    if (siblings.empty()) {
-      cdt_children_.erase(*parent);
-    }
-    cdt_parent_.erase(parent_it);
+  if (cap->type != ObjectType::kEndpoint) {
+    return KernelStatus::kTypeMismatch;
   }
-  if (auto kids_it = cdt_children_.find(slot); kids_it != cdt_children_.end()) {
-    RL_CHECK_MSG(reparent_children, "removing cap with live CDT children");
-    const std::vector<SlotAddr> kids = kids_it->second;
-    cdt_children_.erase(kids_it);
-    for (const SlotAddr& kid : kids) {
-      if (parent.has_value()) {
-        cdt_parent_[kid] = *parent;
-        cdt_children_[*parent].push_back(kid);
-      } else {
-        cdt_parent_.erase(kid);
-      }
-    }
-  }
-
-  Object& obj = Obj(target);
-  RL_CHECK(obj.cap_count > 0);
-  if (--obj.cap_count == 0 && obj.alive) {
-    DestroyObject(target);
-  }
+  *ep_out = const_cast<Object*>(&Obj(cap->object));
+  return KernelStatus::kOk;
 }
 
 ObjectId Kernel::BootstrapCNode(size_t slots) {
@@ -287,11 +146,7 @@ KernelStatus Kernel::BootstrapUntyped(ObjectId cnode, CPtr dest,
     return st;
   }
   const ObjectId id = AllocateObject(ObjectType::kUntyped, bytes);
-  PlaceCap(dst,
-           Capability{.object = id,
-                      .type = ObjectType::kUntyped,
-                      .rights = CapRights::All()},
-           std::nullopt);
+  Obj(cnode).slots[dest] = Capability{id, ObjectType::kUntyped};
   return KernelStatus::kOk;
 }
 
@@ -309,15 +164,13 @@ KernelStatus Kernel::Retype(SlotAddr untyped, ObjectType type,
   if (ut_cap->type != ObjectType::kUntyped) {
     return KernelStatus::kTypeMismatch;
   }
-  Object& ut_obj = Obj(ut_cap->object);
-  if (!ut_obj.alive) {
-    return KernelStatus::kDeadObject;
-  }
-  const size_t per_obj = FixedObjectBytes(type, obj_bytes);
+  const size_t per_obj =
+      type == ObjectType::kEndpoint ? kEndpointBytes : obj_bytes;
   if (per_obj == 0) {
     return KernelStatus::kInvalidArgument;
   }
-  UntypedData& ut = *ut_obj.untyped;
+  const ObjectId ut_id = ut_cap->object;
+  Object& ut = Obj(ut_id);
   if (ut.watermark + per_obj * count > ut.bytes) {
     return KernelStatus::kOutOfMemory;
   }
@@ -331,100 +184,10 @@ KernelStatus Kernel::Retype(SlotAddr untyped, ObjectType type,
   }
   for (size_t i = 0; i < count; ++i) {
     const ObjectId id = AllocateObject(type, per_obj);
-    Obj(id).parent_untyped = ut_cap->object;
+    Obj(id).parent_untyped = ut_id;
     ut.children.push_back(id);
     ut.watermark += per_obj;
-    PlaceCap(SlotAddr{dest_cnode, dest_first + i},
-             Capability{.object = id, .type = type,
-                        .rights = CapRights::All()},
-             untyped);
-  }
-  return KernelStatus::kOk;
-}
-
-KernelStatus Kernel::Mint(SlotAddr src, SlotAddr dst, CapRights rights,
-                          Badge badge) {
-  Capability* src_cap = nullptr;
-  if (KernelStatus st = ResolveSlot(src, true, &src_cap);
-      st != KernelStatus::kOk) {
-    return st;
-  }
-  if (!Obj(src_cap->object).alive) {
-    return KernelStatus::kDeadObject;
-  }
-  if (!rights.SubsetOf(src_cap->rights)) {
-    return KernelStatus::kNoRights;
-  }
-  if (badge != 0 && src_cap->type != ObjectType::kEndpoint &&
-      src_cap->type != ObjectType::kNotification) {
-    return KernelStatus::kInvalidArgument;
-  }
-  if (badge != 0 && src_cap->badge != 0) {
-    // Re-badging a badged capability is not allowed (seL4 semantics).
-    return KernelStatus::kInvalidArgument;
-  }
-  if (KernelStatus st = ResolveSlot(dst, false, nullptr);
-      st != KernelStatus::kOk) {
-    return st;
-  }
-  Capability minted = *src_cap;
-  minted.rights = rights;
-  if (badge != 0) {
-    minted.badge = badge;
-  }
-  PlaceCap(dst, minted, src);
-  return KernelStatus::kOk;
-}
-
-KernelStatus Kernel::Copy(SlotAddr src, SlotAddr dst) {
-  Capability* src_cap = nullptr;
-  if (KernelStatus st = ResolveSlot(src, true, &src_cap);
-      st != KernelStatus::kOk) {
-    return st;
-  }
-  return Mint(src, dst, src_cap->rights, 0);
-}
-
-KernelStatus Kernel::Delete(SlotAddr slot) {
-  if (KernelStatus st = ResolveSlot(slot, true, nullptr);
-      st != KernelStatus::kOk) {
-    return st;
-  }
-  RemoveCapAt(slot, /*reparent_children=*/true);
-  return KernelStatus::kOk;
-}
-
-void Kernel::CollectSubtree(SlotAddr root, std::vector<SlotAddr>* out) const {
-  const auto it = cdt_children_.find(root);
-  if (it == cdt_children_.end()) {
-    return;
-  }
-  for (const SlotAddr& child : it->second) {
-    out->push_back(child);
-    CollectSubtree(child, out);
-  }
-}
-
-KernelStatus Kernel::Revoke(SlotAddr slot) {
-  Capability* cap = nullptr;
-  if (KernelStatus st = ResolveSlot(slot, true, &cap);
-      st != KernelStatus::kOk) {
-    return st;
-  }
-  std::vector<SlotAddr> subtree;
-  CollectSubtree(slot, &subtree);
-  // Remove leaves first so no cap is removed while it still has children.
-  for (auto it = subtree.rbegin(); it != subtree.rend(); ++it) {
-    RemoveCapAt(*it, /*reparent_children=*/false);
-  }
-  // Revoking an untyped's root capability reclaims the region.
-  if (cap->type == ObjectType::kUntyped) {
-    Object& ut_obj = Obj(cap->object);
-    if (ut_obj.alive) {
-      RL_CHECK_MSG(ut_obj.untyped->children.empty(),
-                   "retyped objects survived revoke");
-      ut_obj.untyped->watermark = 0;
-    }
+    Obj(dest_cnode).slots[dest_first + i] = Capability{id, type};
   }
   return KernelStatus::kOk;
 }
@@ -435,120 +198,44 @@ KernelStatus Kernel::Lookup(SlotAddr slot, Capability* out) const {
       st != KernelStatus::kOk) {
     return st;
   }
-  if (!Obj(cap->object).alive) {
-    return KernelStatus::kDeadObject;
-  }
   if (out != nullptr) {
     *out = *cap;
   }
   return KernelStatus::kOk;
 }
 
-KernelStatus Kernel::CheckEndpointCap(SlotAddr slot, bool need_write,
-                                      bool need_read, Capability* cap_out) {
-  Capability* cap = nullptr;
-  if (KernelStatus st = ResolveSlot(slot, true, &cap);
-      st != KernelStatus::kOk) {
-    return st;
-  }
-  if (cap->type != ObjectType::kEndpoint) {
-    return KernelStatus::kTypeMismatch;
-  }
-  if (!Obj(cap->object).alive) {
-    return KernelStatus::kDeadObject;
-  }
-  if ((need_write && !cap->rights.write) || (need_read && !cap->rights.read)) {
-    return KernelStatus::kNoRights;
-  }
-  *cap_out = *cap;
-  return KernelStatus::kOk;
-}
-
-Task<KernelStatus> Kernel::Send(SlotAddr ep_cap, IpcMessage msg) {
-  Capability cap;
-  if (KernelStatus st = CheckEndpointCap(ep_cap, true, false, &cap);
-      st != KernelStatus::kOk) {
-    co_return st;
-  }
-  co_await sim_.Sleep(params_.syscall_overhead);
-  EndpointData& ep = *Obj(cap.object).endpoint;
-  auto record = std::make_shared<PendingSend>();
-  record->msg = std::move(msg);
-  record->msg.sender_badge = cap.badge;
-  record->delivered = std::make_shared<Completion<bool>>(sim_);
-  ep.senders.push_back(record);
-  ep.recv_wait->NotifyOne();
-  co_await record->delivered->Wait();
-  co_return KernelStatus::kOk;
-}
-
-KernelStatus Kernel::NbSend(SlotAddr ep_cap, IpcMessage msg) {
-  Capability cap;
-  if (KernelStatus st = CheckEndpointCap(ep_cap, true, false, &cap);
-      st != KernelStatus::kOk) {
-    return st;
-  }
-  EndpointData& ep = *Obj(cap.object).endpoint;
-  if (ep.recv_wait->waiter_count() == 0) {
-    return KernelStatus::kOk;  // no receiver ready: silently dropped
-  }
-  auto record = std::make_shared<PendingSend>();
-  record->msg = std::move(msg);
-  record->msg.sender_badge = cap.badge;
-  ep.senders.push_back(record);
-  ep.recv_wait->NotifyOne();
-  return KernelStatus::kOk;
-}
-
 Task<KernelStatus> Kernel::Recv(SlotAddr ep_cap, Received* out) {
   RL_CHECK(out != nullptr);
-  Capability cap;
-  if (KernelStatus st = CheckEndpointCap(ep_cap, false, true, &cap);
+  Object* ep = nullptr;
+  if (KernelStatus st = ResolveEndpoint(ep_cap, &ep);
       st != KernelStatus::kOk) {
     co_return st;
   }
-  co_await sim_.Sleep(params_.syscall_overhead);
-  Object& ep_obj = Obj(cap.object);
-  EndpointData& ep = *ep_obj.endpoint;
-  while (ep_obj.alive && ep.senders.empty()) {
-    co_await ep.recv_wait->Wait();
+  co_await sim_.Sleep(kSyscallOverhead);
+  while (ep->callers.empty()) {
+    co_await ep->recv_wait->Wait();
   }
-  if (!ep_obj.alive) {
-    co_return KernelStatus::kDeadObject;
-  }
-  auto record = ep.senders.front();
-  ep.senders.pop_front();
-  const Duration transfer =
-      params_.ipc_transfer +
-      params_.per_payload_byte *
-          static_cast<int64_t>(record->msg.payload.size());
-  co_await sim_.Sleep(transfer);
-  out->message = std::move(record->msg);
-  out->reply = record->reply ? ReplyToken(record->reply) : ReplyToken();
-  if (record->delivered) {
-    record->delivered->Complete(true);
-  }
-  ++ipc_count_;
+  PendingCall call = std::move(ep->callers.front());
+  ep->callers.pop_front();
+  co_await sim_.Sleep(kIpcTransfer);
+  out->message = std::move(call.msg);
+  out->reply = ReplyToken(std::move(call.reply));
   co_return KernelStatus::kOk;
 }
 
 Task<KernelStatus> Kernel::Call(SlotAddr ep_cap, IpcMessage msg,
                                 IpcMessage* reply_out) {
   RL_CHECK(reply_out != nullptr);
-  Capability cap;
-  if (KernelStatus st = CheckEndpointCap(ep_cap, true, false, &cap);
+  Object* ep = nullptr;
+  if (KernelStatus st = ResolveEndpoint(ep_cap, &ep);
       st != KernelStatus::kOk) {
     co_return st;
   }
-  co_await sim_.Sleep(params_.syscall_overhead);
-  EndpointData& ep = *Obj(cap.object).endpoint;
-  auto record = std::make_shared<PendingSend>();
-  record->msg = std::move(msg);
-  record->msg.sender_badge = cap.badge;
-  record->reply = std::make_shared<Completion<IpcMessage>>(sim_);
-  ep.senders.push_back(record);
-  ep.recv_wait->NotifyOne();
-  *reply_out = co_await record->reply->Wait();
+  co_await sim_.Sleep(kSyscallOverhead);
+  auto reply = std::make_shared<Completion<IpcMessage>>(sim_);
+  ep->callers.push_back(PendingCall{std::move(msg), reply});
+  ep->recv_wait->NotifyOne();
+  *reply_out = co_await reply->Wait();
   co_return KernelStatus::kOk;
 }
 
@@ -558,157 +245,58 @@ KernelStatus Kernel::Reply(ReplyToken& token, IpcMessage msg) {
   }
   token.completion_->Complete(std::move(msg));
   token.completion_.reset();
-  ++ipc_count_;
   return KernelStatus::kOk;
 }
 
-KernelStatus Kernel::Signal(SlotAddr ntfn_cap) {
-  Capability* cap = nullptr;
-  if (KernelStatus st = ResolveSlot(ntfn_cap, true, &cap);
-      st != KernelStatus::kOk) {
-    return st;
-  }
-  if (cap->type != ObjectType::kNotification) {
-    return KernelStatus::kTypeMismatch;
-  }
-  Object& obj = Obj(cap->object);
-  if (!obj.alive) {
-    return KernelStatus::kDeadObject;
-  }
-  if (!cap->rights.write) {
-    return KernelStatus::kNoRights;
-  }
-  obj.notification->word |= (cap->badge != 0 ? cap->badge : 1);
-  obj.notification->wait->NotifyOne();
-  return KernelStatus::kOk;
-}
-
-Task<KernelStatus> Kernel::Wait(SlotAddr ntfn_cap, uint64_t* bits_out) {
-  RL_CHECK(bits_out != nullptr);
-  Capability* cap = nullptr;
-  if (KernelStatus st = ResolveSlot(ntfn_cap, true, &cap);
-      st != KernelStatus::kOk) {
-    co_return st;
-  }
-  if (cap->type != ObjectType::kNotification) {
-    co_return KernelStatus::kTypeMismatch;
-  }
-  if (!cap->rights.read) {
-    co_return KernelStatus::kNoRights;
-  }
-  Object& obj = Obj(cap->object);
-  co_await sim_.Sleep(params_.syscall_overhead);
-  while (obj.alive && obj.notification->word == 0) {
-    co_await obj.notification->wait->Wait();
-  }
-  if (!obj.alive) {
-    co_return KernelStatus::kDeadObject;
-  }
-  *bits_out = obj.notification->word;
-  obj.notification->word = 0;
-  co_return KernelStatus::kOk;
-}
-
-KernelStatus Kernel::Poll(SlotAddr ntfn_cap, uint64_t* bits_out) {
-  RL_CHECK(bits_out != nullptr);
-  Capability* cap = nullptr;
-  if (KernelStatus st = ResolveSlot(ntfn_cap, true, &cap);
-      st != KernelStatus::kOk) {
-    return st;
-  }
-  if (cap->type != ObjectType::kNotification) {
-    return KernelStatus::kTypeMismatch;
-  }
-  if (!cap->rights.read) {
-    return KernelStatus::kNoRights;
-  }
-  Object& obj = Obj(cap->object);
-  if (!obj.alive) {
-    return KernelStatus::kDeadObject;
-  }
-  *bits_out = obj.notification->word;
-  obj.notification->word = 0;
-  return KernelStatus::kOk;
-}
-
-bool Kernel::ObjectAlive(ObjectId id) const {
-  return id != kNullObject && id <= objects_.size() && Obj(id).alive;
-}
-
-ObjectType Kernel::TypeOf(ObjectId id) const { return Obj(id).type; }
-
-size_t Kernel::live_object_count() const {
-  return static_cast<size_t>(
-      std::count_if(objects_.begin(), objects_.end(),
-                    [](const auto& o) { return o->alive; }));
+size_t Kernel::queued_calls(SlotAddr ep_cap) const {
+  Object* ep = nullptr;
+  RL_CHECK(ResolveEndpoint(ep_cap, &ep) == KernelStatus::kOk);
+  return ep->callers.size();
 }
 
 void Kernel::CheckInvariants() const {
-  std::unordered_map<ObjectId, size_t> cap_tallies;
+  std::vector<size_t> cap_tallies(objects_.size() + 1, 0);
   for (const auto& obj : objects_) {
-    if (!obj->alive || obj->type != ObjectType::kCNode) {
-      continue;
-    }
-    for (CPtr i = 0; i < obj->cnode->slots.size(); ++i) {
-      const auto& entry = obj->cnode->slots[i];
+    for (const auto& entry : obj->slots) {
       if (!entry.has_value()) {
         continue;
       }
-      const SlotAddr here{obj->id, i};
-      // I1: every capability names a live object of the recorded type.
+      // I1: every capability names an existing object of the recorded type.
       RL_CHECK_MSG(entry->object != kNullObject &&
                        entry->object <= objects_.size(),
                    "dangling capability");
-      const Object& target = Obj(entry->object);
-      RL_CHECK_MSG(target.alive, "capability to dead object "
-                                     << entry->object << " in slot "
-                                     << here.index);
-      RL_CHECK_MSG(target.type == entry->type,
+      RL_CHECK_MSG(Obj(entry->object).type == entry->type,
                    "capability type mismatch on object " << entry->object);
-      // I2: badges only on endpoints/notifications.
-      RL_CHECK_MSG(entry->badge == 0 ||
-                       entry->type == ObjectType::kEndpoint ||
-                       entry->type == ObjectType::kNotification,
-                   "badge on non-IPC capability");
       ++cap_tallies[entry->object];
-      // I3: CDT linkage is symmetric.
-      if (auto it = cdt_parent_.find(here); it != cdt_parent_.end()) {
-        const auto kids = cdt_children_.find(it->second);
-        RL_CHECK_MSG(kids != cdt_children_.end() &&
-                         std::find(kids->second.begin(), kids->second.end(),
-                                   here) != kids->second.end(),
-                     "CDT parent does not list child");
-      }
     }
   }
-  for (const auto& obj : objects_) {
-    if (!obj->alive) {
-      continue;
-    }
-    // I4: reference counts match the actual number of capabilities.
-    const auto it = cap_tallies.find(obj->id);
-    const size_t actual = it == cap_tallies.end() ? 0 : it->second;
-    RL_CHECK_MSG(obj->cap_count == actual,
-                 "cap_count " << obj->cap_count << " != tally " << actual
-                              << " for object " << obj->id);
-    // I5: untyped accounting.
-    if (obj->type == ObjectType::kUntyped) {
-      RL_CHECK_MSG(obj->untyped->watermark <= obj->untyped->bytes,
-                   "untyped watermark beyond region");
-      for (ObjectId child : obj->untyped->children) {
-        RL_CHECK_MSG(Obj(child).alive, "untyped lists dead child");
-        RL_CHECK_MSG(Obj(child).parent_untyped == obj->id,
+  for (ObjectId id = 1; id <= objects_.size(); ++id) {
+    const Object& obj = Obj(id);
+    // I2: a root CNode is named by no capability, every other object by
+    // exactly one (nothing copies a capability).
+    const bool root_cnode = obj.type == ObjectType::kCNode &&
+                            obj.parent_untyped == kNullObject;
+    const size_t caps = cap_tallies[id];
+    RL_CHECK_MSG(caps == (root_cnode ? 0 : 1),
+                 "object " << id << " named by " << caps << " capabilities");
+    // I3: untyped accounting: the watermark is exactly what the region's
+    // children occupy, and never exceeds the region.
+    if (obj.type == ObjectType::kUntyped) {
+      size_t used = 0;
+      for (ObjectId child : obj.children) {
+        RL_CHECK_MSG(Obj(child).parent_untyped == id,
                      "untyped child parent mismatch");
+        used += Obj(child).bytes;
       }
+      RL_CHECK_MSG(used == obj.watermark && obj.watermark <= obj.bytes,
+                   "untyped " << id << " watermark " << obj.watermark
+                              << " != children " << used);
     }
-  }
-  // I6: every CDT edge endpoint is an occupied slot.
-  // simlint: ordered-ok (universally-quantified fail-stop check: no effect
-  // unless an invariant is broken, and then the run aborts)
-  for (const auto& [child, parent] : cdt_parent_) {
-    Capability tmp;
-    RL_CHECK_MSG(Lookup(child, &tmp) != KernelStatus::kInvalidSlot,
-                 "CDT child is not a valid slot");
+    // I4: every queued call still awaits its reply.
+    for (const PendingCall& call : obj.callers) {
+      RL_CHECK_MSG(call.reply != nullptr && !call.reply->completed(),
+                   "queued call on endpoint " << id << " already answered");
+    }
   }
 }
 

@@ -1,5 +1,5 @@
-// The seL4-like kernel: object table, capability operations with a
-// derivation tree, synchronous endpoint IPC and notifications.
+// The seL4-like kernel: object table, untyped memory retyped into CNodes and
+// endpoints, and synchronous Call/Recv/Reply IPC over endpoints.
 //
 // "Verification" is modelled by construction (see DESIGN.md): this component
 // is part of the trusted computing base, is exempt from fault injection, and
@@ -9,11 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/microkernel/types.h"
@@ -22,15 +18,6 @@
 #include "src/sim/task.h"
 
 namespace rlkern {
-
-// Timing parameters for kernel entry and IPC, defaults in the vicinity of
-// published seL4 numbers on period hardware.
-struct KernelParams {
-  rlsim::Duration syscall_overhead = rlsim::Duration::Nanos(300);
-  rlsim::Duration ipc_transfer = rlsim::Duration::Nanos(700);
-  // Cost per payload byte moved through IPC (models shared-frame copies).
-  rlsim::Duration per_payload_byte = rlsim::Duration::Nanos(0);
-};
 
 // Handle a receiver uses to answer a Call. Single-use.
 class ReplyToken {
@@ -46,16 +33,16 @@ class ReplyToken {
   std::shared_ptr<rlsim::Completion<IpcMessage>> completion_;
 };
 
-// Result of a successful Recv.
+// Result of a successful Recv: the caller's message and the token that
+// answers it.
 struct Received {
   IpcMessage message;
-  // Valid iff the sender used Call and awaits a reply.
   ReplyToken reply;
 };
 
 class Kernel {
  public:
-  explicit Kernel(rlsim::Simulator& sim, KernelParams params = {});
+  explicit Kernel(rlsim::Simulator& sim);
   ~Kernel();
 
   Kernel(const Kernel&) = delete;
@@ -63,50 +50,27 @@ class Kernel {
 
   // --- Bootstrap (no capability checks; used to set up the initial task) ---
 
-  // Creates an untyped region of the given size and returns a CNode holding
-  // its root capability in slot `untyped_slot_out`.
+  // Creates a root CNode with `slots` slots. No capability names it.
   ObjectId BootstrapCNode(size_t slots);
+  // Creates an untyped region of `bytes` and places its capability at
+  // slot `dest` of `cnode`.
   KernelStatus BootstrapUntyped(ObjectId cnode, CPtr dest, size_t bytes);
 
   // --- Capability-space operations -----------------------------------------
 
   // seL4_Untyped_Retype: carves `count` objects of `type` out of the untyped
-  // capability at `untyped`, placing original capabilities into consecutive
-  // slots starting at `dest`. `obj_bytes` is the per-object footprint
-  // (ignored for endpoints/notifications which have a fixed cost).
+  // capability at `untyped`, placing their capabilities into consecutive
+  // slots starting at `dest`. `obj_bytes` is the per-object footprint of a
+  // CNode; an endpoint has a fixed cost and ignores it.
   KernelStatus Retype(SlotAddr untyped, ObjectType type, size_t obj_bytes,
                       ObjectId dest_cnode, CPtr dest_first, size_t count);
 
-  // Copies the capability at src to dst with reduced-or-equal rights and a
-  // new badge (endpoints/notifications only may be badged). The new
-  // capability is a CDT child of src.
-  KernelStatus Mint(SlotAddr src, SlotAddr dst, CapRights rights, Badge badge);
-
-  // Mint preserving rights and badge.
-  KernelStatus Copy(SlotAddr src, SlotAddr dst);
-
-  // Removes the capability at `slot`. CDT children are reparented to the
-  // deleted capability's parent. Destroys the object when its last
-  // capability goes away.
-  KernelStatus Delete(SlotAddr slot);
-
-  // Deletes every capability derived from `slot` (the whole CDT subtree,
-  // excluding `slot` itself). For untyped capabilities this also destroys
-  // all objects retyped from the region and resets its watermark.
-  KernelStatus Revoke(SlotAddr slot);
-
-  // Looks up a capability (validity + liveness checked).
+  // Looks up the capability at `slot`.
   KernelStatus Lookup(SlotAddr slot, Capability* out) const;
 
   // --- IPC -----------------------------------------------------------------
 
-  // Blocking send: rendezvous with a receiver. Requires write rights.
-  rlsim::Task<KernelStatus> Send(SlotAddr ep_cap, IpcMessage msg);
-
-  // Non-blocking send: delivered only if a receiver is already waiting.
-  KernelStatus NbSend(SlotAddr ep_cap, IpcMessage msg);
-
-  // Blocking receive. Requires read rights.
+  // Blocking receive: waits for a Call on the endpoint.
   rlsim::Task<KernelStatus> Recv(SlotAddr ep_cap, Received* out);
 
   // Call: send and block for the receiver's Reply.
@@ -116,60 +80,28 @@ class Kernel {
   // Answers a Call; consumes the token.
   KernelStatus Reply(ReplyToken& token, IpcMessage msg);
 
-  // --- Notifications ---------------------------------------------------------
-
-  // Signal: OR the badge into the notification word, wake one waiter.
-  KernelStatus Signal(SlotAddr ntfn_cap);
-
-  // Wait: block until the word is non-zero, then fetch-and-clear it.
-  rlsim::Task<KernelStatus> Wait(SlotAddr ntfn_cap, uint64_t* bits_out);
-
-  // Poll: non-blocking fetch-and-clear.
-  KernelStatus Poll(SlotAddr ntfn_cap, uint64_t* bits_out);
-
   // --- Introspection ---------------------------------------------------------
 
   // Validates every kernel invariant; throws rlsim::CheckFailure on
   // violation. Cheap enough to call after every operation in tests.
   void CheckInvariants() const;
 
-  bool ObjectAlive(ObjectId id) const;
-  ObjectType TypeOf(ObjectId id) const;
-  size_t live_object_count() const;
-  uint64_t ipc_count() const { return ipc_count_; }
+  // Calls sent to the endpoint at `ep_cap` that no Recv has taken yet.
+  size_t queued_calls(SlotAddr ep_cap) const;
 
  private:
   struct Object;
-  struct CNodeData;
-  struct UntypedData;
-  struct EndpointData;
-  struct NotificationData;
-  struct PendingSend;
+  struct PendingCall;
 
   Object& Obj(ObjectId id);
   const Object& Obj(ObjectId id) const;
   ObjectId AllocateObject(ObjectType type, size_t bytes);
-  void DestroyObject(ObjectId id);
   KernelStatus ResolveSlot(SlotAddr slot, bool must_hold_cap,
                            Capability** cap_out) const;
-  void PlaceCap(SlotAddr dst, const Capability& cap,
-                std::optional<SlotAddr> parent);
-  void RemoveCapAt(SlotAddr slot, bool reparent_children);
-  void CollectSubtree(SlotAddr root, std::vector<SlotAddr>* out) const;
-  KernelStatus CheckEndpointCap(SlotAddr slot, bool need_write,
-                                bool need_read, Capability* cap_out);
+  KernelStatus ResolveEndpoint(SlotAddr slot, Object** ep_out) const;
 
   rlsim::Simulator& sim_;
-  KernelParams params_;
-
   std::vector<std::unique_ptr<Object>> objects_;  // index = ObjectId - 1
-
-  // Capability derivation tree.
-  std::unordered_map<SlotAddr, SlotAddr, SlotAddrHash> cdt_parent_;
-  std::unordered_map<SlotAddr, std::vector<SlotAddr>, SlotAddrHash>
-      cdt_children_;
-
-  uint64_t ipc_count_ = 0;
 };
 
 }  // namespace rlkern

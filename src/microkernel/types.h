@@ -1,9 +1,10 @@
 // Core types of the seL4-like microkernel model.
 //
-// The model reproduces the structures the paper's trust argument rests on: a
-// small kernel whose state obeys machine-checkable invariants (here enforced
-// with runtime checks and exercised by fuzz tests), capabilities as the only
-// naming/authority mechanism, and synchronous rendezvous IPC.
+// The model keeps what the VMM's I/O path rests on: a small kernel whose
+// state obeys machine-checkable invariants (here enforced with runtime checks
+// and exercised by fuzz tests), capabilities as the only naming mechanism,
+// untyped memory as the only source of kernel objects, and synchronous
+// Call/Recv/Reply IPC.
 #pragma once
 
 #include <cstdint>
@@ -19,62 +20,23 @@ inline constexpr ObjectId kNullObject = 0;
 // Slot index within a CNode.
 using CPtr = uint64_t;
 
-// Opaque word stamped onto minted endpoint capabilities; delivered to the
-// receiver so one endpoint can serve many clients.
-using Badge = uint64_t;
-
 enum class ObjectType : uint8_t {
   kUntyped,
   kCNode,
-  kTcb,
   kEndpoint,
-  kNotification,
-  kFrame,
 };
 
-std::string ToString(ObjectType t);
-
-// Subset of seL4 rights relevant here.
-struct CapRights {
-  bool read = false;   // receive / map readable
-  bool write = false;  // send / map writable
-  bool grant = false;  // transfer capabilities over IPC
-
-  static constexpr CapRights All() { return {true, true, true}; }
-  static constexpr CapRights ReadOnly() { return {true, false, false}; }
-  static constexpr CapRights WriteOnly() { return {false, true, false}; }
-
-  // True if `this` is a (non-strict) subset of `other` — minting may only
-  // shrink authority.
-  bool SubsetOf(const CapRights& other) const {
-    return (!read || other.read) && (!write || other.write) &&
-           (!grant || other.grant);
-  }
-  bool operator==(const CapRights&) const = default;
-};
-
-// A capability as stored in a CNode slot.
+// A capability as stored in a CNode slot. Every capability carries full
+// authority over its object: nothing derives a weaker one.
 struct Capability {
   ObjectId object = kNullObject;
   ObjectType type = ObjectType::kUntyped;
-  CapRights rights;
-  Badge badge = 0;
-
-  bool null() const { return object == kNullObject; }
 };
 
 // Global address of a capability slot.
 struct SlotAddr {
   ObjectId cnode = kNullObject;
   CPtr index = 0;
-
-  bool operator==(const SlotAddr&) const = default;
-};
-
-struct SlotAddrHash {
-  size_t operator()(const SlotAddr& s) const {
-    return std::hash<uint64_t>()(s.cnode * 0x9E3779B97f4A7C15ULL ^ s.index);
-  }
 };
 
 enum class KernelStatus {
@@ -83,10 +45,8 @@ enum class KernelStatus {
   kEmptySlot,        // expected a capability, slot is empty
   kSlotOccupied,     // destination slot already holds a capability
   kTypeMismatch,     // capability names an object of the wrong type
-  kNoRights,         // capability lacks the required right
   kOutOfMemory,      // untyped exhausted
   kInvalidArgument,
-  kDeadObject,       // capability names a destroyed object
 };
 
 std::string ToString(KernelStatus s);
@@ -99,8 +59,6 @@ struct IpcMessage {
   uint64_t label = 0;
   std::vector<uint64_t> words;
   std::vector<uint8_t> payload;
-  // Filled in by the kernel on delivery.
-  Badge sender_badge = 0;
 };
 
 }  // namespace rlkern

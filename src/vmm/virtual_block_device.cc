@@ -29,9 +29,8 @@ rlsim::Task<void> BlockBackend::ServiceLoop() {
   while (true) {
     Received request;
     const KernelStatus st = co_await kernel_.Recv(service_ep_, &request);
-    if (st != KernelStatus::kOk) {
-      co_return;  // endpoint destroyed — backend retires
-    }
+    RL_CHECK_MSG(st == KernelStatus::kOk,
+                 "backend receive failed: " << rlkern::ToString(st));
     sim_.Spawn(HandleRequest(std::move(request)), name_ + "-req");
   }
 }

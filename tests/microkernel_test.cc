@@ -47,7 +47,6 @@ TEST(KernelTest, RetypeCreatesEndpoints) {
     Capability cap;
     ASSERT_EQ(f.kernel.Lookup(f.Slot(i), &cap), KernelStatus::kOk);
     EXPECT_EQ(cap.type, ObjectType::kEndpoint);
-    EXPECT_TRUE(cap.rights.read && cap.rights.write);
   }
   f.kernel.CheckInvariants();
 }
@@ -65,105 +64,24 @@ TEST(KernelTest, RetypeIntoOccupiedSlotFails) {
 
 TEST(KernelTest, RetypeExhaustsUntyped) {
   Fixture f;
-  // Region is 1 MiB; TCBs are 1 KiB each; slot space limits us anyway, so
-  // use frames of 128 KiB: 8 fit, the 9th does not.
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kFrame,
+  // Region is 1 MiB; CNodes of 128 KiB: 8 fit, the 9th does not.
+  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kCNode,
                             128 * 1024, f.root, 20, 8),
             KernelStatus::kOk);
-  EXPECT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kFrame,
+  EXPECT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kCNode,
                             128 * 1024, f.root, 40, 1),
             KernelStatus::kOutOfMemory);
   f.kernel.CheckInvariants();
 }
 
-TEST(KernelTest, MintShrinksRightsOnly) {
-  Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kEndpoint, 0,
-                            f.root, 10, 1),
-            KernelStatus::kOk);
-  // Shrink to send-only: fine.
-  ASSERT_EQ(f.kernel.Mint(f.Slot(10), f.Slot(11), CapRights::WriteOnly(), 7),
-            KernelStatus::kOk);
-  Capability cap;
-  ASSERT_EQ(f.kernel.Lookup(f.Slot(11), &cap), KernelStatus::kOk);
-  EXPECT_EQ(cap.badge, 7u);
-  EXPECT_FALSE(cap.rights.read);
-  // Attempt to widen from the minted (write-only) cap: rejected.
-  EXPECT_EQ(f.kernel.Mint(f.Slot(11), f.Slot(12), CapRights::All(), 0),
-            KernelStatus::kNoRights);
-  // Re-badging a badged capability: rejected.
-  EXPECT_EQ(f.kernel.Mint(f.Slot(11), f.Slot(12), CapRights::WriteOnly(), 9),
-            KernelStatus::kInvalidArgument);
-  f.kernel.CheckInvariants();
-}
-
-TEST(KernelTest, BadgeOnFrameRejected) {
-  Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kFrame, 4096,
-                            f.root, 10, 1),
-            KernelStatus::kOk);
-  EXPECT_EQ(f.kernel.Mint(f.Slot(10), f.Slot(11), CapRights::All(), 3),
-            KernelStatus::kInvalidArgument);
-}
-
-TEST(KernelTest, DeleteLastCapDestroysObject) {
-  Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kEndpoint, 0,
-                            f.root, 10, 1),
-            KernelStatus::kOk);
-  Capability cap;
-  ASSERT_EQ(f.kernel.Lookup(f.Slot(10), &cap), KernelStatus::kOk);
-  const ObjectId ep = cap.object;
-  ASSERT_EQ(f.kernel.Copy(f.Slot(10), f.Slot(11)), KernelStatus::kOk);
-  ASSERT_EQ(f.kernel.Delete(f.Slot(10)), KernelStatus::kOk);
-  EXPECT_TRUE(f.kernel.ObjectAlive(ep));  // copy still references it
-  ASSERT_EQ(f.kernel.Delete(f.Slot(11)), KernelStatus::kOk);
-  EXPECT_FALSE(f.kernel.ObjectAlive(ep));
-  f.kernel.CheckInvariants();
-}
-
-TEST(KernelTest, RevokeRemovesDerivedTree) {
-  Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kEndpoint, 0,
-                            f.root, 10, 1),
-            KernelStatus::kOk);
-  ASSERT_EQ(f.kernel.Mint(f.Slot(10), f.Slot(11), CapRights::WriteOnly(), 1),
-            KernelStatus::kOk);
-  ASSERT_EQ(f.kernel.Copy(f.Slot(11), f.Slot(12)), KernelStatus::kOk);
-  ASSERT_EQ(f.kernel.Revoke(f.Slot(10)), KernelStatus::kOk);
-  // Derived caps gone, original remains.
-  EXPECT_EQ(f.kernel.Lookup(f.Slot(11), nullptr), KernelStatus::kEmptySlot);
-  EXPECT_EQ(f.kernel.Lookup(f.Slot(12), nullptr), KernelStatus::kEmptySlot);
-  EXPECT_EQ(f.kernel.Lookup(f.Slot(10), nullptr), KernelStatus::kOk);
-  f.kernel.CheckInvariants();
-}
-
-TEST(KernelTest, RevokeUntypedReclaimsRegion) {
-  Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kFrame,
-                            512 * 1024, f.root, 10, 2),
-            KernelStatus::kOk);
-  // Region full now.
-  EXPECT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kFrame, 4096,
-                            f.root, 30, 1),
-            KernelStatus::kOutOfMemory);
-  ASSERT_EQ(f.kernel.Revoke(f.Slot(kUntypedSlot)), KernelStatus::kOk);
-  EXPECT_EQ(f.kernel.Lookup(f.Slot(10), nullptr), KernelStatus::kEmptySlot);
-  // Watermark reset: retype works again.
-  EXPECT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kFrame, 4096,
-                            f.root, 30, 1),
-            KernelStatus::kOk);
-  f.kernel.CheckInvariants();
-}
-
-TEST(KernelTest, SendRecvRendezvous) {
+TEST(KernelTest, CallRecvRendezvous) {
   Fixture f;
   ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kEndpoint, 0,
                             f.root, 10, 1),
             KernelStatus::kOk);
   Received got;
   KernelStatus recv_st = KernelStatus::kInvalidArgument;
-  KernelStatus send_st = KernelStatus::kInvalidArgument;
+  KernelStatus call_st = KernelStatus::kInvalidArgument;
   f.sim.Spawn([](Kernel& k, SlotAddr ep, Received& out,
                  KernelStatus& st) -> Task<void> {
     st = co_await k.Recv(ep, &out);
@@ -172,58 +90,48 @@ TEST(KernelTest, SendRecvRendezvous) {
     IpcMessage msg;
     msg.label = 42;
     msg.words = {1, 2, 3};
-    st = co_await k.Send(ep, std::move(msg));
-  }(f.kernel, f.Slot(10), send_st));
+    IpcMessage reply;
+    st = co_await k.Call(ep, std::move(msg), &reply);
+  }(f.kernel, f.Slot(10), call_st));
   f.sim.Run();
   EXPECT_EQ(recv_st, KernelStatus::kOk);
-  EXPECT_EQ(send_st, KernelStatus::kOk);
   EXPECT_EQ(got.message.label, 42u);
   EXPECT_EQ(got.message.words, (std::vector<uint64_t>{1, 2, 3}));
+  // The caller is still blocked on the reply.
+  EXPECT_EQ(call_st, KernelStatus::kInvalidArgument);
+  ASSERT_TRUE(got.reply.valid());
+  EXPECT_EQ(f.kernel.Reply(got.reply, IpcMessage{}), KernelStatus::kOk);
   EXPECT_FALSE(got.reply.valid());
-  EXPECT_EQ(f.kernel.ipc_count(), 1u);
+  EXPECT_EQ(f.kernel.Reply(got.reply, IpcMessage{}),
+            KernelStatus::kInvalidArgument);
+  f.sim.Run();
+  EXPECT_EQ(call_st, KernelStatus::kOk);
 }
 
-TEST(KernelTest, SendBlocksUntilReceiverArrives) {
+TEST(KernelTest, CallBlocksUntilReceiverArrives) {
   Fixture f;
   ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kEndpoint, 0,
                             f.root, 10, 1),
             KernelStatus::kOk);
-  rlsim::TimePoint send_done;
+  rlsim::TimePoint call_done;
   f.sim.Spawn([](Simulator& s, Kernel& k, SlotAddr ep,
                  rlsim::TimePoint& done) -> Task<void> {
     IpcMessage msg;  // named: GCC 12 mishandles non-trivial prvalue args to coroutines
-    co_await k.Send(ep, std::move(msg));
+    IpcMessage reply;
+    co_await k.Call(ep, std::move(msg), &reply);
     done = s.now();
-  }(f.sim, f.kernel, f.Slot(10), send_done));
+  }(f.sim, f.kernel, f.Slot(10), call_done));
   f.sim.Spawn([](Simulator& s, Kernel& k, SlotAddr ep) -> Task<void> {
     co_await s.Sleep(Duration::Millis(5));
+    EXPECT_EQ(k.queued_calls(ep), 1u);
     Received got;
     co_await k.Recv(ep, &got);
+    k.Reply(got.reply, IpcMessage{});
   }(f.sim, f.kernel, f.Slot(10)));
   f.sim.Run();
-  EXPECT_GE(send_done, rlsim::TimePoint::Origin() + Duration::Millis(5));
-}
-
-TEST(KernelTest, BadgedSendIdentifiesClient) {
-  Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kEndpoint, 0,
-                            f.root, 10, 1),
-            KernelStatus::kOk);
-  ASSERT_EQ(f.kernel.Mint(f.Slot(10), f.Slot(11), CapRights::WriteOnly(), 99),
-            KernelStatus::kOk);
-  Received got;
-  KernelStatus recv_st = KernelStatus::kInvalidArgument;
-  f.sim.Spawn([](Kernel& k, SlotAddr ep, Received& out,
-                 KernelStatus& st) -> Task<void> {
-    st = co_await k.Recv(ep, &out);
-  }(f.kernel, f.Slot(10), got, recv_st));
-  f.sim.Spawn([](Kernel& k, SlotAddr ep) -> Task<void> {
-    IpcMessage msg;  // named: GCC 12 mishandles non-trivial prvalue args to coroutines
-    co_await k.Send(ep, std::move(msg));
-  }(f.kernel, f.Slot(11)));
-  f.sim.Run();
-  EXPECT_EQ(recv_st, KernelStatus::kOk);
-  EXPECT_EQ(got.message.sender_badge, 99u);
+  EXPECT_GE(call_done, rlsim::TimePoint::Origin() + Duration::Millis(5));
+  EXPECT_EQ(f.kernel.queued_calls(f.Slot(10)), 0u);
+  f.kernel.CheckInvariants();
 }
 
 TEST(KernelTest, CallReplyRoundTrip) {
@@ -253,75 +161,20 @@ TEST(KernelTest, CallReplyRoundTrip) {
   EXPECT_EQ(reply.words[0], 42u);
 }
 
-TEST(KernelTest, SendWithoutWriteRightFails) {
+TEST(KernelTest, CallToNonEndpointCapFails) {
   Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kEndpoint, 0,
-                            f.root, 10, 1),
-            KernelStatus::kOk);
-  ASSERT_EQ(f.kernel.Mint(f.Slot(10), f.Slot(11), CapRights::ReadOnly(), 0),
-            KernelStatus::kOk);
-  KernelStatus st = KernelStatus::kOk;
-  f.sim.Spawn([](Kernel& k, SlotAddr ep, KernelStatus& out) -> Task<void> {
-    IpcMessage msg;  // named: GCC 12 mishandles non-trivial prvalue args to coroutines
-    out = co_await k.Send(ep, std::move(msg));
-  }(f.kernel, f.Slot(11), st));
-  f.sim.Run();
-  EXPECT_EQ(st, KernelStatus::kNoRights);
-}
-
-TEST(KernelTest, SendToFrameCapFails) {
-  Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kFrame, 4096,
+  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kCNode, 4096,
                             f.root, 10, 1),
             KernelStatus::kOk);
   KernelStatus st = KernelStatus::kOk;
   f.sim.Spawn([](Kernel& k, SlotAddr ep, KernelStatus& out) -> Task<void> {
     IpcMessage msg;  // named: GCC 12 mishandles non-trivial prvalue args to coroutines
-    out = co_await k.Send(ep, std::move(msg));
+    IpcMessage reply;
+    out = co_await k.Call(ep, std::move(msg), &reply);
   }(f.kernel, f.Slot(10), st));
   f.sim.Run();
   EXPECT_EQ(st, KernelStatus::kTypeMismatch);
-}
-
-TEST(KernelTest, NotificationSignalWaitPoll) {
-  Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kNotification,
-                            0, f.root, 10, 1),
-            KernelStatus::kOk);
-  ASSERT_EQ(f.kernel.Mint(f.Slot(10), f.Slot(11), CapRights::WriteOnly(), 0b100),
-            KernelStatus::kOk);
-  uint64_t bits = 0;
-  KernelStatus wait_st = KernelStatus::kInvalidArgument;
-  f.sim.Spawn([](Kernel& k, SlotAddr n, uint64_t& out,
-                 KernelStatus& st) -> Task<void> {
-    st = co_await k.Wait(n, &out);
-  }(f.kernel, f.Slot(10), bits, wait_st));
-  f.sim.Schedule(Duration::Millis(1), [&] {
-    EXPECT_EQ(f.kernel.Signal(f.Slot(11)), KernelStatus::kOk);
-  });
-  f.sim.Run();
-  EXPECT_EQ(wait_st, KernelStatus::kOk);
-  EXPECT_EQ(bits, 0b100u);
-  // Word was cleared by Wait.
-  uint64_t polled = 123;
-  EXPECT_EQ(f.kernel.Poll(f.Slot(10), &polled), KernelStatus::kOk);
-  EXPECT_EQ(polled, 0u);
-}
-
-TEST(KernelTest, NotificationBadgesAccumulate) {
-  Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kNotification,
-                            0, f.root, 10, 1),
-            KernelStatus::kOk);
-  ASSERT_EQ(f.kernel.Mint(f.Slot(10), f.Slot(11), CapRights::WriteOnly(), 0b01),
-            KernelStatus::kOk);
-  ASSERT_EQ(f.kernel.Mint(f.Slot(10), f.Slot(12), CapRights::WriteOnly(), 0b10),
-            KernelStatus::kOk);
-  EXPECT_EQ(f.kernel.Signal(f.Slot(11)), KernelStatus::kOk);
-  EXPECT_EQ(f.kernel.Signal(f.Slot(12)), KernelStatus::kOk);
-  uint64_t bits = 0;
-  EXPECT_EQ(f.kernel.Poll(f.Slot(10), &bits), KernelStatus::kOk);
-  EXPECT_EQ(bits, 0b11u);
+  EXPECT_EQ(f.sim.now(), rlsim::TimePoint::Origin());  // no kernel entry cost
 }
 
 TEST(KernelTest, IpcCostsSimulatedTime) {
@@ -332,21 +185,23 @@ TEST(KernelTest, IpcCostsSimulatedTime) {
   f.sim.Spawn([](Kernel& k, SlotAddr ep) -> Task<void> {
     Received got;
     co_await k.Recv(ep, &got);
+    k.Reply(got.reply, IpcMessage{});
   }(f.kernel, f.Slot(10)));
   f.sim.Spawn([](Kernel& k, SlotAddr ep) -> Task<void> {
     IpcMessage msg;  // named: GCC 12 mishandles non-trivial prvalue args to coroutines
-    co_await k.Send(ep, std::move(msg));
+    IpcMessage reply;
+    co_await k.Call(ep, std::move(msg), &reply);
   }(f.kernel, f.Slot(10)));
   f.sim.Run();
-  EXPECT_GT(f.sim.now(), rlsim::TimePoint::Origin());
-  EXPECT_LT(f.sim.now() - rlsim::TimePoint::Origin(), Duration::Micros(10));
+  // Both sides enter the kernel at once (300 ns); the transfer adds 700 ns.
+  EXPECT_EQ(f.sim.now() - rlsim::TimePoint::Origin(), Duration::Micros(1));
 }
 
 TEST(KernelTest, InvalidSlotOperations) {
   Fixture f;
-  EXPECT_EQ(f.kernel.Delete(SlotAddr{f.root, 9999}),
+  EXPECT_EQ(f.kernel.Lookup(SlotAddr{f.root, 9999}, nullptr),
             KernelStatus::kInvalidSlot);
-  EXPECT_EQ(f.kernel.Delete(f.Slot(50)), KernelStatus::kEmptySlot);
+  EXPECT_EQ(f.kernel.Lookup(f.Slot(50), nullptr), KernelStatus::kEmptySlot);
   EXPECT_EQ(f.kernel.Lookup(SlotAddr{kNullObject, 0}, nullptr),
             KernelStatus::kInvalidSlot);
 }

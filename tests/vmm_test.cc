@@ -235,6 +235,10 @@ TEST(VirtualBlockDeviceTest, GuestCrashDuringIoUnwinds) {
   EXPECT_TRUE(crashed_seen);
   // The write had left the guest before the crash: it still lands.
   EXPECT_TRUE(f.disk.image().IsDurable(0));
+  // The backend took the call and answered it; the kernel holds nothing of
+  // the dead guest's request.
+  EXPECT_EQ(f.kernel.queued_calls(SlotAddr{f.root, 1}), 0u);
+  f.kernel.CheckInvariants();
 }
 
 TEST(VirtualBlockDeviceTest, ErrorStatusPropagates) {
@@ -263,6 +267,8 @@ TEST(VirtualBlockDeviceTest, ConcurrentRequestsAllComplete) {
   f.sim.Run();
   EXPECT_EQ(completed, 16);
   EXPECT_EQ(f.backend->requests_served(), 16u);
+  EXPECT_EQ(f.kernel.queued_calls(SlotAddr{f.root, 1}), 0u);
+  f.kernel.CheckInvariants();
 }
 
 }  // namespace
