@@ -1,6 +1,8 @@
 #include "bench/bench_common.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <optional>
 
@@ -198,6 +200,28 @@ void Table::Print() {
     std::printf("\n");
   }
   rows_.clear();
+}
+
+bool ParseUintFlags(int argc, char** argv, std::vector<UintFlag> flags,
+                    const char* usage) {
+  for (int i = 1; i < argc; i += 2) {
+    const auto flag =
+        std::find_if(flags.begin(), flags.end(), [&](const UintFlag& f) {
+          return std::strcmp(f.name, argv[i]) == 0;
+        });
+    bool ok = flag != flags.end() && i + 1 < argc;
+    if (ok) {
+      const char* text = argv[i + 1];
+      char* end = nullptr;
+      *flag->value = std::strtoull(text, &end, 10);
+      ok = text[0] >= '0' && text[0] <= '9' && *end == '\0';
+    }
+    if (!ok) {
+      std::fprintf(stderr, "%s\n", usage);
+      return false;
+    }
+  }
+  return true;
 }
 
 void BenchJsonWriter::Add(const std::string& name, double value,

@@ -114,6 +114,20 @@ inline std::string Fmt(double v, const char* fmt = "%.1f") {
 
 inline std::string FmtDur(rlsim::Duration d) { return rlsim::ToString(d); }
 
+// --- Command line -------------------------------------------------------------
+
+// A `--name N` flag with an unsigned integer value.
+struct UintFlag {
+  const char* name;
+  uint64_t* value;
+};
+
+// Parses argv as `--name N` pairs for the given flags. On an unknown flag,
+// a missing value or a value that is not a whole number, prints `usage`
+// to stderr and returns false.
+bool ParseUintFlags(int argc, char** argv, std::vector<UintFlag> flags,
+                    const char* usage);
+
 // --- Machine-readable bench output -------------------------------------------
 
 // Collects named metrics and writes them as JSON (insertion order preserved,

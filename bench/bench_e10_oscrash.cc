@@ -23,8 +23,15 @@ using rlsim::Task;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int trials = argc > 1 ? 8 : 20;
-  Simulator sim(99);
+  uint64_t seed = 99;
+  uint64_t trials = 20;
+  if (!rlbench::ParseUintFlags(argc, argv,
+                               {{"--seed", &seed}, {"--trials", &trials}},
+                               "usage: bench_e10_oscrash [--seed N] "
+                               "[--trials N]")) {
+    return 2;
+  }
+  Simulator sim(seed);
   rlharness::TestbedOptions opts = rlbench::DefaultTestbed(
       DeploymentMode::kRapiLog, DiskSetup::kSharedHdd,
       rldb::PostgresLikeProfile());
@@ -66,8 +73,8 @@ int main(int argc, char** argv) {
         ++bad;
       }
     }
-  }(sim, bed, tpcc, checker, trials, bad_trials, total_checked, total_lost,
-    drained_after_crash));
+  }(sim, bed, tpcc, checker, static_cast<int>(trials), bad_trials,
+    total_checked, total_lost, drained_after_crash));
   sim.Run();
 
   PrintHeader("E10: guest-OS crash campaign under RapiLog");

@@ -5,16 +5,21 @@
 // `bench_micro --json FILE` bypasses google-benchmark and runs a small fixed
 // perf suite instead, writing BENCH_perf.json: CRC-32C throughput (slice-by-8
 // vs the table-driven reference), simulator event dispatch rate (pooled heap
-// vs a naive priority_queue<std::function> baseline), and chaos-campaign
-// wall-clock at --jobs 1 vs --jobs N. These are the numbers later PRs are
-// judged against; the suite also cross-checks that the parallel campaign
+// vs a naive priority_queue<std::function> baseline), chaos-campaign
+// wall-clock at --jobs 1 vs --jobs N, and the host plane of one OLTP
+// scenario (host time, events/s, heap allocations and coroutine frames per
+// committed transaction). These are the numbers later PRs are judged
+// against; the suite also cross-checks that the parallel campaign
 // reproduces the sequential corpus hash.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+// simlint: new-ok (the header that declares std::bad_alloc)
+#include <new>
 #include <queue>
 #include <string>
 
@@ -29,6 +34,28 @@
 #include "src/sim/simulator.h"
 #include "src/sim/stats.h"
 #include "src/storage/block_device.h"
+#include "src/workload/tpcc_lite.h"
+
+// Every heap allocation through operator new, counted for the host-plane
+// scenario. This binary only: the simulator itself never counts.
+namespace {
+std::atomic<uint64_t> g_heap_allocations{0};
+}  // namespace
+
+// Out of line, like the deletes below, so the compiler never pairs an
+// inlined malloc() or free() with a new- or delete-expression
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t bytes) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -270,11 +297,65 @@ CampaignTiming TimeCampaign(int jobs, uint64_t episodes) {
   return out;
 }
 
+// The host plane of one fixed single-node OLTP scenario, sized like
+// perfbench's oltp-ssdlog: TPC-C-lite with 16 clients on RapiLog with an SSD
+// log, set up and warmed up for 200 ms of virtual time, then measured over
+// a 1 s window. Allocation and frame counts are deterministic; the host
+// rates are wall-clock.
+struct HostScenario {
+  double host_us_per_txn = 0;
+  double events_per_sec = 0;
+  double heap_allocs_per_txn = 0;
+  double frames_per_txn = 0;
+};
+
+HostScenario RunHostScenario() {
+  rlsim::Simulator sim(1);
+  rlharness::Testbed bed(
+      sim, rlbench::DefaultTestbed(rlharness::DeploymentMode::kRapiLog,
+                                   rlharness::DiskSetup::kSsdLog,
+                                   rldb::PostgresLikeProfile()));
+  rlwork::TpccLite tpcc(sim, rlbench::DefaultTpcc());
+  bool stop = false;
+  sim.Spawn([](rlsim::Simulator& s, rlharness::Testbed& b,
+               rlwork::TpccLite& w, bool& stop_flag) -> rlsim::Task<void> {
+    co_await b.Start();
+    co_await w.LoadInitial(b.db());
+    for (int c = 0; c < 16; ++c) {
+      s.Spawn(w.RunClient(b.db(), c, &stop_flag, nullptr));
+    }
+    co_await s.Sleep(rlsim::Duration::Millis(200));
+    s.Stop();
+  }(sim, bed, tpcc, stop));
+  sim.Run();
+
+  const int64_t committed0 = tpcc.stats().committed.value();
+  const uint64_t allocs0 = g_heap_allocations.load();
+  const uint64_t frames0 = rlsim::frame_pool::allocations();
+  const WallClock::time_point t0 = WallClock::now();
+  const size_t events = sim.RunFor(rlsim::Duration::Seconds(1));
+  const double secs = SecondsSince(t0);
+  const double txns =
+      static_cast<double>(tpcc.stats().committed.value() - committed0);
+  HostScenario out;
+  out.host_us_per_txn = secs * 1e6 / txns;
+  out.events_per_sec = static_cast<double>(events) / secs;
+  out.heap_allocs_per_txn =
+      static_cast<double>(g_heap_allocations.load() - allocs0) / txns;
+  out.frames_per_txn =
+      static_cast<double>(rlsim::frame_pool::allocations() - frames0) / txns;
+  stop = true;
+  sim.Run();
+  return out;
+}
+
 int RunPerfSuite(const std::string& json_path, int jobs) {
   const double crc_table = CrcThroughputMibps(&rlsim::Crc32cTableDriven);
   const double crc_slice8 = CrcThroughputMibps(&rlsim::Crc32cSlice8);
   const double pooled_eps = PooledEventsPerSec();
   const double naive_eps = NaiveQueueEventsPerSec();
+
+  const HostScenario oltp = RunHostScenario();
 
   constexpr uint64_t kCampaignEpisodes = 40;
   const CampaignTiming seq = TimeCampaign(1, kCampaignEpisodes);
@@ -299,6 +380,11 @@ int RunPerfSuite(const std::string& json_path, int jobs) {
   writer.Add("campaign_40ep_jobsN_sec", par.seconds, "s");
   writer.Add("campaign_jobs", jobs, "threads");
   writer.Add("campaign_speedup", seq.seconds / par.seconds, "x");
+  writer.Add("oltp_host_us_per_txn", oltp.host_us_per_txn, "us");
+  writer.Add("oltp_sim_events_per_sec", oltp.events_per_sec, "events/s");
+  writer.Add("oltp_heap_allocs_per_txn", oltp.heap_allocs_per_txn,
+             "allocs/txn");
+  writer.Add("oltp_frames_per_txn", oltp.frames_per_txn, "frames/txn");
   std::fputs(writer.ToString().c_str(), stdout);
   return writer.WriteFile(json_path) ? 0 : 1;
 }

@@ -135,10 +135,13 @@ uint64_t BTree::CreateEmpty() {
 }
 
 Task<uint64_t> BTree::DescendToLeaf(uint64_t root, uint64_t key,
-                                    std::vector<PathEntry>* path) {
+                                    Path* path) {
   uint64_t pid = root;
   while (true) {
-    BufferPool::Frame* f = co_await pool_.Fetch(pid);
+    BufferPool::Frame* f = pool_.FetchResident(pid);
+    if (f == nullptr) {
+      f = co_await pool_.Fetch(pid);
+    }
     const PageHeader h = ReadPageHeader(f->data);
     if (h.type == PageType::kLeaf) {
       pool_.Unpin(f, false);
@@ -150,7 +153,8 @@ Task<uint64_t> BTree::DescendToLeaf(uint64_t root, uint64_t key,
     const uint64_t child = InternalChild(f->data, child_idx);
     pool_.Unpin(f, false);
     if (path != nullptr) {
-      path->push_back(PathEntry{pid, child_idx});
+      RL_CHECK(path->depth < Path::kMaxDepth);
+      path->entries[path->depth++] = PathEntry{pid, child_idx};
     }
     pid = child;
   }
@@ -162,7 +166,10 @@ Task<bool> BTree::Get(uint64_t root, uint64_t key,
     co_return false;
   }
   const uint64_t leaf = co_await DescendToLeaf(root, key, nullptr);
-  BufferPool::Frame* f = co_await pool_.Fetch(leaf);
+  BufferPool::Frame* f = pool_.FetchResident(leaf);
+  if (f == nullptr) {
+    f = co_await pool_.Fetch(leaf);
+  }
   const PageHeader h = ReadPageHeader(f->data);
   const uint32_t pos = LeafLowerBound(f->data, value_bytes_, h.nkeys, key);
   bool found = false;
@@ -177,16 +184,18 @@ Task<bool> BTree::Get(uint64_t root, uint64_t key,
   co_return found;
 }
 
-Task<uint64_t> BTree::InsertIntoParents(uint64_t root,
-                                        std::vector<PathEntry> path,
+Task<uint64_t> BTree::InsertIntoParents(uint64_t root, Path* path,
                                         uint64_t sep_key,
                                         uint64_t new_child) {
   while (true) {
-    if (path.empty()) {
+    if (path->depth == 0) {
       // Split reached the root: grow the tree by one level.
       const uint64_t new_root = AllocPage();
       BufferPool::Frame* f = pool_.Create(new_root);
-      BufferPool::Frame* old = co_await pool_.Fetch(root);
+      BufferPool::Frame* old = pool_.FetchResident(root);
+      if (old == nullptr) {
+        old = co_await pool_.Fetch(root);
+      }
       const uint8_t child_level = ReadPageHeader(old->data).level;
       pool_.Unpin(old, false);
       PageHeader h;
@@ -202,9 +211,11 @@ Task<uint64_t> BTree::InsertIntoParents(uint64_t root,
       co_return new_root;
     }
 
-    const PathEntry at = path.back();
-    path.pop_back();
-    BufferPool::Frame* f = co_await pool_.Fetch(at.page_id);
+    const PathEntry at = path->entries[--path->depth];
+    BufferPool::Frame* f = pool_.FetchResident(at.page_id);
+    if (f == nullptr) {
+      f = co_await pool_.Fetch(at.page_id);
+    }
     PageHeader h = ReadPageHeader(f->data);
     RL_CHECK(h.type == PageType::kInternal);
 
@@ -286,9 +297,12 @@ Task<uint64_t> BTree::Put(uint64_t root, uint64_t key,
   if (root == 0) {
     root = CreateEmpty();
   }
-  std::vector<PathEntry> path;
+  Path path;
   const uint64_t leaf_pid = co_await DescendToLeaf(root, key, &path);
-  BufferPool::Frame* f = co_await pool_.Fetch(leaf_pid);
+  BufferPool::Frame* f = pool_.FetchResident(leaf_pid);
+  if (f == nullptr) {
+    f = co_await pool_.Fetch(leaf_pid);
+  }
   PageHeader h = ReadPageHeader(f->data);
   const uint32_t pos = LeafLowerBound(f->data, value_bytes_, h.nkeys, key);
 
@@ -348,7 +362,7 @@ Task<uint64_t> BTree::Put(uint64_t root, uint64_t key,
   const uint64_t sep = LeafKey(rf->data, value_bytes_, 0);
   pool_.Unpin(f, true);
   pool_.Unpin(rf, true);
-  co_return co_await InsertIntoParents(root, std::move(path), sep, right_pid);
+  co_return co_await InsertIntoParents(root, &path, sep, right_pid);
 }
 
 Task<uint64_t> BTree::Remove(uint64_t root, uint64_t key) {
@@ -356,7 +370,10 @@ Task<uint64_t> BTree::Remove(uint64_t root, uint64_t key) {
     co_return root;
   }
   const uint64_t leaf_pid = co_await DescendToLeaf(root, key, nullptr);
-  BufferPool::Frame* f = co_await pool_.Fetch(leaf_pid);
+  BufferPool::Frame* f = pool_.FetchResident(leaf_pid);
+  if (f == nullptr) {
+    f = co_await pool_.Fetch(leaf_pid);
+  }
   PageHeader h = ReadPageHeader(f->data);
   const uint32_t pos = LeafLowerBound(f->data, value_bytes_, h.nkeys, key);
   if (pos < h.nkeys && LeafKey(f->data, value_bytes_, pos) == key) {
@@ -378,7 +395,10 @@ Task<void> BTree::Scan(
   }
   uint64_t pid = co_await DescendToLeaf(root, from, nullptr);
   while (pid != 0) {
-    BufferPool::Frame* f = co_await pool_.Fetch(pid);
+    BufferPool::Frame* f = pool_.FetchResident(pid);
+    if (f == nullptr) {
+      f = co_await pool_.Fetch(pid);
+    }
     const PageHeader h = ReadPageHeader(f->data);
     uint32_t pos = LeafLowerBound(f->data, value_bytes_, h.nkeys, from);
     for (; pos < h.nkeys; ++pos) {
@@ -434,7 +454,10 @@ Task<void> BTree::CheckStructure(uint64_t root) {
   while (!stack.empty()) {
     const Item item = stack.back();
     stack.pop_back();
-    BufferPool::Frame* f = co_await pool_.Fetch(item.pid);
+    BufferPool::Frame* f = pool_.FetchResident(item.pid);
+    if (f == nullptr) {
+      f = co_await pool_.Fetch(item.pid);
+    }
     const PageHeader h = ReadPageHeader(f->data);
     if (h.type == PageType::kLeaf) {
       for (uint32_t i = 0; i < h.nkeys; ++i) {

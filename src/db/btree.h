@@ -11,6 +11,7 @@
 //              subtree under child i holds keys < key[i] (and >= key[i-1]).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -63,12 +64,19 @@ class BTree {
     uint64_t page_id;
     uint32_t child_index;
   };
+  // The internal nodes a descent passed, root first. Fixed capacity, so a
+  // descent allocates nothing: even 4-key nodes (the smallest the
+  // constructor allows) reach 5^16 keys in kMaxDepth levels.
+  struct Path {
+    static constexpr size_t kMaxDepth = 16;
+    std::array<PathEntry, kMaxDepth> entries{};
+    size_t depth = 0;
+  };
 
   uint64_t AllocPage();
   rlsim::Task<uint64_t> DescendToLeaf(uint64_t root, uint64_t key,
-                                      std::vector<PathEntry>* path);
-  rlsim::Task<uint64_t> InsertIntoParents(uint64_t root,
-                                          std::vector<PathEntry> path,
+                                      Path* path);
+  rlsim::Task<uint64_t> InsertIntoParents(uint64_t root, Path* path,
                                           uint64_t sep_key,
                                           uint64_t new_child);
 

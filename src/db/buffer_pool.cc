@@ -33,6 +33,15 @@ BufferPool::Frame* BufferPool::FindResident(uint64_t page_id) {
   return f;
 }
 
+BufferPool::Frame* BufferPool::FetchResident(uint64_t page_id) {
+  Frame* f = FindResident(page_id);
+  if (f != nullptr) {
+    stats_.fetches.Add();
+    stats_.hits.Add();
+  }
+  return f;
+}
+
 const BufferPool::Frame* BufferPool::Peek(uint64_t page_id) const {
   const auto it = page_to_frame_.find(page_id);
   return it == page_to_frame_.end() ? nullptr : &frames_[it->second];

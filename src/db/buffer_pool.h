@@ -60,13 +60,17 @@ class BufferPool {
   // repair pages before the pool touches them).
   rlsim::Task<Frame*> Fetch(uint64_t page_id);
 
+  // Fetch's hit path without a coroutine frame: pins a resident page and
+  // counts a fetch and a hit, exactly as Fetch would. Returns nullptr, and
+  // counts nothing, if the page is not resident (or its read is still in
+  // flight); the caller then awaits Fetch. Nearly every fetch hits.
+  Frame* FetchResident(uint64_t page_id);
+
   // Pins a fresh all-zero frame for a newly allocated page (no device read).
   Frame* Create(uint64_t page_id);
 
   void Unpin(Frame* frame, bool mark_dirty);
 
-  // Pinned lookup without I/O; nullptr if not resident.
-  Frame* FindResident(uint64_t page_id);
   // Unpinned read-only lookup for inspection; nullptr if not resident.
   const Frame* Peek(uint64_t page_id) const;
 
@@ -111,6 +115,8 @@ class BufferPool {
 
  private:
   Frame* EvictOne();
+  // Pinned lookup without I/O or stats; nullptr if not resident.
+  Frame* FindResident(uint64_t page_id);
 
   rlsim::Simulator& sim_;
   rlstor::BlockDevice& device_;

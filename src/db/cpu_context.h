@@ -1,10 +1,10 @@
 // Where the engine's CPU work is charged: directly to the simulator when
 // running "native", or to a VirtualMachine (overhead factor, crash unwinding)
-// when running inside a guest.
+// when running inside a guest. A charge is a plain awaitable (rlvmm::Charge):
+// one timer event and no coroutine frame.
 #pragma once
 
 #include "src/sim/simulator.h"
-#include "src/sim/task.h"
 #include "src/vmm/vm.h"
 
 namespace rldb {
@@ -12,31 +12,28 @@ namespace rldb {
 class CpuContext {
  public:
   virtual ~CpuContext() = default;
-  virtual rlsim::Task<void> Compute(rlsim::Duration work) = 0;
+
+  rlvmm::Charge Compute(rlsim::Duration work) {
+    return vm_ != nullptr ? vm_->Compute(work) : rlvmm::Charge{*sim_, work};
+  }
+
+ protected:
+  explicit CpuContext(rlsim::Simulator& sim) : sim_(&sim) {}
+  explicit CpuContext(rlvmm::VirtualMachine& vm) : vm_(&vm) {}
+
+ private:
+  rlsim::Simulator* sim_ = nullptr;
+  rlvmm::VirtualMachine* vm_ = nullptr;  // null when native
 };
 
 class NativeCpu : public CpuContext {
  public:
-  explicit NativeCpu(rlsim::Simulator& sim) : sim_(sim) {}
-
-  rlsim::Task<void> Compute(rlsim::Duration work) override {
-    co_await sim_.Sleep(work);
-  }
-
- private:
-  rlsim::Simulator& sim_;
+  explicit NativeCpu(rlsim::Simulator& sim) : CpuContext(sim) {}
 };
 
 class GuestCpu : public CpuContext {
  public:
-  explicit GuestCpu(rlvmm::VirtualMachine& vm) : vm_(vm) {}
-
-  rlsim::Task<void> Compute(rlsim::Duration work) override {
-    co_await vm_.Compute(work);
-  }
-
- private:
-  rlvmm::VirtualMachine& vm_;
+  explicit GuestCpu(rlvmm::VirtualMachine& vm) : CpuContext(vm) {}
 };
 
 }  // namespace rldb

@@ -661,20 +661,14 @@ Task<DbStatus> Database::Commit(uint64_t txn) {
   t.committing = true;
   // Log every operation, then the commit record.
   for (const WriteOp& op : t.ops) {
-    LogRecord rec;
-    rec.type = op.is_delete ? LogRecordType::kDelete : LogRecordType::kUpdate;
-    rec.txn_id = txn;
-    rec.key = op.key;
-    rec.value = op.value;
-    const uint64_t lsn = wal_->Append(std::move(rec));
+    const uint64_t lsn = wal_->Append(
+        op.is_delete ? LogRecordType::kDelete : LogRecordType::kUpdate, txn,
+        op.key, op.value);
     if (t.first_lsn == 0) {
       t.first_lsn = lsn;
     }
   }
-  LogRecord commit;
-  commit.type = LogRecordType::kCommit;
-  commit.txn_id = txn;
-  const uint64_t commit_lsn = wal_->Append(std::move(commit));
+  const uint64_t commit_lsn = wal_->Append(LogRecordType::kCommit, txn, 0);
 
   co_await wal_->WaitDurable(commit_lsn);
 
@@ -711,11 +705,7 @@ Task<void> Database::Abort(uint64_t txn) {
     // Best-effort resolution record: never waited on (presumed abort makes
     // its loss safe), but when it lands, the next recovery skips re-entering
     // doubt — and re-querying the coordinator — for this txn.
-    LogRecord rec;
-    rec.type = LogRecordType::kAbort;
-    rec.txn_id = txn;
-    rec.key = it->second.global_id;
-    wal_->Append(std::move(rec));
+    wal_->Append(LogRecordType::kAbort, txn, it->second.global_id);
   }
   locks_->ReleaseAll(txn);
   txns_.erase(it);
@@ -738,21 +728,15 @@ Task<DbStatus> Database::Prepare(uint64_t txn, uint64_t global_id) {
   // survive a crash, because the coordinator may commit on the strength of
   // it.
   for (const WriteOp& op : t.ops) {
-    LogRecord rec;
-    rec.type = op.is_delete ? LogRecordType::kDelete : LogRecordType::kUpdate;
-    rec.txn_id = txn;
-    rec.key = op.key;
-    rec.value = op.value;
-    const uint64_t lsn = wal_->Append(std::move(rec));
+    const uint64_t lsn = wal_->Append(
+        op.is_delete ? LogRecordType::kDelete : LogRecordType::kUpdate, txn,
+        op.key, op.value);
     if (t.first_lsn == 0) {
       t.first_lsn = lsn;
     }
   }
-  LogRecord prep;
-  prep.type = LogRecordType::kPrepare;
-  prep.txn_id = txn;
-  prep.key = global_id;
-  const uint64_t prep_lsn = wal_->Append(std::move(prep));
+  const uint64_t prep_lsn =
+      wal_->Append(LogRecordType::kPrepare, txn, global_id);
   if (t.first_lsn == 0) {
     t.first_lsn = prep_lsn;
   }
@@ -779,10 +763,7 @@ Task<DbStatus> Database::CommitPrepared(uint64_t txn) {
 
   // The write-set is already durable behind the prepare record; only the
   // commit record is new.
-  LogRecord commit;
-  commit.type = LogRecordType::kCommit;
-  commit.txn_id = txn;
-  const uint64_t commit_lsn = wal_->Append(std::move(commit));
+  const uint64_t commit_lsn = wal_->Append(LogRecordType::kCommit, txn, 0);
   co_await wal_->WaitDurable(commit_lsn);
   co_await ThrottleDirtyPages();
 

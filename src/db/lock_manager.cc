@@ -1,5 +1,7 @@
 #include "src/db/lock_manager.h"
 
+#include <algorithm>
+
 #include "src/sim/check.h"
 #include "src/sim/ordered.h"
 
@@ -10,15 +12,26 @@ using rlsim::Task;
 LockManager::LockManager(rlsim::Simulator& sim, rlsim::Duration timeout)
     : sim_(sim), timeout_(timeout) {}
 
+void LockManager::NoteHeld(uint64_t txn_id, uint64_t key) {
+  held_nodes_
+      .TryEmplace(held_, txn_id, [](std::vector<uint64_t>& keys) {
+        keys.clear();
+      })
+      .first->second.push_back(key);
+}
+
 Task<bool> LockManager::Acquire(uint64_t txn_id, uint64_t key) {
   RL_CHECK(txn_id != 0);
-  LockEntry& entry = table_[key];
+  LockEntry& entry =
+      table_nodes_
+          .TryEmplace(table_, key, [](LockEntry& e) { e.holder = 0; })
+          .first->second;
   if (entry.holder == txn_id) {
     co_return true;  // re-entrant
   }
   if (entry.holder == 0 && entry.waiters.empty()) {
     entry.holder = txn_id;
-    held_[txn_id].insert(key);
+    NoteHeld(txn_id, key);
     stats_.acquisitions.Add();
     co_return true;
   }
@@ -37,9 +50,9 @@ Task<bool> LockManager::Acquire(uint64_t txn_id, uint64_t key) {
   if (!ok) {
     // Timed out: remove ourselves from the queue if still there.
     LockEntry& e = table_[key];
-    for (auto it = e.waiters.begin(); it != e.waiters.end(); ++it) {
-      if (it->granted == granted) {
-        e.waiters.erase(it);
+    for (size_t i = 0; i < e.waiters.size(); ++i) {
+      if (e.waiters[i].granted == granted) {
+        e.waiters.erase(i);
         break;
       }
     }
@@ -63,13 +76,13 @@ void LockManager::Release(uint64_t txn_id, uint64_t key) {
       continue;  // timed out while queued
     }
     entry.holder = w.txn_id;
-    held_[w.txn_id].insert(key);
+    NoteHeld(w.txn_id, key);
     stats_.acquisitions.Add();
     w.granted->Complete(true);
     return;
   }
   if (entry.waiters.empty() && entry.holder == 0) {
-    table_.erase(it);
+    table_nodes_.Erase(table_, it);
   }
 }
 
@@ -81,18 +94,23 @@ void LockManager::ReleaseAll(uint64_t txn_id) {
   // Release in ascending key order: Release() hands each lock to the next
   // waiter, so hash-iteration order here would decide which blocked
   // transactions wake first — an ordering leak into the event stream.
-  const std::vector<uint64_t> keys = rlsim::SortedKeys(it->second);
-  held_.erase(it);
+  // (References into held_ survive the inserts Release() makes; iterators
+  // do not, hence the second lookup.)
+  std::vector<uint64_t>& keys = it->second;
+  std::sort(keys.begin(), keys.end());
   for (uint64_t key : keys) {
     Release(txn_id, key);
   }
+  held_nodes_.Erase(held_, held_.find(txn_id));
 }
 
 void LockManager::Shutdown() {
   // Sorted snapshot: completing a waiter schedules its wakeup, so the
   // completion order must not follow hash-table iteration order.
   for (const uint64_t key : rlsim::SortedKeys(table_)) {
-    for (Waiter& w : table_.at(key).waiters) {
+    LockEntry& entry = table_.at(key);
+    for (size_t i = 0; i < entry.waiters.size(); ++i) {
+      Waiter& w = entry.waiters[i];
       if (!w.granted->completed()) {
         w.granted->Complete(false);
       }

@@ -4,11 +4,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
+#include "src/sim/fifo.h"
+#include "src/sim/node_pool.h"
 #include "src/sim/simulator.h"
 #include "src/sim/stats.h"
 #include "src/sim/sync.h"
@@ -42,21 +43,33 @@ class LockManager {
   const Stats& stats() const { return stats_; }
 
  private:
+  static constexpr size_t kSpareNodes = 256;
+
   struct Waiter {
     uint64_t txn_id;
     std::shared_ptr<rlsim::Completion<bool>> granted;
   };
   struct LockEntry {
     uint64_t holder = 0;  // 0 = free
-    std::deque<Waiter> waiters;
+    rlsim::Fifo<Waiter> waiters;
   };
 
+  using LockTable = std::unordered_map<uint64_t, LockEntry>;
+  // Keys each transaction holds, in acquisition order (a key appears once:
+  // a holder re-acquiring returns early).
+  using HeldTable = std::unordered_map<uint64_t, std::vector<uint64_t>>;
+
   void Release(uint64_t txn_id, uint64_t key);
+  void NoteHeld(uint64_t txn_id, uint64_t key);
 
   rlsim::Simulator& sim_;
   rlsim::Duration timeout_;
-  std::unordered_map<uint64_t, LockEntry> table_;
-  std::unordered_map<uint64_t, std::unordered_set<uint64_t>> held_;
+  LockTable table_;
+  HeldTable held_;
+  // Lock entries and held-key lists come and go with every transaction;
+  // their nodes (and queue and list capacity) are recycled.
+  rlsim::NodePool<LockTable> table_nodes_{kSpareNodes};
+  rlsim::NodePool<HeldTable> held_nodes_{kSpareNodes};
   Stats stats_;
 };
 

@@ -25,22 +25,34 @@ constexpr size_t kBlockHeaderBytes = 32;
 // Block header: [u32 magic][u64 index][u16 used][u32 crc(payload[0..used))],
 // rest of the 32 bytes reserved.
 
+// A record's wire bytes beyond its value (see wal.h).
+constexpr size_t kRecordOverheadBytes = 4 + 27 + 4;
+
+// Appends the wire encoding of one record to `out`.
+void EncodeRecordTo(LogRecordType type, uint64_t lsn, uint64_t txn_id,
+                    uint64_t key, std::span<const uint8_t> value,
+                    std::vector<uint8_t>& out) {
+  const uint16_t vlen = static_cast<uint16_t>(value.size());
+  const uint32_t payload_len = 1 + 8 + 8 + 8 + 2 + vlen;
+  const size_t at = out.size();
+  out.resize(at + 4 + payload_len + 4);
+  const std::span<uint8_t> buf = std::span<uint8_t>(out).subspan(at);
+  StoreScalar<uint32_t>(buf, 0, payload_len);
+  StoreScalar<uint8_t>(buf, 4, static_cast<uint8_t>(type));
+  StoreScalar<uint64_t>(buf, 5, lsn);
+  StoreScalar<uint64_t>(buf, 13, txn_id);
+  StoreScalar<uint64_t>(buf, 21, key);
+  StoreScalar<uint16_t>(buf, 29, vlen);
+  std::copy(value.begin(), value.end(), buf.begin() + 31);
+  const uint32_t crc = rlsim::Crc32c(buf.subspan(4, payload_len));
+  StoreScalar<uint32_t>(buf, 4 + payload_len, crc);
+}
+
 }  // namespace
 
 std::vector<uint8_t> EncodeRecord(const LogRecord& rec) {
-  const uint16_t vlen = static_cast<uint16_t>(rec.value.size());
-  const uint32_t payload_len = 1 + 8 + 8 + 8 + 2 + vlen;
-  std::vector<uint8_t> buf(4 + payload_len + 4);
-  StoreScalar<uint32_t>(buf, 0, payload_len);
-  StoreScalar<uint8_t>(buf, 4, static_cast<uint8_t>(rec.type));
-  StoreScalar<uint64_t>(buf, 5, rec.lsn);
-  StoreScalar<uint64_t>(buf, 13, rec.txn_id);
-  StoreScalar<uint64_t>(buf, 21, rec.key);
-  StoreScalar<uint16_t>(buf, 29, vlen);
-  std::copy(rec.value.begin(), rec.value.end(), buf.begin() + 31);
-  const uint32_t crc = rlsim::Crc32c(
-      std::span<const uint8_t>(buf.data() + 4, payload_len));
-  StoreScalar<uint32_t>(buf, 4 + payload_len, crc);
+  std::vector<uint8_t> buf;
+  EncodeRecordTo(rec.type, rec.lsn, rec.txn_id, rec.key, rec.value, buf);
   return buf;
 }
 
@@ -99,24 +111,30 @@ size_t LogWriter::PayloadCapacity() const {
 }
 
 void LogWriter::SealTail() {
-  sealed_.push_back(SealedBlock{tail_index_, std::move(tail_payload_)});
+  sealed_.push_back(
+      SealedBlock{tail_index_, std::move(tail_payload_), tail_crc_});
   tail_payload_.clear();
+  tail_payload_.reserve(PayloadCapacity());
+  tail_crc_ = 0;
   ++tail_index_;
 }
 
-uint64_t LogWriter::Append(LogRecord rec) {
-  rec.lsn = next_lsn_++;
-  const std::vector<uint8_t> wire = EncodeRecord(rec);
-  RL_CHECK_MSG(wire.size() <= PayloadCapacity(),
+uint64_t LogWriter::Append(LogRecordType type, uint64_t txn_id, uint64_t key,
+                           std::span<const uint8_t> value) {
+  const uint64_t lsn = next_lsn_++;
+  const size_t wire_bytes = kRecordOverheadBytes + value.size();
+  RL_CHECK_MSG(wire_bytes <= PayloadCapacity(),
                "log record larger than a log block");
-  if (tail_payload_.size() + wire.size() > PayloadCapacity()) {
+  if (tail_payload_.size() + wire_bytes > PayloadCapacity()) {
     SealTail();
   }
-  tail_payload_.insert(tail_payload_.end(), wire.begin(), wire.end());
-  appended_lsn_ = rec.lsn;
+  EncodeRecordTo(type, lsn, txn_id, key, value, tail_payload_);
+  tail_crc_ = rlsim::Crc32c(
+      std::span<const uint8_t>(tail_payload_).last(wire_bytes), tail_crc_);
+  appended_lsn_ = lsn;
   stats_.records_appended.Add();
   work_wake_.NotifyAll();
-  return rec.lsn;
+  return lsn;
 }
 
 Task<void> LogWriter::WaitDurable(uint64_t lsn) {
@@ -147,16 +165,24 @@ Task<void> LogWriter::Force() {
   }
 }
 
-std::vector<uint8_t> LogWriter::RenderBlock(
-    uint64_t index, std::span<const uint8_t> payload) const {
-  std::vector<uint8_t> block(profile_.log_block_bytes, 0);
-  StoreScalar<uint32_t>(block, 0, kBlockMagic);
-  StoreScalar<uint64_t>(block, 4, index);
-  StoreScalar<uint16_t>(block, 12, static_cast<uint16_t>(payload.size()));
-  StoreScalar<uint32_t>(block, 14, rlsim::Crc32c(payload));
-  std::copy(payload.begin(), payload.end(),
-            block.begin() + kBlockHeaderBytes);
-  return block;
+void LogWriter::RenderBlock(uint64_t index, std::span<const uint8_t> payload,
+                            uint32_t payload_crc, BlockImage& image) const {
+  if (image.bytes.empty() || image.index != index ||
+      image.used > payload.size()) {
+    image.bytes.assign(profile_.log_block_bytes, 0);
+    StoreScalar<uint32_t>(image.bytes, 0, kBlockMagic);
+    StoreScalar<uint64_t>(image.bytes, 4, index);
+    image.index = index;
+    image.used = 0;
+  }
+  StoreScalar<uint16_t>(image.bytes, 12,
+                        static_cast<uint16_t>(payload.size()));
+  StoreScalar<uint32_t>(image.bytes, 14, payload_crc);
+  std::copy(payload.begin() + static_cast<ptrdiff_t>(image.used),
+            payload.end(),
+            image.bytes.begin() +
+                static_cast<ptrdiff_t>(kBlockHeaderBytes + image.used));
+  image.used = payload.size();
 }
 
 void LogWriter::BeginShutdown() {
@@ -197,37 +223,43 @@ Task<void> LogWriter::FlusherLoop() {
     rlsim::SpanScope cycle_span(sim_, "wal", "flush-cycle", 0);
 
     // Snapshot what must go out: all sealed blocks plus the current tail.
-    std::vector<SealedBlock> batch;
+    batch_.clear();
     while (!sealed_.empty()) {
-      batch.push_back(std::move(sealed_.front()));
+      batch_.push_back(std::move(sealed_.front()));
       sealed_.pop_front();
     }
     const uint64_t tail_index_snapshot = tail_index_;
-    const std::vector<uint8_t> tail_snapshot = tail_payload_;
+    const bool tail_pending = !tail_payload_.empty();
+    if (tail_pending) {
+      RenderBlock(tail_index_snapshot, tail_payload_, tail_crc_, tail_image_);
+    }
 
     bool ok = true;
+    bool out_of_range = false;
+    const auto note = [&](BlockStatus st) {
+      ok = ok && st == BlockStatus::kOk;
+      out_of_range = out_of_range || st == BlockStatus::kOutOfRange;
+    };
     const uint64_t sectors_per_block =
         profile_.log_block_bytes / kSectorSize;
     // The flusher must survive the machine dying under it (device failure,
     // or a guest crash unwinding a paravirtual request): the failure halts
     // the writer instead of propagating.
     try {
-      for (const SealedBlock& sb : batch) {
-        const std::vector<uint8_t> img = RenderBlock(sb.index, sb.payload);
-        const BlockStatus st =
-            co_await device_.Write(sb.index * sectors_per_block, img, false);
-        ok = ok && st == BlockStatus::kOk;
+      for (const SealedBlock& sb : batch_) {
+        RenderBlock(sb.index, sb.payload, sb.crc, block_image_);
+        note(co_await device_.Write(sb.index * sectors_per_block,
+                                    block_image_.bytes, false));
         stats_.blocks_written.Add();
-        stats_.bytes_written.Add(static_cast<int64_t>(img.size()));
+        stats_.bytes_written.Add(
+            static_cast<int64_t>(block_image_.bytes.size()));
       }
-      if (!tail_snapshot.empty()) {
-        const std::vector<uint8_t> img =
-            RenderBlock(tail_index_snapshot, tail_snapshot);
-        const BlockStatus st = co_await device_.Write(
-            tail_index_snapshot * sectors_per_block, img, false);
-        ok = ok && st == BlockStatus::kOk;
+      if (tail_pending) {
+        note(co_await device_.Write(tail_index_snapshot * sectors_per_block,
+                                    tail_image_.bytes, false));
         stats_.blocks_written.Add();
-        stats_.bytes_written.Add(static_cast<int64_t>(img.size()));
+        stats_.bytes_written.Add(
+            static_cast<int64_t>(tail_image_.bytes.size()));
       }
       if (ok) {
         const BlockStatus st = co_await device_.Flush();
@@ -236,6 +268,14 @@ Task<void> LogWriter::FlusherLoop() {
     } catch (...) {
       ok = false;
     }
+    // Running off the end of the log area is a sizing error, not a device
+    // failure: halting would read as a power cut the engine can recover
+    // from, and the next incarnation would run off the same end.
+    RL_CHECK_MSG(!out_of_range,
+                 "log area full: the log reached block "
+                     << tail_index_snapshot << " (" << profile_.log_block_bytes
+                     << " B each) of a " << device_.geometry().sector_count
+                     << "-sector log device");
     if (ok) {
       durable_lsn_ = flush_upto;
       stats_.flush_cycles.Add();

@@ -77,8 +77,14 @@ class LogWriter {
   // Continues an existing log (after recovery): next block index and LSN.
   void ResumeAt(uint64_t next_block, uint64_t next_lsn);
 
-  // Assigns the record's LSN, buffers it, and returns the LSN.
-  uint64_t Append(LogRecord rec);
+  // Assigns the next LSN to a record of `type`, buffers it, and returns the
+  // LSN. `value` is the row image of a kUpdate and empty otherwise.
+  uint64_t Append(LogRecordType type, uint64_t txn_id, uint64_t key,
+                  std::span<const uint8_t> value = {});
+  // The same for a LogRecord; its `lsn` field is ignored.
+  uint64_t Append(const LogRecord& rec) {
+    return Append(rec.type, rec.txn_id, rec.key, rec.value);
+  }
 
   // Blocks until everything up to and including `lsn` is on stable storage
   // (in kAsyncUnsafe mode this returns immediately — that is the unsafety).
@@ -114,8 +120,18 @@ class LogWriter {
   rlsim::Task<void> FlusherLoop();
   size_t PayloadCapacity() const;
   void SealTail();
-  std::vector<uint8_t> RenderBlock(uint64_t index,
-                                   std::span<const uint8_t> payload) const;
+  // The on-disk image of one block, and which version of it: a block's
+  // payload only grows until it is sealed, so re-rendering the same block
+  // copies just the bytes appended since.
+  struct BlockImage {
+    std::vector<uint8_t> bytes;
+    uint64_t index = 0;
+    size_t used = 0;  // payload bytes rendered
+  };
+  // Renders block `index` into `image`; `payload_crc` is the CRC-32C of
+  // `payload`.
+  void RenderBlock(uint64_t index, std::span<const uint8_t> payload,
+                   uint32_t payload_crc, BlockImage& image) const;
 
   rlsim::Simulator& sim_;
   rlstor::BlockDevice& device_;
@@ -129,10 +145,18 @@ class LogWriter {
   struct SealedBlock {
     uint64_t index;
     std::vector<uint8_t> payload;
+    uint32_t crc;  // of payload
   };
   std::deque<SealedBlock> sealed_;
   uint64_t tail_index_ = 0;
   std::vector<uint8_t> tail_payload_;
+  uint32_t tail_crc_ = 0;  // of tail_payload_, kept as records are appended
+  // The flusher's working set, reused across cycles: the sealed blocks it
+  // took, the tail image rendered at the snapshot, and the image of the
+  // sealed block being written.
+  std::vector<SealedBlock> batch_;
+  BlockImage tail_image_;
+  BlockImage block_image_;
   bool tail_written_since_change_ = false;
 
   bool flush_in_progress_ = false;

@@ -45,7 +45,7 @@ Task<BlockStatus> RapiLogDevice::Write(uint64_t lba,
                                        std::span<const uint8_t> data,
                                        bool fua) {
   (void)fua;  // buffered data already carries the durability contract
-  if (data.empty() || data.size() % kSectorSize != 0) {
+  if (!rlstor::RangeOk(log_disk_.geometry(), lba, data.size())) {
     co_return BlockStatus::kOutOfRange;
   }
   if (!powered_) {
@@ -121,7 +121,7 @@ Task<BlockStatus> RapiLogDevice::Flush() {
 }
 
 Task<BlockStatus> RapiLogDevice::Read(uint64_t lba, std::span<uint8_t> out) {
-  if (out.empty() || out.size() % kSectorSize != 0) {
+  if (!rlstor::RangeOk(log_disk_.geometry(), lba, out.size())) {
     co_return BlockStatus::kOutOfRange;
   }
   if (!powered_) {

@@ -34,10 +34,8 @@ rlsim::Task<void> DecisionLog::LogCommit(uint64_t global_id) {
   if (halted()) {
     throw rldb::EngineHalted();
   }
-  rldb::LogRecord rec;
-  rec.type = rldb::LogRecordType::kCommit;
-  rec.txn_id = global_id;
-  const uint64_t lsn = writer_->Append(std::move(rec));
+  const uint64_t lsn =
+      writer_->Append(rldb::LogRecordType::kCommit, global_id, 0);
   co_await writer_->WaitDurable(lsn);  // throws EngineHalted on device death
   committed_.insert(global_id);
   stats_.decisions_logged.Add();

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/sim/check.h"
+#include "src/sim/fifo.h"
 #include "src/sim/simulator.h"
 #include "src/sim/task.h"
 
@@ -31,13 +32,14 @@ class WaitQueue {
     struct Awaiter {
       WaitQueue& queue;
       bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        queue.waiters_.push_back(h);
-      }
+      void await_suspend(std::coroutine_handle<> h) { queue.Park(h); }
       void await_resume() const noexcept {}
     };
     return Awaiter{*this};
   }
+
+  // Queues a suspended coroutine, for awaiters built on this queue.
+  void Park(std::coroutine_handle<> h) { waiters_.push_back(h); }
 
   void NotifyOne() {
     if (waiters_.empty()) {
@@ -58,7 +60,7 @@ class WaitQueue {
 
  private:
   Simulator& sim_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  Fifo<std::coroutine_handle<>> waiters_;
 };
 
 // Manual-reset broadcast event.
@@ -142,7 +144,7 @@ class Semaphore {
  private:
   Simulator& sim_;
   int64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  Fifo<std::coroutine_handle<>> waiters_;
 };
 
 // FIFO mutex with RAII guard:  auto guard = co_await mutex.Lock();
@@ -195,6 +197,22 @@ class SimMutex {
 // waiters (before or after completion) observe the value.
 template <typename T>
 class Completion {
+  // Completion is one-shot, so the only wakeup a waiter gets is the one
+  // Complete() sends: no re-check loop, and no coroutine frame.
+  template <bool kCopy>
+  struct Awaiter {
+    Completion& c;
+    bool await_ready() const noexcept { return c.completed(); }
+    void await_suspend(std::coroutine_handle<> h) { c.waiters_.Park(h); }
+    auto await_resume() const {
+      if constexpr (kCopy) {
+        return T(c.value());
+      } else {
+        return &c.value();
+      }
+    }
+  };
+
  public:
   explicit Completion(Simulator& sim) : waiters_(sim) {}
 
@@ -206,20 +224,12 @@ class Completion {
     waiters_.NotifyAll();
   }
 
-  // Awaitable; resumes once completed. Returns a const reference to the
-  // stored value (the Completion must outlive the use of the reference).
-  Task<const T*> WaitPtr() {
-    while (!value_.has_value()) {
-      co_await waiters_.Wait();
-    }
-    co_return &*value_;
-  }
+  // Awaitable; resumes once completed and yields a pointer to the stored
+  // value (the Completion must outlive the use of the pointer).
+  Awaiter<false> WaitPtr() { return {*this}; }
 
-  // Convenience: copies the value out.
-  Task<T> Wait() {
-    const T* v = co_await WaitPtr();
-    co_return *v;
-  }
+  // Convenience: yields a copy of the value.
+  Awaiter<true> Wait() { return {*this}; }
 
   const T& value() const {
     RL_CHECK(value_.has_value());

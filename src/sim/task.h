@@ -10,6 +10,8 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <utility>
 #include <variant>
@@ -21,10 +23,41 @@ namespace rlsim {
 template <typename T>
 class Task;
 
+// Coroutine frame recycling. A simulation allocates and frees a frame for
+// every awaited call, so frames come from per-thread free lists, one per
+// 64-byte size class, instead of malloc. Each list parks at most
+// kMaxParkedPerClass frames (so at most 256 KiB for the largest class); a
+// frame beyond that, or larger than kMaxPooledBytes, goes back to the heap.
+// The lists are returned to the heap when their thread exits. Under
+// AddressSanitizer a parked frame is poisoned, so a use after free still
+// faults.
+namespace frame_pool {
+
+inline constexpr size_t kClassBytes = 64;
+inline constexpr size_t kMaxPooledBytes = 4096;
+inline constexpr size_t kMaxParkedPerClass = 64;
+
+void* Allocate(size_t bytes);
+void Free(void* frame, size_t bytes) noexcept;
+
+// Frames allocated on the calling thread so far, recycled or not.
+uint64_t allocations();
+// Frames of `bytes`' size class parked on the calling thread's free list.
+size_t parked(size_t bytes);
+
+}  // namespace frame_pool
+
 namespace internal {
 
 class TaskPromiseBase {
  public:
+  static void* operator new(size_t bytes) {
+    return frame_pool::Allocate(bytes);
+  }
+  static void operator delete(void* frame, size_t bytes) noexcept {
+    frame_pool::Free(frame, bytes);
+  }
+
   struct FinalAwaiter {
     bool await_ready() const noexcept { return false; }
 

@@ -29,6 +29,15 @@ struct Geometry {
   uint64_t capacity_bytes() const { return sector_count * sector_size; }
 };
 
+// Whether a request of `bytes` at `lba` is a positive whole number of
+// sectors lying entirely on a device of geometry `g`.
+inline bool RangeOk(const Geometry& g, uint64_t lba, uint64_t bytes) {
+  if (bytes == 0 || bytes % kSectorSize != 0) {
+    return false;
+  }
+  return lba < g.sector_count && bytes / kSectorSize <= g.sector_count - lba;
+}
+
 // How durable is a completed, acknowledged write?
 enum class WriteCachePolicy {
   // Writes land in the device's volatile cache and are acknowledged

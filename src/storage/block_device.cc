@@ -55,23 +55,72 @@ SimBlockDevice::SimBlockDevice(rlsim::Simulator& sim, Options options,
   }
 }
 
-bool SimBlockDevice::RangeOk(uint64_t lba, size_t bytes) const {
-  if (bytes == 0 || bytes % kSectorSize != 0) {
-    return false;
-  }
-  const uint64_t sectors = bytes / kSectorSize;
-  return lba < options_.geometry.sector_count &&
-         sectors <= options_.geometry.sector_count - lba;
+bool SimBlockDevice::DirtySet::Contains(uint64_t lba) const {
+  const auto it = extents_.find(lba / kExtentSectors);
+  return it != extents_.end() &&
+         (it->second.mask >> (lba % kExtentSectors) & 1u) != 0;
 }
 
-void SimBlockDevice::MarkDirty(uint64_t lba) {
-  if (dirty_set_.try_emplace(lba, next_dirty_seq_).second) {
-    dirty_fifo_.emplace_back(lba, next_dirty_seq_++);
+bool SimBlockDevice::DirtySet::Live(uint64_t lba, uint64_t seq) const {
+  const auto it = extents_.find(lba / kExtentSectors);
+  return it != extents_.end() &&
+         (it->second.mask >> (lba % kExtentSectors) & 1u) != 0 &&
+         it->second.seq[lba % kExtentSectors] == seq;
+}
+
+void SimBlockDevice::DirtySet::Mark(
+    uint64_t lba, uint32_t sectors, uint64_t& next_seq,
+    std::deque<std::pair<uint64_t, uint64_t>>& fifo) {
+  const uint64_t end = lba + sectors;
+  for (uint64_t s = lba; s < end;) {
+    const uint64_t index = s / kExtentSectors;
+    Extent& e = nodes_.TryEmplace(extents_, index, [](Extent& spare) {
+                        spare.mask = 0;
+                      }).first->second;
+    for (; s < std::min(end, (index + 1) * kExtentSectors); ++s) {
+      const uint16_t bit = static_cast<uint16_t>(1u << (s % kExtentSectors));
+      if ((e.mask & bit) == 0) {
+        e.mask |= bit;
+        e.seq[s % kExtentSectors] = next_seq;
+        fifo.emplace_back(s, next_seq++);
+        ++count_;
+      }
+    }
   }
+}
+
+uint32_t SimBlockDevice::DirtySet::TakeRun(uint64_t lba, uint32_t max) {
+  uint32_t run = 0;
+  while (run < max) {
+    const auto it = extents_.find((lba + run) / kExtentSectors);
+    if (it == extents_.end()) {
+      break;
+    }
+    Extent& e = it->second;
+    const uint32_t before = run;
+    for (uint64_t i = (lba + run) % kExtentSectors;
+         i < kExtentSectors && run < max && (e.mask >> i & 1u) != 0; ++i) {
+      e.mask &= static_cast<uint16_t>(~(1u << i));
+      ++run;
+    }
+    count_ -= run - before;
+    if (e.mask == 0) {
+      nodes_.Erase(extents_, it);
+    }
+    if (run == before || (lba + run) % kExtentSectors != 0) {
+      break;  // the run ended inside this extent
+    }
+  }
+  return run;
+}
+
+void SimBlockDevice::DirtySet::Clear() {
+  extents_.clear();
+  count_ = 0;
 }
 
 Task<BlockStatus> SimBlockDevice::Read(uint64_t lba, std::span<uint8_t> out) {
-  if (!RangeOk(lba, out.size())) {
+  if (!RangeOk(options_.geometry, lba, out.size())) {
     stats_.failed_requests.Add();
     co_return BlockStatus::kOutOfRange;
   }
@@ -86,7 +135,7 @@ Task<BlockStatus> SimBlockDevice::Read(uint64_t lba, std::span<uint8_t> out) {
 
   bool all_cached = options_.cache_policy != WriteCachePolicy::kWriteThrough;
   for (uint32_t i = 0; i < sectors && all_cached; ++i) {
-    all_cached = dirty_set_.contains(lba + i);
+    all_cached = dirty_.Contains(lba + i);
   }
 
   if (all_cached) {
@@ -107,10 +156,7 @@ Task<BlockStatus> SimBlockDevice::Read(uint64_t lba, std::span<uint8_t> out) {
     stats_.failed_requests.Add();
     co_return BlockStatus::kDeviceOff;
   }
-  for (uint32_t i = 0; i < sectors; ++i) {
-    image_.Read(lba + i, out.subspan(static_cast<size_t>(i) * kSectorSize,
-                                     kSectorSize));
-  }
+  image_.Read(lba, out);
   stats_.reads.Add();
   stats_.read_latency.RecordDuration(sim_.now() - start);
   co_return BlockStatus::kOk;
@@ -119,7 +165,7 @@ Task<BlockStatus> SimBlockDevice::Read(uint64_t lba, std::span<uint8_t> out) {
 Task<BlockStatus> SimBlockDevice::Write(uint64_t lba,
                                         std::span<const uint8_t> data,
                                         bool fua) {
-  if (!RangeOk(lba, data.size())) {
+  if (!RangeOk(options_.geometry, lba, data.size())) {
     stats_.failed_requests.Add();
     co_return BlockStatus::kOutOfRange;
   }
@@ -138,10 +184,8 @@ Task<BlockStatus> SimBlockDevice::Write(uint64_t lba,
     // Like a power cut mid-request: a sector prefix lands durably (sector
     // writes are atomic, so a single-sector request applies nothing).
     const uint32_t applied = sectors / 2;
-    for (uint32_t i = 0; i < applied; ++i) {
-      image_.WriteDurable(
-          lba + i,
-          data.subspan(static_cast<size_t>(i) * kSectorSize, kSectorSize));
+    if (applied > 0) {
+      image_.WriteDurable(lba, data.first(applied * kSectorSize));
     }
     stats_.failed_requests.Add();
     if (sim_.tracer() != nullptr) {
@@ -186,11 +230,7 @@ Task<BlockStatus> SimBlockDevice::WriteThroughPath(
     // Power was cut mid-write; PowerLoss() applied a sector prefix.
     co_return BlockStatus::kTornWrite;
   }
-  for (uint32_t i = 0; i < sectors; ++i) {
-    image_.WriteDurable(
-        lba + i,
-        data.subspan(static_cast<size_t>(i) * kSectorSize, kSectorSize));
-  }
+  image_.WriteDurable(lba, data);
   if (sim_.tracer() != nullptr) {
     sim_.EmitTrace(options_.name, "medium-write", TraceCrc(lba, data));
   }
@@ -203,7 +243,7 @@ Task<BlockStatus> SimBlockDevice::CachedPath(uint64_t lba,
   const uint64_t cache_capacity_sectors =
       options_.cache_capacity_bytes / kSectorSize;
   while (powered_ &&
-         dirty_set_.size() + sectors > cache_capacity_sectors) {
+         dirty_.size() + sectors > cache_capacity_sectors) {
     co_await space_available_.Wait();
   }
   if (!powered_) {
@@ -213,19 +253,13 @@ Task<BlockStatus> SimBlockDevice::CachedPath(uint64_t lba,
   if (!powered_) {
     co_return BlockStatus::kDeviceOff;
   }
-  const bool battery =
-      options_.cache_policy == WriteCachePolicy::kBatteryBackedWriteBack;
-  for (uint32_t i = 0; i < sectors; ++i) {
-    const auto chunk =
-        data.subspan(static_cast<size_t>(i) * kSectorSize, kSectorSize);
-    if (battery) {
-      // Battery preserves the cache across power loss: durable on ack.
-      image_.WriteDurable(lba + i, chunk);
-    } else {
-      image_.WriteCached(lba + i, chunk);
-    }
-    MarkDirty(lba + i);
+  if (options_.cache_policy == WriteCachePolicy::kBatteryBackedWriteBack) {
+    // Battery preserves the cache across power loss: durable on ack.
+    image_.WriteDurable(lba, data);
+  } else {
+    image_.WriteCached(lba, data);
   }
+  dirty_.Mark(lba, sectors, next_dirty_seq_, dirty_fifo_);
   destage_wake_.NotifyAll();
   co_return BlockStatus::kOk;
 }
@@ -238,7 +272,7 @@ Task<BlockStatus> SimBlockDevice::Flush() {
   const TimePoint start = sim_.now();
   rlsim::SpanScope span(sim_, options_.name, "io-flush", 0);
   if (options_.cache_policy == WriteCachePolicy::kWriteBack) {
-    while (powered_ && (!dirty_set_.empty() || destage_active_)) {
+    while (powered_ && (!dirty_.empty() || destage_active_)) {
       co_await flush_done_.Wait();
     }
     if (!powered_) {
@@ -256,27 +290,20 @@ Task<BlockStatus> SimBlockDevice::Flush() {
 
 Task<void> SimBlockDevice::DestageLoop() {
   while (true) {
-    if (!powered_ || emergency_mode_ || dirty_set_.empty()) {
+    if (!powered_ || emergency_mode_ || dirty_.empty()) {
       co_await destage_wake_.Wait();
       continue;
     }
     // Gather a contiguous run starting at the oldest dirty sector, so
     // sequential dirtied regions destage as large medium writes. Sectors
     // a run absorbs leave stale fifo entries behind; skip those first.
-    while (true) {
-      const auto it = dirty_set_.find(dirty_fifo_.front().first);
-      if (it != dirty_set_.end() && it->second == dirty_fifo_.front().second) {
-        break;
-      }
+    while (!dirty_.Live(dirty_fifo_.front().first,
+                        dirty_fifo_.front().second)) {
       dirty_fifo_.pop_front();
     }
     const uint64_t start_lba = dirty_fifo_.front().first;
     dirty_fifo_.pop_front();
-    dirty_set_.erase(start_lba);
-    uint32_t run = 1;
-    while (run < kMaxDestageRun && dirty_set_.erase(start_lba + run) > 0) {
-      ++run;
-    }
+    const uint32_t run = dirty_.TakeRun(start_lba, kMaxDestageRun);
 
     destage_active_ = true;
     {
@@ -289,9 +316,7 @@ Task<void> SimBlockDevice::DestageLoop() {
         inflight_medium_write_.reset();
         if (powered_) {
           if (options_.cache_policy == WriteCachePolicy::kWriteBack) {
-            for (uint32_t i = 0; i < run; ++i) {
-              image_.Harden(start_lba + i);
-            }
+            image_.Harden(start_lba, run);
           }
           stats_.destaged_sectors.Add(run);
           if (sim_.tracer() != nullptr) {
@@ -321,15 +346,10 @@ void SimBlockDevice::PowerLoss() {
       options_.cache_policy != WriteCachePolicy::kBatteryBackedWriteBack) {
     const InflightWrite& w = *inflight_medium_write_;
     const uint32_t applied = w.sectors / 2;
-    for (uint32_t i = 0; i < applied; ++i) {
-      if (w.from_cache) {
-        image_.Harden(w.lba + i);
-      } else {
-        image_.WriteDurable(
-            w.lba + i,
-            w.data.subspan(static_cast<size_t>(i) * kSectorSize,
-                           kSectorSize));
-      }
+    if (applied > 0 && w.from_cache) {
+      image_.Harden(w.lba, applied);
+    } else if (applied > 0) {
+      image_.WriteDurable(w.lba, w.data.first(applied * kSectorSize));
     }
   }
   if (sim_.tracer() != nullptr) {
@@ -357,7 +377,7 @@ void SimBlockDevice::PowerRestore() {
   if (options_.cache_policy != WriteCachePolicy::kBatteryBackedWriteBack) {
     // Volatile cache contents were lost; forget the destage backlog.
     dirty_fifo_.clear();
-    dirty_set_.clear();
+    dirty_.Clear();
   }
   destage_wake_.NotifyAll();
 }

@@ -8,6 +8,7 @@
 // write torn, every later request failing with kDeviceOff.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -17,6 +18,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "src/sim/node_pool.h"
 #include "src/sim/simulator.h"
 #include "src/sim/stats.h"
 #include "src/sim/sync.h"
@@ -119,7 +121,7 @@ class SimBlockDevice : public BlockDevice {
   const Stats& stats() const { return stats_; }
   Stats& stats() { return stats_; }
   const Options& options() const { return options_; }
-  uint64_t dirty_sectors() const { return dirty_set_.size(); }
+  uint64_t dirty_sectors() const { return dirty_.size(); }
 
  private:
   rlsim::Task<void> DestageLoop();
@@ -128,8 +130,6 @@ class SimBlockDevice : public BlockDevice {
                                             bool fua);
   rlsim::Task<BlockStatus> CachedPath(uint64_t lba,
                                       std::span<const uint8_t> data);
-  bool RangeOk(uint64_t lba, size_t bytes) const;
-  void MarkDirty(uint64_t lba);
 
   rlsim::Simulator& sim_;
   Options options_;
@@ -153,13 +153,44 @@ class SimBlockDevice : public BlockDevice {
   };
   std::optional<InflightWrite> inflight_medium_write_;
 
+  // The dirty sectors (cached, not yet on the medium), each with the
+  // sequence of its live destage-fifo entry. One map entry per 8 KiB
+  // extent, so dirtying a page or taking a destage run costs one lookup per
+  // extent instead of a hash node per sector.
+  class DirtySet {
+   public:
+    size_t size() const { return count_; }
+    bool empty() const { return count_ == 0; }
+    bool Contains(uint64_t lba) const;
+    // Whether `lba` is dirty under fifo entry `seq`.
+    bool Live(uint64_t lba, uint64_t seq) const;
+    // Marks `sectors` sectors from `lba` on dirty. Each one not dirty yet
+    // takes the next sequence and is appended to `fifo`, in LBA order.
+    void Mark(uint64_t lba, uint32_t sectors, uint64_t& next_seq,
+              std::deque<std::pair<uint64_t, uint64_t>>& fifo);
+    // Cleans the run of consecutive dirty sectors from `lba` on, at most
+    // `max` long; returns its length (0 if `lba` is clean).
+    uint32_t TakeRun(uint64_t lba, uint32_t max);
+    void Clear();
+
+   private:
+    static constexpr uint64_t kExtentSectors = 16;
+    struct Extent {
+      uint16_t mask = 0;
+      std::array<uint64_t, kExtentSectors> seq{};
+    };
+    using ExtentMap = std::unordered_map<uint64_t, Extent>;
+    ExtentMap extents_;
+    rlsim::NodePool<ExtentMap> nodes_{16};  // a destage run's extents
+    size_t count_ = 0;
+  };
+
   // Destage order: (lba, sequence) in the order sectors were first dirtied.
-  // dirty_set_ maps each dirty sector to the sequence of its live fifo
-  // entry; an entry whose sequence no longer matches (its sector was
-  // destaged as part of another run, and maybe re-dirtied since) is stale
-  // and skipped when it reaches the front.
+  // An entry whose sequence no longer matches its sector's in dirty_ (the
+  // sector was destaged as part of another run, and maybe re-dirtied since)
+  // is stale and skipped when it reaches the front.
   std::deque<std::pair<uint64_t, uint64_t>> dirty_fifo_;
-  std::unordered_map<uint64_t, uint64_t> dirty_set_;
+  DirtySet dirty_;
   uint64_t next_dirty_seq_ = 0;
   bool destage_active_ = false;
   rlsim::WaitQueue destage_wake_;

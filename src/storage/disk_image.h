@@ -5,7 +5,10 @@
 // Sparse: unwritten sectors read as zeros. Sectors are held in aligned
 // 16-sector (8 KiB) extents with a presence mask, so an engine page or a run
 // of log blocks costs one allocation, not one per sector; an extent exists
-// only once one of its sectors has been written.
+// only once one of its sectors has been written. Multi-sector calls do one
+// map lookup per extent they touch. The volatile cache recycles the extents
+// that hardening empties (up to kMaxSpareCacheExtents), so a cached write
+// does not allocate and free 8 KiB each time.
 #pragma once
 
 #include <array>
@@ -14,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/sim/node_pool.h"
 #include "src/storage/block.h"
 
 namespace rlstor {
@@ -32,6 +36,10 @@ class DiskImage {
 
   uint64_t sector_count() const { return sector_count_; }
 
+  // Every call that takes a buffer covers the sectors from `sector` on, one
+  // per kSectorSize bytes of it; the buffer must be a positive whole number
+  // of sectors and the range must fit the image.
+
   // Newest contents, regardless of durability (read-your-writes: the cache
   // shadows the medium). A torn sector reads as its corrupted pattern.
   void Read(uint64_t sector, std::span<uint8_t> out) const;
@@ -42,8 +50,9 @@ class DiskImage {
   // Writes straight to the medium (durable at once).
   void WriteDurable(uint64_t sector, std::span<const uint8_t> data);
 
-  // Moves a cached sector's contents onto the medium. No-op if not cached.
-  void Harden(uint64_t sector);
+  // Moves the cached contents of `count` sectors from `sector` on onto the
+  // medium. Sectors that are not cached are left alone.
+  void Harden(uint64_t sector, uint64_t count = 1);
 
   // Hardens every cached sector.
   void HardenAll();
@@ -70,8 +79,12 @@ class DiskImage {
 
  private:
   static constexpr uint64_t kExtentSectors = 16;
+  static constexpr size_t kMaxSpareCacheExtents = 16;  // one destage run
 
   struct Extent {
+    // Leaves `bytes` uninitialised: only present sectors are ever read, so
+    // zeroing 8 KiB for every new extent would be wasted.
+    Extent() {}
     std::array<uint8_t, kExtentSectors * kSectorSize> bytes;
     uint16_t present = 0;  // bit i: sector i of the extent holds contents
     uint16_t torn = 0;     // durable layer only: present sectors a cut tore
@@ -86,16 +99,27 @@ class DiskImage {
                                               uint64_t sector);
   // The extent holding `sector` if that sector is present in `map`.
   static const Extent* Find(const ExtentMap& map, uint64_t sector);
-  // Stores `data` as the durable contents of `sector`, clearing any tear.
-  void PutDurable(uint64_t sector, std::span<const uint8_t> data);
-  // Drops `sector` from the volatile cache, if it is there.
-  void DropCached(uint64_t sector);
+  // The extent at `index` in `map`, or nullptr.
+  static const Extent* FindExtent(const ExtentMap& map, uint64_t index);
+  // Calls fn(index, first, n, done) for each extent the `count` sectors
+  // from `sector` touch: sectors [first, first + n) of extent `index`, which
+  // are sectors [done, done + n) of the range.
+  template <typename Fn>
+  static void ForEachExtent(uint64_t sector, uint64_t count, Fn&& fn);
+  // Drops the sectors of `bits` in extent `index` from the volatile cache.
+  void DropCached(uint64_t index, uint16_t bits);
 
   void CheckRange(uint64_t sector) const;
+  // Checks that `bytes` from `sector` on lie in the image; returns the
+  // number of sectors.
+  uint64_t CheckRange(uint64_t sector, size_t bytes) const;
 
   uint64_t sector_count_;
   ExtentMap durable_;
   ExtentMap cache_;
+  // Recycles the cache's extents: the write-back cache empties and refills
+  // them constantly.
+  rlsim::NodePool<ExtentMap> cache_nodes_{kMaxSpareCacheExtents};
   size_t cached_sectors_ = 0;
 };
 

@@ -21,7 +21,7 @@ class PartitionDevice : public BlockDevice {
 
   rlsim::Task<BlockStatus> Read(uint64_t lba,
                                 std::span<uint8_t> out) override {
-    if (!RangeOk(lba, out.size())) {
+    if (!RangeOk(geometry_, lba, out.size())) {
       co_return BlockStatus::kOutOfRange;
     }
     co_return co_await parent_.Read(first_lba_ + lba, out);
@@ -29,7 +29,7 @@ class PartitionDevice : public BlockDevice {
 
   rlsim::Task<BlockStatus> Write(uint64_t lba, std::span<const uint8_t> data,
                                  bool fua) override {
-    if (!RangeOk(lba, data.size())) {
+    if (!RangeOk(geometry_, lba, data.size())) {
       co_return BlockStatus::kOutOfRange;
     }
     co_return co_await parent_.Write(first_lba_ + lba, data, fua);
@@ -46,15 +46,6 @@ class PartitionDevice : public BlockDevice {
   void EnterEmergencyMode() override { parent_.EnterEmergencyMode(); }
 
  private:
-  bool RangeOk(uint64_t lba, size_t bytes) const {
-    if (bytes == 0 || bytes % kSectorSize != 0) {
-      return false;
-    }
-    const uint64_t sectors = bytes / kSectorSize;
-    return lba < geometry_.sector_count &&
-           sectors <= geometry_.sector_count - lba;
-  }
-
   BlockDevice& parent_;
   uint64_t first_lba_;
   Geometry geometry_;

@@ -4,32 +4,9 @@
 
 namespace rlvmm {
 
-using rlsim::Duration;
-using rlsim::Task;
-
 VirtualMachine::VirtualMachine(rlsim::Simulator& sim, VmParams params)
     : sim_(sim), params_(params) {
   RL_CHECK(params_.cpu_overhead >= 1.0);
-}
-
-Task<void> VirtualMachine::Compute(Duration work) {
-  if (!running_) {
-    throw GuestCrashed();
-  }
-  const uint64_t started = incarnation_;
-  co_await sim_.Sleep(work * params_.cpu_overhead);
-  CheckAlive(started);
-}
-
-Task<void> VirtualMachine::VmExit() {
-  if (!running_) {
-    throw GuestCrashed();
-  }
-  co_await sim_.Sleep(params_.vmexit_cost);
-}
-
-Task<void> VirtualMachine::InjectIrq() {
-  co_await sim_.Sleep(params_.irq_inject_cost);
 }
 
 void VirtualMachine::Crash() {
@@ -46,6 +23,12 @@ void VirtualMachine::Reset() {
   RL_CHECK_MSG(!running_, "Reset() of a running guest");
   running_ = true;
   ++incarnation_;
+}
+
+void Charge::await_resume() const {
+  if (vm != nullptr) {
+    vm->CheckAlive(started);
+  }
 }
 
 void VirtualMachine::CheckAlive(uint64_t incarnation) const {

@@ -10,13 +10,13 @@
 // by guest crashes.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "src/sim/simulator.h"
-#include "src/sim/task.h"
 
 namespace rlvmm {
 
@@ -38,19 +38,38 @@ struct VmParams {
   std::string name = "guest";
 };
 
+class VirtualMachine;
+
+// Awaitable charge of `cost` of time: one timer event, no coroutine frame.
+// With `vm` set, the awaiter throws GuestCrashed on resumption if that
+// guest crashed (or was rebooted) since incarnation `started`.
+struct Charge {
+  rlsim::Simulator& sim;
+  rlsim::Duration cost;
+  const VirtualMachine* vm = nullptr;
+  uint64_t started = 0;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) const {
+    sim.Schedule(cost, [h] { h.resume(); });
+  }
+  void await_resume() const;
+};
+
 class VirtualMachine {
  public:
   VirtualMachine(rlsim::Simulator& sim, VmParams params);
 
   // Charges `work` of guest CPU time (scaled by the overhead factor).
   // Throws GuestCrashed if the calling code's guest no longer exists.
-  rlsim::Task<void> Compute(rlsim::Duration work);
+  Charge Compute(rlsim::Duration work) {
+    return {Running().sim_, work * params_.cpu_overhead, this, incarnation_};
+  }
 
-  // Charges one VM exit/entry pair.
-  rlsim::Task<void> VmExit();
+  // Charges one VM exit/entry pair (a dead guest makes no exits).
+  Charge VmExit() { return {Running().sim_, params_.vmexit_cost}; }
 
   // Charges the completion-interrupt path.
-  rlsim::Task<void> InjectIrq();
+  Charge InjectIrq() { return {sim_, params_.irq_inject_cost}; }
 
   // Kills the guest OS (or the whole VM): all in-flight guest work unwinds
   // with GuestCrashed at its next cancellation point.
@@ -72,37 +91,13 @@ class VirtualMachine {
   const VmParams& params() const { return params_; }
 
  private:
+  VirtualMachine& Running() { return running_ ? *this : throw GuestCrashed(); }
+
   rlsim::Simulator& sim_;
   VmParams params_;
   bool running_ = true;
   uint64_t incarnation_ = 1;
   std::vector<std::function<void()>> crash_callbacks_;
-};
-
-// RAII-style helper capturing the incarnation a guest activity started in.
-class GuestContext {
- public:
-  explicit GuestContext(VirtualMachine& vm)
-      : vm_(vm), incarnation_(vm.incarnation()) {}
-
-  // Cancellation point: throws GuestCrashed if the guest died.
-  void Check() const { vm_.CheckAlive(incarnation_); }
-  bool alive() const {
-    return vm_.running() && vm_.incarnation() == incarnation_;
-  }
-
-  rlsim::Task<void> Compute(rlsim::Duration work) {
-    Check();
-    co_await vm_.Compute(work);
-    Check();
-  }
-
-  VirtualMachine& vm() { return vm_; }
-  uint64_t incarnation() const { return incarnation_; }
-
- private:
-  VirtualMachine& vm_;
-  uint64_t incarnation_;
 };
 
 }  // namespace rlvmm

@@ -1219,5 +1219,61 @@ TEST(BufferPoolTest, FrameReadingForAMissIsNotHandedOutAgain) {
   EXPECT_EQ(pool.Peek(1), nullptr);
 }
 
+// Pins and unpins a page, with plain Fetch or the way the B-tree does: the
+// frame-free hit path first, the Fetch coroutine only on a miss.
+Task<void> FetchAndUnpin(BufferPool& pool, uint64_t page,
+                         bool frame_free_hits) {
+  BufferPool::Frame* f =
+      frame_free_hits ? pool.FetchResident(page) : nullptr;
+  if (f == nullptr) {
+    f = co_await pool.Fetch(page);
+  }
+  EXPECT_EQ(f->page_id, page);
+  pool.Unpin(f, /*mark_dirty=*/false);
+}
+
+TEST(BufferPoolTest, FrameFreeHitsCountLikeFetch) {
+  // One script, run with plain Fetch and with the tree's FetchResident-
+  // first path: a miss, a hit, two fetches of one page at the same instant
+  // (a miss and a hit while its read is pending), then a miss and a hit.
+  // Both paths must count the same fetches, hits, misses and reads.
+  constexpr uint32_t kPageBytes = 4096;
+  struct Counts {
+    int64_t fetches, hits, misses, page_reads;
+    bool operator==(const Counts&) const = default;
+  };
+  const auto run = [](bool frame_free_hits) {
+    Simulator sim;
+    SimBlockDevice disk(
+        sim,
+        SimBlockDevice::Options{.geometry = {.sector_count = 1 << 16},
+                                .cache_policy = WriteCachePolicy::kWriteBack,
+                                .name = "data"},
+        rlstor::MakeDefaultSsd());
+    BufferPool pool(sim, disk, kPageBytes, 8);
+    sim.Spawn([](Simulator& s, BufferPool& p, bool ffh) -> Task<void> {
+      for (const uint64_t page : {1, 2, 3}) {
+        std::vector<uint8_t> image(kPageBytes);
+        SealPage(image, page);
+        EXPECT_TRUE(co_await p.WritePageDirect(page, image, /*fua=*/true));
+      }
+      co_await FetchAndUnpin(p, 1, ffh);  // miss
+      co_await FetchAndUnpin(p, 1, ffh);  // hit
+      s.Spawn(FetchAndUnpin(p, 2, ffh));  // miss: starts the read
+      s.Spawn(FetchAndUnpin(p, 2, ffh));  // hit once the pending read lands
+      co_await s.Sleep(Duration::Millis(10));
+      co_await FetchAndUnpin(p, 3, ffh);  // miss
+      co_await FetchAndUnpin(p, 3, ffh);  // hit
+    }(sim, pool, frame_free_hits));
+    sim.Run();
+    const BufferPool::Stats& st = pool.stats();
+    return Counts{st.fetches.value(), st.hits.value(), st.misses.value(),
+                  st.page_reads.value()};
+  };
+  const Counts fetch_only = run(false);
+  EXPECT_EQ(fetch_only, (Counts{6, 3, 3, 3}));
+  EXPECT_EQ(run(true), fetch_only);
+}
+
 }  // namespace
 }  // namespace rldb

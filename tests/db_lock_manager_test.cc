@@ -175,5 +175,49 @@ TEST(LockManagerTest, ReleaseAllFreesEverything) {
   sim.Run();
 }
 
+TEST(LockManagerTest, FifoHandoffBeyondQueueCapacityWithATimeout) {
+  // Seven waiters queue behind a long holder (more than the wait queue's
+  // initial capacity of 4); the first of them times out while queued, three
+  // more arrive while the rest are being handed the lock one by one. The
+  // grants must follow arrival order, skipping only the timed-out waiter.
+  Simulator sim;
+  LockManager lm(sim, Duration::Millis(5));
+  std::vector<int> granted;
+  bool first_waiter_got_lock = true;
+  sim.Spawn([](Simulator& s, LockManager& l) -> Task<void> {
+    EXPECT_TRUE(co_await l.Acquire(1, 9));
+    co_await s.Sleep(Duration::Millis(8));
+    l.ReleaseAll(1);
+  }(sim, lm));
+  sim.Spawn([](Simulator& s, LockManager& l, bool& got) -> Task<void> {
+    co_await s.Sleep(Duration::Micros(2));
+    got = co_await l.Acquire(2, 9);  // queued 0.002 ms, times out at 5.002
+  }(sim, lm, first_waiter_got_lock));
+  const auto waiter = [](Simulator& s, LockManager& l, int id,
+                         Duration arrive,
+                         std::vector<int>& out) -> Task<void> {
+    co_await s.Sleep(arrive);
+    if (co_await l.Acquire(static_cast<uint64_t>(id), 9)) {
+      out.push_back(id);
+      co_await s.Sleep(Duration::Micros(100));
+      l.ReleaseAll(static_cast<uint64_t>(id));
+    }
+  };
+  for (int id = 3; id <= 8; ++id) {
+    sim.Spawn(waiter(sim, lm, id, Duration::Millis(4) + Duration::Micros(id),
+                     granted));
+  }
+  for (int id = 9; id <= 11; ++id) {
+    sim.Spawn(waiter(sim, lm, id,
+                     Duration::Millis(8) + Duration::Micros(40 + id),
+                     granted));
+  }
+  sim.Run();
+  EXPECT_FALSE(first_waiter_got_lock);
+  EXPECT_EQ(granted, (std::vector<int>{3, 4, 5, 6, 7, 8, 9, 10, 11}));
+  EXPECT_EQ(lm.stats().timeouts.value(), 1);
+  EXPECT_EQ(lm.held_count(11), 0u);
+}
+
 }  // namespace
 }  // namespace rldb

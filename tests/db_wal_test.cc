@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/db/profile.h"
 #include "src/sim/simulator.h"
 #include "src/storage/block_device.h"
+#include "src/storage/partition.h"
 
 namespace rldb {
 namespace {
@@ -253,6 +257,43 @@ TEST(LogWriterTest, ResumeContinuesFromScan) {
   EXPECT_EQ(rescan.records.size(), 2u);
   EXPECT_EQ(rescan.records.back().txn_id, 2u);
   EXPECT_EQ(rescan.records.back().lsn, scan.next_lsn);
+}
+
+TEST(LogWriterTest, FullLogAreaIsANamedCheckFailure) {
+  // A log partition with room for four blocks. Running off its end is a
+  // sizing error: it must surface as a check failure naming the cause, not
+  // halt the writer as if the device had lost power.
+  Simulator sim;
+  const EngineProfile profile = PostgresLikeProfile();
+  SimBlockDevice disk(
+      sim,
+      SimBlockDevice::Options{.geometry = {.sector_count = 1 << 16},
+                              .cache_policy = WriteCachePolicy::kWriteBack,
+                              .name = "disk"},
+      rlstor::MakeDefaultSsd());
+  rlstor::PartitionDevice log_area(
+      disk, /*first_lba=*/1024,
+      /*sector_count=*/4 * profile.log_block_bytes / rlstor::kSectorSize);
+  LogWriter writer(sim, log_area, profile, DurabilityMode::kSync);
+  writer.ResumeAt(0, 1);
+  sim.Spawn([](LogWriter& w) -> Task<void> {
+    const std::vector<uint8_t> value(200, 7);
+    for (uint64_t key = 0;; ++key) {
+      co_await w.WaitDurable(
+          w.Append(LogRecordType::kUpdate, 1, key, value));
+    }
+  }(writer));
+  std::string failure;
+  try {
+    sim.Run();
+  } catch (const rlsim::CheckFailure& e) {
+    failure = e.what();
+  }
+  EXPECT_NE(failure.find("log area full"), std::string::npos) << failure;
+  EXPECT_FALSE(writer.halted());
+  // Every record of the four blocks that fit was made durable.
+  EXPECT_GT(writer.durable_lsn(), 0u);
+  EXPECT_EQ(writer.current_block_index(), 4u);
 }
 
 }  // namespace

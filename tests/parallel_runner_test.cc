@@ -12,6 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/simulator.h"
+#include "src/sim/task.h"
+
 namespace {
 
 TEST(ParallelRunnerTest, DefaultJobsIsAtLeastOne) {
@@ -78,6 +81,46 @@ TEST(ParallelRunnerTest, LowestIndexExceptionWinsAndAllJobsRun) {
       EXPECT_EQ(ran[i].load(), 1) << "index " << i << " jobs=" << jobs;
     }
   }
+}
+
+rlsim::Task<int64_t> SleepThenNow(rlsim::Simulator& sim, int64_t us) {
+  co_await sim.Sleep(rlsim::Duration::Micros(us));
+  co_return sim.now().nanos();
+}
+
+rlsim::Task<void> ChainOfChildren(rlsim::Simulator& sim, uint64_t& hash) {
+  for (int i = 0; i < 50; ++i) {
+    const int64_t us = static_cast<int64_t>(sim.rng().NextBelow(100)) + 1;
+    hash = hash * 1099511628211ull ^
+           static_cast<uint64_t>(co_await SleepThenNow(sim, us));
+  }
+}
+
+// A small simulation whose result depends on every coroutine frame it
+// allocates and recycles: 32 tasks awaiting 50 child tasks each.
+uint64_t SimulationHash(uint64_t seed) {
+  rlsim::Simulator sim(seed);
+  uint64_t hash = seed;
+  for (int t = 0; t < 32; ++t) {
+    sim.Spawn(ChainOfChildren(sim, hash));
+  }
+  sim.Run();
+  return hash ^ static_cast<uint64_t>(sim.now().nanos());
+}
+
+TEST(ParallelRunnerTest, WorkersReproduceSerialResultsWithRecycledFrames) {
+  // Jobs 0/2 and 1/3 share a seed. Each worker thread recycles coroutine
+  // frames through its own free lists and returns them to the heap when it
+  // exits (a leak there fails the sanitizer build's leak check).
+  const auto hashes = [](int jobs) {
+    return rlharness::RunJobs<uint64_t>(
+        jobs, 4, [](size_t i) { return SimulationHash(i % 2 + 1); });
+  };
+  const std::vector<uint64_t> parallel = hashes(2);
+  EXPECT_EQ(parallel[0], parallel[2]);
+  EXPECT_EQ(parallel[1], parallel[3]);
+  EXPECT_NE(parallel[0], parallel[1]);
+  EXPECT_EQ(parallel, hashes(1));
 }
 
 }  // namespace

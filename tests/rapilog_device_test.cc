@@ -290,6 +290,39 @@ TEST(RapiLogDeviceTest, MisalignedWriteRejected) {
   EXPECT_EQ(st, BlockStatus::kOutOfRange);
 }
 
+TEST(RapiLogDeviceTest, WriteBeyondTheLogDiskRejected) {
+  // A write RapiLog could never drain must not be acknowledged: it would
+  // sit in the buffer forever, and Quiesce() would never return.
+  Fixture f;
+  const uint64_t sectors = f.disk.geometry().sector_count;
+  BlockStatus past_end = BlockStatus::kOk;
+  BlockStatus straddling = BlockStatus::kOk;
+  BlockStatus last_block = BlockStatus::kDeviceOff;
+  BlockStatus read_past_end = BlockStatus::kOk;
+  bool quiesced = false;
+  f.sim.Spawn([](RapiLogDevice& d, uint64_t n, BlockStatus& a,
+                 BlockStatus& b, BlockStatus& c, BlockStatus& r,
+                 bool& q) -> Task<void> {
+    a = co_await d.Write(n, Block(4096, 1), false);
+    b = co_await d.Write(n - 4, Block(4096, 2), false);
+    c = co_await d.Write(n - 8, Block(4096, 3), false);
+    std::vector<uint8_t> out(4096);
+    r = co_await d.Read(n - 4, out);
+    co_await d.Quiesce();
+    q = true;
+  }(f.rapilog, sectors, past_end, straddling, last_block, read_past_end,
+    quiesced));
+  f.sim.RunFor(Duration::Seconds(5));
+  EXPECT_EQ(past_end, BlockStatus::kOutOfRange);
+  EXPECT_EQ(straddling, BlockStatus::kOutOfRange);
+  EXPECT_EQ(last_block, BlockStatus::kOk);
+  EXPECT_EQ(read_past_end, BlockStatus::kOutOfRange);
+  EXPECT_TRUE(quiesced);
+  EXPECT_EQ(f.rapilog.buffered_bytes(), 0u);
+  EXPECT_EQ(f.rapilog.stats().acked_writes.value(), 1);
+  EXPECT_EQ(f.disk.stats().failed_requests.value(), 0);
+}
+
 TEST(RapiLogDeviceTest, SteadyStreamDrainsOncePerThresholdCrossing) {
   // 64 KiB budget: the threshold is 32 KiB, eight 4 KiB log appends. One
   // append every 5 ms never crosses it alone, and the 1 s residency bound

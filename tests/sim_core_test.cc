@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <stdexcept>
 #include <vector>
 
@@ -221,6 +222,74 @@ TEST(SimulatorTest, RunReturnsEventCount) {
     sim.Schedule(Duration::Millis(i + 1), [] {});
   }
   EXPECT_EQ(sim.Run(), 5u);
+}
+
+// --- Coroutine frame pool -----------------------------------------------------
+
+TEST(FramePoolTest, FramesRecycleBySizeClass) {
+  namespace fp = frame_pool;
+  // 130 and 190 bytes share the 129..192-byte class; 200 is in the next.
+  void* frame = fp::Allocate(130);
+  const size_t parked = fp::parked(130);
+  fp::Free(frame, 130);
+  EXPECT_EQ(fp::parked(190), parked + 1);
+  EXPECT_EQ(fp::parked(200), fp::parked(256));
+  EXPECT_EQ(fp::Allocate(190), frame);  // same class: the parked frame
+  EXPECT_EQ(fp::parked(130), parked);
+  void* other = fp::Allocate(200);
+  EXPECT_NE(other, frame);
+  fp::Free(other, 200);
+  fp::Free(frame, 190);
+
+  // Frames above kMaxPooledBytes never park.
+  fp::Free(fp::Allocate(fp::kMaxPooledBytes + 1), fp::kMaxPooledBytes + 1);
+  EXPECT_EQ(fp::parked(fp::kMaxPooledBytes + 1), 0u);
+}
+
+TEST(FramePoolTest, EachClassParksAtMostItsCap) {
+  namespace fp = frame_pool;
+  constexpr size_t kBytes = 20 * fp::kClassBytes;
+  std::vector<void*> frames;
+  for (size_t i = 0; i < fp::kMaxParkedPerClass + 5; ++i) {
+    frames.push_back(fp::Allocate(kBytes));
+  }
+  for (void* frame : frames) {
+    fp::Free(frame, kBytes);
+  }
+  EXPECT_EQ(fp::parked(kBytes), fp::kMaxParkedPerClass);
+}
+
+// Suspends without yielding and records the suspended coroutine's frame.
+struct FrameAddress {
+  void** out;
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) const noexcept {
+    *out = h.address();
+    return false;  // resume at once
+  }
+  void await_resume() const noexcept {}
+};
+
+TEST(FramePoolTest, FinishedTaskFrameServesTheNextTask) {
+  const auto task = [](void** out) -> Task<void> {
+    co_await FrameAddress{out};
+  };
+  void* first = nullptr;
+  void* second = nullptr;
+  const uint64_t before = frame_pool::allocations();
+  {
+    Simulator sim;
+    sim.Spawn(task(&first));
+    sim.Run();
+  }
+  {
+    Simulator sim;
+    sim.Spawn(task(&second));
+    sim.Run();
+  }
+  EXPECT_EQ(frame_pool::allocations() - before, 2u);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(second, first);
 }
 
 }  // namespace

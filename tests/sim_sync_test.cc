@@ -278,5 +278,56 @@ TEST(WaitQueueTest, NotifyOneWakesSingleWaiter) {
   EXPECT_EQ(woken, 3);
 }
 
+TEST(WaitQueueTest, FifoWakeOrderAcrossWrapAndGrowth) {
+  // Waiters queue in a ring that starts at Fifo's initial capacity (4):
+  // six waiters grow it to 8, five wakeups move its head to slot 5, eight
+  // more waiters wrap it around and then grow it again. Wakeups must still
+  // come out in arrival order.
+  Simulator sim;
+  WaitQueue wq(sim);
+  std::vector<int> order;
+  const auto waiter = [](WaitQueue& q, int id,
+                         std::vector<int>& out) -> Task<void> {
+    co_await q.Wait();
+    out.push_back(id);
+  };
+  for (int id = 0; id < 6; ++id) {
+    sim.Spawn(waiter(wq, id, order));
+  }
+  for (int i = 0; i < 5; ++i) {
+    wq.NotifyOne();
+  }
+  for (int id = 6; id < 14; ++id) {
+    sim.Spawn(waiter(wq, id, order));
+  }
+  EXPECT_EQ(wq.waiter_count(), 9u);
+  sim.Schedule(Duration::Millis(1), [&] { wq.NotifyAll(); });
+  sim.Run();
+  std::vector<int> expected;
+  for (int id = 0; id < 14; ++id) {
+    expected.push_back(id);
+  }
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(wq.waiter_count(), 0u);
+}
+
+TEST(FifoTest, EraseKeepsTheOrderOfTheRest) {
+  Fifo<int> q;
+  for (int i = 0; i < 3; ++i) {
+    q.push_back(i);
+  }
+  q.pop_front();
+  for (int i = 3; i < 7; ++i) {
+    q.push_back(i);  // wraps, then grows
+  }
+  q.erase(2);  // drops 3
+  std::vector<int> rest;
+  while (!q.empty()) {
+    rest.push_back(q.front());
+    q.pop_front();
+  }
+  EXPECT_EQ(rest, (std::vector<int>{1, 2, 4, 5, 6}));
+}
+
 }  // namespace
 }  // namespace rlsim
