@@ -4,10 +4,12 @@
 // replayed bit-for-bit).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "src/faults/chaos/chaos_explorer.h"
 #include "src/faults/chaos/schedule.h"
+#include "src/obs/span_tracer.h"
 
 namespace rlchaos {
 namespace {
@@ -111,6 +113,18 @@ TEST(ChaosExplorerTest, AblationFoundShrunkAndReplayable) {
   const EpisodeOutcome again = RunEpisode(replayed);
   EXPECT_EQ(again.Hash(), f.shrunk.outcome.Hash());
   EXPECT_EQ(again.violations, f.shrunk.outcome.violations);
+
+  // Post-mortem: the last 512 trace records before the oracle fired, one
+  // line each under a header, and the same text when the caller records the
+  // episode into a tracer of their own.
+  const std::string& dump = f.shrunk.outcome.flight_dump;
+  EXPECT_EQ(dump.rfind("flight recorder: last 512 of ", 0), 0u)
+      << dump.substr(0, dump.find('\n'));
+  EXPECT_EQ(std::count(dump.begin(), dump.end(), '\n'), 1 + 512);
+  rlobs::SpanTracer tracer;
+  RunOptions traced;
+  traced.sink = &tracer;
+  EXPECT_EQ(RunEpisode(f.shrunk.minimal, traced).flight_dump, dump);
 
   // And the same schedule with the guard re-enabled is clean: the violation
   // is the ablation's, not the harness's.
