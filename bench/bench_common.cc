@@ -202,6 +202,12 @@ void Table::Print() {
   rows_.clear();
 }
 
+bool ParseUint(const char* text, uint64_t* value) {
+  char* end = nullptr;
+  *value = std::strtoull(text, &end, 10);
+  return text[0] >= '0' && text[0] <= '9' && *end == '\0';
+}
+
 bool ParseUintFlags(int argc, char** argv, std::vector<UintFlag> flags,
                     const char* usage) {
   for (int i = 1; i < argc; i += 2) {
@@ -209,13 +215,8 @@ bool ParseUintFlags(int argc, char** argv, std::vector<UintFlag> flags,
         std::find_if(flags.begin(), flags.end(), [&](const UintFlag& f) {
           return std::strcmp(f.name, argv[i]) == 0;
         });
-    bool ok = flag != flags.end() && i + 1 < argc;
-    if (ok) {
-      const char* text = argv[i + 1];
-      char* end = nullptr;
-      *flag->value = std::strtoull(text, &end, 10);
-      ok = text[0] >= '0' && text[0] <= '9' && *end == '\0';
-    }
+    const bool ok = flag != flags.end() && i + 1 < argc &&
+                    ParseUint(argv[i + 1], flag->value);
     if (!ok) {
       std::fprintf(stderr, "%s\n", usage);
       return false;

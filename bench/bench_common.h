@@ -122,6 +122,10 @@ struct UintFlag {
   uint64_t* value;
 };
 
+// Parses `text` as a whole unsigned decimal number; false (and `*value`
+// unspecified) on anything else, such as "abc", "-1" or "4x".
+bool ParseUint(const char* text, uint64_t* value);
+
 // Parses argv as `--name N` pairs for the given flags. On an unknown flag,
 // a missing value or a value that is not a whole number, prints `usage`
 // to stderr and returns false.

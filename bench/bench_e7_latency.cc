@@ -12,7 +12,8 @@
 //
 // Flags:
 //   --jobs N           run the four arms across N worker threads (output is
-//                      byte-identical at any N; each arm is its own sim)
+//                      byte-identical at any N; each arm is its own sim);
+//                      0 = all cores
 //   --stats-json FILE  machine-readable results (default BENCH_e7.json;
 //                      --json is accepted as an alias, matching bench_micro)
 //   --trace-out FILE   re-run the rapilog arm with a span tracer, write a
@@ -20,12 +21,15 @@
 //                      critical-path breakdown of the traced spans
 //   --snapshot-every MS  periodic stats snapshots embedded in the JSON
 //                      (default 500 ms of virtual time; 0 disables)
+#include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "bench/bench_common.h"
+#include "src/harness/parallel_runner.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/critical_path.h"
 #include "src/obs/span_tracer.h"
@@ -89,9 +93,13 @@ int main(int argc, char** argv) {
   std::string json_out = "BENCH_e7.json";
   std::string trace_out;
   int64_t snapshot_ms = 500;
-  for (int i = 1; i < argc; ++i) {
+  bool ok = true;
+  for (int i = 1; ok && i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
+      uint64_t n = 0;
+      ok = rlbench::ParseUint(argv[++i], &n);
+      jobs = n == 0 ? rlharness::DefaultJobs()
+                    : static_cast<int>(std::min<uint64_t>(n, INT_MAX));
     } else if ((std::strcmp(argv[i], "--stats-json") == 0 ||
                 std::strcmp(argv[i], "--json") == 0) &&
                i + 1 < argc) {
@@ -101,12 +109,15 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--snapshot-every") == 0 && i + 1 < argc) {
       snapshot_ms = std::atoll(argv[++i]);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--jobs N] [--stats-json FILE] "
-                   "[--trace-out FILE] [--snapshot-every MS]\n",
-                   argv[0]);
-      return 2;
+      ok = false;
     }
+  }
+  if (!ok) {
+    std::fprintf(stderr,
+                 "usage: %s [--jobs N] [--stats-json FILE] "
+                 "[--trace-out FILE] [--snapshot-every MS]\n",
+                 argv[0]);
+    return 2;
   }
   const rlsim::Duration snapshot_every = rlsim::Duration::Millis(snapshot_ms);
 

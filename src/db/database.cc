@@ -513,13 +513,10 @@ Task<void> Database::RedoPartitioned(
     plan[slice * streams / kRedoSlices].candidates.push_back(idx);
   }
 
-  const uint32_t workers =
-      options_.recovery.jobs == 0
-          ? streams
-          : std::min(options_.recovery.jobs, streams);
+  // One redo worker coroutine (simulated recovery core) per stream.
   size_t next_stream = 0;
   rlsim::TaskGroup group(sim_);
-  for (uint32_t w = 0; w < workers; ++w) {
+  for (uint32_t w = 0; w < streams; ++w) {
     group.Spawn(
         [](Database& db, const std::vector<LogRecord>& records,
            const std::array<uint64_t, kRedoSlices>& horizons,

@@ -52,9 +52,6 @@ struct RecoveryOptions {
   // recovered tree is byte-identical at any partition/worker count >= 2 and
   // content-identical to the sequential replay.
   uint32_t partitions = 1;
-  // Concurrent redo worker coroutines draining the streams (simulated
-  // recovery cores). 0 = one worker per stream. Affects only virtual time.
-  uint32_t jobs = 0;
   // Use the per-slice low-water LSNs persisted in the journal header to skip
   // records a checkpoint already captured. Off = every slice falls back to
   // the global replay point (strictly more records replayed; same result).

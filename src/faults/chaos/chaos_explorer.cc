@@ -15,7 +15,7 @@
 #include "src/faults/recovery_oracle.h"
 #include "src/harness/fleet_testbed.h"
 #include "src/harness/parallel_runner.h"
-#include "src/obs/flight_recorder.h"
+#include "src/obs/post_mortem.h"
 #include "src/sim/check.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
@@ -45,6 +45,9 @@ uint64_t FnvMix(uint64_t h, uint64_t v) {
   }
   return h;
 }
+
+// Trace records an episode's post-mortem shows.
+constexpr size_t kPostMortemRecords = 512;
 
 // The engine sizing every chaos testbed runs with (classic bed or fleet
 // shard): a small pool and journal so checkpoints, page evictions and
@@ -112,7 +115,7 @@ class Episode {
 
   // At most one recovery per target is in flight; the wind-down waits for
   // all of them so the final normalisation never races one.
-  // `what` names the target in traces and in the flight recorder's
+  // `what` names the target in traces and in the post-mortem's
   // "<what>-recovery-ok" events, so it holds no spaces.
   bool Recovering(int target) const { return recovering_.contains(target); }
   void SpawnRecovery(int target, std::string what, Task<void> recover);
@@ -751,13 +754,14 @@ std::string EpisodeOutcome::Summary() const {
 EpisodeOutcome RunEpisode(const EpisodeConfig& cfg, const RunOptions& run) {
   EpisodeOutcome out;
   Simulator sim(cfg.seed);
-  // Every episode flies with a recorder armed: a bounded ring of recent
-  // trace events, episode-local (so jobs>1 campaigns stay data-race-free),
-  // teed in front of any caller-supplied sink. Purely passive — the
-  // simulation is bit-identical with or without it.
-  rlobs::FlightRecorder flight(512);
-  rlobs::TeeSink tee(&flight, run.sink);
-  sim.set_tracer(&tee);
+  // Every episode flies with a tracer armed: the caller's, or an
+  // episode-local one (so jobs>1 campaigns stay data-race-free) that keeps
+  // only what the post-mortem reads. Purely passive — the simulation is
+  // bit-identical with or without it.
+  rlobs::SpanTracer local(kPostMortemRecords);
+  rlobs::SpanTracer& tracer = run.sink != nullptr ? *run.sink : local;
+  const uint64_t since = tracer.total_records();
+  sim.set_tracer(&tracer);
 
   std::unique_ptr<Episode> episode;
   if (cfg.fleet_shards > 0) {
@@ -772,12 +776,13 @@ EpisodeOutcome RunEpisode(const EpisodeConfig& cfg, const RunOptions& run) {
   out.end_time_ns = (sim.now() - TimePoint::Origin()).nanos();
   sim.set_tracer(nullptr);
   if (!out.violations.empty()) {
-    out.flight_dump = flight.Dump();
+    out.flight_dump = rlobs::DumpRecords(tracer, kPostMortemRecords, since);
     // Causal post-mortem: for each transaction the oracle convicted, dump
-    // the span trees that carried its global id — the conversation the ring
-    // still remembers for the transaction that broke the guarantee.
+    // the span trees that carried its global id — the conversation the last
+    // records still hold for the transaction that broke the guarantee.
     for (const uint64_t gid : out.violating_gids) {
-      out.causal_chain += flight.DumpCausalChain(static_cast<int64_t>(gid));
+      out.causal_chain += rlobs::DumpCausalChain(
+          tracer, static_cast<int64_t>(gid), kPostMortemRecords, since);
     }
   }
   return out;
@@ -787,9 +792,9 @@ rlharness::DivergenceReport AuditEpisodeDivergence(const EpisodeConfig& cfg,
                                                    int jobs) {
   const rlharness::DivergenceAuditor auditor;
   return auditor.RunTwice(
-      [&cfg](rlsim::TraceEventSink& sink) {
+      [&cfg](rlobs::SpanTracer& tracer) {
         RunOptions run;
-        run.sink = &sink;
+        run.sink = &tracer;
         RunEpisode(cfg, run);
       },
       jobs);

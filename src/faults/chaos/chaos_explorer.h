@@ -15,7 +15,7 @@
 
 #include "src/faults/chaos/schedule.h"
 #include "src/harness/divergence_auditor.h"
-#include "src/sim/trace.h"
+#include "src/obs/span_tracer.h"
 
 namespace rlchaos {
 
@@ -26,9 +26,10 @@ struct RunOptions {
   // timestamp to stderr — the first thing to reach for when a shrunken
   // schedule needs a human explanation. Printing never affects the episode.
   bool trace = false;
-  // Optional trace-event sink installed on the episode's simulator for the
-  // DivergenceAuditor (src/harness). Null = no recording.
-  rlsim::TraceEventSink* sink = nullptr;
+  // Optional tracer installed on the episode's simulator (a full trace, or
+  // the DivergenceAuditor's run recorder). Null = the episode records into
+  // its own tracer bounded at 512 records, for the post-mortem alone.
+  rlobs::SpanTracer* sink = nullptr;
 };
 
 // Everything observable about one episode, deterministically derived from
@@ -57,15 +58,16 @@ struct EpisodeOutcome {
   uint64_t recovery_equiv_mismatches = 0;
   int64_t end_time_ns = 0;  // virtual time consumed by the episode
   std::vector<std::string> violations;
-  // Post-mortem: the flight recorder's "last N events before death" dump,
-  // filled only when the episode ends with violations. Excluded from Hash()
-  // — it is derived observability text, not behaviour.
+  // Post-mortem: the episode's last 512 trace records ("last N events before
+  // death", src/obs/post_mortem.h), filled only when the episode ends with
+  // violations. Excluded from Hash() — it is derived observability text, not
+  // behaviour.
   std::string flight_dump;
   // Global ids of transactions the fleet atomicity oracle convicted
-  // (VerifyResult::violating_tokens), and the flight recorder's causal span
-  // chains for them: which client/coordinator/shard spans the failing
-  // transactions passed through before the ring cut off. Both are derived
-  // observability, excluded from Hash().
+  // (VerifyResult::violating_tokens), and the causal span chains for them
+  // among the same 512 records: which client/coordinator/shard spans the
+  // failing transactions passed through. Both are derived observability,
+  // excluded from Hash().
   std::vector<uint64_t> violating_gids;
   std::string causal_chain;
 

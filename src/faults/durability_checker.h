@@ -35,7 +35,7 @@ struct VerifyResult {
   uint64_t atomicity_violations = 0;  // in-flight commit applied partially
   uint64_t promoted_pending = 0;   // in-flight commits that did land
   // Transaction tokens (workload global ids) behind the atomicity
-  // violations, in ascending order — the hook the chaos flight recorder
+  // violations, in ascending order — the hook the chaos post-mortem
   // uses to dump each failing transaction's causal span chain.
   std::vector<uint64_t> violating_tokens;
 

@@ -52,7 +52,6 @@ Task<RecoveryProbe> RunProbe(rlsim::Simulator& sim,
   rldb::NativeCpu cpu(sim);
   rldb::DbOptions dbo = options.db;
   dbo.recovery.partitions = partitions;
-  dbo.recovery.jobs = 0;  // one worker per stream
 
   const rlsim::TimePoint open_start = sim.now();
   auto db =

@@ -22,52 +22,77 @@ uint64_t FnvMix(uint64_t h, uint64_t v) {
   return h;
 }
 
-uint64_t MixEvent(uint64_t h, const TraceEvent& e) {
-  h = FnvMix(h, static_cast<uint64_t>(e.at_ns));
-  h = FnvMix(h, rlsim::Crc32c(
-                    {reinterpret_cast<const uint8_t*>(e.actor.data()),
-                     e.actor.size()}));
-  h = FnvMix(h, rlsim::Crc32c(
-                    {reinterpret_cast<const uint8_t*>(e.kind.data()),
-                     e.kind.size()}));
-  h = FnvMix(h, e.payload_crc);
-  return h;
-}
+using Record = rlobs::SpanTracer::Record;
 
-}  // namespace
+// One recorded run's audited stream: its instant records in emission order,
+// with the CRC-32C of every interned actor/kind name computed once.
+struct Instants {
+  explicit Instants(const rlobs::SpanTracer& run) : tracer(run) {
+    for (size_t i = 0; i < run.name_count(); ++i) {
+      const std::string& name = run.name(static_cast<uint16_t>(i));
+      name_crc.push_back(rlsim::Crc32c(
+          {reinterpret_cast<const uint8_t*>(name.data()), name.size()}));
+    }
+    for (const Record& r : run.records()) {
+      if (r.type == rlobs::SpanTracer::EventType::kInstant) {
+        events.push_back(&r);
+      }
+    }
+  }
 
-std::string TraceEvent::ToString() const {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf), "[%10lld us] %s %s crc=%08x",
-                static_cast<long long>(at_ns / 1000), actor.c_str(),
-                kind.c_str(), payload_crc);
-  return buf;
-}
+  bool Same(size_t i, const Instants& other) const {
+    const Record& a = *events[i];
+    const Record& b = *other.events[i];
+    return a.at_ns == b.at_ns && a.arg == b.arg &&
+           tracer.name(a.actor) == other.tracer.name(b.actor) &&
+           tracer.name(a.kind) == other.tracer.name(b.kind);
+  }
 
-void TraceRecorder::OnTraceEvent(rlsim::TimePoint at, std::string_view actor,
-                                 std::string_view kind,
-                                 uint32_t payload_crc) {
-  events_.push_back(TraceEvent{(at - rlsim::TimePoint::Origin()).nanos(),
-                               std::string(actor), std::string(kind),
-                               payload_crc});
-}
+  std::string Render(size_t i) const {
+    if (i >= events.size()) {
+      return "<end of stream>";
+    }
+    const Record& e = *events[i];
+    char buf[192];
+    std::snprintf(buf, sizeof(buf), "[%10lld us] %s %s crc=%08x",
+                  static_cast<long long>(e.at_ns / 1000),
+                  tracer.name(e.actor).c_str(), tracer.name(e.kind).c_str(),
+                  static_cast<uint32_t>(e.arg));
+    return buf;
+  }
 
-std::vector<EpochDigest> FoldEpochs(const std::vector<TraceEvent>& events,
-                                    int64_t epoch_ns) {
+  const rlobs::SpanTracer& tracer;
+  std::vector<uint32_t> name_crc;
+  std::vector<const Record*> events;
+};
+
+std::vector<EpochDigest> Fold(const Instants& run, int64_t epoch_ns) {
   RL_CHECK(epoch_ns > 0);
   std::vector<EpochDigest> epochs;
-  for (const TraceEvent& e : events) {
-    const int64_t idx = e.at_ns / epoch_ns;
+  for (const Record* e : run.events) {
+    const int64_t idx = e->at_ns / epoch_ns;
     if (epochs.empty() || epochs.back().epoch_index != idx) {
       // Trace events arrive in nondecreasing virtual time, so epochs close
       // in order; empty windows are simply absent.
       RL_CHECK(epochs.empty() || epochs.back().epoch_index < idx);
       epochs.push_back(EpochDigest{idx, kFnvOffset, 0});
     }
-    epochs.back().digest = MixEvent(epochs.back().digest, e);
+    uint64_t h = epochs.back().digest;
+    h = FnvMix(h, static_cast<uint64_t>(e->at_ns));
+    h = FnvMix(h, run.name_crc[e->actor]);
+    h = FnvMix(h, run.name_crc[e->kind]);
+    h = FnvMix(h, static_cast<uint32_t>(e->arg));  // the payload CRC
+    epochs.back().digest = h;
     ++epochs.back().events;
   }
   return epochs;
+}
+
+}  // namespace
+
+std::vector<EpochDigest> FoldEpochs(const rlobs::SpanTracer& run,
+                                    int64_t epoch_ns) {
+  return Fold(Instants(run), epoch_ns);
 }
 
 std::string DivergenceReport::Summary() const {
@@ -89,37 +114,39 @@ std::string DivergenceReport::Summary() const {
 }
 
 DivergenceReport DivergenceAuditor::Compare(
-    const std::vector<TraceEvent>& a, const std::vector<TraceEvent>& b) const {
+    const rlobs::SpanTracer& run_a, const rlobs::SpanTracer& run_b) const {
+  const Instants a(run_a);
+  const Instants b(run_b);
   DivergenceReport report;
-  report.events_a = a.size();
-  report.events_b = b.size();
+  report.events_a = a.events.size();
+  report.events_b = b.events.size();
   report.epoch_ns = epoch_ns_;
-  if (FoldEpochs(a, epoch_ns_) == FoldEpochs(b, epoch_ns_)) {
+  if (Fold(a, epoch_ns_) == Fold(b, epoch_ns_)) {
     // Digest equality over every epoch implies (modulo CRC collisions) the
     // streams agree; skip the per-event scan.
     return report;
   }
   report.identical = false;
-  const size_t common = std::min(a.size(), b.size());
+  const size_t common = std::min(a.events.size(), b.events.size());
   size_t i = 0;
-  while (i < common && a[i] == b[i]) {
+  while (i < common && a.Same(i, b)) {
     ++i;
   }
   report.first_diverging_event = i;
-  report.event_a = i < a.size() ? a[i].ToString() : "<end of stream>";
-  report.event_b = i < b.size() ? b[i].ToString() : "<end of stream>";
-  const int64_t at_ns =
-      i < a.size() ? a[i].at_ns : (i < b.size() ? b[i].at_ns : 0);
+  report.event_a = a.Render(i);
+  report.event_b = b.Render(i);
+  const int64_t at_ns = i < a.events.size()   ? a.events[i]->at_ns
+                        : i < b.events.size() ? b.events[i]->at_ns
+                                              : 0;
   report.first_bad_epoch = at_ns / epoch_ns_;
   return report;
 }
 
 DivergenceReport DivergenceAuditor::RunTwice(const RunFn& run,
                                              int jobs) const {
-  TraceRecorder recorders[2];
-  RunIndexedJobs(jobs, 2,
-                 [&run, &recorders](size_t i) { run(recorders[i]); });
-  return Compare(recorders[0].events(), recorders[1].events());
+  rlobs::SpanTracer tracers[2];
+  RunIndexedJobs(jobs, 2, [&run, &tracers](size_t i) { run(tracers[i]); });
+  return Compare(tracers[0], tracers[1]);
 }
 
 }  // namespace rlharness

@@ -2,9 +2,9 @@
 //
 // The static half (tools/simlint) bans the *sources* of nondeterminism; this
 // auditor checks the *property* end to end: run any Testbed/chaos scenario
-// twice from the same seed, record the trace-event stream each run emits
-// (src/sim/trace.h — virtual timestamp, actor, kind, payload CRC-32C), fold
-// each stream into per-epoch digests, and if the runs disagree, report the
+// twice from the same seed, record each run with a SpanTracer, fold its
+// instant events (src/sim/trace.h — virtual timestamp, actor, kind, payload
+// CRC-32C) into per-epoch digests, and if the runs disagree, report the
 // first diverging event. "Replay broke" becomes a pinpointed diff — which
 // component, at which virtual time, produced different bytes — instead of a
 // mystery hash mismatch at the end of a run.
@@ -13,37 +13,13 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "src/sim/trace.h"
+#include "src/obs/span_tracer.h"
 
 namespace rlharness {
 
-struct TraceEvent {
-  int64_t at_ns = 0;  // virtual time
-  std::string actor;
-  std::string kind;
-  uint32_t payload_crc = 0;
-
-  bool operator==(const TraceEvent&) const = default;
-  std::string ToString() const;
-};
-
-// Collects the trace stream of one run. Install with Simulator::set_tracer.
-class TraceRecorder : public rlsim::TraceEventSink {
- public:
-  void OnTraceEvent(rlsim::TimePoint at, std::string_view actor,
-                    std::string_view kind, uint32_t payload_crc) override;
-
-  const std::vector<TraceEvent>& events() const { return events_; }
-  void Clear() { events_.clear(); }
-
- private:
-  std::vector<TraceEvent> events_;
-};
-
-// One virtual-time window's digest: an FNV-1a chain over every event in
+// One virtual-time window's digest: an FNV-1a chain over every instant in
 // [epoch_index * epoch_ns, (epoch_index + 1) * epoch_ns).
 struct EpochDigest {
   int64_t epoch_index = 0;
@@ -53,7 +29,9 @@ struct EpochDigest {
   bool operator==(const EpochDigest&) const = default;
 };
 
-std::vector<EpochDigest> FoldEpochs(const std::vector<TraceEvent>& events,
+// Folds a recorded run's instant records; its spans are instrumentation and
+// never digested, so audits are blind to how a run is span-traced.
+std::vector<EpochDigest> FoldEpochs(const rlobs::SpanTracer& run,
                                     int64_t epoch_ns);
 
 struct DivergenceReport {
@@ -80,17 +58,18 @@ class DivergenceAuditor {
   explicit DivergenceAuditor(int64_t epoch_ns = 100'000'000)
       : epoch_ns_(epoch_ns) {}
 
-  // Runs the scenario twice with a fresh recorder each time and compares.
+  // Runs the scenario twice with a fresh tracer each time and compares.
   // The scenario must be a pure function of its own inputs (seed, config):
   // anything else IS the nondeterminism this auditor exists to catch. With
   // jobs >= 2 the two runs execute on concurrent worker threads
   // (src/harness/parallel_runner) — legitimate precisely because the
   // scenario is required to be pure; the comparison is unchanged.
-  using RunFn = std::function<void(rlsim::TraceEventSink& sink)>;
+  using RunFn = std::function<void(rlobs::SpanTracer& tracer)>;
   DivergenceReport RunTwice(const RunFn& run, int jobs = 1) const;
 
-  DivergenceReport Compare(const std::vector<TraceEvent>& a,
-                           const std::vector<TraceEvent>& b) const;
+  // Compares the instant streams of two recorded runs.
+  DivergenceReport Compare(const rlobs::SpanTracer& a,
+                           const rlobs::SpanTracer& b) const;
 
  private:
   int64_t epoch_ns_;

@@ -8,12 +8,14 @@
 
 namespace rlobs {
 
-std::vector<SpanNode> CollectSpans(const SpanTracer& tracer) {
+std::vector<SpanNode> CollectSpans(const SpanTracer& tracer, size_t last_n) {
   const std::vector<SpanTracer::Record>& records = tracer.records();
   std::vector<SpanNode> spans;
   std::map<uint64_t, size_t> open;  // span_id -> index into spans
   int64_t last_ns = 0;
-  for (const SpanTracer::Record& r : records) {
+  for (size_t i = records.size() - std::min(last_n, records.size());
+       i < records.size(); ++i) {
+    const SpanTracer::Record& r = records[i];
     last_ns = std::max(last_ns, r.at_ns);
     if (r.type == SpanTracer::EventType::kBegin) {
       open[r.span_id] = spans.size();
@@ -31,6 +33,34 @@ std::vector<SpanNode> CollectSpans(const SpanTracer& tracer) {
     spans[index].end_ns = last_ns;
   }
   return spans;
+}
+
+std::vector<size_t> ResolveRoots(const std::vector<SpanNode>& spans) {
+  std::map<uint64_t, size_t> by_id;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    by_id.emplace(spans[i].id, i);
+  }
+  std::vector<size_t> roots(spans.size(), SIZE_MAX);
+  for (size_t i = 0; i < spans.size(); ++i) {
+    // Climb until a span already resolved (a parent collected before its
+    // children resolves in one hop) or one with no collected parent. A
+    // climb longer than the span count has gone round a cycle.
+    size_t j = i;
+    for (size_t hops = 0; hops <= spans.size(); ++hops) {
+      if (roots[j] != SIZE_MAX) {
+        roots[i] = roots[j];
+        break;
+      }
+      const auto it = spans[j].parent == 0 ? by_id.end()
+                                           : by_id.find(spans[j].parent);
+      if (it == by_id.end()) {
+        roots[i] = j;
+        break;
+      }
+      j = it->second;
+    }
+  }
+  return roots;
 }
 
 namespace {
@@ -69,10 +99,7 @@ CriticalPathReport AnalyzeCriticalPaths(const std::vector<SpanNode>& spans) {
 
   // A root is any span whose parent does not resolve (0, or opened under a
   // span the tracer never saw — e.g. tracing enabled mid-run).
-  std::map<uint64_t, size_t> by_id;
-  for (size_t i = 0; i < spans.size(); ++i) {
-    by_id.emplace(spans[i].id, i);
-  }
+  const std::vector<size_t> roots = ResolveRoots(spans);
 
   struct ClassAccum {
     uint64_t roots = 0;
@@ -81,10 +108,11 @@ CriticalPathReport AnalyzeCriticalPaths(const std::vector<SpanNode>& spans) {
   };
   std::map<std::string, ClassAccum> classes;
 
-  for (const SpanNode& root : spans) {
-    if (root.parent != 0 && by_id.contains(root.parent)) {
+  for (size_t r = 0; r < spans.size(); ++r) {
+    if (roots[r] != r) {
       continue;
     }
+    const SpanNode& root = spans[r];
     ClassAccum& acc = classes[root.kind];
     ++acc.roots;
     acc.total_ns += root.end_ns - root.begin_ns;

@@ -39,10 +39,17 @@ struct SpanNode {
   std::string kind;
 };
 
-// Pairs begin/end records into SpanNodes; spans still open at the end of
-// the recording are closed at the last recorded timestamp (same convention
-// as the Chrome exporter). Instants are ignored.
-std::vector<SpanNode> CollectSpans(const SpanTracer& tracer);
+// Pairs begin/end records among the tracer's newest `last_n` records (all of
+// them by default) into SpanNodes, one per begin, in begin order; spans still
+// open at the end of the window are closed at its last timestamp (same
+// convention as the Chrome exporter). Instants are ignored.
+std::vector<SpanNode> CollectSpans(const SpanTracer& tracer,
+                                   size_t last_n = SIZE_MAX);
+
+// Index of each span's root: the topmost span reached by following parent
+// links through `spans`. A span whose parent is 0 or not among `spans` is
+// its own root. Spans on a parent cycle (malformed input) map to SIZE_MAX.
+std::vector<size_t> ResolveRoots(const std::vector<SpanNode>& spans);
 
 // Aggregated time one span kind contributed to a class's critical paths.
 struct CriticalEdge {
@@ -63,7 +70,7 @@ struct CriticalPathReport {
   std::vector<CriticalPathClass> classes;  // sorted by root_kind
 };
 
-// Roots are spans with no resolvable parent. Deterministic for a
+// Roots are spans that are their own ResolveRoots root. Deterministic for a
 // deterministic input.
 CriticalPathReport AnalyzeCriticalPaths(const std::vector<SpanNode>& spans);
 

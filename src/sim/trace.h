@@ -4,7 +4,7 @@
 // an optional sink hung off the Simulator. With no sink installed tracing is
 // a null check and costs nothing, so the instrumentation can stay on in
 // every build. The DivergenceAuditor (src/harness) runs a scenario twice
-// from the same seed and compares the two event streams to pinpoint the
+// from the same seed and compares the two instant streams to pinpoint the
 // first nondeterministic event — the dynamic cross-check behind the simlint
 // static determinism rules.
 //
@@ -14,8 +14,8 @@
 // durations (guest WAL wait -> VMM transit -> RapiLog buffer -> physical
 // medium -> ack); src/obs/span_tracer.h records them and
 // src/obs/chrome_trace.h exports them as Chrome trace-event JSON for
-// Perfetto. The span hooks default to no-ops so digest-only sinks (the
-// DivergenceAuditor's recorder) are unaffected.
+// Perfetto. The span hooks default to no-ops, so a sink that only wants
+// instants need not implement them.
 #pragma once
 
 #include <cstdint>

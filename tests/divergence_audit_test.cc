@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <unordered_set>
 #include <vector>
 
 #include "src/faults/chaos/chaos_explorer.h"
 #include "src/faults/chaos/schedule.h"
+#include "src/obs/span_tracer.h"
 #include "src/sim/crc32.h"
 #include "src/sim/simulator.h"
 #include "src/sim/task.h"
@@ -23,20 +25,32 @@ using rlharness::DivergenceAuditor;
 using rlharness::DivergenceReport;
 using rlharness::EpochDigest;
 using rlharness::FoldEpochs;
-using rlharness::TraceEvent;
-using rlharness::TraceRecorder;
+using rlobs::SpanTracer;
 using rlsim::Duration;
 using rlsim::Simulator;
 using rlsim::Task;
+using rlsim::TimePoint;
 
 // --- Compare mechanics on hand-built streams ------------------------------
 
-TraceEvent Ev(int64_t us, const char* kind, uint32_t crc) {
-  return TraceEvent{us * 1000, "test", kind, crc};
+struct Ev {
+  int64_t us;
+  const char* kind;
+  uint32_t crc;
+};
+
+// A recorded run holding exactly these instants, in order.
+SpanTracer Recorded(std::initializer_list<Ev> events) {
+  SpanTracer run;
+  for (const Ev& e : events) {
+    run.OnTraceEvent(TimePoint::Origin() + Duration::Micros(e.us), "test",
+                      e.kind, e.crc);
+  }
+  return run;
 }
 
 TEST(DivergenceCompare, IdenticalStreams) {
-  const std::vector<TraceEvent> a = {Ev(10, "x", 1), Ev(250, "y", 2)};
+  const auto a = Recorded({{10, "x", 1}, {250, "y", 2}});
   const DivergenceAuditor auditor;
   const DivergenceReport report = auditor.Compare(a, a);
   EXPECT_TRUE(report.identical);
@@ -44,10 +58,9 @@ TEST(DivergenceCompare, IdenticalStreams) {
 }
 
 TEST(DivergenceCompare, PinpointsFirstDifferingEvent) {
-  const std::vector<TraceEvent> a = {Ev(10, "x", 1), Ev(250, "y", 2),
-                                     Ev(260, "z", 3)};
-  std::vector<TraceEvent> b = a;
-  b[1].payload_crc = 99;  // same time/actor/kind, different payload
+  const auto a = Recorded({{10, "x", 1}, {250, "y", 2}, {260, "z", 3}});
+  // Same time/actor/kind as a's second event, different payload.
+  const auto b = Recorded({{10, "x", 1}, {250, "y", 99}, {260, "z", 3}});
   const DivergenceReport report = DivergenceAuditor().Compare(a, b);
   EXPECT_FALSE(report.identical);
   EXPECT_EQ(report.first_diverging_event, 1u);
@@ -58,8 +71,8 @@ TEST(DivergenceCompare, PinpointsFirstDifferingEvent) {
 }
 
 TEST(DivergenceCompare, TruncatedStreamDivergesAtEndOfShorterRun) {
-  const std::vector<TraceEvent> a = {Ev(10, "x", 1), Ev(20, "y", 2)};
-  const std::vector<TraceEvent> b = {Ev(10, "x", 1)};
+  const auto a = Recorded({{10, "x", 1}, {20, "y", 2}});
+  const auto b = Recorded({{10, "x", 1}});
   const DivergenceReport report = DivergenceAuditor().Compare(a, b);
   EXPECT_FALSE(report.identical);
   EXPECT_EQ(report.first_diverging_event, 1u);
@@ -67,8 +80,7 @@ TEST(DivergenceCompare, TruncatedStreamDivergesAtEndOfShorterRun) {
 }
 
 TEST(DivergenceCompare, FoldEpochsPartitionsByVirtualTime) {
-  const std::vector<TraceEvent> events = {
-      Ev(10, "a", 1), Ev(90'000, "b", 2), Ev(150'000, "c", 3)};
+  const auto events = Recorded({{10, "a", 1}, {90'000, "b", 2}, {150'000, "c", 3}});
   const std::vector<EpochDigest> epochs = FoldEpochs(events, 100'000'000);
   ASSERT_EQ(epochs.size(), 2u);
   EXPECT_EQ(epochs[0].epoch_index, 0);
@@ -80,27 +92,25 @@ TEST(DivergenceCompare, FoldEpochsPartitionsByVirtualTime) {
 // --- The real scenarios are reproducible ----------------------------------
 
 TEST(DivergenceAudit, SeededCampaignSameSeedSameDigests) {
-  TraceRecorder first;
-  TraceRecorder second;
+  SpanTracer first;
+  SpanTracer second;
   rltest::RunSeededCampaign(11, &first);
   rltest::RunSeededCampaign(11, &second);
+  const DivergenceReport report = DivergenceAuditor().Compare(first, second);
   // The campaign cuts power mid-write-burst: it must produce real trace
   // traffic, or this test would vacuously pass on empty streams.
-  ASSERT_GT(first.events().size(), 10u);
-  const DivergenceReport report =
-      DivergenceAuditor().Compare(first.events(), second.events());
+  ASSERT_GT(report.events_a, 10u);
   EXPECT_TRUE(report.identical) << report.Summary();
 }
 
 TEST(DivergenceAudit, DifferentSeedsActuallyDiverge) {
   // Sanity check on the instrument itself: the auditor is only trustworthy
   // if it CAN see a difference when the runs genuinely differ.
-  TraceRecorder first;
-  TraceRecorder second;
+  SpanTracer first;
+  SpanTracer second;
   rltest::RunSeededCampaign(11, &first);
   rltest::RunSeededCampaign(12, &second);
-  const DivergenceReport report =
-      DivergenceAuditor().Compare(first.events(), second.events());
+  const DivergenceReport report = DivergenceAuditor().Compare(first, second);
   EXPECT_FALSE(report.identical);
 }
 
@@ -145,9 +155,9 @@ std::vector<std::unique_ptr<uint64_t>>& KeepAlive() {
 // A tiny scenario with a planted defect: the second trace event folds
 // unordered_set-of-pointer contents (iteration order AND pointer bits are
 // run-dependent) into its payload CRC. Events one and three are clean.
-void PlantedScenario(rlsim::TraceEventSink& sink) {
+void PlantedScenario(SpanTracer& tracer) {
   Simulator sim(7);
-  sim.set_tracer(&sink);
+  sim.set_tracer(&tracer);
   sim.Spawn([](Simulator& s) -> Task<void> {
     co_await s.Sleep(Duration::Millis(1));
     s.EmitTrace("planted", "clean-step", 1234);

@@ -153,6 +153,23 @@ TEST(CriticalPathTest, CollectSpansPairsAndClosesOpenSpans) {
   EXPECT_EQ(spans[1].end_ns, Duration::Micros(4).nanos());
 }
 
+// Roots: a child listed before its parent still climbs to it, a parent the
+// input lacks makes its child a root, and a parent cycle (malformed input)
+// terminates with no root instead of looping.
+TEST(CriticalPathTest, ResolveRootsClimbsAnyOrderAndStopsOnCycles) {
+  const std::vector<SpanNode> spans = {
+      Node(4, 3, 10, 20, "child"), Node(3, 0, 0, 30, "root"),
+      Node(5, 99, 0, 5, "orphan"), Node(1, 2, 0, 1, "loop"),
+      Node(2, 1, 0, 1, "loop"),
+  };
+  EXPECT_EQ(ResolveRoots(spans),
+            (std::vector<size_t>{1, 1, 2, SIZE_MAX, SIZE_MAX}));
+  const CriticalPathReport r = AnalyzeCriticalPaths(spans);
+  ASSERT_EQ(r.classes.size(), 2u);
+  EXPECT_EQ(r.classes[0].root_kind, "orphan");
+  EXPECT_EQ(r.classes[1].root_kind, "root");
+}
+
 TEST(CriticalPathTest, FormatAndJsonAreStableShapes) {
   const std::vector<SpanNode> spans = {
       Node(1, 0, 0, 1000, "txn"),
