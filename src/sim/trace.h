@@ -14,8 +14,7 @@
 // durations (guest WAL wait -> VMM transit -> RapiLog buffer -> physical
 // medium -> ack); src/obs/span_tracer.h records them and
 // src/obs/chrome_trace.h exports them as Chrome trace-event JSON for
-// Perfetto. The span hooks default to no-ops, so a sink that only wants
-// instants need not implement them.
+// Perfetto.
 #pragma once
 
 #include <cstdint>
@@ -47,23 +46,10 @@ class TraceEventSink {
   // applies: a sink must not re-enter the simulator from these callbacks.
   virtual void OnSpanBegin(TimePoint at, std::string_view actor,
                            std::string_view kind, uint64_t span_id,
-                           uint64_t parent, int64_t arg) {
-    (void)at;
-    (void)actor;
-    (void)kind;
-    (void)span_id;
-    (void)parent;
-    (void)arg;
-  }
+                           uint64_t parent, int64_t arg) = 0;
   virtual void OnSpanEnd(TimePoint at, std::string_view actor,
                          std::string_view kind, uint64_t span_id,
-                         int64_t arg) {
-    (void)at;
-    (void)actor;
-    (void)kind;
-    (void)span_id;
-    (void)arg;
-  }
+                         int64_t arg) = 0;
 };
 
 }  // namespace rlsim
