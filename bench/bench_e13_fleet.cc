@@ -144,6 +144,11 @@ uint64_t SweepHash(const std::vector<CellResult>& results) {
   return h;
 }
 
+constexpr const char* kUsage =
+    "usage: bench_e13_fleet [--seed S] [--jobs N] [--shards N]"
+    " [--cross-ratio X] [--budget small|full] [--json FILE]"
+    " [--trace-out FILE] [--critical-path-json FILE]";
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -164,23 +169,23 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto uint_value = [&] {
+      return rlbench::UintOrExit(arg.c_str(), next(), kUsage);
+    };
     if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      seed = uint_value();
     } else if (arg == "--jobs") {
-      jobs = static_cast<int>(std::strtol(next(), nullptr, 10));
-      if (jobs <= 0) {
-        jobs = rlharness::DefaultJobs();
-      }
+      jobs = rlbench::JobsFlag(uint_value());
     } else if (arg == "--shards") {
-      pin_shards = std::strtoull(next(), nullptr, 10);
+      pin_shards = uint_value();
     } else if (arg == "--cross-ratio") {
-      pin_cross = std::strtod(next(), nullptr);
+      pin_cross = rlbench::FractionOrExit(arg.c_str(), next(), kUsage);
     } else if (arg == "--budget") {
       const std::string v = next();
       if (v == "small") {
         small = true;
       } else if (v != "full") {
-        std::fprintf(stderr, "--budget wants small|full\n");
+        std::fprintf(stderr, "--budget wants small|full\n%s\n", kUsage);
         return 2;
       }
     } else if (arg == "--json") {
@@ -190,7 +195,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--critical-path-json") {
       critical_path_json = next();
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      std::fprintf(stderr, "unknown argument: %s\n%s\n", arg.c_str(), kUsage);
       return 2;
     }
   }

@@ -98,8 +98,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       uint64_t n = 0;
       ok = rlbench::ParseUint(argv[++i], &n);
-      jobs = n == 0 ? rlharness::DefaultJobs()
-                    : static_cast<int>(std::min<uint64_t>(n, INT_MAX));
+      jobs = rlbench::JobsFlag(n);
     } else if ((std::strcmp(argv[i], "--stats-json") == 0 ||
                 std::strcmp(argv[i], "--json") == 0) &&
                i + 1 < argc) {
@@ -107,7 +106,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (std::strcmp(argv[i], "--snapshot-every") == 0 && i + 1 < argc) {
-      snapshot_ms = std::atoll(argv[++i]);
+      uint64_t ms = 0;
+      ok = rlbench::ParseUint(argv[++i], &ms) && ms <= INT64_MAX / 1000000;
+      snapshot_ms = static_cast<int64_t>(ms);
     } else {
       ok = false;
     }

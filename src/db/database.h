@@ -170,12 +170,15 @@ class Database {
   struct WriteOp {
     bool is_delete = false;
     uint64_t key = 0;
-    std::vector<uint8_t> value;
+    size_t value_at = 0;  // a put's value: Txn::values from here on
   };
   struct Txn {
     uint64_t id = 0;
     uint64_t first_lsn = 0;  // 0 until the first record is logged
     std::vector<WriteOp> ops;
+    // Every put's value, profile.value_bytes each, in op order: one buffer
+    // per transaction instead of a vector per put.
+    std::vector<uint8_t> values;
     bool committing = false;
     // 2PC: set once the prepare record is durable; the txn holds its locks
     // and pins the replay point until a decision arrives.
@@ -189,6 +192,11 @@ class Database {
   Database(rlsim::Simulator& sim, CpuContext& cpu,
            rlstor::BlockDevice& data_dev, rlstor::BlockDevice& log_dev,
            DbOptions options);
+
+  // Adds a put of `value` (profile.value_bytes long) to `t`'s write set.
+  void AddPut(Txn& t, uint64_t key, std::span<const uint8_t> value);
+  // The value `op` puts (empty for a delete).
+  std::span<const uint8_t> ValueOf(const Txn& t, const WriteOp& op) const;
 
   // One staged page: its journal entry (the whole sectors of its used
   // prefix, which is all the journal writes) and its sealed image with the

@@ -19,18 +19,15 @@
 
 namespace rlkern {
 
-// Handle a receiver uses to answer a Call. Single-use.
+// Handle a receiver uses to answer a Call. Single-use. It names the call by
+// number, not by address, so a token whose caller is gone answers nothing.
 class ReplyToken {
  public:
-  ReplyToken() = default;
-
-  bool valid() const { return completion_ != nullptr; }
+  bool valid() const { return call_ != 0; }
 
  private:
   friend class Kernel;
-  explicit ReplyToken(std::shared_ptr<rlsim::Completion<IpcMessage>> c)
-      : completion_(std::move(c)) {}
-  std::shared_ptr<rlsim::Completion<IpcMessage>> completion_;
+  uint64_t call_ = 0;  // the call's sequence number; 0 once used
 };
 
 // Result of a successful Recv: the caller's message and the token that
@@ -73,11 +70,13 @@ class Kernel {
   // Blocking receive: waits for a Call on the endpoint.
   rlsim::Task<KernelStatus> Recv(SlotAddr ep_cap, Received* out);
 
-  // Call: send and block for the receiver's Reply.
+  // Call: send and block for the receiver's Reply. The call is kept in this
+  // coroutine's frame, so it allocates nothing.
   rlsim::Task<KernelStatus> Call(SlotAddr ep_cap, IpcMessage msg,
                                  IpcMessage* reply_out);
 
-  // Answers a Call; consumes the token.
+  // Answers a Call; consumes the token. kInvalidArgument if the token was
+  // already used or its caller's frame is gone.
   KernelStatus Reply(ReplyToken& token, IpcMessage msg);
 
   // --- Introspection ---------------------------------------------------------
@@ -102,6 +101,9 @@ class Kernel {
 
   rlsim::Simulator& sim_;
   std::vector<std::unique_ptr<Object>> objects_;  // index = ObjectId - 1
+  // Calls not yet answered, in arrival order, on every endpoint.
+  std::vector<PendingCall*> calls_;
+  uint64_t calls_made_ = 0;
 };
 
 }  // namespace rlkern

@@ -63,47 +63,37 @@ Task<BlockStatus> RapiLogDevice::Write(uint64_t lba,
     fifo_.back().data.assign(data.begin(), data.end());
     fifo_.back().stamp = ++last_stamp_;
     stats_.absorbed_writes.Add();
-    co_await sim_.Sleep(options_.ack_base_cost +
-                        Duration::Nanos(static_cast<int64_t>(data.size() / 10)));
-    stats_.acked_writes.Add();
-    stats_.acked_bytes.Add(static_cast<int64_t>(data.size()));
-    stats_.ack_latency.RecordDuration(sim_.now() - start);
-    stats_.buffer_occupancy.Record(static_cast<int64_t>(buffered_bytes_));
-    co_return BlockStatus::kOk;
-  }
-
-  // Admission control: never hold more than the power budget can flush.
-  while (powered_ && !emergency_ &&
-         buffered_bytes_ + data.size() > max_buffer_bytes_) {
-    co_await space_available_.Wait();
-  }
-  if (!powered_) {
-    co_return BlockStatus::kDeviceOff;
-  }
-  if (emergency_) {
-    // Mains are gone; the guest is living on borrowed time and no new
-    // durability promises are made. The writer never gets an ack.
-    while (emergency_ && powered_) {
+  } else {
+    // Admission control: never hold more than the power budget can flush.
+    while (powered_ && !emergency_ &&
+           buffered_bytes_ + data.size() > max_buffer_bytes_) {
       co_await space_available_.Wait();
     }
-    co_return BlockStatus::kDeviceOff;
+    if (!powered_) {
+      co_return BlockStatus::kDeviceOff;
+    }
+    if (emergency_) {
+      // Mains are gone; the guest is living on borrowed time and no new
+      // durability promises are made. The writer never gets an ack.
+      while (emergency_ && powered_) {
+        co_await space_available_.Wait();
+      }
+      co_return BlockStatus::kDeviceOff;
+    }
+    Entry& entry = fifo_.emplace_back();
+    entry.lba = lba;
+    entry.stamp = ++last_stamp_;
+    entry.buffered_at = sim_.now();
+    entry.data.assign(data.begin(), data.end());
+    buffered_bytes_ += entry.data.size();
+    drain_wake_.NotifyAll();
+    if (DrainRequested()) {
+      CutLinger();
+    }
   }
-
-  Entry& entry = fifo_.emplace_back();
-  entry.lba = lba;
-  entry.stamp = ++last_stamp_;
-  entry.buffered_at = sim_.now();
-  entry.data.assign(data.begin(), data.end());
-  buffered_bytes_ += entry.data.size();
-  drain_wake_.NotifyAll();
-  if (DrainRequested()) {
-    CutLinger();
-  }
-
   co_await sim_.Sleep(options_.ack_base_cost +
                       Duration::Nanos(static_cast<int64_t>(data.size() / 10)));
   stats_.acked_writes.Add();
-  stats_.acked_bytes.Add(static_cast<int64_t>(data.size()));
   stats_.ack_latency.RecordDuration(sim_.now() - start);
   stats_.buffer_occupancy.Record(static_cast<int64_t>(buffered_bytes_));
   co_return BlockStatus::kOk;
@@ -212,13 +202,13 @@ Task<void> RapiLogDevice::DrainLoop() {
     uint64_t next_lba = run_lba;
     uint64_t run_end = 0;  // stamp of the run's last entry
     size_t run_entries = 0;
-    std::vector<uint8_t> payload;
+    staging_.clear();
     for (const Entry& e : fifo_) {
       if (run_entries == kMaxRunEntries || e.lba != next_lba ||
           e.stamp > batch_end) {
         break;
       }
-      payload.insert(payload.end(), e.data.begin(), e.data.end());
+      staging_.insert(staging_.end(), e.data.begin(), e.data.end());
       next_lba = e.lba + e.data.size() / kSectorSize;
       run_end = e.stamp;
       ++run_entries;
@@ -227,8 +217,8 @@ Task<void> RapiLogDevice::DrainLoop() {
     {
       // The hold-up-critical physical write behind the guest's back.
       rlsim::SpanScope drain_span(sim_, "rapilog", "drain-write",
-                                  static_cast<int64_t>(payload.size()));
-      st = co_await log_disk_.Write(run_lba, payload, /*fua=*/true);
+                                  static_cast<int64_t>(staging_.size()));
+      st = co_await log_disk_.Write(run_lba, staging_, /*fua=*/true);
     }
     if (!powered_) {
       continue;  // rails dropped mid-write; OnPowerDown handles the fallout

@@ -68,7 +68,6 @@ class RapiLogDevice : public rlstor::BlockDevice, public rlpow::PowerSink {
  public:
   struct Stats {
     rlsim::Counter acked_writes;
-    rlsim::Counter acked_bytes;
     rlsim::Counter absorbed_writes;  // tail-block rewrites merged in place
     rlsim::Counter drained_writes;
     rlsim::Counter drained_bytes;
@@ -161,6 +160,9 @@ class RapiLogDevice : public rlstor::BlockDevice, public rlpow::PowerSink {
   uint64_t max_buffer_bytes_;
 
   std::deque<Entry> fifo_;
+  // The drain run being written: its entries gathered into one buffer that
+  // is reused run after run. Only the drain touches it.
+  std::vector<uint8_t> staging_;
   uint64_t buffered_bytes_ = 0;
   uint64_t last_stamp_ = 0;
   int quiescers_ = 0;  // Quiesce() calls waiting for an empty buffer

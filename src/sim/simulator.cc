@@ -68,10 +68,10 @@ void Simulator::ScheduleAt(TimePoint at, std::function<void()> fn) {
   std::push_heap(heap_.begin(), heap_.end(), EventLater{});
 }
 
-void Simulator::Spawn(Task<void> task, std::string name) {
+void Simulator::Spawn(Task<void> task, std::string_view /*name*/) {
   RL_CHECK(task.valid());
-  roots_.push_back(RootTask{std::move(task), std::move(name)});
-  roots_.back().task.Start();
+  roots_.push_back(std::move(task));
+  roots_.back().Start();
 }
 
 bool Simulator::Step(TimePoint deadline) {
@@ -127,20 +127,20 @@ size_t Simulator::RunUntil(TimePoint deadline) {
 size_t Simulator::pending_tasks() const {
   return static_cast<size_t>(
       std::count_if(roots_.begin(), roots_.end(),
-                    [](const RootTask& r) { return !r.task.done(); }));
+                    [](const Task<void>& r) { return !r.done(); }));
 }
 
 void Simulator::ReapFinishedTasks() {
-  const auto done = [](const RootTask& r) { return r.task.done(); };
+  const auto done = [](const Task<void>& r) { return r.done(); };
   // Propagate the first uncaught task exception to Run(). Finished roots
   // ahead of it are reaped first; the failed root itself stays.
   const auto failed = std::find_if(
       roots_.begin(), roots_.end(),
-      [](const RootTask& r) { return r.task.failed(); });
+      [](const Task<void>& r) { return r.failed(); });
   if (failed != roots_.end()) {
     const auto kept = roots_.erase(
         std::remove_if(roots_.begin(), failed, done), failed);
-    kept->task.Rethrow();
+    kept->Rethrow();
   }
   // One pass: thousands of parked roots (timers, pushers) stay live, so a
   // per-root erase would be quadratic.

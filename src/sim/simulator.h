@@ -57,8 +57,10 @@ class Simulator {
   }
 
   // Starts a detached root task. The simulator owns its frame; if the task
-  // ends with an uncaught exception, Run() rethrows it.
-  void Spawn(Task<void> task, std::string name = "task");
+  // ends with an uncaught exception, Run() rethrows it. `name` labels the
+  // call site for its reader only: nothing stores it, so a per-request
+  // spawn builds no string.
+  void Spawn(Task<void> task, std::string_view name = "task");
 
   // Runs events until the queue is empty or Stop() is called. Returns the
   // number of events processed.
@@ -149,11 +151,6 @@ class Simulator {
     }
   };
 
-  struct RootTask {
-    Task<void> task;
-    std::string name;
-  };
-
   // Pops and runs one event. Returns false if the queue is empty, the next
   // event is beyond `deadline`, or Stop() was called.
   bool Step(TimePoint deadline);
@@ -170,7 +167,7 @@ class Simulator {
   std::vector<HeapEntry> heap_;
   std::vector<std::unique_ptr<EventNode[]>> slabs_;
   EventNode* free_list_ = nullptr;
-  std::vector<RootTask> roots_;
+  std::vector<Task<void>> roots_;
   Rng rng_;
   TraceEventSink* tracer_ = nullptr;
   uint64_t next_span_id_ = 0;

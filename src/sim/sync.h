@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <deque>
 #include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -306,9 +307,9 @@ class TaskGroup {
  public:
   explicit TaskGroup(Simulator& sim) : sim_(sim), done_(sim) {}
 
-  void Spawn(Task<void> task, std::string name = "group-task") {
+  void Spawn(Task<void> task, std::string_view name = "group-task") {
     ++outstanding_;
-    sim_.Spawn(Wrap(std::move(task)), std::move(name));
+    sim_.Spawn(Wrap(std::move(task)), name);
   }
 
   Task<void> Join() {

@@ -98,7 +98,6 @@ class VirtualBlockDevice : public rlstor::BlockDevice {
 
  private:
   rlsim::Task<rlstor::BlockStatus> Transact(rlkern::IpcMessage msg,
-                                            std::span<uint8_t> read_out,
                                             std::string_view kind,
                                             int64_t arg);
 

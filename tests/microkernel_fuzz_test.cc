@@ -30,7 +30,8 @@ rlsim::Task<void> ClientCall(Kernel& k, SlotAddr ep, uint64_t client,
     ++rejected;
     co_return;
   }
-  EXPECT_EQ(reply.words, (std::vector<uint64_t>{client, seq + 1}));
+  EXPECT_EQ(reply.words,
+            (std::array<uint64_t, kMsgRegisters>{client, seq + 1}));
   ++answered;
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/power/power.h"
@@ -454,6 +455,77 @@ TEST(RapiLogDeviceTest, EntryAbsorbedMidWriteStaysBufferedAndDrainsNext) {
   std::vector<uint8_t> sector(512);
   f.disk.image().ReadDurable(40, sector);
   EXPECT_EQ(sector, Block(512, 2));
+}
+
+// Forwards to a disk and records, at the moment each write completes, the
+// bytes the write delivered: the disk model reads its source buffer then, so
+// a buffer changed mid-write would show here.
+class DeliveryRecorder : public rlstor::BlockDevice {
+ public:
+  explicit DeliveryRecorder(rlstor::BlockDevice& disk) : disk_(disk) {}
+
+  const rlstor::Geometry& geometry() const override {
+    return disk_.geometry();
+  }
+  bool volatile_write_cache() const override {
+    return disk_.volatile_write_cache();
+  }
+  Task<BlockStatus> Read(uint64_t lba, std::span<uint8_t> out) override {
+    return disk_.Read(lba, out);
+  }
+  Task<BlockStatus> Write(uint64_t lba, std::span<const uint8_t> data,
+                          bool fua) override {
+    const BlockStatus st = co_await disk_.Write(lba, data, fua);
+    delivered.emplace_back(data.begin(), data.end());
+    co_return st;
+  }
+  Task<BlockStatus> Flush() override { return disk_.Flush(); }
+
+  std::vector<std::vector<uint8_t>> delivered;
+
+ private:
+  rlstor::BlockDevice& disk_;
+};
+
+// The drain gathers a run into a staging buffer the device reuses. A tail
+// rewrite absorbed while that run's write is in flight lands in the entry,
+// not in the bytes being written: the in-flight write delivers the version
+// it started with, and the next run the rewrite. Runs of one entry and of
+// two.
+TEST(RapiLogDeviceTest, AbsorbedRewriteLeavesTheInFlightRunIntact) {
+  for (const uint64_t entries : {1u, 2u}) {
+    SCOPED_TRACE(entries);
+    Simulator sim;
+    PowerSupply psu(sim, PsuParams{});
+    SimBlockDevice disk(sim,
+                        SimBlockDevice::Options{
+                            .geometry = {.sector_count = 1 << 18},
+                            .cache_policy = WriteCachePolicy::kWriteBack,
+                            .name = "log-disk"},
+                        rlstor::MakeDefaultHdd());
+    DeliveryRecorder recorder(disk);
+    RapiLogDevice rapilog(sim, psu, recorder, RapiLogOptions{});
+    const uint64_t tail = 40 + 8 * (entries - 1);
+    sim.Spawn([](Simulator& s, RapiLogDevice& d, uint64_t n,
+                 uint64_t tail_lba) -> Task<void> {
+      for (uint64_t i = 0; i < n; ++i) {
+        co_await d.Write(40 + 8 * i, Block(4096, 1), false);
+      }
+      s.Spawn(d.Quiesce());
+      // The drain's run is now in flight on the HDD.
+      co_await s.Sleep(Duration::Micros(100));
+      co_await d.Write(tail_lba, Block(4096, 2), false);
+      co_await d.Quiesce();
+    }(sim, rapilog, entries, tail));
+    sim.Run();
+    EXPECT_EQ(rapilog.stats().absorbed_writes.value(), 1);
+    ASSERT_EQ(recorder.delivered.size(), 2u);
+    EXPECT_EQ(recorder.delivered[0], Block(4096 * entries, 1));
+    EXPECT_EQ(recorder.delivered[1], Block(4096, 2));
+    std::vector<uint8_t> sector(512);
+    disk.image().ReadDurable(tail, sector);
+    EXPECT_EQ(sector, Block(512, 2));
+  }
 }
 
 TEST(RapiLogDeviceTest, ReportsNoVolatileWriteCache) {

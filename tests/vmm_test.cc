@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "src/microkernel/kernel.h"
@@ -269,6 +273,120 @@ TEST(VirtualBlockDeviceTest, ConcurrentRequestsAllComplete) {
   EXPECT_EQ(f.backend->requests_served(), 16u);
   EXPECT_EQ(f.kernel.queued_calls(SlotAddr{f.root, 1}), 0u);
   f.kernel.CheckInvariants();
+}
+
+// A backend target that records the buffers the backend hands it.
+class RecordingDevice : public rlstor::BlockDevice {
+ public:
+  explicit RecordingDevice(Simulator& sim) : sim_(sim) {}
+
+  const rlstor::Geometry& geometry() const override { return geometry_; }
+  bool volatile_write_cache() const override { return false; }
+
+  Task<BlockStatus> Read(uint64_t lba, std::span<uint8_t> out) override {
+    read_at = out.data();
+    read_bytes = out.size();
+    co_await sim_.Sleep(Duration::Micros(5));
+    std::fill(out.begin(), out.end(), static_cast<uint8_t>(lba));
+    co_return status;
+  }
+  Task<BlockStatus> Write(uint64_t lba, std::span<const uint8_t> data,
+                          bool fua) override {
+    (void)lba;
+    write_at = data.data();
+    write_bytes = data.size();
+    write_fua = fua;
+    co_await sim_.Sleep(Duration::Micros(5));
+    co_return status;
+  }
+  Task<BlockStatus> Flush() override { co_return status; }
+
+  BlockStatus status = BlockStatus::kOk;
+  const uint8_t* read_at = nullptr;
+  size_t read_bytes = 0;
+  const uint8_t* write_at = nullptr;
+  size_t write_bytes = 0;
+  bool write_fua = false;
+
+ private:
+  Simulator& sim_;
+  rlstor::Geometry geometry_{.sector_count = 1 << 16};
+};
+
+struct RecordingFixture {
+  RecordingFixture() : kernel(sim), vm(sim, VmParams{}), target(sim) {
+    root = kernel.BootstrapCNode(64);
+    EXPECT_EQ(kernel.BootstrapUntyped(root, 0, 1 << 20), KernelStatus::kOk);
+    EXPECT_EQ(kernel.Retype(SlotAddr{root, 0}, ObjectType::kEndpoint, 0, root,
+                            1, 1),
+              KernelStatus::kOk);
+    backend = std::make_unique<BlockBackend>(sim, kernel, ep(), target);
+    backend->Start();
+    vdisk = std::make_unique<VirtualBlockDevice>(
+        sim, vm, kernel, ep(), target.geometry(), target.volatile_write_cache());
+  }
+  SlotAddr ep() const { return SlotAddr{root, 1}; }
+
+  Simulator sim;
+  Kernel kernel;
+  VirtualMachine vm;
+  RecordingDevice target;
+  rlkern::ObjectId root = rlkern::kNullObject;
+  std::unique_ptr<BlockBackend> backend;
+  std::unique_ptr<VirtualBlockDevice> vdisk;
+};
+
+// The block payload is a frame the guest grants for the length of the call:
+// the backend's target sees the guest's own buffer on a write, and a read
+// lands straight in the guest's span. Nothing in between copies it.
+TEST(VirtualBlockDeviceTest, TargetSeesTheGuestFrame) {
+  RecordingFixture f;
+  std::vector<uint8_t> data(1024, 0x5A);
+  std::vector<uint8_t> out(2048, 0);
+  BlockStatus wst = BlockStatus::kDeviceOff;
+  BlockStatus rst = BlockStatus::kDeviceOff;
+  f.sim.Spawn([](VirtualBlockDevice& d, std::vector<uint8_t>& w,
+                 std::vector<uint8_t>& r, BlockStatus& ws,
+                 BlockStatus& rs) -> Task<void> {
+    ws = co_await d.Write(3, w, /*fua=*/true);
+    rs = co_await d.Read(9, r);
+  }(*f.vdisk, data, out, wst, rst));
+  f.sim.Run();
+  EXPECT_EQ(wst, BlockStatus::kOk);
+  EXPECT_EQ(rst, BlockStatus::kOk);
+  EXPECT_EQ(f.target.write_at, data.data());
+  EXPECT_EQ(f.target.write_bytes, data.size());
+  EXPECT_TRUE(f.target.write_fua);
+  EXPECT_EQ(f.target.read_at, out.data());
+  EXPECT_EQ(f.target.read_bytes, out.size());
+  EXPECT_EQ(out, std::vector<uint8_t>(2048, 9));
+  f.kernel.CheckInvariants();
+}
+
+// The backend answers in message register 0, and the guest's status is
+// what it finds there.
+TEST(VirtualBlockDeviceTest, StatusComesBackInRegisterZero) {
+  RecordingFixture f;
+  f.target.status = BlockStatus::kIoError;
+  std::vector<uint8_t> data(512, 1);
+  rlkern::IpcMessage reply;
+  BlockStatus guest_st = BlockStatus::kOk;
+  f.sim.Spawn([](Kernel& k, SlotAddr ep, std::span<const uint8_t> frame,
+                 rlkern::IpcMessage& out) -> Task<void> {
+    const rlkern::IpcMessage msg{
+        .label = kBlkWrite, .words = {0, 0}, .send = frame};
+    EXPECT_EQ(co_await k.Call(ep, msg, &out), KernelStatus::kOk);
+  }(f.kernel, f.ep(), data, reply));
+  f.sim.Spawn([](VirtualBlockDevice& d, std::vector<uint8_t>& w,
+                 BlockStatus& st) -> Task<void> {
+    st = co_await d.Write(8, w, false);
+  }(*f.vdisk, data, guest_st));
+  f.sim.Run();
+  EXPECT_EQ(reply.words,
+            (std::array<uint64_t, rlkern::kMsgRegisters>{
+                static_cast<uint64_t>(BlockStatus::kIoError)}));
+  EXPECT_EQ(guest_st, BlockStatus::kIoError);
+  EXPECT_EQ(f.backend->requests_served(), 2u);
 }
 
 }  // namespace
