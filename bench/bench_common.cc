@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <climits>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 
@@ -80,10 +79,13 @@ void CollectStageStats(rlharness::Testbed& bed, StageStats& out) {
   out.device_flush = bed.log_disk_physical().stats().flush_latency;
 }
 
-[[noreturn]] void MalformedFlag(const char* flag, const char* text,
-                                const char* wanted, const char* usage) {
-  std::fprintf(stderr, "%s: '%s' is not %s\n%s\n", flag, text, wanted, usage);
-  std::exit(2);
+// Parses `text` as a whole unsigned decimal number; false on anything
+// else, such as "abc", "-1", "4x" or a number past 2^64 - 1.
+bool ParseUint(const char* text, uint64_t* value) {
+  char* end = nullptr;
+  errno = 0;
+  *value = std::strtoull(text, &end, 10);
+  return text[0] >= '0' && text[0] <= '9' && *end == '\0' && errno == 0;
 }
 
 }  // namespace
@@ -210,61 +212,110 @@ void Table::Print() {
   rows_.clear();
 }
 
-bool ParseUint(const char* text, uint64_t* value) {
-  char* end = nullptr;
-  errno = 0;
-  *value = std::strtoull(text, &end, 10);
-  return text[0] >= '0' && text[0] <= '9' && *end == '\0' && errno == 0;
-}
-
-bool ParseFraction(const char* text, double* value) {
-  char* end = nullptr;
-  *value = std::strtod(text, &end);
-  return ((text[0] >= '0' && text[0] <= '9') || text[0] == '.') &&
-         *end == '\0' && *value >= 0.0 && *value <= 1.0;
-}
-
-uint64_t UintOrExit(const char* flag, const char* text, const char* usage,
-                    uint64_t max) {
-  uint64_t value = 0;
-  if (!ParseUint(text, &value)) {
-    MalformedFlag(flag, text, "a whole number", usage);
+Flag Uint(const char* name, uint64_t* value, uint64_t max) {
+  std::string wanted = "a whole number";
+  if (max != UINT64_MAX) {
+    wanted += " up to " + std::to_string(max);
   }
-  if (value > max) {
-    const std::string wanted = "at most " + std::to_string(max);
-    MalformedFlag(flag, text, wanted.c_str(), usage);
+  return {name, "N", wanted, [value, max](const char* text) {
+            uint64_t v = 0;
+            if (!ParseUint(text, &v) || v > max) {
+              return false;
+            }
+            *value = v;
+            return true;
+          }};
+}
+
+Flag Jobs(const char* name, int* value) {
+  return {name, "N", "a whole number", [value](const char* text) {
+            uint64_t n = 0;
+            if (!ParseUint(text, &n)) {
+              return false;
+            }
+            *value = n == 0 ? rlharness::DefaultJobs()
+                            : static_cast<int>(std::min<uint64_t>(n, INT_MAX));
+            return true;
+          }};
+}
+
+Flag Fraction(const char* name, double* value) {
+  return {name, "X", "a fraction in [0, 1]", [value](const char* text) {
+            char* end = nullptr;
+            const double v = std::strtod(text, &end);
+            if (!((text[0] >= '0' && text[0] <= '9') || text[0] == '.') ||
+                *end != '\0' || !(v >= 0.0 && v <= 1.0)) {
+              return false;
+            }
+            *value = v;
+            return true;
+          }};
+}
+
+Flag Choice(const char* name, std::vector<std::string> choices,
+            std::string* value) {
+  std::string metavar;
+  for (const std::string& c : choices) {
+    metavar += (metavar.empty() ? "" : "|") + c;
   }
-  return value;
+  return {name, metavar, "one of " + metavar,
+          [choices = std::move(choices), value](const char* text) {
+            if (std::find(choices.begin(), choices.end(), text) ==
+                choices.end()) {
+              return false;
+            }
+            *value = text;
+            return true;
+          }};
 }
 
-double FractionOrExit(const char* flag, const char* text, const char* usage) {
-  double value = 0.0;
-  if (!ParseFraction(text, &value)) {
-    MalformedFlag(flag, text, "a fraction in [0, 1]", usage);
+Flag Path(const char* name, std::string* value, const char* metavar) {
+  return {name, metavar, "a path", [value](const char* text) {
+            *value = text;
+            return true;
+          }};
+}
+
+Flag Switch(const char* name, bool* value) {
+  return {name, "", "", [value](const char*) {
+            *value = true;
+            return true;
+          }};
+}
+
+std::string ParseFlags(int argc, char** argv, const char* program,
+                       const std::vector<Flag>& flags) {
+  std::string usage = std::string("usage: ") + program;
+  for (const Flag& f : flags) {
+    usage += " [" + f.name + (f.metavar.empty() ? "" : " " + f.metavar) + "]";
   }
-  return value;
-}
-
-int JobsFlag(uint64_t n) {
-  return n == 0 ? rlharness::DefaultJobs()
-                : static_cast<int>(std::min<uint64_t>(n, INT_MAX));
-}
-
-bool ParseUintFlags(int argc, char** argv, std::vector<UintFlag> flags,
-                    const char* usage) {
-  for (int i = 1; i < argc; i += 2) {
-    const auto flag =
-        std::find_if(flags.begin(), flags.end(), [&](const UintFlag& f) {
-          return std::strcmp(f.name, argv[i]) == 0;
-        });
-    const bool ok = flag != flags.end() && i + 1 < argc &&
-                    ParseUint(argv[i + 1], flag->value);
-    if (!ok) {
-      std::fprintf(stderr, "%s\n", usage);
-      return false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const auto flag = std::find_if(flags.begin(), flags.end(),
+                                   [&arg](const Flag& f) {
+                                     return f.name == arg;
+                                   });
+    if (flag == flags.end()) {
+      UsageError("unknown argument: " + arg, usage);
+    }
+    if (flag->metavar.empty()) {
+      flag->set(nullptr);
+      continue;
+    }
+    if (i + 1 == argc) {
+      UsageError(arg + " needs a value", usage);
+    }
+    const char* value = argv[++i];
+    if (!flag->set(value)) {
+      UsageError(arg + ": '" + value + "' is not " + flag->wanted, usage);
     }
   }
-  return true;
+  return usage;
+}
+
+void UsageError(const std::string& message, const std::string& usage) {
+  std::fprintf(stderr, "%s\n%s\n", message.c_str(), usage.c_str());
+  std::exit(2);
 }
 
 void BenchJsonWriter::Add(const std::string& name, double value,

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -116,36 +117,43 @@ inline std::string FmtDur(rlsim::Duration d) { return rlsim::ToString(d); }
 
 // --- Command line -------------------------------------------------------------
 
-// A `--name N` flag with an unsigned integer value.
-struct UintFlag {
-  const char* name;
-  uint64_t* value;
+// One entry of a bench's flag table. `metavar` names the value in the usage
+// line; an entry without one is a switch that takes no value. `set` stores
+// the value and returns false when it is not `wanted`.
+struct Flag {
+  std::string name;
+  std::string metavar;
+  std::string wanted;
+  std::function<bool(const char* value)> set;
 };
 
-// Parses `text` as a whole unsigned decimal number; false (and `*value`
-// unspecified) on anything else, such as "abc", "-1", "4x" or a number past
-// 2^64 - 1.
-bool ParseUint(const char* text, uint64_t* value);
+// Flag kinds. Each writes through its pointer only when its flag is given,
+// so the pointee's initial value is the flag's default.
+// A whole decimal number in [0, max].
+Flag Uint(const char* name, uint64_t* value, uint64_t max = UINT64_MAX);
+// Worker threads: N, or every core for 0.
+Flag Jobs(const char* name, int* value);
+// A decimal fraction in [0, 1].
+Flag Fraction(const char* name, double* value);
+// One of `choices`, verbatim.
+Flag Choice(const char* name, std::vector<std::string> choices,
+            std::string* value);
+// Any text, such as a file or directory name.
+Flag Path(const char* name, std::string* value, const char* metavar = "FILE");
+// No value: sets `*value` to true.
+Flag Switch(const char* name, bool* value);
 
-// Parses `text` as a decimal fraction in [0, 1], such as "0.6" or "1"; false
-// on anything else, such as "abc", "0.5x", "-0.1" or "nan".
-bool ParseFraction(const char* text, double* value);
+// The only argv parser in bench/. Parses argv[1..argc) against `flags`; on
+// an unknown flag, a missing value or a value its flag rejects, it prints
+// the problem and the usage line to stderr and exits with status 2. Returns
+// the usage line, which lists `flags` in table order, for rules that span
+// several flags (see UsageError).
+std::string ParseFlags(int argc, char** argv, const char* program,
+                       const std::vector<Flag>& flags);
 
-// For hand-rolled flag loops: the value of `flag` parsed as above, or, when
-// `text` is malformed (for UintOrExit also: above `max`), a message naming
-// the flag and `usage` on stderr and exit status 2.
-uint64_t UintOrExit(const char* flag, const char* text, const char* usage,
-                    uint64_t max = UINT64_MAX);
-double FractionOrExit(const char* flag, const char* text, const char* usage);
-
-// Worker threads for a `--jobs N` value: N, or every core for 0.
-int JobsFlag(uint64_t n);
-
-// Parses argv as `--name N` pairs for the given flags. On an unknown flag,
-// a missing value or a value that is not a whole number, prints `usage`
-// to stderr and returns false.
-bool ParseUintFlags(int argc, char** argv, std::vector<UintFlag> flags,
-                    const char* usage);
+// Prints `message` and `usage` to stderr and exits with status 2.
+[[noreturn]] void UsageError(const std::string& message,
+                             const std::string& usage);
 
 // --- Machine-readable bench output -------------------------------------------
 

@@ -3,6 +3,7 @@
 // The other half of RapiLog's guarantee: the trusted layer sits below the
 // guest, so an OS or DBMS crash cannot touch buffered log data — RapiLog
 // keeps draining and every acknowledged commit survives the reboot.
+#include <climits>
 #include <cstdio>
 
 #include "bench/bench_common.h"
@@ -25,12 +26,9 @@ using rlsim::Task;
 int main(int argc, char** argv) {
   uint64_t seed = 99;
   uint64_t trials = 20;
-  if (!rlbench::ParseUintFlags(argc, argv,
-                               {{"--seed", &seed}, {"--trials", &trials}},
-                               "usage: bench_e10_oscrash [--seed N] "
-                               "[--trials N]")) {
-    return 2;
-  }
+  rlbench::ParseFlags(argc, argv, "bench_e10_oscrash",
+                      {rlbench::Uint("--seed", &seed),
+                       rlbench::Uint("--trials", &trials, INT_MAX)});
   Simulator sim(seed);
   rlharness::TestbedOptions opts = rlbench::DefaultTestbed(
       DeploymentMode::kRapiLog, DiskSetup::kSharedHdd,

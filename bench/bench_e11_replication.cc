@@ -14,7 +14,6 @@
 // Deterministic: the whole run derives from one seed; identical seeds print
 // identical tables.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench/bench_common.h"
@@ -120,8 +119,9 @@ E11Result RunArm(Arm arm, Duration link_latency, uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42ull;
+  uint64_t seed = 42;
+  rlbench::ParseFlags(argc, argv, "bench_e11_replication",
+                      {rlbench::Uint("--seed", &seed)});
 
   PrintHeader("E11: replicated durability (3 replicas, majority = 2)");
   std::printf("seed=%llu; KV 80%% writes, 8 clients, native mode, SSD log\n",

@@ -21,8 +21,6 @@
 //                     --trace-out)
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -144,61 +142,30 @@ uint64_t SweepHash(const std::vector<CellResult>& results) {
   return h;
 }
 
-constexpr const char* kUsage =
-    "usage: bench_e13_fleet [--seed S] [--jobs N] [--shards N]"
-    " [--cross-ratio X] [--budget small|full] [--json FILE]"
-    " [--trace-out FILE] [--critical-path-json FILE]";
-
 }  // namespace
 
 int main(int argc, char** argv) {
   uint64_t seed = 42;
   int jobs = 1;
-  bool small = false;
-  size_t pin_shards = 0;
+  uint64_t pin_shards = 0;
   double pin_cross = -1.0;
+  std::string budget_name = "full";
   std::string json_path;
   std::string trace_out;
   std::string critical_path_json;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    const auto uint_value = [&] {
-      return rlbench::UintOrExit(arg.c_str(), next(), kUsage);
-    };
-    if (arg == "--seed") {
-      seed = uint_value();
-    } else if (arg == "--jobs") {
-      jobs = rlbench::JobsFlag(uint_value());
-    } else if (arg == "--shards") {
-      pin_shards = uint_value();
-    } else if (arg == "--cross-ratio") {
-      pin_cross = rlbench::FractionOrExit(arg.c_str(), next(), kUsage);
-    } else if (arg == "--budget") {
-      const std::string v = next();
-      if (v == "small") {
-        small = true;
-      } else if (v != "full") {
-        std::fprintf(stderr, "--budget wants small|full\n%s\n", kUsage);
-        return 2;
-      }
-    } else if (arg == "--json") {
-      json_path = next();
-    } else if (arg == "--trace-out") {
-      trace_out = next();
-    } else if (arg == "--critical-path-json") {
-      critical_path_json = next();
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n%s\n", arg.c_str(), kUsage);
-      return 2;
-    }
+  const std::string usage = rlbench::ParseFlags(
+      argc, argv, "bench_e13_fleet",
+      {rlbench::Uint("--seed", &seed), rlbench::Jobs("--jobs", &jobs),
+       rlbench::Uint("--shards", &pin_shards),
+       rlbench::Fraction("--cross-ratio", &pin_cross),
+       rlbench::Choice("--budget", {"small", "full"}, &budget_name),
+       rlbench::Path("--json", &json_path),
+       rlbench::Path("--trace-out", &trace_out),
+       rlbench::Path("--critical-path-json", &critical_path_json)});
+  if (!critical_path_json.empty() && trace_out.empty()) {
+    rlbench::UsageError("--critical-path-json needs --trace-out", usage);
   }
+  const bool small = budget_name == "small";
 
   std::vector<size_t> shard_axis =
       small ? std::vector<size_t>{2, 4} : std::vector<size_t>{2, 3, 4, 6};
@@ -296,9 +263,6 @@ int main(int argc, char** argv) {
       out << rlobs::CriticalPathJson(cp);
       std::printf("wrote %s\n", critical_path_json.c_str());
     }
-  } else if (!critical_path_json.empty()) {
-    std::fprintf(stderr, "--critical-path-json needs --trace-out\n");
-    return 2;
   }
   return 0;
 }

@@ -22,8 +22,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -167,58 +165,25 @@ uint64_t SweepHash(const std::vector<CellResult>& results) {
   return h;
 }
 
-constexpr const char* kUsage =
-    "usage: bench_e14_recovery [--seed S] [--jobs N] [--records N]"
-    " [--partitions K] [--budget small|full] [--json FILE]"
-    " [--trace-out FILE]";
-
 }  // namespace
 
 int main(int argc, char** argv) {
   uint64_t seed = 42;
   int jobs = 1;
-  bool small = false;
   uint64_t pin_records = 0;
-  uint32_t pin_partitions = 0;
+  uint64_t pin_partitions = 0;
+  std::string budget_name = "full";
   std::string json_path;
   std::string trace_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    const auto uint_value = [&](uint64_t max = UINT64_MAX) {
-      return rlbench::UintOrExit(arg.c_str(), next(), kUsage, max);
-    };
-    if (arg == "--seed") {
-      seed = uint_value();
-    } else if (arg == "--jobs") {
-      jobs = rlbench::JobsFlag(uint_value());
-    } else if (arg == "--records") {
-      pin_records = uint_value();
-    } else if (arg == "--partitions") {
-      pin_partitions = static_cast<uint32_t>(uint_value(UINT32_MAX));
-    } else if (arg == "--budget") {
-      const std::string v = next();
-      if (v == "small") {
-        small = true;
-      } else if (v != "full") {
-        std::fprintf(stderr, "--budget wants small|full\n%s\n", kUsage);
-        return 2;
-      }
-    } else if (arg == "--json") {
-      json_path = next();
-    } else if (arg == "--trace-out") {
-      trace_out = next();
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n%s\n", arg.c_str(), kUsage);
-      return 2;
-    }
-  }
+  rlbench::ParseFlags(
+      argc, argv, "bench_e14_recovery",
+      {rlbench::Uint("--seed", &seed), rlbench::Jobs("--jobs", &jobs),
+       rlbench::Uint("--records", &pin_records),
+       rlbench::Uint("--partitions", &pin_partitions, UINT32_MAX),
+       rlbench::Choice("--budget", {"small", "full"}, &budget_name),
+       rlbench::Path("--json", &json_path),
+       rlbench::Path("--trace-out", &trace_out)});
+  const bool small = budget_name == "small";
 
   std::vector<uint64_t> record_axis = small
                                           ? std::vector<uint64_t>{16384}
@@ -234,7 +199,7 @@ int main(int argc, char** argv) {
   std::vector<uint32_t> partition_axis =
       small ? std::vector<uint32_t>{1, 8} : std::vector<uint32_t>{1, 2, 4, 8};
   if (pin_partitions > 0) {
-    partition_axis = {pin_partitions};
+    partition_axis = {static_cast<uint32_t>(pin_partitions)};
   }
 
   std::vector<Cell> cells;

@@ -64,7 +64,8 @@ void RunArm(const Arm& arm, Table& table) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  rlbench::ParseFlags(argc, argv, "bench_e1_sync_cost", {});
   PrintHeader(
       "E1: commit rate under different durability schemes "
       "(4 clients, tiny txns, single shared 7200rpm disk)");

@@ -2,7 +2,9 @@
 #include "bench/bench_tpcc_sweep.h"
 
 int main(int argc, char** argv) {
-  rlbench::RunTpccClientSweep("E2", rldb::PostgresLikeProfile(),
-                              rlbench::SweepJobsFromArgs(argc, argv));
+  int jobs = 1;
+  rlbench::ParseFlags(argc, argv, "bench_e2_tpcc_pg",
+                      {rlbench::Jobs("--jobs", &jobs)});
+  rlbench::RunTpccClientSweep("E2", rldb::PostgresLikeProfile(), jobs);
   return 0;
 }

@@ -2,7 +2,9 @@
 #include "bench/bench_tpcc_sweep.h"
 
 int main(int argc, char** argv) {
-  rlbench::RunTpccClientSweep("E3", rldb::InnodbLikeProfile(),
-                              rlbench::SweepJobsFromArgs(argc, argv));
+  int jobs = 1;
+  rlbench::ParseFlags(argc, argv, "bench_e3_tpcc_innodb",
+                      {rlbench::Jobs("--jobs", &jobs)});
+  rlbench::RunTpccClientSweep("E3", rldb::InnodbLikeProfile(), jobs);
   return 0;
 }

@@ -2,7 +2,9 @@
 #include "bench/bench_tpcc_sweep.h"
 
 int main(int argc, char** argv) {
-  rlbench::RunTpccClientSweep("E4", rldb::CommercialLikeProfile(),
-                              rlbench::SweepJobsFromArgs(argc, argv));
+  int jobs = 1;
+  rlbench::ParseFlags(argc, argv, "bench_e4_tpcc_commercial",
+                      {rlbench::Jobs("--jobs", &jobs)});
+  rlbench::RunTpccClientSweep("E4", rldb::CommercialLikeProfile(), jobs);
   return 0;
 }

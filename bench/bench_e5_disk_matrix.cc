@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_tpcc_sweep.h"
+#include "bench/bench_common.h"
 
 namespace {
 
@@ -21,7 +21,9 @@ using rlharness::DiskSetup;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int jobs = rlbench::SweepJobsFromArgs(argc, argv);
+  int jobs = 1;
+  rlbench::ParseFlags(argc, argv, "bench_e5_disk_matrix",
+                      {rlbench::Jobs("--jobs", &jobs)});
   const struct {
     const char* name;
     DiskSetup setup;

@@ -55,7 +55,8 @@ double RunArm(DeploymentMode mode) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  rlbench::ParseFlags(argc, argv, "bench_e6_virt_overhead", {});
   PrintHeader("E6: CPU-bound read-only throughput (txns/s) — virtualisation "
               "overhead isolated");
   Table table;

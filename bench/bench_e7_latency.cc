@@ -14,18 +14,14 @@
 //   --jobs N           run the four arms across N worker threads (output is
 //                      byte-identical at any N; each arm is its own sim);
 //                      0 = all cores
-//   --stats-json FILE  machine-readable results (default BENCH_e7.json;
-//                      --json is accepted as an alias, matching bench_micro)
+//   --json FILE        machine-readable results (default BENCH_e7.json)
 //   --trace-out FILE   re-run the rapilog arm with a span tracer, write a
 //                      Perfetto-loadable Chrome trace of it, and print the
 //                      critical-path breakdown of the traced spans
 //   --snapshot-every MS  periodic stats snapshots embedded in the JSON
 //                      (default 500 ms of virtual time; 0 disables)
-#include <algorithm>
-#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "bench/bench_common.h"
@@ -92,35 +88,14 @@ int main(int argc, char** argv) {
   int jobs = 1;
   std::string json_out = "BENCH_e7.json";
   std::string trace_out;
-  int64_t snapshot_ms = 500;
-  bool ok = true;
-  for (int i = 1; ok && i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      uint64_t n = 0;
-      ok = rlbench::ParseUint(argv[++i], &n);
-      jobs = rlbench::JobsFlag(n);
-    } else if ((std::strcmp(argv[i], "--stats-json") == 0 ||
-                std::strcmp(argv[i], "--json") == 0) &&
-               i + 1 < argc) {
-      json_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-      trace_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--snapshot-every") == 0 && i + 1 < argc) {
-      uint64_t ms = 0;
-      ok = rlbench::ParseUint(argv[++i], &ms) && ms <= INT64_MAX / 1000000;
-      snapshot_ms = static_cast<int64_t>(ms);
-    } else {
-      ok = false;
-    }
-  }
-  if (!ok) {
-    std::fprintf(stderr,
-                 "usage: %s [--jobs N] [--stats-json FILE] "
-                 "[--trace-out FILE] [--snapshot-every MS]\n",
-                 argv[0]);
-    return 2;
-  }
-  const rlsim::Duration snapshot_every = rlsim::Duration::Millis(snapshot_ms);
+  uint64_t snapshot_ms = 500;
+  rlbench::ParseFlags(
+      argc, argv, "bench_e7_latency",
+      {rlbench::Jobs("--jobs", &jobs), rlbench::Path("--json", &json_out),
+       rlbench::Path("--trace-out", &trace_out),
+       rlbench::Uint("--snapshot-every", &snapshot_ms, INT64_MAX / 1000000)});
+  const rlsim::Duration snapshot_every =
+      rlsim::Duration::Millis(static_cast<int64_t>(snapshot_ms));
 
   std::vector<rlbench::TpccRunConfig> configs;
   for (const Arm& arm : kArms) {
@@ -178,9 +153,10 @@ int main(int argc, char** argv) {
                   results[i].snapshots_json);
     }
   }
-  if (json.WriteFile(json_out)) {
-    std::printf("\nwrote %s\n", json_out.c_str());
+  if (!json.WriteFile(json_out)) {
+    return 1;
   }
+  std::printf("\nwrote %s\n", json_out.c_str());
 
   if (!trace_out.empty()) {
     // Dedicated traced re-run of the rapilog arm: identical config, so the
@@ -191,10 +167,11 @@ int main(int argc, char** argv) {
         ArmConfig(DeploymentMode::kRapiLog, rlsim::Duration::Zero());
     cfg.sink = &tracer;
     rlbench::RunTpcc(cfg);
-    if (rlobs::WriteChromeTrace(tracer, trace_out)) {
-      std::printf("wrote %s (%zu trace events)\n", trace_out.c_str(),
-                  tracer.records().size());
+    if (!rlobs::WriteChromeTrace(tracer, trace_out)) {
+      return 1;
     }
+    std::printf("wrote %s (%zu trace events)\n", trace_out.c_str(),
+                tracer.records().size());
     // Critical-path view of the traced arm. Single-node commit-path spans
     // are mostly independent roots (stage spans don't nest under one
     // client-visible root the way fleet 2PC spans do), so each class's

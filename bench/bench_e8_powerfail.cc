@@ -5,9 +5,8 @@
 // acknowledged transaction; asynchronous commit loses them by design; and
 // the --ablation arm (RapiLog with its PowerGuard disabled) shows the guard
 // is what makes the buffered scheme safe.
-#include <cstdio>
 #include <algorithm>
-#include <cstring>
+#include <cstdio>
 
 #include "bench/bench_common.h"
 #include "src/faults/durability_checker.h"
@@ -125,12 +124,10 @@ void Report(Table& table, const char* name, const CampaignResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int trials = 20;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      trials = 5;
-    }
-  }
+  bool quick = false;
+  rlbench::ParseFlags(argc, argv, "bench_e8_powerfail",
+                      {rlbench::Switch("--quick", &quick)});
+  const int trials = quick ? 5 : 20;
   PrintHeader("E8: power-cut durability campaign (randomised cut instants)");
   Table table;
   table.Row({"config", "trials", "checked", "lost", "atomicity", "bad-trials"});

@@ -22,7 +22,8 @@ using rlsim::Duration;
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  rlbench::ParseFlags(argc, argv, "bench_e9_holdup", {});
   PrintHeader("E9a: admission budget vs electrical configuration");
   Table table;
   table.Row({"config", "window", "budget"});

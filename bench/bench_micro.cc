@@ -16,7 +16,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 // simlint: new-ok (the header that declares std::bad_alloc)
 #include <new>
@@ -392,20 +391,16 @@ int RunPerfSuite(const std::string& json_path, int jobs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  int jobs = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    }
-  }
-  if (!json_path.empty()) {
-    return RunPerfSuite(json_path, jobs > 0 ? jobs : rlharness::DefaultJobs());
-  }
+  // Strips the --benchmark_* flags, so the table sees only the rest.
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  std::string json_path;
+  int jobs = rlharness::DefaultJobs();
+  rlbench::ParseFlags(argc, argv, "bench_micro",
+                      {rlbench::Path("--json", &json_path),
+                       rlbench::Jobs("--jobs", &jobs)});
+  if (!json_path.empty()) {
+    return RunPerfSuite(json_path, jobs);
+  }
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

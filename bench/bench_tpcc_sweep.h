@@ -8,19 +8,16 @@
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/harness/parallel_runner.h"
 
 namespace rlbench {
 
 inline void RunTpccClientSweep(const char* experiment,
                                const rldb::EngineProfile& profile,
-                               int jobs = 1) {
+                               int jobs) {
   const std::vector<int> client_counts = {1, 2, 4, 8, 16, 32};
   const struct {
     const char* name;
@@ -69,20 +66,6 @@ inline void RunTpccClientSweep(const char* experiment,
   std::printf(
       "\nExpected shape: rapilog >= virt everywhere, approaching the unsafe "
       "upper bound;\nnative vs virt gap is the virtualisation overhead.\n");
-}
-
-// Shared argv handling for the sweep binaries: `--jobs N` (0 = all cores).
-inline int SweepJobsFromArgs(int argc, char** argv) {
-  int jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-      if (jobs <= 0) {
-        jobs = rlharness::DefaultJobs();
-      }
-    }
-  }
-  return jobs;
 }
 
 }  // namespace rlbench

@@ -36,8 +36,6 @@
 // replayable files (see DESIGN.md).
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -232,74 +230,41 @@ int RunReplay(const std::string& path, const rlchaos::RunOptions& run,
   return out.ok() ? 0 : 1;
 }
 
-constexpr const char* kUsage =
-    "usage: rapilog_chaos [--seed S] [--episodes N] [--budget N | --minutes M]"
-    " [--jobs N] [--fleet N] [--cross-ratio X] [--replay FILE] [--out DIR]"
-    " [--trace-out FILE] [--no-shrink] [--trace] [--audit]"
-    " [--ablate-powerguard]";
-
 }  // namespace
 
 int main(int argc, char** argv) {
   uint64_t seed = 1;
   uint64_t episodes = 1;
   uint64_t budget = 0;  // 0 = not in budget (sweep) mode
+  uint64_t minutes = 0;
   int jobs = 1;
-  bool shrink = true;
+  bool no_shrink = false;
   bool audit = false;
   bool ablate_powerguard = false;
-  size_t fleet_shards = 0;
+  uint64_t fleet_shards = 0;
   double cross_ratio = -1.0;
   rlchaos::RunOptions run;
   std::string replay_path;
   std::string out_dir;
   std::string trace_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    const auto uint_value = [&](uint64_t max = UINT64_MAX) {
-      return rlbench::UintOrExit(arg.c_str(), next(), kUsage, max);
-    };
-    if (arg == "--seed") {
-      seed = uint_value();
-    } else if (arg == "--episodes") {
-      episodes = uint_value();
-    } else if (arg == "--budget") {
-      budget = uint_value();
-    } else if (arg == "--minutes") {
-      // Deterministic alias, converted exactly once here.
-      budget =
-          uint_value(UINT64_MAX / kEpisodesPerMinute) * kEpisodesPerMinute;
-    } else if (arg == "--jobs") {
-      jobs = rlbench::JobsFlag(uint_value());
-    } else if (arg == "--replay") {
-      replay_path = next();
-    } else if (arg == "--out") {
-      out_dir = next();
-    } else if (arg == "--trace-out") {
-      trace_out = next();
-    } else if (arg == "--no-shrink") {
-      shrink = false;
-    } else if (arg == "--trace") {
-      run.trace = true;
-    } else if (arg == "--audit") {
-      audit = true;
-    } else if (arg == "--ablate-powerguard") {
-      ablate_powerguard = true;
-    } else if (arg == "--fleet") {
-      fleet_shards = uint_value();
-    } else if (arg == "--cross-ratio") {
-      cross_ratio = rlbench::FractionOrExit(arg.c_str(), next(), kUsage);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n%s\n", arg.c_str(), kUsage);
-      return 2;
-    }
+  rlbench::ParseFlags(
+      argc, argv, "rapilog_chaos",
+      {rlbench::Uint("--seed", &seed), rlbench::Uint("--episodes", &episodes),
+       rlbench::Uint("--budget", &budget),
+       rlbench::Uint("--minutes", &minutes,
+                     UINT64_MAX / kEpisodesPerMinute),
+       rlbench::Jobs("--jobs", &jobs), rlbench::Uint("--fleet", &fleet_shards),
+       rlbench::Fraction("--cross-ratio", &cross_ratio),
+       rlbench::Path("--replay", &replay_path),
+       rlbench::Path("--out", &out_dir, "DIR"),
+       rlbench::Path("--trace-out", &trace_out),
+       rlbench::Switch("--no-shrink", &no_shrink),
+       rlbench::Switch("--trace", &run.trace),
+       rlbench::Switch("--audit", &audit),
+       rlbench::Switch("--ablate-powerguard", &ablate_powerguard)});
+  if (minutes > 0) {
+    // Deterministic alias, converted exactly once here.
+    budget = minutes * kEpisodesPerMinute;
   }
 
   if (!replay_path.empty()) {
@@ -309,7 +274,7 @@ int main(int argc, char** argv) {
   ExplorerOptions opts;
   opts.base_seed = seed;
   opts.episodes = episodes;
-  opts.shrink = shrink;
+  opts.shrink = !no_shrink;
   opts.run = run;
   opts.jobs = jobs;
   opts.gen.fleet_shards = fleet_shards;
