@@ -6,7 +6,7 @@
 // checkpointing every C commits), the mains fail, and the reopen is the
 // measured recovery. Cells that differ only in the partition count share a
 // seed, so they recover bit-identical disk images and the timing axis
-// isolates the redo mode. The sweep fans across --jobs worker threads with
+// isolates the redo stream count. The sweep fans across --jobs worker threads with
 // results reduced in cell order: stdout and BENCH_e14.json are
 // byte-identical at any job count.
 //
@@ -233,8 +233,8 @@ int main(int argc, char** argv) {
   table.Row({"records", "ckpt-every", "K", "recovery", "replayed", "skipped",
              "speedup"});
   rlbench::BenchJsonWriter json;
-  // Sequential (K = first axis entry) time of the current image, for the
-  // speedup column; the axis always starts at K=1 unless pinned.
+  // K = first axis entry time of the current image, for the speedup
+  // column; the axis always starts at K=1 unless pinned.
   Duration base = Duration::Zero();
   for (size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];

@@ -74,6 +74,8 @@ Database::Database(rlsim::Simulator& sim, CpuContext& cpu,
                "journal must be able to hold a full checkpoint");
   RL_CHECK_MSG(options_.pool_pages > options_.profile.checkpoint_dirty_pages,
                "pool must be able to hold the dirty threshold");
+  RL_CHECK_MSG(options_.recovery.partitions >= 1,
+               "recovery needs at least one redo stream");
   pool_ = std::make_unique<BufferPool>(sim_, data_dev_,
                                        options_.profile.page_bytes,
                                        options_.pool_pages);
@@ -413,11 +415,7 @@ Task<void> Database::Recover() {
     horizons = jh.horizons;
   }
 
-  if (options_.recovery.partitions <= 1) {
-    co_await RedoSequential(scan.records, candidates, horizons);
-  } else {
-    co_await RedoPartitioned(scan.records, candidates, horizons);
-  }
+  co_await Redo(scan.records, candidates, horizons);
   // Resume above every LSN the recovered checkpoint captured. An empty tail
   // (a cut right after a checkpoint whose replay block is still unwritten)
   // scans no records, and restarting the LSNs at 1 would put every later
@@ -468,34 +466,9 @@ Task<void> Database::ApplyRecord(const LogRecord& rec) {
   }
 }
 
-Task<void> Database::RedoSequential(
-    const std::vector<LogRecord>& records,
-    const std::vector<size_t>& candidates,
-    const std::array<uint64_t, kRedoSlices>& horizons) {
-  rlsim::SpanScope span(sim_, "db", "redo-sequential", candidates.size());
-  for (const size_t idx : candidates) {
-    const LogRecord& rec = records[idx];
-    // Decode cost is paid per candidate: the key must be decoded before the
-    // horizon can rule the record out.
-    co_await cpu_.Compute(options_.profile.cpu_per_redo);
-    if (rec.lsn <= horizons[RedoSliceOf(rec.key)]) {
-      stats_.redo_skipped_by_horizon.Add();
-      continue;
-    }
-    co_await ApplyRecord(rec);
-    stats_.recovered_records.Add();
-    stats_.redo_installed_ops.Add();
-    if (pool_->dirty_count() >= dirty_throttle_pages_) {
-      auto guard = co_await apply_mutex_->Lock();
-      co_await CheckpointLocked();
-    }
-  }
-}
-
-Task<void> Database::RedoPartitioned(
-    const std::vector<LogRecord>& records,
-    const std::vector<size_t>& candidates,
-    const std::array<uint64_t, kRedoSlices>& horizons) {
+Task<void> Database::Redo(const std::vector<LogRecord>& records,
+                          const std::vector<size_t>& candidates,
+                          const std::array<uint64_t, kRedoSlices>& horizons) {
   // Phase A — partition and reduce. Candidates are bucketed by key slice
   // into K streams (contiguous slice ranges, so the persisted per-slice
   // horizons apply unchanged at any K); worker coroutines then reduce each
@@ -503,9 +476,7 @@ Task<void> Database::RedoPartitioned(
   // of a key share one slice, hence one stream and one horizon, so
   // filter-then-reduce equals reduce-then-filter and the net-op set is
   // independent of K and of the worker count.
-  const uint32_t streams =
-      std::min(std::max<uint32_t>(options_.recovery.partitions, 2),
-               kRedoSlices);
+  const uint32_t streams = std::min(options_.recovery.partitions, kRedoSlices);
   rlsim::SpanScope span(sim_, "db", "redo-partitioned", streams);
   struct Stream {
     std::vector<size_t> candidates;            // indices, LSN order
@@ -547,8 +518,9 @@ Task<void> Database::RedoPartitioned(
 
   // Phase B — canonical install. Stream key sets are disjoint (a key maps
   // to exactly one stream), so merging the net-op maps and applying them in
-  // ascending key order yields one fixed tree: byte-identical at any
-  // partition or worker count >= 2, content-identical to sequential replay.
+  // ascending key order yields one fixed tree, byte-identical at any
+  // partition or worker count. The ascending order also turns the installs'
+  // page reads into one sweep over the tree.
   std::map<uint64_t, const LogRecord*> net;
   for (Stream& s : plan) {
     stats_.recovered_records.Add(static_cast<int64_t>(s.replayed));

@@ -45,12 +45,11 @@ std::string ToString(DbStatus s);
 // the same recovered contents (asserted by the recovery-equivalence oracle);
 // the knobs trade virtual recovery time only.
 struct RecoveryOptions {
-  // Redo streams. <= 1 replays the classic way: one sequential pass in LSN
-  // order. >= 2 partitions redo records by key slice (layout.h RedoSliceOf)
-  // into this many streams, overlaps their decode CPU in virtual time, and
-  // installs the resulting net-ops in canonical ascending-key order — so the
-  // recovered tree is byte-identical at any partition/worker count >= 2 and
-  // content-identical to the sequential replay.
+  // Redo streams, >= 1. Redo records are partitioned by key slice (layout.h
+  // RedoSliceOf) into this many streams, whose decode CPU overlaps in
+  // virtual time; each stream is reduced to its net effect per key and the
+  // net-ops are installed in ascending key order. The recovered tree is
+  // byte-identical at every stream count, 1 included.
   uint32_t partitions = 1;
   // Use the per-slice low-water LSNs persisted in the journal header to skip
   // records a checkpoint already captured. Off = every slice falls back to
@@ -238,14 +237,9 @@ class Database {
   rlsim::Task<JournalHeaderInfo> ReadJournalHeader(uint64_t durable_seq);
   rlsim::Task<void> ReplayJournal(const JournalHeaderInfo& header);
   rlsim::Task<void> ApplyRecord(const LogRecord& rec);
-  rlsim::Task<void> RedoSequential(const std::vector<LogRecord>& records,
-                                   const std::vector<size_t>& candidates,
-                                   const std::array<uint64_t, kRedoSlices>&
-                                       horizons);
-  rlsim::Task<void> RedoPartitioned(const std::vector<LogRecord>& records,
-                                    const std::vector<size_t>& candidates,
-                                    const std::array<uint64_t, kRedoSlices>&
-                                        horizons);
+  rlsim::Task<void> Redo(const std::vector<LogRecord>& records,
+                         const std::vector<size_t>& candidates,
+                         const std::array<uint64_t, kRedoSlices>& horizons);
   rlsim::Task<void> ThrottleDirtyPages();
   StagedCheckpoint StageCheckpoint();  // caller must hold apply_mutex_
   // Writes one page straight to the data device; a failed write means the

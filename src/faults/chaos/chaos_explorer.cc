@@ -52,8 +52,8 @@ constexpr size_t kPostMortemRecords = 512;
 // The engine sizing every chaos testbed runs with (classic bed or fleet
 // shard): a small pool and journal so checkpoints, page evictions and
 // journal replays happen inside a sub-second episode. Chaos-kill recoveries
-// run partitioned redo; the classic wind-down's recovery-equivalence oracle
-// cross-checks it against sequential replay on the cloned crash images.
+// run eight redo streams; the classic wind-down's recovery-equivalence
+// oracle cross-checks them against one stream on the cloned crash images.
 TestbedOptions ChaosTestbedOptions(const EpisodeConfig& cfg) {
   TestbedOptions opts;
   opts.mode = cfg.mode;
@@ -516,13 +516,13 @@ class ClassicEpisode : public Episode {
     co_await Verify("final");
 
     // Recovery-time oracle: recover the frozen crash state on throwaway
-    // device clones with sequential and with partitioned redo; the
-    // contents, in-doubt set, and replay-work counters must be identical,
-    // and both recoveries must land inside the virtual-time budget.
+    // device clones with one redo stream and with the bed's stream count;
+    // the contents, in-doubt set, and replay-work counters must be
+    // identical, and both recoveries must land inside the virtual-time
+    // budget.
     try {
       rlfault::RecoveryOracleOptions ropts;
       ropts.db = bed_.options().db;
-      ropts.partitions = 8;
       ropts.data_first_lba = bed_.data_first_lba();
       ropts.log_sector_count = bed_.log_sector_count();
       const rlfault::RecoveryEquivalence eq =

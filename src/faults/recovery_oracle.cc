@@ -78,18 +78,18 @@ std::string RecoveryEquivalence::Summary() const {
   char buf[256];
   std::snprintf(
       buf, sizeof(buf),
-      "seq{hash=%016llx n=%llu replayed=%lld skipped=%lld t=%lldus} "
-      "part{hash=%016llx n=%llu replayed=%lld skipped=%lld t=%lldus}",
-      static_cast<unsigned long long>(sequential.content_hash),
-      static_cast<unsigned long long>(sequential.committed_count),
-      static_cast<long long>(sequential.recovered_records),
-      static_cast<long long>(sequential.redo_skipped_by_horizon),
-      static_cast<long long>(sequential.recovery_time.micros()),
-      static_cast<unsigned long long>(partitioned.content_hash),
-      static_cast<unsigned long long>(partitioned.committed_count),
-      static_cast<long long>(partitioned.recovered_records),
-      static_cast<long long>(partitioned.redo_skipped_by_horizon),
-      static_cast<long long>(partitioned.recovery_time.micros()));
+      "k1{hash=%016llx n=%llu replayed=%lld skipped=%lld t=%lldus} "
+      "kcfg{hash=%016llx n=%llu replayed=%lld skipped=%lld t=%lldus}",
+      static_cast<unsigned long long>(one_stream.content_hash),
+      static_cast<unsigned long long>(one_stream.committed_count),
+      static_cast<long long>(one_stream.recovered_records),
+      static_cast<long long>(one_stream.redo_skipped_by_horizon),
+      static_cast<long long>(one_stream.recovery_time.micros()),
+      static_cast<unsigned long long>(configured.content_hash),
+      static_cast<unsigned long long>(configured.committed_count),
+      static_cast<long long>(configured.recovered_records),
+      static_cast<long long>(configured.redo_skipped_by_horizon),
+      static_cast<long long>(configured.recovery_time.micros()));
   return buf;
 }
 
@@ -99,10 +99,11 @@ Task<RecoveryEquivalence> CheckRecoveryEquivalence(
   RL_CHECK(options.log_sector_count > 0);
   RL_CHECK(options.data_first_lba < data_image.sector_count());
   RecoveryEquivalence eq;
-  eq.sequential = co_await RunProbe(sim, data_image, log_image, options,
-                                    /*partitions=*/1, "oracle-seq");
-  eq.partitioned = co_await RunProbe(sim, data_image, log_image, options,
-                                     options.partitions, "oracle-part");
+  eq.one_stream = co_await RunProbe(sim, data_image, log_image, options,
+                                    /*partitions=*/1, "oracle-k1");
+  eq.configured = co_await RunProbe(sim, data_image, log_image, options,
+                                    options.db.recovery.partitions,
+                                    "oracle-kcfg");
   co_return eq;
 }
 

@@ -1,9 +1,9 @@
 // Recovery-equivalence and recovery-time oracle: given the durable disk
-// state a crash left behind, recover it twice — once with the classic
-// sequential redo, once with partitioned parallel redo — on throwaway
-// device clones, and demand that both produce the same committed contents,
-// the same in-doubt 2PC set, the same replay-work counters, and finish
-// inside a virtual-time budget.
+// state a crash left behind, recover it twice — once with one redo stream,
+// once with the deployment's stream count — on throwaway device clones, and
+// demand that both produce the same committed contents, the same in-doubt
+// 2PC set, the same replay-work counters, and finish inside a virtual-time
+// budget.
 //
 // The clones make the probe side-effect free: the testbed's own devices
 // (and whatever its own recovery is about to do to them) are untouched, so
@@ -33,32 +33,31 @@ struct RecoveryProbe {
 };
 
 struct RecoveryEquivalence {
-  RecoveryProbe sequential;   // RecoveryOptions{partitions = 1}
-  RecoveryProbe partitioned;  // RecoveryOptions{partitions = K}
+  RecoveryProbe one_stream;  // RecoveryOptions{partitions = 1}
+  RecoveryProbe configured;  // the deployment's RecoveryOptions{partitions}
 
-  // The contents and the replay-work accounting must agree; the two redo
-  // modes may only differ in virtual recovery time.
+  // The contents and the replay-work accounting must agree; the stream
+  // counts may only differ in virtual recovery time.
   bool equivalent() const {
-    return sequential.content_hash == partitioned.content_hash &&
-           sequential.committed_count == partitioned.committed_count &&
-           sequential.in_doubt_global_ids == partitioned.in_doubt_global_ids &&
-           sequential.recovered_records == partitioned.recovered_records &&
-           sequential.redo_skipped_by_horizon ==
-               partitioned.redo_skipped_by_horizon;
+    return one_stream.content_hash == configured.content_hash &&
+           one_stream.committed_count == configured.committed_count &&
+           one_stream.in_doubt_global_ids == configured.in_doubt_global_ids &&
+           one_stream.recovered_records == configured.recovered_records &&
+           one_stream.redo_skipped_by_horizon ==
+               configured.redo_skipped_by_horizon;
   }
   bool within_budget(rlsim::Duration budget) const {
-    return sequential.recovery_time <= budget &&
-           partitioned.recovery_time <= budget;
+    return one_stream.recovery_time <= budget &&
+           configured.recovery_time <= budget;
   }
   std::string Summary() const;
 };
 
 struct RecoveryOracleOptions {
   // Engine options of the database that wrote the images (profile and pool
-  // geometry must match; the recovery knobs inside are overridden per probe).
+  // geometry must match). The second probe recovers with the stream count
+  // in db.recovery.partitions; the first overrides it to one stream.
   rldb::DbOptions db;
-  // Partition count for the partitioned probe.
-  uint32_t partitions = 8;
   // Where the engine's data LBA 0 sits on the physical data image (the data
   // partition's first sector: non-zero on the shared-spindle setup).
   uint64_t data_first_lba = 0;

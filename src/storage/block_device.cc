@@ -311,7 +311,7 @@ Task<void> SimBlockDevice::DestageLoop() {
       if (powered_ && !emergency_mode_) {
         const Duration latency = model_->WriteTime(sim_.now(), start_lba, run);
         inflight_medium_write_ = InflightWrite{
-            .lba = start_lba, .sectors = run, .from_cache = true};
+            .lba = start_lba, .sectors = run, .data = {}, .from_cache = true};
         co_await sim_.Sleep(latency);
         inflight_medium_write_.reset();
         if (powered_) {

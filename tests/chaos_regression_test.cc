@@ -61,7 +61,7 @@ uint64_t CorpusHash(size_t fleet_shards) {
 // Same corpora as `rapilog_chaos --seed 1 --episodes 20` and
 // `rapilog_chaos --fleet 2 --seed 1 --episodes 20`.
 TEST(GoldenCorpusTest, ClassicSeed1x20) {
-  EXPECT_EQ(CorpusHash(0), 0x84c6e036d5171892ull);
+  EXPECT_EQ(CorpusHash(0), 0x2e0fbee1d5e9a0beull);
 }
 
 TEST(GoldenCorpusTest, Fleet2Seed1x20) {

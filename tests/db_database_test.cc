@@ -8,11 +8,13 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <string_view>
 
 #include "src/db/buffer_pool.h"
 #include "src/db/errors.h"
 #include "src/db/layout.h"
+#include "src/sim/check.h"
 #include "src/sim/rng.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
@@ -206,6 +208,24 @@ TEST(DatabaseTest, FreshOpenAndBasicCommit) {
   }(f));
   f.sim.Run();
   EXPECT_EQ(f.db->stats().commits.value(), 1);
+}
+
+// Recovery needs at least one redo stream; zero is a configuration error,
+// caught when the engine is built rather than at the first recovery.
+TEST(DatabaseTest, ZeroRedoStreamsIsANamedCheckFailure) {
+  EngineFixture f;
+  f.options.recovery.partitions = 0;
+  std::string error;
+  f.sim.Spawn([](EngineFixture& fx, std::string& out) -> Task<void> {
+    try {
+      co_await fx.OpenDb();
+    } catch (const rlsim::CheckFailure& e) {
+      out = e.what();
+    }
+  }(f, error));
+  f.sim.Run();
+  EXPECT_NE(error.find("at least one redo stream"), std::string::npos)
+      << error;
 }
 
 TEST(DatabaseTest, ReadYourOwnWrites) {

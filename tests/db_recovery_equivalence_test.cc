@@ -1,11 +1,12 @@
-// Property test for partitioned parallel redo: for a sweep of seeded
+// Property test for the redo path: for a sweep of seeded
 // workload/crash mixes — commits, aborts, deletes, prepared-in-doubt 2PC
-// txns, mid-run checkpoints, torn log tails — recovery with K redo
-// partitions (K in {1,2,4,8}) must produce exactly the same committed
-// contents, in-doubt set, and replay-work accounting as the classic
-// sequential replay. The pre-crash phase is a pure function of the seed, so
-// each (seed, K) re-run crashes on bit-identical disk images and only the
-// recovery path differs.
+// txns, mid-run checkpoints, torn log tails — recovery with K redo streams
+// (K in {1,2,4,8}) must produce exactly the same committed contents,
+// in-doubt set, and replay-work accounting at every K. The pre-crash phase
+// is a pure function of the seed, so each (seed, K) re-run crashes on
+// bit-identical disk images and only the recovery path differs. The content
+// reference is independent of the redo path: a DurabilityChecker records
+// every client's commits and must accept each recovered state.
 //
 // Also the regression home for the journal-header fix: recovery reads the
 // header page exactly once, shared by the replay decision, the embedded
@@ -15,8 +16,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <vector>
 
 #include "src/db/errors.h"
+#include "src/faults/durability_checker.h"
 #include "src/sim/simulator.h"
 #include "src/storage/block_device.h"
 
@@ -39,6 +43,8 @@ struct Fingerprint {
   int64_t recovered_records = 0;
   int64_t redo_skipped_by_horizon = 0;
   int64_t in_doubt_recovered = 0;
+  uint64_t keys_checked = 0;      // DurabilityChecker verdict
+  uint64_t promoted_pending = 0;
 
   bool operator==(const Fingerprint&) const = default;
 };
@@ -51,11 +57,22 @@ std::vector<uint8_t> MakeValue(const EngineProfile& profile, uint64_t seed) {
   return v;
 }
 
-// One client streaming randomized transactions until the plug is pulled.
-// Lock timeouts abort the transaction inside Put/Remove; EngineHalted is
-// the machine dying under us — both are normal ends here.
+// A commit attempt, ack or abort as a client saw it (token = txn id). The
+// events are handed to the DurabilityChecker in order once the crash image
+// is final.
+struct CommitEvent {
+  enum Kind { kAttempt, kAck, kAbort };
+  Kind kind = kAttempt;
+  uint64_t token = 0;
+  std::vector<rlfault::TrackedWrite> writes;  // kAttempt only
+};
+
+// One client streaming randomized transactions until the plug is pulled,
+// logging each commit to `events`. Lock timeouts abort the transaction
+// inside Put/Remove; EngineHalted is the machine dying under us — both are
+// normal ends here.
 Task<void> Workload(Simulator& sim, Database& db, uint64_t seed,
-                    const bool* stop) {
+                    const bool* stop, std::vector<CommitEvent>& events) {
   rlsim::Rng rng(seed * 0x9E3779B97F4A7C15ull + 1);
   const EngineProfile& profile = db.options().profile;
   int prepares_left = (seed % 3 == 0) ? 2 : 0;
@@ -63,14 +80,23 @@ Task<void> Workload(Simulator& sim, Database& db, uint64_t seed,
     while (!*stop) {
       const uint64_t txn = db.Begin();
       const int ops = 1 + static_cast<int>(rng.Next() % 5);
+      std::vector<rlfault::TrackedWrite> writes;
       bool dead = false;
       for (int o = 0; o < ops && !dead; ++o) {
-        const uint64_t key = rng.Next() % kKeySpace;
-        const DbStatus st =
-            (rng.Next() % 8 == 0)
-                ? co_await db.Remove(txn, key)
-                : co_await db.Put(txn, key, MakeValue(profile, rng.Next()));
+        rlfault::TrackedWrite w{.key = rng.Next() % kKeySpace,
+                                .is_delete = rng.Next() % 8 == 0,
+                                .value = {}};
+        if (!w.is_delete) {
+          w.value = MakeValue(profile, rng.Next());
+        }
+        const DbStatus st = w.is_delete ? co_await db.Remove(txn, w.key)
+                                        : co_await db.Put(txn, w.key, w.value);
         dead = st == DbStatus::kLockTimeout;
+        // The checker wants the txn's net effect: the last write per key.
+        std::erase_if(writes, [&](const rlfault::TrackedWrite& prev) {
+          return prev.key == w.key;
+        });
+        writes.push_back(std::move(w));
       }
       if (dead) {
         continue;  // the engine already aborted the txn
@@ -86,7 +112,10 @@ Task<void> Workload(Simulator& sim, Database& db, uint64_t seed,
         co_await db.Prepare(txn, /*global_id=*/1000 + rng.Next() % 1000);
         continue;
       }
-      co_await db.Commit(txn);
+      events.push_back({CommitEvent::kAttempt, txn, std::move(writes)});
+      const bool acked = co_await db.Commit(txn) == DbStatus::kOk;
+      events.push_back(
+          {acked ? CommitEvent::kAck : CommitEvent::kAbort, txn, {}});
       if (rng.Next() % 25 == 0) {
         co_await db.Checkpoint();
       }
@@ -96,9 +125,26 @@ Task<void> Workload(Simulator& sim, Database& db, uint64_t seed,
   }
 }
 
+// Txn ids whose commit record lies in the valid prefix of the log.
+std::set<uint64_t> CommitsInLog(Simulator& sim, SimBlockDevice& log,
+                                const EngineProfile& profile) {
+  std::set<uint64_t> ids;
+  sim.Spawn([](SimBlockDevice& l, const EngineProfile& p,
+               std::set<uint64_t>& out) -> Task<void> {
+    for (const LogRecord& rec : (co_await ScanLog(l, p, 0)).records) {
+      if (rec.type == LogRecordType::kCommit) {
+        out.insert(rec.txn_id);
+      }
+    }
+  }(log, profile, ids));
+  sim.Run();
+  return ids;
+}
+
 // Runs the seeded workload, pulls the plug at a seed-derived instant,
 // optionally tears the newest durable log sector, then recovers with the
-// given partition count and fingerprints the result.
+// given redo stream count, requires the durability checker's verdict to be
+// ok, and fingerprints the result.
 Fingerprint RunScenario(uint64_t seed, uint32_t partitions) {
   Simulator sim(seed);
   NativeCpu cpu(sim);
@@ -124,14 +170,16 @@ Fingerprint RunScenario(uint64_t seed, uint32_t partitions) {
 
   std::unique_ptr<Database> db;
   bool stop = false;
+  std::vector<CommitEvent> events;
   sim.Spawn([](Simulator& s, NativeCpu& c, SimBlockDevice& d,
                SimBlockDevice& l, DbOptions opt, std::unique_ptr<Database>& out,
-               uint64_t sd, const bool* st) -> Task<void> {
+               uint64_t sd, const bool* st,
+               std::vector<CommitEvent>& ev) -> Task<void> {
     out = co_await Database::Open(s, c, d, l, opt);
     for (int w = 0; w < 3; ++w) {
-      s.Spawn(Workload(s, *out, sd * 7 + w, st), "equiv-client");
+      s.Spawn(Workload(s, *out, sd * 7 + w, st, ev), "equiv-client");
     }
-  }(sim, cpu, data, log, options, db, seed, &stop));
+  }(sim, cpu, data, log, options, db, seed, &stop, events));
 
   // Crash instant varies with the seed so the sweep hits fresh-format,
   // mid-checkpoint, and long-log states alike.
@@ -141,20 +189,7 @@ Fingerprint RunScenario(uint64_t seed, uint32_t partitions) {
   stop = true;
   sim.Run();  // drain: clients unwind with EngineHalted
 
-  // Torn tail for a third of the seeds: scribble the newest durable log
-  // sector. ScanLog must salvage the valid prefix identically in all modes.
-  if (seed % 3 == 1) {
-    const auto durable = log.image().DurableSectorList();
-    if (!durable.empty()) {
-      std::vector<uint8_t> junk(rlstor::kSectorSize);
-      for (size_t i = 0; i < junk.size(); ++i) {
-        junk[i] = static_cast<uint8_t>(seed + i * 13);
-      }
-      log.image().WriteDurable(durable.back(), junk);
-    }
-  }
-
-  // Tear down the dead engine and recover with the requested partitioning.
+  // Tear down the dead engine.
   sim.Spawn([](std::unique_ptr<Database>& d) -> Task<void> {
     co_await d->Close();
     d.reset();
@@ -163,11 +198,46 @@ Fingerprint RunScenario(uint64_t seed, uint32_t partitions) {
   data.PowerRestore();
   log.PowerRestore();
 
+  // Torn tail for a third of the seeds: scribble the newest durable log
+  // sector. ScanLog must salvage the valid prefix identically at every K.
+  // The scribble is media damage beyond the sector-atomic torn-write model:
+  // it can destroy commit records that were already acknowledged. The
+  // checker is told those commits were never acknowledged, so it still
+  // demands that they be all-or-nothing and that every other ack survive.
+  std::set<uint64_t> destroyed;
+  if (seed % 3 == 1) {
+    const auto durable = log.image().DurableSectorList();
+    if (!durable.empty()) {
+      destroyed = CommitsInLog(sim, log, options.profile);
+      std::vector<uint8_t> junk(rlstor::kSectorSize);
+      for (size_t i = 0; i < junk.size(); ++i) {
+        junk[i] = static_cast<uint8_t>(seed + i * 13);
+      }
+      log.image().WriteDurable(durable.back(), junk);
+      for (const uint64_t id : CommitsInLog(sim, log, options.profile)) {
+        destroyed.erase(id);
+      }
+    }
+  }
+  rlfault::DurabilityChecker checker;
+  for (CommitEvent& e : events) {
+    if (e.kind == CommitEvent::kAttempt) {
+      checker.OnCommitAttempt(e.token, std::move(e.writes));
+    } else if (e.kind == CommitEvent::kAbort) {
+      checker.OnAborted(e.token);
+    } else if (!destroyed.contains(e.token)) {
+      checker.OnCommitAcked(e.token);
+    }
+  }
+
+  // Recover with the requested stream count.
   DbOptions recover_options = options;
   recover_options.recovery.partitions = partitions;
   Fingerprint fp;
+  rlfault::VerifyResult verdict;
   sim.Spawn([](Simulator& s, NativeCpu& c, SimBlockDevice& d,
                SimBlockDevice& l, DbOptions opt,
+               rlfault::DurabilityChecker& chk, rlfault::VerifyResult& ver,
                Fingerprint& out) -> Task<void> {
     auto rdb = co_await Database::Open(s, c, d, l, opt);
     out.content_hash = co_await rdb->ContentHash();
@@ -181,9 +251,14 @@ Fingerprint RunScenario(uint64_t seed, uint32_t partitions) {
     // recovery, shared by every consumer.
     EXPECT_EQ(rdb->stats().journal_header_reads.value(), 1);
     co_await rdb->CheckTreeStructure();
+    ver = co_await chk.VerifyAfterRecovery(*rdb);
+    out.keys_checked = ver.keys_checked;
+    out.promoted_pending = ver.promoted_pending;
     co_await rdb->Close();
-  }(sim, cpu, data, log, recover_options, fp));
+  }(sim, cpu, data, log, recover_options, checker, verdict, fp));
   sim.Run();
+  EXPECT_TRUE(verdict.ok()) << "seed " << seed << " K=" << partitions << ": "
+                            << verdict.Summary();
   return fp;
 }
 
@@ -199,7 +274,7 @@ TEST(RecoveryEquivalenceTest, PartitionCountNeverChangesTheRecoveredState) {
       const Fingerprint got = RunScenario(seed, partition_counts[k]);
       ASSERT_EQ(base, got)
           << "seed " << seed << ": K=" << partition_counts[k]
-          << " diverged from sequential (hash " << std::hex
+          << " diverged from K=1 (hash " << std::hex
           << got.content_hash << " vs " << base.content_hash << ")";
     }
     nonempty += base.committed_count > 0 ? 1 : 0;

@@ -152,7 +152,7 @@ TEST(DurabilityCheckerTest, DeleteTracking) {
 
     txn = fx.db->Begin();
     co_await fx.db->Remove(txn, 4);
-    chk.OnCommitAttempt(2, {TrackedWrite{.key = 4, .is_delete = true}});
+    chk.OnCommitAttempt(2, {TrackedWrite{.key = 4, .is_delete = true, .value = {}}});
     co_await fx.db->Commit(txn);
     chk.OnCommitAcked(2);
 

@@ -1,9 +1,9 @@
 // Recovery-time bounds in virtual time. Two deterministic claims:
 //
 //  1. Scaling: on a long redo-only WAL (no checkpoint since format), recovery
-//     time is nonincreasing in the partition count and at least halves by
-//     K=8 — the redo CPU cost overlaps across worker coroutines while the
-//     recovered state stays bit-identical.
+//     time is nonincreasing in the redo stream count and at least halves
+//     from K=1 to K=8 — the redo CPU cost overlaps across worker coroutines
+//     while the recovered state stays bit-identical.
 //  2. Fuzzy horizons: with an old in-doubt transaction pinning the replay
 //     point far behind the last checkpoint, per-slice horizons let recovery
 //     skip the already-checkpointed records on every slice the pinned txn
@@ -168,9 +168,9 @@ TEST(RecoveryTimeBoundTest, PartitionedRedoScalesSubLinearly) {
         << "K=" << ks[i] << " took " << m[i].time.micros() << "us vs "
         << m[i - 1].time.micros() << "us at K=" << ks[i - 1];
   }
-  // The headline bound: 8 partitions at least halve sequential recovery.
+  // The headline bound: 8 streams at least halve one-stream recovery.
   EXPECT_LE(m[3].time.nanos() * 2, m[0].time.nanos())
-      << "K=8 " << m[3].time.micros() << "us vs sequential "
+      << "K=8 " << m[3].time.micros() << "us vs K=1 "
       << m[0].time.micros() << "us";
 }
 

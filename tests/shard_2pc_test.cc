@@ -557,8 +557,8 @@ struct FleetCrashOutcome {
 // seeded fault (coordinator kill / shard kill / partition) fires — the
 // instant sweeps across all 2PC message boundaries as seeds vary. After
 // wind-down and full recovery, the fleet atomicity oracle must hold.
-// `partitions` selects the shards' redo mode on every recovery (mid-episode
-// and final alike); it must never change anything this returns.
+// `partitions` sets the shards' redo stream count on every recovery
+// (mid-episode and final alike); it must never change anything this returns.
 FleetCrashOutcome RunCrashEpisode(uint64_t seed, uint32_t partitions = 1) {
   Simulator sim;
   FleetOptions opt = SmallFleet(2);
@@ -611,7 +611,7 @@ FleetCrashOutcome RunCrashEpisode(uint64_t seed, uint32_t partitions = 1) {
     }
     // The in-doubt sets the shards rebuilt from their prepare records —
     // snapshotted before the resolver drains them, because reinstatement is
-    // part of recovery and must not depend on the redo mode.
+    // part of recovery and must not depend on the redo stream count.
     for (size_t i = 0; i < f.shard_count(); ++i) {
       res.in_doubt.push_back(f.shard_db(i)->InDoubtGlobalIds());
     }
@@ -639,27 +639,27 @@ TEST(TwoPcCrashSweepTest, AtomicityHoldsAcross200Seeds) {
   }
 }
 
-TEST(TwoPcCrashSweepTest, RedoModeNeverChangesTheOutcome) {
-  // Same seeds, both redo modes: the fault fires at the same virtual
-  // instant on the same fleet, so the crash images are bit-identical and
-  // the diff isolates the recovery path. Verdict, reinstated in-doubt sets,
-  // and per-shard contents must all match — a partitioned replay that
+TEST(TwoPcCrashSweepTest, RedoStreamCountNeverChangesTheOutcome) {
+  // Same seeds, one redo stream and eight: the fault fires at the same
+  // virtual instant on the same fleet, so the crash images are bit-identical
+  // and the diff isolates the recovery path. Verdict, reinstated in-doubt
+  // sets, and per-shard contents must all match — a stream split that
   // dropped or reordered a prepare record would show up here first.
   uint64_t episodes_with_doubt = 0;
   for (uint64_t seed = 0; seed < 50; ++seed) {
-    const FleetCrashOutcome seq = RunCrashEpisode(seed, 1);
-    const FleetCrashOutcome part = RunCrashEpisode(seed, 8);
-    EXPECT_EQ(seq.verdict.atomicity_violations, 0u) << "seed " << seed;
-    EXPECT_EQ(part.verdict.atomicity_violations, 0u) << "seed " << seed;
-    EXPECT_EQ(seq.verdict.lost_writes, part.verdict.lost_writes)
+    const FleetCrashOutcome k1 = RunCrashEpisode(seed, 1);
+    const FleetCrashOutcome k8 = RunCrashEpisode(seed, 8);
+    EXPECT_EQ(k1.verdict.atomicity_violations, 0u) << "seed " << seed;
+    EXPECT_EQ(k8.verdict.atomicity_violations, 0u) << "seed " << seed;
+    EXPECT_EQ(k1.verdict.lost_writes, k8.verdict.lost_writes)
         << "seed " << seed;
-    EXPECT_EQ(seq.verdict.keys_checked, part.verdict.keys_checked)
+    EXPECT_EQ(k1.verdict.keys_checked, k8.verdict.keys_checked)
         << "seed " << seed;
-    ASSERT_EQ(seq.in_doubt, part.in_doubt)
+    ASSERT_EQ(k1.in_doubt, k8.in_doubt)
         << "seed " << seed << ": in-doubt reinstatement diverged";
-    ASSERT_EQ(seq.shard_hashes, part.shard_hashes)
+    ASSERT_EQ(k1.shard_hashes, k8.shard_hashes)
         << "seed " << seed << ": recovered contents diverged";
-    for (const auto& shard : seq.in_doubt) {
+    for (const auto& shard : k1.in_doubt) {
       if (!shard.empty()) {
         ++episodes_with_doubt;
         break;
