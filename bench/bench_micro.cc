@@ -6,11 +6,11 @@
 // perf suite instead, writing BENCH_perf.json: CRC-32C throughput (slice-by-8
 // vs the table-driven reference), simulator event dispatch rate (pooled heap
 // vs a naive priority_queue<std::function> baseline), chaos-campaign
-// wall-clock at --jobs 1 vs --jobs N, and the host plane of one OLTP
-// scenario (host time, events/s, heap allocations and coroutine frames per
-// committed transaction). These are the numbers later PRs are judged
-// against; the suite also cross-checks that the parallel campaign
-// reproduces the sequential corpus hash.
+// wall-clock at --jobs 1 vs --jobs N, and the host plane of one OLTP and
+// one fleet (2PC) scenario (host time, heap allocations and coroutine
+// frames per committed transaction; events/s for OLTP). These are the
+// numbers later changes are judged against; the suite also cross-checks
+// that the parallel campaign reproduces the sequential corpus hash.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -26,6 +26,7 @@
 #include "src/db/btree.h"
 #include "src/db/buffer_pool.h"
 #include "src/faults/chaos/chaos_explorer.h"
+#include "src/harness/fleet_testbed.h"
 #include "src/harness/parallel_runner.h"
 #include "src/microkernel/kernel.h"
 #include "src/sim/crc32.h"
@@ -33,6 +34,7 @@
 #include "src/sim/simulator.h"
 #include "src/sim/stats.h"
 #include "src/storage/block_device.h"
+#include "src/workload/fleet_workload.h"
 #include "src/workload/tpcc_lite.h"
 
 // Every heap allocation through operator new, counted for the host-plane
@@ -296,11 +298,9 @@ CampaignTiming TimeCampaign(int jobs, uint64_t episodes) {
   return out;
 }
 
-// The host plane of one fixed single-node OLTP scenario, sized like
-// perfbench's oltp-ssdlog: TPC-C-lite with 16 clients on RapiLog with an SSD
-// log, set up and warmed up for 200 ms of virtual time, then measured over
-// a 1 s window. Allocation and frame counts are deterministic; the host
-// rates are wall-clock.
+// The host plane of a fixed scenario, measured over a 1 s window of virtual
+// time after its warm-up. Allocation and frame counts are deterministic;
+// the host rates are wall-clock.
 struct HostScenario {
   double host_us_per_txn = 0;
   double events_per_sec = 0;
@@ -308,6 +308,29 @@ struct HostScenario {
   double frames_per_txn = 0;
 };
 
+// Runs `sim` for the window; `committed` reads the scenario's commit count.
+HostScenario MeasureWindow(rlsim::Simulator& sim,
+                           const std::function<int64_t()>& committed) {
+  const int64_t committed0 = committed();
+  const uint64_t allocs0 = g_heap_allocations.load();
+  const uint64_t frames0 = rlsim::frame_pool::allocations();
+  const WallClock::time_point t0 = WallClock::now();
+  const size_t events = sim.RunFor(rlsim::Duration::Seconds(1));
+  const double secs = SecondsSince(t0);
+  const double txns = static_cast<double>(committed() - committed0);
+  HostScenario out;
+  out.host_us_per_txn = secs * 1e6 / txns;
+  out.events_per_sec = static_cast<double>(events) / secs;
+  out.heap_allocs_per_txn =
+      static_cast<double>(g_heap_allocations.load() - allocs0) / txns;
+  out.frames_per_txn =
+      static_cast<double>(rlsim::frame_pool::allocations() - frames0) / txns;
+  return out;
+}
+
+// Single-node OLTP, sized like perfbench's oltp-ssdlog: TPC-C-lite with 16
+// clients on RapiLog with an SSD log, set up and warmed up for 200 ms of
+// virtual time.
 HostScenario RunHostScenario() {
   rlsim::Simulator sim(1);
   rlharness::Testbed bed(
@@ -327,23 +350,50 @@ HostScenario RunHostScenario() {
     s.Stop();
   }(sim, bed, tpcc, stop));
   sim.Run();
-
-  const int64_t committed0 = tpcc.stats().committed.value();
-  const uint64_t allocs0 = g_heap_allocations.load();
-  const uint64_t frames0 = rlsim::frame_pool::allocations();
-  const WallClock::time_point t0 = WallClock::now();
-  const size_t events = sim.RunFor(rlsim::Duration::Seconds(1));
-  const double secs = SecondsSince(t0);
-  const double txns =
-      static_cast<double>(tpcc.stats().committed.value() - committed0);
-  HostScenario out;
-  out.host_us_per_txn = secs * 1e6 / txns;
-  out.events_per_sec = static_cast<double>(events) / secs;
-  out.heap_allocs_per_txn =
-      static_cast<double>(g_heap_allocations.load() - allocs0) / txns;
-  out.frames_per_txn =
-      static_cast<double>(rlsim::frame_pool::allocations() - frames0) / txns;
+  const HostScenario out = MeasureWindow(
+      sim, [&tpcc] { return tpcc.stats().committed.value(); });
   stop = true;
+  sim.Run();
+  return out;
+}
+
+// The fleet's message path, sized like perfbench's fleet-2pc: 2 shards with
+// E13's shard sizing, 16 FleetWorkload clients, 60% cross-shard 2PC, a
+// 10 s vote timeout; set up and warmed up for 200 ms of virtual time.
+constexpr rlsim::Duration kFleetVoteTimeout = rlsim::Duration::Seconds(10);
+
+HostScenario RunFleetHostScenario() {
+  rlsim::Simulator sim(1);
+  rlharness::FleetOptions fopt;
+  fopt.shards = 2;
+  fopt.shard.db.profile = rldb::PostgresLikeProfile();
+  fopt.shard.db.pool_pages = 512;
+  fopt.shard.db.journal_pages = 300;
+  fopt.shard.db.profile.checkpoint_dirty_pages = 128;
+  fopt.shard.db.profile.lock_timeout = rlsim::Duration::Seconds(5);
+  fopt.coordinator.vote_timeout = kFleetVoteTimeout;
+  rlharness::FleetTestbed fleet(sim, fopt);
+  rlwork::FleetWorkload work(
+      sim, rlwork::FleetConfig{.cross_shard_probability = 0.6});
+  sim.Spawn([](rlsim::Simulator& s, rlharness::FleetTestbed& f,
+               rlwork::FleetWorkload& w) -> rlsim::Task<void> {
+    bool stop = false;
+    co_await f.Start();
+    for (int c = 0; c < 16; ++c) {
+      s.Spawn(w.RunClient(f.coordinator(), f.directory(), c, &stop, nullptr));
+    }
+    co_await s.Sleep(rlsim::Duration::Millis(200));
+    s.Stop();
+    // The window; then every client finishes its transaction within the
+    // vote timeout.
+    co_await s.Sleep(rlsim::Duration::Seconds(1));
+    stop = true;
+    co_await s.Sleep(kFleetVoteTimeout + rlsim::Duration::Seconds(1));
+    co_await f.Shutdown();
+  }(sim, fleet, work));
+  sim.Run();
+  const HostScenario out = MeasureWindow(
+      sim, [&work] { return work.stats().committed.value(); });
   sim.Run();
   return out;
 }
@@ -355,6 +405,7 @@ int RunPerfSuite(const std::string& json_path, int jobs) {
   const double naive_eps = NaiveQueueEventsPerSec();
 
   const HostScenario oltp = RunHostScenario();
+  const HostScenario fleet = RunFleetHostScenario();
 
   constexpr uint64_t kCampaignEpisodes = 40;
   const CampaignTiming seq = TimeCampaign(1, kCampaignEpisodes);
@@ -384,6 +435,10 @@ int RunPerfSuite(const std::string& json_path, int jobs) {
   writer.Add("oltp_heap_allocs_per_txn", oltp.heap_allocs_per_txn,
              "allocs/txn");
   writer.Add("oltp_frames_per_txn", oltp.frames_per_txn, "frames/txn");
+  writer.Add("fleet_host_us_per_txn", fleet.host_us_per_txn, "us");
+  writer.Add("fleet_heap_allocs_per_txn", fleet.heap_allocs_per_txn,
+             "allocs/txn");
+  writer.Add("fleet_frames_per_txn", fleet.frames_per_txn, "frames/txn");
   std::fputs(writer.ToString().c_str(), stdout);
   return writer.WriteFile(json_path) ? 0 : 1;
 }

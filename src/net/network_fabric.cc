@@ -7,24 +7,21 @@
 namespace rlnet {
 
 using rlsim::Duration;
-using rlsim::Task;
 using rlsim::TimePoint;
 
-Task<Message> Endpoint::Receive() {
-  while (inbox_.empty()) {
-    co_await arrived_.Wait();
-  }
+Message Endpoint::PopFront() {
+  RL_CHECK_MSG(!inbox_.empty(),
+               "endpoint " << name_ << " woke with an empty inbox");
   Message m = std::move(inbox_.front());
   inbox_.pop_front();
-  co_return m;
+  return m;
 }
 
 bool Endpoint::TryReceive(Message* out) {
   if (inbox_.empty()) {
     return false;
   }
-  *out = std::move(inbox_.front());
-  inbox_.pop_front();
+  *out = PopFront();
   return true;
 }
 
@@ -60,9 +57,13 @@ void NetworkFabric::Connect(const std::string& a, const std::string& b,
                  "link " << from << "->" << to << " already exists");
     links_.emplace(key, Link{.params = params,
                              .rng = sim_.rng().Fork(),
+                             .dest = endpoints_.at(to).get(),
                              .up = true,
                              .busy_until = sim_.now(),
-                             .last_arrival = sim_.now()});
+                             .last_arrival = sim_.now(),
+                             .in_flight = {},
+                             .spare = {},
+                             .spare_bytes = 0});
   }
 }
 
@@ -88,19 +89,19 @@ bool NetworkFabric::Send(const std::string& from, const std::string& to,
                          std::vector<uint8_t> ext) {
   Link* link = FindLink(from, to);
   RL_CHECK_MSG(link != nullptr, "Send on unknown link " << from << "->" << to);
-  Endpoint* dest = endpoint(to);
-  RL_CHECK(dest != nullptr);
 
   stats_.messages_sent.Add();
   stats_.bytes_sent.Add(static_cast<int64_t>(payload.size()));
 
   if (!link->up) {
     stats_.messages_blackholed.Add();
+    Park(*link, std::move(payload));
     return false;
   }
   if (link->params.drop_probability > 0 &&
       link->rng.Chance(link->params.drop_probability)) {
     stats_.messages_dropped.Add();
+    Park(*link, std::move(payload));
     return false;
   }
 
@@ -119,17 +120,51 @@ bool NetworkFabric::Send(const std::string& from, const std::string& to,
 
   // `ext` joins the Message here, after all timing/accounting above — the
   // extension is observability freight, not modelled bytes.
-  Message message{.from = from,
-                  .to = to,
-                  .payload = std::move(payload),
-                  .ext = std::move(ext),
-                  .sent_at = now};
-  sim_.ScheduleAt(arrival, [this, dest, m = std::move(message)]() mutable {
-    stats_.messages_delivered.Add();
-    stats_.delivery_latency.RecordDuration(sim_.now() - m.sent_at);
-    dest->Deliver(std::move(m));
-  });
+  link->in_flight.push_back(Message{.from = from,
+                                    .to = to,
+                                    .payload = std::move(payload),
+                                    .ext = std::move(ext),
+                                    .sent_at = now});
+  sim_.ScheduleAt(arrival, [this, link] { DeliverNext(*link); });
   return true;
+}
+
+void NetworkFabric::DeliverNext(Link& link) {
+  Message m = std::move(link.in_flight.front());
+  link.in_flight.pop_front();
+  stats_.messages_delivered.Add();
+  stats_.delivery_latency.RecordDuration(sim_.now() - m.sent_at);
+  link.dest->Deliver(std::move(m));
+}
+
+std::vector<uint8_t> NetworkFabric::TakeBuffer(const std::string& from,
+                                               const std::string& to) {
+  Link* link = FindLink(from, to);
+  RL_CHECK_MSG(link != nullptr,
+               "TakeBuffer on unknown link " << from << "->" << to);
+  if (link->spare.empty()) {
+    return {};
+  }
+  std::vector<uint8_t> buf = std::move(link->spare.back());
+  link->spare.pop_back();
+  link->spare_bytes -= buf.capacity();
+  return buf;
+}
+
+void NetworkFabric::Recycle(const std::string& from, const std::string& to,
+                            std::vector<uint8_t> payload) {
+  if (Link* link = FindLink(from, to); link != nullptr) {
+    Park(*link, std::move(payload));
+  }
+}
+
+void NetworkFabric::Park(Link& link, std::vector<uint8_t> payload) {
+  const size_t bytes = payload.capacity();
+  if (bytes > 0 && link.spare_bytes + bytes <= kMaxSpareBytes) {
+    payload.clear();
+    link.spare_bytes += bytes;
+    link.spare.push_back(std::move(payload));
+  }
 }
 
 void NetworkFabric::SetLinkUp(const std::string& a, const std::string& b,

@@ -19,16 +19,23 @@
 // The fabric models the wire, not a protocol: no acks, no retransmission, no
 // corruption (dropped frames simply vanish). Reliability is the sender's
 // problem (see src/replica/log_shipper.h).
+//
+// Payload buffers are recycled per link, so a steady message stream
+// allocates nothing: TakeBuffer hands out a parked buffer for the link, and
+// Recycle (once the receiver is done with a payload) and every dropped frame
+// park the payload's storage again. A message waits for its arrival
+// in its link's in-flight queue; the delivery event names only the link.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/sim/fifo.h"
 #include "src/sim/rng.h"
 #include "src/sim/simulator.h"
 #include "src/sim/stats.h"
@@ -70,8 +77,18 @@ class Endpoint {
 
   // Next message, waiting if none is pending. FIFO across all inbound links
   // (arrival order; ties resolved by the simulator's deterministic event
-  // order).
-  rlsim::Task<Message> Receive();
+  // order). A plain awaitable, so a receive costs no coroutine frame: a
+  // waiting receiver is parked until the next delivery. An endpoint has one
+  // receiver; a wake-up that finds the inbox empty is a check failure.
+  auto Receive() {
+    struct Awaiter {
+      Endpoint& ep;
+      bool await_ready() const noexcept { return !ep.inbox_.empty(); }
+      void await_suspend(std::coroutine_handle<> h) { ep.arrived_.Park(h); }
+      Message await_resume() { return ep.PopFront(); }
+    };
+    return Awaiter{*this};
+  }
 
   // Non-blocking variant; returns false if the inbox is empty.
   bool TryReceive(Message* out);
@@ -84,9 +101,10 @@ class Endpoint {
       : name_(std::move(name)), arrived_(sim) {}
 
   void Deliver(Message message);
+  Message PopFront();
 
   std::string name_;
-  std::deque<Message> inbox_;
+  rlsim::Fifo<Message> inbox_;
   rlsim::WaitQueue arrived_;
 };
 
@@ -125,6 +143,18 @@ class NetworkFabric {
   bool Send(const std::string& from, const std::string& to,
             std::vector<uint8_t> payload, std::vector<uint8_t> ext);
 
+  // An empty payload buffer for the link from->to: the storage of a frame
+  // this link delivered or dropped earlier, or a fresh vector if none is
+  // parked.
+  std::vector<uint8_t> TakeBuffer(const std::string& from,
+                                  const std::string& to);
+
+  // Parks a received payload's storage for the next TakeBuffer on the link
+  // it came on, from->to. Call once its bytes are no longer read. A payload
+  // with no storage is ignored.
+  void Recycle(const std::string& from, const std::string& to,
+               std::vector<uint8_t> payload);
+
   // Partition control: takes both directions between a and b up or down.
   // Messages already in flight still arrive (they are on the wire); new
   // sends are blackholed until the link comes back up.
@@ -145,16 +175,31 @@ class NetworkFabric {
                      const std::string& prefix) const;
 
  private:
+  // Payload storage parked per link, in bytes of capacity; a buffer that
+  // does not fit is freed. A bound in bytes, not buffers, keeps a link of
+  // small frames from running dry in a burst of replies while a link of
+  // large frames (or one whose sender never takes a buffer back) holds
+  // little.
+  static constexpr size_t kMaxSpareBytes = 64 * 1024;
+
   struct Link {
     LinkParams params;
     rlsim::Rng rng;
+    Endpoint* dest = nullptr;
     bool up = true;
     rlsim::TimePoint busy_until;    // end of the last serialisation
     rlsim::TimePoint last_arrival;  // in-order floor for the next arrival
+    // Scheduled, not yet delivered, in send order. Arrivals on a link never
+    // decrease, so each delivery event takes the front.
+    rlsim::Fifo<Message> in_flight;
+    std::vector<std::vector<uint8_t>> spare;  // recycled payload storage
+    size_t spare_bytes = 0;                   // their total capacity
   };
 
   Link* FindLink(const std::string& from, const std::string& to);
   const Link* FindLink(const std::string& from, const std::string& to) const;
+  void DeliverNext(Link& link);
+  static void Park(Link& link, std::vector<uint8_t> payload);
 
   rlsim::Simulator& sim_;
   // Ordered maps: iteration (and thus any derived behaviour) is independent

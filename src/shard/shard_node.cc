@@ -27,17 +27,19 @@ void ShardNode::Start() {
 }
 
 void ShardNode::Reply(const WireMessage& msg, const rlobs::TraceContext& ctx) {
-  fabric_.Send(name_, coordinator_, EncodeMessage(msg), ctx.Encode());
+  fabric_.Send(name_, coordinator_,
+               EncodeMessage(msg, fabric_.TakeBuffer(name_, coordinator_)),
+               ctx.Encode());
 }
 
 rlsim::Task<void> ShardNode::ReceiveLoop() {
   while (true) {
     rlnet::Message raw = co_await endpoint_.Receive();
-    if (provider_() == nullptr) {
-      continue;  // machine down: frames fall on the floor
-    }
-    WireMessage msg;
-    if (!DecodeMessage(raw.payload, &msg) || raw.from != coordinator_) {
+    WireFrame msg;
+    // A down machine lets frames fall on the floor.
+    if (provider_() == nullptr || !DecodeMessage(raw.payload, &msg) ||
+        raw.from != coordinator_) {
+      fabric_.Recycle(raw.from, raw.to, std::move(raw.payload));
       continue;
     }
     // Decoded from the out-of-band extension, never the payload: dispatch
@@ -45,11 +47,11 @@ rlsim::Task<void> ShardNode::ReceiveLoop() {
     const rlobs::TraceContext ctx = rlobs::TraceContext::Decode(raw.ext);
     switch (msg.type) {
       case MsgType::kPrepareReq:
-        sim_.Spawn(HandlePrepare(std::move(msg), ctx));
-        break;
+        sim_.Spawn(HandlePrepare(std::move(raw.payload), msg, ctx));
+        continue;  // the handler recycles the frame
       case MsgType::kExecuteReq:
-        sim_.Spawn(HandleExecute(std::move(msg), ctx));
-        break;
+        sim_.Spawn(HandleExecute(std::move(raw.payload), msg, ctx));
+        continue;
       case MsgType::kDecision:
         sim_.Spawn(HandleDecision(msg.global_id, msg.flag != 0, ctx));
         break;
@@ -66,13 +68,14 @@ rlsim::Task<void> ShardNode::ReceiveLoop() {
         stats_.unexpected_msgs.Add();
         break;
     }
+    fabric_.Recycle(raw.from, raw.to, std::move(raw.payload));
   }
 }
 
 rlsim::Task<uint64_t> ShardNode::ApplyOps(rldb::Database& db,
-                                          const std::vector<WireOp>& ops) {
+                                          const WireOps& ops) {
   const uint64_t txn = db.Begin();
-  for (const WireOp& op : ops) {
+  for (const WireOpView op : ops) {
     const rldb::DbStatus st =
         op.is_delete ? co_await db.Remove(txn, op.key)
                      : co_await db.Put(txn, op.key, op.value);
@@ -83,7 +86,8 @@ rlsim::Task<uint64_t> ShardNode::ApplyOps(rldb::Database& db,
   co_return txn;
 }
 
-rlsim::Task<void> ShardNode::HandlePrepare(WireMessage msg,
+rlsim::Task<void> ShardNode::HandlePrepare(std::vector<uint8_t> frame,
+                                           WireFrame msg,
                                            rlobs::TraceContext ctx) {
   stats_.prepares_handled.Add();
   // Child of the coordinator's 2pc-prepare phase span: its duration is this
@@ -110,9 +114,11 @@ rlsim::Task<void> ShardNode::HandlePrepare(WireMessage msg,
   } catch (const rlvmm::GuestCrashed&) {
     stats_.machine_deaths.Add();
   }
+  fabric_.Recycle(coordinator_, name_, std::move(frame));
 }
 
-rlsim::Task<void> ShardNode::HandleExecute(WireMessage msg,
+rlsim::Task<void> ShardNode::HandleExecute(std::vector<uint8_t> frame,
+                                           WireFrame msg,
                                            rlobs::TraceContext ctx) {
   stats_.executes_handled.Add();
   rlsim::SpanScope span(sim_, name_, "shard-execute",
@@ -138,6 +144,7 @@ rlsim::Task<void> ShardNode::HandleExecute(WireMessage msg,
   } catch (const rlvmm::GuestCrashed&) {
     stats_.machine_deaths.Add();
   }
+  fabric_.Recycle(coordinator_, name_, std::move(frame));
 }
 
 rlsim::Task<void> ShardNode::HandleDecision(uint64_t global_id, bool commit,

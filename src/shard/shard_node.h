@@ -19,6 +19,7 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/db/database.h"
 #include "src/net/network_fabric.h"
@@ -77,17 +78,20 @@ class ShardNode {
   rlsim::Task<void> ResolverLoop();
   // Handlers take the frame's decoded TraceContext so their spans parent
   // under the coordinator-side phase span that caused them (invalid context
-  // = untraced run = the spans never open).
-  rlsim::Task<void> HandlePrepare(WireMessage msg, rlobs::TraceContext ctx);
-  rlsim::Task<void> HandleExecute(WireMessage msg, rlobs::TraceContext ctx);
+  // = untraced run = the spans never open). A handler of ops keeps the
+  // delivered `frame` in its own coroutine frame, since `msg.ops` views it,
+  // and recycles it when done.
+  rlsim::Task<void> HandlePrepare(std::vector<uint8_t> frame, WireFrame msg,
+                                  rlobs::TraceContext ctx);
+  rlsim::Task<void> HandleExecute(std::vector<uint8_t> frame, WireFrame msg,
+                                  rlobs::TraceContext ctx);
   rlsim::Task<void> HandleDecision(uint64_t global_id, bool commit,
                                    rlobs::TraceContext ctx);
   rlsim::Task<void> HandleQueryResp(uint64_t global_id, QueryAnswer answer,
                                     rlobs::TraceContext ctx);
   // Begins a local txn, applies the wire ops, returns the txn id or 0 when
   // a lock timeout already aborted it.
-  rlsim::Task<uint64_t> ApplyOps(rldb::Database& db,
-                                 const std::vector<WireOp>& ops);
+  rlsim::Task<uint64_t> ApplyOps(rldb::Database& db, const WireOps& ops);
   void Reply(const WireMessage& msg, const rlobs::TraceContext& ctx = {});
 
   rlsim::Simulator& sim_;

@@ -32,6 +32,10 @@ TxnCoordinator::TxnCoordinator(rlsim::Simulator& sim,
       shards_(std::move(shard_endpoints)),
       dlog_(sim, decision_dev, decision_profile),
       options_(options) {
+  RL_CHECK_MSG(shards_.size() <= kMaxShards,
+               "TxnCoordinator: " << shards_.size()
+                                  << " shards exceed the vote bitmask's "
+                                  << kMaxShards);
   for (size_t i = 0; i < shards_.size(); ++i) {
     shard_index_[shards_[i]] = i;
   }
@@ -51,7 +55,9 @@ void TxnCoordinator::SendToShard(size_t shard, const WireMessage& msg,
   // The trace context rides in the frame extension, never the payload: an
   // invalid context (untraced run) encodes to an empty ext, so the frames a
   // shard sees are byte-identical with tracing on or off.
-  fabric_.Send(name_, shards_[shard], EncodeMessage(msg), ctx.Encode());
+  const std::string& to = shards_[shard];
+  fabric_.Send(name_, to, EncodeMessage(msg, fabric_.TakeBuffer(name_, to)),
+               ctx.Encode());
 }
 
 rlsim::Task<TxnOutcome> TxnCoordinator::Execute(uint64_t global_id,
@@ -62,6 +68,10 @@ rlsim::Task<TxnOutcome> TxnCoordinator::Execute(uint64_t global_id,
   }
   RL_CHECK_MSG(pending_.find(global_id) == pending_.end(),
                "global id " << global_id << " reused while in flight");
+  for (const ShardOps& part : parts) {
+    RL_CHECK_MSG(part.shard < shards_.size(),
+                 "Execute: no shard " << part.shard);
+  }
   stats_.started.Add();
   const uint64_t epoch = epoch_;
   const rlsim::TimePoint start = sim_.now();
@@ -72,8 +82,20 @@ rlsim::Task<TxnOutcome> TxnCoordinator::Execute(uint64_t global_id,
                         static_cast<int64_t>(global_id), parent_span);
   const rlobs::TraceContext root_ctx{span.id(), span.id(), start.nanos()};
 
-  Pending& p = pending_[global_id];
-  p.wake = std::make_unique<rlsim::WaitQueue>(sim_);
+  const PendingMap::iterator entry =
+      pending_pool_
+          .TryEmplace(pending_, global_id,
+                      [](Pending& reused) {
+                        std::unique_ptr<rlsim::WaitQueue> wake =
+                            std::move(reused.wake);
+                        reused = Pending{};
+                        reused.wake = std::move(wake);
+                      })
+          .first;
+  Pending& p = entry->second;
+  if (p.wake == nullptr) {
+    p.wake = std::make_unique<rlsim::WaitQueue>(sim_);
+  }
   p.single = parts.size() == 1;
   (p.single ? stats_.single_shard : stats_.cross_shard).Add();
 
@@ -91,19 +113,20 @@ rlsim::Task<TxnOutcome> TxnCoordinator::Execute(uint64_t global_id,
     const rlobs::TraceContext prep_ctx{
         span.id(), prep_span != 0 ? prep_span : span.id(), start.nanos()};
     for (ShardOps& part : parts) {
-      p.votes_outstanding.insert(part.shard);
+      p.votes_outstanding |= Bit(part.shard);
       WireMessage req = WireMessage::Make(MsgType::kPrepareReq, global_id);
       req.ops = std::move(part.ops);
       SendToShard(part.shard, req, prep_ctx);
     }
   }
-  sim_.Spawn(TimeoutTask(global_id, epoch));
+  sim_.Schedule(options_.vote_timeout,
+                [this, global_id] { OnVoteTimeout(global_id); });
 
   // Wait for resolution: every vote in / fast-path response / a no-vote /
   // timeout / crash. `p` stays valid across waits — Crash() marks entries
   // done instead of erasing them, and only this coroutine erases its own.
   while (!p.done && !p.vote_no && !p.timed_out && !p.resp_received &&
-         !(p.single ? false : p.votes_outstanding.empty())) {
+         !(p.single ? false : p.votes_outstanding == 0)) {
     co_await p.wake->Wait();
   }
   sim_.EmitSpanEnd(prep_span, name_, "2pc-prepare");
@@ -113,6 +136,8 @@ rlsim::Task<TxnOutcome> TxnCoordinator::Execute(uint64_t global_id,
     outcome = TxnOutcome::kUnknown;  // crashed out from under us
   } else if (p.single) {
     if (p.resp_received) {
+      // rapicheck: ack-ok (the shard's Commit made the transaction durable
+      // before it sent kExecuteResp; the durability point is on the shard)
       outcome = p.resp_commit ? TxnOutcome::kCommitted : TxnOutcome::kAborted;
     } else {
       // Timed out: the response frame may be lost but the shard may well
@@ -148,7 +173,7 @@ rlsim::Task<TxnOutcome> TxnCoordinator::Execute(uint64_t global_id,
     }
   }
 
-  pending_.erase(global_id);
+  pending_pool_.Erase(pending_, entry);
   switch (outcome) {
     case TxnOutcome::kCommitted:
       stats_.committed.Add();
@@ -167,11 +192,14 @@ rlsim::Task<TxnOutcome> TxnCoordinator::Execute(uint64_t global_id,
 void TxnCoordinator::StartPush(uint64_t global_id, bool commit,
                                const std::vector<ShardOps>& parts,
                                const rlobs::TraceContext& ctx) {
-  Push& push = pushes_[global_id];
+  Push& push =
+      push_pool_
+          .TryEmplace(pushes_, global_id, [](Push& reused) { reused = {}; })
+          .first->second;
   push.commit = commit;
   push.ctx = ctx;
   for (const ShardOps& part : parts) {
-    push.unacked.insert(part.shard);
+    push.unacked |= Bit(part.shard);
   }
   sim_.Spawn(PusherTask(global_id, epoch_));
 }
@@ -183,12 +211,15 @@ rlsim::Task<void> TxnCoordinator::PusherTask(uint64_t global_id,
       co_return;  // crash wiped the push table; do not recreate state
     }
     auto it = pushes_.find(global_id);
-    if (it == pushes_.end() || it->second.unacked.empty()) {
+    if (it == pushes_.end() || it->second.unacked == 0) {
       break;
     }
     const WireMessage msg = WireMessage::Make(MsgType::kDecision, global_id,
                                               it->second.commit ? 1 : 0);
-    for (size_t shard : it->second.unacked) {
+    for (size_t shard = 0; shard < shards_.size(); ++shard) {
+      if ((it->second.unacked & Bit(shard)) == 0) {
+        continue;
+      }
       SendToShard(shard, msg, it->second.ctx);
       if (round > 0) {
         stats_.decision_resends.Add();
@@ -199,19 +230,16 @@ rlsim::Task<void> TxnCoordinator::PusherTask(uint64_t global_id,
   if (epoch_ == epoch) {
     // Budget exhausted or fully acked; unreached shards will pull the
     // outcome through the query protocol.
-    pushes_.erase(global_id);
+    if (auto it = pushes_.find(global_id); it != pushes_.end()) {
+      push_pool_.Erase(pushes_, it);
+    }
   }
 }
 
-rlsim::Task<void> TxnCoordinator::TimeoutTask(uint64_t global_id,
-                                              uint64_t epoch) {
-  co_await sim_.Sleep(options_.vote_timeout);
-  if (epoch_ != epoch) {
-    co_return;
-  }
+void TxnCoordinator::OnVoteTimeout(uint64_t global_id) {
   auto it = pending_.find(global_id);
   if (it == pending_.end() || it->second.done) {
-    co_return;
+    return;
   }
   it->second.timed_out = true;
   stats_.vote_timeouts.Add();
@@ -221,15 +249,16 @@ rlsim::Task<void> TxnCoordinator::TimeoutTask(uint64_t global_id,
 rlsim::Task<void> TxnCoordinator::ReceiveLoop() {
   while (true) {
     rlnet::Message raw = co_await endpoint_.Receive();
-    if (!alive_) {
-      continue;  // a dead coordinator drops everything on the floor
+    // A dead coordinator drops everything on the floor.
+    if (alive_) {
+      HandleMessage(raw);
     }
-    HandleMessage(raw);
+    fabric_.Recycle(raw.from, raw.to, std::move(raw.payload));
   }
 }
 
 void TxnCoordinator::HandleMessage(const rlnet::Message& raw) {
-  WireMessage msg;
+  WireFrame msg;
   if (!DecodeMessage(raw.payload, &msg)) {
     return;
   }
@@ -247,8 +276,8 @@ void TxnCoordinator::HandleMessage(const rlnet::Message& raw) {
       }
       Pending& p = it->second;
       if (msg.flag != 0) {
-        p.votes_outstanding.erase(shard);
-        if (p.votes_outstanding.empty()) {
+        p.votes_outstanding &= ~Bit(shard);
+        if (p.votes_outstanding == 0) {
           p.wake->NotifyAll();
         }
       } else {
@@ -271,7 +300,7 @@ void TxnCoordinator::HandleMessage(const rlnet::Message& raw) {
     case MsgType::kDecisionAck: {
       auto it = pushes_.find(msg.global_id);
       if (it != pushes_.end()) {
-        it->second.unacked.erase(shard);
+        it->second.unacked &= ~Bit(shard);
       }
       return;
     }
@@ -285,11 +314,12 @@ void TxnCoordinator::HandleMessage(const rlnet::Message& raw) {
         answer = in_flight ? QueryAnswer::kPending : QueryAnswer::kAbort;
       }
       stats_.queries_answered.Add();
-      WireMessage resp = WireMessage::Make(MsgType::kQueryResp, msg.global_id, static_cast<uint8_t>(answer));
       // Echo the querying shard's trace context so its resolution span
       // parents under the shard's query root, not a disconnected fragment.
-      fabric_.Send(name_, raw.from, EncodeMessage(resp),
-                   rlobs::TraceContext::Decode(raw.ext).Encode());
+      SendToShard(shard,
+                  WireMessage::Make(MsgType::kQueryResp, msg.global_id,
+                                    static_cast<uint8_t>(answer)),
+                  rlobs::TraceContext::Decode(raw.ext));
       return;
     }
     case MsgType::kPrepareReq:

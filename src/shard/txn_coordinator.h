@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -33,6 +32,7 @@
 #include "src/obs/trace_context.h"
 #include "src/shard/decision_log.h"
 #include "src/shard/wire.h"
+#include "src/sim/node_pool.h"
 #include "src/sim/simulator.h"
 #include "src/sim/stats.h"
 #include "src/sim/sync.h"
@@ -86,9 +86,13 @@ class TxnCoordinator {
     rlsim::Histogram txn_latency;  // ns, Execute entry to outcome
   };
 
+  // Votes and acks are tracked in a bitmask with one bit per shard.
+  static constexpr size_t kMaxShards = 64;
+
   // Creates the coordinator's fabric endpoint `name`. `shard_endpoints[i]`
-  // is shard i's endpoint. The decision log lives on `decision_dev`, whose
-  // power is managed by the caller (see Crash()/Recover()).
+  // is shard i's endpoint; more than kMaxShards of them is a check failure.
+  // The decision log lives on `decision_dev`, whose power is managed by the
+  // caller (see Crash()/Recover()).
   TxnCoordinator(rlsim::Simulator& sim, rlnet::NetworkFabric& fabric,
                  std::string name, std::vector<std::string> shard_endpoints,
                  rlstor::BlockDevice& decision_dev,
@@ -132,26 +136,37 @@ class TxnCoordinator {
                      const std::string& prefix) const;
 
  private:
+  // Bit i stands for shard i.
+  using ShardMask = uint64_t;
+  static ShardMask Bit(size_t shard) { return ShardMask{1} << shard; }
+
   struct Pending {
     bool single = false;            // fast path (kExecuteReq)
-    std::set<size_t> votes_outstanding;
+    ShardMask votes_outstanding = 0;
     bool vote_no = false;
     bool timed_out = false;
     bool resp_received = false;     // fast path response arrived
     bool resp_commit = false;
     bool done = false;              // crash resolved this txn to kUnknown
+    // Kept when the entry's node is recycled (see pending_pool_).
     std::unique_ptr<rlsim::WaitQueue> wake;
   };
   struct Push {
     bool commit = false;
-    std::set<size_t> unacked;
+    ShardMask unacked = 0;
     // Trace context of the deciding Execute; retransmitted pushes carry it
     // so late decision spans still land in the transaction's causal tree.
     rlobs::TraceContext ctx;
   };
+  using PendingMap = std::map<uint64_t, Pending>;
+  using PushMap = std::map<uint64_t, Push>;
+
+  // Map nodes parked for reuse by the next transaction, per table.
+  static constexpr size_t kParkedNodes = 256;
 
   rlsim::Task<void> ReceiveLoop();
-  rlsim::Task<void> TimeoutTask(uint64_t global_id, uint64_t epoch);
+  // The vote timeout: a plain event, scheduled by Execute after its sends.
+  void OnVoteTimeout(uint64_t global_id);
   rlsim::Task<void> PusherTask(uint64_t global_id, uint64_t epoch);
   void HandleMessage(const rlnet::Message& raw);
   void SendToShard(size_t shard, const WireMessage& msg,
@@ -171,11 +186,15 @@ class TxnCoordinator {
 
   bool alive_ = false;
   bool loop_started_ = false;
-  // Bumped by Crash(); parked timer/pusher tasks from the old incarnation
-  // notice the mismatch and exit instead of acting on stale state.
+  // Bumped by Crash(); parked pusher tasks from the old incarnation notice
+  // the mismatch and exit instead of acting on stale state. (A vote timeout
+  // needs no epoch: Crash() marks every pending entry done, and global ids
+  // are never reused.)
   uint64_t epoch_ = 0;
-  std::map<uint64_t, Pending> pending_;
-  std::map<uint64_t, Push> pushes_;
+  PendingMap pending_;
+  rlsim::NodePool<PendingMap> pending_pool_{kParkedNodes};
+  PushMap pushes_;
+  rlsim::NodePool<PushMap> push_pool_{kParkedNodes};
 
   Stats stats_;
 };

@@ -1,138 +1,110 @@
 #include "src/shard/wire.h"
 
+#include <algorithm>
+
+#include "src/sim/check.h"
+
 namespace rlshard {
 
 namespace {
 
-void PutU16(std::vector<uint8_t>& buf, uint16_t v) {
-  buf.push_back(static_cast<uint8_t>(v));
-  buf.push_back(static_cast<uint8_t>(v >> 8));
+// [u8 type][u64 global_id][u8 flag][u32 n_ops]
+constexpr size_t kHeaderBytes = 14;
+// [u8 is_delete][u64 key][u16 vlen]
+constexpr size_t kOpHeaderBytes = 11;
+constexpr size_t kMaxValueBytes = 0xFFFF;
+constexpr size_t kMaxOps = 0xFFFF'FFFF;
+
+uint8_t* PutLe(uint8_t* p, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    *p++ = static_cast<uint8_t>(v >> (8 * i));
+  }
+  return p;
 }
 
-void PutU32(std::vector<uint8_t>& buf, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf.push_back(static_cast<uint8_t>(v >> (8 * i)));
+uint64_t LoadLe(const uint8_t* p, int bytes) {
+  uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) {
+    v |= static_cast<uint64_t>(p[i]) << (8 * i);
   }
+  return v;
 }
 
-void PutU64(std::vector<uint8_t>& buf, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+size_t ValueLength(const uint8_t* op) {
+  return static_cast<size_t>(LoadLe(op + 9, 2));
 }
-
-class Reader {
- public:
-  explicit Reader(std::span<const uint8_t> buf) : buf_(buf) {}
-
-  bool U8(uint8_t* out) {
-    if (pos_ + 1 > buf_.size()) {
-      return false;
-    }
-    *out = buf_[pos_++];
-    return true;
-  }
-
-  bool U16(uint16_t* out) {
-    if (pos_ + 2 > buf_.size()) {
-      return false;
-    }
-    *out = static_cast<uint16_t>(buf_[pos_] | (buf_[pos_ + 1] << 8));
-    pos_ += 2;
-    return true;
-  }
-
-  bool U32(uint32_t* out) {
-    if (pos_ + 4 > buf_.size()) {
-      return false;
-    }
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(buf_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    *out = v;
-    return true;
-  }
-
-  bool U64(uint64_t* out) {
-    if (pos_ + 8 > buf_.size()) {
-      return false;
-    }
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(buf_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    *out = v;
-    return true;
-  }
-
-  bool Bytes(size_t n, std::vector<uint8_t>* out) {
-    if (pos_ + n > buf_.size()) {
-      return false;
-    }
-    out->assign(buf_.begin() + pos_, buf_.begin() + pos_ + n);
-    pos_ += n;
-    return true;
-  }
-
-  bool AtEnd() const { return pos_ == buf_.size(); }
-
- private:
-  std::span<const uint8_t> buf_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
-std::vector<uint8_t> EncodeMessage(const WireMessage& msg) {
-  std::vector<uint8_t> buf;
-  buf.push_back(static_cast<uint8_t>(msg.type));
-  PutU64(buf, msg.global_id);
-  buf.push_back(msg.flag);
-  PutU32(buf, static_cast<uint32_t>(msg.ops.size()));
+WireOpView WireOps::Iterator::operator*() const {
+  return WireOpView{.is_delete = pos_[0] != 0,
+                    .key = LoadLe(pos_ + 1, 8),
+                    .value = {pos_ + kOpHeaderBytes, ValueLength(pos_)}};
+}
+
+WireOps::Iterator& WireOps::Iterator::operator++() {
+  pos_ += kOpHeaderBytes + ValueLength(pos_);
+  return *this;
+}
+
+std::vector<uint8_t> EncodeMessage(const WireMessage& msg,
+                                   std::vector<uint8_t> buf) {
+  RL_CHECK_MSG(msg.ops.size() <= kMaxOps,
+               "wire frame of " << msg.ops.size()
+                                << " ops exceeds the u32 op count");
+  size_t bytes = kHeaderBytes;
   for (const WireOp& op : msg.ops) {
-    buf.push_back(op.is_delete ? 1 : 0);
-    PutU64(buf, op.key);
-    PutU16(buf, static_cast<uint16_t>(op.value.size()));
-    buf.insert(buf.end(), op.value.begin(), op.value.end());
+    RL_CHECK_MSG(op.value.size() <= kMaxValueBytes,
+                 "wire op value of " << op.value.size()
+                                     << " bytes exceeds the u16 length field");
+    bytes += kOpHeaderBytes + op.value.size();
+  }
+  buf.resize(bytes);
+  uint8_t* p = buf.data();
+  *p++ = static_cast<uint8_t>(msg.type);
+  p = PutLe(p, msg.global_id, 8);
+  *p++ = msg.flag;
+  p = PutLe(p, msg.ops.size(), 4);
+  for (const WireOp& op : msg.ops) {
+    *p++ = op.is_delete ? 1 : 0;
+    p = PutLe(p, op.key, 8);
+    p = PutLe(p, op.value.size(), 2);
+    p = std::copy(op.value.begin(), op.value.end(), p);
   }
   return buf;
 }
 
-bool DecodeMessage(std::span<const uint8_t> buf, WireMessage* out) {
-  Reader r(buf);
-  uint8_t type = 0;
-  if (!r.U8(&type) || type < 1 ||
-      type > static_cast<uint8_t>(MsgType::kQueryResp)) {
+bool DecodeMessage(std::span<const uint8_t> buf, WireFrame* out) {
+  if (buf.size() < kHeaderBytes) {
+    return false;
+  }
+  const uint8_t type = buf[0];
+  if (type < 1 || type > static_cast<uint8_t>(MsgType::kQueryResp)) {
+    return false;
+  }
+  // The op records must fill the rest of the frame exactly. Each takes at
+  // least kOpHeaderBytes, so a huge count fails within size/11 steps.
+  const uint64_t n_ops = LoadLe(&buf[10], 4);
+  size_t pos = kHeaderBytes;
+  for (uint64_t i = 0; i < n_ops; ++i) {
+    if (buf.size() - pos < kOpHeaderBytes) {
+      return false;
+    }
+    const size_t vlen = ValueLength(&buf[pos]);
+    pos += kOpHeaderBytes;
+    if (buf.size() - pos < vlen) {
+      return false;
+    }
+    pos += vlen;
+  }
+  if (pos != buf.size()) {
     return false;
   }
   out->type = static_cast<MsgType>(type);
-  uint8_t flag = 0;
-  uint32_t n_ops = 0;
-  if (!r.U64(&out->global_id) || !r.U8(&flag) || !r.U32(&n_ops)) {
-    return false;
-  }
-  out->flag = flag;
-  // Each op takes at least 11 bytes; reject counts the frame cannot hold.
-  if (n_ops > buf.size() / 11) {
-    return false;
-  }
-  out->ops.clear();
-  out->ops.reserve(n_ops);
-  for (uint32_t i = 0; i < n_ops; ++i) {
-    WireOp op;
-    uint8_t is_delete = 0;
-    uint16_t vlen = 0;
-    if (!r.U8(&is_delete) || !r.U64(&op.key) || !r.U16(&vlen) ||
-        !r.Bytes(vlen, &op.value)) {
-      return false;
-    }
-    op.is_delete = is_delete != 0;
-    out->ops.push_back(std::move(op));
-  }
-  return r.AtEnd();
+  out->global_id = LoadLe(&buf[1], 8);
+  out->flag = buf[9];
+  out->ops = WireOps(buf.subspan(kHeaderBytes), static_cast<size_t>(n_ops));
+  return true;
 }
 
 std::string ToString(MsgType type) {

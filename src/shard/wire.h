@@ -57,6 +57,8 @@ struct WireOp {
   std::vector<uint8_t> value;  // empty for deletes
 };
 
+// What the sender encodes. Decoding reads a frame in place instead (see
+// WireFrame), so no op value is copied out of a delivered frame.
 struct WireMessage {
   MsgType type = MsgType::kPrepareReq;
   uint64_t global_id = 0;
@@ -73,13 +75,69 @@ struct WireMessage {
   }
 };
 
+// One op of a decoded frame; `value` points into the frame's bytes.
+struct WireOpView {
+  bool is_delete = false;
+  uint64_t key = 0;
+  std::span<const uint8_t> value;
+};
+
+// The op records of a decoded frame, read in place: iterating yields a
+// WireOpView per op, in frame order. DecodeMessage has already validated
+// every record, so iteration cannot fail. The frame's bytes must outlive
+// the range and every view taken from it.
+class WireOps {
+ public:
+  class Iterator {
+   public:
+    explicit Iterator(const uint8_t* pos) : pos_(pos) {}
+    WireOpView operator*() const;
+    Iterator& operator++();
+    bool operator==(const Iterator&) const = default;
+
+   private:
+    const uint8_t* pos_ = nullptr;
+  };
+
+  WireOps() = default;
+  WireOps(std::span<const uint8_t> records, size_t count)
+      : records_(records), count_(count) {}
+
+  size_t size() const { return count_; }
+  Iterator begin() const { return Iterator(records_.data()); }
+  Iterator end() const {
+    return Iterator(records_.data() + records_.size());
+  }
+
+ private:
+  std::span<const uint8_t> records_;
+  size_t count_ = 0;
+};
+
+// A decoded frame: the header fields, and its ops as views into the frame.
+struct WireFrame {
+  MsgType type = MsgType::kPrepareReq;
+  uint64_t global_id = 0;
+  uint8_t flag = 0;
+  WireOps ops;
+};
+
 // [u8 type][u64 global_id][u8 flag][u32 n_ops] then per op
 // [u8 is_delete][u64 key][u16 vlen][vlen bytes].
-std::vector<uint8_t> EncodeMessage(const WireMessage& msg);
+//
+// Encodes into `buf`'s storage (a recycled payload buffer from
+// rlnet::NetworkFabric::TakeBuffer; its contents are discarded), sized once
+// for the whole frame, and returns it. A value of 64 KiB or more, or more
+// than 2^32 - 1 ops, does not fit the frame's length fields and is a check
+// failure, never a truncated frame.
+std::vector<uint8_t> EncodeMessage(const WireMessage& msg,
+                                   std::vector<uint8_t> buf = {});
 
-// Strict decode: returns false on short, oversized, or trailing-garbage
-// frames. `out` is unspecified on failure.
-bool DecodeMessage(std::span<const uint8_t> buf, WireMessage* out);
+// Strict decode: validates the whole frame before filling `out`, and
+// returns false on a short, oversized, or trailing-garbage frame or an
+// unknown type. `out->ops` views `buf`, so `buf` must outlive it. `out` is
+// unspecified on failure.
+bool DecodeMessage(std::span<const uint8_t> buf, WireFrame* out);
 
 std::string ToString(MsgType type);
 

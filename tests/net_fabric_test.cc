@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -211,6 +212,79 @@ TEST(NetworkFabricTest, SerialisationQueueing) {
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[0], Duration::Millis(1).nanos());
   EXPECT_EQ(arrivals[1], Duration::Millis(2).nanos());
+}
+
+TEST(NetworkFabricTest, SameInstantArrivalsKeepSendOrder) {
+  // Three empty frames (no serialisation time) arrive at one instant: two
+  // on a->c, one on b->c sent between them. The endpoint sees them in send
+  // order, across links as well as within one.
+  Simulator sim;
+  NetworkFabric fabric(sim);
+  fabric.CreateEndpoint("a");
+  fabric.CreateEndpoint("b");
+  Endpoint& c = fabric.CreateEndpoint("c");
+  fabric.Connect("a", "c", LinkParams{});
+  fabric.Connect("b", "c", LinkParams{});
+
+  ASSERT_TRUE(fabric.Send("a", "c", {}, {1}));
+  ASSERT_TRUE(fabric.Send("b", "c", {}, {2}));
+  ASSERT_TRUE(fabric.Send("a", "c", {}, {3}));
+  sim.Run();
+
+  EXPECT_EQ(sim.now(), TimePoint::Origin() + LinkParams{}.base_latency);
+  std::vector<std::pair<std::string, uint8_t>> got;
+  Message m;
+  while (c.TryReceive(&m)) {
+    got.emplace_back(m.from, m.ext.at(0));
+  }
+  const std::vector<std::pair<std::string, uint8_t>> want = {
+      {"a", 1}, {"b", 2}, {"a", 3}};
+  EXPECT_EQ(got, want);
+}
+
+TEST(NetworkFabricTest, RecycledPayloadServesTheLinksNextSend) {
+  Simulator sim;
+  NetworkFabric fabric(sim);
+  fabric.CreateEndpoint("a");
+  Endpoint& b = fabric.CreateEndpoint("b");
+  fabric.Connect("a", "b", LinkParams{});
+
+  // Nothing parked yet: a fresh, empty buffer.
+  std::vector<uint8_t> first = fabric.TakeBuffer("a", "b");
+  EXPECT_EQ(first.capacity(), 0u);
+  first = Payload(7, 300);
+  const uint8_t* storage = first.data();
+  ASSERT_TRUE(fabric.Send("a", "b", std::move(first)));
+  sim.Run();
+
+  Message m;
+  ASSERT_TRUE(b.TryReceive(&m));
+  EXPECT_EQ(m.payload.data(), storage);  // delivered without a copy
+  fabric.Recycle(m.from, m.to, std::move(m.payload));
+
+  // The other direction has its own pool.
+  EXPECT_EQ(fabric.TakeBuffer("b", "a").capacity(), 0u);
+  std::vector<uint8_t> next = fabric.TakeBuffer("a", "b");
+  EXPECT_EQ(next.data(), storage);
+  EXPECT_TRUE(next.empty());
+  EXPECT_GE(next.capacity(), 300u);
+  // Taken: the pool is empty again.
+  EXPECT_EQ(fabric.TakeBuffer("a", "b").capacity(), 0u);
+}
+
+TEST(NetworkFabricTest, DroppedFrameReturnsItsBuffer) {
+  Simulator sim;
+  NetworkFabric fabric(sim);
+  fabric.CreateEndpoint("a");
+  fabric.CreateEndpoint("b");
+  fabric.Connect("a", "b", LinkParams{});
+  fabric.SetLinkUp("a", "b", false);
+
+  std::vector<uint8_t> frame = Payload(1, 200);
+  const uint8_t* storage = frame.data();
+  EXPECT_FALSE(fabric.Send("a", "b", std::move(frame)));
+  EXPECT_EQ(fabric.stats().messages_blackholed.value(), 1);
+  EXPECT_EQ(fabric.TakeBuffer("a", "b").data(), storage);
 }
 
 }  // namespace

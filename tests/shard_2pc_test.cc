@@ -25,6 +25,7 @@ using rlsim::Task;
 using rlshard::MsgType;
 using rlshard::ShardOps;
 using rlshard::TxnOutcome;
+using rlshard::WireFrame;
 using rlshard::WireMessage;
 using rlshard::WireOp;
 
@@ -62,6 +63,17 @@ Task<bool> HasKey(FleetTestbed& fleet, uint64_t key) {
 
 // --- Wire protocol -----------------------------------------------------------
 
+// The ops of a decoded frame, copied out of it.
+std::vector<WireOp> CopyOps(const rlshard::WireFrame& frame) {
+  std::vector<WireOp> ops;
+  for (const rlshard::WireOpView op : frame.ops) {
+    ops.push_back(WireOp{.is_delete = op.is_delete,
+                         .key = op.key,
+                         .value = {op.value.begin(), op.value.end()}});
+  }
+  return ops;
+}
+
 TEST(WireTest, RoundTripsAllFields) {
   WireMessage msg = WireMessage::Make(MsgType::kPrepareReq, 0x1234'5678'9abcull,
                                       1);
@@ -69,19 +81,25 @@ TEST(WireTest, RoundTripsAllFields) {
   msg.ops.push_back(WireOp{.is_delete = true, .key = 99, .value = {}});
 
   const std::vector<uint8_t> bytes = EncodeMessage(msg);
-  WireMessage back;
+  WireFrame back;
   ASSERT_TRUE(DecodeMessage(bytes, &back));
   EXPECT_EQ(back.type, msg.type);
   EXPECT_EQ(back.global_id, msg.global_id);
   EXPECT_EQ(back.flag, msg.flag);
   ASSERT_EQ(back.ops.size(), 2u);
-  EXPECT_EQ(back.ops[0].key, 7u);
-  EXPECT_EQ(back.ops[0].value, msg.ops[0].value);
-  EXPECT_TRUE(back.ops[1].is_delete);
+  const std::vector<WireOp> ops = CopyOps(back);
+  ASSERT_EQ(ops.size(), 2u);
+  EXPECT_EQ(ops[0].key, 7u);
+  EXPECT_FALSE(ops[0].is_delete);
+  EXPECT_EQ(ops[0].value, msg.ops[0].value);
+  // The decoded value is a view into the frame, not a copy.
+  EXPECT_EQ((*back.ops.begin()).value.data(), bytes.data() + 14 + 11);
+  EXPECT_TRUE(ops[1].is_delete);
+  EXPECT_EQ(ops[1].key, 99u);
 }
 
 TEST(WireTest, RejectsGarbage) {
-  WireMessage out;
+  WireFrame out;
   EXPECT_FALSE(DecodeMessage(std::vector<uint8_t>{}, &out));
   EXPECT_FALSE(DecodeMessage(std::vector<uint8_t>{0xff, 0x01}, &out));
   // Truncated valid message.
@@ -93,6 +111,94 @@ TEST(WireTest, RejectsGarbage) {
   bytes = EncodeMessage(msg);
   bytes.push_back(0);
   EXPECT_FALSE(DecodeMessage(bytes, &out));
+}
+
+TEST(WireTest, EncodesIntoTheGivenBuffer) {
+  std::vector<uint8_t> buf;
+  buf.reserve(256);
+  buf.assign(7, 0xEE);  // stale bytes from the buffer's last frame
+  const uint8_t* storage = buf.data();
+  WireMessage msg = WireMessage::Make(MsgType::kExecuteReq, 5);
+  msg.ops.push_back(Op(3));
+  const std::vector<uint8_t> bytes = EncodeMessage(msg, std::move(buf));
+  EXPECT_EQ(bytes.data(), storage);
+  EXPECT_EQ(bytes, EncodeMessage(msg));
+}
+
+// A value too long for the u16 length field, or an op count too large for
+// the u32, must fail loudly: a truncated field yields a frame the strict
+// decoder drops, and the transaction would silently wait out its vote
+// timeout.
+TEST(WireTest, OversizedValueIsANamedCheckFailure) {
+  WireMessage msg = WireMessage::Make(MsgType::kPrepareReq, 8);
+  msg.ops.push_back(WireOp{.key = 1, .value = std::vector<uint8_t>(65535)});
+  const std::vector<uint8_t> fits = EncodeMessage(msg);
+  WireFrame back;
+  ASSERT_TRUE(DecodeMessage(fits, &back));
+  EXPECT_EQ((*back.ops.begin()).value.size(), 65535u);
+
+  msg.ops.push_back(WireOp{.key = 2, .value = std::vector<uint8_t>(65536)});
+  try {
+    EncodeMessage(msg);
+    FAIL() << "a 64 KiB value encoded";
+  } catch (const rlsim::CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("u16 length field"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Strictness over a 3-op prepare frame. Every proper prefix is torn and
+// must decode to false. A single-byte change to the type, the op count or
+// a value length must decode to false or to exactly what the new bytes
+// encode: re-encoding the decoded frame reproduces them byte for byte.
+// Each candidate is decoded from a buffer of exactly its size, so under
+// AddressSanitizer a read past the frame faults.
+TEST(WireTest, DecoderIsStrictOverEveryPrefixAndFieldByte) {
+  WireMessage msg = WireMessage::Make(MsgType::kPrepareReq, 0xABCDEF, 0);
+  msg.ops.push_back(Op(11));
+  msg.ops.push_back(WireOp{.is_delete = true, .key = 12, .value = {}});
+  msg.ops.push_back(WireOp{.key = 13, .value = {1, 2, 3, 4, 5}});
+  const std::vector<uint8_t> frame = EncodeMessage(msg);
+
+  WireFrame out;
+  for (size_t len = 0; len < frame.size(); ++len) {
+    const std::vector<uint8_t> prefix(frame.begin(), frame.begin() + len);
+    EXPECT_FALSE(DecodeMessage(prefix, &out)) << "prefix of " << len;
+  }
+
+  // Field bytes: the type (0), the op count (10..13), and each op's u16
+  // value length (op header offset + 9 and + 10).
+  std::vector<size_t> positions = {0, 10, 11, 12, 13};
+  size_t op_at = 14;
+  for (const WireOp& op : msg.ops) {
+    positions.push_back(op_at + 9);
+    positions.push_back(op_at + 10);
+    op_at += 11 + op.value.size();
+  }
+  ASSERT_EQ(op_at, frame.size());
+
+  int decoded = 0;
+  for (const size_t pos : positions) {
+    for (int v = 0; v < 256; ++v) {
+      if (v == frame[pos]) {
+        continue;
+      }
+      std::vector<uint8_t> mutated = frame;
+      mutated[pos] = static_cast<uint8_t>(v);
+      const std::vector<uint8_t> exact(mutated.begin(), mutated.end());
+      if (!DecodeMessage(exact, &out)) {
+        continue;
+      }
+      ++decoded;
+      WireMessage again = WireMessage::Make(out.type, out.global_id, out.flag);
+      again.ops = CopyOps(out);
+      EXPECT_EQ(EncodeMessage(again), exact)
+          << "byte " << pos << " set to " << v;
+    }
+  }
+  // Only the other seven message types survive a one-byte change.
+  EXPECT_EQ(decoded, 7);
 }
 
 TEST(DirectoryTest, PartitionsKeySpace) {
@@ -167,28 +273,91 @@ TEST(TwoPcTest, PartitionedParticipantAbortsAtomically) {
   const uint64_t k0 = 20, k1 = (1 << 19) + 20;
   TxnOutcome outcome = TxnOutcome::kCommitted;
   bool has0 = true, has1 = true;
-  sim.Spawn([](Simulator&, FleetTestbed& f, uint64_t a, uint64_t b,
-               TxnOutcome& out, bool& ha, bool& hb) -> Task<void> {
+  Duration took;
+  sim.Spawn([](Simulator& s, FleetTestbed& f, uint64_t a, uint64_t b,
+               TxnOutcome& out, bool& ha, bool& hb,
+               Duration& elapsed) -> Task<void> {
     co_await f.Start();
     f.PartitionShard(1);  // shard 1 never sees the prepare
     std::vector<ShardOps> parts;
     parts.push_back(ShardOps{.shard = 0, .ops = {Op(a)}});
     parts.push_back(ShardOps{.shard = 1, .ops = {Op(b)}});
+    const rlsim::TimePoint start = s.now();
     out = co_await f.coordinator().Execute(3, std::move(parts));
+    elapsed = s.now() - start;
     f.HealShard(1);
     EXPECT_TRUE(co_await f.ResolveAllInDoubt(Duration::Seconds(5)));
     ha = co_await HasKey(f, a);
     hb = co_await HasKey(f, b);
     co_await f.Shutdown();
-  }(sim, fleet, k0, k1, outcome, has0, has1));
+  }(sim, fleet, k0, k1, outcome, has0, has1, took));
   sim.Run();
   EXPECT_EQ(outcome, TxnOutcome::kAborted);
+  // The abort comes from the vote timeout, at exactly its deadline.
+  EXPECT_EQ(took, rlshard::CoordinatorOptions{}.vote_timeout);
   EXPECT_FALSE(has0);  // shard 0 prepared, then resolved to abort
   EXPECT_FALSE(has1);
   EXPECT_EQ(fleet.coordinator().stats().vote_timeouts.value(), 1);
   // No decision record for a presumed abort.
   EXPECT_EQ(fleet.coordinator().decision_log().stats().decisions_logged.value(),
             0);
+}
+
+// The vote timeout is a queued event, not a parked task: with a 10 s
+// timeout, 1 000 finished transactions leave no root task behind, so the
+// live tasks are the resident loops the fleet started with.
+TEST(TwoPcTest, VoteTimeoutsParkNoTaskPerTransaction) {
+  Simulator sim;
+  FleetOptions opt = SmallFleet(2);
+  opt.coordinator.vote_timeout = Duration::Seconds(10);
+  FleetTestbed fleet(sim, opt);
+  size_t resident = 0;
+  size_t after = 0;
+  int committed = 0;
+  sim.Spawn([](Simulator& s, FleetTestbed& f, size_t& before, size_t& end,
+               int& ok) -> Task<void> {
+    co_await f.Start();
+    before = s.pending_tasks();
+    for (uint64_t gid = 1; gid <= 1000; ++gid) {
+      std::vector<ShardOps> parts;
+      parts.push_back(ShardOps{.shard = gid % 2, .ops = {}});
+      parts[0].ops.push_back(Op(gid % 2 == 0 ? gid : (1 << 19) + gid));
+      if (co_await f.coordinator().Execute(gid, std::move(parts)) ==
+          TxnOutcome::kCommitted) {
+        ++ok;
+      }
+    }
+    // Well inside the first transaction's timeout.
+    EXPECT_LT(s.now(), rlsim::TimePoint::Origin() + Duration::Seconds(10));
+    end = s.pending_tasks();
+    co_await f.Shutdown();
+  }(sim, fleet, resident, after, committed));
+  sim.Run();
+  EXPECT_EQ(committed, 1000);
+  EXPECT_EQ(fleet.coordinator().stats().vote_timeouts.value(), 0);
+  EXPECT_GT(resident, 0u);
+  EXPECT_LE(after, resident);
+}
+
+TEST(TwoPcTest, MoreShardsThanTheVoteBitmaskIsANamedCheckFailure) {
+  Simulator sim;
+  rlnet::NetworkFabric fabric(sim);
+  rlstor::SimBlockDevice dev(
+      sim,
+      rlstor::SimBlockDevice::Options{.geometry = {.sector_count = 1 << 16}},
+      rlstor::MakeDefaultSsd());
+  std::vector<std::string> shards;
+  for (size_t i = 0; i <= rlshard::TxnCoordinator::kMaxShards; ++i) {
+    shards.push_back(rlshard::ShardDirectory::EndpointName(i));
+  }
+  try {
+    rlshard::TxnCoordinator coord(sim, fabric, "coord", shards, dev,
+                                  rldb::PostgresLikeProfile());
+    FAIL() << "a 65-shard coordinator was built";
+  } catch (const rlsim::CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("vote bitmask"), std::string::npos)
+        << e.what();
+  }
 }
 
 // --- Presumed-abort recovery from a dead coordinator -------------------------
