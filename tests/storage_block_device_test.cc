@@ -139,6 +139,46 @@ TEST(BlockDeviceTest, DestageEventuallyHardensWithoutFlush) {
   EXPECT_GE(dev.stats().destaged_sectors.value(), 16);
 }
 
+// A write that lands on a sector while that sector's destage is in flight
+// stays cached and dirty until its own destage: a power cut leaves the older
+// contents on the medium, never the newer write, which nothing flushed.
+TEST(BlockDeviceTest, DestageHardensNoWriteThatLandsMidFlight) {
+  constexpr uint64_t kLba = 100;
+  // One sector, cut once A's destage completes (B's own destage, in flight
+  // then, lands nothing of a single sector); four, cut mid-destage (a torn
+  // multi-sector write lands half its sectors).
+  for (const auto& [sectors, cut_mid_destage] :
+       {std::pair{1u, false}, std::pair{4u, true}}) {
+    Simulator sim;
+    SimBlockDevice dev(sim, SmallDisk(WriteCachePolicy::kWriteBack),
+                       MakeDefaultSsd());
+    uint64_t dirty_mid_destage = 0;
+    sim.Spawn([](Simulator& s, SimBlockDevice& d, uint32_t n, bool cut_mid,
+                 uint64_t& dirty) -> Task<void> {
+      co_await d.Write(kLba, Pattern(n * kSectorSize, 0xAA), /*fua=*/false);
+      // The destage of A starts at once and programs for ~270 µs.
+      co_await s.Sleep(Duration::Micros(50));
+      co_await d.Write(kLba, Pattern(n * kSectorSize, 0xBB), /*fua=*/false);
+      co_await s.Sleep(Duration::Micros(100));
+      dirty = d.dirty_sectors();
+      while (!cut_mid && d.stats().destaged_sectors.value() == 0) {
+        co_await s.Sleep(Duration::Micros(1));
+      }
+      d.PowerLoss();
+    }(sim, dev, sectors, cut_mid_destage, dirty_mid_destage));
+    sim.Run();
+    EXPECT_EQ(dirty_mid_destage, sectors) << sectors;
+    for (uint32_t i = 0; i < sectors; ++i) {
+      std::vector<uint8_t> durable(kSectorSize);
+      dev.image().ReadDurable(kLba + i, durable);
+      EXPECT_TRUE(durable == Pattern(kSectorSize, 0xAA) ||
+                  durable == Pattern(kSectorSize, 0))
+          << sectors << " sectors, sector " << i << " holds "
+          << int{durable[0]};
+    }
+  }
+}
+
 TEST(BlockDeviceTest, RequestsAfterPowerLossFail) {
   Simulator sim;
   SimBlockDevice dev(sim, SmallDisk(WriteCachePolicy::kWriteBack),
