@@ -10,7 +10,6 @@
 //   rapilog_chaos --cross-ratio X       pin the fleet cross-shard probability
 //                                       (default: sampled per seed)
 //   rapilog_chaos --budget N            nightly sweep: N episodes in batches
-//   rapilog_chaos --minutes M           alias: budget = M * 120 episodes
 //   rapilog_chaos --audit               run every episode twice under the
 //                                       DivergenceAuditor; any divergence is
 //                                       a failure with a first-event report
@@ -27,9 +26,9 @@
 //                                       divergence reports there
 //   rapilog_chaos --no-shrink           report failures without minimising
 //
-// Every mode is a pure function of its arguments: the --minutes wall-clock
-// deadline of earlier revisions is gone (it made "how many seeds ran" depend
-// on the machine), replaced by an episode budget computed once at startup.
+// Every mode is a pure function of its arguments: a sweep is bounded by an
+// episode budget, never by a wall-clock deadline (which would make "how many
+// seeds ran" depend on the machine).
 //
 // Exit status: 0 if every episode's oracles held (and, under --audit, every
 // double-run agreed), 1 otherwise. Failing schedules are shrunk to minimal
@@ -56,13 +55,6 @@ using rlchaos::EpisodeOutcome;
 using rlchaos::ExplorerOptions;
 using rlchaos::ExplorerReport;
 using rlchaos::ShrunkFailure;
-
-// --minutes M is kept as a deterministic alias: at the historical rate of
-// roughly two episodes per second, one minute of the old wall-clock sweep
-// covered ~120 episodes. The conversion happens once at startup; nothing in
-// the run consults a real clock, so the same invocation always explores the
-// same seeds.
-constexpr uint64_t kEpisodesPerMinute = 120;
 
 // Seeds per ExplorerReport batch in budget mode (progress granularity only).
 constexpr uint64_t kBatchEpisodes = 10;
@@ -236,7 +228,6 @@ int main(int argc, char** argv) {
   uint64_t seed = 1;
   uint64_t episodes = 1;
   uint64_t budget = 0;  // 0 = not in budget (sweep) mode
-  uint64_t minutes = 0;
   int jobs = 1;
   bool no_shrink = false;
   bool audit = false;
@@ -250,10 +241,8 @@ int main(int argc, char** argv) {
   rlbench::ParseFlags(
       argc, argv, "rapilog_chaos",
       {rlbench::Uint("--seed", &seed), rlbench::Uint("--episodes", &episodes),
-       rlbench::Uint("--budget", &budget),
-       rlbench::Uint("--minutes", &minutes,
-                     UINT64_MAX / kEpisodesPerMinute),
-       rlbench::Jobs("--jobs", &jobs), rlbench::Uint("--fleet", &fleet_shards),
+       rlbench::Uint("--budget", &budget), rlbench::Jobs("--jobs", &jobs),
+       rlbench::Uint("--fleet", &fleet_shards),
        rlbench::Fraction("--cross-ratio", &cross_ratio),
        rlbench::Path("--replay", &replay_path),
        rlbench::Path("--out", &out_dir, "DIR"),
@@ -262,10 +251,6 @@ int main(int argc, char** argv) {
        rlbench::Switch("--trace", &run.trace),
        rlbench::Switch("--audit", &audit),
        rlbench::Switch("--ablate-powerguard", &ablate_powerguard)});
-  if (minutes > 0) {
-    // Deterministic alias, converted exactly once here.
-    budget = minutes * kEpisodesPerMinute;
-  }
 
   if (!replay_path.empty()) {
     return RunReplay(replay_path, run, trace_out);

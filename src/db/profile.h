@@ -36,12 +36,6 @@ struct EngineProfile {
   // forcing the log. Zero = force immediately on first waiter.
   rlsim::Duration group_commit_window = rlsim::Duration::Zero();
 
-  // In kAsyncUnsafe mode, how often the background flusher forces the log
-  // (real engines run this on a coarse timer — PostgreSQL's wal_writer_delay,
-  // InnoDB's once-per-second flush — which is exactly why async commit loses
-  // acknowledged transactions on power failure).
-  rlsim::Duration async_flush_interval = rlsim::Duration::Millis(200);
-
   // CPU costs (charged to the guest CPU).
   rlsim::Duration cpu_per_get = rlsim::Duration::Micros(4);
   rlsim::Duration cpu_per_put = rlsim::Duration::Micros(6);

@@ -28,6 +28,12 @@ constexpr size_t kBlockHeaderBytes = 32;
 // A record's wire bytes beyond its value (see wal.h).
 constexpr size_t kRecordOverheadBytes = 4 + 27 + 4;
 
+// In kAsyncUnsafe mode, how often the background flusher forces the log
+// (real engines run this on a coarse timer — PostgreSQL's wal_writer_delay,
+// InnoDB's once-per-second flush — which is exactly why async commit loses
+// acknowledged transactions on power failure).
+constexpr Duration kAsyncFlushInterval = Duration::Millis(200);
+
 // Appends the wire encoding of one record to `out`.
 void EncodeRecordTo(LogRecordType type, uint64_t lsn, uint64_t txn_id,
                     uint64_t key, std::span<const uint8_t> value,
@@ -206,7 +212,7 @@ Task<void> LogWriter::FlusherLoop() {
       continue;
     }
     if (durability_ == DurabilityMode::kAsyncUnsafe) {
-      co_await sim_.Sleep(profile_.async_flush_interval);
+      co_await sim_.Sleep(kAsyncFlushInterval);
     } else if (profile_.group_commit_window > Duration::Zero()) {
       co_await sim_.Sleep(profile_.group_commit_window);
     }

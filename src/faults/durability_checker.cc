@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdio>
 #include <map>
+#include <span>
 #include <utility>
 
 #include "src/sim/check.h"
@@ -245,28 +246,28 @@ bool InResetGap(const std::vector<std::pair<uint64_t, uint64_t>>& gaps,
   return false;
 }
 
-}  // namespace
+// (seq, CRC-32C) of one shipped version of a sector.
+using SectorVersion = std::pair<uint64_t, uint32_t>;
 
-ReplicaAudit AuditReplicaDurability(const rlrep::LogShipper& shipper,
-                                    const rlrep::ReplicaNode& replica) {
-  // Replay the shipped history in sequence order to build each sector's
-  // version list (WAL tail rewrites ship the same LBA at several sequence
-  // numbers). A sector is audited if any version of it was quorum-acked.
+// Replays the shipped history in sequence order to build each sector's
+// version list (WAL tail rewrites ship the same LBA at several sequence
+// numbers), and calls fn(sector, acceptable) for each sector with a
+// quorum-acked version, in ascending sector order. `acceptable` runs from
+// the newest genuinely acked version (versions in a RESET gap are below the
+// cursor without having been acked) to the newest shipped one: frames in
+// flight at a power cut may land afterwards, and a later version of a WAL
+// block only appends records to it, so it still contains everything that
+// was acked.
+template <typename Fn>
+void ForEachAckedSector(const rlrep::LogShipper& shipper, Fn&& fn) {
   const uint64_t cursor = shipper.audit_quorum_cursor();
-  // sector -> (seq, CRC-32C) in ascending seq order.
-  std::map<uint64_t, std::vector<std::pair<uint64_t, uint32_t>>> versions;
+  std::map<uint64_t, std::vector<SectorVersion>> versions;
   for (const rlrep::ShippedBlockMeta& block : shipper.shipped_blocks()) {
     for (size_t i = 0; i < block.sector_crcs.size(); ++i) {
       versions[block.lba + i].emplace_back(block.seq, block.sector_crcs[i]);
     }
   }
-
-  ReplicaAudit audit;
-  const rlstor::DiskImage& image = replica.disk().image();
-  std::array<uint8_t, rlstor::kSectorSize> buf;
   for (const auto& [sector, history] : versions) {
-    // Newest genuinely quorum-acked version of this sector, if any (versions
-    // in a RESET gap are below the cursor without having been acked).
     size_t acked = history.size();
     for (size_t i = 0; i < history.size(); ++i) {
       if (history[i].first < cursor &&
@@ -274,33 +275,42 @@ ReplicaAudit AuditReplicaDurability(const rlrep::LogShipper& shipper,
         acked = i;
       }
     }
-    if (acked == history.size()) {
-      continue;  // nothing acked for this sector; nothing is owed
+    if (acked < history.size()) {
+      fn(sector, std::span<const SectorVersion>(history).subspan(acked));
     }
+  }
+}
+
+// Whether `image` durably holds one of the `acceptable` versions of `sector`.
+bool HoldsVersion(const rlstor::DiskImage& image, uint64_t sector,
+                  std::span<const SectorVersion> acceptable) {
+  if (image.state(sector) != rlstor::SectorState::kDurable) {
+    return false;
+  }
+  std::array<uint8_t, rlstor::kSectorSize> buf;
+  image.ReadDurable(sector, buf);
+  const uint32_t got = rlsim::Crc32c(buf);
+  return std::ranges::any_of(
+      acceptable, [got](const SectorVersion& v) { return v.second == got; });
+}
+
+}  // namespace
+
+ReplicaAudit AuditReplicaDurability(const rlrep::LogShipper& shipper,
+                                    const rlrep::ReplicaNode& replica) {
+  ReplicaAudit audit;
+  const rlstor::DiskImage& image = replica.disk().image();
+  ForEachAckedSector(shipper, [&](uint64_t sector,
+                                  std::span<const SectorVersion> acceptable) {
     ++audit.sectors_expected;
     if (image.state(sector) != rlstor::SectorState::kDurable) {
       ++audit.sectors_missing;
-      continue;
-    }
-    // The replica must hold the newest acked version — or a NEWER shipped
-    // one: frames in flight at the power cut may land afterwards, and a
-    // later version of a WAL block only appends records to it, so it still
-    // contains everything that was acked.
-    image.ReadDurable(sector, buf);
-    const uint32_t got = rlsim::Crc32c(buf);
-    bool matched = false;
-    for (size_t i = acked; i < history.size(); ++i) {
-      if (history[i].second == got) {
-        matched = true;
-        break;
-      }
-    }
-    if (matched) {
+    } else if (HoldsVersion(image, sector, acceptable)) {
       ++audit.sectors_ok;
     } else {
       ++audit.sectors_mismatched;
     }
-  }
+  });
   return audit;
 }
 
@@ -318,42 +328,15 @@ std::string QuorumAudit::Summary() const {
 QuorumAudit AuditQuorumDurability(
     const rlrep::LogShipper& shipper,
     const std::vector<const rlrep::ReplicaNode*>& replicas) {
-  const uint64_t cursor = shipper.audit_quorum_cursor();
-  std::map<uint64_t, std::vector<std::pair<uint64_t, uint32_t>>> versions;
-  for (const rlrep::ShippedBlockMeta& block : shipper.shipped_blocks()) {
-    for (size_t i = 0; i < block.sector_crcs.size(); ++i) {
-      versions[block.lba + i].emplace_back(block.seq, block.sector_crcs[i]);
-    }
-  }
-
   QuorumAudit audit;
   const size_t quorum = shipper.quorum_size();
-  std::array<uint8_t, rlstor::kSectorSize> buf;
-  for (const auto& [sector, history] : versions) {
-    size_t acked = history.size();
-    for (size_t i = 0; i < history.size(); ++i) {
-      if (history[i].first < cursor &&
-          !InResetGap(shipper.reset_gaps(), history[i].first)) {
-        acked = i;
-      }
-    }
-    if (acked == history.size()) {
-      continue;
-    }
+  ForEachAckedSector(shipper, [&](uint64_t sector,
+                                  std::span<const SectorVersion> acceptable) {
     ++audit.sectors_expected;
     size_t holders = 0;
     for (const rlrep::ReplicaNode* replica : replicas) {
-      const rlstor::DiskImage& image = replica->disk().image();
-      if (image.state(sector) != rlstor::SectorState::kDurable) {
-        continue;
-      }
-      image.ReadDurable(sector, buf);
-      const uint32_t got = rlsim::Crc32c(buf);
-      for (size_t i = acked; i < history.size(); ++i) {
-        if (history[i].second == got) {
-          ++holders;
-          break;
-        }
+      if (HoldsVersion(replica->disk().image(), sector, acceptable)) {
+        ++holders;
       }
     }
     if (holders >= quorum) {
@@ -361,7 +344,7 @@ QuorumAudit AuditQuorumDurability(
     } else {
       ++audit.sectors_underreplicated;
     }
-  }
+  });
   return audit;
 }
 

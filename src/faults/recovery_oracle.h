@@ -65,11 +65,6 @@ struct RecoveryOracleOptions {
   // image. On the shared-spindle setup the log image IS the data image and
   // this prefix is the log partition.
   uint64_t log_sector_count = 0;
-  // Virtual-time ceiling for either probe. Generous by design: the chaos
-  // corpus has arbitrary WAL lengths, so this catches hangs and pathological
-  // blow-ups, not modest slowdowns (the strict scaling assertions live in
-  // recovery_time_bound_test with a controlled WAL).
-  rlsim::Duration budget = rlsim::Duration::Seconds(30);
 };
 
 // Clones the durable sectors of the crashed images onto fresh SSD-backed

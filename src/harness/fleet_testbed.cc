@@ -9,6 +9,8 @@ namespace rlharness {
 
 namespace {
 constexpr char kCoordEndpoint[] = "coord";
+// Coordinator <-> shard link characteristics.
+constexpr rlnet::LinkParams kCoordinatorLink{};
 }  // namespace
 
 FleetTestbed::FleetTestbed(rlsim::Simulator& sim, FleetOptions options)
@@ -30,7 +32,7 @@ FleetTestbed::FleetTestbed(rlsim::Simulator& sim, FleetOptions options)
   disk_opts.geometry.sector_count = 512ull * 1024;  // 256 MiB
   disk_opts.name = "coord-log";
   coord_disk_ = std::make_unique<rlstor::SimBlockDevice>(
-      sim_, disk_opts, std::make_unique<rlstor::SsdModel>(rlstor::SsdParams{}));
+      sim_, disk_opts, rlstor::MakeDefaultSsd());
   coord_rapilog_ = std::make_unique<rapilog::RapiLogDevice>(
       sim_, *coord_psu_, *coord_disk_,
       CalibrateDrainRate(options_.shard.rapilog, DiskSetup::kSsdLog));
@@ -53,9 +55,8 @@ FleetTestbed::FleetTestbed(rlsim::Simulator& sim, FleetOptions options)
         sim_, fabric_, shard_endpoints[i], kCoordEndpoint,
         [bed]() -> rldb::Database* {
           return bed->up() ? &bed->db() : nullptr;
-        },
-        options_.node));
-    fabric_.Connect(kCoordEndpoint, shard_endpoints[i], options_.link);
+        }));
+    fabric_.Connect(kCoordEndpoint, shard_endpoints[i], kCoordinatorLink);
   }
 }
 
@@ -102,17 +103,6 @@ rlsim::Task<void> FleetTestbed::RecoverShard(size_t i) {
   co_await beds_[i]->RestorePowerAndRecover();
 }
 
-void FleetTestbed::CrashShardGuest(size_t i) {
-  if (!beds_.at(i)->psu().mains_on()) {
-    return;
-  }
-  beds_[i]->CrashGuest();
-}
-
-rlsim::Task<void> FleetTestbed::RecoverShardGuest(size_t i) {
-  co_await beds_.at(i)->RecoverAfterGuestCrash();
-}
-
 void FleetTestbed::PartitionShard(size_t i) {
   fabric_.SetLinkUp(kCoordEndpoint, rlshard::ShardDirectory::EndpointName(i),
                     false);
@@ -121,11 +111,6 @@ void FleetTestbed::PartitionShard(size_t i) {
 void FleetTestbed::HealShard(size_t i) {
   fabric_.SetLinkUp(kCoordEndpoint, rlshard::ShardDirectory::EndpointName(i),
                     true);
-}
-
-bool FleetTestbed::shard_partitioned(size_t i) const {
-  return !fabric_.link_up(kCoordEndpoint,
-                          rlshard::ShardDirectory::EndpointName(i));
 }
 
 void FleetTestbed::KillCoordinator() {

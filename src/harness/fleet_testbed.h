@@ -9,10 +9,10 @@
 // ("coord" <-> "shard-i" links), distinct from any per-shard replication
 // fabric.
 //
-// Fault surface: kill/recover a shard (power), crash/reboot its guest,
-// partition/heal a shard's link, kill/recover the coordinator. All
-// idempotent and safe to fire in any order — the protocol's timeouts,
-// retransmissions and in-doubt resolution absorb every interleaving.
+// Fault surface: kill/recover a shard (power), partition/heal a shard's
+// link, kill/recover the coordinator. All idempotent and safe to fire in any
+// order — the protocol's timeouts, retransmissions and in-doubt resolution
+// absorb every interleaving.
 #pragma once
 
 #include <memory>
@@ -39,10 +39,7 @@ struct FleetOptions {
   // "shard-i." per shard. Its `psu` and `rapilog` also build the
   // coordinator host's PSU and decision-log RapiLog device.
   TestbedOptions shard;
-  // Coordinator <-> shard link characteristics.
-  rlnet::LinkParams link;
   rlshard::CoordinatorOptions coordinator;
-  rlshard::ShardNodeOptions node;
 };
 
 class FleetTestbed {
@@ -71,8 +68,6 @@ class FleetTestbed {
 
   void KillShard(size_t i);                      // power cut
   rlsim::Task<void> RecoverShard(size_t i);      // power + crash recovery
-  void CrashShardGuest(size_t i);                // guest OS dies, power stays
-  rlsim::Task<void> RecoverShardGuest(size_t i);
   void PartitionShard(size_t i);                 // coord<->shard link down
   void HealShard(size_t i);
   // Volatile state dies, then the coordinator host's mains are cut:
@@ -82,7 +77,6 @@ class FleetTestbed {
   rlsim::Task<void> RecoverCoordinator();
 
   bool shard_powered(size_t i) const { return beds_.at(i)->psu().mains_on(); }
-  bool shard_partitioned(size_t i) const;
   bool coordinator_alive() const { return coordinator_->alive(); }
   rapilog::RapiLogDevice& coordinator_rapilog() { return *coord_rapilog_; }
 

@@ -189,8 +189,6 @@ void Testbed::BuildDevices() {
 void Testbed::BuildReplication(rlstor::BlockDevice& local_log) {
   const ReplicationOptions& rep = options_.replication;
   RL_CHECK_MSG(rep.replicas >= 1, "replication needs >= 1 replica");
-  RL_CHECK_MSG(rep.replica.sector_count >= log_sector_count_,
-               "replica disks must cover the primary log's sector range");
 
   fabric_ = std::make_unique<rlnet::NetworkFabric>(sim_);
   std::vector<std::string> names;
@@ -198,7 +196,10 @@ void Testbed::BuildReplication(rlstor::BlockDevice& local_log) {
   for (size_t r = 0; r < rep.replicas; ++r) {
     names.push_back("replica-" + std::to_string(r));
     replicas_.push_back(std::make_unique<rlrep::ReplicaNode>(
-        sim_, *fabric_, names.back(), "primary", rep.replica));
+        sim_, *fabric_, names.back(), "primary"));
+    RL_CHECK_MSG(
+        replicas_.back()->disk().geometry().sector_count >= log_sector_count_,
+        "replica disks must cover the primary log's sector range");
   }
   shipper_ = std::make_unique<rlrep::LogShipper>(
       sim_, *fabric_, "primary", names, local_log, rep.shipper);
@@ -223,7 +224,7 @@ rlstor::BlockDevice& Testbed::LogTarget() {
 
 void Testbed::BuildGuestStack() {
   kernel_ = std::make_unique<rlkern::Kernel>(sim_);
-  vm_ = std::make_unique<rlvmm::VirtualMachine>(sim_, options_.vm);
+  vm_ = std::make_unique<rlvmm::VirtualMachine>(sim_);
   power_sinks_.push_back(std::make_unique<GuestPowerSink>(
       *vm_, rapilog_ != nullptr && options_.rapilog.enable_power_guard));
 

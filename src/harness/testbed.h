@@ -69,7 +69,6 @@ struct ReplicationOptions {
   size_t replicas = 2;
   rlnet::LinkParams link;          // primary <-> each replica
   rlrep::ShipperOptions shipper;
-  rlrep::ReplicaOptions replica;
 };
 
 struct TestbedOptions {
@@ -83,7 +82,6 @@ struct TestbedOptions {
   rldb::DbOptions db;
   rlpow::PsuParams psu;
   rapilog::RapiLogOptions rapilog;
-  rlvmm::VmParams vm;
   ReplicationOptions replication;
 };
 

@@ -73,12 +73,6 @@ NetworkFabric::Link* NetworkFabric::FindLink(const std::string& from,
   return it == links_.end() ? nullptr : &it->second;
 }
 
-const NetworkFabric::Link* NetworkFabric::FindLink(
-    const std::string& from, const std::string& to) const {
-  const auto it = links_.find(std::pair{from, to});
-  return it == links_.end() ? nullptr : &it->second;
-}
-
 bool NetworkFabric::Send(const std::string& from, const std::string& to,
                          std::vector<uint8_t> payload) {
   return Send(from, to, std::move(payload), {});
@@ -186,12 +180,6 @@ void NetworkFabric::SetLinkLoss(const std::string& a, const std::string& b,
                "SetLinkLoss on unknown link " << a << "<->" << b);
   ab->params.drop_probability = drop_probability;
   ba->params.drop_probability = drop_probability;
-}
-
-bool NetworkFabric::link_up(const std::string& a, const std::string& b) const {
-  const Link* link = FindLink(a, b);
-  RL_CHECK_MSG(link != nullptr, "link_up on unknown link " << a << "->" << b);
-  return link->up;
 }
 
 void NetworkFabric::RegisterStats(rlsim::StatsRegistry& registry,

@@ -159,7 +159,6 @@ class NetworkFabric {
   // Messages already in flight still arrive (they are on the wire); new
   // sends are blackholed until the link comes back up.
   void SetLinkUp(const std::string& a, const std::string& b, bool up);
-  bool link_up(const std::string& a, const std::string& b) const;
 
   // Degrades (or restores) both directions between a and b to the given
   // random-loss probability. Fault-injection hook: a flaky link rather than
@@ -197,7 +196,6 @@ class NetworkFabric {
   };
 
   Link* FindLink(const std::string& from, const std::string& to);
-  const Link* FindLink(const std::string& from, const std::string& to) const;
   void DeliverNext(Link& link);
   static void Park(Link& link, std::vector<uint8_t> payload);
 

@@ -8,15 +8,24 @@ namespace rlpow {
 
 using rlsim::Duration;
 
+namespace {
+
+// ATX spec: >= 16 ms hold-up at full rated load.
+constexpr Duration kHoldupAtFullLoad = Duration::Millis(16);
+constexpr double kFullLoadWatts = 400.0;
+// AC-loss detection + interrupt delivery to software.
+constexpr Duration kWarningLatency = Duration::Micros(200);
+// The hold-up window is never shorter than at full load, so the warning
+// always arrives before the rails drop.
+static_assert(kWarningLatency >= Duration::Zero() &&
+              kWarningLatency < kHoldupAtFullLoad);
+
+}  // namespace
+
 PowerSupply::PowerSupply(rlsim::Simulator& sim, PsuParams params)
     : sim_(sim), params_(params) {
-  RL_CHECK(params_.full_load_watts > 0);
   RL_CHECK(params_.system_load_watts > 0);
-  RL_CHECK(params_.system_load_watts <= params_.full_load_watts);
-  RL_CHECK(params_.holdup_at_full_load > Duration::Zero());
-  RL_CHECK(params_.warning_latency >= Duration::Zero());
-  RL_CHECK_MSG(params_.warning_latency < HoldupWindow(),
-               "warning would arrive after the rails drop");
+  RL_CHECK(params_.system_load_watts <= kFullLoadWatts);
 }
 
 void PowerSupply::Register(PowerSink* sink) {
@@ -27,12 +36,12 @@ void PowerSupply::Register(PowerSink* sink) {
 
 Duration PowerSupply::HoldupWindow() const {
   // Stored energy E = P_full * T_holdup; at load P the rails last E / P.
-  const double scale = params_.full_load_watts / params_.system_load_watts;
-  return params_.holdup_at_full_load * scale + params_.ups_runtime;
+  const double scale = kFullLoadWatts / params_.system_load_watts;
+  return kHoldupAtFullLoad * scale + params_.ups_runtime;
 }
 
 Duration PowerSupply::GuaranteedWindowAfterWarning() const {
-  return HoldupWindow() - params_.warning_latency;
+  return HoldupWindow() - kWarningLatency;
 }
 
 void PowerSupply::CutMains() {
@@ -42,7 +51,7 @@ void PowerSupply::CutMains() {
   mains_on_ = false;
   const uint64_t id = ++outage_id_;
   sim_.EmitTrace("psu", "mains-cut", static_cast<uint32_t>(id));
-  sim_.Schedule(params_.warning_latency, [this, id] { DeliverWarning(id); });
+  sim_.Schedule(kWarningLatency, [this, id] { DeliverWarning(id); });
   sim_.Schedule(HoldupWindow(), [this, id] { DropRails(id); });
 }
 
@@ -50,7 +59,7 @@ void PowerSupply::DeliverWarning(uint64_t outage_id) {
   if (mains_on_ || outage_id != outage_id_) {
     return;  // outage was absorbed before the warning fired
   }
-  const Duration remaining = HoldupWindow() - params_.warning_latency;
+  const Duration remaining = HoldupWindow() - kWarningLatency;
   sim_.EmitTrace("psu", "power-fail-warning",
                  static_cast<uint32_t>(remaining.micros()));
   for (PowerSink* sink : sinks_) {

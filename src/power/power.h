@@ -43,14 +43,9 @@ class PowerSink {
 };
 
 struct PsuParams {
-  // ATX spec: >= 16 ms hold-up at full rated load.
-  rlsim::Duration holdup_at_full_load = rlsim::Duration::Millis(16);
-  double full_load_watts = 400.0;
-  // What the machine actually draws; the stored energy lasts longer at
-  // lighter loads.
+  // What the machine actually draws, at most the PSU's 400 W rating; the
+  // stored energy lasts longer at lighter loads.
   double system_load_watts = 200.0;
-  // AC-loss detection + interrupt delivery to software.
-  rlsim::Duration warning_latency = rlsim::Duration::Micros(200);
   // Optional UPS carrying the load after the PSU caps would be exhausted.
   // Zero means no UPS.
   rlsim::Duration ups_runtime = rlsim::Duration::Zero();

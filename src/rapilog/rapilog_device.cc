@@ -12,6 +12,21 @@ using rlsim::Task;
 using rlstor::BlockStatus;
 using rlstor::kSectorSize;
 
+namespace {
+
+// Fraction of the guaranteed post-warning window the budget may assume.
+constexpr double kSafetyFactor = 0.5;
+// Buffer insert cost: fixed part plus DRAM copy at ~10 GiB/s.
+constexpr Duration kAckBaseCost = Duration::Nanos(500);
+// Residency bound: the longest a backlog below half the budget waits for a
+// drain run. Below that threshold the drain lingers, so the log disk sees
+// one large run per half budget instead of chasing the live tail, and
+// tail-block rewrites are absorbed in memory. Crossing the threshold,
+// Quiesce() and the power-fail warning all end a linger at once.
+constexpr Duration kDrainLinger = Duration::Seconds(1);
+
+}  // namespace
+
 RapiLogDevice::RapiLogDevice(rlsim::Simulator& sim, rlpow::PowerSupply& psu,
                              rlstor::BlockDevice& log_disk,
                              RapiLogOptions options)
@@ -36,7 +51,7 @@ uint64_t RapiLogDevice::ComputeBudget(const rlpow::PowerSupply& psu) const {
   if (usable <= rlsim::Duration::Zero()) {
     return kSectorSize;  // degenerate window: effectively synchronous
   }
-  const double window_s = usable.ToSecondsF() * options_.safety_factor;
+  const double window_s = usable.ToSecondsF() * kSafetyFactor;
   const double budget = options_.worst_case_drain_mbps * 1e6 * window_s;
   return std::max<uint64_t>(kSectorSize, static_cast<uint64_t>(budget));
 }
@@ -91,7 +106,7 @@ Task<BlockStatus> RapiLogDevice::Write(uint64_t lba,
       CutLinger();
     }
   }
-  co_await sim_.Sleep(options_.ack_base_cost +
+  co_await sim_.Sleep(kAckBaseCost +
                       Duration::Nanos(static_cast<int64_t>(data.size() / 10)));
   stats_.acked_writes.Add();
   stats_.ack_latency.RecordDuration(sim_.now() - start);
@@ -106,7 +121,7 @@ Task<BlockStatus> RapiLogDevice::Flush() {
   stats_.flush_calls.Add();
   // Everything buffered is already covered by the durability contract; the
   // flush only costs its hypercall handling.
-  co_await sim_.Sleep(options_.ack_base_cost);
+  co_await sim_.Sleep(kAckBaseCost);
   co_return BlockStatus::kOk;
 }
 
@@ -185,7 +200,7 @@ Task<void> RapiLogDevice::DrainLoop() {
       batch_end = last_stamp_;
     } else if (fifo_.front().stamp > batch_end) {
       const rlsim::TimePoint due =
-          fifo_.front().buffered_at + options_.drain_linger;
+          fifo_.front().buffered_at + kDrainLinger;
       if (sim_.now() < due) {
         co_await LingerAwaiter{*this, due - sim_.now()};
         continue;

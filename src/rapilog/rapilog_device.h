@@ -42,26 +42,16 @@ struct RapiLogOptions {
   // the physical disk (used only for the admission budget; the real rate is
   // whatever the device model yields).
   double worst_case_drain_mbps = 40.0;
-  // Fraction of the guaranteed post-warning window the budget may assume.
-  double safety_factor = 0.5;
   // Overrides the power-derived budget when non-zero (testing/ablation).
   uint64_t max_buffer_bytes_override = 0;
   // Ablation switch: with the guard disabled the device ignores the
   // power-fail warning, so a power cut can destroy buffered data — this is
   // the "async commit without RapiLog" failure mode.
   bool enable_power_guard = true;
-  // Buffer insert cost: fixed part plus DRAM copy at ~10 GiB/s.
-  rlsim::Duration ack_base_cost = rlsim::Duration::Nanos(500);
   // Budget reserve for getting the emergency drain started: one in-flight
   // guest request plus the drain's own worst-case seek+rotation must fit in
   // the hold-up window before any buffered byte moves.
   rlsim::Duration drain_start_reserve = rlsim::Duration::Millis(20);
-  // Residency bound: the longest a backlog below half the budget waits for
-  // a drain run. Below that threshold the drain lingers, so the log disk
-  // sees one large run per half budget instead of chasing the live tail,
-  // and tail-block rewrites are absorbed in memory. Crossing the threshold,
-  // Quiesce() and the power-fail warning all end a linger at once.
-  rlsim::Duration drain_linger = rlsim::Duration::Seconds(1);
 };
 
 class RapiLogDevice : public rlstor::BlockDevice, public rlpow::PowerSink {

@@ -15,6 +15,23 @@ using rlsim::TimePoint;
 using rlstor::BlockStatus;
 using rlstor::kSectorSize;
 
+namespace {
+
+// Base retransmission timeout: no cursor progress for this long (while data
+// is outstanding) triggers a resend from the replica's cursor. Must
+// comfortably exceed link RTT + replica apply time.
+constexpr Duration kRetransmitTimeout = Duration::Millis(15);
+// Granularity of the retransmission timer.
+constexpr Duration kRetransmitTick = Duration::Millis(1);
+// Exponential backoff cap: timeout * 2^k with k <= this.
+constexpr int kMaxBackoffDoublings = 4;
+static_assert(kMaxBackoffDoublings >= 0);
+// Blocks re-sent per peer per timer firing.
+constexpr uint64_t kMaxResendBatch = 64;
+static_assert(kMaxResendBatch >= 1);
+
+}  // namespace
+
 std::string ToString(ShipMode m) {
   switch (m) {
     case ShipMode::kAsync:
@@ -38,8 +55,6 @@ LogShipper::LogShipper(rlsim::Simulator& sim, rlnet::NetworkFabric& fabric,
       quorum_wake_(sim),
       retrans_wake_(sim) {
   RL_CHECK_MSG(!replica_names.empty(), "LogShipper needs >= 1 replica");
-  RL_CHECK(options_.max_backoff_doublings >= 0);
-  RL_CHECK(options_.max_resend_batch >= 1);
   for (std::string& name : replica_names) {
     peers_.push_back(Peer{.name = std::move(name),
                           .cursor = 0,
@@ -231,7 +246,7 @@ void LogShipper::ResendTo(Peer& peer) {
   RL_CHECK_MSG(peer.cursor >= base,
                "window trimmed past an unacked cursor for " << peer.name);
   const uint64_t end =
-      std::min(next_seq_, peer.cursor + options_.max_resend_batch);
+      std::min(next_seq_, peer.cursor + kMaxResendBatch);
   if (end > peer.cursor) {
     sim_.EmitTrace(self_name_, "retransmit",
                    static_cast<uint32_t>(end - peer.cursor));
@@ -249,7 +264,7 @@ Task<void> LogShipper::RetransmitLoop() {
       co_await retrans_wake_.Wait();
       continue;
     }
-    co_await sim_.Sleep(options_.retransmit_tick);
+    co_await sim_.Sleep(kRetransmitTick);
     if (!powered_) {
       continue;
     }
@@ -259,15 +274,15 @@ Task<void> LogShipper::RetransmitLoop() {
         continue;
       }
       const Duration timeout =
-          options_.retransmit_timeout *
+          kRetransmitTimeout *
           (int64_t{1} << std::min(peer.backoff_doublings,
-                                  options_.max_backoff_doublings));
+                                  kMaxBackoffDoublings));
       if (now - peer.last_activity < timeout) {
         continue;
       }
       ResendTo(peer);
       peer.last_activity = now;
-      if (peer.backoff_doublings < options_.max_backoff_doublings) {
+      if (peer.backoff_doublings < kMaxBackoffDoublings) {
         ++peer.backoff_doublings;
       }
     }

@@ -57,16 +57,6 @@ std::string ToString(ShipMode m);
 
 struct ShipperOptions {
   ShipMode mode = ShipMode::kAsync;
-  // Base retransmission timeout: no cursor progress for this long (while
-  // data is outstanding) triggers a resend from the replica's cursor. Must
-  // comfortably exceed link RTT + replica apply time.
-  rlsim::Duration retransmit_timeout = rlsim::Duration::Millis(15);
-  // Granularity of the retransmission timer.
-  rlsim::Duration retransmit_tick = rlsim::Duration::Millis(1);
-  // Exponential backoff cap: timeout * 2^k with k <= this.
-  int max_backoff_doublings = 4;
-  // Blocks re-sent per peer per timer firing.
-  size_t max_resend_batch = 64;
 };
 
 // Everything ever shipped, for block-level durability auditing.

@@ -13,21 +13,29 @@ using rlsim::Task;
 using rlstor::BlockStatus;
 using rlstor::kSectorSize;
 
+namespace {
+
+// Replica disk size; it must cover the primary log device's sector range
+// (256 MiB).
+constexpr uint64_t kDiskSectors = 512ull * 1024;
+
+}  // namespace
+
 ReplicaNode::ReplicaNode(rlsim::Simulator& sim, rlnet::NetworkFabric& fabric,
-                         std::string name, std::string primary_name,
-                         ReplicaOptions options)
+                         std::string name, std::string primary_name)
     : sim_(sim),
       fabric_(fabric),
       name_(std::move(name)),
       primary_name_(std::move(primary_name)),
       endpoint_(fabric.CreateEndpoint(name_)) {
   rlstor::SimBlockDevice::Options disk_opts;
-  disk_opts.geometry.sector_count = options.sector_count;
+  disk_opts.geometry.sector_count = kDiskSectors;
   disk_opts.cache_policy = rlstor::WriteCachePolicy::kWriteBack;
   disk_opts.name = name_ + "-disk";
-  disk_ = std::make_unique<rlstor::SimBlockDevice>(
-      sim_, disk_opts,
-      options.ssd ? rlstor::MakeDefaultSsd() : rlstor::MakeDefaultHdd());
+  // Replica log stores are flash: apply latency then stays small next to
+  // the link RTT, which is the regime E11 measures.
+  disk_ = std::make_unique<rlstor::SimBlockDevice>(sim_, disk_opts,
+                                                   rlstor::MakeDefaultSsd());
   sim_.Spawn(ReceiveLoop(), name_ + "-recv");
 }
 

@@ -28,14 +28,6 @@
 
 namespace rlrep {
 
-struct ReplicaOptions {
-  // Must cover the primary log device's sector range.
-  uint64_t sector_count = 512ull * 1024;
-  // Replica log stores are flash by default: apply latency then stays small
-  // next to the link RTT, which is the regime E11 measures.
-  bool ssd = true;
-};
-
 class ReplicaNode {
  public:
   struct Stats {
@@ -51,8 +43,7 @@ class ReplicaNode {
   // Creates this node's fabric endpoint `name`. The caller connects it to
   // the primary (fabric.Connect) before traffic flows.
   ReplicaNode(rlsim::Simulator& sim, rlnet::NetworkFabric& fabric,
-              std::string name, std::string primary_name,
-              ReplicaOptions options);
+              std::string name, std::string primary_name);
 
   const std::string& name() const { return name_; }
 

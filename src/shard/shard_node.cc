@@ -8,16 +8,25 @@
 
 namespace rlshard {
 
+namespace {
+
+// In-doubt resolver cadence. A prepared transaction is only queried once it
+// has been in doubt for a full interval (freshly prepared transactions are
+// still being driven by the coordinator — querying them would just earn a
+// kPending).
+constexpr rlsim::Duration kResolveInterval = rlsim::Duration::Millis(300);
+
+}  // namespace
+
 ShardNode::ShardNode(rlsim::Simulator& sim, rlnet::NetworkFabric& fabric,
                      std::string name, std::string coordinator,
-                     DbProvider provider, ShardNodeOptions options)
+                     DbProvider provider)
     : sim_(sim),
       fabric_(fabric),
       endpoint_(fabric.CreateEndpoint(name)),
       name_(std::move(name)),
       coordinator_(std::move(coordinator)),
-      provider_(std::move(provider)),
-      options_(options) {}
+      provider_(std::move(provider)) {}
 
 void ShardNode::Start() {
   RL_CHECK_MSG(!started_, "ShardNode started twice");
@@ -211,7 +220,7 @@ rlsim::Task<void> ShardNode::HandleQueryResp(uint64_t global_id,
 
 rlsim::Task<void> ShardNode::ResolverLoop() {
   while (!stopped_) {
-    co_await sim_.Sleep(options_.resolve_interval);
+    co_await sim_.Sleep(kResolveInterval);
     if (stopped_) {
       co_return;
     }

@@ -30,14 +30,6 @@
 
 namespace rlshard {
 
-struct ShardNodeOptions {
-  // In-doubt resolver cadence. A prepared transaction is only queried once
-  // it has been in doubt for a full interval (freshly prepared transactions
-  // are still being driven by the coordinator — querying them would just
-  // earn a kPending).
-  rlsim::Duration resolve_interval = rlsim::Duration::Millis(300);
-};
-
 class ShardNode {
  public:
   struct Stats {
@@ -58,8 +50,7 @@ class ShardNode {
   using DbProvider = std::function<rldb::Database*()>;
 
   ShardNode(rlsim::Simulator& sim, rlnet::NetworkFabric& fabric,
-            std::string name, std::string coordinator, DbProvider provider,
-            ShardNodeOptions options = {});
+            std::string name, std::string coordinator, DbProvider provider);
 
   // Spawns the receive and resolver loops. Call exactly once.
   void Start();
@@ -100,7 +91,6 @@ class ShardNode {
   std::string name_;
   std::string coordinator_;
   DbProvider provider_;
-  ShardNodeOptions options_;
   bool started_ = false;
   bool stopped_ = false;
 

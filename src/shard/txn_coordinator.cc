@@ -7,6 +7,16 @@
 
 namespace rlshard {
 
+namespace {
+
+// Decision retransmission cadence and budget. Exhausting the budget is not a
+// protocol failure — the shard's in-doubt resolver takes over.
+constexpr rlsim::Duration kDecisionResendInterval =
+    rlsim::Duration::Millis(100);
+constexpr int kDecisionResendMax = 30;
+
+}  // namespace
+
 std::string ToString(TxnOutcome outcome) {
   switch (outcome) {
     case TxnOutcome::kCommitted:
@@ -206,7 +216,7 @@ void TxnCoordinator::StartPush(uint64_t global_id, bool commit,
 
 rlsim::Task<void> TxnCoordinator::PusherTask(uint64_t global_id,
                                              uint64_t epoch) {
-  for (int round = 0; round < options_.decision_resend_max; ++round) {
+  for (int round = 0; round < kDecisionResendMax; ++round) {
     if (epoch_ != epoch) {
       co_return;  // crash wiped the push table; do not recreate state
     }
@@ -225,7 +235,7 @@ rlsim::Task<void> TxnCoordinator::PusherTask(uint64_t global_id,
         stats_.decision_resends.Add();
       }
     }
-    co_await sim_.Sleep(options_.decision_resend_interval);
+    co_await sim_.Sleep(kDecisionResendInterval);
   }
   if (epoch_ == epoch) {
     // Budget exhausted or fully acked; unreached shards will pull the

@@ -45,10 +45,6 @@ struct CoordinatorOptions {
   // presuming abort. Must comfortably exceed a prepare's worst-case
   // durability latency or healthy transactions start aborting.
   rlsim::Duration vote_timeout = rlsim::Duration::Millis(400);
-  // Decision retransmission cadence and budget. Exhausting the budget is
-  // not a protocol failure — the shard's in-doubt resolver takes over.
-  rlsim::Duration decision_resend_interval = rlsim::Duration::Millis(100);
-  int decision_resend_max = 30;
 };
 
 enum class TxnOutcome : uint8_t {

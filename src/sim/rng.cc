@@ -67,10 +67,6 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   return lo + static_cast<int64_t>(span == 0 ? Next() : NextBelow(span));
 }
 
-double Rng::UniformDouble(double lo, double hi) {
-  return lo + (hi - lo) * NextDouble();
-}
-
 double Rng::Exponential(double mean) {
   RL_CHECK(mean > 0);
   double u = NextDouble();

@@ -28,9 +28,6 @@ class Rng {
   // Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   int64_t UniformInt(int64_t lo, int64_t hi);
 
-  // Uniform double in [lo, hi).
-  double UniformDouble(double lo, double hi);
-
   // Exponentially distributed with the given mean (> 0).
   double Exponential(double mean);
 

@@ -56,16 +56,6 @@ void Histogram::Record(int64_t value) {
   }
   ++count_;
   sum_ += value;
-  AddSquares(static_cast<double>(value) * static_cast<double>(value));
-}
-
-void Histogram::AddSquares(double value) {
-  // Kahan summation: the carry recovers the low-order bits a plain += would
-  // drop once sum_squares_ dwarfs the addend.
-  const double y = value - sum_squares_carry_;
-  const double t = sum_squares_ + y;
-  sum_squares_carry_ = (t - sum_squares_) - y;
-  sum_squares_ = t;
 }
 
 int64_t Histogram::min() const {
@@ -80,16 +70,6 @@ int64_t Histogram::max() const {
 double Histogram::Mean() const {
   return count_ > 0 ? static_cast<double>(sum_) / static_cast<double>(count_)
                     : 0.0;
-}
-
-double Histogram::StdDev() const {
-  if (count_ < 2) {
-    return 0.0;
-  }
-  const double mean = Mean();
-  const double var =
-      sum_squares_ / static_cast<double>(count_) - mean * mean;
-  return var > 0 ? std::sqrt(var) : 0.0;
 }
 
 int64_t Histogram::Percentile(double p) const {
@@ -113,8 +93,6 @@ void Histogram::Reset() {
   std::fill(buckets_.begin(), buckets_.end(), 0);
   count_ = 0;
   sum_ = 0;
-  sum_squares_ = 0;
-  sum_squares_carry_ = 0;
   min_ = 0;
   max_ = 0;
 }
@@ -138,7 +116,6 @@ void Histogram::Merge(const Histogram& other) {
   }
   count_ += other.count_;
   sum_ += other.sum_;
-  AddSquares(other.sum_squares_);
 }
 
 std::string Histogram::Summary() const {

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,7 +45,6 @@ class Histogram {
   Duration PercentileDuration(double p) const {
     return Duration::Nanos(Percentile(p));
   }
-  double StdDev() const;
 
   void Reset();
   void Merge(const Histogram& other);
@@ -65,16 +63,9 @@ class Histogram {
   static size_t BucketIndex(int64_t value);
   static int64_t BucketUpperBound(size_t index);
 
-  // Kahan-compensated accumulation: squared nanosecond values overflow the
-  // 53-bit double mantissa after a few million samples, and the naive
-  // running sum would then make StdDev depend on accumulation order.
-  void AddSquares(double value);
-
   std::vector<int64_t> buckets_;
   int64_t count_ = 0;
   int64_t sum_ = 0;
-  double sum_squares_ = 0;
-  double sum_squares_carry_ = 0;  // Kahan compensation term
   int64_t min_ = 0;
   int64_t max_ = 0;
 };
@@ -114,38 +105,6 @@ class StatsRegistry {
   };
   std::map<std::string, const Counter*> counters_;
   std::map<std::string, HistogramEntry> histograms_;
-};
-
-// Throughput helper: counts events over a window of simulated time.
-class RateMeter {
- public:
-  void Start(TimePoint now) {
-    start_ = now;
-    events_ = 0;
-    started_ = true;
-  }
-  void Tick(int64_t n = 1) { events_ += n; }
-  int64_t events() const { return events_; }
-  bool started() const { return started_; }
-  // nullopt when there is no measurement window (Start() never called, or
-  // `now` has not advanced past the start); 0.0 means a real measured rate
-  // of zero events over a positive window. The old API returned 0.0 for
-  // both, making "meter misused" indistinguishable from "nothing happened".
-  std::optional<double> PerSecond(TimePoint now) const {
-    if (!started_) {
-      return std::nullopt;
-    }
-    const double secs = (now - start_).ToSecondsF();
-    if (secs <= 0) {
-      return std::nullopt;
-    }
-    return static_cast<double>(events_) / secs;
-  }
-
- private:
-  TimePoint start_ = TimePoint::Origin();
-  int64_t events_ = 0;
-  bool started_ = false;
 };
 
 }  // namespace rlsim

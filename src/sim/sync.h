@@ -8,11 +8,9 @@
 
 #include <coroutine>
 #include <cstddef>
-#include <deque>
 #include <optional>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "src/sim/check.h"
 #include "src/sim/fifo.h"
@@ -62,36 +60,6 @@ class WaitQueue {
  private:
   Simulator& sim_;
   Fifo<std::coroutine_handle<>> waiters_;
-};
-
-// Manual-reset broadcast event.
-class SimEvent {
- public:
-  explicit SimEvent(Simulator& sim) : waiters_(sim) {}
-
-  bool is_set() const { return set_; }
-
-  void Set() {
-    if (set_) {
-      return;
-    }
-    set_ = true;
-    waiters_.NotifyAll();
-  }
-
-  void Reset() { set_ = false; }
-
-  // Resumes once the event is set. (If the event is reset between the wakeup
-  // being scheduled and running, the waiter re-parks — CV discipline.)
-  Task<void> Wait() {
-    while (!set_) {
-      co_await waiters_.Wait();
-    }
-  }
-
- private:
-  bool set_ = false;
-  WaitQueue waiters_;
 };
 
 // Counting semaphore.
@@ -240,65 +208,6 @@ class Completion {
  private:
   std::optional<T> value_;
   WaitQueue waiters_;
-};
-
-// Bounded FIFO channel. Close() causes Receive() to return nullopt once
-// drained; Send() on a closed channel is a programming error.
-template <typename T>
-class Channel {
- public:
-  Channel(Simulator& sim, size_t capacity)
-      : capacity_(capacity), senders_(sim), receivers_(sim) {
-    RL_CHECK(capacity >= 1);
-  }
-
-  Task<void> Send(T item) {
-    while (items_.size() >= capacity_) {
-      RL_CHECK_MSG(!closed_, "Send on closed channel");
-      co_await senders_.Wait();
-    }
-    RL_CHECK_MSG(!closed_, "Send on closed channel");
-    items_.push_back(std::move(item));
-    receivers_.NotifyOne();
-  }
-
-  // Non-blocking send; returns false if full or closed.
-  bool TrySend(T item) {
-    if (closed_ || items_.size() >= capacity_) {
-      return false;
-    }
-    items_.push_back(std::move(item));
-    receivers_.NotifyOne();
-    return true;
-  }
-
-  Task<std::optional<T>> Receive() {
-    while (items_.empty() && !closed_) {
-      co_await receivers_.Wait();
-    }
-    if (items_.empty()) {
-      co_return std::nullopt;  // closed and drained
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    senders_.NotifyOne();
-    co_return std::optional<T>(std::move(item));
-  }
-
-  void Close() {
-    closed_ = true;
-    receivers_.NotifyAll();
-  }
-
-  size_t size() const { return items_.size(); }
-  bool closed() const { return closed_; }
-
- private:
-  size_t capacity_;
-  bool closed_ = false;
-  std::deque<T> items_;
-  WaitQueue senders_;
-  WaitQueue receivers_;
 };
 
 // Fork/join helper: spawn N child tasks, then `co_await group.Join()`.

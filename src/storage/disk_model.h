@@ -39,29 +39,11 @@ class DiskModel {
 //   * back-to-back sequential writes stream at near media rate, while
 //   * paced synchronous commits each wait most of a rotation, capping a
 //     write-through log at roughly one commit per revolution.
-struct HddParams {
-  uint32_t rpm = 7200;
-  uint32_t sectors_per_track = 2048;         // ~1 MiB per revolution
-  uint64_t cylinders = 100'000;
-  rlsim::Duration track_to_track_seek = rlsim::Duration::Micros(500);
-  rlsim::Duration max_seek = rlsim::Duration::Millis(16);
-  rlsim::Duration controller_overhead = rlsim::Duration::Micros(30);
-  // Host <-> drive cache bandwidth (SATA-ish).
-  double cache_transfer_mbps = 300.0;
-  // A request that continues exactly where the previous one ended, arriving
-  // within this window, streams at media rate (drive firmware absorbs the
-  // gap with track skew and its sector buffer instead of losing a whole
-  // revolution).
-  rlsim::Duration sequential_slack = rlsim::Duration::Micros(200);
-
-  rlsim::Duration RotationPeriod() const {
-    return rlsim::Duration::Nanos(60ll * 1'000'000'000ll / rpm);
-  }
-};
-
 class HddModel : public DiskModel {
  public:
-  explicit HddModel(HddParams params);
+  // A 7200 rpm spindle.
+  static constexpr rlsim::Duration kRotationPeriod =
+      rlsim::Duration::Nanos(60ll * 1'000'000'000ll / 7200);
 
   rlsim::Duration ReadTime(rlsim::TimePoint now, uint64_t lba,
                            uint32_t sectors) override;
@@ -70,16 +52,13 @@ class HddModel : public DiskModel {
   rlsim::Duration CacheTransferTime(uint32_t sectors) const override;
   std::string name() const override { return "hdd"; }
 
-  const HddParams& params() const { return params_; }
-
  private:
   rlsim::Duration AccessTime(rlsim::TimePoint now, uint64_t lba,
                              uint32_t sectors);
-  rlsim::Duration SeekTime(uint64_t from_cyl, uint64_t to_cyl) const;
+  static rlsim::Duration SeekTime(uint64_t from_cyl, uint64_t to_cyl);
   // Fraction of a revolution [0,1) the platter is at, at instant `t`.
-  double AngleAt(rlsim::TimePoint t) const;
+  static double AngleAt(rlsim::TimePoint t);
 
-  HddParams params_;
   uint64_t head_cylinder_ = 0;
   // End of the last medium transfer, for sequential-stream detection.
   uint64_t last_end_lba_ = 0;
@@ -87,30 +66,16 @@ class HddModel : public DiskModel {
   bool has_last_access_ = false;
 };
 
-// Flash SSD (paper-era SATA SSD by default). No mechanical state; writes to
+// Flash SSD (a paper-era SATA SSD). No mechanical state; writes to
 // the medium model the flash program latency.
-struct SsdParams {
-  rlsim::Duration read_latency = rlsim::Duration::Micros(60);
-  rlsim::Duration program_latency = rlsim::Duration::Micros(250);
-  rlsim::Duration controller_overhead = rlsim::Duration::Micros(15);
-  double transfer_mbps = 450.0;
-};
-
 class SsdModel : public DiskModel {
  public:
-  explicit SsdModel(SsdParams params);
-
   rlsim::Duration ReadTime(rlsim::TimePoint now, uint64_t lba,
                            uint32_t sectors) override;
   rlsim::Duration WriteTime(rlsim::TimePoint now, uint64_t lba,
                             uint32_t sectors) override;
   rlsim::Duration CacheTransferTime(uint32_t sectors) const override;
   std::string name() const override { return "ssd"; }
-
- private:
-  rlsim::Duration TransferTime(uint32_t sectors) const;
-
-  SsdParams params_;
 };
 
 std::unique_ptr<DiskModel> MakeDefaultHdd();

@@ -4,20 +4,7 @@
 
 namespace rlvmm {
 
-VirtualMachine::VirtualMachine(rlsim::Simulator& sim, VmParams params)
-    : sim_(sim), params_(params) {
-  RL_CHECK(params_.cpu_overhead >= 1.0);
-}
-
-void VirtualMachine::Crash() {
-  if (!running_) {
-    return;
-  }
-  running_ = false;
-  for (const auto& cb : crash_callbacks_) {
-    cb();
-  }
-}
+void VirtualMachine::Crash() { running_ = false; }
 
 void VirtualMachine::Reset() {
   RL_CHECK_MSG(!running_, "Reset() of a running guest");
@@ -35,10 +22,6 @@ void VirtualMachine::CheckAlive(uint64_t incarnation) const {
   if (!running_ || incarnation_ != incarnation) {
     throw GuestCrashed();
   }
-}
-
-void VirtualMachine::OnCrash(std::function<void()> callback) {
-  crash_callbacks_.push_back(std::move(callback));
 }
 
 }  // namespace rlvmm

@@ -12,9 +12,7 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
-#include <string>
-#include <vector>
+#include <exception>
 
 #include "src/sim/simulator.h"
 
@@ -25,17 +23,6 @@ namespace rlvmm {
 class GuestCrashed : public std::exception {
  public:
   const char* what() const noexcept override { return "guest crashed"; }
-};
-
-struct VmParams {
-  // Multiplier on guest CPU time (1.0 = bare metal, 1.05 = 5% overhead —
-  // the ballpark the paper attributes to virtualisation).
-  double cpu_overhead = 1.05;
-  // Cost of a VM exit + entry pair (paravirtual I/O kick).
-  rlsim::Duration vmexit_cost = rlsim::Duration::Micros(2);
-  // Cost of injecting a completion interrupt into the guest.
-  rlsim::Duration irq_inject_cost = rlsim::Duration::Micros(1);
-  std::string name = "guest";
 };
 
 class VirtualMachine;
@@ -57,19 +44,19 @@ struct Charge {
 
 class VirtualMachine {
  public:
-  VirtualMachine(rlsim::Simulator& sim, VmParams params);
+  explicit VirtualMachine(rlsim::Simulator& sim) : sim_(sim) {}
 
   // Charges `work` of guest CPU time (scaled by the overhead factor).
   // Throws GuestCrashed if the calling code's guest no longer exists.
   Charge Compute(rlsim::Duration work) {
-    return {Running().sim_, work * params_.cpu_overhead, this, incarnation_};
+    return {Running().sim_, work * kCpuOverhead, this, incarnation_};
   }
 
   // Charges one VM exit/entry pair (a dead guest makes no exits).
-  Charge VmExit() { return {Running().sim_, params_.vmexit_cost}; }
+  Charge VmExit() { return {Running().sim_, kVmExitCost}; }
 
   // Charges the completion-interrupt path.
-  Charge InjectIrq() { return {sim_, params_.irq_inject_cost}; }
+  Charge InjectIrq() { return {sim_, kIrqInjectCost}; }
 
   // Kills the guest OS (or the whole VM): all in-flight guest work unwinds
   // with GuestCrashed at its next cancellation point.
@@ -84,20 +71,20 @@ class VirtualMachine {
   // Throws GuestCrashed unless the guest is running in the same incarnation.
   void CheckAlive(uint64_t incarnation) const;
 
-  // Invoked (in registration order) when the guest crashes — how the VMM
-  // layer learns that outstanding guest requests are abandoned.
-  void OnCrash(std::function<void()> callback);
-
-  const VmParams& params() const { return params_; }
-
  private:
+  // Multiplier on guest CPU time (1.0 = bare metal, 1.05 = 5% overhead —
+  // the ballpark the paper attributes to virtualisation).
+  static constexpr double kCpuOverhead = 1.05;
+  // Cost of a VM exit + entry pair (paravirtual I/O kick).
+  static constexpr rlsim::Duration kVmExitCost = rlsim::Duration::Micros(2);
+  // Cost of injecting a completion interrupt into the guest.
+  static constexpr rlsim::Duration kIrqInjectCost = rlsim::Duration::Micros(1);
+
   VirtualMachine& Running() { return running_ ? *this : throw GuestCrashed(); }
 
   rlsim::Simulator& sim_;
-  VmParams params_;
   bool running_ = true;
   uint64_t incarnation_ = 1;
-  std::vector<std::function<void()>> crash_callbacks_;
 };
 
 }  // namespace rlvmm

@@ -11,6 +11,14 @@ namespace rlwork {
 
 using rlsim::Task;
 
+namespace {
+
+// In a cross-shard transaction, how many of the ops go to the remote shard;
+// the rest stay on the home shard.
+constexpr uint32_t kRemoteOps = 1;
+
+}  // namespace
+
 Task<void> FleetWorkload::RunClient(rlshard::TxnCoordinator& coordinator,
                                     const rlshard::ShardDirectory& directory,
                                     int client_id, const bool* stop,
@@ -39,11 +47,9 @@ Task<void> FleetWorkload::RunClient(rlshard::TxnCoordinator& coordinator,
 
     const bool want_cross =
         shards > 1 && rng.NextDouble() < config_.cross_shard_probability;
-    uint32_t remote_ops = 0;
+    const uint32_t remote_ops = want_cross ? kRemoteOps : 0;
     size_t remote_shard = home;
     if (want_cross) {
-      remote_ops = std::min(config_.remote_ops, config_.ops_per_txn - 1);
-      remote_ops = remote_ops == 0 ? 1 : remote_ops;
       remote_shard = (home + 1 + rng.NextBelow(shards - 1)) % shards;
     }
 

@@ -25,9 +25,6 @@ struct FleetConfig {
   // Probability a transaction includes remote-shard keys.
   double cross_shard_probability = 0.3;
   uint32_t ops_per_txn = 4;
-  // In a cross-shard transaction, how many of the ops go remote (clamped to
-  // ops_per_txn - 1 so the home shard always participates).
-  uint32_t remote_ops = 1;
   uint32_t value_bytes = 96;
   rlsim::Duration think_time = rlsim::Duration::Micros(200);
 };

@@ -153,7 +153,6 @@ TEST(NetworkFabricTest, PartitionBlackholesAndHeals) {
   fabric.Connect("a", "b", LinkParams{});
 
   fabric.SetLinkUp("a", "b", false);
-  EXPECT_FALSE(fabric.link_up("a", "b"));
   EXPECT_FALSE(fabric.Send("a", "b", Payload(1)));
   sim.Run();
   EXPECT_EQ(b.pending(), 0u);

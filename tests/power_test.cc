@@ -30,11 +30,9 @@ class RecordingSink : public PowerSink {
 TEST(PowerSupplyTest, HoldupScalesWithLoad) {
   Simulator sim;
   PsuParams p;
-  p.holdup_at_full_load = Duration::Millis(16);
-  p.full_load_watts = 400;
   p.system_load_watts = 200;
   PowerSupply psu(sim, p);
-  // Half load -> double hold-up.
+  // Half of the 400 W rating -> double the 16 ms full-load hold-up.
   EXPECT_EQ(psu.HoldupWindow().millis(), 32);
 }
 
@@ -48,9 +46,7 @@ TEST(PowerSupplyTest, UpsExtendsWindow) {
 
 TEST(PowerSupplyTest, WarningThenDownSequence) {
   Simulator sim;
-  PsuParams p;
-  p.warning_latency = Duration::Micros(200);
-  PowerSupply psu(sim, p);
+  PowerSupply psu(sim, PsuParams{});
   RecordingSink sink;
   psu.Register(&sink);
 
@@ -166,7 +162,7 @@ TEST(PowerSupplyTest, InvalidParamsRejected) {
   p.system_load_watts = 0;
   EXPECT_THROW(PowerSupply(sim, p), rlsim::CheckFailure);
   PsuParams q;
-  q.warning_latency = Duration::Seconds(10);
+  q.system_load_watts = 500;  // above the PSU's rating
   EXPECT_THROW(PowerSupply(sim, q), rlsim::CheckFailure);
 }
 

@@ -137,17 +137,14 @@ TEST(RapiLogDeviceTest, TailBlockAbsorption) {
 
 TEST(RapiLogDeviceTest, BudgetDerivedFromPowerWindow) {
   PsuParams psu;
-  psu.holdup_at_full_load = Duration::Millis(16);
-  psu.full_load_watts = 400;
-  psu.system_load_watts = 200;  // 32 ms window
-  psu.warning_latency = Duration::Micros(200);
+  psu.system_load_watts = 200;  // 32 ms window, warned 0.2 ms in
   RapiLogOptions opt;
   opt.worst_case_drain_mbps = 40.0;
-  opt.safety_factor = 0.5;
   opt.drain_start_reserve = Duration::Millis(20);
   Fixture f(opt, psu);
   // Window after warning = 32 ms - 0.2 ms; 20 ms reserved for the in-flight
-  // request + the drain's first seek; (11.8 ms * 0.5) * 40 MB/s = ~236 KB.
+  // request + the drain's first seek; half of the remaining 11.8 ms (the
+  // budget's safety factor) at 40 MB/s = ~236 KB.
   EXPECT_NEAR(static_cast<double>(f.rapilog.max_buffer_bytes()), 236'000,
               10'000);
 }
@@ -201,7 +198,6 @@ TEST(RapiLogDeviceTest, PowerCutWithoutGuardLosesData) {
   // Long queue + tiny hold-up: drain cannot finish in time.
   opt.max_buffer_bytes_override = 8 * 1024 * 1024;
   PsuParams psu;
-  psu.holdup_at_full_load = Duration::Millis(16);
   psu.system_load_watts = 390;  // ~16.4 ms window
   Fixture f(opt, psu);
   f.sim.Spawn([](Simulator& s, Fixture& fx) -> Task<void> {
@@ -218,12 +214,12 @@ TEST(RapiLogDeviceTest, PowerCutWithoutGuardLosesData) {
 }
 
 TEST(RapiLogDeviceTest, PowerFailWarningEndsALingerInProgress) {
-  // The drain lingers longer than the ~32 ms hold-up window. Left alone it
-  // would still be lingering when the rails drop; the guard ends the linger
-  // at the warning and flushes. Without the guard the block dies buffered.
+  // The drain lingers (1 s) longer than the ~32 ms hold-up window. Left
+  // alone it would still be lingering when the rails drop; the guard ends the
+  // linger at the warning and flushes. Without the guard the block dies
+  // buffered.
   for (const bool guard : {true, false}) {
     RapiLogOptions opt;
-    opt.drain_linger = Duration::Millis(50);
     opt.enable_power_guard = guard;
     Fixture f(opt);
     f.sim.Spawn([](Fixture& fx) -> Task<void> {

@@ -45,13 +45,11 @@ struct Rig {
     opts.name = "primary-log";
     local = std::make_unique<SimBlockDevice>(sim, opts,
                                              rlstor::MakeDefaultSsd());
-    ReplicaOptions ropts;
-    ropts.sector_count = kSectors;
     std::vector<std::string> names;
     for (size_t r = 0; r < replica_count; ++r) {
       names.push_back("replica-" + std::to_string(r));
       replicas.push_back(std::make_unique<ReplicaNode>(
-          sim, fabric, names.back(), "primary", ropts));
+          sim, fabric, names.back(), "primary"));
     }
     ShipperOptions sopts;
     sopts.mode = mode;

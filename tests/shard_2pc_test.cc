@@ -436,10 +436,10 @@ TEST(TwoPcTest, CoordinatorCrashMidDecisionResolvesConsistently) {
 // the rails have dropped the coordinator recovers and the links heal; the
 // shards learn the outcome only from the recovered decision log.
 //
-// RapiLog's residency bound is 50 ms here, longer than the PSU's 32 ms
-// hold-up window, and the decision is far below half the budget: left to
-// itself the drain would still be lingering when the rails drop. The guard
-// ends the linger at the power-fail warning and flushes.
+// RapiLog's residency bound (1 s) is longer than the PSU's 32 ms hold-up
+// window, and the decision is far below half the budget: left to itself the
+// drain would still be lingering when the rails drop. The guard ends the
+// linger at the power-fail warning and flushes.
 struct BufferedDecisionKill {
   TxnOutcome outcome = TxnOutcome::kUnknown;
   uint64_t buffered_at_kill = 0;
@@ -450,7 +450,6 @@ struct BufferedDecisionKill {
 BufferedDecisionKill KillWithDecisionBuffered(bool power_guard) {
   Simulator sim;
   FleetOptions opt = SmallFleet(2);
-  opt.shard.rapilog.drain_linger = Duration::Millis(50);
   opt.shard.rapilog.enable_power_guard = power_guard;
   FleetTestbed fleet(sim, opt);
   rlfault::FleetChecker checker;

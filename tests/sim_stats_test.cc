@@ -195,15 +195,6 @@ TEST(HistogramTest, ResetClearsEverything) {
   EXPECT_DOUBLE_EQ(h.Mean(), 0.0);
 }
 
-TEST(HistogramTest, StdDevApprox) {
-  Histogram h;
-  Rng rng(11);
-  for (int i = 0; i < 200'000; ++i) {
-    h.Record(static_cast<int64_t>(std::max(0.0, rng.Normal(1000, 100))));
-  }
-  EXPECT_NEAR(h.StdDev(), 100.0, 5.0);
-}
-
 TEST(HistogramTest, DurationRecording) {
   Histogram h;
   h.RecordDuration(Duration::Millis(5));
@@ -344,35 +335,6 @@ TEST(StatsRegistryTest, DuplicateNameRejected) {
   StatsRegistry registry;
   registry.RegisterCounter("x", &a);
   EXPECT_THROW(registry.RegisterCounter("x", &b), CheckFailure);
-}
-
-TEST(RateMeterTest, PerSecond) {
-  RateMeter m;
-  m.Start(TimePoint::Origin());
-  m.Tick(500);
-  const TimePoint later = TimePoint::Origin() + Duration::Seconds(2);
-  ASSERT_TRUE(m.PerSecond(later).has_value());
-  EXPECT_DOUBLE_EQ(*m.PerSecond(later), 250.0);
-  EXPECT_EQ(m.events(), 500);
-}
-
-TEST(RateMeterTest, NoWindowIsDistinctFromZeroRate) {
-  // "No measurement window" (never started, or zero-length window) must be
-  // distinguishable from a real measured rate of zero.
-  RateMeter m;
-  EXPECT_FALSE(m.started());
-  EXPECT_FALSE(m.PerSecond(TimePoint::Origin() + Duration::Seconds(1))
-                   .has_value());  // never started
-  m.Start(TimePoint::Origin());
-  EXPECT_TRUE(m.started());
-  m.Tick();
-  EXPECT_FALSE(m.PerSecond(TimePoint::Origin()).has_value());  // zero window
-  // A positive window with zero events is a genuine zero rate.
-  RateMeter quiet;
-  quiet.Start(TimePoint::Origin());
-  const auto rate = quiet.PerSecond(TimePoint::Origin() + Duration::Seconds(1));
-  ASSERT_TRUE(rate.has_value());
-  EXPECT_DOUBLE_EQ(*rate, 0.0);
 }
 
 }  // namespace

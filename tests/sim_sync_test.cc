@@ -11,47 +11,6 @@
 namespace rlsim {
 namespace {
 
-TEST(SimEventTest, WaiterWakesOnSet) {
-  Simulator sim;
-  SimEvent event(sim);
-  TimePoint woke;
-  sim.Spawn([](Simulator& s, SimEvent& e, TimePoint& out) -> Task<void> {
-    co_await e.Wait();
-    out = s.now();
-  }(sim, event, woke));
-  sim.Schedule(Duration::Millis(7), [&] { event.Set(); });
-  sim.Run();
-  EXPECT_EQ(woke, TimePoint::Origin() + Duration::Millis(7));
-}
-
-TEST(SimEventTest, AlreadySetDoesNotBlock) {
-  Simulator sim;
-  SimEvent event(sim);
-  event.Set();
-  bool ran = false;
-  sim.Spawn([](SimEvent& e, bool& r) -> Task<void> {
-    co_await e.Wait();
-    r = true;
-  }(event, ran));
-  sim.Run();
-  EXPECT_TRUE(ran);
-}
-
-TEST(SimEventTest, BroadcastWakesAllWaiters) {
-  Simulator sim;
-  SimEvent event(sim);
-  int woken = 0;
-  for (int i = 0; i < 10; ++i) {
-    sim.Spawn([](SimEvent& e, int& w) -> Task<void> {
-      co_await e.Wait();
-      ++w;
-    }(event, woken));
-  }
-  sim.Schedule(Duration::Millis(1), [&] { event.Set(); });
-  sim.Run();
-  EXPECT_EQ(woken, 10);
-}
-
 TEST(SemaphoreTest, LimitsConcurrency) {
   Simulator sim;
   Semaphore sem(sim, 2);
@@ -149,75 +108,6 @@ TEST(CompletionTest, DoubleCompleteFails) {
   Completion<int> done(sim);
   done.Complete(1);
   EXPECT_THROW(done.Complete(2), CheckFailure);
-}
-
-TEST(ChannelTest, FifoDelivery) {
-  Simulator sim;
-  Channel<int> ch(sim, 4);
-  std::vector<int> received;
-  sim.Spawn([](Channel<int>& c, std::vector<int>& out) -> Task<void> {
-    while (true) {
-      auto v = co_await c.Receive();
-      if (!v) {
-        break;
-      }
-      out.push_back(*v);
-    }
-  }(ch, received));
-  sim.Spawn([](Simulator& s, Channel<int>& c) -> Task<void> {
-    for (int i = 0; i < 10; ++i) {
-      co_await c.Send(i);
-      co_await s.Sleep(Duration::Micros(10));
-    }
-    c.Close();
-  }(sim, ch));
-  sim.Run();
-  ASSERT_EQ(received.size(), 10u);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(received[static_cast<size_t>(i)], i);
-  }
-}
-
-TEST(ChannelTest, BoundedCapacityBlocksSender) {
-  Simulator sim;
-  Channel<int> ch(sim, 2);
-  TimePoint third_send_done;
-  sim.Spawn([](Simulator& s, Channel<int>& c, TimePoint& out) -> Task<void> {
-    co_await c.Send(1);
-    co_await c.Send(2);
-    co_await c.Send(3);  // blocks until a receive frees a slot
-    out = s.now();
-  }(sim, ch, third_send_done));
-  sim.Spawn([](Simulator& s, Channel<int>& c) -> Task<void> {
-    co_await s.Sleep(Duration::Millis(5));
-    co_await c.Receive();
-  }(sim, ch));
-  sim.Run();
-  EXPECT_EQ(third_send_done, TimePoint::Origin() + Duration::Millis(5));
-}
-
-TEST(ChannelTest, TrySendRespectsCapacity) {
-  Simulator sim;
-  Channel<int> ch(sim, 1);
-  EXPECT_TRUE(ch.TrySend(1));
-  EXPECT_FALSE(ch.TrySend(2));
-}
-
-TEST(ChannelTest, CloseDrainsThenSignals) {
-  Simulator sim;
-  Channel<int> ch(sim, 4);
-  EXPECT_TRUE(ch.TrySend(7));
-  ch.Close();
-  std::vector<std::optional<int>> got;
-  sim.Spawn([](Channel<int>& c, std::vector<std::optional<int>>& out)
-                -> Task<void> {
-    out.push_back(co_await c.Receive());
-    out.push_back(co_await c.Receive());
-  }(ch, got));
-  sim.Run();
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], std::optional<int>(7));
-  EXPECT_EQ(got[1], std::nullopt);
 }
 
 TEST(TaskGroupTest, JoinWaitsForAll) {

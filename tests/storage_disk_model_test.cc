@@ -11,13 +11,11 @@ using rlsim::Duration;
 using rlsim::TimePoint;
 
 TEST(HddModelTest, RotationPeriod7200Rpm) {
-  HddParams p;
-  p.rpm = 7200;
-  EXPECT_NEAR(p.RotationPeriod().ToMillisF(), 8.333, 0.01);
+  EXPECT_NEAR(HddModel::kRotationPeriod.ToMillisF(), 8.333, 0.01);
 }
 
 TEST(HddModelTest, RandomAccessCostsSeekPlusRotation) {
-  HddModel hdd(HddParams{});
+  HddModel hdd;
   // A far seek from cylinder 0.
   const uint64_t far_lba = 50'000ull * 2048ull;
   const Duration t = hdd.ReadTime(TimePoint::Origin(), far_lba, 16);
@@ -27,20 +25,19 @@ TEST(HddModelTest, RandomAccessCostsSeekPlusRotation) {
 }
 
 TEST(HddModelTest, BackToBackSequentialIsFast) {
-  HddModel hdd(HddParams{});
+  HddModel hdd;
   TimePoint now = TimePoint::Origin();
   // Position the head with an initial access.
   now += hdd.WriteTime(now, 1000, 16);
   // Immediately write the next contiguous 16 sectors: platter is right at
   // them, so latency is essentially transfer only.
   const Duration t = hdd.WriteTime(now, 1016, 16);
-  const Duration transfer_only =
-      HddParams{}.RotationPeriod() * (16.0 / 2048.0);
+  const Duration transfer_only = HddModel::kRotationPeriod * (16.0 / 2048.0);
   EXPECT_LT(t, transfer_only + Duration::Micros(200));
 }
 
 TEST(HddModelTest, PacedSequentialWritesPayNearlyFullRotation) {
-  HddModel hdd(HddParams{});
+  HddModel hdd;
   TimePoint now = TimePoint::Origin();
   now += hdd.WriteTime(now, 1000, 16);
   // Let a fraction of a rotation pass (think time between commits), then
@@ -48,34 +45,34 @@ TEST(HddModelTest, PacedSequentialWritesPayNearlyFullRotation) {
   // most of a revolution.
   now += Duration::Micros(500);
   const Duration t = hdd.WriteTime(now, 1016, 16);
-  const Duration rotation = HddParams{}.RotationPeriod();
+  const Duration rotation = HddModel::kRotationPeriod;
   EXPECT_GT(t, rotation * 0.8);
   EXPECT_LT(t, rotation * 1.2);
 }
 
 TEST(HddModelTest, SeekTimeMonotonicInDistance) {
-  HddModel hdd(HddParams{});
+  HddModel hdd;
   TimePoint now = TimePoint::Origin();
   hdd.ReadTime(now, 0, 1);  // park at cylinder 0
-  HddModel hdd2(HddParams{});
+  HddModel hdd2;
   hdd2.ReadTime(now, 0, 1);
   const Duration near = hdd.ReadTime(now, 100ull * 2048ull, 1);
   const Duration far = hdd2.ReadTime(now, 90'000ull * 2048ull, 1);
   // Compare seek components by stripping identical max rotational bounds:
   // a far seek's upper bound exceeds a near seek's upper bound.
-  EXPECT_GT(far + HddParams{}.RotationPeriod(), near);
+  EXPECT_GT(far + HddModel::kRotationPeriod, near);
 }
 
 TEST(HddModelTest, CacheTransferIsMicroseconds) {
-  HddModel hdd(HddParams{});
+  HddModel hdd;
   const Duration t = hdd.CacheTransferTime(16);  // 8 KiB
   EXPECT_LT(t, Duration::Micros(200));
   EXPECT_GT(t, Duration::Zero());
 }
 
 TEST(HddModelTest, TransferScalesWithLength) {
-  HddModel a(HddParams{});
-  HddModel b(HddParams{});
+  HddModel a;
+  HddModel b;
   TimePoint now = TimePoint::Origin();
   a.WriteTime(now, 0, 1);
   b.WriteTime(now, 0, 1);
@@ -86,7 +83,7 @@ TEST(HddModelTest, TransferScalesWithLength) {
 }
 
 TEST(SsdModelTest, NoPositionDependence) {
-  SsdModel ssd(SsdParams{});
+  SsdModel ssd;
   const TimePoint now = TimePoint::Origin();
   const Duration a = ssd.ReadTime(now, 0, 16);
   const Duration b = ssd.ReadTime(now, 1'000'000, 16);
@@ -94,14 +91,14 @@ TEST(SsdModelTest, NoPositionDependence) {
 }
 
 TEST(SsdModelTest, WriteSlowerThanRead) {
-  SsdModel ssd(SsdParams{});
+  SsdModel ssd;
   const TimePoint now = TimePoint::Origin();
   EXPECT_GT(ssd.WriteTime(now, 0, 16), ssd.ReadTime(now, 0, 16));
 }
 
 TEST(SsdModelTest, OrdersOfMagnitudeFasterThanHddRandom) {
-  SsdModel ssd(SsdParams{});
-  HddModel hdd(HddParams{});
+  SsdModel ssd;
+  HddModel hdd;
   const TimePoint now = TimePoint::Origin();
   const Duration ssd_t = ssd.WriteTime(now, 12345678, 16);
   const Duration hdd_t = hdd.WriteTime(now, 12345678ull * 100, 16);

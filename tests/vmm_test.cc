@@ -28,19 +28,18 @@ using rlstor::BlockStatus;
 
 TEST(VirtualMachineTest, ComputeChargesOverhead) {
   Simulator sim;
-  VmParams p;
-  p.cpu_overhead = 1.5;
-  VirtualMachine vm(sim, p);
+  VirtualMachine vm(sim);
   sim.Spawn([](VirtualMachine& v) -> Task<void> {
     co_await v.Compute(Duration::Millis(10));
   }(vm));
   sim.Run();
-  EXPECT_EQ(sim.now(), TimePoint::Origin() + Duration::Millis(15));
+  // 5% virtualisation overhead.
+  EXPECT_EQ(sim.now(), TimePoint::Origin() + Duration::Micros(10'500));
 }
 
 TEST(VirtualMachineTest, CrashUnwindsGuestWork) {
   Simulator sim;
-  VirtualMachine vm(sim, VmParams{});
+  VirtualMachine vm(sim);
   bool crashed_seen = false;
   bool finished = false;
   sim.Spawn([](VirtualMachine& v, bool& crashed, bool& done) -> Task<void> {
@@ -59,7 +58,7 @@ TEST(VirtualMachineTest, CrashUnwindsGuestWork) {
 
 TEST(VirtualMachineTest, ResetBumpsIncarnation) {
   Simulator sim;
-  VirtualMachine vm(sim, VmParams{});
+  VirtualMachine vm(sim);
   const uint64_t before = vm.incarnation();
   vm.Crash();
   vm.Reset();
@@ -69,23 +68,12 @@ TEST(VirtualMachineTest, ResetBumpsIncarnation) {
 
 TEST(VirtualMachineTest, StaleIncarnationDetected) {
   Simulator sim;
-  VirtualMachine vm(sim, VmParams{});
+  VirtualMachine vm(sim);
   const uint64_t old = vm.incarnation();
   vm.Crash();
   vm.Reset();
   EXPECT_THROW(vm.CheckAlive(old), GuestCrashed);
   vm.CheckAlive(vm.incarnation());  // current one is fine
-}
-
-TEST(VirtualMachineTest, CrashCallbacksFire) {
-  Simulator sim;
-  VirtualMachine vm(sim, VmParams{});
-  int fired = 0;
-  vm.OnCrash([&] { ++fired; });
-  vm.OnCrash([&] { ++fired; });
-  vm.Crash();
-  vm.Crash();  // idempotent
-  EXPECT_EQ(fired, 2);
 }
 
 // Full paravirtual stack: guest -> VM exit -> kernel IPC -> backend ->
@@ -94,7 +82,7 @@ struct StackFixture {
   explicit StackFixture(
       rlstor::WriteCachePolicy policy = rlstor::WriteCachePolicy::kWriteBack)
       : kernel(sim),
-        vm(sim, VmParams{}),
+        vm(sim),
         disk(sim,
              rlstor::SimBlockDevice::Options{
                  .geometry = {.sector_count = 1 << 16},
@@ -314,7 +302,7 @@ class RecordingDevice : public rlstor::BlockDevice {
 };
 
 struct RecordingFixture {
-  RecordingFixture() : kernel(sim), vm(sim, VmParams{}), target(sim) {
+  RecordingFixture() : kernel(sim), vm(sim), target(sim) {
     root = kernel.BootstrapCNode(64);
     EXPECT_EQ(kernel.BootstrapUntyped(root, 0, 1 << 20), KernelStatus::kOk);
     EXPECT_EQ(kernel.Retype(SlotAddr{root, 0}, ObjectType::kEndpoint, 0, root,

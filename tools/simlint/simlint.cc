@@ -337,7 +337,7 @@ class Linter {
   // SL006: running += on a float/double accumulator. Floating addition is
   // not associative; once the sum dwarfs the addend, low bits silently drop
   // and the result depends on accumulation order. Fix: integer units (ns,
-  // bytes), or Kahan compensation (see Histogram::AddSquares).
+  // bytes), or Kahan compensation.
   void CheckFloatAccumulation(const std::string& line, int ln) {
     if (!InSrc(file_.path)) return;
     for (const char* op : {"+=", "-="}) {
@@ -351,8 +351,7 @@ class Linter {
                  "running '" + std::string(op) + "' on float accumulator '" +
                      std::string(target) +
                      "': result depends on accumulation order",
-                 "accumulate in integer units, or use Kahan compensation "
-                 "(see rlsim::Histogram::AddSquares)");
+                 "accumulate in integer units, or use Kahan compensation");
         }
         pos = line.find(op, pos + 1);
       }
