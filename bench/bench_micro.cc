@@ -17,7 +17,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <functional>
-// simlint: new-ok (the header that declares std::bad_alloc)
+// rapicheck: new-ok (the header that declares std::bad_alloc)
 #include <new>
 #include <queue>
 #include <string>
@@ -190,7 +190,7 @@ BENCHMARK(BM_BTreePut);
 // bans everywhere else; this binary is a host-side measurement tool, not
 // part of any simulation.
 
-// simlint: clock-ok (host-side perf measurement tool, outside the sim)
+// rapicheck: clock-ok (host-side perf measurement tool, outside the sim)
 using WallClock = std::chrono::steady_clock;
 
 double SecondsSince(WallClock::time_point t0) {

@@ -143,7 +143,7 @@ Task<std::unique_ptr<Database>> Database::Open(rlsim::Simulator& sim,
                                                rlstor::BlockDevice& log_dev,
                                                DbOptions options) {
   std::unique_ptr<Database> db(
-      // simlint: new-ok (private constructor; immediately owned)
+      // rapicheck: new-ok (private constructor; immediately owned)
       new Database(sim, cpu, data_dev, log_dev, std::move(options)));
   std::exception_ptr failure;
   try {

@@ -1,6 +1,6 @@
 // DivergenceAuditor: the dynamic half of the determinism discipline.
 //
-// The static half (tools/simlint) bans the *sources* of nondeterminism; this
+// The static half (tools/rapicheck) bans the *sources* of nondeterminism; this
 // auditor checks the *property* end to end: run any Testbed/chaos scenario
 // twice from the same seed, record each run with a SpanTracer, fold its
 // instant events (src/sim/trace.h — virtual timestamp, actor, kind, payload

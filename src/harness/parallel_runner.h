@@ -13,7 +13,7 @@
 // This is deliberately not a work-stealing scheduler: workers pull the next
 // job index from one atomic counter and write only to their own result slot.
 // There is nothing to steal, no locks, and no cross-job communication — the
-// whole point is that the no-shared-state claim is checkable (simlint SL007
+// whole point is that the no-shared-state claim is checkable (rapicheck SL007
 // bans threads everywhere else in src/; TSan runs the chaos driver in CI).
 //
 // Threads are allowed in THIS file only (and tools/); see SL007.

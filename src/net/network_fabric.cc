@@ -32,7 +32,7 @@ void Endpoint::Deliver(Message message) {
 
 Endpoint& NetworkFabric::CreateEndpoint(const std::string& name) {
   RL_CHECK_MSG(!endpoints_.contains(name), "duplicate endpoint " << name);
-  // simlint: new-ok (private constructor; immediately owned by unique_ptr)
+  // rapicheck: new-ok (private constructor; immediately owned by unique_ptr)
   auto ep = std::unique_ptr<Endpoint>(new Endpoint(sim_, name));
   Endpoint& ref = *ep;
   endpoints_.emplace(name, std::move(ep));

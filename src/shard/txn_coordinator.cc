@@ -353,7 +353,7 @@ void TxnCoordinator::Crash() {
   // Resolve every in-flight Execute to kUnknown. Entries are marked rather
   // than erased so waiting coroutines (which hold references) wake safely
   // and erase their own.
-  // simlint: ordered-ok (this pending_ is the coordinator's std::map, not
+  // rapicheck: ordered-ok (this pending_ is the coordinator's std::map, not
   // the unordered fleet_checker member of the same name)
   for (auto& [gid, p] : pending_) {
     if (!p.done) {

@@ -5,7 +5,7 @@
 // library version). When that order feeds anything observable — lock grant
 // order, scheduled wakeups, I/O issue order — replay determinism silently
 // depends on it. These helpers snapshot the keys and sort them so the caller
-// iterates in a defined order; simlint's unordered-iter rule points here.
+// iterates in a defined order; rapicheck's SL003 rule points here.
 #pragma once
 
 #include <algorithm>
@@ -19,7 +19,7 @@ template <typename Container>
 std::vector<typename Container::key_type> SortedKeys(const Container& c) {
   std::vector<typename Container::key_type> keys;
   keys.reserve(c.size());
-  // simlint: ordered-ok (order-independent collection; sorted below)
+  // rapicheck: ordered-ok (order-independent collection; sorted below)
   for (const auto& entry : c) {
     if constexpr (requires { entry.first; }) {
       keys.push_back(entry.first);

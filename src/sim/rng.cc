@@ -1,7 +1,6 @@
 #include "src/sim/rng.h"
 
 #include <cmath>
-#include <numbers>
 
 #include "src/sim/check.h"
 
@@ -77,16 +76,6 @@ double Rng::Exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::Normal(double mean, double stddev) {
-  double u1 = NextDouble();
-  if (u1 <= 0.0) {
-    u1 = 0x1.0p-53;
-  }
-  const double u2 = NextDouble();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * r * std::cos(2.0 * std::numbers::pi * u2);
-}
-
 bool Rng::Chance(double probability) { return NextDouble() < probability; }
 
 Rng Rng::Fork() { return Rng(Next()); }
@@ -96,7 +85,7 @@ namespace {
 double Zeta(uint64_t n, double theta) {
   double sum = 0;
   for (uint64_t i = 1; i <= n; ++i) {
-    // simlint: float-ok (fixed loop order: same n and theta give the same
+    // rapicheck: float-ok (fixed loop order: same n and theta give the same
     // rounding on every run; this is a one-shot precomputation, not a
     // long-lived accumulator)
     sum += 1.0 / std::pow(static_cast<double>(i), theta);
@@ -137,13 +126,13 @@ DiscreteDistribution::DiscreteDistribution(std::vector<double> weights) {
   double total = 0;
   for (double w : weights) {
     RL_CHECK(w >= 0);
-    total += w;  // simlint: float-ok (fixed order over the caller's vector)
+    total += w;  // rapicheck: float-ok (fixed order over the caller's vector)
   }
   RL_CHECK(total > 0);
   cumulative_.reserve(weights.size());
   double running = 0;
   for (double w : weights) {
-    running += w / total;  // simlint: float-ok (fixed order, one-shot setup)
+    running += w / total;  // rapicheck: float-ok (fixed order, one-shot setup)
     cumulative_.push_back(running);
   }
   cumulative_.back() = 1.0;

@@ -31,9 +31,6 @@ class Rng {
   // Exponentially distributed with the given mean (> 0).
   double Exponential(double mean);
 
-  // Normally distributed (Box–Muller).
-  double Normal(double mean, double stddev);
-
   // Bernoulli trial.
   bool Chance(double probability);
 

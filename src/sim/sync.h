@@ -62,64 +62,12 @@ class WaitQueue {
   Fifo<std::coroutine_handle<>> waiters_;
 };
 
-// Counting semaphore.
-class Semaphore {
- public:
-  Semaphore(Simulator& sim, int64_t initial) : sim_(sim), count_(initial) {
-    RL_CHECK(initial >= 0);
-  }
-
-  auto Acquire() {
-    struct Awaiter {
-      Semaphore& sem;
-      bool await_ready() const noexcept {
-        if (sem.count_ > 0) {
-          --sem.count_;
-          return true;
-        }
-        return false;
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        sem.waiters_.push_back(h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
-
-  // Non-blocking acquire attempt.
-  bool TryAcquire() {
-    if (count_ > 0) {
-      --count_;
-      return true;
-    }
-    return false;
-  }
-
-  void Release() {
-    if (!waiters_.empty()) {
-      // Hand the permit straight to the oldest waiter.
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      sim_.Schedule(Duration::Zero(), [h] { h.resume(); });
-    } else {
-      ++count_;
-    }
-  }
-
-  int64_t available() const { return count_; }
-  size_t waiter_count() const { return waiters_.size(); }
-
- private:
-  Simulator& sim_;
-  int64_t count_;
-  Fifo<std::coroutine_handle<>> waiters_;
-};
-
 // FIFO mutex with RAII guard:  auto guard = co_await mutex.Lock();
+// Unlocking hands the mutex straight to the oldest waiter, which resumes
+// through a zero-delay event.
 class SimMutex {
  public:
-  explicit SimMutex(Simulator& sim) : sem_(sim, 1) {}
+  explicit SimMutex(Simulator& sim) : waiters_(sim) {}
 
   class Guard {
    public:
@@ -140,7 +88,7 @@ class SimMutex {
 
     void Release() {
       if (mutex_ != nullptr) {
-        mutex_->sem_.Release();
+        mutex_->Unlock();
         mutex_ = nullptr;
       }
     }
@@ -151,15 +99,33 @@ class SimMutex {
 
   // Awaitable returning a Guard that unlocks on destruction.
   Task<Guard> Lock() {
-    co_await sem_.Acquire();
+    struct Awaiter {
+      SimMutex& mutex;
+      bool await_ready() const noexcept {
+        if (mutex.locked_) return false;
+        mutex.locked_ = true;
+        return true;
+      }
+      void await_suspend(std::coroutine_handle<> h) { mutex.waiters_.Park(h); }
+      void await_resume() const noexcept {}
+    };
+    co_await Awaiter{*this};
     co_return Guard(this);
   }
 
-  bool locked() const { return sem_.available() == 0; }
+  bool locked() const { return locked_; }
 
  private:
-  friend class Guard;
-  Semaphore sem_;
+  void Unlock() {
+    if (waiters_.waiter_count() > 0) {
+      waiters_.NotifyOne();  // the mutex stays locked, now for the waiter
+    } else {
+      locked_ = false;
+    }
+  }
+
+  bool locked_ = false;
+  WaitQueue waiters_;
 };
 
 // One-shot future. Complete() must be called exactly once; any number of

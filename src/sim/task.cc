@@ -72,7 +72,7 @@ struct ThreadReaper {
   }
 };
 
-// simlint: static-ok (parked frame memory: no simulation reads it)
+// rapicheck: static-ok (parked frame memory: no simulation reads it)
 thread_local ThreadReaper t_reaper;
 
 }  // namespace

@@ -5,7 +5,7 @@
 // a null check and costs nothing, so the instrumentation can stay on in
 // every build. The DivergenceAuditor (src/harness) runs a scenario twice
 // from the same seed and compares the two instant streams to pinpoint the
-// first nondeterministic event — the dynamic cross-check behind the simlint
+// first nondeterministic event — the dynamic cross-check behind rapicheck's
 // static determinism rules.
 //
 // Besides instant events, sinks can observe *spans*: begin/end pairs carrying

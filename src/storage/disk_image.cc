@@ -193,7 +193,7 @@ void DiskImage::Harden(uint64_t sector, uint64_t count) {
 }
 
 void DiskImage::HardenAll() {
-  // simlint: ordered-ok (pure state fold: every cached extent moves to the
+  // rapicheck: ordered-ok (pure state fold: every cached extent moves to the
   // durable map; no I/O, no events, and the result is order-independent)
   for (const auto& [index, e] : cache_) {
     Extent& durable = durable_[index];
@@ -245,7 +245,7 @@ bool DiskImage::IsDurable(uint64_t sector) const {
 std::vector<uint64_t> DiskImage::DurableSectorList() const {
   std::vector<uint64_t> extents;
   extents.reserve(durable_.size());
-  // simlint: ordered-ok (collected set is sorted before it is used)
+  // rapicheck: ordered-ok (collected set is sorted before it is used)
   for (const auto& [index, e] : durable_) {
     extents.push_back(index);
   }

@@ -89,7 +89,7 @@ Duration HddModel::AccessTime(TimePoint now, uint64_t lba, uint32_t sectors) {
   const double angle = AngleAt(on_track);
   double wait_fraction = target_angle - angle;
   if (wait_fraction < 0) {
-    // simlint: float-ok (single wrap-around adjustment, not an accumulator)
+    // rapicheck: float-ok (single wrap-around adjustment, not an accumulator)
     wait_fraction += 1.0;
   }
   const Duration rotational = kRotationPeriod * wait_fraction;

@@ -3,9 +3,10 @@
 // A VirtualMachine does not interpret instructions; it accounts for guest
 // execution (CPU work is charged through Compute(), inflated by the
 // virtualisation overhead factor) and owns the guest's failure domain:
-// Crash() bumps the incarnation counter, and guest-side code carries the
-// incarnation it started under — when they disagree, that code's effects
-// must be discarded (the coroutine unwinds at its next Compute/IO point).
+// Crash() stops the guest, Reset() restarts it under a new incarnation, and
+// guest-side code carries the incarnation it started under — when the guest
+// is down or the incarnations disagree, that code's effects must be
+// discarded (the coroutine unwinds at its next Compute/IO point).
 // The trusted layer below the VM (microkernel, VMM, RapiLog) is unaffected
 // by guest crashes.
 #pragma once

@@ -118,5 +118,42 @@ TEST(BenchdiffDiffTest, ZeroBaselineToleratesOnlyZero) {
   EXPECT_TRUE(HasErrors(DiffBench(base, moved, DiffOptions{}, "f")));
 }
 
+TEST(BenchdiffToleranceTest, AcceptsDefaultAndPerMetricBands) {
+  DiffOptions opts;
+  std::string error;
+  EXPECT_TRUE(ParseTolerance("0", &opts, &error)) << error;
+  EXPECT_EQ(opts.default_tolerance, 0.0);
+  EXPECT_TRUE(ParseTolerance("3.0", &opts, &error)) << error;
+  EXPECT_EQ(opts.default_tolerance, 3.0);
+  EXPECT_TRUE(ParseTolerance("tps=0.25", &opts, &error)) << error;
+  EXPECT_EQ(opts.overrides.at("tps"), 0.25);
+}
+
+TEST(BenchdiffToleranceTest, RejectsMalformedBands) {
+  // Each of these once parsed to some band (0 for "abc", 0.25 for "0.25x");
+  // now each is an error and leaves the options as they were.
+  for (const char* bad : {"abc", "0.25x", "", "tps=", "tps=abc",
+                          "tps=0.25x", "=0.5", "-0.1", "inf", "nan",
+                          "tps=-1"}) {
+    DiffOptions opts;
+    std::string error;
+    EXPECT_FALSE(ParseTolerance(bad, &opts, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+    EXPECT_EQ(opts.default_tolerance, DiffOptions{}.default_tolerance) << bad;
+    EXPECT_TRUE(opts.overrides.empty()) << bad;
+  }
+}
+
+TEST(BenchdiffToleranceTest, OverrideMustNameABaselineMetric) {
+  const std::vector<Metric> base = {{"tps", 100.0, "1/s"}};
+  DiffOptions opts;
+  std::string error;
+  opts.overrides["tps"] = 0.1;
+  EXPECT_TRUE(CheckOverrides(opts, base, &error)) << error;
+  opts.overrides["tsp"] = 0.1;  // a typo gates nothing
+  EXPECT_FALSE(CheckOverrides(opts, base, &error));
+  EXPECT_NE(error.find("tsp"), std::string::npos) << error;
+}
+
 }  // namespace
 }  // namespace benchdiff

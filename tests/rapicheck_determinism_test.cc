@@ -1,22 +1,30 @@
-// Unit tests for the simlint determinism linter: every rule fires on a
-// minimal fixture with the right id and line, the matching pragma suppresses
-// it, and baselines round-trip byte-identically.
-#include "tools/simlint/simlint.h"
-
+// rapicheck's determinism rules (SL001-SL008): every rule fires on a
+// minimal snippet with the right id and line, and the matching pragma
+// suppresses it.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "tools/lintlib/lintlib.h"
+#include "tools/rapicheck/rapicheck.h"
 
 namespace {
 
-using simlint::Finding;
-using simlint::LintSource;
+using lintlib::Finding;
+using lintlib::FormatText;
+
+// Checks one snippet as if it were the whole tree at `path`.
+std::vector<Finding> LintSource(std::string path, std::string_view contents) {
+  return rapicheck::AnalyzeSources({{std::move(path), std::string(contents)}},
+                                   rapicheck::DefaultConfig());
+}
 
 // One finding with the given rule at the given 1-based line.
 void ExpectOnly(const std::vector<Finding>& findings, const char* rule,
                 int line) {
-  ASSERT_EQ(findings.size(), 1u) << simlint::FormatText(findings);
+  ASSERT_EQ(findings.size(), 1u) << FormatText(findings);
   EXPECT_EQ(findings[0].rule, rule);
   EXPECT_EQ(findings[0].line, line);
   EXPECT_FALSE(findings[0].message.empty());
@@ -24,12 +32,12 @@ void ExpectOnly(const std::vector<Finding>& findings, const char* rule,
 }
 
 void ExpectClean(const std::vector<Finding>& findings) {
-  EXPECT_TRUE(findings.empty()) << simlint::FormatText(findings);
+  EXPECT_TRUE(findings.empty()) << FormatText(findings);
 }
 
 // --- SL001 wall-clock / entropy -------------------------------------------
 
-TEST(SimlintSL001, SteadyClockFires) {
+TEST(DeterminismSL001, SteadyClockFires) {
   ExpectOnly(LintSource("src/sim/foo.cc",
                         "void F() {\n"
                         "  auto t = std::chrono::steady_clock::now();\n"
@@ -37,20 +45,20 @@ TEST(SimlintSL001, SteadyClockFires) {
              "SL001", 2);
 }
 
-TEST(SimlintSL001, RandAndSrandFire) {
+TEST(DeterminismSL001, RandAndSrandFire) {
   const auto findings = LintSource("bench/foo.cc",
                                    "int F() {\n"
                                    "  srand(42);\n"
                                    "  return rand();\n"
                                    "}\n");
-  ASSERT_EQ(findings.size(), 2u) << simlint::FormatText(findings);
+  ASSERT_EQ(findings.size(), 2u) << FormatText(findings);
   EXPECT_EQ(findings[0].rule, "SL001");
   EXPECT_EQ(findings[0].line, 2);
   EXPECT_EQ(findings[1].rule, "SL001");
   EXPECT_EQ(findings[1].line, 3);
 }
 
-TEST(SimlintSL001, RandomDeviceAndTimeFire) {
+TEST(DeterminismSL001, RandomDeviceAndTimeFire) {
   ExpectOnly(LintSource("src/db/x.cc", "std::random_device rd;\n"), "SL001",
              1);
   ExpectOnly(LintSource("src/db/x.cc",
@@ -58,7 +66,7 @@ TEST(SimlintSL001, RandomDeviceAndTimeFire) {
              "SL001", 1);
 }
 
-TEST(SimlintSL001, MemberCallsAndIdentifiersAreNotFlagged) {
+TEST(DeterminismSL001, MemberCallsAndIdentifiersAreNotFlagged) {
   // cfg.time() is a member accessor, run_time( is a different identifier,
   // and prose in comments/strings never counts.
   ExpectClean(LintSource("src/sim/foo.cc",
@@ -71,41 +79,41 @@ TEST(SimlintSL001, MemberCallsAndIdentifiersAreNotFlagged) {
                          "}\n"));
 }
 
-TEST(SimlintSL001, PragmaSuppresses) {
+TEST(DeterminismSL001, PragmaSuppresses) {
   ExpectClean(LintSource("src/sim/foo.cc",
-                         "// simlint: clock-ok (host-side tool, not sim)\n"
+                         "// rapicheck: clock-ok (host-side tool, not sim)\n"
                          "auto t = std::chrono::steady_clock::now();\n"));
 }
 
 // --- SL002 ambient state --------------------------------------------------
 
-TEST(SimlintSL002, GetenvFiresInCoreDirs) {
+TEST(DeterminismSL002, GetenvFiresInCoreDirs) {
   ExpectOnly(LintSource("src/faults/foo.cc",
                         "bool Trace() { return std::getenv(\"T\"); }\n"),
              "SL002", 1);
 }
 
-TEST(SimlintSL002, GetenvOutsideCoreDirsIsNotFlagged) {
+TEST(DeterminismSL002, GetenvOutsideCoreDirsIsNotFlagged) {
   ExpectClean(LintSource("src/db/foo.cc",
                          "bool Trace() { return std::getenv(\"T\"); }\n"));
 }
 
-TEST(SimlintSL002, MutableStaticFires) {
+TEST(DeterminismSL002, MutableStaticFires) {
   ExpectOnly(LintSource("src/sim/foo.cc", "static int hit_count = 0;\n"),
              "SL002", 1);
 }
 
-TEST(SimlintSL002, ConstStaticAndFunctionsAreNotFlagged) {
+TEST(DeterminismSL002, ConstStaticAndFunctionsAreNotFlagged) {
   ExpectClean(LintSource("src/sim/foo.cc",
                          "static constexpr int kMax = 3;\n"
                          "static const char* Name() { return \"x\"; }\n"
                          "static int Helper(int v);\n"));
 }
 
-TEST(SimlintSL002, PragmaSuppresses) {
+TEST(DeterminismSL002, PragmaSuppresses) {
   ExpectClean(
       LintSource("src/rapilog/foo.cc",
-                 "// simlint: static-ok (write-once registration table)\n"
+                 "// rapicheck: static-ok (write-once registration table)\n"
                  "static int table = 0;\n"));
 }
 
@@ -118,11 +126,11 @@ constexpr const char* kUnorderedLoop =
     "  }\n"
     "}\n";
 
-TEST(SimlintSL003, RangeForOverMemberFires) {
+TEST(DeterminismSL003, RangeForOverMemberFires) {
   ExpectOnly(LintSource("src/db/foo.cc", kUnorderedLoop), "SL003", 3);
 }
 
-TEST(SimlintSL003, IteratorLoopFires) {
+TEST(DeterminismSL003, IteratorLoopFires) {
   ExpectOnly(LintSource("src/db/foo.cc",
                         "std::unordered_set<int> live_;\n"
                         "void F() {\n"
@@ -133,32 +141,32 @@ TEST(SimlintSL003, IteratorLoopFires) {
              "SL003", 3);
 }
 
-TEST(SimlintSL003, OutsideSrcIsNotFlagged) {
+TEST(DeterminismSL003, OutsideSrcIsNotFlagged) {
   ExpectClean(LintSource("tests/foo.cc", kUnorderedLoop));
 }
 
-TEST(SimlintSL003, PragmaSuppresses) {
+TEST(DeterminismSL003, PragmaSuppresses) {
   ExpectClean(LintSource("src/db/foo.cc",
                          "std::unordered_map<uint64_t, int> pending_;\n"
                          "void F() {\n"
-                         "  // simlint: ordered-ok (order-independent fold)\n"
+                         "  // rapicheck: ordered-ok (order-independent fold)\n"
                          "  for (const auto& [k, v] : pending_) {\n"
                          "  }\n"
                          "}\n"));
 }
 
-TEST(SimlintSL003, MultiLineJustificationCommentStillSuppresses) {
+TEST(DeterminismSL003, MultiLineJustificationCommentStillSuppresses) {
   ExpectClean(LintSource("src/db/foo.cc",
                          "std::unordered_map<uint64_t, int> pending_;\n"
                          "void F() {\n"
-                         "  // simlint: ordered-ok (a justification long\n"
+                         "  // rapicheck: ordered-ok (a justification long\n"
                          "  // enough to wrap onto a second comment line)\n"
                          "  for (const auto& [k, v] : pending_) {\n"
                          "  }\n"
                          "}\n"));
 }
 
-TEST(SimlintSL003, SortedSnapshotIsTheBlessedPattern) {
+TEST(DeterminismSL003, SortedSnapshotIsTheBlessedPattern) {
   // Iterating SortedKeys(pending_) does not touch the container's own
   // iteration order, so the rule stays quiet.
   ExpectClean(LintSource("src/db/foo.cc",
@@ -171,46 +179,46 @@ TEST(SimlintSL003, SortedSnapshotIsTheBlessedPattern) {
 
 // --- SL004 pointer-keyed ordering -----------------------------------------
 
-TEST(SimlintSL004, PointerKeyedMapFires) {
+TEST(DeterminismSL004, PointerKeyedMapFires) {
   ExpectOnly(LintSource("src/db/foo.cc", "std::map<Node*, int> by_node_;\n"),
              "SL004", 1);
 }
 
-TEST(SimlintSL004, PointerSetFires) {
+TEST(DeterminismSL004, PointerSetFires) {
   ExpectOnly(LintSource("src/db/foo.cc",
                         "std::set<const Txn*> waiters_;\n"),
              "SL004", 1);
 }
 
-TEST(SimlintSL004, ValueKeysAreNotFlagged) {
+TEST(DeterminismSL004, ValueKeysAreNotFlagged) {
   ExpectClean(
       LintSource("src/db/foo.cc",
                  "std::map<std::string, const Counter*> counters_;\n"
                  "std::set<uint64_t> keys_;\n"));
 }
 
-TEST(SimlintSL004, PragmaSuppresses) {
+TEST(DeterminismSL004, PragmaSuppresses) {
   ExpectClean(LintSource(
       "src/db/foo.cc",
-      "// simlint: ptr-ok (ordering never observed; used as a set)\n"
+      "// rapicheck: ptr-ok (ordering never observed; used as a set)\n"
       "std::map<Node*, int> by_node_;\n"));
 }
 
 // --- SL005 raw new/delete -------------------------------------------------
 
-TEST(SimlintSL005, RawNewAndDeleteFire) {
+TEST(DeterminismSL005, RawNewAndDeleteFire) {
   const auto findings = LintSource("src/db/foo.cc",
                                    "void F() {\n"
                                    "  int* p = new int;\n"
                                    "  delete p;\n"
                                    "}\n");
-  ASSERT_EQ(findings.size(), 2u) << simlint::FormatText(findings);
+  ASSERT_EQ(findings.size(), 2u) << FormatText(findings);
   EXPECT_EQ(findings[0].rule, "SL005");
   EXPECT_EQ(findings[0].line, 2);
   EXPECT_EQ(findings[1].line, 3);
 }
 
-TEST(SimlintSL005, DeletedFunctionsAreNotFlagged) {
+TEST(DeterminismSL005, DeletedFunctionsAreNotFlagged) {
   ExpectClean(LintSource("src/db/foo.cc",
                          "struct S {\n"
                          "  S(const S&) = delete;\n"
@@ -218,42 +226,42 @@ TEST(SimlintSL005, DeletedFunctionsAreNotFlagged) {
                          "};\n"));
 }
 
-TEST(SimlintSL005, TestsAreExempt) {
+TEST(DeterminismSL005, TestsAreExempt) {
   ExpectClean(LintSource("tests/foo.cc", "int* p = new int;\n"));
 }
 
-TEST(SimlintSL005, PragmaSuppresses) {
+TEST(DeterminismSL005, PragmaSuppresses) {
   ExpectClean(LintSource("src/db/foo.cc",
-                         "// simlint: new-ok (immediately owned)\n"
+                         "// rapicheck: new-ok (immediately owned)\n"
                          "Database* db = new Database();\n"));
 }
 
 // --- SL006 float accumulation ---------------------------------------------
 
-TEST(SimlintSL006, FloatAccumulatorFires) {
+TEST(DeterminismSL006, FloatAccumulatorFires) {
   ExpectOnly(LintSource("src/sim/foo.cc",
                         "double sum_ = 0;\n"
                         "void Add(double v) { sum_ += v; }\n"),
              "SL006", 2);
 }
 
-TEST(SimlintSL006, IntegerAccumulatorIsNotFlagged) {
+TEST(DeterminismSL006, IntegerAccumulatorIsNotFlagged) {
   ExpectClean(LintSource("src/sim/foo.cc",
                          "int64_t count_ = 0;\n"
                          "void Add() { count_ += 1; }\n"));
 }
 
-TEST(SimlintSL006, PragmaSuppresses) {
+TEST(DeterminismSL006, PragmaSuppresses) {
   ExpectClean(
       LintSource("src/sim/foo.cc",
                  "double sum_ = 0;\n"
-                 "// simlint: float-ok (fixed order one-shot setup)\n"
+                 "// rapicheck: float-ok (fixed order one-shot setup)\n"
                  "void Add(double v) { sum_ += v; }\n"));
 }
 
 // --- SL007 thread primitives ----------------------------------------------
 
-TEST(SimlintSL007, ThreadInSimCoreFires) {
+TEST(DeterminismSL007, ThreadInSimCoreFires) {
   ExpectOnly(LintSource("src/sim/foo.cc",
                         "void F() {\n"
                         "  std::thread t([] {});\n"
@@ -261,18 +269,18 @@ TEST(SimlintSL007, ThreadInSimCoreFires) {
              "SL007", 2);
 }
 
-TEST(SimlintSL007, MutexAndAsyncFire) {
+TEST(DeterminismSL007, MutexAndAsyncFire) {
   const auto findings = LintSource("src/db/foo.cc",
                                    "std::mutex mu_;\n"
                                    "auto f = std::async([] {});\n");
-  ASSERT_EQ(findings.size(), 2u) << simlint::FormatText(findings);
+  ASSERT_EQ(findings.size(), 2u) << FormatText(findings);
   EXPECT_EQ(findings[0].rule, "SL007");
   EXPECT_EQ(findings[0].line, 1);
   EXPECT_EQ(findings[1].rule, "SL007");
   EXPECT_EQ(findings[1].line, 2);
 }
 
-TEST(SimlintSL007, FiresAcrossTheCoreDirs) {
+TEST(DeterminismSL007, FiresAcrossTheCoreDirs) {
   for (const char* path :
        {"src/storage/foo.cc", "src/net/foo.cc", "src/replica/foo.cc"}) {
     ExpectOnly(LintSource(path, "std::condition_variable cv_;\n"), "SL007",
@@ -280,7 +288,7 @@ TEST(SimlintSL007, FiresAcrossTheCoreDirs) {
   }
 }
 
-TEST(SimlintSL007, ParallelRunnerAndToolsAreExempt) {
+TEST(DeterminismSL007, ParallelRunnerAndToolsAreExempt) {
   ExpectClean(LintSource("src/harness/parallel_runner.cc",
                          "std::vector<std::thread> pool;\n"));
   ExpectClean(LintSource("src/harness/parallel_runner.h",
@@ -290,7 +298,7 @@ TEST(SimlintSL007, ParallelRunnerAndToolsAreExempt) {
   ExpectClean(LintSource("tests/foo.cc", "std::thread t([] {});\n"));
 }
 
-TEST(SimlintSL007, UnrelatedIdentifiersAreNotFlagged) {
+TEST(DeterminismSL007, UnrelatedIdentifiersAreNotFlagged) {
   // A member named `thread` or prose in comments must not trip the rule;
   // only the std:: primitives themselves do.
   ExpectClean(LintSource("src/sim/foo.cc",
@@ -299,111 +307,57 @@ TEST(SimlintSL007, UnrelatedIdentifiersAreNotFlagged) {
                          "const char* s = \"std::mutex in a string\";\n"));
 }
 
-TEST(SimlintSL007, PragmaSuppresses) {
+TEST(DeterminismSL007, PragmaSuppresses) {
   ExpectClean(
       LintSource("src/harness/foo.cc",
-                 "// simlint: thread-ok (host-side progress reporter)\n"
+                 "// rapicheck: thread-ok (host-side progress reporter)\n"
                  "std::thread reporter_;\n"));
 }
 
 // --- Pragmas / stripping behaviour ----------------------------------------
 
-TEST(SimlintStrip, WrongPragmaTagDoesNotSuppress) {
+TEST(DeterminismStrip, WrongPragmaTagDoesNotSuppress) {
   // ordered-ok does not excuse a clock: suppression is per-rule.
   const auto findings =
       LintSource("src/sim/foo.cc",
-                 "// simlint: ordered-ok (wrong tag)\n"
+                 "// rapicheck: ordered-ok (wrong tag)\n"
                  "auto t = std::chrono::steady_clock::now();\n");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "SL001");
 }
 
-TEST(SimlintStrip, BannedTokensInsideStringsAndCommentsAreIgnored) {
+TEST(DeterminismStrip, BannedTokensInsideStringsAndCommentsAreIgnored) {
   ExpectClean(LintSource(
       "src/sim/foo.cc",
       "/* steady_clock rand() getenv new delete */\n"
       "const char* doc = \"for (x : pending_) steady_clock\";\n"));
 }
 
-// --- Baseline -------------------------------------------------------------
-
-TEST(SimlintBaseline, RoundTripsByteIdentically) {
-  const auto findings = LintSource("src/db/foo.cc",
-                                   "std::map<Node*, int> by_node_;\n"
-                                   "void F() {\n"
-                                   "  int* p = new int;\n"
-                                   "  int* q = new int;\n"
-                                   "}\n");
-  ASSERT_EQ(findings.size(), 3u);
-  const std::string text = simlint::SerializeBaseline(findings);
-
-  std::vector<simlint::BaselineEntry> entries;
-  std::string error;
-  ASSERT_TRUE(simlint::ParseBaseline(text, &entries, &error)) << error;
-  EXPECT_EQ(simlint::SerializeBaseline(entries), text);
-}
-
-TEST(SimlintBaseline, SuppressesExactlyTheBaselinedFindings) {
-  const char* old_code =
-      "void F() {\n"
-      "  int* p = new int;\n"
-      "}\n";
-  const auto old_findings = LintSource("src/db/foo.cc", old_code);
-  ASSERT_EQ(old_findings.size(), 1u);
-
-  std::vector<simlint::BaselineEntry> entries;
-  std::string error;
-  ASSERT_TRUE(simlint::ParseBaseline(simlint::SerializeBaseline(old_findings),
-                                     &entries, &error))
-      << error;
-
-  // Same file, the old finding moved down a line (baseline still matches via
-  // the line-content CRC) and a brand-new one appeared.
-  const char* new_code =
-      "void F() {\n"
-      "  // a new comment shifts everything down\n"
-      "  int* p = new int;\n"
-      "  delete p;\n"
-      "}\n";
-  const auto fresh = simlint::ApplyBaseline(
-      LintSource("src/db/foo.cc", new_code), entries);
-  ASSERT_EQ(fresh.size(), 1u) << simlint::FormatText(fresh);
-  EXPECT_EQ(fresh[0].line, 4);  // only the new `delete p;` survives
-}
-
-TEST(SimlintBaseline, RejectsMalformedLines) {
-  std::vector<simlint::BaselineEntry> entries;
-  std::string error;
-  EXPECT_FALSE(simlint::ParseBaseline("SL001 only-two-fields\n", &entries,
-                                      &error));
-  EXPECT_FALSE(error.empty());
-}
-
 // --- Output formats -------------------------------------------------------
 
-TEST(SimlintOutput, JsonContainsEveryField) {
+TEST(DeterminismOutput, JsonContainsEveryField) {
   const auto findings =
       LintSource("src/db/foo.cc", "void F() { int* p = new int; }\n");
   ASSERT_EQ(findings.size(), 1u);
-  const std::string json = simlint::FormatJson(findings);
+  const std::string json = lintlib::FormatJson(findings);
   EXPECT_NE(json.find("\"rule\":\"SL005\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"file\":\"src/db/foo.cc\""), std::string::npos);
   EXPECT_NE(json.find("\"line\":1"), std::string::npos);
   EXPECT_NE(json.find("\"total\":1"), std::string::npos);
 }
 
-TEST(SimlintOutput, GithubAnnotationsNameTheFile) {
+TEST(DeterminismOutput, GithubAnnotationsNameTheFile) {
   const auto findings =
       LintSource("src/sim/foo.cc", "std::random_device rd;\n");
   ASSERT_EQ(findings.size(), 1u);
-  const std::string gh = simlint::FormatGithub(findings);
+  const std::string gh = lintlib::FormatGithub(findings, "rapicheck");
   EXPECT_NE(gh.find("::error file=src/sim/foo.cc,line=1"), std::string::npos)
       << gh;
 }
 
 // --- SL008 wire/persistent byte punning -----------------------------------
 
-TEST(SimlintSL008, ReinterpretCastInWireDirFires) {
+TEST(DeterminismSL008, ReinterpretCastInWireDirFires) {
   ExpectOnly(LintSource("src/db/wal.cc",
                         "void F(uint64_t k, uint8_t* out) {\n"
                         "  auto* p = reinterpret_cast<const uint8_t*>(&k);\n"
@@ -412,7 +366,7 @@ TEST(SimlintSL008, ReinterpretCastInWireDirFires) {
              "SL008", 2);
 }
 
-TEST(SimlintSL008, MemcpyThroughObjectAddressFires) {
+TEST(DeterminismSL008, MemcpyThroughObjectAddressFires) {
   ExpectOnly(LintSource("src/shard/decision_log.cc",
                         "void F(uint64_t v, uint8_t* out) {\n"
                         "  memcpy(out, &v, sizeof(v));\n"
@@ -420,7 +374,7 @@ TEST(SimlintSL008, MemcpyThroughObjectAddressFires) {
              "SL008", 2);
 }
 
-TEST(SimlintSL008, ByteSpanMemcpyIsFine) {
+TEST(DeterminismSL008, ByteSpanMemcpyIsFine) {
   // memcpy between byte buffers (no & in the arguments) is representation
   // free and allowed.
   ExpectClean(LintSource("src/db/btree.cc",
@@ -429,7 +383,7 @@ TEST(SimlintSL008, ByteSpanMemcpyIsFine) {
                          "}\n"));
 }
 
-TEST(SimlintSL008, SanctionedCodecFilesAreExempt) {
+TEST(DeterminismSL008, SanctionedCodecFilesAreExempt) {
   const char* body =
       "void F(uint64_t v, uint8_t* out) {\n"
       "  memcpy(out, &v, sizeof(v));\n"
@@ -439,27 +393,30 @@ TEST(SimlintSL008, SanctionedCodecFilesAreExempt) {
   ExpectClean(LintSource("src/shard/wire.h", body));
 }
 
-TEST(SimlintSL008, OutsideWireDirsNotFlagged) {
+TEST(DeterminismSL008, OutsideWireDirsNotFlagged) {
   ExpectClean(LintSource("src/sim/crc32.cc",
                          "void F(uint64_t v, uint8_t* out) {\n"
                          "  memcpy(out, &v, sizeof(v));\n"
                          "}\n"));
 }
 
-TEST(SimlintSL008, WireOkPragmaSuppresses) {
+TEST(DeterminismSL008, WireOkPragmaSuppresses) {
   ExpectClean(LintSource(
       "src/db/layout2.cc",
       "void F(uint64_t v, uint8_t* out) {\n"
-      "  // simlint: wire-ok (fixed-width scratch, never persisted)\n"
+      "  // rapicheck: wire-ok (fixed-width scratch, never persisted)\n"
       "  memcpy(out, &v, sizeof(v));\n"
       "}\n"));
 }
 
-TEST(SimlintRules, TableListsAllEightRules) {
-  ASSERT_EQ(simlint::Rules().size(), 8u);
-  EXPECT_STREQ(simlint::Rules()[0].id, "SL001");
-  EXPECT_STREQ(simlint::Rules()[6].id, "SL007");
-  EXPECT_STREQ(simlint::Rules()[7].id, "SL008");
+TEST(DeterminismRules, TableListsAllEightRulesFirst) {
+  const auto& rules = rapicheck::Rules();
+  ASSERT_GE(rules.size(), 8u);
+  EXPECT_STREQ(rules[0].id, "SL001");
+  EXPECT_STREQ(rules[6].id, "SL007");
+  EXPECT_STREQ(rules[7].id, "SL008");
+  EXPECT_STREQ(rules[4].severity, "warning");  // SL005
+  EXPECT_STREQ(rules[5].severity, "warning");  // SL006
 }
 
 }  // namespace

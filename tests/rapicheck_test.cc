@@ -1,6 +1,7 @@
-// rapicheck tests: the cross-file model parses this repo's idioms, each RC
-// rule fires on its seeded fixture tree (tests/rapicheck_fixtures/) and
-// stays quiet on the clean tree, and pragmas suppress findings.
+// rapicheck's protocol rules: the cross-file model parses this repo's
+// idioms, each RC rule fires on its seeded fixture tree
+// (tests/rapicheck_fixtures/) and stays quiet on the clean tree, and pragmas
+// suppress findings. The SL rules are in rapicheck_determinism_test.
 #include "tools/rapicheck/rapicheck.h"
 
 #include <gtest/gtest.h>
@@ -32,7 +33,7 @@ std::vector<Finding> RunTree(const std::string& tree) {
   for (const std::string& file : files) {
     std::string contents;
     EXPECT_TRUE(lintlib::ReadFile(file, &contents)) << file;
-    sources.push_back(lintlib::StripSource(file, contents, "rapicheck:"));
+    sources.push_back(lintlib::StripSource(file, contents));
   }
   return rapicheck::Analyze(BuildModel(std::move(sources)), DefaultConfig());
 }
@@ -47,7 +48,7 @@ int CountRule(const std::vector<Finding>& findings, const char* rule) {
 
 Model ModelOf(const char* path, const char* source) {
   std::vector<lintlib::SourceFile> files;
-  files.push_back(lintlib::StripSource(path, source, "rapicheck:"));
+  files.push_back(lintlib::StripSource(path, source));
   return BuildModel(std::move(files));
 }
 
@@ -279,25 +280,35 @@ TEST(RapicheckRules, ScopedGuardDeathBreaksLockChains) {
 
 TEST(RapicheckRules, RulesTableCoversAllFourFamilies) {
   const auto& rules = rapicheck::Rules();
-  ASSERT_EQ(rules.size(), 10u);
-  EXPECT_STREQ(rules.front().id, "RC101");
+  ASSERT_EQ(rules.size(), 18u);  // SL001..SL008, then the ten RC rules
+  EXPECT_STREQ(rules[8].id, "RC101");
   EXPECT_STREQ(rules.back().id, "RC401");
 }
 
-TEST(RapicheckRules, FindingsCarryBaselineCrcs) {
-  const auto findings = RunTree("rc101");
-  ASSERT_FALSE(findings.empty());
-  for (const Finding& f : findings) {
-    EXPECT_NE(f.crc, 0u) << f.rule << " at " << f.file << ":" << f.line;
-  }
-  // Baseline round-trip through lintlib keys on those CRCs.
-  const std::string serialized =
-      lintlib::SerializeBaseline(findings, "rapicheck");
-  std::vector<lintlib::BaselineEntry> entries;
-  std::string error;
-  ASSERT_TRUE(lintlib::ParseBaseline(serialized, &entries, &error)) << error;
-  const auto remaining = lintlib::ApplyBaseline(findings, entries);
-  EXPECT_TRUE(remaining.empty()) << lintlib::FormatText(remaining);
+TEST(RapicheckRules, ProtocolRulesJudgeOnlyTheProtocolRoot) {
+  // The same unconsumed record kind is a finding under src/ and nothing
+  // under a test fixture when the model's protocol root is src.
+  const char* wal =
+      "enum class LogRecordType : uint8_t {\n"
+      "  kUpdate = 1,\n"
+      "};\n";
+  const char* producer =
+      "void F(LogRecord rec) {\n"
+      "  rec.type = LogRecordType::kUpdate;\n"
+      "}\n";
+  std::vector<lintlib::SourceFile> in_src;
+  in_src.push_back(lintlib::StripSource("src/db/wal.h", wal));
+  in_src.push_back(lintlib::StripSource("src/db/x.cc", producer));
+  EXPECT_EQ(CountRule(rapicheck::Analyze(BuildModel(std::move(in_src), "src"),
+                                         DefaultConfig()),
+                      "RC102"),
+            1);
+  std::vector<lintlib::SourceFile> in_tests;
+  in_tests.push_back(lintlib::StripSource("tests/fx/src/db/wal.h", wal));
+  in_tests.push_back(lintlib::StripSource("tests/fx/src/db/x.cc", producer));
+  const Model m = BuildModel(std::move(in_tests), "src");
+  EXPECT_TRUE(m.enums.empty());
+  EXPECT_TRUE(rapicheck::Analyze(m, DefaultConfig()).empty());
 }
 
 }  // namespace

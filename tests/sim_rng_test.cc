@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "src/sim/check.h"
@@ -77,22 +76,6 @@ TEST(RngTest, ExponentialMeanApprox) {
     sum += v;
   }
   EXPECT_NEAR(sum / n, mean, 0.1);
-}
-
-TEST(RngTest, NormalMomentsApprox) {
-  Rng rng(13);
-  const int n = 200'000;
-  double sum = 0;
-  double sq = 0;
-  for (int i = 0; i < n; ++i) {
-    const double v = rng.Normal(10.0, 2.0);
-    sum += v;
-    sq += v * v;
-  }
-  const double mean = sum / n;
-  const double var = sq / n - mean * mean;
-  EXPECT_NEAR(mean, 10.0, 0.05);
-  EXPECT_NEAR(std::sqrt(var), 2.0, 0.05);
 }
 
 TEST(RngTest, ChanceExtremes) {

@@ -11,35 +11,6 @@
 namespace rlsim {
 namespace {
 
-TEST(SemaphoreTest, LimitsConcurrency) {
-  Simulator sim;
-  Semaphore sem(sim, 2);
-  int concurrent = 0;
-  int max_concurrent = 0;
-  for (int i = 0; i < 8; ++i) {
-    sim.Spawn([](Simulator& s, Semaphore& sm, int& cur, int& mx) -> Task<void> {
-      co_await sm.Acquire();
-      ++cur;
-      mx = std::max(mx, cur);
-      co_await s.Sleep(Duration::Millis(1));
-      --cur;
-      sm.Release();
-    }(sim, sem, concurrent, max_concurrent));
-  }
-  sim.Run();
-  EXPECT_EQ(max_concurrent, 2);
-  EXPECT_EQ(sem.available(), 2);
-}
-
-TEST(SemaphoreTest, TryAcquire) {
-  Simulator sim;
-  Semaphore sem(sim, 1);
-  EXPECT_TRUE(sem.TryAcquire());
-  EXPECT_FALSE(sem.TryAcquire());
-  sem.Release();
-  EXPECT_TRUE(sem.TryAcquire());
-}
-
 TEST(SimMutexTest, MutualExclusionAndFifo) {
   Simulator sim;
   SimMutex mutex(sim);

@@ -121,6 +121,42 @@ bool ParseBenchJson(std::string_view text, std::vector<Metric>* out,
   return true;
 }
 
+bool ParseTolerance(std::string_view arg, DiffOptions* opts,
+                    std::string* error) {
+  const size_t eq = arg.find('=');
+  const std::string value(eq == std::string_view::npos ? arg
+                                                       : arg.substr(eq + 1));
+  char* end = nullptr;
+  const double tol = std::strtod(value.c_str(), &end);
+  if (value.empty() || end != value.c_str() + value.size() ||
+      !std::isfinite(tol) || tol < 0 || eq == 0) {
+    *error = "--tolerance wants X or NAME=X with X a finite number >= 0, "
+             "got '" + std::string(arg) + "'";
+    return false;
+  }
+  if (eq == std::string_view::npos) {
+    opts->default_tolerance = tol;
+  } else {
+    opts->overrides[std::string(arg.substr(0, eq))] = tol;
+  }
+  return true;
+}
+
+bool CheckOverrides(const DiffOptions& opts,
+                    const std::vector<Metric>& baseline, std::string* error) {
+  std::set<std::string_view> names;
+  for (const Metric& m : baseline) {
+    names.insert(m.name);
+  }
+  for (const auto& [name, tol] : opts.overrides) {
+    if (names.count(name) == 0) {
+      *error = "--tolerance " + name + "=... names no baseline metric";
+      return false;
+    }
+  }
+  return true;
+}
+
 std::vector<lintlib::Finding> DiffBench(const std::vector<Metric>& baseline,
                                         const std::vector<Metric>& fresh,
                                         const DiffOptions& opts,

@@ -18,7 +18,7 @@
 // caller asks for it.
 //
 // Reporting reuses tools/lintlib's Finding + text/JSON/GitHub formatters so
-// CI annotations look exactly like simlint's and rapicheck's.
+// CI annotations look exactly like rapicheck's.
 #pragma once
 
 #include <map>
@@ -48,6 +48,17 @@ struct DiffOptions {
   // Exact metric name -> tolerance, overriding the default.
   std::map<std::string, double> overrides;
 };
+
+// Applies one --tolerance value: "X" sets the default band, "NAME=X" one
+// metric's band. X must be a finite number >= 0 with nothing after it.
+// Returns false and sets *error otherwise, so a typo never becomes a band.
+bool ParseTolerance(std::string_view arg, DiffOptions* opts,
+                    std::string* error);
+
+// False (with *error) if an override names no baseline metric: such an
+// override would silently gate nothing.
+bool CheckOverrides(const DiffOptions& opts,
+                    const std::vector<Metric>& baseline, std::string* error);
 
 // Compares fresh against baseline; `fresh_path` labels the findings.
 // Ordering follows the baseline file (then new metrics in fresh order), so

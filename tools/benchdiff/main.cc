@@ -4,11 +4,13 @@
 //   benchdiff [--tolerance X | --tolerance NAME=X]... [--format F] BASE FRESH
 //
 // --tolerance X        default relative band (0.35 unless given)
-// --tolerance NAME=X   per-metric override (repeatable)
+// --tolerance NAME=X   per-metric override (repeatable); NAME must be a
+//                      baseline metric
 // --format text|json|github   output style (default text)
 //
 // Exit status: 0 = within bands (warnings allowed), 1 = BD001 errors,
-// 2 = usage or unreadable/unparseable input.
+// 2 = usage error (a malformed band among them) or unreadable/unparseable
+// input.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,6 +20,14 @@
 #include "tools/lintlib/lintlib.h"
 
 namespace {
+
+int Usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--tolerance X | --tolerance NAME=X]... "
+               "[--format text|json|github] BASELINE FRESH\n",
+               argv0);
+  return 2;
+}
 
 bool LoadMetrics(const char* path, std::vector<benchdiff::Metric>* out) {
   std::string text;
@@ -43,42 +53,49 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--tolerance" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      const size_t eq = v.find('=');
-      if (eq == std::string::npos) {
-        opts.default_tolerance = std::strtod(v.c_str(), nullptr);
+    if (arg == "--tolerance" || arg == "--format") {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "benchdiff: %s needs a value\n", arg.c_str());
+        return Usage(argv[0]);
+      }
+      const std::string value = argv[++i];
+      std::string error;
+      if (arg == "--tolerance") {
+        if (!benchdiff::ParseTolerance(value, &opts, &error)) {
+          std::fprintf(stderr, "benchdiff: %s\n", error.c_str());
+          return Usage(argv[0]);
+        }
+      } else if (value == "text" || value == "json" || value == "github") {
+        format = value;
       } else {
-        opts.overrides[v.substr(0, eq)] =
-            std::strtod(v.c_str() + eq + 1, nullptr);
-      }
-    } else if (arg == "--format" && i + 1 < argc) {
-      format = argv[++i];
-      if (format != "text" && format != "json" && format != "github") {
         std::fprintf(stderr, "benchdiff: --format wants text|json|github\n");
-        return 2;
+        return Usage(argv[0]);
       }
+    } else if (!arg.empty() && arg[0] == '-') {
+      std::fprintf(stderr, "benchdiff: unknown option %s\n", arg.c_str());
+      return Usage(argv[0]);
     } else if (base_path == nullptr) {
       base_path = argv[i];
     } else if (fresh_path == nullptr) {
       fresh_path = argv[i];
     } else {
       std::fprintf(stderr, "benchdiff: unexpected argument %s\n", argv[i]);
-      return 2;
+      return Usage(argv[0]);
     }
   }
   if (base_path == nullptr || fresh_path == nullptr) {
-    std::fprintf(stderr,
-                 "usage: %s [--tolerance X | --tolerance NAME=X]... "
-                 "[--format text|json|github] BASELINE FRESH\n",
-                 argv[0]);
-    return 2;
+    return Usage(argv[0]);
   }
 
   std::vector<benchdiff::Metric> baseline;
   std::vector<benchdiff::Metric> fresh;
   if (!LoadMetrics(base_path, &baseline) || !LoadMetrics(fresh_path, &fresh)) {
     return 2;
+  }
+  std::string error;
+  if (!benchdiff::CheckOverrides(opts, baseline, &error)) {
+    std::fprintf(stderr, "benchdiff: %s: %s\n", base_path, error.c_str());
+    return Usage(argv[0]);
   }
 
   const std::vector<lintlib::Finding> findings =

@@ -5,10 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
-
-#include "src/sim/crc32.h"
 
 namespace lintlib {
 
@@ -81,8 +78,7 @@ std::string_view TailIdentifier(std::string_view expr) {
   return expr.substr(end);
 }
 
-SourceFile StripSource(std::string path, std::string_view contents,
-                       std::string_view pragma_marker) {
+SourceFile StripSource(std::string path, std::string_view contents) {
   SourceFile out;
   out.path = std::move(path);
 
@@ -170,10 +166,10 @@ SourceFile StripSource(std::string path, std::string_view contents,
       code.push_back(c);
       ++i;
     }
-    // Harvest `<marker> tag1 tag2` from the comment text.
-    const size_t mark = comment_text.find(pragma_marker);
+    // Harvest `rapicheck: tag1 tag2` from the comment text.
+    const size_t mark = comment_text.find(kPragmaMarker);
     if (mark != std::string::npos) {
-      size_t p = mark + pragma_marker.size();
+      size_t p = mark + kPragmaMarker.size();
       while (p < comment_text.size()) {
         while (p < comment_text.size() &&
                (comment_text[p] == ' ' || comment_text[p] == ',')) {
@@ -199,28 +195,6 @@ SourceFile StripSource(std::string path, std::string_view contents,
   return out;
 }
 
-uint32_t NormalizedCrc(std::string_view stripped_line,
-                       std::string* normalized_out) {
-  std::string norm;
-  norm.reserve(stripped_line.size());
-  bool pending_space = false;
-  for (char c : stripped_line) {
-    if (std::isspace(static_cast<unsigned char>(c)) != 0) {
-      pending_space = !norm.empty();
-      continue;
-    }
-    if (pending_space) {
-      norm.push_back(' ');
-      pending_space = false;
-    }
-    norm.push_back(c);
-  }
-  const uint32_t crc = rlsim::Crc32c(
-      {reinterpret_cast<const uint8_t*>(norm.data()), norm.size()});
-  if (normalized_out != nullptr) *normalized_out = std::move(norm);
-  return crc;
-}
-
 bool PragmaSuppressed(const SourceFile& file, int line, std::string_view tag) {
   for (int ln = line; ln >= 1; --ln) {
     if (ln <= static_cast<int>(file.pragmas.size())) {
@@ -236,105 +210,6 @@ bool PragmaSuppressed(const SourceFile& file, int line, std::string_view tag) {
     if (!code.empty() || raw.empty()) break;
   }
   return false;
-}
-
-// --- Baseline -------------------------------------------------------------
-
-namespace {
-
-std::string BaselineKey(std::string_view rule, std::string_view file,
-                        uint32_t crc) {
-  char key[512];
-  std::snprintf(key, sizeof(key), "%.*s %.*s %08x",
-                static_cast<int>(rule.size()), rule.data(),
-                static_cast<int>(file.size()), file.data(), crc);
-  return key;
-}
-
-std::string SerializeCounts(const std::map<std::string, int>& counts,
-                            std::string_view tool) {
-  const std::string name(tool);
-  std::string out = "# " + name +
-                    " baseline v1: rule path line-crc count\n"
-                    "# Regenerate with: " +
-                    name + " --write-baseline <this file> <paths>\n";
-  for (const auto& [key, count] : counts) {
-    out += key;
-    out += ' ';
-    out += std::to_string(count);
-    out += '\n';
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string SerializeBaseline(const std::vector<Finding>& findings,
-                              std::string_view tool) {
-  std::map<std::string, int> counts;
-  for (const Finding& f : findings) {
-    ++counts[BaselineKey(f.rule, f.file, f.crc)];
-  }
-  return SerializeCounts(counts, tool);
-}
-
-std::string SerializeBaseline(const std::vector<BaselineEntry>& entries,
-                              std::string_view tool) {
-  std::map<std::string, int> counts;
-  for (const BaselineEntry& e : entries) {
-    counts[BaselineKey(e.rule, e.file, e.crc)] += e.count;
-  }
-  return SerializeCounts(counts, tool);
-}
-
-bool ParseBaseline(std::string_view text, std::vector<BaselineEntry>* out,
-                   std::string* error) {
-  out->clear();
-  int lineno = 0;
-  size_t start = 0;
-  while (start < text.size()) {
-    size_t nl = text.find('\n', start);
-    if (nl == std::string_view::npos) nl = text.size();
-    const std::string line(TrimView(text.substr(start, nl - start)));
-    start = nl + 1;
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    BaselineEntry e;
-    char rule[32], path[400];
-    unsigned crc = 0;
-    if (std::sscanf(line.c_str(), "%31s %399s %8x %d", rule, path, &crc,
-                    &e.count) != 4) {
-      if (error != nullptr) {
-        *error = "baseline line " + std::to_string(lineno) +
-                 ": expected 'rule path crc count', got: " + line;
-      }
-      return false;
-    }
-    e.rule = rule;
-    e.file = path;
-    e.crc = crc;
-    out->push_back(std::move(e));
-  }
-  return true;
-}
-
-std::vector<Finding> ApplyBaseline(
-    std::vector<Finding> findings, const std::vector<BaselineEntry>& baseline) {
-  std::map<std::string, int> budget;
-  for (const BaselineEntry& e : baseline) {
-    budget[BaselineKey(e.rule, e.file, e.crc)] += e.count;
-  }
-  std::vector<Finding> fresh;
-  for (Finding& f : findings) {
-    const std::string key = BaselineKey(f.rule, f.file, f.crc);
-    auto it = budget.find(key);
-    if (it != budget.end() && it->second > 0) {
-      --it->second;
-      continue;
-    }
-    fresh.push_back(std::move(f));
-  }
-  return fresh;
 }
 
 // --- Output ---------------------------------------------------------------
@@ -388,13 +263,11 @@ std::string FormatJson(const std::vector<Finding>& findings) {
   for (size_t i = 0; i < findings.size(); ++i) {
     const Finding& f = findings[i];
     if (i > 0) out += ",";
-    char crcbuf[16];
-    std::snprintf(crcbuf, sizeof(crcbuf), "%08x", f.crc);
     out += "{\"rule\":\"" + JsonEscape(f.rule) + "\",\"severity\":\"" +
            JsonEscape(f.severity) + "\",\"file\":\"" + JsonEscape(f.file) +
            "\",\"line\":" + std::to_string(f.line) + ",\"message\":\"" +
            JsonEscape(f.message) + "\",\"hint\":\"" + JsonEscape(f.hint) +
-           "\",\"crc\":\"" + crcbuf + "\"}";
+           "\"}";
   }
   out += "],\"total\":" + std::to_string(findings.size()) + "}\n";
   return out;

@@ -1,19 +1,14 @@
-// lintlib: the scanning + reporting core shared by this repo's static
-// checkers (tools/simlint, tools/rapicheck).
+// lintlib: the scanning + reporting core shared by this repo's source
+// checker (tools/rapicheck) and its bench regression gate
+// (tools/benchdiff).
 //
-// Each checker owns its rules; what they share is everything around the
-// rules: the lexical strip pass that blanks comments and literal contents
-// (so rules never fire on prose or fixture snippets), pragma harvesting,
-// CRC-keyed baselines robust to line drift, the deterministic file walk,
-// and the text/JSON/GitHub-annotation output formats. Keeping that here
-// means a new checker is only its model + rule table.
-//
-// Tool identity is threaded through explicitly: StripSource takes the
-// pragma marker ("simlint:" / "rapicheck:"), baselines and GitHub output
-// take the tool name, so each checker's artifacts stay self-describing.
+// rapicheck owns its rules; what lives here is everything around them: the
+// lexical strip pass that blanks comments and literal contents (so rules
+// never fire on prose or fixture snippets), pragma harvesting, the
+// deterministic file walk, and the text/JSON/GitHub-annotation output
+// formats that benchdiff reuses for its findings.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,9 +21,7 @@ struct Finding {
   std::string file;
   int line = 0;  // 1-based
   std::string message;
-  std::string hint;        // fix-it suggestion
-  uint32_t crc = 0;        // CRC32 of the normalized source line
-  std::string normalized;  // whitespace-collapsed, comment/string-stripped
+  std::string hint;  // fix-it suggestion
 };
 
 struct RuleInfo {
@@ -38,9 +31,13 @@ struct RuleInfo {
   const char* summary;
 };
 
+// The comment prefix that introduces suppression tags:
+// `// rapicheck: ordered-ok (why order cannot matter)`.
+inline constexpr std::string_view kPragmaMarker = "rapicheck:";
+
 // A source file after lexical preprocessing. `code[i]` is line i with
 // comments and string/char literal *contents* blanked (quotes preserved).
-// `pragmas[i]` holds the `<marker> tag1 tag2` tags found on line i.
+// `pragmas[i]` holds the `rapicheck: tag1 tag2` tags found on line i.
 struct SourceFile {
   std::string path;
   std::vector<std::string> raw;
@@ -48,14 +45,8 @@ struct SourceFile {
   std::vector<std::vector<std::string>> pragmas;
 };
 
-// `pragma_marker` is the comment prefix that introduces suppression tags,
-// e.g. "simlint:". Tags stop at a parenthesized justification.
-SourceFile StripSource(std::string path, std::string_view contents,
-                       std::string_view pragma_marker);
-
-// CRC32 (Castagnoli, via src/sim/crc32) of the whitespace-normalized line.
-uint32_t NormalizedCrc(std::string_view stripped_line,
-                       std::string* normalized_out = nullptr);
+// Tags stop at a parenthesized justification.
+SourceFile StripSource(std::string path, std::string_view contents);
 
 // True if a pragma with `tag` suppresses a finding on `line` (1-based):
 // same line, or reachable by walking up through the contiguous block of
@@ -82,35 +73,12 @@ std::string_view TrimView(std::string_view s);
 // Final identifier of an expression like "table_", "this->cache_".
 std::string_view TailIdentifier(std::string_view expr);
 
-// --- Baseline -------------------------------------------------------------
-
-struct BaselineEntry {
-  std::string rule;
-  std::string file;
-  uint32_t crc = 0;
-  int count = 0;  // findings sharing this (rule, file, crc) key
-};
-
-// Deterministic text form (sorted by rule, file, crc). Parse(Serialize(x))
-// then Serialize again is byte-identical. `tool` names the checker in the
-// header comment ("simlint", "rapicheck").
-std::string SerializeBaseline(const std::vector<Finding>& findings,
-                              std::string_view tool);
-std::string SerializeBaseline(const std::vector<BaselineEntry>& entries,
-                              std::string_view tool);
-bool ParseBaseline(std::string_view text, std::vector<BaselineEntry>* out,
-                   std::string* error);
-// Removes findings covered by the baseline (each entry suppresses up to
-// `count` findings with the same key). Leftover findings are "new".
-std::vector<Finding> ApplyBaseline(std::vector<Finding> findings,
-                                   const std::vector<BaselineEntry>& baseline);
-
 // --- Output ---------------------------------------------------------------
 
 std::string FormatText(const std::vector<Finding>& findings);
 std::string FormatJson(const std::vector<Finding>& findings);
 // GitHub Actions workflow-command annotations (::error file=...); `tool`
-// prefixes the annotation title ("simlint SL003").
+// prefixes the annotation title ("rapicheck SL003").
 std::string FormatGithub(const std::vector<Finding>& findings,
                          std::string_view tool);
 

@@ -1,10 +1,14 @@
-#include "tools/simlint/simlint.h"
-
-#include <algorithm>
-#include <cctype>
+// The determinism rules SL001-SL008: constructs that make an episode
+// depend on something other than its seed. Each rule judges one line, with
+// the model's index of unordered members as its only cross-file context.
+#include <map>
 #include <set>
+#include <string>
+#include <string_view>
 
-namespace simlint {
+#include "tools/rapicheck/rules.h"
+
+namespace rapicheck {
 
 namespace {
 
@@ -63,27 +67,12 @@ bool InWirePunAllowlist(std::string_view path) {
          path == "src/shard/wire.cc";
 }
 
-const char* SeverityFor(std::string_view rule) {
-  for (const RuleInfo& r : Rules()) {
-    if (rule == r.id) return r.severity;
-  }
-  return "error";
-}
-
-struct PendingFinding {
-  const char* rule;
-  const char* tag;  // suppression pragma tag
-  int line;         // 1-based
-  std::string message;
-  std::string hint;
-};
-
 class Linter {
  public:
-  Linter(const SourceFile& file, const ProjectIndex& index)
-      : file_(file), index_(index) {}
+  Linter(const lintlib::SourceFile& file, const Model& model, Emitter* emitter)
+      : file_(file), model_(model), emitter_(emitter) {}
 
-  std::vector<Finding> Run() {
+  void Run() {
     CollectLocalDeclarations();
     for (size_t i = 0; i < file_.code.size(); ++i) {
       const std::string& line = file_.code[i];
@@ -97,14 +86,13 @@ class Linter {
       CheckThreadPrimitives(line, ln);
       CheckWireBytePunning(line, ln);
     }
-    return Resolve();
   }
 
  private:
   void Report(const char* rule, const char* tag, int line, std::string message,
               std::string hint) {
-    pending_.push_back(
-        PendingFinding{rule, tag, line, std::move(message), std::move(hint)});
+    emitter_->Add(rule, file_.path, line, std::move(message), std::move(hint),
+                  tag);
   }
 
   // SL001: ambient time and entropy. The simulator's virtual clock and
@@ -202,7 +190,7 @@ class Linter {
   // implementation-defined; even when libstdc++ happens to be stable, the
   // order depends on insertion history and rehash points — never let it
   // reach event ordering. Fix: rlsim::SortedKeys (src/sim/ordered.h) or a
-  // `// simlint: ordered-ok (<why order cannot matter>)` pragma.
+  // `// rapicheck: ordered-ok (<why order cannot matter>)` pragma.
   void CheckUnorderedIteration(const std::string& line, int ln) {
     if (!InSrc(file_.path)) return;
     // Range-for: `for (decl : expr)`.
@@ -238,8 +226,8 @@ class Linter {
     std::string declared_at;
     if (auto it = local_unordered_.find(key); it != local_unordered_.end()) {
       declared_at = it->second;
-    } else if (auto jt = index_.unordered_members.find(key);
-               jt != index_.unordered_members.end() && key.back() == '_') {
+    } else if (auto jt = model_.unordered_members.find(key);
+               jt != model_.unordered_members.end() && key.back() == '_') {
       declared_at = jt->second;
     } else {
       return;
@@ -249,7 +237,7 @@ class Linter {
                "' (declared at " + declared_at +
                "); iteration order is not deterministic",
            "iterate rlsim::SortedKeys(" + key +
-               ") from src/sim/ordered.h, or add `// simlint: ordered-ok "
+               ") from src/sim/ordered.h, or add `// rapicheck: ordered-ok "
                "(<why order cannot matter>)`");
   }
 
@@ -314,7 +302,7 @@ class Linter {
         Report("SL005", "new-ok", ln,
                "raw 'new' outside arena/device code",
                "use std::make_unique / a container; for private-constructor "
-               "factories add `// simlint: new-ok (immediately owned)`");
+               "factories add `// rapicheck: new-ok (immediately owned)`");
       }
       pos = FindWord(line, "new", pos + 1);
     }
@@ -404,7 +392,7 @@ class Linter {
              "the host's object representation into the byte format",
              "serialize through layout.h LoadScalar/StoreScalar or the wire "
              "codec; for genuinely representation-free uses add "
-             "`// simlint: wire-ok (<why>)`");
+             "`// rapicheck: wire-ok (<why>)`");
     }
     size_t pos = FindWord(line, "memcpy");
     while (pos != std::string_view::npos) {
@@ -426,28 +414,9 @@ class Linter {
   void CollectLocalDeclarations() {
     for (size_t i = 0; i < file_.code.size(); ++i) {
       const std::string& line = file_.code[i];
-      for (const char* cont :
-           {"unordered_map", "unordered_set", "unordered_multimap",
-            "unordered_multiset"}) {
-        size_t pos = FindWord(line, cont);
-        if (pos == std::string_view::npos) continue;
-        const size_t open = pos + std::string_view(cont).size();
-        if (open >= line.size() || line[open] != '<') continue;
-        const size_t after = SkipAngles(line, open);
-        if (after == std::string_view::npos) continue;
-        // `unordered_map<K, V> name` — skip references/pointers to get the
-        // declared identifier.
-        size_t p = after;
-        while (p < line.size() &&
-               (line[p] == ' ' || line[p] == '&' || line[p] == '*')) {
-          ++p;
-        }
-        size_t end = p;
-        while (end < line.size() && IsIdentChar(line[end])) ++end;
-        if (end > p) {
-          local_unordered_[line.substr(p, end - p)] =
-              file_.path + ":" + std::to_string(i + 1);
-        }
+      for (std::string_view name : UnorderedDeclarations(line)) {
+        local_unordered_[std::string(name)] =
+            file_.path + ":" + std::to_string(i + 1);
       }
       for (const char* type : {"double", "float"}) {
         size_t pos = FindWord(line, type);
@@ -470,104 +439,19 @@ class Linter {
     }
   }
 
-  // Apply pragma suppression (same line or line above) and produce final
-  // findings with normalized-line CRCs.
-  std::vector<Finding> Resolve() {
-    std::vector<Finding> out;
-    for (const PendingFinding& p : pending_) {
-      if (lintlib::PragmaSuppressed(file_, p.line, p.tag)) continue;
-      Finding f;
-      f.rule = p.rule;
-      f.severity = SeverityFor(p.rule);
-      f.file = file_.path;
-      f.line = p.line;
-      f.message = p.message;
-      f.hint = p.hint;
-      f.crc = NormalizedCrc(file_.code[p.line - 1], &f.normalized);
-      out.push_back(std::move(f));
-    }
-    std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
-      if (a.line != b.line) return a.line < b.line;
-      return a.rule < b.rule;
-    });
-    return out;
-  }
-
-  const SourceFile& file_;
-  const ProjectIndex& index_;
+  const lintlib::SourceFile& file_;
+  const Model& model_;
+  Emitter* emitter_;
   std::map<std::string, std::string> local_unordered_;  // name -> file:line
-  std::vector<PendingFinding> pending_;
   std::set<std::string> float_vars_;
 };
 
 }  // namespace
 
-const std::vector<RuleInfo>& Rules() {
-  static const std::vector<RuleInfo> kRules = {
-      {"SL001", "wall-clock-or-entropy", "error",
-       "ambient time/randomness source (system_clock, rand, random_device, "
-       "time(), ...) outside the simulator clock/Rng"},
-      {"SL002", "ambient-state", "error",
-       "getenv or mutable static state in src/sim, src/rapilog, src/faults"},
-      {"SL003", "unordered-iteration", "error",
-       "iteration over an unordered_{map,set} member in src/ without a "
-       "sorted snapshot"},
-      {"SL004", "pointer-ordering", "error",
-       "ordered container or comparator keyed by pointer value"},
-      {"SL005", "raw-new-delete", "warning",
-       "raw new/delete outside arena/device code"},
-      {"SL006", "float-accumulation", "warning",
-       "+=/-= on a float/double accumulator without Kahan or integer units"},
-      {"SL007", "thread-primitives", "error",
-       "std::thread/async/mutex (and friends) in src/ outside "
-       "src/harness/parallel_runner"},
-      {"SL008", "wire-byte-punning", "error",
-       "reinterpret_cast or memcpy-through-&object in persistent/wire "
-       "format directories outside the sanctioned codecs"},
-  };
-  return kRules;
-}
-
-void ProjectIndex::AddFile(const SourceFile& file) {
-  for (size_t i = 0; i < file.code.size(); ++i) {
-    const std::string& line = file.code[i];
-    for (const char* cont :
-         {"unordered_map", "unordered_set", "unordered_multimap",
-          "unordered_multiset"}) {
-      size_t pos = FindWord(line, cont);
-      if (pos == std::string_view::npos) continue;
-      const size_t open = pos + std::string_view(cont).size();
-      if (open >= line.size() || line[open] != '<') continue;
-      const size_t after = SkipAngles(line, open);
-      if (after == std::string_view::npos) continue;
-      size_t p = after;
-      while (p < line.size() &&
-             (line[p] == ' ' || line[p] == '&' || line[p] == '*')) {
-        ++p;
-      }
-      size_t end = p;
-      while (end < line.size() && IsIdentChar(line[end])) ++end;
-      // Only `name_`-suffixed identifiers go into the cross-file index:
-      // that is the repo's member naming convention, and indexing plain
-      // locals globally would flag unrelated same-named variables.
-      if (end > p && line[end - 1] == '_') {
-        unordered_members[line.substr(p, end - p)] =
-            file.path + ":" + std::to_string(i + 1);
-      }
-    }
+void CheckDeterminism(const Model& model, Emitter* emitter) {
+  for (const lintlib::SourceFile& file : model.files) {
+    Linter(file, model, emitter).Run();
   }
 }
 
-std::vector<Finding> LintFile(const SourceFile& file,
-                              const ProjectIndex& index) {
-  return Linter(file, index).Run();
-}
-
-std::vector<Finding> LintSource(std::string path, std::string_view contents) {
-  SourceFile file = StripSource(std::move(path), contents);
-  ProjectIndex index;
-  index.AddFile(file);
-  return LintFile(file, index);
-}
-
-}  // namespace simlint
+}  // namespace rapicheck

@@ -1,20 +1,19 @@
 // rapicheck CLI.
 //
-//   rapicheck [options] PATH...
+//   rapicheck [--json | --github] PATH...
+//   rapicheck --list-rules
 //
-//   PATH                directory (recursive *.h/*.cc walk, sorted) or file
-//   --baseline FILE     subtract FILE's suppressions; fail only on new hits
-//   --write-baseline F  serialize current findings to F and exit 0
-//   --json              machine-readable output
-//   --github            GitHub Actions ::error annotations
-//   --list-rules        print the rule table and exit
+//   PATH          directory (recursive *.h/*.cc walk, sorted) or file
+//   --json        machine-readable output
+//   --github      GitHub Actions ::error annotations
+//   --list-rules  print the rule table and exit
 //
-// Unlike simlint, rapicheck is a whole-tree analysis: all PATHs are read,
-// one cross-file model is built, and the rules run over that model.
+// All PATHs are read into one model. The SL rules run on every file; the
+// RC rules judge the files under src/, so run it from the repository root:
+// `rapicheck src bench tests`.
 //
-// Exit status: 0 clean (after baseline), 1 findings, 2 usage/IO error.
+// Exit status: 0 clean, 1 findings, 2 usage/IO error.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,29 +21,21 @@
 #include "tools/lintlib/lintlib.h"
 #include "tools/rapicheck/rapicheck.h"
 
-using lintlib::CollectFiles;
-using lintlib::ReadFile;
+namespace {
+
+constexpr const char* kUsage =
+    "usage: rapicheck [--json | --github] PATH...\n"
+    "       rapicheck --list-rules\n";
+
+}  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> paths;
-  std::string baseline_path;
-  std::string write_baseline_path;
   bool json = false;
   bool github = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "rapicheck: %s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--baseline") {
-      baseline_path = next();
-    } else if (arg == "--write-baseline") {
-      write_baseline_path = next();
-    } else if (arg == "--json") {
+    if (arg == "--json") {
       json = true;
     } else if (arg == "--github") {
       github = true;
@@ -55,83 +46,52 @@ int main(int argc, char** argv) {
       }
       return 0;
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: rapicheck [--json] [--github] [--baseline FILE]\n"
-          "                 [--write-baseline FILE] [--list-rules] "
-          "PATH...\n");
+      std::fputs(kUsage, stdout);
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "rapicheck: unknown option %s\n", arg.c_str());
+      std::fprintf(stderr, "rapicheck: unknown option %s\n%s", arg.c_str(),
+                   kUsage);
       return 2;
     } else {
       paths.push_back(arg);
     }
   }
   if (paths.empty()) {
-    std::fprintf(stderr, "rapicheck: no paths given (try: rapicheck src)\n");
+    std::fprintf(stderr,
+                 "rapicheck: no paths given (try: rapicheck src bench "
+                 "tests)\n%s",
+                 kUsage);
     return 2;
   }
 
   std::string error;
-  const std::vector<std::string> files = CollectFiles(paths, &error);
+  const std::vector<std::string> files = lintlib::CollectFiles(paths, &error);
   if (!error.empty()) {
     std::fprintf(stderr, "rapicheck: %s\n", error.c_str());
     return 2;
   }
-
   std::vector<lintlib::SourceFile> sources;
   sources.reserve(files.size());
   for (const std::string& file : files) {
     std::string contents;
-    if (!ReadFile(file, &contents)) {
+    if (!lintlib::ReadFile(file, &contents)) {
       std::fprintf(stderr, "rapicheck: cannot read %s\n", file.c_str());
       return 2;
     }
-    sources.push_back(lintlib::StripSource(file, contents, "rapicheck:"));
+    sources.push_back(lintlib::StripSource(file, contents));
   }
-  const rapicheck::Model model =
-      rapicheck::BuildModel(std::move(sources));
-  std::vector<lintlib::Finding> findings =
-      rapicheck::Analyze(model, rapicheck::DefaultConfig());
-
-  if (!write_baseline_path.empty()) {
-    std::ofstream out(write_baseline_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "rapicheck: cannot write %s\n",
-                   write_baseline_path.c_str());
-      return 2;
-    }
-    out << lintlib::SerializeBaseline(findings, "rapicheck");
-    std::printf("rapicheck: wrote %zu finding(s) to %s\n", findings.size(),
-                write_baseline_path.c_str());
-    return 0;
-  }
-
-  if (!baseline_path.empty()) {
-    std::string text;
-    if (!ReadFile(baseline_path, &text)) {
-      std::fprintf(stderr, "rapicheck: cannot read baseline %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    std::vector<lintlib::BaselineEntry> entries;
-    if (!lintlib::ParseBaseline(text, &entries, &error)) {
-      std::fprintf(stderr, "rapicheck: %s\n", error.c_str());
-      return 2;
-    }
-    findings = lintlib::ApplyBaseline(std::move(findings), entries);
-  }
+  const std::vector<lintlib::Finding> findings = rapicheck::Analyze(
+      rapicheck::BuildModel(std::move(sources), "src"),
+      rapicheck::DefaultConfig());
 
   if (json) {
     std::fputs(lintlib::FormatJson(findings).c_str(), stdout);
   } else if (github) {
-    std::fputs(lintlib::FormatGithub(findings, "rapicheck").c_str(),
-               stdout);
+    std::fputs(lintlib::FormatGithub(findings, "rapicheck").c_str(), stdout);
   } else {
     std::fputs(lintlib::FormatText(findings).c_str(), stdout);
-    std::printf("rapicheck: %zu file(s), %zu finding(s)%s\n", files.size(),
-                findings.size(),
-                baseline_path.empty() ? "" : " not in baseline");
+    std::printf("rapicheck: %zu file(s), %zu finding(s)\n", files.size(),
+                findings.size());
   }
   return findings.empty() ? 0 : 1;
 }

@@ -349,13 +349,6 @@ class Builder {
         scope.kind = Scope::Kind::kSwitch;
         scope.index = static_cast<int>(model_->switches.size());
         SwitchStmt stmt;
-        const size_t sw = FindWord(h, "switch");
-        const size_t open = h.find('(', sw);
-        const size_t close = h.rfind(')');
-        if (open != std::string_view::npos &&
-            close != std::string_view::npos && close > open) {
-          stmt.expr = std::string(TrimView(h.substr(open + 1, close - open - 1)));
-        }
         stmt.file = file().path;
         stmt.line = ln;
         stmt.function_index = CurrentFunction();
@@ -508,16 +501,33 @@ class Builder {
 
 }  // namespace
 
+std::vector<std::string_view> UnorderedDeclarations(std::string_view line) {
+  std::vector<std::string_view> names;
+  for (const char* cont : {"unordered_map", "unordered_set",
+                           "unordered_multimap", "unordered_multiset"}) {
+    const size_t pos = FindWord(line, cont);
+    if (pos == std::string_view::npos) continue;
+    const size_t open = pos + std::string_view(cont).size();
+    if (open >= line.size() || line[open] != '<') continue;
+    const size_t after = lintlib::SkipAngles(line, open);
+    if (after == std::string_view::npos) continue;
+    // `unordered_map<K, V> name`: skip references/pointers to reach the
+    // declared identifier.
+    size_t p = after;
+    while (p < line.size() &&
+           (line[p] == ' ' || line[p] == '&' || line[p] == '*')) {
+      ++p;
+    }
+    size_t end = p;
+    while (end < line.size() && IsIdentChar(line[end])) ++end;
+    if (end > p) names.push_back(line.substr(p, end - p));
+  }
+  return names;
+}
+
 std::string_view UnqualifiedTail(std::string_view name) {
   const size_t sep = name.rfind("::");
   return sep == std::string_view::npos ? name : name.substr(sep + 2);
-}
-
-const Enumerator* EnumDef::Find(std::string_view enumerator) const {
-  for (const Enumerator& e : enumerators) {
-    if (e.name == enumerator) return &e;
-  }
-  return nullptr;
 }
 
 const EnumDef* Model::FindEnum(std::string_view name) const {
@@ -525,6 +535,10 @@ const EnumDef* Model::FindEnum(std::string_view name) const {
     if (def.name == name) return &def;
   }
   return nullptr;
+}
+
+bool Model::InProtocolScope(std::string_view path) const {
+  return protocol_root.empty() || lintlib::UnderDir(path, protocol_root);
 }
 
 const lintlib::SourceFile* Model::FindFile(std::string_view path) const {
@@ -544,12 +558,28 @@ std::vector<int> Model::FunctionsNamed(std::string_view name) const {
   return out;
 }
 
-Model BuildModel(std::vector<lintlib::SourceFile> files) {
+Model BuildModel(std::vector<lintlib::SourceFile> files,
+                 std::string_view protocol_root) {
   Model model;
   model.files = std::move(files);
+  model.protocol_root = std::string(protocol_root);
   Builder builder(&model);
   for (size_t i = 0; i < model.files.size(); ++i) {
-    builder.AddFile(static_cast<int>(i));
+    const lintlib::SourceFile& file = model.files[i];
+    for (size_t ln = 0; ln < file.code.size(); ++ln) {
+      for (std::string_view name : UnorderedDeclarations(file.code[ln])) {
+        // Only `name_` members are indexed across files: that is the repo's
+        // member naming convention, and indexing plain locals globally
+        // would flag unrelated same-named variables.
+        if (name.back() == '_') {
+          model.unordered_members[std::string(name)] =
+              file.path + ":" + std::to_string(ln + 1);
+        }
+      }
+    }
+    if (model.InProtocolScope(file.path)) {
+      builder.AddFile(static_cast<int>(i));
+    }
   }
   return model;
 }

@@ -1,10 +1,13 @@
-// rapicheck's cross-file model of the source tree.
+// rapicheck's cross-file model of the source tree, built once per run.
 //
-// Where simlint judges one line at a time, rapicheck's rules need structure
-// that spans files: which enums exist and what their enumerators are, which
-// switch statements dispatch over them and what they cover, which functions
-// call which (so "durable before ack" can follow a call chain into
-// WaitDurable), and where locks are acquired while other locks are held.
+// The determinism rules (SL) judge one line at a time and need only one
+// cross-file fact: which `name_` members are unordered containers, so a
+// loop in foo.cc over a member declared in foo.h is still caught. The
+// protocol rules (RC) need structure that spans files: which enums exist
+// and what their enumerators are, which switch statements dispatch over
+// them and what they cover, which functions call which (so "durable before
+// ack" can follow a call chain into WaitDurable), and where locks are
+// acquired while other locks are held.
 //
 // The model is built by a brace-tracking line scanner over lintlib-stripped
 // source — deliberately not a C++ parser. It understands exactly the idioms
@@ -40,13 +43,10 @@ struct EnumDef {
   int line = 0;
   bool scoped = false;  // enum class
   std::vector<Enumerator> enumerators;
-
-  const Enumerator* Find(std::string_view enumerator) const;
 };
 
 struct SwitchStmt {
   std::string enum_name;  // resolved from qualified case labels; "" if not
-  std::string expr;       // raw text inside switch (...)
   std::vector<std::string> cases;  // enumerator names, in source order
   bool has_default = false;
   int default_line = 0;
@@ -101,6 +101,12 @@ struct ConstDef {
 
 struct Model {
   std::vector<lintlib::SourceFile> files;
+  // SL003: unordered-container members (names ending in `_`) declared in
+  // any file -> "file:line" of the declaration.
+  std::map<std::string, std::string> unordered_members;
+  // Only files under this directory feed the protocol model below (and
+  // RC104's literal scan); "" admits every file.
+  std::string protocol_root;
   std::vector<EnumDef> enums;
   std::vector<SwitchStmt> switches;
   std::vector<FunctionDef> functions;
@@ -109,13 +115,20 @@ struct Model {
 
   const EnumDef* FindEnum(std::string_view name) const;
   const lintlib::SourceFile* FindFile(std::string_view path) const;
+  bool InProtocolScope(std::string_view path) const;
   // Indices of functions whose unqualified tail name equals `name`.
   std::vector<int> FunctionsNamed(std::string_view name) const;
 };
 
-// Builds the model from stripped sources. Files should be stripped with the
-// "rapicheck:" pragma marker so rule suppressions resolve.
-Model BuildModel(std::vector<lintlib::SourceFile> files);
+// Builds the model from stripped sources. Every file is indexed for SL003;
+// only files under `protocol_root` ("" for all) are parsed for the protocol
+// model, so the RC rules judge the product tree, not test fixtures.
+Model BuildModel(std::vector<lintlib::SourceFile> files,
+                 std::string_view protocol_root = {});
+
+// Names that `line` declares as unordered_{map,set,multimap,multiset}
+// (`unordered_map<K, V> name`, references and pointers included).
+std::vector<std::string_view> UnorderedDeclarations(std::string_view line);
 
 // Unqualified tail of "A::B::C" -> "C".
 std::string_view UnqualifiedTail(std::string_view name);

@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "tools/rapicheck/rules.h"
+
 namespace rapicheck {
 
 namespace {
@@ -20,6 +22,8 @@ using lintlib::FindWord;
 using lintlib::IsIdentChar;
 using lintlib::SourceFile;
 
+// Each RC rule's pragma tag. SL rules name theirs at the report site (SL002
+// has two: env-ok and static-ok).
 std::string_view TagFor(std::string_view rule) {
   if (rule == "RC101") return "case-ok";
   if (rule == "RC102" || rule == "RC103") return "enum-ok";
@@ -46,40 +50,6 @@ std::string Join(const std::vector<std::string>& parts,
   }
   return out;
 }
-
-// Collects findings; drops pragma-suppressed ones and stamps the baseline
-// CRC from the stripped source line.
-class Emitter {
- public:
-  explicit Emitter(const Model& model) : model_(model) {}
-
-  void Add(std::string rule, const std::string& file, int line,
-           std::string message, std::string hint) {
-    const SourceFile* sf = model_.FindFile(file);
-    if (sf != nullptr &&
-        lintlib::PragmaSuppressed(*sf, line, TagFor(rule))) {
-      return;
-    }
-    Finding f;
-    f.severity = std::string(SeverityFor(rule));
-    f.rule = std::move(rule);
-    f.file = file;
-    f.line = line;
-    f.message = std::move(message);
-    f.hint = std::move(hint);
-    if (sf != nullptr && line >= 1 &&
-        line <= static_cast<int>(sf->code.size())) {
-      f.crc = lintlib::NormalizedCrc(sf->code[line - 1], &f.normalized);
-    }
-    findings_.push_back(std::move(f));
-  }
-
-  std::vector<Finding> Take() { return std::move(findings_); }
-
- private:
-  const Model& model_;
-  std::vector<Finding> findings_;
-};
 
 // "src/shard" matches any path containing that directory run; an entry with
 // a '.' ("src/shard/shard_node.cc") matches as a path suffix, so fixture
@@ -210,6 +180,7 @@ void CheckConstantDrift(const Model& m, const Config& cfg, Emitter* e) {
     }
     if (def == nullptr) continue;
     for (const SourceFile& sf : m.files) {
+      if (!m.InProtocolScope(sf.path)) continue;
       bool references = false;
       for (const std::string& ln : sf.code) {
         if (FindWord(ln, name) != std::string::npos) {
@@ -718,6 +689,24 @@ void CheckLockOrder(const Model& m, Emitter* e) {
 
 }  // namespace
 
+void Emitter::Add(std::string_view rule, const std::string& file, int line,
+                  std::string message, std::string hint,
+                  std::string_view tag) {
+  const SourceFile* sf = model_.FindFile(file);
+  if (sf != nullptr &&
+      lintlib::PragmaSuppressed(*sf, line, tag.empty() ? TagFor(rule) : tag)) {
+    return;
+  }
+  Finding f;
+  f.rule = std::string(rule);
+  f.severity = std::string(SeverityFor(rule));
+  f.file = file;
+  f.line = line;
+  f.message = std::move(message);
+  f.hint = std::move(hint);
+  findings_.push_back(std::move(f));
+}
+
 Config DefaultConfig() {
   Config c;
   c.enums.push_back(
@@ -747,6 +736,26 @@ Config DefaultConfig() {
 
 const std::vector<lintlib::RuleInfo>& Rules() {
   static const std::vector<lintlib::RuleInfo> rules = {
+      {"SL001", "wall-clock-or-entropy", "error",
+       "ambient time/randomness source (system_clock, rand, random_device, "
+       "time(), ...) outside the simulator clock/Rng"},
+      {"SL002", "ambient-state", "error",
+       "getenv or mutable static state in src/sim, src/rapilog, src/faults"},
+      {"SL003", "unordered-iteration", "error",
+       "iteration over an unordered_{map,set} member in src/ without a "
+       "sorted snapshot"},
+      {"SL004", "pointer-ordering", "error",
+       "ordered container or comparator keyed by pointer value"},
+      {"SL005", "raw-new-delete", "warning",
+       "raw new/delete outside arena/device code"},
+      {"SL006", "float-accumulation", "warning",
+       "+=/-= on a float/double accumulator without Kahan or integer units"},
+      {"SL007", "thread-primitives", "error",
+       "std::thread/async/mutex (and friends) in src/ outside "
+       "src/harness/parallel_runner"},
+      {"SL008", "wire-byte-punning", "error",
+       "reinterpret_cast or memcpy-through-&object in persistent/wire "
+       "format directories outside the sanctioned codecs"},
       {"RC101", "switch-missing-case", "error",
        "no-default switch over a known enum missing enumerators"},
       {"RC102", "record-kind-unpaired", "error",
@@ -773,6 +782,7 @@ const std::vector<lintlib::RuleInfo>& Rules() {
 
 std::vector<Finding> Analyze(const Model& model, const Config& config) {
   Emitter e(model);
+  CheckDeterminism(model, &e);
   CheckSwitchCoverage(model, &e);
   CheckKindPairing(model, config, &e);
   CheckOnDiskEnumValues(model, config, &e);
@@ -799,7 +809,7 @@ std::vector<Finding> AnalyzeSources(
   std::vector<lintlib::SourceFile> files;
   files.reserve(path_contents.size());
   for (const auto& [path, contents] : path_contents) {
-    files.push_back(lintlib::StripSource(path, contents, "rapicheck:"));
+    files.push_back(lintlib::StripSource(path, contents));
   }
   return Analyze(BuildModel(std::move(files)), config);
 }

@@ -1,13 +1,26 @@
-// rapicheck: a cross-file semantic invariant checker for this repository.
+// rapicheck: this repository's static checker.
 //
-// simlint enforces *determinism* one line at a time; rapicheck enforces the
-// repo's *protocol contracts*, which no single line can witness: every WAL
-// record kind must have a redo handler, every 2PC wire message a handler on
-// some endpoint, every commit acknowledgement a durability point upstream of
-// it, and the lock acquisition graph must stay acyclic. It builds a
-// lightweight whole-tree model (tools/rapicheck/model.h) and checks four
-// rule families over it:
+// The simulator's value is "same seed, same execution", and the system it
+// models rests on protocol contracts no single line can witness. rapicheck
+// reads the tree once, builds one model (tools/rapicheck/model.h) and
+// checks both. It is a token + context scanner, deliberately not libclang:
+// it builds in seconds on a bare toolchain and checks a single snippet
+// inside a unit test.
 //
+//   SLxxx — determinism, one line at a time, on every given file
+//     SL001 wall-clock-or-entropy     banned ambient time/randomness sources
+//     SL002 ambient-state             getenv / mutable static state in core
+//                                     dirs
+//     SL003 unordered-iteration       iterating unordered_{map,set} members
+//     SL004 pointer-ordering          pointer-keyed ordered containers
+//     SL005 raw-new-delete            raw new/delete outside arena/device
+//                                     code
+//     SL006 float-accumulation        += on float/double accumulators
+//     SL007 thread-primitives         std::thread/async/mutex in the sim core
+//                                     (threads live in
+//                                     src/harness/parallel_runner)
+//     SL008 wire-byte-punning         reinterpret_cast/memcpy on on-disk/wire
+//                                     bytes outside the sanctioned codecs
 //   RC1xx — WAL / on-disk exhaustiveness
 //     RC101 switch-missing-case       no-default switch over a known enum
 //                                     missing enumerators
@@ -36,13 +49,19 @@
 //                                     (RAII scopes + one-level call
 //                                     expansion)
 //
-// Suppression: `// rapicheck: <tag>` on the finding's line or the comment
-// block above it — tags: case-ok, enum-ok, const-ok, handler-ok,
-// default-ok, ack-ok, lock-ok. Baselines and output formats are lintlib's,
-// shared with simlint.
+// The RC rules judge the model of the files under Model::protocol_root
+// (the CLI passes "src"), so test fixtures that seed violations on purpose
+// do not count against the tree.
+//
+// Suppression: `// rapicheck: <tag> (<why>)` on the finding's line or the
+// comment block above it. Tags: clock-ok, env-ok, static-ok, ordered-ok,
+// ptr-ok, new-ok, float-ok, thread-ok, wire-ok (SL); case-ok, enum-ok,
+// const-ok, handler-ok, default-ok, ack-ok, lock-ok (RC). The checker does
+// not parse the justification; reviewers read it.
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tools/lintlib/lintlib.h"
@@ -99,7 +118,7 @@ struct Config {
 
 Config DefaultConfig();
 
-// The full rule table, in id order.
+// The full rule table, SL then RC, in id order.
 const std::vector<lintlib::RuleInfo>& Rules();
 
 // Runs every rule over the model. Findings are pragma-filtered and sorted
@@ -107,8 +126,7 @@ const std::vector<lintlib::RuleInfo>& Rules();
 std::vector<lintlib::Finding> Analyze(const Model& model,
                                       const Config& config);
 
-// Convenience for tests: strip (with the rapicheck pragma marker), build
-// the model, analyze.
+// Convenience for tests: strip, build the model over every file, analyze.
 std::vector<lintlib::Finding> AnalyzeSources(
     const std::vector<std::pair<std::string, std::string>>& path_contents,
     const Config& config);
