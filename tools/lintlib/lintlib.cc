@@ -133,8 +133,9 @@ SourceFile StripSource(std::string path, std::string_view contents) {
         // the next lines are handled as code (acceptable for this repo).
         const size_t open_paren = rawline.find('(', i + 2);
         if (open_paren != std::string::npos) {
-          const std::string delim =
-              ")" + rawline.substr(i + 2, open_paren - (i + 2)) + "\"";
+          std::string delim = ")";
+          delim.append(rawline, i + 2, open_paren - (i + 2));
+          delim.push_back('"');
           const size_t close = rawline.find(delim, open_paren);
           code.append("\"\"");
           if (close != std::string::npos) {
