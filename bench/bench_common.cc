@@ -20,12 +20,12 @@ namespace {
 
 // Registers the commit-path and workload stats a snapshot series should
 // track. The registry does not own anything; every registrant is a member of
-// `bed`/`tpcc`, which outlive the simulation.
-void RegisterBenchStats(rlharness::Testbed& bed, rlwork::TpccLite& tpcc,
+// `bed`/`clients`, which outlive the simulation.
+void RegisterBenchStats(rlharness::Testbed& bed, rlwork::ClientDriver& clients,
                         rlsim::StatsRegistry& registry) {
-  registry.RegisterCounter("tpcc.committed", &tpcc.stats().committed);
-  registry.RegisterCounter("tpcc.lock_aborts", &tpcc.stats().lock_aborts);
-  registry.RegisterHistogram("tpcc.txn_latency", &tpcc.stats().txn_latency,
+  registry.RegisterCounter("tpcc.committed", &clients.stats().committed);
+  registry.RegisterCounter("tpcc.lock_aborts", &clients.stats().aborted);
+  registry.RegisterHistogram("tpcc.txn_latency", &clients.stats().txn_latency,
                              /*as_duration=*/true);
   const rldb::LogWriter::Stats& wal = bed.db().log_writer().stats();
   registry.RegisterCounter("wal.flush_cycles", &wal.flush_cycles);
@@ -121,7 +121,8 @@ RunResult RunTpcc(const TpccRunConfig& config) {
   sim.set_tracer(config.sink);
   rlharness::Testbed bed(sim, config.testbed);
   rlwork::TpccLite tpcc(sim, config.tpcc);
-  bool stop = false;
+  rlwork::ClientDriver clients(sim);
+  bool snapshots_stop = false;
   RunResult result;
   rlsim::StatsRegistry registry;
   std::optional<rlobs::MetricsSnapshotter> snapshotter;
@@ -130,42 +131,41 @@ RunResult RunTpcc(const TpccRunConfig& config) {
   }
 
   sim.Spawn([](Simulator& s, rlharness::Testbed& b, rlwork::TpccLite& w,
-               const TpccRunConfig& cfg, RunResult& out, bool& stop_flag,
-               rlsim::StatsRegistry& reg,
+               rlwork::ClientDriver& d, const TpccRunConfig& cfg,
+               RunResult& out, bool& snap_stop, rlsim::StatsRegistry& reg,
                rlobs::MetricsSnapshotter* snap) -> Task<void> {
     co_await b.Start();
     co_await w.LoadInitial(b.db());
-    for (int c = 0; c < cfg.clients; ++c) {
-      s.Spawn(w.RunClient(b.db(), c, &stop_flag, nullptr));
-    }
+    d.Spawn(cfg.clients, w.Clients(b.db()));
     co_await s.Sleep(cfg.warmup);
     // Steady state: restart the measurement window.
-    w.stats().committed.Reset();
-    w.stats().new_orders.Reset();
-    w.stats().lock_aborts.Reset();
-    w.stats().txn_latency.Reset();
+    d.ResetStats();
     ResetStageStats(b);
     if (snap != nullptr) {
-      RegisterBenchStats(b, w, reg);
-      snap->Start(&stop_flag);
+      RegisterBenchStats(b, d, reg);
+      snap->Start(&snap_stop);
     }
     const rlsim::TimePoint t0 = s.now();
     co_await s.Sleep(cfg.measure);
     const double seconds = (s.now() - t0).ToSecondsF();
-    stop_flag = true;
+    d.Stop();
+    snap_stop = true;
 
-    out.committed = w.stats().committed.value();
-    out.lock_aborts = w.stats().lock_aborts.value();
+    const rlwork::ClientDriver::Stats& st = d.stats();
+    out.committed = st.committed.value();
+    out.lock_aborts = st.aborted.value();
     out.txns_per_sec = static_cast<double>(out.committed) / seconds;
     out.new_orders_per_sec =
-        static_cast<double>(w.stats().new_orders.value()) / seconds;
-    out.p50 = w.stats().txn_latency.PercentileDuration(50);
-    out.p95 = w.stats().txn_latency.PercentileDuration(95);
-    out.p99 = w.stats().txn_latency.PercentileDuration(99);
-    out.mean = rlsim::Duration::Nanos(
-        static_cast<int64_t>(w.stats().txn_latency.Mean()));
+        static_cast<double>(
+            st.committed_by_kind[rlwork::TpccLite::kNewOrder].value()) /
+        seconds;
+    out.p50 = st.txn_latency.PercentileDuration(50);
+    out.p95 = st.txn_latency.PercentileDuration(95);
+    out.p99 = st.txn_latency.PercentileDuration(99);
+    out.mean =
+        rlsim::Duration::Nanos(static_cast<int64_t>(st.txn_latency.Mean()));
     CollectStageStats(b, out.stages);
-  }(sim, bed, tpcc, config, result, stop, registry,
+  }(sim, bed, tpcc, clients, config, result, snapshots_stop, registry,
     snapshotter ? &*snapshotter : nullptr));
 
   sim.Run();

@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
   rlharness::Testbed bed(sim, opts);
   rlwork::TpccLite tpcc(sim, rlbench::DefaultTpcc());
   rlfault::DurabilityChecker checker;
+  rlwork::ClientDriver clients(sim, &checker);
 
   int bad_trials = 0;
   uint64_t total_checked = 0;
@@ -43,22 +44,20 @@ int main(int argc, char** argv) {
   uint64_t drained_after_crash = 0;
 
   sim.Spawn([](Simulator& s, rlharness::Testbed& b, rlwork::TpccLite& w,
-               rlfault::DurabilityChecker& chk, int n_trials, int& bad,
+               rlfault::DurabilityChecker& chk, rlwork::ClientDriver& d,
+               int n_trials, int& bad,
                uint64_t& checked, uint64_t& lost,
                uint64_t& drained) -> Task<void> {
     co_await b.Start();
     co_await w.LoadInitial(b.db());
     rlsim::Rng rng(s.rng().Fork());
     for (int trial = 0; trial < n_trials; ++trial) {
-      auto stop = std::make_shared<bool>(false);
-      for (int c = 0; c < 6; ++c) {
-        s.Spawn(w.RunClient(b.db(), trial * 100 + c, stop.get(), &chk));
-      }
+      d.Spawn(6, w.Clients(b.db()), trial * 100);
       co_await s.Sleep(Duration::Millis(rng.UniformInt(30, 400)));
       const int64_t drained_before = b.rapilog()->stats().drained_bytes.value();
       const uint64_t buffered = b.rapilog()->buffered_bytes();
       b.CrashGuest();
-      *stop = true;
+      d.Stop();
       co_await b.RecoverAfterGuestCrash();
       drained +=
           static_cast<uint64_t>(b.rapilog()->stats().drained_bytes.value() -
@@ -71,7 +70,7 @@ int main(int argc, char** argv) {
         ++bad;
       }
     }
-  }(sim, bed, tpcc, checker, static_cast<int>(trials), bad_trials,
+  }(sim, bed, tpcc, checker, clients, static_cast<int>(trials), bad_trials,
     total_checked, total_lost, drained_after_crash));
   sim.Run();
 

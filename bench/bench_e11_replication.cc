@@ -78,28 +78,25 @@ E11Result RunArm(Arm arm, Duration link_latency, uint64_t seed) {
   kv_cfg.ops_per_txn = 3;
   kv_cfg.think_time = Duration::Micros(200);
   rlwork::KvWorkload kv(sim, kv_cfg);
+  rlwork::ClientDriver clients(sim);
   E11Result result;
 
-  bool stop = false;
   sim.Spawn([](Simulator& s, rlharness::Testbed& b, rlwork::KvWorkload& w,
-               E11Result& out, bool& stop_flag) -> Task<void> {
+               rlwork::ClientDriver& d, E11Result& out) -> Task<void> {
     co_await b.Start();
     co_await w.Load(b.db(), 5'000);
-    for (int c = 0; c < 8; ++c) {
-      s.Spawn(w.RunClient(b.db(), c, &stop_flag, nullptr));
-    }
+    d.Spawn(8, w.Clients(b.db()));
     co_await s.Sleep(Duration::Millis(300));  // warmup
-    w.stats().committed.Reset();
-    w.stats().txn_latency.Reset();
+    d.ResetStats();
     const rlsim::TimePoint t0 = s.now();
     co_await s.Sleep(Duration::Seconds(2));
     const double seconds = (s.now() - t0).ToSecondsF();
-    stop_flag = true;
+    d.Stop();
 
     out.txns_per_sec =
-        static_cast<double>(w.stats().committed.value()) / seconds;
-    out.commit_p50 = w.stats().txn_latency.PercentileDuration(50);
-    out.commit_p95 = w.stats().txn_latency.PercentileDuration(95);
+        static_cast<double>(d.stats().committed.value()) / seconds;
+    out.commit_p50 = d.stats().txn_latency.PercentileDuration(50);
+    out.commit_p95 = d.stats().txn_latency.PercentileDuration(95);
     if (b.shipper() != nullptr) {
       const auto& ship = b.shipper()->stats();
       out.blocks_shipped = ship.blocks_shipped.value();
@@ -111,7 +108,7 @@ E11Result RunArm(Arm arm, Duration link_latency, uint64_t seed) {
       b.RegisterReplicationStats(registry);
       out.full_stats = registry.Format();
     }
-  }(sim, bed, kv, result, stop));
+  }(sim, bed, kv, clients, result));
   sim.Run();
   return result;
 }

@@ -80,41 +80,38 @@ CellResult RunCell(const Cell& cell, const Budget& budget, uint64_t seed,
   rlwork::FleetConfig wcfg;
   wcfg.cross_shard_probability = cell.cross_ratio;
   rlwork::FleetWorkload work(sim, wcfg);
+  rlwork::ClientDriver clients(sim);
 
   CellResult result;
-  bool stop = false;
   sim.Spawn([](Simulator& s, rlharness::FleetTestbed& f,
-               rlwork::FleetWorkload& w, const Cell& c, const Budget& b,
-               CellResult& out, bool& stop_flag) -> Task<void> {
+               rlwork::FleetWorkload& w, rlwork::ClientDriver& d,
+               const Cell& c, const Budget& b,
+               CellResult& out) -> Task<void> {
     co_await f.Start();
-    for (int i = 0; i < c.clients; ++i) {
-      s.Spawn(w.RunClient(f.coordinator(), f.directory(), i, &stop_flag,
-                          nullptr));
-    }
+    d.Spawn(c.clients, w.Clients(f.coordinator(), f.directory()));
     co_await s.Sleep(b.warmup);
-    w.stats().committed.Reset();
-    w.stats().cross_committed.Reset();
-    w.stats().aborted.Reset();
-    w.stats().unknown.Reset();
-    w.stats().txn_latency.Reset();
+    d.ResetStats();
     const rlsim::TimePoint t0 = s.now();
     co_await s.Sleep(b.measure);
     const double seconds = (s.now() - t0).ToSecondsF();
-    stop_flag = true;
+    d.Stop();
 
-    out.committed = w.stats().committed.value();
-    out.aborted = w.stats().aborted.value();
-    out.unknown = w.stats().unknown.value();
+    const rlwork::ClientDriver::Stats& st = d.stats();
+    out.committed = st.committed.value();
+    out.aborted = st.aborted.value();
+    out.unknown = st.unknown.value();
     out.txns_per_sec = static_cast<double>(out.committed) / seconds;
     out.cross_frac =
         out.committed == 0
             ? 0
-            : static_cast<double>(w.stats().cross_committed.value()) /
+            : static_cast<double>(
+                  st.committed_by_kind[rlwork::FleetWorkload::kCrossShard]
+                      .value()) /
                   static_cast<double>(out.committed);
-    out.p50 = w.stats().txn_latency.PercentileDuration(50);
-    out.p95 = w.stats().txn_latency.PercentileDuration(95);
+    out.p50 = st.txn_latency.PercentileDuration(50);
+    out.p95 = st.txn_latency.PercentileDuration(95);
     co_await f.Shutdown();
-  }(sim, fleet, work, cell, budget, result, stop));
+  }(sim, fleet, work, clients, cell, budget, result));
   sim.Run();
   if (sink != nullptr) {
     sim.set_tracer(nullptr);

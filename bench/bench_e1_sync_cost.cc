@@ -33,30 +33,27 @@ void RunArm(const Arm& arm, Table& table) {
   rlharness::TestbedOptions opts = rlbench::DefaultTestbed(
       arm.mode, DiskSetup::kSharedHdd, arm.profile);
   rlharness::Testbed bed(sim, opts);
-  rlwork::LogStress stress(sim);
-  bool stop = false;
+  rlwork::LogStress stress;
+  rlwork::ClientDriver clients(sim);
   double commits_per_sec = 0;
   Duration p50;
   Duration p99;
 
   sim.Spawn([](Simulator& s, rlharness::Testbed& b, rlwork::LogStress& w,
-               bool& stop_flag, double& rate, Duration& out50,
+               rlwork::ClientDriver& d, double& rate, Duration& out50,
                Duration& out99) -> Task<void> {
     co_await b.Start();
-    for (int c = 0; c < 4; ++c) {
-      s.Spawn(w.RunClient(b.db(), c, &stop_flag));
-    }
+    d.Spawn(4, w.Clients(b.db()));
     co_await s.Sleep(Duration::Millis(500));
-    w.stats().committed.Reset();
-    w.stats().commit_latency.Reset();
+    d.ResetStats();
     const rlsim::TimePoint t0 = s.now();
     co_await s.Sleep(Duration::Seconds(3));
-    rate = static_cast<double>(w.stats().committed.value()) /
+    rate = static_cast<double>(d.stats().committed.value()) /
            (s.now() - t0).ToSecondsF();
-    out50 = w.stats().commit_latency.PercentileDuration(50);
-    out99 = w.stats().commit_latency.PercentileDuration(99);
-    stop_flag = true;
-  }(sim, bed, stress, stop, commits_per_sec, p50, p99));
+    out50 = d.stats().txn_latency.PercentileDuration(50);
+    out99 = d.stats().txn_latency.PercentileDuration(99);
+    d.Stop();
+  }(sim, bed, stress, clients, commits_per_sec, p50, p99));
   sim.Run();
 
   table.Row({arm.name, Fmt(commits_per_sec, "%.0f"), FmtDur(p50), FmtDur(p99)});

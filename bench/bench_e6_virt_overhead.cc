@@ -31,24 +31,22 @@ double RunArm(DeploymentMode mode) {
   kv_cfg.ops_per_txn = 8;
   kv_cfg.think_time = Duration::Micros(20);
   rlwork::KvWorkload kv(sim, kv_cfg);
-  bool stop = false;
+  rlwork::ClientDriver clients(sim);
   double rate = 0;
 
   sim.Spawn([](Simulator& s, rlharness::Testbed& b, rlwork::KvWorkload& w,
-               bool& stop_flag, double& out) -> Task<void> {
+               rlwork::ClientDriver& d, double& out) -> Task<void> {
     co_await b.Start();
     co_await w.Load(b.db(), 2000);
-    for (int c = 0; c < 8; ++c) {
-      s.Spawn(w.RunClient(b.db(), c, &stop_flag, nullptr));
-    }
+    d.Spawn(8, w.Clients(b.db()));
     co_await s.Sleep(Duration::Millis(500));  // warm the pool
-    w.stats().committed.Reset();
+    d.ResetStats();
     const rlsim::TimePoint t0 = s.now();
     co_await s.Sleep(Duration::Seconds(2));
-    out = static_cast<double>(w.stats().committed.value()) /
+    out = static_cast<double>(d.stats().committed.value()) /
           (s.now() - t0).ToSecondsF();
-    stop_flag = true;
-  }(sim, bed, kv, stop, rate));
+    d.Stop();
+  }(sim, bed, kv, clients, rate));
   sim.Run();
   return rate;
 }

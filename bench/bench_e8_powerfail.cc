@@ -69,19 +69,17 @@ CampaignResult RunCampaign(DeploymentMode mode, bool power_guard,
   kv_cfg.think_time = Duration::Micros(50);
   rlwork::KvWorkload kv(sim, kv_cfg);
   rlfault::DurabilityChecker checker;
+  rlwork::ClientDriver clients(sim, &checker);
   CampaignResult campaign;
 
   sim.Spawn([](Simulator& s, rlharness::Testbed& b, rlwork::KvWorkload& w,
-               rlfault::DurabilityChecker& chk, CampaignResult& out,
-               int n_trials) -> Task<void> {
+               rlfault::DurabilityChecker& chk, rlwork::ClientDriver& d,
+               CampaignResult& out, int n_trials) -> Task<void> {
     co_await b.Start();
     co_await w.Load(b.db(), 50'000);
     rlsim::Rng rng(s.rng().Fork());
     for (int trial = 0; trial < n_trials; ++trial) {
-      auto stop = std::make_shared<bool>(false);
-      for (int c = 0; c < 8; ++c) {
-        s.Spawn(w.RunClient(b.db(), trial * 100 + c, stop.get(), &chk));
-      }
+      d.Spawn(8, w.Clients(b.db()), trial * 100);
       // Run for a random stretch, then pull the plug. The cut is
       // adversarial: when a RapiLog buffer exists we wait for it to carry a
       // real backlog (checkpoint-contention spikes), so the ablations face
@@ -98,7 +96,7 @@ CampaignResult RunCampaign(DeploymentMode mode, bool power_guard,
         }
       }
       b.CutPower();
-      *stop = true;
+      d.Stop();
       co_await s.Sleep(Duration::Seconds(1));  // rails drop inside this
       co_await b.RestorePowerAndRecover();
       const auto verdict = co_await chk.VerifyAfterRecovery(b.db());
@@ -110,7 +108,7 @@ CampaignResult RunCampaign(DeploymentMode mode, bool power_guard,
         ++out.trials_with_loss;
       }
     }
-  }(sim, bed, kv, checker, campaign, trials));
+  }(sim, bed, kv, checker, clients, campaign, trials));
   sim.Run();
   return campaign;
 }

@@ -338,21 +338,20 @@ HostScenario RunHostScenario() {
                                    rlharness::DiskSetup::kSsdLog,
                                    rldb::PostgresLikeProfile()));
   rlwork::TpccLite tpcc(sim, rlbench::DefaultTpcc());
-  bool stop = false;
+  rlwork::ClientDriver clients(sim);
   sim.Spawn([](rlsim::Simulator& s, rlharness::Testbed& b,
-               rlwork::TpccLite& w, bool& stop_flag) -> rlsim::Task<void> {
+               rlwork::TpccLite& w,
+               rlwork::ClientDriver& d) -> rlsim::Task<void> {
     co_await b.Start();
     co_await w.LoadInitial(b.db());
-    for (int c = 0; c < 16; ++c) {
-      s.Spawn(w.RunClient(b.db(), c, &stop_flag, nullptr));
-    }
+    d.Spawn(16, w.Clients(b.db()));
     co_await s.Sleep(rlsim::Duration::Millis(200));
     s.Stop();
-  }(sim, bed, tpcc, stop));
+  }(sim, bed, tpcc, clients));
   sim.Run();
   const HostScenario out = MeasureWindow(
-      sim, [&tpcc] { return tpcc.stats().committed.value(); });
-  stop = true;
+      sim, [&clients] { return clients.stats().committed.value(); });
+  clients.Stop();
   sim.Run();
   return out;
 }
@@ -375,25 +374,24 @@ HostScenario RunFleetHostScenario() {
   rlharness::FleetTestbed fleet(sim, fopt);
   rlwork::FleetWorkload work(
       sim, rlwork::FleetConfig{.cross_shard_probability = 0.6});
+  rlwork::ClientDriver clients(sim);
   sim.Spawn([](rlsim::Simulator& s, rlharness::FleetTestbed& f,
-               rlwork::FleetWorkload& w) -> rlsim::Task<void> {
-    bool stop = false;
+               rlwork::FleetWorkload& w,
+               rlwork::ClientDriver& d) -> rlsim::Task<void> {
     co_await f.Start();
-    for (int c = 0; c < 16; ++c) {
-      s.Spawn(w.RunClient(f.coordinator(), f.directory(), c, &stop, nullptr));
-    }
+    d.Spawn(16, w.Clients(f.coordinator(), f.directory()));
     co_await s.Sleep(rlsim::Duration::Millis(200));
     s.Stop();
     // The window; then every client finishes its transaction within the
     // vote timeout.
     co_await s.Sleep(rlsim::Duration::Seconds(1));
-    stop = true;
+    d.Stop();
     co_await s.Sleep(kFleetVoteTimeout + rlsim::Duration::Seconds(1));
     co_await f.Shutdown();
-  }(sim, fleet, work));
+  }(sim, fleet, work, clients));
   sim.Run();
   const HostScenario out = MeasureWindow(
-      sim, [&work] { return work.stats().committed.value(); });
+      sim, [&clients] { return clients.stats().committed.value(); });
   sim.Run();
   return out;
 }

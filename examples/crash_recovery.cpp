@@ -32,28 +32,27 @@ int main() {
   cfg.items = 500;
   rlwork::TpccLite tpcc(sim, cfg);
   rlfault::DurabilityChecker checker;
+  rlwork::ClientDriver clients(sim, &checker);
   bool all_ok = true;
 
   sim.Spawn([](Simulator& s, Testbed& b, rlwork::TpccLite& w,
-               rlfault::DurabilityChecker& chk, bool& ok) -> Task<void> {
+               rlfault::DurabilityChecker& chk, rlwork::ClientDriver& d,
+               bool& ok) -> Task<void> {
     co_await b.Start();
     co_await w.LoadInitial(b.db());
     std::printf("[%8.3fs] database loaded, starting 6 clients\n",
                 s.now().ToSecondsF());
 
     // --- Fault 1: guest OS crash ---------------------------------------
-    auto stop1 = std::make_shared<bool>(false);
-    for (int c = 0; c < 6; ++c) {
-      s.Spawn(w.RunClient(b.db(), c, stop1.get(), &chk));
-    }
+    d.Spawn(6, w.Clients(b.db()));
     co_await s.Sleep(Duration::Millis(400));
     std::printf("[%8.3fs] committed so far: %lld — crashing the guest OS "
                 "(RapiLog buffer: %llu bytes)\n",
                 s.now().ToSecondsF(),
-                static_cast<long long>(w.stats().committed.value()),
+                static_cast<long long>(d.stats().committed.value()),
                 static_cast<unsigned long long>(b.rapilog()->buffered_bytes()));
     b.CrashGuest();
-    *stop1 = true;
+    d.Stop();
     co_await b.RecoverAfterGuestCrash();
     auto verdict = co_await chk.VerifyAfterRecovery(b.db());
     std::printf("[%8.3fs] guest rebooted & recovered: %s\n",
@@ -61,17 +60,14 @@ int main() {
     ok = ok && verdict.ok();
 
     // --- Fault 2: mains power cut ---------------------------------------
-    auto stop2 = std::make_shared<bool>(false);
-    for (int c = 0; c < 6; ++c) {
-      s.Spawn(w.RunClient(b.db(), 100 + c, stop2.get(), &chk));
-    }
+    d.Spawn(6, w.Clients(b.db()), 100);
     co_await s.Sleep(Duration::Millis(400));
     std::printf("[%8.3fs] pulling the plug (hold-up window: %s)\n",
                 s.now().ToSecondsF(),
                 rlsim::ToString(b.psu().GuaranteedWindowAfterWarning())
                     .c_str());
     b.CutPower();
-    *stop2 = true;
+    d.Stop();
     co_await s.Sleep(Duration::Seconds(1));
     co_await b.RestorePowerAndRecover();
     verdict = co_await chk.VerifyAfterRecovery(b.db());
@@ -81,7 +77,7 @@ int main() {
                 s.now().ToSecondsF(),
                 b.rapilog()->lost_data() ? "YES (bug!)" : "no");
     ok = ok && verdict.ok() && !b.rapilog()->lost_data();
-  }(sim, bed, tpcc, checker, all_ok));
+  }(sim, bed, tpcc, checker, clients, all_ok));
 
   sim.Run();
   std::printf("\n%s\n", all_ok ? "ALL DURABILITY CHECKS PASSED"

@@ -45,27 +45,25 @@ Result RunOne(DeploymentMode mode, int clients) {
   cfg.customers_per_district = 50;
   cfg.items = 1000;
   rlwork::TpccLite tpcc(sim, cfg);
+  rlwork::ClientDriver driver(sim);
 
-  bool stop = false;
   Result result;
-  sim.Spawn([](Simulator& s, Testbed& b, rlwork::TpccLite& w, int n_clients,
-               bool& stop_flag, Result& out) -> Task<void> {
+  sim.Spawn([](Simulator& s, Testbed& b, rlwork::TpccLite& w,
+               rlwork::ClientDriver& d, int n_clients,
+               Result& out) -> Task<void> {
     co_await b.Start();
     co_await w.LoadInitial(b.db());
-    for (int c = 0; c < n_clients; ++c) {
-      s.Spawn(w.RunClient(b.db(), c, &stop_flag, nullptr));
-    }
+    d.Spawn(n_clients, w.Clients(b.db()));
     co_await s.Sleep(Duration::Millis(500));  // warmup
-    w.stats().committed.Reset();
-    w.stats().txn_latency.Reset();
+    d.ResetStats();
     const rlsim::TimePoint t0 = s.now();
     co_await s.Sleep(Duration::Seconds(3));
-    out.txns_per_sec = static_cast<double>(w.stats().committed.value()) /
+    out.txns_per_sec = static_cast<double>(d.stats().committed.value()) /
                        (s.now() - t0).ToSecondsF();
-    out.p50 = w.stats().txn_latency.PercentileDuration(50);
-    out.p99 = w.stats().txn_latency.PercentileDuration(99);
-    stop_flag = true;
-  }(sim, bed, tpcc, clients, stop, result));
+    out.p50 = d.stats().txn_latency.PercentileDuration(50);
+    out.p99 = d.stats().txn_latency.PercentileDuration(99);
+    d.Stop();
+  }(sim, bed, tpcc, driver, clients, result));
   sim.Run();
   return result;
 }

@@ -9,7 +9,6 @@
 #include <set>
 #include <utility>
 
-#include "src/db/errors.h"
 #include "src/faults/durability_checker.h"
 #include "src/faults/fleet_checker.h"
 #include "src/faults/recovery_oracle.h"
@@ -19,7 +18,6 @@
 #include "src/sim/check.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
-#include "src/vmm/vm.h"
 #include "src/workload/fleet_workload.h"
 #include "src/workload/kv_workload.h"
 
@@ -80,24 +78,34 @@ TestbedOptions ChaosTestbedOptions(const EpisodeConfig& cfg) {
 // back at the end, and which oracles judge the result.
 class Episode {
  public:
+  // `checker` is the adapter's oracle, fed by every client.
   Episode(Simulator& sim, const EpisodeConfig& cfg, const RunOptions& run,
-          EpisodeOutcome& out)
-      : sim_(sim), cfg_(cfg), run_(run), out_(out),
-        stop_(std::make_shared<bool>(true)), rec_done_(sim) {}
+          EpisodeOutcome& out, rlfault::DurabilityChecker& checker)
+      : sim_(sim), cfg_(cfg), run_(run), out_(out), clients_(sim, &checker),
+        rec_done_(sim) {}
   virtual ~Episode() = default;
 
   Task<void> Main();
 
-  // Folds the workload's counters into the outcome once the run is over.
-  virtual void Tally() = 0;
+  // Folds the client counters into the outcome once the run is over. A
+  // classic episode's clients commit no cross-shard transaction and see no
+  // unknown outcome, so both fleet counters stay 0 there.
+  void Tally() {
+    const rlwork::ClientDriver::Stats& s = clients_.stats();
+    out_.committed = static_cast<uint64_t>(s.committed.value());
+    out_.machine_deaths += static_cast<uint64_t>(s.machine_deaths.value());
+    out_.fleet_cross_committed = static_cast<uint64_t>(
+        s.committed_by_kind[rlwork::FleetWorkload::kCrossShard].value());
+    out_.fleet_unknown_outcomes = static_cast<uint64_t>(s.unknown.value());
+  }
 
  protected:
   // --- Topology adapter steps ---------------------------------------------
   // Boots the topology and loads any initial data; throwing is a startup
   // failure.
   virtual Task<void> Start() = 0;
-  // One workload client, running until *stop.
-  virtual Task<void> Client(int id, const bool* stop) = 0;
+  // The workload's clients on the topology as it stands now.
+  virtual rlwork::ClientDriver::NewClient Clients() = 0;
   // Applies one schedule event, guarded against states where it cannot
   // apply, so that any subsequence of a valid schedule (shrinking only
   // drops events) is itself valid. Kinds of the other family are no-ops.
@@ -115,9 +123,9 @@ class Episode {
   virtual Task<void> FinalOracles() = 0;
 
   // --- Skeleton services for the adapters ---------------------------------
-  // Starts a fresh fleet of four clients under a new stop flag.
+  // Starts a fresh generation of four clients.
   void SpawnClients();
-  void StopClients() { *stop_ = true; }
+  void StopClients() { clients_.Stop(); }
 
   // At most one recovery per target is in flight; the wind-down waits for
   // all of them so the final normalisation never races one.
@@ -153,12 +161,10 @@ class Episode {
   EpisodeOutcome& out_;
 
  private:
-  Task<void> ClientTask(int id, std::shared_ptr<bool> stop);
+  Task<void> CountCheckFailures(Task<void> client);
   Task<void> RecoveryTask(int target, std::string what, Task<void> recover);
 
-  // Stop flag of the current client fleet; replaced (the old one latched
-  // true) whenever SpawnClients starts a fresh fleet.
-  std::shared_ptr<bool> stop_;
+  rlwork::ClientDriver clients_;
   int next_client_id_ = 0;
   std::set<int> recovering_;
   rlsim::WaitQueue rec_done_;
@@ -180,26 +186,23 @@ void Episode::Trace(const char* fmt, ...) const {
 
 // Under data-disk fault injection a torn in-place page can trip a
 // page-validity RL_CHECK on a live fetch; the engine's response to media
-// corruption is fail-stop, so a CheckFailure from a client counts like a
-// machine death — the post-recovery oracles (journal replay repairs the
-// page) are the arbiters of whether data actually survived.
-Task<void> Episode::ClientTask(int id, std::shared_ptr<bool> stop) {
+// corruption is fail-stop, so a CheckFailure ends the client like a machine
+// death (which the driver counts) — the post-recovery oracles (journal
+// replay repairs the page) are the arbiters of whether data actually
+// survived.
+Task<void> Episode::CountCheckFailures(Task<void> client) {
   try {
-    co_await Client(id, stop.get());
+    co_await std::move(client);
   } catch (const rlsim::CheckFailure&) {
     ++out_.check_failures;
-  } catch (const rldb::EngineHalted&) {
-    ++out_.machine_deaths;
-  } catch (const rlvmm::GuestCrashed&) {
-    ++out_.machine_deaths;
   }
 }
 
 void Episode::SpawnClients() {
-  stop_ = std::make_shared<bool>(false);
-  for (int c = 0; c < 4; ++c) {
-    sim_.Spawn(ClientTask(next_client_id_++, stop_), "chaos-client");
-  }
+  clients_.Spawn(4, Clients(), next_client_id_, [this](Task<void> client) {
+    return CountCheckFailures(std::move(client));
+  });
+  next_client_id_ += 4;
 }
 
 void Episode::SpawnRecovery(int target, std::string what,
@@ -329,15 +332,9 @@ class ClassicEpisode : public Episode {
  public:
   ClassicEpisode(Simulator& sim, const EpisodeConfig& cfg,
                  const RunOptions& run, EpisodeOutcome& out)
-      : Episode(sim, cfg, run, out),
+      : Episode(sim, cfg, run, out, checker_),
         bed_(sim, BedOptions(cfg)),
         kv_(sim, KvOptions()) {}
-
-  void Tally() override {
-    out_.committed = static_cast<uint64_t>(kv_.stats().committed.value());
-    out_.machine_deaths +=
-        static_cast<uint64_t>(kv_.stats().machine_deaths.value());
-  }
 
  private:
   static constexpr int kMachine = 0;
@@ -364,10 +361,8 @@ class ClassicEpisode : public Episode {
     co_await kv_.Load(bed_.db(), 300);
   }
 
-  // RunClient absorbs machine deaths (EngineHalted, GuestCrashed) itself
-  // and counts them in the workload's stats.
-  Task<void> Client(int id, const bool* stop) override {
-    co_await kv_.RunClient(bed_.db(), id, stop, &checker_);
+  rlwork::ClientDriver::NewClient Clients() override {
+    return kv_.Clients(bed_.db());
   }
 
   // Durability oracle against the recovered store, then the B-tree walk.
@@ -568,17 +563,9 @@ class FleetEpisode : public Episode {
  public:
   FleetEpisode(Simulator& sim, const EpisodeConfig& cfg,
                const RunOptions& run, EpisodeOutcome& out)
-      : Episode(sim, cfg, run, out),
+      : Episode(sim, cfg, run, out, checker_),
         fleet_(sim, ShardedOptions(cfg)),
         work_(sim, WorkloadOptions(cfg)) {}
-
-  void Tally() override {
-    out_.committed = static_cast<uint64_t>(work_.stats().committed.value());
-    out_.fleet_cross_committed =
-        static_cast<uint64_t>(work_.stats().cross_committed.value());
-    out_.fleet_unknown_outcomes =
-        static_cast<uint64_t>(work_.stats().unknown.value());
-  }
 
  private:
   // Recovery targets: shard i is target i.
@@ -602,9 +589,8 @@ class FleetEpisode : public Episode {
 
   // Clients never touch a shard engine directly — everything goes through
   // the coordinator — so a client outlives shard deaths.
-  Task<void> Client(int id, const bool* stop) override {
-    co_await work_.RunClient(fleet_.coordinator(), fleet_.directory(), id,
-                             stop, &checker_);
+  rlwork::ClientDriver::NewClient Clients() override {
+    return work_.Clients(fleet_.coordinator(), fleet_.directory());
   }
 
   // "coordinator=up shards=on,off+rec": each shard's mains, and whether a

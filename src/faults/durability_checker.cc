@@ -32,6 +32,25 @@ std::string VerifyResult::Summary() const {
 void DurabilityChecker::OnCommitAttempt(uint64_t token,
                                         std::vector<TrackedWrite> writes) {
   RL_CHECK(!pending_.contains(token));
+  // Keep the last write per key, in the order of those last writes: an
+  // earlier write to a key the transaction rewrote never reaches the store
+  // as a committed value, so judged against the store it would read as a
+  // lost or partial commit. Write lists are short; the scan allocates
+  // nothing.
+  size_t kept = 0;
+  for (size_t i = 0; i < writes.size(); ++i) {
+    bool rewritten = false;
+    for (size_t j = i + 1; j < writes.size() && !rewritten; ++j) {
+      rewritten = writes[j].key == writes[i].key;
+    }
+    if (!rewritten) {
+      if (kept != i) {
+        writes[kept] = std::move(writes[i]);
+      }
+      ++kept;
+    }
+  }
+  writes.resize(kept);
   pending_.emplace(token, Pending{++clock_, std::move(writes)});
 }
 

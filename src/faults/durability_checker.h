@@ -45,7 +45,8 @@ struct VerifyResult {
 
 class DurabilityChecker {
  public:
-  // Call immediately before Database::Commit with the transaction's writes.
+  // Call immediately before Database::Commit with the transaction's writes,
+  // in the order it made them. A key written twice counts by its last write.
   void OnCommitAttempt(uint64_t token, std::vector<TrackedWrite> writes);
 
   // Call when Commit returned kOk: the writes are now promised durable.

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -9,6 +10,7 @@
 
 namespace rlwork {
 
+using rlsim::Duration;
 using rlsim::Task;
 
 namespace {
@@ -19,115 +21,121 @@ constexpr uint32_t kRemoteOps = 1;
 
 }  // namespace
 
-Task<void> FleetWorkload::RunClient(rlshard::TxnCoordinator& coordinator,
-                                    const rlshard::ShardDirectory& directory,
-                                    int client_id, const bool* stop,
-                                    rlfault::FleetChecker* checker) {
-  rlsim::Rng rng(seed_ ^ ((static_cast<uint64_t>(client_id) + 1) *
-                          0x9e3779b97f4a7c15ull));
-  const size_t shards = directory.shards();
-  const size_t home = static_cast<size_t>(client_id) % shards;
-  const std::string client_name = "client-" + std::to_string(client_id);
-  uint64_t seq = 0;
+class FleetWorkload::Client : public TxnSource {
+ public:
+  Client(FleetWorkload& w, rlshard::TxnCoordinator& coordinator,
+         const rlshard::ShardDirectory& directory, int id)
+      : TxnSource(w.seed_ ^ ((static_cast<uint64_t>(id) + 1) *
+                             0x9e3779b97f4a7c15ull)),
+        w_(w),
+        coordinator_(coordinator),
+        directory_(directory),
+        id_(static_cast<uint64_t>(id)),
+        home_(static_cast<size_t>(id) % directory.shards()),
+        name_("client-" + std::to_string(id)) {}
 
-  const auto range_key = [&](size_t shard) {
-    const uint64_t lo = directory.RangeBegin(shard);
-    return lo + rng.NextBelow(directory.RangeEnd(shard) - lo);
-  };
-
-  while (!*stop) {
-    if (!coordinator.alive()) {
-      // No point piling unknowns onto a dead coordinator; back off until
-      // the fault schedule revives it.
-      co_await sim_.Sleep(rlsim::Duration::Millis(10));
-      continue;
+  Task<Txn> Prepare() override {
+    // No point piling unknowns onto a dead coordinator; back off until the
+    // fault schedule revives it.
+    backoff_ = !coordinator_.alive();
+    if (backoff_) {
+      co_return Txn{.state = Txn::kSkipped};
     }
-    const uint64_t global_id =
-        (static_cast<uint64_t>(client_id) + 1) << 40 | ++seq;
+    gid_ = (id_ + 1) << 40 | ++seq_;
 
+    const size_t shards = directory_.shards();
     const bool want_cross =
-        shards > 1 && rng.NextDouble() < config_.cross_shard_probability;
+        shards > 1 &&
+        rng_.NextDouble() < w_.config_.cross_shard_probability;
     const uint32_t remote_ops = want_cross ? kRemoteOps : 0;
-    size_t remote_shard = home;
+    size_t remote_shard = home_;
     if (want_cross) {
-      remote_shard = (home + 1 + rng.NextBelow(shards - 1)) % shards;
+      remote_shard = (home_ + 1 + rng_.NextBelow(shards - 1)) % shards;
     }
 
-    // Distinct keys per transaction: a duplicate key would make the
-    // checker's write list ambiguous about which value should survive.
+    // Distinct keys per transaction. The checker would accept a repeated
+    // key (it keeps the last write), but the redraw is part of the RNG
+    // sequence every fleet output depends on.
     std::set<uint64_t> used;
     std::map<size_t, std::vector<rlshard::WireOp>> by_shard;
-    std::vector<rlfault::TrackedWrite> tracked;
-    for (uint32_t i = 0; i < config_.ops_per_txn; ++i) {
-      const size_t shard = i < remote_ops ? remote_shard : home;
-      uint64_t key = range_key(shard);
+    Txn txn{.token = gid_};
+    for (uint32_t i = 0; i < w_.config_.ops_per_txn; ++i) {
+      const size_t shard = i < remote_ops ? remote_shard : home_;
+      uint64_t key = RangeKey(shard);
       while (!used.insert(key).second) {
-        key = range_key(shard);
+        key = RangeKey(shard);
       }
       rlshard::WireOp op;
       op.key = key;
-      op.value = RowValue(config_.value_bytes, key, rng.Next());
-      tracked.push_back(rlfault::TrackedWrite{.key = key,
-                                              .is_delete = false,
-                                              .value = op.value});
+      op.value = RowValue(w_.config_.value_bytes, key, rng_.Next());
+      txn.writes.push_back(rlfault::TrackedWrite{
+          .key = key, .is_delete = false, .value = op.value});
       by_shard[shard].push_back(std::move(op));
     }
-    std::vector<rlshard::ShardOps> parts;
-    parts.reserve(by_shard.size());
+    parts_.clear();
+    parts_.reserve(by_shard.size());
     for (auto& [shard, ops] : by_shard) {
-      parts.push_back(rlshard::ShardOps{.shard = shard, .ops = std::move(ops)});
+      parts_.push_back(
+          rlshard::ShardOps{.shard = shard, .ops = std::move(ops)});
     }
-    const bool is_cross = parts.size() > 1;
+    txn.kind = parts_.size() > 1 ? kCrossShard : kSingleShard;
+    co_return txn;
+  }
 
-    stats_.started.Add();
-    if (is_cross) {
-      stats_.cross_started.Add();
-    }
-    if (checker != nullptr) {
-      checker->OnTxnAttempt(global_id, std::move(tracked));
-    }
-    const rlsim::TimePoint exec_start = sim_.now();
+  Task<Outcome> Commit() override {
     // Top of the transaction's causal tree: the coordinator's 2pc-execute
     // span parents under this one, so assembled traces and critical paths
     // start at the client's submit, not at the coordinator's entry.
-    rlshard::TxnOutcome outcome;
-    {
-      rlsim::SpanScope client_span(sim_, client_name, "client-txn",
-                                   static_cast<int64_t>(global_id));
-      outcome = co_await coordinator.Execute(global_id, std::move(parts),
-                                             client_span.id());
-    }
-    stats_.txn_latency.RecordDuration(sim_.now() - exec_start);
+    rlsim::SpanScope span(w_.sim_, name_, "client-txn",
+                          static_cast<int64_t>(gid_));
+    const rlshard::TxnOutcome outcome =
+        co_await coordinator_.Execute(gid_, std::move(parts_), span.id());
     switch (outcome) {
       case rlshard::TxnOutcome::kCommitted:
-        if (checker != nullptr) {
-          checker->OnCommitAcked(global_id);
-        }
-        stats_.committed.Add();
-        if (is_cross) {
-          stats_.cross_committed.Add();
-        }
-        break;
+        co_return Outcome::kCommitted;
       case rlshard::TxnOutcome::kAborted:
-        if (checker != nullptr) {
-          checker->OnAborted(global_id);
-        }
-        stats_.aborted.Add();
-        if (is_cross) {
-          stats_.cross_aborted.Add();
-        }
-        break;
+        co_return Outcome::kAborted;
       case rlshard::TxnOutcome::kUnknown:
-        // Leave the checker entry pending: the post-recovery verify promotes
-        // it if the decision turns out to have been commit.
-        stats_.unknown.Add();
-        if (is_cross) {
-          stats_.cross_unknown.Add();
-        }
         break;
     }
-    co_await sim_.Sleep(config_.think_time);
+    co_return Outcome::kUnknown;
   }
+
+  std::optional<Duration> PauseAfter() override {
+    if (backoff_) {
+      return Duration::Millis(10);
+    }
+    if (w_.config_.think_time <= Duration::Zero()) {
+      return std::nullopt;
+    }
+    return w_.config_.think_time;
+  }
+
+ private:
+  uint64_t RangeKey(size_t shard) {
+    const uint64_t lo = directory_.RangeBegin(shard);
+    return lo + rng_.NextBelow(directory_.RangeEnd(shard) - lo);
+  }
+
+  FleetWorkload& w_;
+  rlshard::TxnCoordinator& coordinator_;
+  const rlshard::ShardDirectory& directory_;
+  const uint64_t id_;
+  const size_t home_;
+  const std::string name_;
+  uint64_t seq_ = 0;
+  bool backoff_ = false;
+  // The transaction Prepare built, for Commit.
+  uint64_t gid_ = 0;
+  std::vector<rlshard::ShardOps> parts_;
+};
+
+ClientDriver::NewClient FleetWorkload::Clients(
+    rlshard::TxnCoordinator& coordinator,
+    const rlshard::ShardDirectory& directory) {
+  return [this, &coordinator, &directory](int id) {
+    return std::make_unique<Client>(*this, coordinator, directory, id);
+  };
 }
 
 }  // namespace rlwork

@@ -1,8 +1,6 @@
 #include "src/workload/kv_workload.h"
 
-#include "src/db/errors.h"
 #include "src/sim/check.h"
-#include "src/vmm/vm.h"
 #include "src/workload/tpcc_lite.h"  // RowValue
 
 namespace rlwork {
@@ -10,12 +8,10 @@ namespace rlwork {
 using rldb::Database;
 using rldb::DbStatus;
 using rlsim::Duration;
-using rlsim::Rng;
 using rlsim::Task;
-using rlsim::TimePoint;
 
-KvWorkload::KvWorkload(rlsim::Simulator& sim, KvConfig config)
-    : sim_(sim), config_(config), zipf_(config.key_space, config.zipf_theta) {}
+KvWorkload::KvWorkload(rlsim::Simulator& /*sim*/, KvConfig config)
+    : config_(config), zipf_(config.key_space, config.zipf_theta) {}
 
 Task<void> KvWorkload::Load(Database& db, uint64_t count) {
   const uint32_t value_bytes = db.options().profile.value_bytes;
@@ -30,93 +26,70 @@ Task<void> KvWorkload::Load(Database& db, uint64_t count) {
   }
 }
 
-Task<void> KvWorkload::RunClient(Database& db, int client_id,
-                                 const bool* stop,
-                                 rlfault::DurabilityChecker* checker) {
-  Rng rng(static_cast<uint64_t>(client_id) * 31337 + 7);
-  const uint32_t value_bytes = db.options().profile.value_bytes;
-  try {
-    while (!*stop) {
-      co_await sim_.Sleep(
-          Duration::Nanos(static_cast<int64_t>(rng.Exponential(
-              static_cast<double>(config_.think_time.nanos())))));
-      const TimePoint start = sim_.now();
-      const uint64_t txn = db.Begin();
-      const uint64_t token = next_token_++;
-      std::vector<rlfault::TrackedWrite> writes;
-      bool aborted = false;
-      for (uint32_t i = 0; i < config_.ops_per_txn && !aborted; ++i) {
-        const uint64_t key = zipf_.Next(rng);
-        if (rng.NextDouble() < config_.write_fraction) {
-          const auto value = RowValue(value_bytes, key, rng.Next());
-          if (co_await db.Put(txn, key, value) != DbStatus::kOk) {
-            aborted = true;
-            break;
-          }
-          // Later writes to the same key within the txn supersede earlier
-          // ones; keep only the last.
-          std::erase_if(writes, [key](const rlfault::TrackedWrite& w) {
-            return w.key == key;
-          });
-          writes.push_back(rlfault::TrackedWrite{.key = key, .value = value});
-        } else {
-          if (co_await db.Get(txn, key, nullptr) == DbStatus::kLockTimeout) {
-            aborted = true;
-            break;
-          }
+class KvWorkload::Client : public EngineClient {
+ public:
+  Client(KvWorkload& w, Database& db, int id)
+      : EngineClient(db, static_cast<uint64_t>(id) * 31337 + 7), w_(w) {}
+
+  std::optional<Duration> PauseBefore() override {
+    return ExponentialPause(rng_, w_.config_.think_time);
+  }
+
+  Task<Txn> Prepare() override {
+    const uint32_t value_bytes = db_.options().profile.value_bytes;
+    txn_ = db_.Begin();
+    Txn txn{.token = w_.next_token_++};
+    for (uint32_t i = 0; i < w_.config_.ops_per_txn; ++i) {
+      const uint64_t key = w_.zipf_.Next(rng_);
+      if (rng_.NextDouble() < w_.config_.write_fraction) {
+        auto value = RowValue(value_bytes, key, rng_.Next());
+        if (co_await db_.Put(txn_, key, value) != DbStatus::kOk) {
+          co_return Txn{.state = Txn::kAborted};
         }
-      }
-      if (aborted) {
-        stats_.lock_aborts.Add();
-        continue;
-      }
-      if (checker != nullptr) {
-        checker->OnCommitAttempt(token, writes);
-      }
-      const DbStatus st = co_await db.Commit(txn);
-      if (st == DbStatus::kOk) {
-        if (checker != nullptr) {
-          checker->OnCommitAcked(token);
-        }
-        stats_.committed.Add();
-        stats_.txn_latency.RecordDuration(sim_.now() - start);
-      } else {
-        if (checker != nullptr) {
-          checker->OnAborted(token);
-        }
-        stats_.lock_aborts.Add();
+        txn.writes.push_back(
+            rlfault::TrackedWrite{.key = key, .value = std::move(value)});
+      } else if (co_await db_.Get(txn_, key, nullptr) ==
+                 DbStatus::kLockTimeout) {
+        co_return Txn{.state = Txn::kAborted};
       }
     }
-  } catch (const rlvmm::GuestCrashed&) {
-    stats_.machine_deaths.Add();
-  } catch (const rldb::EngineHalted&) {
-    stats_.machine_deaths.Add();
+    co_return txn;
   }
+
+ private:
+  KvWorkload& w_;
+};
+
+ClientDriver::NewClient KvWorkload::Clients(Database& db) {
+  return [this, &db](int id) {
+    return std::make_unique<Client>(*this, db, id);
+  };
 }
 
-Task<void> LogStress::RunClient(Database& db, int client_id,
-                                const bool* stop) {
-  Rng rng(static_cast<uint64_t>(client_id) + 4242);
-  const uint32_t value_bytes = db.options().profile.value_bytes;
-  // Disjoint keys per client: the measurement is pure logging cost.
-  const uint64_t base = static_cast<uint64_t>(client_id) << 32;
-  try {
-    while (!*stop) {
-      const TimePoint start = sim_.now();
-      const uint64_t txn = db.Begin();
-      const uint64_t key = base + rng.NextBelow(1000);
-      if (co_await db.Put(txn, key, RowValue(value_bytes, key, rng.Next())) !=
-          DbStatus::kOk) {
-        continue;
-      }
-      if (co_await db.Commit(txn) == DbStatus::kOk) {
-        stats_.committed.Add();
-        stats_.commit_latency.RecordDuration(sim_.now() - start);
-      }
+class LogStress::Client : public EngineClient {
+ public:
+  Client(Database& db, int id)
+      : EngineClient(db, static_cast<uint64_t>(id) + 4242),
+        base_(static_cast<uint64_t>(id) << 32) {}
+
+  Task<Txn> Prepare() override {
+    txn_ = db_.Begin();
+    const uint64_t key = base_ + rng_.NextBelow(1000);
+    if (co_await db_.Put(txn_, key,
+                         RowValue(db_.options().profile.value_bytes, key,
+                                  rng_.Next())) != DbStatus::kOk) {
+      co_return Txn{.state = Txn::kAborted};
     }
-  } catch (const rlvmm::GuestCrashed&) {
-  } catch (const rldb::EngineHalted&) {
+    co_return Txn{};
   }
+
+ private:
+  // Disjoint keys per client: the measurement is pure logging cost.
+  const uint64_t base_;
+};
+
+ClientDriver::NewClient LogStress::Clients(Database& db) {
+  return [&db](int id) { return std::make_unique<Client>(db, id); };
 }
 
 }  // namespace rlwork

@@ -1,15 +1,15 @@
 // Simple key-value workloads: a zipfian read/write mix (microbenchmarks,
 // crash campaigns) and a commit-rate stress of tiny update transactions
-// (the synchronous-logging cost experiment).
+// (the synchronous-logging cost experiment). Both are transaction
+// generators for ClientDriver.
 #pragma once
 
 #include <cstdint>
 
 #include "src/db/database.h"
-#include "src/faults/durability_checker.h"
 #include "src/sim/rng.h"
 #include "src/sim/simulator.h"
-#include "src/sim/stats.h"
+#include "src/workload/client_driver.h"
 
 namespace rlwork {
 
@@ -24,51 +24,35 @@ struct KvConfig {
 
 class KvWorkload {
  public:
-  struct Stats {
-    rlsim::Counter committed;
-    rlsim::Counter lock_aborts;
-    rlsim::Counter machine_deaths;
-    rlsim::Histogram txn_latency;  // ns
-  };
-
+  // The simulator is not used: pauses and time belong to the driver.
   KvWorkload(rlsim::Simulator& sim, KvConfig config);
 
   // Preloads `count` keys.
   rlsim::Task<void> Load(rldb::Database& db, uint64_t count);
 
-  rlsim::Task<void> RunClient(rldb::Database& db, int client_id,
-                              const bool* stop,
-                              rlfault::DurabilityChecker* checker);
-
-  Stats& stats() { return stats_; }
+  // Clients running the mix on `db`, each after an exponential think pause.
+  // Every transaction, read-only ones included, takes a token from one
+  // counter shared by all clients.
+  ClientDriver::NewClient Clients(rldb::Database& db);
 
  private:
-  rlsim::Simulator& sim_;
+  class Client;
+
   KvConfig config_;
   rlsim::ZipfianGenerator zipf_;
-  Stats stats_;
   uint64_t next_token_ = 1;
 };
 
 // Tiny-transaction commit-rate stress: one update + commit per transaction,
-// zero think time. Measures the commit ceiling a durability scheme allows.
+// no think time, no checker tokens. Measures the commit ceiling a
+// durability scheme allows.
 class LogStress {
  public:
-  struct Stats {
-    rlsim::Counter committed;
-    rlsim::Histogram commit_latency;  // ns
-  };
-
-  explicit LogStress(rlsim::Simulator& sim) : sim_(sim) {}
-
-  rlsim::Task<void> RunClient(rldb::Database& db, int client_id,
-                              const bool* stop);
-
-  Stats& stats() { return stats_; }
+  // Clients on `db`, each updating keys of its own.
+  ClientDriver::NewClient Clients(rldb::Database& db);
 
  private:
-  rlsim::Simulator& sim_;
-  Stats stats_;
+  class Client;
 };
 
 }  // namespace rlwork

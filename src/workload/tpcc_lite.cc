@@ -2,9 +2,7 @@
 
 #include <utility>
 
-#include "src/db/errors.h"
 #include "src/sim/check.h"
-#include "src/vmm/vm.h"
 
 namespace rlwork {
 
@@ -12,9 +10,7 @@ using rldb::Database;
 using rldb::DbStatus;
 using rlfault::TrackedWrite;
 using rlsim::Duration;
-using rlsim::Rng;
 using rlsim::Task;
-using rlsim::TimePoint;
 
 uint64_t MakeKey(Table table, uint64_t warehouse, uint64_t district,
                  uint64_t id) {
@@ -33,8 +29,11 @@ std::vector<uint8_t> RowValue(uint32_t value_bytes, uint64_t key,
   return v;
 }
 
-TpccLite::TpccLite(rlsim::Simulator& sim, TpccConfig config)
-    : sim_(sim), config_(config) {}
+TpccLite::TpccLite(rlsim::Simulator& /*sim*/, TpccConfig config)
+    : config_(config),
+      mix_({config.new_order_weight, config.payment_weight,
+            config.order_status_weight, config.delivery_weight,
+            config.stock_level_weight}) {}
 
 Task<void> TpccLite::LoadInitial(Database& db) {
   const uint32_t value_bytes = db.options().profile.value_bytes;
@@ -66,223 +65,163 @@ Task<void> TpccLite::LoadInitial(Database& db) {
   }
 }
 
-Task<bool> TpccLite::FinishTxn(Database& db, uint64_t txn, TxnWrites writes,
-                               uint64_t token,
-                               rlfault::DurabilityChecker* checker) {
-  if (checker != nullptr) {
-    checker->OnCommitAttempt(token, std::move(writes.writes));
+class TpccLite::Client : public EngineClient {
+ public:
+  Client(TpccLite& w, Database& db, int id)
+      : EngineClient(db, static_cast<uint64_t>(id) * 7919 + 101),
+        w_(w),
+        cfg_(w.config_),
+        value_bytes_(db.options().profile.value_bytes),
+        // Per-client id spaces keep order/history inserts conflict-free.
+        order_seq_(static_cast<uint64_t>(id) << 22),
+        history_seq_(static_cast<uint64_t>(id) << 22) {}
+
+  std::optional<Duration> PauseBefore() override {
+    return ExponentialPause(rng_, cfg_.think_time);
   }
-  const DbStatus st = co_await db.Commit(txn);
-  if (st == DbStatus::kOk) {
-    if (checker != nullptr) {
-      checker->OnCommitAcked(token);
+
+  Task<Txn> Prepare() override {
+    switch (w_.mix_.Next(rng_)) {
+      case 0:
+        return NewOrder();
+      case 1:
+        return Payment(/*history=*/true);
+      case 2:
+        return OrderStatus();
+      case 3:
+        return Payment(/*history=*/false);  // delivery
+      default:
+        return StockLevel();
     }
-    co_return true;
   }
-  if (checker != nullptr) {
-    checker->OnAborted(token);
-  }
-  co_return false;
-}
 
-Task<bool> TpccLite::NewOrder(Database& db, Rng& rng, uint64_t* order_seq,
-                              rlfault::DurabilityChecker* checker) {
-  const uint32_t value_bytes = db.options().profile.value_bytes;
-  const uint64_t w = rng.NextBelow(config_.warehouses);
-  const uint64_t d = rng.NextBelow(config_.districts_per_warehouse);
-  const uint64_t c = rng.NextBelow(config_.customers_per_district);
-  const uint64_t n_items = 5 + rng.NextBelow(11);  // 5..15
-  const uint64_t seed = rng.Next();
-  const uint64_t token = next_token_++;
+ private:
+  Task<Txn> NewOrder();
+  // Payment rewrites a customer and inserts a history row; delivery only
+  // rewrites the customer.
+  Task<Txn> Payment(bool history);
+  Task<Txn> OrderStatus();
+  Task<Txn> StockLevel();
 
-  const uint64_t txn = db.Begin();
-  TxnWrites tw;
-  auto put = [&](uint64_t key, uint64_t write_seed) -> Task<bool> {
-    const auto value = RowValue(value_bytes, key, write_seed);
-    const DbStatus st = co_await db.Put(txn, key, value);
+  // Writes `key`'s row image for `seed` and tracks it; false on a lock
+  // timeout.
+  Task<bool> Put(uint64_t key, uint64_t seed,
+                 std::vector<TrackedWrite>& writes) {
+    const auto value = RowValue(value_bytes_, key, seed);
+    const DbStatus st = co_await db_.Put(txn_, key, value);
     if (st != DbStatus::kOk) {
       co_return false;
     }
-    tw.writes.push_back(TrackedWrite{.key = key, .value = value});
+    writes.push_back(TrackedWrite{.key = key, .value = value});
     co_return true;
-  };
+  }
 
+  TpccLite& w_;
+  const TpccConfig& cfg_;
+  const uint32_t value_bytes_;
+  uint64_t order_seq_;
+  uint64_t history_seq_;
+};
+
+Task<Txn> TpccLite::Client::NewOrder() {
+  const uint64_t w = rng_.NextBelow(cfg_.warehouses);
+  const uint64_t d = rng_.NextBelow(cfg_.districts_per_warehouse);
+  const uint64_t c = rng_.NextBelow(cfg_.customers_per_district);
+  const uint64_t n_items = 5 + rng_.NextBelow(11);  // 5..15
+  const uint64_t seed = rng_.Next();
+  const uint64_t token = w_.next_token_++;
+
+  txn_ = db_.Begin();
+  std::vector<TrackedWrite> writes;
   // Read customer; read+update the (hot) district row.
-  if (co_await db.Get(txn, MakeKey(Table::kCustomer, w, d, c), nullptr) ==
+  if (co_await db_.Get(txn_, MakeKey(Table::kCustomer, w, d, c), nullptr) ==
       DbStatus::kLockTimeout) {
-    co_return false;
+    co_return Txn{.state = Txn::kAborted};
   }
   const uint64_t dk = MakeKey(Table::kDistrict, w, d, 0);
-  if (co_await db.Get(txn, dk, nullptr) == DbStatus::kLockTimeout) {
-    co_return false;
+  if (co_await db_.Get(txn_, dk, nullptr) == DbStatus::kLockTimeout) {
+    co_return Txn{.state = Txn::kAborted};
   }
-  if (!co_await put(dk, seed)) {
-    co_return false;
+  if (!co_await Put(dk, seed, writes)) {
+    co_return Txn{.state = Txn::kAborted};
   }
 
-  // Items: read + update stock, insert order line.
-  const uint64_t order_id = (*order_seq)++;
+  // Items: read + update stock, insert order line. Items are drawn with
+  // replacement, so a stock row may be written twice; the checker keeps the
+  // last write per key.
+  const uint64_t order_id = order_seq_++;
   for (uint64_t i = 0; i < n_items; ++i) {
-    const uint64_t item = rng.NextBelow(config_.items);
+    const uint64_t item = rng_.NextBelow(cfg_.items);
     const uint64_t sk = MakeKey(Table::kStock, w, 0, item);
-    if (co_await db.Get(txn, sk, nullptr) == DbStatus::kLockTimeout) {
-      co_return false;
+    if (co_await db_.Get(txn_, sk, nullptr) == DbStatus::kLockTimeout) {
+      co_return Txn{.state = Txn::kAborted};
     }
-    if (!co_await put(sk, seed + i)) {
-      co_return false;
+    if (!co_await Put(sk, seed + i, writes)) {
+      co_return Txn{.state = Txn::kAborted};
     }
-    if (!co_await put(MakeKey(Table::kOrderLine, w, d,
-                              order_id * 16 + i),
-                      seed ^ i)) {
-      co_return false;
+    if (!co_await Put(MakeKey(Table::kOrderLine, w, d, order_id * 16 + i),
+                      seed ^ i, writes)) {
+      co_return Txn{.state = Txn::kAborted};
     }
   }
-  if (!co_await put(MakeKey(Table::kOrder, w, d, order_id), seed)) {
-    co_return false;
+  if (!co_await Put(MakeKey(Table::kOrder, w, d, order_id), seed, writes)) {
+    co_return Txn{.state = Txn::kAborted};
   }
-  co_return co_await FinishTxn(db, txn, std::move(tw), token, checker);
+  co_return Txn{.token = token, .writes = std::move(writes), .kind = kNewOrder};
 }
 
-Task<bool> TpccLite::Payment(Database& db, Rng& rng, uint64_t* history_seq,
-                             rlfault::DurabilityChecker* checker) {
-  const uint32_t value_bytes = db.options().profile.value_bytes;
-  const uint64_t w = rng.NextBelow(config_.warehouses);
-  const uint64_t d = rng.NextBelow(config_.districts_per_warehouse);
-  const uint64_t c = rng.NextBelow(config_.customers_per_district);
-  const uint64_t seed = rng.Next();
-  const uint64_t token = next_token_++;
+Task<Txn> TpccLite::Client::Payment(bool history) {
+  const uint64_t w = rng_.NextBelow(cfg_.warehouses);
+  const uint64_t d = rng_.NextBelow(cfg_.districts_per_warehouse);
+  const uint64_t c = rng_.NextBelow(cfg_.customers_per_district);
+  const uint64_t seed = rng_.Next();
+  const uint64_t token = w_.next_token_++;
 
-  const uint64_t txn = db.Begin();
-  TxnWrites tw;
+  txn_ = db_.Begin();
+  std::vector<TrackedWrite> writes;
   const uint64_t ck = MakeKey(Table::kCustomer, w, d, c);
-  if (co_await db.Get(txn, ck, nullptr) == DbStatus::kLockTimeout) {
-    co_return false;
+  if (co_await db_.Get(txn_, ck, nullptr) == DbStatus::kLockTimeout) {
+    co_return Txn{.state = Txn::kAborted};
   }
-  const auto customer_value = RowValue(value_bytes, ck, seed);
-  if (co_await db.Put(txn, ck, customer_value) != DbStatus::kOk) {
-    co_return false;
+  if (!co_await Put(ck, seed, writes)) {
+    co_return Txn{.state = Txn::kAborted};
   }
-  tw.writes.push_back(TrackedWrite{.key = ck, .value = customer_value});
-  const uint64_t hk = MakeKey(Table::kHistory, w, d, (*history_seq)++);
-  const auto history_value = RowValue(value_bytes, hk, seed);
-  if (co_await db.Put(txn, hk, history_value) != DbStatus::kOk) {
-    co_return false;
+  if (history && !co_await Put(MakeKey(Table::kHistory, w, d, history_seq_++),
+                               seed, writes)) {
+    co_return Txn{.state = Txn::kAborted};
   }
-  tw.writes.push_back(TrackedWrite{.key = hk, .value = history_value});
-  co_return co_await FinishTxn(db, txn, std::move(tw), token, checker);
+  co_return Txn{.token = token, .writes = std::move(writes), .kind = kPayment};
 }
 
-Task<bool> TpccLite::OrderStatus(Database& db, Rng& rng) {
-  const uint64_t w = rng.NextBelow(config_.warehouses);
-  const uint64_t d = rng.NextBelow(config_.districts_per_warehouse);
-  const uint64_t c = rng.NextBelow(config_.customers_per_district);
-  const uint64_t txn = db.Begin();
-  if (co_await db.Get(txn, MakeKey(Table::kCustomer, w, d, c), nullptr) ==
+Task<Txn> TpccLite::Client::OrderStatus() {
+  const uint64_t w = rng_.NextBelow(cfg_.warehouses);
+  const uint64_t d = rng_.NextBelow(cfg_.districts_per_warehouse);
+  const uint64_t c = rng_.NextBelow(cfg_.customers_per_district);
+  txn_ = db_.Begin();
+  if (co_await db_.Get(txn_, MakeKey(Table::kCustomer, w, d, c), nullptr) ==
       DbStatus::kLockTimeout) {
-    co_return false;
+    co_return Txn{.state = Txn::kAborted};
   }
-  co_return co_await db.Commit(txn) == DbStatus::kOk;
+  co_return Txn{.kind = kReadOnly};
 }
 
-Task<bool> TpccLite::Delivery(Database& db, Rng& rng,
-                              rlfault::DurabilityChecker* checker) {
-  const uint32_t value_bytes = db.options().profile.value_bytes;
-  const uint64_t w = rng.NextBelow(config_.warehouses);
-  const uint64_t d = rng.NextBelow(config_.districts_per_warehouse);
-  const uint64_t c = rng.NextBelow(config_.customers_per_district);
-  const uint64_t seed = rng.Next();
-  const uint64_t token = next_token_++;
-  const uint64_t txn = db.Begin();
-  TxnWrites tw;
-  const uint64_t ck = MakeKey(Table::kCustomer, w, d, c);
-  if (co_await db.Get(txn, ck, nullptr) == DbStatus::kLockTimeout) {
-    co_return false;
-  }
-  const auto value = RowValue(value_bytes, ck, seed);
-  if (co_await db.Put(txn, ck, value) != DbStatus::kOk) {
-    co_return false;
-  }
-  tw.writes.push_back(TrackedWrite{.key = ck, .value = value});
-  co_return co_await FinishTxn(db, txn, std::move(tw), token, checker);
-}
-
-Task<bool> TpccLite::StockLevel(Database& db, Rng& rng) {
-  const uint64_t w = rng.NextBelow(config_.warehouses);
-  const uint64_t txn = db.Begin();
+Task<Txn> TpccLite::Client::StockLevel() {
+  const uint64_t w = rng_.NextBelow(cfg_.warehouses);
+  txn_ = db_.Begin();
   for (int i = 0; i < 8; ++i) {
-    const uint64_t item = rng.NextBelow(config_.items);
-    if (co_await db.Get(txn, MakeKey(Table::kStock, w, 0, item), nullptr) ==
+    const uint64_t item = rng_.NextBelow(cfg_.items);
+    if (co_await db_.Get(txn_, MakeKey(Table::kStock, w, 0, item), nullptr) ==
         DbStatus::kLockTimeout) {
-      co_return false;
+      co_return Txn{.state = Txn::kAborted};
     }
   }
-  co_return co_await db.Commit(txn) == DbStatus::kOk;
+  co_return Txn{.kind = kReadOnly};
 }
 
-Task<void> TpccLite::RunClient(Database& db, int client_id, const bool* stop,
-                               rlfault::DurabilityChecker* checker) {
-  Rng rng(static_cast<uint64_t>(client_id) * 7919 + 101);
-  const rlsim::DiscreteDistribution mix(
-      {config_.new_order_weight, config_.payment_weight,
-       config_.order_status_weight, config_.delivery_weight,
-       config_.stock_level_weight});
-  // Per-client id spaces keep order/history inserts conflict-free.
-  uint64_t order_seq = static_cast<uint64_t>(client_id) << 22;
-  uint64_t history_seq = static_cast<uint64_t>(client_id) << 22;
-
-  try {
-    while (!*stop) {
-      co_await sim_.Sleep(
-          Duration::Nanos(static_cast<int64_t>(rng.Exponential(
-              static_cast<double>(config_.think_time.nanos())))));
-      const TimePoint start = sim_.now();
-      bool ok = false;
-      const size_t pick = mix.Next(rng);
-      switch (pick) {
-        case 0:
-          ok = co_await NewOrder(db, rng, &order_seq, checker);
-          if (ok) {
-            stats_.new_orders.Add();
-            stats_.new_order_latency.RecordDuration(sim_.now() - start);
-          }
-          break;
-        case 1:
-          ok = co_await Payment(db, rng, &history_seq, checker);
-          if (ok) {
-            stats_.payments.Add();
-          }
-          break;
-        case 2:
-          ok = co_await OrderStatus(db, rng);
-          if (ok) {
-            stats_.read_only.Add();
-          }
-          break;
-        case 3:
-          ok = co_await Delivery(db, rng, checker);
-          if (ok) {
-            stats_.payments.Add();
-          }
-          break;
-        default:
-          ok = co_await StockLevel(db, rng);
-          if (ok) {
-            stats_.read_only.Add();
-          }
-          break;
-      }
-      if (ok) {
-        stats_.committed.Add();
-        stats_.txn_latency.RecordDuration(sim_.now() - start);
-      } else {
-        stats_.lock_aborts.Add();
-      }
-    }
-  } catch (const rlvmm::GuestCrashed&) {
-    stats_.machine_deaths.Add();
-  } catch (const rldb::EngineHalted&) {
-    stats_.machine_deaths.Add();
-  }
+ClientDriver::NewClient TpccLite::Clients(Database& db) {
+  return [this, &db](int id) {
+    return std::make_unique<Client>(*this, db, id);
+  };
 }
 
 }  // namespace rlwork

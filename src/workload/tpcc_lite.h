@@ -7,15 +7,14 @@
 // durability checker can verify exact contents.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/db/database.h"
-#include "src/faults/durability_checker.h"
 #include "src/sim/rng.h"
 #include "src/sim/simulator.h"
-#include "src/sim/stats.h"
+#include "src/workload/client_driver.h"
 
 namespace rlwork {
 
@@ -52,57 +51,31 @@ struct TpccConfig {
 
 class TpccLite {
  public:
-  struct Stats {
-    rlsim::Counter committed;
-    rlsim::Counter new_orders;
-    rlsim::Counter payments;
-    rlsim::Counter read_only;
-    rlsim::Counter lock_aborts;
-    rlsim::Counter machine_deaths;  // clients unwound by crash/power-cut
-    rlsim::Histogram txn_latency;   // ns, commit-acked transactions
-    rlsim::Histogram new_order_latency;
+  // The transaction classes it counts in
+  // ClientDriver::Stats::committed_by_kind.
+  enum Kind : size_t {
+    kNewOrder = 0,
+    kPayment = 1,   // payment and delivery
+    kReadOnly = 2,  // order-status and stock-level
   };
 
+  // The simulator is not used: pauses and time belong to the driver.
   TpccLite(rlsim::Simulator& sim, TpccConfig config);
 
   // Populates districts, customers and stock (one bulk transaction per
   // district). Run once on a fresh database.
   rlsim::Task<void> LoadInitial(rldb::Database& db);
 
-  // One client loop: runs transactions until *stop becomes true or the
-  // machine dies under it. `checker` (optional) is fed every commit for
-  // later durability verification.
-  rlsim::Task<void> RunClient(rldb::Database& db, int client_id,
-                              const bool* stop,
-                              rlfault::DurabilityChecker* checker);
-
-  Stats& stats() { return stats_; }
-  const TpccConfig& config() const { return config_; }
+  // Clients running the mix on `db`, each after an exponential think pause.
+  // Write transactions take their tokens from one counter shared by all
+  // clients; read-only ones are not tracked.
+  ClientDriver::NewClient Clients(rldb::Database& db);
 
  private:
-  struct TxnWrites {
-    std::vector<rlfault::TrackedWrite> writes;
-  };
+  class Client;
 
-  rlsim::Task<bool> NewOrder(rldb::Database& db, rlsim::Rng& rng,
-                             uint64_t* order_seq,
-                             rlfault::DurabilityChecker* checker);
-  rlsim::Task<bool> Payment(rldb::Database& db, rlsim::Rng& rng,
-                            uint64_t* history_seq,
-                            rlfault::DurabilityChecker* checker);
-  rlsim::Task<bool> OrderStatus(rldb::Database& db, rlsim::Rng& rng);
-  rlsim::Task<bool> Delivery(rldb::Database& db, rlsim::Rng& rng,
-                             rlfault::DurabilityChecker* checker);
-  rlsim::Task<bool> StockLevel(rldb::Database& db, rlsim::Rng& rng);
-
-  // Commits txn, feeding the checker. Returns false on lock abort.
-  rlsim::Task<bool> FinishTxn(rldb::Database& db, uint64_t txn,
-                              TxnWrites writes, uint64_t token,
-                              rlfault::DurabilityChecker* checker);
-
-  rlsim::Simulator& sim_;
   TpccConfig config_;
-  Stats stats_;
+  rlsim::DiscreteDistribution mix_;
   uint64_t next_token_ = 1;
 };
 

@@ -120,20 +120,21 @@ TEST(UpsTest, UpsGivesEffectivelyUnboundedBudgetAndKeepsGuarantee) {
   rlwork::KvWorkload kv(sim, rlwork::KvConfig{.key_space = 1000});
   rlfault::DurabilityChecker checker;
   rlfault::VerifyResult verdict;
+  rlwork::ClientDriver clients(sim, &checker);
   sim.Spawn([](Simulator& s, rlharness::Testbed& b, rlwork::KvWorkload& w,
-               rlfault::DurabilityChecker& chk,
+               rlwork::ClientDriver& d, rlfault::DurabilityChecker& chk,
                rlfault::VerifyResult& out) -> Task<void> {
     co_await b.Start();
     co_await w.Load(b.db(), 200);
-    auto stop = rltest::SpawnFleet(s, w, b.db(), 0, 4, &chk);
+    d.Spawn(4, w.Clients(b.db()));
     co_await s.Sleep(Duration::Millis(200));
     b.CutPower();
-    *stop = true;
+    d.Stop();
     // The UPS carries the drain for up to a minute; then rails drop.
     co_await s.Sleep(Duration::Seconds(70));
     co_await b.RestorePowerAndRecover();
     out = co_await chk.VerifyAfterRecovery(b.db());
-  }(sim, bed, kv, checker, verdict));
+  }(sim, bed, kv, clients, checker, verdict));
   sim.Run();
   EXPECT_TRUE(verdict.ok()) << verdict.Summary();
   EXPECT_FALSE(bed.rapilog()->lost_data());
@@ -157,15 +158,17 @@ TEST_P(ReplicatedCrashPointTest, QuorumHoldsAtEveryCutInstant) {
   rlfault::VerifyResult verdict;
   size_t replicas_passing = 0;
 
+  rlwork::ClientDriver clients(sim, &checker);
   sim.Spawn([](Simulator& s, rlharness::Testbed& b, rlwork::KvWorkload& w,
-               rlfault::DurabilityChecker& chk, Duration cut,
-               rlfault::VerifyResult& out, size_t& passing) -> Task<void> {
+               rlwork::ClientDriver& d, rlfault::DurabilityChecker& chk,
+               Duration cut, rlfault::VerifyResult& out,
+               size_t& passing) -> Task<void> {
     co_await b.Start();
     co_await w.Load(b.db(), 300);
-    auto stop = rltest::SpawnFleet(s, w, b.db(), 0, 4, &chk);
+    d.Spawn(4, w.Clients(b.db()));
     co_await s.Sleep(cut);
     b.CutPower();
-    *stop = true;
+    d.Stop();
     // Frames already on the wire drain into the replicas; then audit the
     // quorum promise against the cursor frozen at the cut.
     co_await s.Sleep(Duration::Seconds(1));
@@ -177,7 +180,7 @@ TEST_P(ReplicatedCrashPointTest, QuorumHoldsAtEveryCutInstant) {
     co_await b.RestorePowerAndRecoverFromReplica();
     out = co_await chk.VerifyAfterRecovery(b.db());
     co_await b.db().CheckTreeStructure();
-  }(sim, bed, kv, checker, cut_at, verdict, replicas_passing));
+  }(sim, bed, kv, clients, checker, cut_at, verdict, replicas_passing));
   sim.Run();
 
   EXPECT_GE(replicas_passing, bed.shipper()->quorum_size());
@@ -210,15 +213,16 @@ RedoModeOutcome RunRedoModeEpisode(int64_t cut_ms, uint32_t partitions) {
   rlwork::KvWorkload kv(sim, rltest::WriteHeavyKv());
   rlfault::DurabilityChecker checker;
   RedoModeOutcome out;
+  rlwork::ClientDriver clients(sim, &checker);
   sim.Spawn([](Simulator& s, rlharness::Testbed& b, rlwork::KvWorkload& w,
-               rlfault::DurabilityChecker& chk, Duration cut,
-               RedoModeOutcome& res) -> Task<void> {
+               rlwork::ClientDriver& d, rlfault::DurabilityChecker& chk,
+               Duration cut, RedoModeOutcome& res) -> Task<void> {
     co_await b.Start();
     co_await w.Load(b.db(), 200);
-    auto stop = rltest::SpawnFleet(s, w, b.db(), 0, 4, &chk);
+    d.Spawn(4, w.Clients(b.db()));
     co_await s.Sleep(cut);
     b.CutPower();
-    *stop = true;
+    d.Stop();
     co_await s.Sleep(Duration::Seconds(1));
     co_await b.RestorePowerAndRecover();
     res.verdict = co_await chk.VerifyAfterRecovery(b.db());
@@ -227,9 +231,9 @@ RedoModeOutcome RunRedoModeEpisode(int64_t cut_ms, uint32_t partitions) {
     res.redo_skipped_by_horizon =
         b.db().stats().redo_skipped_by_horizon.value();
     co_await b.db().CheckTreeStructure();
-  }(sim, bed, kv, checker, Duration::Millis(cut_ms), out));
+  }(sim, bed, kv, clients, checker, Duration::Millis(cut_ms), out));
   sim.Run();
-  out.committed = kv.stats().committed.value();
+  out.committed = clients.stats().committed.value();
   return out;
 }
 

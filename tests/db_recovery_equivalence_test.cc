@@ -19,10 +19,10 @@
 #include <set>
 #include <vector>
 
-#include "src/db/errors.h"
 #include "src/faults/durability_checker.h"
 #include "src/sim/simulator.h"
 #include "src/storage/block_device.h"
+#include "src/workload/client_driver.h"
 
 namespace rldb {
 namespace {
@@ -68,62 +68,79 @@ struct CommitEvent {
 };
 
 // One client streaming randomized transactions until the plug is pulled,
-// logging each commit to `events`. Lock timeouts abort the transaction
-// inside Put/Remove; EngineHalted is the machine dying under us — both are
-// normal ends here.
-Task<void> Workload(Simulator& sim, Database& db, uint64_t seed,
-                    const bool* stop, std::vector<CommitEvent>& events) {
-  rlsim::Rng rng(seed * 0x9E3779B97F4A7C15ull + 1);
-  const EngineProfile& profile = db.options().profile;
-  int prepares_left = (seed % 3 == 0) ? 2 : 0;
-  try {
-    while (!*stop) {
-      const uint64_t txn = db.Begin();
-      const int ops = 1 + static_cast<int>(rng.Next() % 5);
-      std::vector<rlfault::TrackedWrite> writes;
-      bool dead = false;
-      for (int o = 0; o < ops && !dead; ++o) {
-        rlfault::TrackedWrite w{.key = rng.Next() % kKeySpace,
-                                .is_delete = rng.Next() % 8 == 0,
-                                .value = {}};
-        if (!w.is_delete) {
-          w.value = MakeValue(profile, rng.Next());
-        }
-        const DbStatus st = w.is_delete ? co_await db.Remove(txn, w.key)
-                                        : co_await db.Put(txn, w.key, w.value);
-        dead = st == DbStatus::kLockTimeout;
-        // The checker wants the txn's net effect: the last write per key.
-        std::erase_if(writes, [&](const rlfault::TrackedWrite& prev) {
-          return prev.key == w.key;
-        });
-        writes.push_back(std::move(w));
+// logging each commit attempt, ack and abort to `events`. Lock timeouts
+// abort the transaction inside Put/Remove; EngineHalted is the machine dying
+// under it, which ends the client (rlwork::ClientDriver).
+class EquivalenceClient : public rlwork::EngineClient {
+ public:
+  EquivalenceClient(Database& db, uint64_t seed,
+                    std::vector<CommitEvent>& events)
+      : EngineClient(db, seed * 0x9E3779B97F4A7C15ull + 1),
+        events_(events),
+        prepares_left_(seed % 3 == 0 ? 2 : 0) {}
+
+  Task<rlwork::Txn> Prepare() override {
+    committed_ = false;
+    txn_ = db_.Begin();
+    const int ops = 1 + static_cast<int>(rng_.Next() % 5);
+    std::vector<rlfault::TrackedWrite> writes;
+    for (int o = 0; o < ops; ++o) {
+      rlfault::TrackedWrite w{.key = rng_.Next() % kKeySpace,
+                              .is_delete = rng_.Next() % 8 == 0,
+                              .value = {}};
+      if (!w.is_delete) {
+        w.value = MakeValue(db_.options().profile, rng_.Next());
       }
-      if (dead) {
-        continue;  // the engine already aborted the txn
+      const DbStatus st = w.is_delete
+                              ? co_await db_.Remove(txn_, w.key)
+                              : co_await db_.Put(txn_, w.key, w.value);
+      if (st == DbStatus::kLockTimeout) {
+        // The engine already aborted the txn.
+        co_return rlwork::Txn{.state = rlwork::Txn::kAborted};
       }
-      if (rng.Next() % 10 == 0) {
-        co_await db.Abort(txn);
-        continue;
-      }
-      if (prepares_left > 0 && rng.Next() % 4 == 0) {
-        --prepares_left;
-        // Left in doubt on purpose: pins the replay point far back, which
-        // is exactly the state the fuzzy per-slice horizons pay off in.
-        co_await db.Prepare(txn, /*global_id=*/1000 + rng.Next() % 1000);
-        continue;
-      }
-      events.push_back({CommitEvent::kAttempt, txn, std::move(writes)});
-      const bool acked = co_await db.Commit(txn) == DbStatus::kOk;
-      events.push_back(
-          {acked ? CommitEvent::kAck : CommitEvent::kAbort, txn, {}});
-      if (rng.Next() % 25 == 0) {
-        co_await db.Checkpoint();
-      }
-      co_await sim.Sleep(Duration::Micros(rng.Next() % 200));
+      writes.push_back(std::move(w));
     }
-  } catch (const EngineHalted&) {
+    if (rng_.Next() % 10 == 0) {
+      co_await db_.Abort(txn_);
+      co_return rlwork::Txn{.state = rlwork::Txn::kAborted};
+    }
+    if (prepares_left_ > 0 && rng_.Next() % 4 == 0) {
+      --prepares_left_;
+      // Left in doubt on purpose: pins the replay point far back, which is
+      // exactly the state the fuzzy per-slice horizons pay off in.
+      co_await db_.Prepare(txn_, /*global_id=*/1000 + rng_.Next() % 1000);
+      co_return rlwork::Txn{.state = rlwork::Txn::kSkipped};
+    }
+    events_.push_back({CommitEvent::kAttempt, txn_, std::move(writes)});
+    co_return rlwork::Txn{};
   }
-}
+
+  Task<rlwork::Outcome> Commit() override {
+    const DbStatus st = co_await db_.Commit(txn_);
+    events_.push_back(
+        {st == DbStatus::kOk ? CommitEvent::kAck : CommitEvent::kAbort, txn_,
+         {}});
+    if (rng_.Next() % 25 == 0) {
+      co_await db_.Checkpoint();
+    }
+    committed_ = true;
+    co_return st == DbStatus::kOk ? rlwork::Outcome::kCommitted
+                                  : rlwork::Outcome::kAborted;
+  }
+
+  // Only a commit is followed by think time.
+  std::optional<Duration> PauseAfter() override {
+    if (!committed_) {
+      return std::nullopt;
+    }
+    return Duration::Micros(static_cast<int64_t>(rng_.Next() % 200));
+  }
+
+ private:
+  std::vector<CommitEvent>& events_;
+  int prepares_left_;
+  bool committed_ = false;
+};
 
 // Txn ids whose commit record lies in the valid prefix of the log.
 std::set<uint64_t> CommitsInLog(Simulator& sim, SimBlockDevice& log,
@@ -169,24 +186,25 @@ Fingerprint RunScenario(uint64_t seed, uint32_t partitions) {
   options.journal_pages = 200;
 
   std::unique_ptr<Database> db;
-  bool stop = false;
   std::vector<CommitEvent> events;
+  rlwork::ClientDriver clients(sim);
   sim.Spawn([](Simulator& s, NativeCpu& c, SimBlockDevice& d,
                SimBlockDevice& l, DbOptions opt, std::unique_ptr<Database>& out,
-               uint64_t sd, const bool* st,
+               uint64_t sd, rlwork::ClientDriver& cd,
                std::vector<CommitEvent>& ev) -> Task<void> {
     out = co_await Database::Open(s, c, d, l, opt);
-    for (int w = 0; w < 3; ++w) {
-      s.Spawn(Workload(s, *out, sd * 7 + w, st, ev), "equiv-client");
-    }
-  }(sim, cpu, data, log, options, db, seed, &stop, events));
+    cd.Spawn(3, [&out, sd, &ev](int w) {
+      return std::make_unique<EquivalenceClient>(
+          *out, sd * 7 + static_cast<uint64_t>(w), ev);
+    });
+  }(sim, cpu, data, log, options, db, seed, clients, events));
 
   // Crash instant varies with the seed so the sweep hits fresh-format,
   // mid-checkpoint, and long-log states alike.
   sim.RunFor(Duration::Millis(20 + seed % 60));
   data.PowerLoss();
   log.PowerLoss();
-  stop = true;
+  clients.Stop();
   sim.Run();  // drain: clients unwind with EngineHalted
 
   // Tear down the dead engine.

@@ -119,6 +119,43 @@ TEST(DurabilityCheckerTest, InFlightCommitThatLandedIsPromoted) {
   EXPECT_EQ(checker.model_size(), 1u);
 }
 
+TEST(DurabilityCheckerTest, InFlightRewriteIsJudgedByTheLastWrite) {
+  // v0 of key 3 is acked. Then a commit writes key 3 twice (v1, then v2: a
+  // TPC-C new-order that draws one stock item twice) and lands without its
+  // ack. The store holds v2, which is that commit's net effect: it must be
+  // promoted, not read as a partial commit whose v1 was lost.
+  Fixture f;
+  DurabilityChecker checker;
+  VerifyResult verdict;
+  f.sim.Spawn([](Fixture& fx, DurabilityChecker& chk,
+                 VerifyResult& out) -> Task<void> {
+    co_await fx.OpenDb();
+    uint64_t txn = fx.db->Begin();
+    const auto v0 = fx.Value(3, 0);
+    co_await fx.db->Put(txn, 3, v0);
+    chk.OnCommitAttempt(1, {TrackedWrite{.key = 3, .value = v0}});
+    EXPECT_EQ(co_await fx.db->Commit(txn), rldb::DbStatus::kOk);
+    chk.OnCommitAcked(1);
+
+    txn = fx.db->Begin();
+    const auto v1 = fx.Value(3, 1);
+    const auto v2 = fx.Value(3, 2);
+    co_await fx.db->Put(txn, 3, v1);
+    co_await fx.db->Put(txn, 3, v2);
+    chk.OnCommitAttempt(2, {TrackedWrite{.key = 3, .value = v1},
+                            TrackedWrite{.key = 3, .value = v2}});
+    EXPECT_EQ(co_await fx.db->Commit(txn), rldb::DbStatus::kOk);
+
+    out = co_await chk.VerifyAfterRecovery(*fx.db);
+  }(f, checker, verdict));
+  f.sim.Run();
+  EXPECT_TRUE(verdict.ok()) << verdict.Summary();
+  EXPECT_EQ(verdict.keys_checked, 1u);
+  EXPECT_EQ(verdict.lost_writes, 0u);
+  EXPECT_EQ(verdict.atomicity_violations, 0u);
+  EXPECT_EQ(verdict.promoted_pending, 1u);
+}
+
 TEST(DurabilityCheckerTest, InFlightCommitThatDidNotLandIsDropped) {
   Fixture f;
   DurabilityChecker checker;

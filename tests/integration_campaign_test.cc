@@ -45,23 +45,24 @@ TEST_P(DurabilityCampaignTest, NoAckedCommitLost) {
   rlfault::DurabilityChecker checker;
   int bad_rounds = 0;
 
+  rlwork::ClientDriver clients(sim, &checker);
   sim.Spawn([](Simulator& s, Testbed& b, rlwork::KvWorkload& w,
-               rlfault::DurabilityChecker& chk, Fault f,
-               int& bad) -> Task<void> {
+               rlwork::ClientDriver& d, rlfault::DurabilityChecker& chk,
+               Fault f, int& bad) -> Task<void> {
     co_await b.Start();
     co_await w.Load(b.db(), 300);
     rlsim::Rng rng(s.rng().Fork());
     for (int round = 0; round < 3; ++round) {
-      auto stop = rltest::SpawnFleet(s, w, b.db(), round * 10, 4, &chk);
+      d.Spawn(4, w.Clients(b.db()), round * 10);
       co_await s.Sleep(Duration::Millis(rng.UniformInt(40, 250)));
       if (f == Fault::kPowerCut) {
         b.CutPower();
-        *stop = true;
+        d.Stop();
         co_await s.Sleep(Duration::Seconds(1));
         co_await b.RestorePowerAndRecover();
       } else {
         b.CrashGuest();
-        *stop = true;
+        d.Stop();
         co_await b.RecoverAfterGuestCrash();
       }
       const auto verdict = co_await chk.VerifyAfterRecovery(b.db());
@@ -70,7 +71,7 @@ TEST_P(DurabilityCampaignTest, NoAckedCommitLost) {
         ADD_FAILURE() << "round " << round << ": " << verdict.Summary();
       }
     }
-  }(sim, bed, kv, checker, fault, bad_rounds));
+  }(sim, bed, kv, clients, checker, fault, bad_rounds));
   sim.Run();
   EXPECT_EQ(bad_rounds, 0);
   if (bed.rapilog() != nullptr) {

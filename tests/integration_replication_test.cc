@@ -36,15 +36,16 @@ TEST(ReplicationIntegrationTest, QuorumCommitsSurviveTotalPrimaryLoss) {
   rlfault::DurabilityChecker checker;
   rlfault::VerifyResult verdict;
   size_t replicas_passing_audit = 0;
+  rlwork::ClientDriver clients(sim, &checker);
   sim.Spawn([](Simulator& s, Testbed& b, rlwork::KvWorkload& w,
-               rlfault::DurabilityChecker& chk, rlfault::VerifyResult& out,
-               size_t& passing) -> Task<void> {
+               rlwork::ClientDriver& d, rlfault::DurabilityChecker& chk,
+               rlfault::VerifyResult& out, size_t& passing) -> Task<void> {
     co_await b.Start();
     co_await w.Load(b.db(), 500);
-    auto stop = rltest::SpawnFleet(s, w, b.db(), 0, 4, &chk);
+    d.Spawn(4, w.Clients(b.db()));
     co_await s.Sleep(Duration::Millis(700));
     b.CutPower();
-    *stop = true;
+    d.Stop();
     // Rails are down; frames already on the wire drain into the replicas.
     co_await s.Sleep(Duration::Seconds(1));
     for (size_t r = 0; r < b.replica_count(); ++r) {
@@ -58,7 +59,7 @@ TEST(ReplicationIntegrationTest, QuorumCommitsSurviveTotalPrimaryLoss) {
     co_await b.RestorePowerAndRecoverFromReplica();
     out = co_await chk.VerifyAfterRecovery(b.db());
     co_await b.db().CheckTreeStructure();
-  }(sim, bed, kv, checker, verdict, replicas_passing_audit));
+  }(sim, bed, kv, clients, checker, verdict, replicas_passing_audit));
   sim.Run();
 
   EXPECT_GT(verdict.keys_checked, 0u);
@@ -81,25 +82,26 @@ TEST(ReplicationIntegrationTest, AsyncLossIsBoundedByReplicationLag) {
   rlfault::DurabilityChecker checker;
   rlfault::VerifyResult verdict;
   uint64_t lag_at_cut = 0;
+  rlwork::ClientDriver clients(sim, &checker);
   sim.Spawn([](Simulator& s, Testbed& b, rlwork::KvWorkload& w,
-               rlfault::DurabilityChecker& chk, rlfault::VerifyResult& out,
-               uint64_t& lag) -> Task<void> {
+               rlwork::ClientDriver& d, rlfault::DurabilityChecker& chk,
+               rlfault::VerifyResult& out, uint64_t& lag) -> Task<void> {
     co_await b.Start();
     co_await w.Load(b.db(), 300);
-    auto stop = rltest::SpawnFleet(s, w, b.db(), 0, 4, &chk);
+    d.Spawn(4, w.Clients(b.db()));
     co_await s.Sleep(Duration::Millis(300));
     b.PartitionReplica(0);
     b.PartitionReplica(1);
     co_await s.Sleep(Duration::Millis(300));
     lag = b.shipper()->next_seq() - b.shipper()->quorum_cursor();
     b.CutPower();
-    *stop = true;
+    d.Stop();
     co_await s.Sleep(Duration::Seconds(1));
     b.HealReplica(0);
     b.HealReplica(1);
     co_await b.RestorePowerAndRecoverFromReplica();
     out = co_await chk.VerifyAfterRecovery(b.db());
-  }(sim, bed, kv, checker, verdict, lag_at_cut));
+  }(sim, bed, kv, clients, checker, verdict, lag_at_cut));
   sim.Run();
 
   EXPECT_GT(lag_at_cut, 0u);
@@ -120,19 +122,21 @@ TEST(ReplicationIntegrationTest, PartitionedReplicaCatchesUpAfterHeal) {
                                 rlrep::ShipMode::kQuorumAck, /*replicas=*/3));
   rlwork::KvWorkload kv(sim, rltest::WriteHeavyKv());
   uint64_t cursor_while_partitioned = 0;
+  rlwork::ClientDriver clients(sim);
   sim.Spawn([](Simulator& s, Testbed& b, rlwork::KvWorkload& w,
+               rlwork::ClientDriver& d,
                uint64_t& partitioned_cursor) -> Task<void> {
     co_await b.Start();
     co_await w.Load(b.db(), 300);
-    auto stop = rltest::SpawnFleet(s, w, b.db(), 0, 4, nullptr);
+    d.Spawn(4, w.Clients(b.db()));
     co_await s.Sleep(Duration::Millis(200));
     b.PartitionReplica(2);
     co_await s.Sleep(Duration::Millis(400));
     partitioned_cursor = b.replica(2).cursor();
     b.HealReplica(2);
     co_await s.Sleep(Duration::Millis(400));
-    *stop = true;
-  }(sim, bed, kv, cursor_while_partitioned));
+    d.Stop();
+  }(sim, bed, kv, clients, cursor_while_partitioned));
   sim.Run();
 
   // It fell behind during the partition and retransmission closed the gap.
@@ -157,19 +161,20 @@ TEST(ReplicationIntegrationTest, RapiLogWithQuorumReplicationRecovers) {
   rlwork::KvWorkload kv(sim, rltest::WriteHeavyKv());
   rlfault::DurabilityChecker checker;
   rlfault::VerifyResult verdict;
+  rlwork::ClientDriver clients(sim, &checker);
   sim.Spawn([](Simulator& s, Testbed& b, rlwork::KvWorkload& w,
-               rlfault::DurabilityChecker& chk,
+               rlwork::ClientDriver& d, rlfault::DurabilityChecker& chk,
                rlfault::VerifyResult& out) -> Task<void> {
     co_await b.Start();
     co_await w.Load(b.db(), 300);
-    auto stop = rltest::SpawnFleet(s, w, b.db(), 0, 4, &chk);
+    d.Spawn(4, w.Clients(b.db()));
     co_await s.Sleep(Duration::Millis(600));
     b.CutPower();
-    *stop = true;
+    d.Stop();
     co_await s.Sleep(Duration::Seconds(1));
     co_await b.RestorePowerAndRecoverFromReplica();
     out = co_await chk.VerifyAfterRecovery(b.db());
-  }(sim, bed, kv, checker, verdict));
+  }(sim, bed, kv, clients, checker, verdict));
   sim.Run();
 
   EXPECT_GT(verdict.keys_checked, 0u);
@@ -244,13 +249,15 @@ TEST(ReplicationIntegrationTest, AsyncShipperOverRapiLogTakesNoFlush) {
                                                 rlrep::ShipMode::kAsync,
                                                 /*replicas=*/3));
   rlwork::KvWorkload kv(sim, rltest::WriteHeavyKv());
-  sim.Spawn([](Simulator& s, Testbed& b, rlwork::KvWorkload& w) -> Task<void> {
+  rlwork::ClientDriver clients(sim);
+  sim.Spawn([](Simulator& s, Testbed& b, rlwork::KvWorkload& w,
+               rlwork::ClientDriver& d) -> Task<void> {
     co_await b.Start();
     co_await w.Load(b.db(), 300);
-    auto stop = rltest::SpawnFleet(s, w, b.db(), 0, 4, nullptr);
+    d.Spawn(4, w.Clients(b.db()));
     co_await s.Sleep(Duration::Millis(300));
-    *stop = true;
-  }(sim, bed, kv));
+    d.Stop();
+  }(sim, bed, kv, clients));
   sim.Run();
 
   EXPECT_FALSE(bed.guest_log_dev()->volatile_write_cache());

@@ -40,26 +40,32 @@ rlwork::TpccConfig SmallTpcc() {
   return cfg;
 }
 
+// Boots `bed`, loads TPC-C-lite and runs `clients` clients for `run`. The
+// bed stays up for inspection.
+rlwork::ClientDriver::Stats RunTpcc(Simulator& sim, Testbed& bed, int clients,
+                                    Duration run) {
+  rlwork::TpccLite tpcc(sim, SmallTpcc());
+  rlwork::ClientDriver driver(sim);
+  sim.Spawn([](Simulator& s, Testbed& b, rlwork::TpccLite& w,
+               rlwork::ClientDriver& d, int n, Duration t) -> Task<void> {
+    co_await b.Start();
+    co_await w.LoadInitial(b.db());
+    d.Spawn(n, w.Clients(b.db()));
+    co_await s.Sleep(t);
+    d.Stop();
+  }(sim, bed, tpcc, driver, clients, run));
+  sim.Run();
+  return driver.stats();
+}
+
 class ModeTest : public ::testing::TestWithParam<DeploymentMode> {};
 
 TEST_P(ModeTest, TpccRunsAndRecoversCleanly) {
   Simulator sim;
   Testbed bed(sim, SmallOptions(GetParam(), DiskSetup::kSharedHdd));
-  rlwork::TpccLite tpcc(sim, SmallTpcc());
-  bool stop = false;
-  sim.Spawn([](Simulator& s, Testbed& b, rlwork::TpccLite& w,
-               bool& stop_flag) -> Task<void> {
-    co_await b.Start();
-    co_await w.LoadInitial(b.db());
-    for (int c = 0; c < 4; ++c) {
-      s.Spawn(w.RunClient(b.db(), c, &stop_flag, nullptr));
-    }
-    co_await s.Sleep(Duration::Seconds(2));
-    stop_flag = true;
-  }(sim, bed, tpcc, stop));
-  sim.Run();
-  EXPECT_GT(tpcc.stats().committed.value(), 50);
-  EXPECT_EQ(tpcc.stats().machine_deaths.value(), 0);
+  const auto stats = RunTpcc(sim, bed, 4, Duration::Seconds(2));
+  EXPECT_GT(stats.committed.value(), 50);
+  EXPECT_EQ(stats.machine_deaths.value(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ModeTest,
@@ -72,20 +78,7 @@ TEST(TestbedTest, RapiLogFasterThanVirtOnSharedHdd) {
   auto run = [](DeploymentMode mode) {
     Simulator sim;
     Testbed bed(sim, SmallOptions(mode, DiskSetup::kSharedHdd));
-    rlwork::TpccLite tpcc(sim, SmallTpcc());
-    bool stop = false;
-    sim.Spawn([](Simulator& s, Testbed& b, rlwork::TpccLite& w,
-                 bool& stop_flag) -> Task<void> {
-      co_await b.Start();
-      co_await w.LoadInitial(b.db());
-      for (int c = 0; c < 8; ++c) {
-        s.Spawn(w.RunClient(b.db(), c, &stop_flag, nullptr));
-      }
-      co_await s.Sleep(Duration::Seconds(3));
-      stop_flag = true;
-    }(sim, bed, tpcc, stop));
-    sim.Run();
-    return tpcc.stats().committed.value();
+    return RunTpcc(sim, bed, 8, Duration::Seconds(3)).committed.value();
   };
   const int64_t virt = run(DeploymentMode::kVirt);
   const int64_t rapi = run(DeploymentMode::kRapiLog);
@@ -94,31 +87,46 @@ TEST(TestbedTest, RapiLogFasterThanVirtOnSharedHdd) {
   EXPECT_GT(rapi, virt * 3 / 2) << "virt=" << virt << " rapilog=" << rapi;
 }
 
+// Four checked TPC-C-lite clients for 700 ms, then a guest crash (or a
+// power cut held past the hold-up window), recovery and the durability
+// verdict; after a guest crash also the B-tree walk.
+rlfault::VerifyResult TpccThroughFault(Simulator& sim, Testbed& bed,
+                                       bool power_cut) {
+  rlwork::TpccLite tpcc(sim, SmallTpcc());
+  rlfault::DurabilityChecker checker;
+  rlwork::ClientDriver driver(sim, &checker);
+  rlfault::VerifyResult verdict;
+  sim.Spawn([](Simulator& s, Testbed& b, rlwork::TpccLite& w,
+               rlwork::ClientDriver& d, rlfault::DurabilityChecker& chk,
+               bool cut, rlfault::VerifyResult& out) -> Task<void> {
+    co_await b.Start();
+    co_await w.LoadInitial(b.db());
+    d.Spawn(4, w.Clients(b.db()));
+    co_await s.Sleep(Duration::Millis(700));
+    if (cut) {
+      b.CutPower();
+      d.Stop();
+      co_await s.Sleep(Duration::Seconds(1));
+      co_await b.RestorePowerAndRecover();
+      out = co_await chk.VerifyAfterRecovery(b.db());
+    } else {
+      b.CrashGuest();
+      d.Stop();
+      co_await s.Sleep(Duration::Millis(1));
+      co_await b.RecoverAfterGuestCrash();
+      out = co_await chk.VerifyAfterRecovery(b.db());
+      co_await b.db().CheckTreeStructure();
+    }
+  }(sim, bed, tpcc, driver, checker, power_cut, verdict));
+  sim.Run();
+  return verdict;
+}
+
 TEST(TestbedTest, GuestCrashLosesNoAckedCommits) {
   Simulator sim;
   Testbed bed(sim, SmallOptions(DeploymentMode::kRapiLog,
                                 DiskSetup::kSharedHdd));
-  rlwork::TpccLite tpcc(sim, SmallTpcc());
-  rlfault::DurabilityChecker checker;
-  rlfault::VerifyResult verdict;
-  bool stop = false;
-  sim.Spawn([](Simulator& s, Testbed& b, rlwork::TpccLite& w,
-               rlfault::DurabilityChecker& chk, rlfault::VerifyResult& out,
-               bool& stop_flag) -> Task<void> {
-    co_await b.Start();
-    co_await w.LoadInitial(b.db());
-    for (int c = 0; c < 4; ++c) {
-      s.Spawn(w.RunClient(b.db(), c, &stop_flag, &chk));
-    }
-    co_await s.Sleep(Duration::Millis(700));
-    b.CrashGuest();
-    stop_flag = true;
-    co_await s.Sleep(Duration::Millis(1));
-    co_await b.RecoverAfterGuestCrash();
-    out = co_await chk.VerifyAfterRecovery(b.db());
-    co_await b.db().CheckTreeStructure();
-  }(sim, bed, tpcc, checker, verdict, stop));
-  sim.Run();
+  const auto verdict = TpccThroughFault(sim, bed, /*power_cut=*/false);
   EXPECT_GT(verdict.keys_checked, 0u);
   EXPECT_TRUE(verdict.ok()) << verdict.Summary();
   EXPECT_FALSE(bed.rapilog()->lost_data());
@@ -128,27 +136,7 @@ TEST(TestbedTest, PowerCutLosesNoAckedCommitsWithRapiLog) {
   Simulator sim;
   Testbed bed(sim, SmallOptions(DeploymentMode::kRapiLog,
                                 DiskSetup::kSharedHdd));
-  rlwork::TpccLite tpcc(sim, SmallTpcc());
-  rlfault::DurabilityChecker checker;
-  rlfault::VerifyResult verdict;
-  bool stop = false;
-  sim.Spawn([](Simulator& s, Testbed& b, rlwork::TpccLite& w,
-               rlfault::DurabilityChecker& chk, rlfault::VerifyResult& out,
-               bool& stop_flag) -> Task<void> {
-    co_await b.Start();
-    co_await w.LoadInitial(b.db());
-    for (int c = 0; c < 4; ++c) {
-      s.Spawn(w.RunClient(b.db(), c, &stop_flag, &chk));
-    }
-    co_await s.Sleep(Duration::Millis(700));
-    b.CutPower();
-    stop_flag = true;
-    // Past the hold-up window: rails down, then power returns.
-    co_await s.Sleep(Duration::Seconds(1));
-    co_await b.RestorePowerAndRecover();
-    out = co_await chk.VerifyAfterRecovery(b.db());
-  }(sim, bed, tpcc, checker, verdict, stop));
-  sim.Run();
+  const auto verdict = TpccThroughFault(sim, bed, /*power_cut=*/true);
   EXPECT_GT(verdict.keys_checked, 0u);
   EXPECT_TRUE(verdict.ok()) << verdict.Summary();
   EXPECT_FALSE(bed.rapilog()->lost_data());
@@ -160,26 +148,7 @@ TEST(TestbedTest, PowerCutNativeSyncAlsoSafe) {
   Simulator sim;
   Testbed bed(sim, SmallOptions(DeploymentMode::kNative,
                                 DiskSetup::kSharedHdd));
-  rlwork::TpccLite tpcc(sim, SmallTpcc());
-  rlfault::DurabilityChecker checker;
-  rlfault::VerifyResult verdict;
-  bool stop = false;
-  sim.Spawn([](Simulator& s, Testbed& b, rlwork::TpccLite& w,
-               rlfault::DurabilityChecker& chk, rlfault::VerifyResult& out,
-               bool& stop_flag) -> Task<void> {
-    co_await b.Start();
-    co_await w.LoadInitial(b.db());
-    for (int c = 0; c < 4; ++c) {
-      s.Spawn(w.RunClient(b.db(), c, &stop_flag, &chk));
-    }
-    co_await s.Sleep(Duration::Millis(700));
-    b.CutPower();
-    stop_flag = true;
-    co_await s.Sleep(Duration::Seconds(1));
-    co_await b.RestorePowerAndRecover();
-    out = co_await chk.VerifyAfterRecovery(b.db());
-  }(sim, bed, tpcc, checker, verdict, stop));
-  sim.Run();
+  const auto verdict = TpccThroughFault(sim, bed, /*power_cut=*/true);
   EXPECT_TRUE(verdict.ok()) << verdict.Summary();
 }
 
@@ -192,22 +161,20 @@ TEST(TestbedTest, PowerCutUnsafeAsyncLosesData) {
                                               .ops_per_txn = 2});
   rlfault::DurabilityChecker checker;
   rlfault::VerifyResult verdict;
-  bool stop = false;
+  rlwork::ClientDriver clients(sim, &checker);
   sim.Spawn([](Simulator& s, Testbed& b, rlwork::KvWorkload& w,
                rlfault::DurabilityChecker& chk, rlfault::VerifyResult& out,
-               bool& stop_flag) -> Task<void> {
+               rlwork::ClientDriver& d) -> Task<void> {
     co_await b.Start();
     co_await w.Load(b.db(), 500);
-    for (int c = 0; c < 4; ++c) {
-      s.Spawn(w.RunClient(b.db(), c, &stop_flag, &chk));
-    }
+    d.Spawn(4, w.Clients(b.db()));
     co_await s.Sleep(Duration::Millis(500));
     b.CutPower();
-    stop_flag = true;
+    d.Stop();
     co_await s.Sleep(Duration::Seconds(1));
     co_await b.RestorePowerAndRecover();
     out = co_await chk.VerifyAfterRecovery(b.db());
-  }(sim, bed, kv, checker, verdict, stop));
+  }(sim, bed, kv, checker, verdict, clients));
   sim.Run();
   // Async commit acknowledges before the log reaches the disk: acked
   // transactions die with the volatile state.
@@ -221,20 +188,19 @@ TEST(TestbedTest, RepeatedGuestCrashCampaign) {
   rlwork::KvWorkload kv(sim, rlwork::KvConfig{.key_space = 1000});
   rlfault::DurabilityChecker checker;
   int bad_rounds = 0;
+  rlwork::ClientDriver clients(sim, &checker);
   sim.Spawn([](Simulator& s, Testbed& b, rlwork::KvWorkload& w,
-               rlfault::DurabilityChecker& chk, int& bad) -> Task<void> {
+               rlwork::ClientDriver& d, rlfault::DurabilityChecker& chk,
+               int& bad) -> Task<void> {
     co_await b.Start();
     co_await w.Load(b.db(), 200);
     rlsim::Rng rng(2024);
     for (int round = 0; round < 5; ++round) {
-      auto stop = std::make_shared<bool>(false);
-      for (int c = 0; c < 3; ++c) {
-        s.Spawn(w.RunClient(b.db(), round * 10 + c, stop.get(), &chk));
-      }
+      d.Spawn(3, w.Clients(b.db()), round * 10);
       co_await s.Sleep(Duration::Millis(
           static_cast<int64_t>(rng.UniformInt(50, 400))));
       b.CrashGuest();
-      *stop = true;
+      d.Stop();
       co_await s.Sleep(Duration::Millis(1));
       co_await b.RecoverAfterGuestCrash();
       const auto verdict = co_await chk.VerifyAfterRecovery(b.db());
@@ -242,7 +208,7 @@ TEST(TestbedTest, RepeatedGuestCrashCampaign) {
         ++bad;
       }
     }
-  }(sim, bed, kv, checker, bad_rounds));
+  }(sim, bed, kv, clients, checker, bad_rounds));
   sim.Run();
   EXPECT_EQ(bad_rounds, 0);
   EXPECT_FALSE(bed.rapilog()->lost_data());
@@ -254,20 +220,8 @@ TEST(TestbedTest, DiskSetupsAllWork) {
         DiskSetup::kSsdLog}) {
     Simulator sim;
     Testbed bed(sim, SmallOptions(DeploymentMode::kRapiLog, setup));
-    rlwork::TpccLite tpcc(sim, SmallTpcc());
-    bool stop = false;
-    sim.Spawn([](Simulator& s, Testbed& b, rlwork::TpccLite& w,
-                 bool& stop_flag) -> Task<void> {
-      co_await b.Start();
-      co_await w.LoadInitial(b.db());
-      for (int c = 0; c < 2; ++c) {
-        s.Spawn(w.RunClient(b.db(), c, &stop_flag, nullptr));
-      }
-      co_await s.Sleep(Duration::Millis(500));
-      stop_flag = true;
-    }(sim, bed, tpcc, stop));
-    sim.Run();
-    EXPECT_GT(tpcc.stats().committed.value(), 10)
+    EXPECT_GT(RunTpcc(sim, bed, 2, Duration::Millis(500)).committed.value(),
+              10)
         << "setup " << ToString(setup);
   }
 }
@@ -284,20 +238,8 @@ struct LogFlushCounts {
 LogFlushCounts RunAndCountLogFlushes(DeploymentMode mode) {
   Simulator sim;
   Testbed bed(sim, SmallOptions(mode, DiskSetup::kSharedHdd));
-  rlwork::TpccLite tpcc(sim, SmallTpcc());
-  bool stop = false;
-  sim.Spawn([](Simulator& s, Testbed& b, rlwork::TpccLite& w,
-               bool& stop_flag) -> Task<void> {
-    co_await b.Start();
-    co_await w.LoadInitial(b.db());
-    for (int c = 0; c < 4; ++c) {
-      s.Spawn(w.RunClient(b.db(), c, &stop_flag, nullptr));
-    }
-    co_await s.Sleep(Duration::Millis(500));
-    stop_flag = true;
-  }(sim, bed, tpcc, stop));
-  sim.Run();
-  EXPECT_GT(tpcc.stats().committed.value(), 10) << ToString(mode);
+  EXPECT_GT(RunTpcc(sim, bed, 4, Duration::Millis(500)).committed.value(), 10)
+      << ToString(mode);
   LogFlushCounts c;
   c.wal_flush_cycles = bed.db().log_writer().stats().flush_cycles.value();
   const auto& vblk = bed.guest_log_dev()->stats();

@@ -278,11 +278,11 @@ TEST(RapicheckRules, ScopedGuardDeathBreaksLockChains) {
   EXPECT_EQ(CountRule(findings, "RC401"), 0) << lintlib::FormatText(findings);
 }
 
-TEST(RapicheckRules, RulesTableCoversAllFourFamilies) {
+TEST(RapicheckRules, RulesTableCoversAllFiveFamilies) {
   const auto& rules = rapicheck::Rules();
-  ASSERT_EQ(rules.size(), 18u);  // SL001..SL008, then the ten RC rules
+  ASSERT_EQ(rules.size(), 19u);  // SL001..SL008, then the eleven RC rules
   EXPECT_STREQ(rules[8].id, "RC101");
-  EXPECT_STREQ(rules.back().id, "RC401");
+  EXPECT_STREQ(rules.back().id, "RC501");
 }
 
 TEST(RapicheckRules, ProtocolRulesJudgeOnlyTheProtocolRoot) {
@@ -309,6 +309,72 @@ TEST(RapicheckRules, ProtocolRulesJudgeOnlyTheProtocolRoot) {
   const Model m = BuildModel(std::move(in_tests), "src");
   EXPECT_TRUE(m.enums.empty());
   EXPECT_TRUE(rapicheck::Analyze(m, DefaultConfig()).empty());
+}
+
+// A trusted file of `code_lines` code lines, each followed by a comment
+// line and a blank one, which the ceiling does not count.
+std::string TrustedSource(int code_lines) {
+  std::string out;
+  for (int i = 0; i < code_lines; ++i) {
+    out += "int v" + std::to_string(i) + " = " + std::to_string(i) + ";\n";
+    out += "  // why\n\n";
+  }
+  return out;
+}
+
+std::vector<Finding> AnalyzeUnderSrc(
+    const std::vector<std::pair<std::string, std::string>>& path_contents) {
+  std::vector<lintlib::SourceFile> files;
+  for (const auto& [path, contents] : path_contents) {
+    files.push_back(lintlib::StripSource(path, contents));
+  }
+  return rapicheck::Analyze(BuildModel(std::move(files), "src"),
+                            DefaultConfig());
+}
+
+TEST(RapicheckRules, Rc501TrustedCodeOverTheCeiling) {
+  const int ceiling = rapicheck::kTrustedLineCeiling;
+  // At the ceiling, split over two trusted directories: clean. Untrusted
+  // code and a fixture tree's src/vmm do not count.
+  const std::vector<std::pair<std::string, std::string>> at_ceiling = {
+      {"src/microkernel/a.cc", TrustedSource(ceiling - 10)},
+      {"src/power/b.h", TrustedSource(10)},
+      {"src/db/c.cc", TrustedSource(50)},
+      {"tests/fx/src/vmm/d.cc", TrustedSource(50)},
+  };
+  EXPECT_EQ(CountRule(AnalyzeUnderSrc(at_ceiling), "RC501"), 0);
+
+  // One line over: one finding, on the directory, whatever the pragmas say.
+  std::vector<std::pair<std::string, std::string>> over = at_ceiling;
+  over.push_back({"src/rapilog/e.cc",
+                  "// rapicheck: lock-ok (a pragma suppresses nothing here)\n"
+                  "int over = 1;\n"});
+  const std::vector<Finding> findings = AnalyzeUnderSrc(over);
+  ASSERT_EQ(CountRule(findings, "RC501"), 1);
+  for (const Finding& f : findings) {
+    if (f.rule == "RC501") {
+      EXPECT_EQ(f.file, "src");
+      EXPECT_NE(f.message.find(std::to_string(ceiling + 1)),
+                std::string::npos)
+          << f.message;
+    }
+  }
+}
+
+TEST(RapicheckCli, ArgumentsAreNamedRelativeToTheWorkingDirectory) {
+  // `rapicheck $PWD/src` must judge the same repo-relative paths as
+  // `rapicheck src`: the path-scoped rules key on them.
+  EXPECT_EQ(rapicheck::RootRelative("/repo/src", "/repo"), "src");
+  EXPECT_EQ(rapicheck::RootRelative("/repo/src/db/wal.h", "/repo"),
+            "src/db/wal.h");
+  EXPECT_EQ(rapicheck::RootRelative("src", "/repo"), "src");
+  EXPECT_EQ(rapicheck::RootRelative("./tests/../src", "/repo"), "src");
+  EXPECT_EQ(rapicheck::RootRelative("/repo/./bench/", "/repo/"), "bench/");
+  // Outside the working directory a path keeps its own (normalised) name.
+  EXPECT_EQ(rapicheck::RootRelative("/other/src/a.cc", "/repo"),
+            "/other/src/a.cc");
+  EXPECT_EQ(rapicheck::RootRelative("../other/a.cc", "/repo"),
+            "/other/a.cc");
 }
 
 }  // namespace

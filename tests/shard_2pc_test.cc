@@ -738,16 +738,13 @@ FleetCrashOutcome RunCrashEpisode(uint64_t seed, uint32_t partitions = 1) {
   rlwork::FleetWorkload work(sim, wcfg);
   rlfault::FleetChecker checker;
   FleetCrashOutcome result;
-  bool stop = false;
+  rlwork::ClientDriver clients(sim, &checker);
 
   sim.Spawn([](Simulator& s, FleetTestbed& f, rlwork::FleetWorkload& w,
                rlfault::FleetChecker& ck, FleetCrashOutcome& res,
-               bool& stop_flag, uint64_t sd) -> Task<void> {
+               rlwork::ClientDriver& d, uint64_t sd) -> Task<void> {
     co_await f.Start();
-    for (int c = 0; c < 4; ++c) {
-      s.Spawn(w.RunClient(f.coordinator(), f.directory(), c, &stop_flag,
-                          &ck));
-    }
+    d.Spawn(4, w.Clients(f.coordinator(), f.directory()));
     rlsim::Rng rng(sd * 0x9e3779b97f4a7c15ull + 1);
     // Fault instant: anywhere in the first 400ms of load — prepares, votes,
     // decision writes and decision pushes are all in flight in this window.
@@ -768,7 +765,7 @@ FleetCrashOutcome RunCrashEpisode(uint64_t seed, uint32_t partitions = 1) {
     }
     co_await s.Sleep(Duration::Millis(150));
     // Wind-down: stop load, heal everything, recover everyone, drain doubt.
-    stop_flag = true;
+    d.Stop();
     co_await s.Sleep(Duration::Millis(50));
     for (size_t i = 0; i < f.shard_count(); ++i) {
       f.HealShard(i);
@@ -794,7 +791,7 @@ FleetCrashOutcome RunCrashEpisode(uint64_t seed, uint32_t partitions = 1) {
       res.shard_hashes.push_back(co_await f.shard_db(i)->ContentHash());
     }
     co_await f.Shutdown();
-  }(sim, fleet, work, checker, result, stop, seed));
+  }(sim, fleet, work, checker, result, clients, seed));
   sim.Run();
   return result;
 }

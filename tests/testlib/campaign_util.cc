@@ -37,22 +37,6 @@ rlwork::KvConfig WriteHeavyKv() {
                           .ops_per_txn = 2};
 }
 
-std::shared_ptr<bool> SpawnFleet(Simulator& sim, rlwork::KvWorkload& kv,
-                                 rldb::Database& db, int id_base, int count,
-                                 rlfault::DurabilityChecker* checker) {
-  auto stop = std::make_shared<bool>(false);
-  for (int c = 0; c < count; ++c) {
-    // Each client owns a reference to the flag: a client still parked in
-    // Commit when the caller drops its copy reads the flag when it resumes.
-    sim.Spawn([](rlwork::KvWorkload& w, rldb::Database& d, int id,
-                 std::shared_ptr<bool> flag,
-                 rlfault::DurabilityChecker* chk) -> Task<void> {
-      co_await w.RunClient(d, id, flag.get(), chk);
-    }(kv, db, id_base + c, stop, checker));
-  }
-  return stop;
-}
-
 CampaignResult RunSeededCampaign(uint64_t seed, rlsim::TraceEventSink* sink) {
   // Client RNG streams derive from their ids; fold the seed in so different
   // seeds run genuinely different workloads, not just different cut times.
@@ -64,24 +48,25 @@ CampaignResult RunSeededCampaign(uint64_t seed, rlsim::TraceEventSink* sink) {
   rlharness::Testbed bed(sim, opts);
   rlwork::KvWorkload kv(sim, rlwork::KvConfig{.key_space = 1000});
   rlfault::DurabilityChecker checker;
+  rlwork::ClientDriver clients(sim, &checker);
   CampaignResult result;
 
   sim.Spawn([](Simulator& s, rlharness::Testbed& b, rlwork::KvWorkload& w,
-               rlfault::DurabilityChecker& chk,
+               rlwork::ClientDriver& d, rlfault::DurabilityChecker& chk,
                CampaignResult& out) -> Task<void> {
     co_await b.Start();
     co_await w.Load(b.db(), 200);
     const int id_base = static_cast<int>(s.rng().UniformInt(0, 1 << 20)) * 8;
-    auto stop = SpawnFleet(s, w, b.db(), id_base, 4, &chk);
+    d.Spawn(4, w.Clients(b.db()), id_base);
     co_await s.Sleep(Duration::Millis(s.rng().UniformInt(80, 250)));
     b.CutPower();
-    *stop = true;
+    d.Stop();
     co_await s.Sleep(Duration::Seconds(1));
     co_await b.RestorePowerAndRecover();
     out.verdict = co_await chk.VerifyAfterRecovery(b.db());
-  }(sim, bed, kv, checker, result));
+  }(sim, bed, kv, clients, checker, result));
   sim.Run();
-  result.committed = kv.stats().committed.value();
+  result.committed = clients.stats().committed.value();
   return result;
 }
 

@@ -1,8 +1,8 @@
 // Shared plumbing for the fault-campaign tests: the standard small-engine
 // testbed tuning (small pool + journal so checkpoints and recovery actually
 // exercise their paths inside a sub-second episode), write-heavy workload
-// configs, client-fleet spawning, and the canonical seeded one-cut campaign
-// used by the determinism tests.
+// configs, and the canonical seeded one-cut campaign used by the determinism
+// tests.
 //
 // Keep behaviour-preserving: these helpers encode exactly the option values
 // the campaign tests have always used, so extracting them must not change
@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "src/faults/durability_checker.h"
 #include "src/harness/testbed.h"
@@ -31,16 +30,6 @@ rlharness::TestbedOptions ReplicatedCampaignOptions(
 
 // 100% writes, 2 ops per transaction: every commit is a durability promise.
 rlwork::KvConfig WriteHeavyKv();
-
-// Spawns `count` workload clients with ids id_base..id_base+count-1 sharing
-// one stop flag (returned; set *flag = true to wind the fleet down). The
-// clients keep the flag alive, so the caller may drop its copy. Client
-// ids seed the per-client RNG streams, so callers that care about exact
-// reproduction must keep passing the ids they always used.
-std::shared_ptr<bool> SpawnFleet(rlsim::Simulator& sim,
-                                 rlwork::KvWorkload& kv, rldb::Database& db,
-                                 int id_base, int count,
-                                 rlfault::DurabilityChecker* checker);
 
 struct CampaignResult {
   rlfault::VerifyResult verdict;

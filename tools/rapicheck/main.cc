@@ -8,12 +8,15 @@
 //   --github      GitHub Actions ::error annotations
 //   --list-rules  print the rule table and exit
 //
-// All PATHs are read into one model. The SL rules run on every file; the
-// RC rules judge the files under src/, so run it from the repository root:
+// All PATHs are read into one model, each named relative to the working
+// directory (an absolute PATH inside it names the same files as the
+// relative one). The SL rules run on every file; the RC rules judge the
+// files under src/, so run it from the repository root:
 // `rapicheck src bench tests`.
 //
 // Exit status: 0 clean, 1 findings, 2 usage/IO error.
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,7 +56,8 @@ int main(int argc, char** argv) {
                    kUsage);
       return 2;
     } else {
-      paths.push_back(arg);
+      paths.push_back(rapicheck::RootRelative(
+          arg, std::filesystem::current_path().generic_string()));
     }
   }
   if (paths.empty()) {

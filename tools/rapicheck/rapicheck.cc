@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -687,7 +688,54 @@ void CheckLockOrder(const Model& m, Emitter* e) {
   }
 }
 
+// RC501: lines of *.h/*.cc under the trusted directories that are neither
+// blank nor a `//` comment, what `grep -cvE '^[[:space:]]*(//|$)'` counts.
+// The finding names the directory, not a line, so no pragma suppresses it.
+void CheckTrustedCeiling(const Model& m, Emitter* e) {
+  const std::string root = m.protocol_root.empty() ? "src" : m.protocol_root;
+  int lines = 0;
+  for (const SourceFile& f : m.files) {
+    const std::string_view path = f.path;
+    const bool trusted = std::any_of(
+        kTrustedDirs.begin(), kTrustedDirs.end(), [&](std::string_view d) {
+          return lintlib::UnderDir(path, root + "/" + std::string(d));
+        });
+    if (!trusted || !(path.ends_with(".h") || path.ends_with(".cc"))) {
+      continue;
+    }
+    for (const std::string& raw : f.raw) {
+      const std::string_view line = lintlib::TrimView(raw);
+      if (!line.empty() && !line.starts_with("//")) {
+        ++lines;
+      }
+    }
+  }
+  if (lines > kTrustedLineCeiling) {
+    e->Add("RC501", root, 0,
+           "trusted code (" + root + "/{microkernel,vmm,rapilog,power}) is " +
+               std::to_string(lines) + " code lines, over the ceiling of " +
+               std::to_string(kTrustedLineCeiling),
+           "shrink the trusted layer; raising kTrustedLineCeiling is a "
+           "decision to state in the change");
+  }
+}
+
 }  // namespace
+
+std::string RootRelative(std::string_view path, std::string_view root) {
+  namespace fs = std::filesystem;
+  const fs::path base = fs::path(root).lexically_normal();
+  fs::path p(path);
+  if (p.is_relative()) {
+    p = base / p;
+  }
+  p = p.lexically_normal();
+  const fs::path rel = p.lexically_relative(base);
+  if (rel.empty() || *rel.begin() == "..") {
+    return p.generic_string();
+  }
+  return rel.generic_string();
+}
 
 void Emitter::Add(std::string_view rule, const std::string& file, int line,
                   std::string message, std::string hint,
@@ -776,6 +824,9 @@ const std::vector<lintlib::RuleInfo>& Rules() {
        "commit/prepare record appended but never awaited durable"},
       {"RC401", "lock-order-cycle", "error",
        "cycle in the lock acquisition order graph"},
+      {"RC501", "trusted-code-ceiling", "error",
+       "trusted code (microkernel, vmm, rapilog, power) over its line "
+       "ceiling"},
   };
   return rules;
 }
@@ -794,6 +845,7 @@ std::vector<Finding> Analyze(const Model& model, const Config& config) {
   CheckAckBeforeDurability(model, config, durable, &e);
   CheckCommitRecordAwaited(model, config, durable, &e);
   CheckLockOrder(model, &e);
+  CheckTrustedCeiling(model, &e);
   std::vector<Finding> findings = e.Take();
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {

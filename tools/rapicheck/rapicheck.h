@@ -48,10 +48,15 @@
 //     RC401 lock-order-cycle          cycle in the lock acquisition graph
 //                                     (RAII scopes + one-level call
 //                                     expansion)
+//   RC5xx — trusted-code size
+//     RC501 trusted-code-ceiling      more than kTrustedLineCeiling code
+//                                     lines in the trusted directories
 //
 // The RC rules judge the model of the files under Model::protocol_root
 // (the CLI passes "src"), so test fixtures that seed violations on purpose
-// do not count against the tree.
+// do not count against the tree. The CLI names every file relative to the
+// directory it runs in, so `rapicheck $PWD/src` judges the same paths as
+// `rapicheck src`.
 //
 // Suppression: `// rapicheck: <tag> (<why>)` on the finding's line or the
 // comment block above it. Tags: clock-ok, env-ok, static-ok, ordered-ok,
@@ -60,7 +65,9 @@
 // not parse the justification; reviewers read it.
 #pragma once
 
+#include <array>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -117,6 +124,20 @@ struct Config {
 };
 
 Config DefaultConfig();
+
+// RC501: the trusted layer is these directories under the protocol root
+// ("src" when the model has none). Their *.h/*.cc files may hold at most
+// kTrustedLineCeiling lines that are neither blank nor a `//` comment.
+// Lower the ceiling whenever trusted code shrinks; raising it is a decision
+// to state in the change, never a silent one.
+inline constexpr std::array<std::string_view, 4> kTrustedDirs = {
+    "microkernel", "vmm", "rapilog", "power"};
+inline constexpr int kTrustedLineCeiling = 1086;
+
+// `path` as rapicheck names files: relative to `root` when it lies under
+// it (absolute or not, "./" and ".." resolved lexically), else normalised
+// as given. The path-scoped rules key on these repo-relative names.
+std::string RootRelative(std::string_view path, std::string_view root);
 
 // The full rule table, SL then RC, in id order.
 const std::vector<lintlib::RuleInfo>& Rules();
