@@ -122,7 +122,6 @@ RunResult RunTpcc(const TpccRunConfig& config) {
   rlharness::Testbed bed(sim, config.testbed);
   rlwork::TpccLite tpcc(sim, config.tpcc);
   rlwork::ClientDriver clients(sim);
-  bool snapshots_stop = false;
   RunResult result;
   rlsim::StatsRegistry registry;
   std::optional<rlobs::MetricsSnapshotter> snapshotter;
@@ -132,7 +131,7 @@ RunResult RunTpcc(const TpccRunConfig& config) {
 
   sim.Spawn([](Simulator& s, rlharness::Testbed& b, rlwork::TpccLite& w,
                rlwork::ClientDriver& d, const TpccRunConfig& cfg,
-               RunResult& out, bool& snap_stop, rlsim::StatsRegistry& reg,
+               RunResult& out, rlsim::StatsRegistry& reg,
                rlobs::MetricsSnapshotter* snap) -> Task<void> {
     co_await b.Start();
     co_await w.LoadInitial(b.db());
@@ -143,13 +142,15 @@ RunResult RunTpcc(const TpccRunConfig& config) {
     ResetStageStats(b);
     if (snap != nullptr) {
       RegisterBenchStats(b, d, reg);
-      snap->Start(&snap_stop);
+      snap->Start();
     }
     const rlsim::TimePoint t0 = s.now();
     co_await s.Sleep(cfg.measure);
     const double seconds = (s.now() - t0).ToSecondsF();
     d.Stop();
-    snap_stop = true;
+    if (snap != nullptr) {
+      snap->Stop();
+    }
 
     const rlwork::ClientDriver::Stats& st = d.stats();
     out.committed = st.committed.value();
@@ -165,7 +166,7 @@ RunResult RunTpcc(const TpccRunConfig& config) {
     out.mean =
         rlsim::Duration::Nanos(static_cast<int64_t>(st.txn_latency.Mean()));
     CollectStageStats(b, out.stages);
-  }(sim, bed, tpcc, clients, config, result, snapshots_stop, registry,
+  }(sim, bed, tpcc, clients, config, result, registry,
     snapshotter ? &*snapshotter : nullptr));
 
   sim.Run();

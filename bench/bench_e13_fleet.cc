@@ -31,6 +31,7 @@
 #include "src/obs/chrome_trace.h"
 #include "src/obs/critical_path.h"
 #include "src/obs/span_tracer.h"
+#include "src/sim/bytes.h"
 #include "src/workload/fleet_workload.h"
 
 namespace {
@@ -122,21 +123,15 @@ CellResult RunCell(const Cell& cell, const Budget& budget, uint64_t seed,
 // FNV-1a over every cell's integer observations: one line CI can diff
 // between --jobs 1 and --jobs N runs.
 uint64_t SweepHash(const std::vector<CellResult>& results) {
-  uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
+  rlsim::Fnv1a h;
   for (const CellResult& r : results) {
-    mix(static_cast<uint64_t>(r.committed));
-    mix(static_cast<uint64_t>(r.aborted));
-    mix(static_cast<uint64_t>(r.unknown));
-    mix(static_cast<uint64_t>(r.p50.nanos()));
-    mix(static_cast<uint64_t>(r.p95.nanos()));
+    h.MixU64(static_cast<uint64_t>(r.committed));
+    h.MixU64(static_cast<uint64_t>(r.aborted));
+    h.MixU64(static_cast<uint64_t>(r.unknown));
+    h.MixU64(static_cast<uint64_t>(r.p50.nanos()));
+    h.MixU64(static_cast<uint64_t>(r.p95.nanos()));
   }
-  return h;
+  return h.value();
 }
 
 }  // namespace

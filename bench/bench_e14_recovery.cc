@@ -31,6 +31,7 @@
 #include "src/harness/parallel_runner.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/span_tracer.h"
+#include "src/sim/bytes.h"
 #include "src/storage/block_device.h"
 
 namespace {
@@ -149,20 +150,14 @@ CellResult RunCell(const Cell& cell, uint64_t seed,
 // between --jobs 1 and --jobs N runs (and between partition counts, since
 // the content hash of same-seed cells must not move with K).
 uint64_t SweepHash(const std::vector<CellResult>& results) {
-  uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
+  rlsim::Fnv1a h;
   for (const CellResult& r : results) {
-    mix(static_cast<uint64_t>(r.recovery.nanos()));
-    mix(static_cast<uint64_t>(r.replayed));
-    mix(static_cast<uint64_t>(r.skipped));
-    mix(r.content_hash);
+    h.MixU64(static_cast<uint64_t>(r.recovery.nanos()));
+    h.MixU64(static_cast<uint64_t>(r.replayed));
+    h.MixU64(static_cast<uint64_t>(r.skipped));
+    h.MixU64(r.content_hash);
   }
-  return h;
+  return h.value();
 }
 
 }  // namespace

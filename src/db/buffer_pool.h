@@ -71,7 +71,8 @@ class BufferPool {
 
   void Unpin(Frame* frame, bool mark_dirty);
 
-  // Unpinned read-only lookup for inspection; nullptr if not resident.
+  // Unpinned read-only lookup for inspection; nullptr if not resident. Only
+  // tests call it: it is the one lookup Database::pool() (const) allows.
   const Frame* Peek(uint64_t page_id) const;
 
   // All dirty frames in ascending page_id order (checkpoint input). The

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/db/errors.h"
+#include "src/sim/bytes.h"
 #include "src/sim/check.h"
 #include "src/sim/crc32.h"
 #include "src/sim/sync.h"
@@ -1053,30 +1054,16 @@ Task<void> Database::CheckTreeStructure() {
 }
 
 Task<uint64_t> Database::ContentHash() {
-  // FNV-1a over (key, value) pairs in ascending key order. Depends only on
-  // the committed contents, not the physical page layout — sequential and
-  // partitioned redo build structurally different trees from the same log.
-  uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](const uint8_t* data, size_t len) {
-    for (size_t i = 0; i < len; ++i) {
-      hash ^= data[i];
-      hash *= 1099511628211ull;
-    }
-  };
-  co_await tree_->Scan(
-      root_, 0, UINT64_MAX,
-      [&mix](uint64_t key, std::span<const uint8_t> value) {
-        // Keys are mixed in explicit little-endian byte order so the hash
-        // is a property of the contents, not the host representation.
-        uint8_t key_bytes[sizeof(key)];
-        for (size_t i = 0; i < sizeof(key); ++i) {
-          key_bytes[i] = static_cast<uint8_t>(key >> (8 * i));
-        }
-        mix(key_bytes, sizeof(key));
-        mix(value.data(), value.size());
-        return true;
-      });
-  co_return hash;
+  // FNV-1a over each key's little-endian bytes and its value, in ascending
+  // key order: a property of the committed contents, not of the page layout.
+  rlsim::Fnv1a hash;
+  co_await tree_->Scan(root_, 0, UINT64_MAX,
+                       [&hash](uint64_t key, std::span<const uint8_t> value) {
+                         hash.MixU64(key);
+                         hash.Mix(value);
+                         return true;
+                       });
+  co_return hash.value();
 }
 
 }  // namespace rldb

@@ -152,9 +152,9 @@ class Database {
   rlsim::Task<void> CheckTreeStructure();
 
   // FNV-1a over every (key, value) pair in ascending key order: the
-  // canonical content fingerprint the recovery-equivalence oracles compare.
-  // Deliberately independent of physical page layout — sequential and
-  // partitioned redo produce different trees, identical contents.
+  // content fingerprint the recovery-equivalence oracles compare. It reads
+  // contents, not pages, so it does not depend on the page layout (one redo
+  // stream and K streams build byte-identical trees in any case).
   rlsim::Task<uint64_t> ContentHash();
 
   const Stats& stats() const { return stats_; }

@@ -23,11 +23,11 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "src/sim/bytes.h"
 #include "src/sim/check.h"
 #include "src/sim/crc32.h"
 #include "src/storage/block.h"
@@ -60,20 +60,8 @@ struct PageHeader {
 
 inline constexpr size_t kPageHeaderBytes = 32;
 
-// Little-endian scalar accessors.
-template <typename T>
-T LoadScalar(std::span<const uint8_t> buf, size_t offset) {
-  T v;
-  RL_CHECK(offset + sizeof(T) <= buf.size());
-  std::memcpy(&v, buf.data() + offset, sizeof(T));
-  return v;
-}
-
-template <typename T>
-void StoreScalar(std::span<uint8_t> buf, size_t offset, T v) {
-  RL_CHECK(offset + sizeof(T) <= buf.size());
-  std::memcpy(buf.data() + offset, &v, sizeof(T));
-}
+using rlsim::LoadScalar;
+using rlsim::StoreScalar;
 
 inline PageHeader ReadPageHeader(std::span<const uint8_t> page) {
   PageHeader h;
@@ -97,11 +85,9 @@ inline void WritePageHeader(std::span<uint8_t> page, const PageHeader& h) {
 
 // Computes the page CRC with the stored crc field treated as zero.
 inline uint32_t ComputePageCrc(std::span<const uint8_t> page) {
+  const uint8_t zero[4] = {};
   uint32_t crc = rlsim::Crc32c(page.subspan(0, 8));
-  const uint32_t zero = 0;
-  crc = rlsim::Crc32c(
-      std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(&zero), 4),
-      crc);
+  crc = rlsim::Crc32c(zero, crc);
   crc = rlsim::Crc32c(page.subspan(12), crc);
   return crc;
 }

@@ -15,6 +15,7 @@
 #include "src/harness/fleet_testbed.h"
 #include "src/harness/parallel_runner.h"
 #include "src/obs/post_mortem.h"
+#include "src/sim/bytes.h"
 #include "src/sim/check.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
@@ -32,17 +33,6 @@ using rlsim::Task;
 using rlsim::TimePoint;
 
 namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 // Trace records an episode's post-mortem shows.
 constexpr size_t kPostMortemRecords = 512;
@@ -482,9 +472,15 @@ class ClassicEpisode : public Episode {
     co_await sim_.Sleep(Duration::Seconds(1));
 
     // Freeze the crash state for the recovery-equivalence oracle before the
-    // testbed's own recovery (checkpoints, meta flips) mutates the images.
-    data_snapshot_ = bed_.data_disk().image();
-    log_snapshot_ = bed_.log_disk_physical().image();
+    // testbed's own recovery (checkpoints, meta flips) mutates the images:
+    // the engine's data and log windows of the physical disks.
+    const rlstor::DiskImage& data = bed_.data_disk().image();
+    const uint64_t data_sectors = data.sector_count() - bed_.data_first_lba();
+    data_window_.emplace(data_sectors)
+        .CopyDurableWindow(data, bed_.data_first_lba(), data_sectors);
+    log_window_.emplace(bed_.log_sector_count())
+        .CopyDurableWindow(bed_.log_disk_physical().image(), 0,
+                           bed_.log_sector_count());
 
     for (size_t r = 0; r < bed_.replica_count(); ++r) {
       bed_.ReviveReplica(r);
@@ -522,13 +518,9 @@ class ClassicEpisode : public Episode {
     // identical, and both recoveries must land inside the virtual-time
     // budget.
     try {
-      rlfault::RecoveryOracleOptions ropts;
-      ropts.db = bed_.options().db;
-      ropts.data_first_lba = bed_.data_first_lba();
-      ropts.log_sector_count = bed_.log_sector_count();
       const rlfault::RecoveryEquivalence eq =
-          co_await rlfault::CheckRecoveryEquivalence(sim_, *data_snapshot_,
-                                                     *log_snapshot_, ropts);
+          co_await rlfault::CheckRecoveryEquivalence(
+              sim_, *data_window_, *log_window_, bed_.options().db);
       ++out_.recovery_equiv_checks;
       if (!eq.equivalent()) {
         ++out_.recovery_equiv_mismatches;
@@ -549,8 +541,8 @@ class ClassicEpisode : public Episode {
   Testbed bed_;
   rlwork::KvWorkload kv_;
   rlfault::DurabilityChecker checker_;
-  std::optional<rlstor::DiskImage> data_snapshot_;
-  std::optional<rlstor::DiskImage> log_snapshot_;
+  std::optional<rlstor::DiskImage> data_window_;
+  std::optional<rlstor::DiskImage> log_window_;
 };
 
 // Fleet (E13) episodes: cfg.fleet_shards shard testbeds behind a 2PC
@@ -706,24 +698,17 @@ class FleetEpisode : public Episode {
 }  // namespace
 
 uint64_t EpisodeOutcome::Hash() const {
-  uint64_t h = kFnvOffset;
-  h = FnvMix(h, committed);
-  h = FnvMix(h, machine_deaths);
-  h = FnvMix(h, check_failures);
-  h = FnvMix(h, recoveries);
-  h = FnvMix(h, keys_checked);
-  h = FnvMix(h, lost_writes);
-  h = FnvMix(h, atomicity_violations);
-  h = FnvMix(h, promoted_pending);
-  h = FnvMix(h, audit_sectors_expected);
-  h = FnvMix(h, audit_sectors_underreplicated);
-  h = FnvMix(h, fleet_cross_committed);
-  h = FnvMix(h, fleet_unknown_outcomes);
-  h = FnvMix(h, recovery_equiv_checks);
-  h = FnvMix(h, recovery_equiv_mismatches);
-  h = FnvMix(h, static_cast<uint64_t>(end_time_ns));
-  h = FnvMix(h, violations.size());
-  return h;
+  rlsim::Fnv1a h;
+  for (const uint64_t v :
+       {committed, machine_deaths, check_failures, recoveries, keys_checked,
+        lost_writes, atomicity_violations, promoted_pending,
+        audit_sectors_expected, audit_sectors_underreplicated,
+        fleet_cross_committed, fleet_unknown_outcomes, recovery_equiv_checks,
+        recovery_equiv_mismatches, static_cast<uint64_t>(end_time_ns),
+        uint64_t{violations.size()}}) {
+    h.MixU64(v);
+  }
+  return h.value();
 }
 
 std::string EpisodeOutcome::Summary() const {
@@ -885,17 +870,17 @@ ExplorerReport ChaosExplorer::RunCampaign() {
   // order and failures are collected in seed order, independent of which
   // worker finished first.
   ExplorerReport report;
-  uint64_t corpus = kFnvOffset;
+  rlsim::Fnv1a corpus;
   std::vector<size_t> failing;
   for (size_t i = 0; i < n; ++i) {
     ++report.episodes_run;
-    corpus = FnvMix(corpus, outcomes[i].Hash());
+    corpus.MixU64(outcomes[i].Hash());
     if (!outcomes[i].ok()) {
       ++report.violations;
       failing.push_back(i);
     }
   }
-  report.corpus_hash = corpus;
+  report.corpus_hash = corpus.value();
 
   // Phase 2: shrink the failures (independent of each other, so they fan
   // out too; each Shrink replays sequentially and deterministically).

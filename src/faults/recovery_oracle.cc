@@ -14,43 +14,29 @@ namespace {
 
 using rlsim::Task;
 
-// A fresh powered device whose durable medium holds a window of the source
-// image's durable sectors: [first_lba, first_lba + sector_count) shifted
-// down to LBA 0. Volatile-cache contents are deliberately dropped — the
-// clone is exactly what the crash left on stable storage (torn sectors read
-// back their corruption pattern and land in the clone as such).
-std::unique_ptr<rlstor::SimBlockDevice> CloneDurableWindow(
-    rlsim::Simulator& sim, const rlstor::DiskImage& src, uint64_t first_lba,
-    uint64_t sector_count, const char* name) {
+// A fresh powered device holding the durable contents of `image`.
+std::unique_ptr<rlstor::SimBlockDevice> Clone(rlsim::Simulator& sim,
+                                              const rlstor::DiskImage& image,
+                                              const char* name) {
   rlstor::SimBlockDevice::Options opts;
-  opts.geometry.sector_count = sector_count;
+  opts.geometry.sector_count = image.sector_count();
   opts.name = name;
   auto dev = std::make_unique<rlstor::SimBlockDevice>(
       sim, opts, rlstor::MakeDefaultSsd());
-  std::vector<uint8_t> buf(rlstor::kSectorSize);
-  for (const uint64_t sector : src.DurableSectorList()) {
-    if (sector < first_lba || sector >= first_lba + sector_count) {
-      continue;
-    }
-    src.ReadDurable(sector, buf);
-    dev->image().WriteDurable(sector - first_lba, buf);
-  }
+  dev->image().CopyDurableWindow(image, 0, image.sector_count());
   return dev;
 }
 
 Task<RecoveryProbe> RunProbe(rlsim::Simulator& sim,
-                             const rlstor::DiskImage& data_image,
-                             const rlstor::DiskImage& log_image,
-                             const RecoveryOracleOptions& options,
+                             const rlstor::DiskImage& data,
+                             const rlstor::DiskImage& log,
+                             const rldb::DbOptions& options,
                              uint32_t partitions, const char* tag) {
-  auto data_dev = CloneDurableWindow(
-      sim, data_image, options.data_first_lba,
-      data_image.sector_count() - options.data_first_lba, tag);
-  auto log_dev =
-      CloneDurableWindow(sim, log_image, 0, options.log_sector_count, tag);
+  auto data_dev = Clone(sim, data, tag);
+  auto log_dev = Clone(sim, log, tag);
 
   rldb::NativeCpu cpu(sim);
-  rldb::DbOptions dbo = options.db;
+  rldb::DbOptions dbo = options;
   dbo.recovery.partitions = partitions;
 
   const rlsim::TimePoint open_start = sim.now();
@@ -94,16 +80,13 @@ std::string RecoveryEquivalence::Summary() const {
 }
 
 Task<RecoveryEquivalence> CheckRecoveryEquivalence(
-    rlsim::Simulator& sim, const rlstor::DiskImage& data_image,
-    const rlstor::DiskImage& log_image, RecoveryOracleOptions options) {
-  RL_CHECK(options.log_sector_count > 0);
-  RL_CHECK(options.data_first_lba < data_image.sector_count());
+    rlsim::Simulator& sim, const rlstor::DiskImage& data,
+    const rlstor::DiskImage& log, rldb::DbOptions db) {
   RecoveryEquivalence eq;
-  eq.one_stream = co_await RunProbe(sim, data_image, log_image, options,
-                                    /*partitions=*/1, "oracle-k1");
-  eq.configured = co_await RunProbe(sim, data_image, log_image, options,
-                                    options.db.recovery.partitions,
-                                    "oracle-kcfg");
+  eq.one_stream =
+      co_await RunProbe(sim, data, log, db, /*partitions=*/1, "oracle-k1");
+  eq.configured = co_await RunProbe(sim, data, log, db,
+                                    db.recovery.partitions, "oracle-kcfg");
   co_return eq;
 }
 

@@ -1,9 +1,10 @@
 // Recovery-equivalence and recovery-time oracle: given the durable disk
-// state a crash left behind, recover it twice — once with one redo stream,
-// once with the deployment's stream count — on throwaway device clones, and
-// demand that both produce the same committed contents, the same in-doubt
-// 2PC set, the same replay-work counters, and finish inside a virtual-time
-// budget.
+// state a crash left behind (the data and log windows of the crashed images,
+// frozen with DiskImage::CopyDurableWindow), recover it twice — once with
+// one redo stream, once with the deployment's stream count — on throwaway
+// device clones, and demand that both produce the same committed contents,
+// the same in-doubt 2PC set, the same replay-work counters, and finish
+// inside a virtual-time budget.
 //
 // The clones make the probe side-effect free: the testbed's own devices
 // (and whatever its own recovery is about to do to them) are untouched, so
@@ -53,25 +54,15 @@ struct RecoveryEquivalence {
   std::string Summary() const;
 };
 
-struct RecoveryOracleOptions {
-  // Engine options of the database that wrote the images (profile and pool
-  // geometry must match). The second probe recovers with the stream count
-  // in db.recovery.partitions; the first overrides it to one stream.
-  rldb::DbOptions db;
-  // Where the engine's data LBA 0 sits on the physical data image (the data
-  // partition's first sector: non-zero on the shared-spindle setup).
-  uint64_t data_first_lba = 0;
-  // Log region length: the first `log_sector_count` sectors of the log
-  // image. On the shared-spindle setup the log image IS the data image and
-  // this prefix is the log partition.
-  uint64_t log_sector_count = 0;
-};
-
-// Clones the durable sectors of the crashed images onto fresh SSD-backed
-// devices and runs the two recovery probes back-to-back in `sim`. Throws
-// whatever a genuinely unrecoverable image makes Database::Open throw.
+// Clones `data` (the engine's data device, its LBA 0 at sector 0) and `log`
+// (its log device) onto fresh SSD-backed devices and runs the two recovery
+// probes back-to-back in `sim`. `db` holds the engine options of the
+// database that wrote the images (profile and pool geometry must match); the
+// second probe recovers with db.recovery.partitions streams, the first with
+// one. Throws whatever a genuinely unrecoverable image makes Database::Open
+// throw.
 rlsim::Task<RecoveryEquivalence> CheckRecoveryEquivalence(
-    rlsim::Simulator& sim, const rlstor::DiskImage& data_image,
-    const rlstor::DiskImage& log_image, RecoveryOracleOptions options);
+    rlsim::Simulator& sim, const rlstor::DiskImage& data,
+    const rlstor::DiskImage& log, rldb::DbOptions db);
 
 }  // namespace rlfault

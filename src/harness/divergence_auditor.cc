@@ -4,23 +4,13 @@
 #include <cstdio>
 
 #include "src/harness/parallel_runner.h"
+#include "src/sim/bytes.h"
 #include "src/sim/check.h"
 #include "src/sim/crc32.h"
 
 namespace rlharness {
 
 namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 using Record = rlobs::SpanTracer::Record;
 
@@ -75,14 +65,14 @@ std::vector<EpochDigest> Fold(const Instants& run, int64_t epoch_ns) {
       // Trace events arrive in nondecreasing virtual time, so epochs close
       // in order; empty windows are simply absent.
       RL_CHECK(epochs.empty() || epochs.back().epoch_index < idx);
-      epochs.push_back(EpochDigest{idx, kFnvOffset, 0});
+      epochs.push_back(EpochDigest{idx, rlsim::kFnvBasis, 0});
     }
-    uint64_t h = epochs.back().digest;
-    h = FnvMix(h, static_cast<uint64_t>(e->at_ns));
-    h = FnvMix(h, run.name_crc[e->actor]);
-    h = FnvMix(h, run.name_crc[e->kind]);
-    h = FnvMix(h, static_cast<uint32_t>(e->arg));  // the payload CRC
-    epochs.back().digest = h;
+    rlsim::Fnv1a h(epochs.back().digest);
+    h.MixU64(static_cast<uint64_t>(e->at_ns));
+    h.MixU64(run.name_crc[e->actor]);
+    h.MixU64(run.name_crc[e->kind]);
+    h.MixU64(static_cast<uint32_t>(e->arg));  // the payload CRC
+    epochs.back().digest = h.value();
     ++epochs.back().events;
   }
   return epochs;

@@ -44,9 +44,7 @@ FleetTestbed::FleetTestbed(rlsim::Simulator& sim, FleetOptions options)
       options_.shard.db.profile, options_.coordinator);
 
   for (size_t i = 0; i < options_.shards; ++i) {
-    TestbedOptions bed_opts = options_.shard;
-    bed_opts.instance = shard_endpoints[i] + ".";
-    beds_.push_back(std::make_unique<Testbed>(sim_, bed_opts));
+    beds_.push_back(std::make_unique<Testbed>(sim_, options_.shard));
     // The provider re-fetches the engine on every use: recovery replaces the
     // Database object, and a powered-off machine must read as "down" (nullptr)
     // rather than as a halted engine.
@@ -150,16 +148,6 @@ rlsim::Task<bool> FleetTestbed::ResolveAllInDoubt(rlsim::Duration budget) {
       co_return false;
     }
     co_await sim_.Sleep(rlsim::Duration::Millis(50));
-  }
-}
-
-void FleetTestbed::RegisterStats(rlsim::StatsRegistry& registry) const {
-  coordinator_->RegisterStats(registry, "coord.");
-  fabric_.RegisterStats(registry, "fleet.net.");
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    nodes_[i]->RegisterStats(
-        registry, rlshard::ShardDirectory::EndpointName(i) + ".2pc.");
-    beds_[i]->RegisterReplicationStats(registry);
   }
 }
 

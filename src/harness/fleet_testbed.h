@@ -25,7 +25,6 @@
 #include "src/shard/shard_node.h"
 #include "src/shard/txn_coordinator.h"
 #include "src/sim/simulator.h"
-#include "src/sim/stats.h"
 #include "src/harness/testbed.h"
 
 namespace rlharness {
@@ -84,10 +83,6 @@ class FleetTestbed {
   // coordinator has no decision pushes outstanding. Returns false if
   // `budget` elapsed first. Call with the fleet fully healed.
   rlsim::Task<bool> ResolveAllInDoubt(rlsim::Duration budget);
-
-  // Registers coordinator ("coord."), per-node ("shard-i.2pc."), fleet
-  // fabric ("fleet.net.") and per-shard replication stats.
-  void RegisterStats(rlsim::StatsRegistry& registry) const;
 
  private:
   rlsim::Simulator& sim_;

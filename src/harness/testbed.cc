@@ -1,6 +1,5 @@
 #include "src/harness/testbed.h"
 
-#include <array>
 #include <string>
 #include <utility>
 
@@ -314,23 +313,12 @@ Task<void> Testbed::RestorePowerAndRecoverFromReplica() {
       best = r;
     }
   }
-  const rlstor::DiskImage& src = replicas_[best]->disk().image();
-  rlstor::DiskImage& dst = log_disk_physical().image();
   // In every DiskSetup the log occupies physical sectors [0, log sectors):
   // either a dedicated device or the first partition of the shared spindle.
-  // A restore wipes that range first — the replacement log must not be
-  // contaminated by the dead primary's locally-durable-but-unreplicated tail.
-  std::array<uint8_t, rlstor::kSectorSize> buf{};
-  for (const uint64_t sector : dst.DurableSectorList()) {
-    if (sector < log_sector_count_) {
-      dst.WriteDurable(sector, buf);
-    }
-  }
-  for (const uint64_t sector : src.DurableSectorList()) {
-    RL_CHECK(sector < log_sector_count_);
-    src.ReadDurable(sector, buf);
-    dst.WriteDurable(sector, buf);
-  }
+  // The replica's log replaces that whole range, so the dead primary's
+  // locally-durable-but-unreplicated tail cannot survive the restore.
+  log_disk_physical().image().CopyDurableWindow(
+      replicas_[best]->disk().image(), 0, log_sector_count_);
 
   if (vm_ != nullptr && !vm_->running()) {
     vm_->Reset();
@@ -382,10 +370,10 @@ void Testbed::RegisterReplicationStats(rlsim::StatsRegistry& registry) const {
   if (fabric_ == nullptr) {
     return;
   }
-  fabric_->RegisterStats(registry, options_.instance + "net.");
-  shipper_->RegisterStats(registry, options_.instance + "ship.");
+  fabric_->RegisterStats(registry, "net.");
+  shipper_->RegisterStats(registry, "ship.");
   for (const auto& replica : replicas_) {
-    replica->RegisterStats(registry, options_.instance + replica->name() + ".");
+    replica->RegisterStats(registry, replica->name() + ".");
   }
 }
 

@@ -72,11 +72,6 @@ struct ReplicationOptions {
 };
 
 struct TestbedOptions {
-  // Stats namespace for this testbed instance (e.g. "shard-0."). Prefixed
-  // to every name RegisterReplicationStats registers, so multiple testbeds
-  // can share one StatsRegistry without colliding on "net." / "ship." /
-  // "replica-N.". Empty (the single-testbed default) keeps historic names.
-  std::string instance;
   DeploymentMode mode = DeploymentMode::kRapiLog;
   DiskSetup disks = DiskSetup::kSharedHdd;
   rldb::DbOptions db;

@@ -17,14 +17,6 @@ Message Endpoint::PopFront() {
   return m;
 }
 
-bool Endpoint::TryReceive(Message* out) {
-  if (inbox_.empty()) {
-    return false;
-  }
-  *out = PopFront();
-  return true;
-}
-
 void Endpoint::Deliver(Message message) {
   inbox_.push_back(std::move(message));
   arrived_.NotifyAll();
@@ -37,11 +29,6 @@ Endpoint& NetworkFabric::CreateEndpoint(const std::string& name) {
   Endpoint& ref = *ep;
   endpoints_.emplace(name, std::move(ep));
   return ref;
-}
-
-Endpoint* NetworkFabric::endpoint(const std::string& name) {
-  const auto it = endpoints_.find(name);
-  return it == endpoints_.end() ? nullptr : it->second.get();
 }
 
 void NetworkFabric::Connect(const std::string& a, const std::string& b,

@@ -90,9 +90,6 @@ class Endpoint {
     return Awaiter{*this};
   }
 
-  // Non-blocking variant; returns false if the inbox is empty.
-  bool TryReceive(Message* out);
-
   size_t pending() const { return inbox_.size(); }
 
  private:
@@ -126,7 +123,6 @@ class NetworkFabric {
 
   // Name must be unique. The returned endpoint lives as long as the fabric.
   Endpoint& CreateEndpoint(const std::string& name);
-  Endpoint* endpoint(const std::string& name);
 
   // Creates the pair of directed links a->b and b->a with the same
   // parameters (each direction still has independent state and RNG).

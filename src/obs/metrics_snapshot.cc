@@ -6,16 +6,16 @@
 
 namespace rlobs {
 
-void MetricsSnapshotter::Start(const bool* stop) {
+void MetricsSnapshotter::Start() {
   RL_CHECK_MSG(interval_ > rlsim::Duration::Zero(),
                "MetricsSnapshotter interval must be positive");
-  sim_.Spawn(Loop(stop), "metrics-snapshotter");
+  sim_.Spawn(Loop(), "metrics-snapshotter");
 }
 
-rlsim::Task<void> MetricsSnapshotter::Loop(const bool* stop) {
-  while (!*stop) {
+rlsim::Task<void> MetricsSnapshotter::Loop() {
+  while (!stopped_) {
     co_await sim_.Sleep(interval_);
-    if (*stop) {
+    if (stopped_) {
       break;
     }
     snapshots_.push_back(Snapshot{sim_.now().nanos(), registry_.ToJson()});

@@ -6,9 +6,9 @@
 // Sampling happens on the simulator's own event queue, so snapshot instants
 // are deterministic; reading the registry mutates nothing, so a run with a
 // snapshotter attached is behaviourally identical to one without — except
-// for the snapshot events themselves, which is why the loop honours the same
-// stop-flag protocol as the workload clients (the simulator runs until its
-// queue drains; an unconditional periodic task would keep it alive forever).
+// for the snapshot events themselves, which is why the loop ends once Stop()
+// is called, as the workload clients do (the simulator runs until its queue
+// drains; an unconditional periodic task would keep it alive forever).
 #pragma once
 
 #include <cstdint>
@@ -32,9 +32,13 @@ class MetricsSnapshotter {
                      rlsim::Duration interval)
       : sim_(sim), registry_(registry), interval_(interval) {}
 
-  // Spawns the sampling loop; it exits at the first tick where *stop is
-  // true. `stop` must outlive the simulation.
-  void Start(const bool* stop);
+  // Spawns the sampling loop. The loop reads the snapshotter's stop state
+  // at every tick, so the snapshotter must outlive it.
+  void Start();
+
+  // Ends the loop at its next tick, which records nothing and schedules no
+  // further tick.
+  void Stop() { stopped_ = true; }
 
   const std::vector<Snapshot>& snapshots() const { return snapshots_; }
 
@@ -42,12 +46,13 @@ class MetricsSnapshotter {
   std::string ToJson() const;
 
  private:
-  rlsim::Task<void> Loop(const bool* stop);
+  rlsim::Task<void> Loop();
 
   rlsim::Simulator& sim_;
   const rlsim::StatsRegistry& registry_;
   rlsim::Duration interval_;
   std::vector<Snapshot> snapshots_;
+  bool stopped_ = false;
 };
 
 }  // namespace rlobs

@@ -53,12 +53,4 @@ void SpanTracer::OnSpanEnd(rlsim::TimePoint at, std::string_view actor,
               EventType::kEnd});
 }
 
-void SpanTracer::Clear() {
-  cache_ = {};
-  index_.clear();
-  names_.clear();
-  records_.clear();
-  total_ = 0;
-}
-
 }  // namespace rlobs

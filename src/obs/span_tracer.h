@@ -65,8 +65,6 @@ class SpanTracer : public rlsim::TraceEventSink {
   const std::string& name(uint16_t index) const { return names_[index]; }
   size_t name_count() const { return names_.size(); }
 
-  void Clear();
-
  private:
   uint16_t Intern(std::string_view s);
   void Push(const Record& r);

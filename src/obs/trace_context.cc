@@ -2,41 +2,18 @@
 
 #include <cstddef>
 
+#include "src/sim/bytes.h"
+
 namespace rlobs {
 
 namespace {
 
+using rlsim::LoadScalar;
+using rlsim::StoreScalar;
+
 // "RLTC" little-endian.
 constexpr uint32_t kMagic = 0x43544C52u;
 constexpr size_t kEncodedSize = 4 + 8 + 8 + 8;
-
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
 
 }  // namespace
 
@@ -45,22 +22,22 @@ std::vector<uint8_t> TraceContext::Encode() const {
   if (!valid()) {
     return out;
   }
-  out.reserve(kEncodedSize);
-  PutU32(out, kMagic);
-  PutU64(out, trace_id);
-  PutU64(out, parent_span);
-  PutU64(out, static_cast<uint64_t>(origin_ns));
+  out.resize(kEncodedSize);
+  StoreScalar<uint32_t>(out, 0, kMagic);
+  StoreScalar<uint64_t>(out, 4, trace_id);
+  StoreScalar<uint64_t>(out, 12, parent_span);
+  StoreScalar<int64_t>(out, 20, origin_ns);
   return out;
 }
 
 TraceContext TraceContext::Decode(const std::vector<uint8_t>& ext) {
   TraceContext ctx;
-  if (ext.size() != kEncodedSize || GetU32(ext.data()) != kMagic) {
+  if (ext.size() != kEncodedSize || LoadScalar<uint32_t>(ext, 0) != kMagic) {
     return ctx;
   }
-  ctx.trace_id = GetU64(ext.data() + 4);
-  ctx.parent_span = GetU64(ext.data() + 12);
-  ctx.origin_ns = static_cast<int64_t>(GetU64(ext.data() + 20));
+  ctx.trace_id = LoadScalar<uint64_t>(ext, 4);
+  ctx.parent_span = LoadScalar<uint64_t>(ext, 12);
+  ctx.origin_ns = LoadScalar<int64_t>(ext, 20);
   return ctx;
 }
 

@@ -2,32 +2,13 @@
 
 #include <cstring>
 
+#include "src/sim/bytes.h"
 #include "src/sim/crc32.h"
 
 namespace rlrep {
 
-namespace {
-
-// Fixed little-endian field codec: the frame bytes are a wire format, so
-// they are spelled out shift-by-shift instead of memcpy'd through object
-// representations (host endianness must not leak into the stream).
-template <typename T>
-void Store(std::vector<uint8_t>& buf, size_t offset, T value) {
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    buf[offset + i] = static_cast<uint8_t>(value >> (8 * i));
-  }
-}
-
-template <typename T>
-T Load(std::span<const uint8_t> buf, size_t offset) {
-  T value = 0;
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    value |= static_cast<T>(buf[offset + i]) << (8 * i);
-  }
-  return value;
-}
-
-}  // namespace
+using rlsim::LoadScalar;
+using rlsim::StoreScalar;
 
 std::optional<FrameType> PeekFrameType(std::span<const uint8_t> buffer) {
   if (buffer.empty()) {
@@ -45,10 +26,10 @@ std::vector<uint8_t> EncodeShip(uint64_t seq, uint64_t lba,
                                 std::span<const uint8_t> payload) {
   std::vector<uint8_t> buf(kShipHeaderBytes + payload.size());
   buf[0] = static_cast<uint8_t>(FrameType::kShip);
-  Store<uint64_t>(buf, 1, seq);
-  Store<uint64_t>(buf, 9, lba);
-  Store<uint32_t>(buf, 17, static_cast<uint32_t>(payload.size()));
-  Store<uint32_t>(buf, 21, rlsim::Crc32c(payload));
+  StoreScalar<uint64_t>(buf, 1, seq);
+  StoreScalar<uint64_t>(buf, 9, lba);
+  StoreScalar<uint32_t>(buf, 17, static_cast<uint32_t>(payload.size()));
+  StoreScalar<uint32_t>(buf, 21, rlsim::Crc32c(payload));
   std::memcpy(buf.data() + kShipHeaderBytes, payload.data(), payload.size());
   return buf;
 }
@@ -56,14 +37,14 @@ std::vector<uint8_t> EncodeShip(uint64_t seq, uint64_t lba,
 std::vector<uint8_t> EncodeAck(uint64_t cursor) {
   std::vector<uint8_t> buf(1 + 8);
   buf[0] = static_cast<uint8_t>(FrameType::kAck);
-  Store<uint64_t>(buf, 1, cursor);
+  StoreScalar<uint64_t>(buf, 1, cursor);
   return buf;
 }
 
 std::vector<uint8_t> EncodeReset(uint64_t next_seq) {
   std::vector<uint8_t> buf(1 + 8);
   buf[0] = static_cast<uint8_t>(FrameType::kReset);
-  Store<uint64_t>(buf, 1, next_seq);
+  StoreScalar<uint64_t>(buf, 1, next_seq);
   return buf;
 }
 
@@ -73,10 +54,10 @@ std::optional<ShipFrame> DecodeShip(std::span<const uint8_t> buffer) {
     return std::nullopt;
   }
   ShipFrame frame;
-  frame.seq = Load<uint64_t>(buffer, 1);
-  frame.lba = Load<uint64_t>(buffer, 9);
-  const uint32_t len = Load<uint32_t>(buffer, 17);
-  frame.crc = Load<uint32_t>(buffer, 21);
+  frame.seq = LoadScalar<uint64_t>(buffer, 1);
+  frame.lba = LoadScalar<uint64_t>(buffer, 9);
+  const uint32_t len = LoadScalar<uint32_t>(buffer, 17);
+  frame.crc = LoadScalar<uint32_t>(buffer, 21);
   if (buffer.size() != kShipHeaderBytes + len) {
     return std::nullopt;
   }
@@ -93,7 +74,7 @@ std::optional<AckFrame> DecodeAck(std::span<const uint8_t> buffer) {
       buffer[0] != static_cast<uint8_t>(FrameType::kAck)) {
     return std::nullopt;
   }
-  return AckFrame{.cursor = Load<uint64_t>(buffer, 1)};
+  return AckFrame{.cursor = LoadScalar<uint64_t>(buffer, 1)};
 }
 
 std::optional<ResetFrame> DecodeReset(std::span<const uint8_t> buffer) {
@@ -101,7 +82,7 @@ std::optional<ResetFrame> DecodeReset(std::span<const uint8_t> buffer) {
       buffer[0] != static_cast<uint8_t>(FrameType::kReset)) {
     return std::nullopt;
   }
-  return ResetFrame{.next_seq = Load<uint64_t>(buffer, 1)};
+  return ResetFrame{.next_seq = LoadScalar<uint64_t>(buffer, 1)};
 }
 
 }  // namespace rlrep

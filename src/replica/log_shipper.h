@@ -128,8 +128,6 @@ class LogShipper : public rlstor::BlockDevice {
   uint64_t next_seq() const { return next_seq_; }
   // Blocks [0, quorum_cursor) are durable on a majority of replicas.
   uint64_t quorum_cursor() const { return quorum_cursor_; }
-  // Replica r's durable prefix as last acknowledged.
-  uint64_t peer_cursor(size_t r) const { return peers_[r].cursor; }
   size_t replica_count() const { return peers_.size(); }
   size_t quorum_size() const { return peers_.size() / 2 + 1; }
 

@@ -247,23 +247,4 @@ rlsim::Task<void> ShardNode::ResolverLoop() {
   }
 }
 
-void ShardNode::RegisterStats(rlsim::StatsRegistry& registry,
-                              const std::string& prefix) const {
-  registry.RegisterCounter(prefix + "prepares_handled",
-                           &stats_.prepares_handled);
-  registry.RegisterCounter(prefix + "votes_yes", &stats_.votes_yes);
-  registry.RegisterCounter(prefix + "votes_no", &stats_.votes_no);
-  registry.RegisterCounter(prefix + "executes_handled",
-                           &stats_.executes_handled);
-  registry.RegisterCounter(prefix + "execute_commits",
-                           &stats_.execute_commits);
-  registry.RegisterCounter(prefix + "decisions_applied",
-                           &stats_.decisions_applied);
-  registry.RegisterCounter(prefix + "decision_dupes", &stats_.decision_dupes);
-  registry.RegisterCounter(prefix + "queries_sent", &stats_.queries_sent);
-  registry.RegisterCounter(prefix + "resolved_by_query",
-                           &stats_.resolved_by_query);
-  registry.RegisterCounter(prefix + "machine_deaths", &stats_.machine_deaths);
-}
-
 }  // namespace rlshard

@@ -61,8 +61,6 @@ class ShardNode {
   void Stop() { stopped_ = true; }
 
   const Stats& stats() const { return stats_; }
-  void RegisterStats(rlsim::StatsRegistry& registry,
-                     const std::string& prefix) const;
 
  private:
   rlsim::Task<void> ReceiveLoop();

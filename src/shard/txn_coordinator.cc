@@ -375,27 +375,4 @@ rlsim::Task<void> TxnCoordinator::Recover() {
   alive_ = true;
 }
 
-void TxnCoordinator::RegisterStats(rlsim::StatsRegistry& registry,
-                                   const std::string& prefix) const {
-  registry.RegisterCounter(prefix + "txns_started", &stats_.started);
-  registry.RegisterCounter(prefix + "committed", &stats_.committed);
-  registry.RegisterCounter(prefix + "aborted", &stats_.aborted);
-  registry.RegisterCounter(prefix + "unknown", &stats_.unknown);
-  registry.RegisterCounter(prefix + "single_shard", &stats_.single_shard);
-  registry.RegisterCounter(prefix + "cross_shard", &stats_.cross_shard);
-  registry.RegisterCounter(prefix + "votes_no", &stats_.votes_no);
-  registry.RegisterCounter(prefix + "vote_timeouts", &stats_.vote_timeouts);
-  registry.RegisterCounter(prefix + "decision_resends",
-                           &stats_.decision_resends);
-  registry.RegisterCounter(prefix + "queries_answered",
-                           &stats_.queries_answered);
-  registry.RegisterCounter(prefix + "crashes", &stats_.crashes);
-  registry.RegisterCounter(prefix + "decisions_logged",
-                           &dlog_.stats().decisions_logged);
-  registry.RegisterCounter(prefix + "decisions_recovered",
-                           &dlog_.stats().decisions_recovered);
-  registry.RegisterHistogram(prefix + "txn_latency", &stats_.txn_latency,
-                             /*as_duration=*/true);
-}
-
 }  // namespace rlshard

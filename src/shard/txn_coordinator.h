@@ -128,9 +128,6 @@ class TxnCoordinator {
   const Stats& stats() const { return stats_; }
   const DecisionLog& decision_log() const { return dlog_; }
 
-  void RegisterStats(rlsim::StatsRegistry& registry,
-                     const std::string& prefix) const;
-
  private:
   // Bit i stands for shard i.
   using ShardMask = uint64_t;

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 
+#include "src/sim/bytes.h"
 #include "src/sim/check.h"
 
 namespace rlshard {
 
 namespace {
+
+using rlsim::LoadScalar;
+using rlsim::StoreScalar;
 
 // [u8 type][u64 global_id][u8 flag][u32 n_ops]
 constexpr size_t kHeaderBytes = 14;
@@ -15,30 +19,20 @@ constexpr size_t kOpHeaderBytes = 11;
 constexpr size_t kMaxValueBytes = 0xFFFF;
 constexpr size_t kMaxOps = 0xFFFF'FFFF;
 
-uint8_t* PutLe(uint8_t* p, uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    *p++ = static_cast<uint8_t>(v >> (8 * i));
-  }
-  return p;
-}
-
-uint64_t LoadLe(const uint8_t* p, int bytes) {
-  uint64_t v = 0;
-  for (int i = 0; i < bytes; ++i) {
-    v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
+// The fixed header of the op record at `op`.
+std::span<const uint8_t> OpHeader(const uint8_t* op) {
+  return {op, kOpHeaderBytes};
 }
 
 size_t ValueLength(const uint8_t* op) {
-  return static_cast<size_t>(LoadLe(op + 9, 2));
+  return LoadScalar<uint16_t>(OpHeader(op), 9);
 }
 
 }  // namespace
 
 WireOpView WireOps::Iterator::operator*() const {
   return WireOpView{.is_delete = pos_[0] != 0,
-                    .key = LoadLe(pos_ + 1, 8),
+                    .key = LoadScalar<uint64_t>(OpHeader(pos_), 1),
                     .value = {pos_ + kOpHeaderBytes, ValueLength(pos_)}};
 }
 
@@ -60,16 +54,19 @@ std::vector<uint8_t> EncodeMessage(const WireMessage& msg,
     bytes += kOpHeaderBytes + op.value.size();
   }
   buf.resize(bytes);
-  uint8_t* p = buf.data();
-  *p++ = static_cast<uint8_t>(msg.type);
-  p = PutLe(p, msg.global_id, 8);
-  *p++ = msg.flag;
-  p = PutLe(p, msg.ops.size(), 4);
+  buf[0] = static_cast<uint8_t>(msg.type);
+  StoreScalar<uint64_t>(buf, 1, msg.global_id);
+  buf[9] = msg.flag;
+  StoreScalar<uint32_t>(buf, 10, static_cast<uint32_t>(msg.ops.size()));
+  size_t pos = kHeaderBytes;
   for (const WireOp& op : msg.ops) {
-    *p++ = op.is_delete ? 1 : 0;
-    p = PutLe(p, op.key, 8);
-    p = PutLe(p, op.value.size(), 2);
-    p = std::copy(op.value.begin(), op.value.end(), p);
+    buf[pos] = op.is_delete ? 1 : 0;
+    StoreScalar<uint64_t>(buf, pos + 1, op.key);
+    StoreScalar<uint16_t>(buf, pos + 9,
+                          static_cast<uint16_t>(op.value.size()));
+    std::copy(op.value.begin(), op.value.end(),
+              buf.begin() + static_cast<ptrdiff_t>(pos + kOpHeaderBytes));
+    pos += kOpHeaderBytes + op.value.size();
   }
   return buf;
 }
@@ -84,7 +81,7 @@ bool DecodeMessage(std::span<const uint8_t> buf, WireFrame* out) {
   }
   // The op records must fill the rest of the frame exactly. Each takes at
   // least kOpHeaderBytes, so a huge count fails within size/11 steps.
-  const uint64_t n_ops = LoadLe(&buf[10], 4);
+  const uint64_t n_ops = LoadScalar<uint32_t>(buf, 10);
   size_t pos = kHeaderBytes;
   for (uint64_t i = 0; i < n_ops; ++i) {
     if (buf.size() - pos < kOpHeaderBytes) {
@@ -101,7 +98,7 @@ bool DecodeMessage(std::span<const uint8_t> buf, WireFrame* out) {
     return false;
   }
   out->type = static_cast<MsgType>(type);
-  out->global_id = LoadLe(&buf[1], 8);
+  out->global_id = LoadScalar<uint64_t>(buf, 1);
   out->flag = buf[9];
   out->ops = WireOps(buf.subspan(kHeaderBytes), static_cast<size_t>(n_ops));
   return true;

@@ -6,9 +6,9 @@
 // re-driven by the coordinator's decision pusher or the shard's in-doubt
 // resolver, never by the fabric.
 //
-// Encoding is explicit little-endian bytes (no struct memcpy) so frames are
-// platform-independent and a torn/garbage frame decodes to false rather
-// than UB.
+// Fields are little-endian (the src/sim/bytes.h codec) and every length is
+// checked against the frame, so a torn/garbage frame decodes to false
+// rather than UB.
 #pragma once
 
 #include <cstdint>

@@ -150,15 +150,6 @@ void StatsRegistry::RegisterHistogram(const std::string& name,
   histograms_[name] = HistogramEntry{histogram, as_duration};
 }
 
-void StatsRegistry::UnregisterPrefix(const std::string& prefix) {
-  std::erase_if(counters_, [&](const auto& kv) {
-    return kv.first.starts_with(prefix);
-  });
-  std::erase_if(histograms_, [&](const auto& kv) {
-    return kv.first.starts_with(prefix);
-  });
-}
-
 std::string StatsRegistry::Format() const {
   // std::map iteration is name-sorted, so output order is deterministic and
   // independent of registration order. Counters and histograms interleave in

@@ -81,8 +81,6 @@ class StatsRegistry {
   // `as_duration` renders the histogram with Duration formatting (ns values).
   void RegisterHistogram(const std::string& name, const Histogram* histogram,
                          bool as_duration = false);
-  // Drops every entry whose name starts with `prefix` (component teardown).
-  void UnregisterPrefix(const std::string& prefix);
 
   // "name value" / "name <histogram summary>" lines, sorted by name.
   // Counters with value 0 and empty histograms are included: a zero is

@@ -25,8 +25,6 @@ enum class BlockOp { kRead, kWrite, kFlush };
 struct Geometry {
   uint64_t sector_count = 0;
   uint32_t sector_size = kSectorSize;
-
-  uint64_t capacity_bytes() const { return sector_count * sector_size; }
 };
 
 // Whether a request of `bytes` at `lba` is a positive whole number of

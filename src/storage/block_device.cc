@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/sim/bytes.h"
 #include "src/sim/check.h"
 #include "src/sim/crc32.h"
 
@@ -23,18 +24,14 @@ constexpr uint64_t kCacheCapacitySectors = 32ull * 1024 * 1024 / kSectorSize;
 // CRC of the LBA so the same contents at different addresses differ.
 uint32_t TraceCrc(uint64_t lba, std::span<const uint8_t> data) {
   uint8_t lba_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    lba_bytes[i] = static_cast<uint8_t>(lba >> (i * 8));
-  }
+  rlsim::StoreScalar<uint64_t>(lba_bytes, 0, lba);
   return rlsim::Crc32c(data, rlsim::Crc32c(lba_bytes));
 }
 
 uint32_t TraceCrc(uint64_t a, uint64_t b) {
   uint8_t bytes[16];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<uint8_t>(a >> (i * 8));
-    bytes[8 + i] = static_cast<uint8_t>(b >> (i * 8));
-  }
+  rlsim::StoreScalar<uint64_t>(bytes, 0, a);
+  rlsim::StoreScalar<uint64_t>(bytes, 8, b);
   return rlsim::Crc32c(bytes);
 }
 

@@ -192,24 +192,6 @@ void DiskImage::Harden(uint64_t sector, uint64_t count) {
   });
 }
 
-void DiskImage::HardenAll() {
-  // rapicheck: ordered-ok (pure state fold: every cached extent moves to the
-  // durable map; no I/O, no events, and the result is order-independent)
-  for (const auto& [index, e] : cache_) {
-    Extent& durable = durable_[index];
-    for (uint64_t i = 0; i < kExtentSectors; ++i) {
-      if ((e.present >> i & 1u) != 0) {
-        const auto src = SectorBytes(e, i);
-        std::copy(src.begin(), src.end(), SectorBytes(durable, i).begin());
-      }
-    }
-    durable.present |= e.present;
-    durable.torn &= static_cast<uint16_t>(~e.present);
-  }
-  cache_.clear();
-  cached_sectors_ = 0;
-}
-
 void DiskImage::PowerLoss(int64_t torn_sector) {
   cache_.clear();
   cached_sectors_ = 0;
@@ -260,6 +242,62 @@ std::vector<uint64_t> DiskImage::DurableSectorList() const {
     }
   }
   return sectors;
+}
+
+std::vector<uint64_t> DiskImage::ExtentsIn(const ExtentMap& map,
+                                           uint64_t first, uint64_t count) {
+  std::vector<uint64_t> extents;
+  // rapicheck: ordered-ok (collected set is sorted before it is used)
+  for (const auto& [index, e] : map) {
+    if (WindowBits(index, first, count) != 0) {
+      extents.push_back(index);
+    }
+  }
+  std::sort(extents.begin(), extents.end());
+  return extents;
+}
+
+uint16_t DiskImage::WindowBits(uint64_t index, uint64_t first,
+                               uint64_t count) {
+  const uint64_t lo = std::max(index * kExtentSectors, first);
+  const uint64_t hi = std::min((index + 1) * kExtentSectors, first + count);
+  return lo < hi ? Mask(lo % kExtentSectors, hi - lo) : 0;
+}
+
+void DiskImage::CopyDurableWindow(const DiskImage& src, uint64_t first,
+                                  uint64_t count) {
+  RL_CHECK(&src != this && count > 0);
+  CheckRange(0, count * kSectorSize);
+  src.CheckRange(first, count * kSectorSize);
+  for (const uint64_t index : ExtentsIn(cache_, 0, count)) {
+    DropCached(index, WindowBits(index, 0, count));
+  }
+  for (const uint64_t index : ExtentsIn(durable_, 0, count)) {
+    Extent& e = durable_.at(index);
+    const uint16_t keep = static_cast<uint16_t>(~WindowBits(index, 0, count));
+    e.present &= keep;
+    e.torn &= keep;
+    if (e.present == 0) {
+      durable_.erase(index);
+    }
+  }
+  for (const uint64_t index : ExtentsIn(src.durable_, first, count)) {
+    const Extent& from = src.durable_.at(index);
+    const uint16_t bits = from.present & WindowBits(index, first, count);
+    for (uint64_t i = 0; i < kExtentSectors; ++i) {
+      if ((bits >> i & 1u) == 0) {
+        continue;
+      }
+      const uint64_t sector = index * kExtentSectors + i - first;
+      Extent& to = durable_[sector / kExtentSectors];
+      const auto bytes = SectorBytes(from, i);
+      std::copy(bytes.begin(), bytes.end(), SectorBytes(to, sector).begin());
+      to.present |= Bit(sector);
+      if ((from.torn >> i & 1u) != 0) {
+        to.torn |= Bit(sector);
+      }
+    }
+  }
 }
 
 }  // namespace rlstor

@@ -54,9 +54,6 @@ class DiskImage {
   // medium. Sectors that are not cached are left alone.
   void Harden(uint64_t sector, uint64_t count = 1);
 
-  // Hardens every cached sector.
-  void HardenAll();
-
   // Drops the volatile cache, as a power cut does. `torn_sector`, if
   // non-negative, marks a sector whose in-flight write was interrupted: its
   // durable contents are replaced by a recognisable corruption pattern.
@@ -73,9 +70,18 @@ class DiskImage {
   // a power cut), ignoring the volatile cache.
   void ReadDurable(uint64_t sector, std::span<uint8_t> out) const;
 
-  // Every sector with durable medium contents, ascending (deterministic
-  // iteration over the sparse image — for disk-to-disk restore tooling).
+  // Every sector with durable, untorn medium contents, ascending. Only
+  // tests call it, to find a log's newest durable sector.
   std::vector<uint64_t> DurableSectorList() const;
+
+  // Replaces sectors [0, count) of this image with what a power cut would
+  // leave of `src`'s sectors [first, first + count): their durable contents,
+  // shifted down to sector 0. Cached contents of either image are dropped
+  // from the window; a torn source sector keeps its corruption pattern and
+  // stays torn; a sector `src` never made durable reads as zeros. Sectors
+  // from `count` on are left alone.
+  void CopyDurableWindow(const DiskImage& src, uint64_t first,
+                         uint64_t count);
 
  private:
   static constexpr uint64_t kExtentSectors = 16;
@@ -108,6 +114,12 @@ class DiskImage {
   static void ForEachExtent(uint64_t sector, uint64_t count, Fn&& fn);
   // Drops the sectors of `bits` in extent `index` from the volatile cache.
   void DropCached(uint64_t index, uint16_t bits);
+  // The extents of `map` holding a sector of [first, first + count),
+  // ascending.
+  static std::vector<uint64_t> ExtentsIn(const ExtentMap& map,
+                                         uint64_t first, uint64_t count);
+  // The sectors of extent `index` that lie in [first, first + count).
+  static uint16_t WindowBits(uint64_t index, uint64_t first, uint64_t count);
 
   void CheckRange(uint64_t sector) const;
   // Checks that `bytes` from `sector` on lie in the image; returns the

@@ -16,14 +16,12 @@ using rlsim::Simulator;
 
 SpanNode Node(uint64_t id, uint64_t parent, int64_t begin, int64_t end,
               const char* kind) {
-  SpanNode n;
-  n.id = id;
-  n.parent = parent;
-  n.begin_ns = begin;
-  n.end_ns = end;
-  n.actor = "x";
-  n.kind = kind;
-  return n;
+  return SpanNode{.id = id,
+                  .parent = parent,
+                  .begin_ns = begin,
+                  .end_ns = end,
+                  .actor = "x",
+                  .kind = kind};
 }
 
 const CriticalEdge* EdgeOf(const CriticalPathClass& cls,

@@ -20,18 +20,17 @@ TEST(MetricsSnapshotTest, SamplesAtFixedVirtualIntervals) {
   rlsim::StatsRegistry registry;
   registry.RegisterCounter("ticks", &ticks);
 
-  bool stop = false;
   MetricsSnapshotter snap(sim, registry, Duration::Millis(10));
-  snap.Start(&stop);
+  snap.Start();
 
   // A workload that bumps the counter every 4 ms and stops at 35 ms.
   for (int i = 1; i <= 8; ++i) {
     sim.Schedule(Duration::Millis(4 * i), [&] { ticks.Add(); });
   }
-  sim.Schedule(Duration::Millis(35), [&] { stop = true; });
+  sim.Schedule(Duration::Millis(35), [&] { snap.Stop(); });
   sim.Run();
 
-  // Snapshots at 10/20/30 ms; the 40 ms tick sees stop and exits.
+  // Snapshots at 10/20/30 ms; the 40 ms tick sees Stop() and exits.
   ASSERT_EQ(snap.snapshots().size(), 3u);
   EXPECT_EQ(snap.snapshots()[0].at_ns, Duration::Millis(10).nanos());
   EXPECT_EQ(snap.snapshots()[1].at_ns, Duration::Millis(20).nanos());
@@ -45,13 +44,26 @@ TEST(MetricsSnapshotTest, SamplesAtFixedVirtualIntervals) {
 TEST(MetricsSnapshotTest, StopBeforeFirstTickYieldsEmptySeries) {
   Simulator sim;
   rlsim::StatsRegistry registry;
-  bool stop = false;
   MetricsSnapshotter snap(sim, registry, Duration::Millis(10));
-  snap.Start(&stop);
-  sim.Schedule(Duration::Millis(1), [&] { stop = true; });
+  snap.Start();
+  sim.Schedule(Duration::Millis(1), [&] { snap.Stop(); });
   sim.Run();
   EXPECT_TRUE(snap.snapshots().empty());
   EXPECT_EQ(snap.ToJson(), "[\n]");
+}
+
+// Stop() ends the loop at its next tick: that tick records nothing and the
+// loop schedules no tick after it, so the simulator's queue drains there.
+TEST(MetricsSnapshotTest, StopEndsTheLoopAtItsNextTick) {
+  Simulator sim;
+  rlsim::StatsRegistry registry;
+  MetricsSnapshotter snap(sim, registry, Duration::Millis(10));
+  snap.Start();
+  sim.Schedule(Duration::Millis(25), [&] { snap.Stop(); });
+  sim.Run();
+  ASSERT_EQ(snap.snapshots().size(), 2u);
+  EXPECT_EQ(snap.snapshots()[1].at_ns, Duration::Millis(20).nanos());
+  EXPECT_EQ(sim.now().nanos(), Duration::Millis(30).nanos());
 }
 
 TEST(MetricsSnapshotTest, ToJsonWrapsSnapshotsWithTimestamps) {
@@ -59,10 +71,9 @@ TEST(MetricsSnapshotTest, ToJsonWrapsSnapshotsWithTimestamps) {
   Counter c;
   rlsim::StatsRegistry registry;
   registry.RegisterCounter("c", &c);
-  bool stop = false;
   MetricsSnapshotter snap(sim, registry, Duration::Millis(5));
-  snap.Start(&stop);
-  sim.Schedule(Duration::Millis(12), [&] { stop = true; });
+  snap.Start();
+  sim.Schedule(Duration::Millis(12), [&] { snap.Stop(); });
   sim.Run();
 
   const std::string json = snap.ToJson();
@@ -82,17 +93,16 @@ TEST(MetricsSnapshotTest, SamplingDoesNotPerturbTheRun) {
     Counter work;
     rlsim::StatsRegistry registry;
     registry.RegisterCounter("work", &work);
-    bool stop = false;
     MetricsSnapshotter snap(sim, registry, Duration::Millis(3));
     if (with_snapshotter) {
-      snap.Start(&stop);
+      snap.Start();
     }
     for (int i = 1; i <= 50; ++i) {
       sim.Schedule(Duration::Millis(i), [&sim, &work] {
         work.Add(static_cast<int64_t>(sim.rng().Next() % 7));
       });
     }
-    sim.Schedule(Duration::Millis(51), [&] { stop = true; });
+    sim.Schedule(Duration::Millis(51), [&] { snap.Stop(); });
     sim.Run();
     return work.value();
   };

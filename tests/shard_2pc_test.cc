@@ -670,45 +670,6 @@ TEST(DispatchTest, PresumedAbortAnswerResolvesPreparedShard) {
   EXPECT_EQ(fleet.node(0).stats().unexpected_msgs.value(), 0);
 }
 
-// --- Stats registry: many testbeds, one process -------------------------------
-
-TEST(FleetStatsTest, TwoReplicatedTestbedsShareOneRegistry) {
-  Simulator sim;
-  TestbedOptions base;
-  base.mode = DeploymentMode::kRapiLog;
-  base.disks = DiskSetup::kSharedHdd;
-  base.db.profile = rldb::PostgresLikeProfile();
-  base.replication.enabled = true;
-  TestbedOptions a = base;
-  a.instance = "alpha.";
-  TestbedOptions b = base;
-  b.instance = "beta.";
-  Testbed bed_a(sim, a);
-  Testbed bed_b(sim, b);
-  rlsim::StatsRegistry registry;
-  bed_a.RegisterReplicationStats(registry);
-  // Before instance prefixes this second registration aborted on duplicate
-  // "net." / "ship." / "replica-N." names.
-  bed_b.RegisterReplicationStats(registry);
-  const std::string text = registry.Format();
-  EXPECT_NE(text.find("alpha.net."), std::string::npos);
-  EXPECT_NE(text.find("beta.net."), std::string::npos);
-  EXPECT_NE(text.find("alpha.replica-0."), std::string::npos);
-  EXPECT_NE(text.find("beta.replica-0."), std::string::npos);
-}
-
-TEST(FleetStatsTest, FleetRegistersEveryShardDistinctly) {
-  Simulator sim;
-  FleetTestbed fleet(sim, SmallFleet(3));
-  rlsim::StatsRegistry registry;
-  fleet.RegisterStats(registry);
-  const std::string text = registry.Format();
-  EXPECT_NE(text.find("coord.committed"), std::string::npos);
-  EXPECT_NE(text.find("shard-0.2pc."), std::string::npos);
-  EXPECT_NE(text.find("shard-2.2pc."), std::string::npos);
-  EXPECT_NE(text.find("fleet.net."), std::string::npos);
-}
-
 // --- 200-seed crash-point sweep ----------------------------------------------
 
 // Everything a crash episode must reproduce regardless of how the shards

@@ -274,39 +274,6 @@ TEST(StatsRegistryTest, LiveValuesNotSnapshots) {
   EXPECT_NE(registry.Format().find("5"), std::string::npos);
 }
 
-TEST(StatsRegistryTest, UnregisterPrefixDropsOnlyThatComponent) {
-  Counter a;
-  Counter b;
-  Histogram h;
-  StatsRegistry registry;
-  registry.RegisterCounter("ship.blocks", &a);
-  registry.RegisterHistogram("ship.lag", &h);
-  registry.RegisterCounter("net.sent", &b);
-  registry.UnregisterPrefix("ship.");
-  EXPECT_EQ(registry.size(), 1u);
-  EXPECT_EQ(registry.Format().find("ship."), std::string::npos);
-  EXPECT_NE(registry.Format().find("net.sent"), std::string::npos);
-}
-
-TEST(StatsRegistryTest, UnregisterPrefixRemovesHistogramsToo) {
-  // Histograms registered under the prefix must go as well — teardown that
-  // only purged counters would leave a dangling histogram pointer behind.
-  Counter c;
-  Histogram h1;
-  Histogram h2;
-  StatsRegistry registry;
-  registry.RegisterHistogram("disk.write_latency", &h1);
-  registry.RegisterHistogram("disk.read_latency", &h2);
-  registry.RegisterCounter("disk.writes", &c);
-  EXPECT_EQ(registry.size(), 3u);
-  registry.UnregisterPrefix("disk.");
-  EXPECT_EQ(registry.size(), 0u);
-  EXPECT_EQ(registry.Format(), "");
-  // Re-registering the same names must succeed: nothing lingers.
-  registry.RegisterHistogram("disk.write_latency", &h1);
-  EXPECT_EQ(registry.size(), 1u);
-}
-
 TEST(StatsRegistryTest, ToJsonRendersCountersAndHistograms) {
   Counter writes;
   writes.Add(7);

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <numeric>
+#include <vector>
 
 #include "src/sim/check.h"
 
@@ -76,13 +77,13 @@ TEST(DiskImageTest, HardenMakesCachedDurable) {
   EXPECT_EQ(out, data);
 }
 
-TEST(DiskImageTest, HardenAllFlushesEverything) {
+TEST(DiskImageTest, HardenOfARangeFlushesEveryCachedSector) {
   DiskImage img(100);
   for (uint64_t s = 0; s < 20; ++s) {
     img.WriteCached(s, Pattern(static_cast<uint8_t>(s)));
   }
   EXPECT_EQ(img.cached_sector_count(), 20u);
-  img.HardenAll();
+  img.Harden(0, 20);
   EXPECT_EQ(img.cached_sector_count(), 0u);
   for (uint64_t s = 0; s < 20; ++s) {
     EXPECT_EQ(img.state(s), SectorState::kDurable);
@@ -143,6 +144,87 @@ TEST(DiskImageTest, CachedBytesAccounting) {
   img.WriteCached(1, Pattern(3));  // overwrite, no growth
   EXPECT_EQ(img.cached_sector_count(), 2u);
   EXPECT_EQ(img.cached_bytes(), 2u * kSectorSize);
+}
+
+// --- CopyDurableWindow -------------------------------------------------------
+
+TEST(DiskImageTest, DurableWindowDropsCachedOnlySectors) {
+  DiskImage src(100);
+  src.WriteDurable(40, Pattern(0x01));
+  src.WriteCached(41, Pattern(0x02));
+  src.WriteCached(40, Pattern(0x03));  // newer, but only in the cache
+  DiskImage dst(10);
+  dst.CopyDurableWindow(src, 40, 10);
+  SectorBuf out{};
+  dst.Read(0, out);
+  EXPECT_EQ(out, Pattern(0x01));
+  EXPECT_EQ(dst.state(1), SectorState::kUnwritten);
+  EXPECT_EQ(dst.cached_sector_count(), 0u);
+}
+
+TEST(DiskImageTest, DurableWindowCarriesATornSector) {
+  DiskImage src(100);
+  src.WriteDurable(44, Pattern(0x55));
+  src.PowerLoss(/*torn_sector=*/44);
+  SectorBuf torn{};
+  src.Read(44, torn);
+  DiskImage dst(10);
+  dst.CopyDurableWindow(src, 40, 10);
+  EXPECT_EQ(dst.state(4), SectorState::kTorn);
+  SectorBuf out{};
+  dst.Read(4, out);
+  EXPECT_EQ(out, torn);
+  EXPECT_NE(out, Pattern(0x55));
+}
+
+TEST(DiskImageTest, DurableWindowIsShiftedToSectorZero) {
+  DiskImage src(100);
+  // The window [37, 67) straddles extent boundaries on both images.
+  for (uint64_t s = 37; s < 67; ++s) {
+    src.WriteDurable(s, Pattern(static_cast<uint8_t>(s)));
+  }
+  DiskImage dst(30);
+  dst.CopyDurableWindow(src, 37, 30);
+  SectorBuf out{};
+  for (uint64_t s = 0; s < 30; ++s) {
+    dst.Read(s, out);
+    EXPECT_EQ(out, Pattern(static_cast<uint8_t>(37 + s))) << s;
+    EXPECT_EQ(dst.state(s), SectorState::kDurable) << s;
+  }
+}
+
+TEST(DiskImageTest, DurableWindowLeavesOutSectorsOutsideIt) {
+  DiskImage src(100);
+  src.WriteDurable(39, Pattern(0x39));
+  src.WriteDurable(40, Pattern(0x40));
+  src.WriteDurable(50, Pattern(0x50));
+  DiskImage dst(20);
+  dst.CopyDurableWindow(src, 40, 10);
+  EXPECT_EQ(dst.DurableSectorList(), std::vector<uint64_t>{0});
+  EXPECT_EQ(dst.state(10), SectorState::kUnwritten);
+}
+
+TEST(DiskImageTest, DurableWindowReplacesOnlyTheDestinationRange) {
+  DiskImage src(100);
+  src.WriteDurable(3, Pattern(0xAA));
+  DiskImage dst(40);
+  dst.WriteDurable(2, Pattern(0x02));   // in [0, 20): replaced
+  dst.PowerLoss(/*torn_sector=*/5);     // in [0, 20): replaced
+  dst.WriteCached(7, Pattern(0x07));    // in [0, 20): dropped
+  dst.WriteDurable(20, Pattern(0x20));  // past the window: kept
+  dst.WriteCached(21, Pattern(0x21));   // past the window: kept
+  dst.CopyDurableWindow(src, 0, 20);
+  EXPECT_EQ(dst.DurableSectorList(), (std::vector<uint64_t>{3, 20}));
+  EXPECT_EQ(dst.state(5), SectorState::kUnwritten);
+  EXPECT_EQ(dst.state(21), SectorState::kCachedVolatile);
+  EXPECT_EQ(dst.cached_sector_count(), 1u);
+}
+
+TEST(DiskImageTest, DurableWindowMustFitBothImages) {
+  DiskImage src(100);
+  DiskImage dst(10);
+  EXPECT_THROW(dst.CopyDurableWindow(src, 95, 10), rlsim::CheckFailure);
+  EXPECT_THROW(dst.CopyDurableWindow(src, 0, 11), rlsim::CheckFailure);
 }
 
 }  // namespace

@@ -15,7 +15,9 @@ namespace {
 // past the value.
 size_t ExtractAfter(std::string_view text, size_t from, std::string_view key,
                     std::string* out) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  std::string needle = "\"";
+  needle.append(key);
+  needle.append("\":");
   const size_t at = text.find(needle, from);
   if (at == std::string_view::npos) {
     return std::string_view::npos;

@@ -52,19 +52,12 @@ bool InThreadBanScope(std::string_view path) {
 // SL008 scope: the directories that own persistent or wire byte formats.
 // Inside them, type punning (reinterpret_cast, memcpy through &object)
 // silently bakes host endianness and padding into bytes that are supposed
-// to be a stable format. The sanctioned codecs — layout.h's
-// LoadScalar/StoreScalar and the shard wire Reader/PutU* — are the only
-// places allowed to touch object representations.
+// to be a stable format. The one sanctioned codec, src/sim/bytes.h's
+// LoadScalar/StoreScalar, lives outside these directories.
 bool InWirePunScope(std::string_view path) {
   return UnderDir(path, "src/db") || UnderDir(path, "src/shard") ||
          UnderDir(path, "src/replica") || UnderDir(path, "src/storage") ||
          UnderDir(path, "src/rapilog");
-}
-
-bool InWirePunAllowlist(std::string_view path) {
-  if (path.substr(0, 2) == "./") path.remove_prefix(2);
-  return path == "src/db/layout.h" || path == "src/shard/wire.h" ||
-         path == "src/shard/wire.cc";
 }
 
 class Linter {
@@ -381,17 +374,16 @@ class Linter {
   // writes an in-memory object *representation* — host endianness, padding
   // and all — where a stable byte format is expected. Byte-span copies
   // (`memcpy(dst, buf.data(), n)`) stay legal: bytes to bytes is
-  // representation-free. The two sanctioned codecs (src/db/layout.h's
-  // LoadScalar/StoreScalar, the src/shard wire Reader/PutU*) are exempt;
-  // everything else routes through them or carries a `wire-ok` pragma.
+  // representation-free. Everything routes through the src/sim/bytes.h
+  // codec or carries a `wire-ok` pragma.
   void CheckWireBytePunning(const std::string& line, int ln) {
-    if (!InWirePunScope(file_.path) || InWirePunAllowlist(file_.path)) return;
+    if (!InWirePunScope(file_.path)) return;
     if (FindWord(line, "reinterpret_cast") != std::string_view::npos) {
       Report("SL008", "wire-ok", ln,
              "reinterpret_cast in a persistent/wire-format directory bakes "
              "the host's object representation into the byte format",
-             "serialize through layout.h LoadScalar/StoreScalar or the wire "
-             "codec; for genuinely representation-free uses add "
+             "serialize through src/sim/bytes.h LoadScalar/StoreScalar; "
+             "for genuinely representation-free uses add "
              "`// rapicheck: wire-ok (<why>)`");
     }
     size_t pos = FindWord(line, "memcpy");
@@ -402,8 +394,8 @@ class Linter {
         Report("SL008", "wire-ok", ln,
                "memcpy through an object address (&x) in a persistent/"
                "wire-format directory copies host endianness and padding",
-               "encode field-by-field via layout.h LoadScalar/StoreScalar "
-               "or the wire codec's PutU16/32/64 helpers");
+               "encode field-by-field via src/sim/bytes.h "
+               "LoadScalar/StoreScalar");
       }
       pos = FindWord(line, "memcpy", pos + 1);
     }

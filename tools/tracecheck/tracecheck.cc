@@ -26,7 +26,9 @@ void Add(Report* report, const char* rule, int line, std::string message) {
 // top-level occurrence; args.name is reached via the "args":{"name" prefix).
 bool ExtractField(std::string_view line, std::string_view key,
                   std::string* out) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  std::string needle = "\"";
+  needle.append(key);
+  needle.append("\":");
   const size_t at = line.find(needle);
   if (at == std::string_view::npos) {
     return false;
