@@ -55,14 +55,12 @@ int main(int argc, char** argv) {
       d.Spawn(6, w.Clients(b.db()), trial * 100);
       co_await s.Sleep(Duration::Millis(rng.UniformInt(30, 400)));
       const int64_t drained_before = b.rapilog()->stats().drained_bytes.value();
-      const uint64_t buffered = b.rapilog()->buffered_bytes();
       b.CrashGuest();
       d.Stop();
       co_await b.RecoverAfterGuestCrash();
       drained +=
           static_cast<uint64_t>(b.rapilog()->stats().drained_bytes.value() -
                                 drained_before);
-      (void)buffered;
       const auto verdict = co_await chk.VerifyAfterRecovery(b.db());
       checked += verdict.keys_checked;
       lost += verdict.lost_writes + verdict.atomicity_violations;

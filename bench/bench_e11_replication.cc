@@ -66,9 +66,9 @@ E11Result RunArm(Arm arm, Duration link_latency, uint64_t seed) {
     opts.replication.replicas = 3;
     opts.replication.link.base_latency = link_latency;
     opts.replication.link.jitter = link_latency / 10;
-    opts.replication.shipper.mode = arm == Arm::kQuorum
-                                        ? rlrep::ShipMode::kQuorumAck
-                                        : rlrep::ShipMode::kAsync;
+    opts.replication.ship_mode = arm == Arm::kQuorum
+                                     ? rlrep::ShipMode::kQuorumAck
+                                     : rlrep::ShipMode::kAsync;
   }
   rlharness::Testbed bed(sim, opts);
 

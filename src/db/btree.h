@@ -57,7 +57,6 @@ class BTree {
   rlsim::Task<void> CheckStructure(uint64_t root);
 
   uint32_t leaf_capacity() const { return leaf_capacity_; }
-  uint32_t internal_capacity() const { return internal_capacity_; }
 
  private:
   struct PathEntry {

@@ -386,11 +386,7 @@ Task<void> Database::Recover() {
       }
       if (rec.type == LogRecordType::kUpdate ||
           rec.type == LogRecordType::kDelete) {
-        if (rec.type == LogRecordType::kDelete) {
-          t.ops.push_back(WriteOp{.is_delete = true, .key = rec.key});
-        } else {
-          AddPut(t, rec.key, rec.value);
-        }
+        AddOp(t, rec.type == LogRecordType::kDelete, rec.key, rec.value);
       }
       continue;
     }
@@ -445,8 +441,8 @@ Task<void> Database::Recover() {
   // Persist the recovered state so the next crash replays less.
   if (!scan.records.empty() || pool_->dirty_count() > 0) {
     // rapicheck: lock-ok (the apparent locks_ -> apply_mutex_ inversion is
-    // a name merge: Commit's apply-section calls BTree::Remove, which
-    // rapicheck conflates with Database::Remove's lock acquisition)
+    // a name merge: CommitDurably's apply-section calls BTree::Remove,
+    // which rapicheck conflates with Database::Remove's lock acquisition)
     auto guard = co_await apply_mutex_->Lock();
     co_await CheckpointLocked();
   }
@@ -579,21 +575,35 @@ Task<DbStatus> Database::Get(uint64_t txn, uint64_t key,
 
 Task<DbStatus> Database::Put(uint64_t txn, uint64_t key,
                              std::span<const uint8_t> value) {
+  return Stage(txn, key, value, /*is_delete=*/false);
+}
+
+Task<DbStatus> Database::Remove(uint64_t txn, uint64_t key) {
+  return Stage(txn, key, {}, /*is_delete=*/true);
+}
+
+Task<DbStatus> Database::Stage(uint64_t txn, uint64_t key,
+                               std::span<const uint8_t> value,
+                               bool is_delete) {
   const auto it = txns_.find(txn);
   if (it == txns_.end()) {
     co_return DbStatus::kTxnNotActive;
   }
-  RL_CHECK(value.size() == options_.profile.value_bytes);
   co_await cpu_.Compute(options_.profile.cpu_per_put);
   if (!co_await locks_->Acquire(txn, key)) {
     co_await Abort(txn);
     co_return DbStatus::kLockTimeout;
   }
-  AddPut(it->second, key, value);
+  AddOp(it->second, is_delete, key, value);
   co_return DbStatus::kOk;
 }
 
-void Database::AddPut(Txn& t, uint64_t key, std::span<const uint8_t> value) {
+void Database::AddOp(Txn& t, bool is_delete, uint64_t key,
+                     std::span<const uint8_t> value) {
+  if (is_delete) {
+    t.ops.push_back(WriteOp{.is_delete = true, .key = key});
+    return;
+  }
   const size_t value_bytes = options_.profile.value_bytes;
   RL_CHECK(value.size() == value_bytes);
   if (t.values.empty()) {
@@ -612,54 +622,55 @@ std::span<const uint8_t> Database::ValueOf(const Txn& t,
       .subspan(op.value_at, options_.profile.value_bytes);
 }
 
-Task<DbStatus> Database::Remove(uint64_t txn, uint64_t key) {
-  const auto it = txns_.find(txn);
-  if (it == txns_.end()) {
-    co_return DbStatus::kTxnNotActive;
-  }
-  co_await cpu_.Compute(options_.profile.cpu_per_put);
-  if (!co_await locks_->Acquire(txn, key)) {
-    co_await Abort(txn);
-    co_return DbStatus::kLockTimeout;
-  }
-  it->second.ops.push_back(WriteOp{.is_delete = true, .key = key});
-  co_return DbStatus::kOk;
+Task<DbStatus> Database::Commit(uint64_t txn) {
+  return CommitDurably(txn, /*prepared=*/false);
 }
 
-Task<DbStatus> Database::Commit(uint64_t txn) {
-  const auto it = txns_.find(txn);
-  if (it == txns_.end()) {
-    co_return DbStatus::kTxnNotActive;
-  }
-  Txn& t = it->second;
-  RL_CHECK_MSG(!t.prepared,
-               "Commit() on a prepared txn; decisions go through "
-               "CommitPrepared/Abort/ResolveInDoubt");
-  const TimePoint start = sim_.now();
-  co_await cpu_.Compute(options_.profile.cpu_per_commit);
-
-  if (t.ops.empty()) {
-    locks_->ReleaseAll(txn);
-    txns_.erase(it);
-    // rapicheck: ack-ok (read-only commit: no records were written, so
-    // there is nothing to make durable before acknowledging)
-    stats_.commits.Add();
-    stats_.commit_latency.RecordDuration(sim_.now() - start);
-    co_return DbStatus::kOk;
-  }
-
-  t.committing = true;
-  // Log every operation, then the commit record.
+void Database::LogWriteSet(Txn& t) {
   for (const WriteOp& op : t.ops) {
     const uint64_t lsn = wal_->Append(
-        op.is_delete ? LogRecordType::kDelete : LogRecordType::kUpdate, txn,
+        op.is_delete ? LogRecordType::kDelete : LogRecordType::kUpdate, t.id,
         op.key, ValueOf(t, op));
     if (t.first_lsn == 0) {
       t.first_lsn = lsn;
     }
   }
-  const uint64_t commit_lsn = wal_->Append(LogRecordType::kCommit, txn, 0);
+}
 
+Task<DbStatus> Database::CommitDurably(uint64_t txn, bool prepared) {
+  const auto it = txns_.find(txn);
+  if (it == txns_.end()) {
+    co_return DbStatus::kTxnNotActive;
+  }
+  Txn& t = it->second;
+  RL_CHECK_MSG(t.prepared == prepared,
+               (prepared ? "CommitPrepared on an unprepared txn "
+                         : "Commit() on a prepared txn (decisions go through "
+                           "CommitPrepared/Abort/ResolveInDoubt) ")
+                   << txn);
+  const TimePoint start = sim_.now();
+  if (prepared) {
+    if (t.deciding) {
+      co_return DbStatus::kTxnNotActive;  // duplicate decision mid-apply
+    }
+    t.deciding = true;
+    // The write-set is already durable behind the prepare record; only the
+    // commit record is new.
+  } else {
+    co_await cpu_.Compute(options_.profile.cpu_per_commit);
+    if (t.ops.empty()) {
+      locks_->ReleaseAll(txn);
+      txns_.erase(it);
+      // rapicheck: ack-ok (read-only commit: no records were written, so
+      // there is nothing to make durable before acknowledging)
+      stats_.commits.Add();
+      stats_.commit_latency.RecordDuration(sim_.now() - start);
+      co_return DbStatus::kOk;
+    }
+    LogWriteSet(t);
+  }
+
+  const uint64_t commit_lsn = wal_->Append(LogRecordType::kCommit, txn, 0);
   co_await wal_->WaitDurable(commit_lsn);
 
   // Dirty-page throttle: never let the apply outrun what a checkpoint can
@@ -717,14 +728,7 @@ Task<DbStatus> Database::Prepare(uint64_t txn, uint64_t global_id) {
   // the yes-vote. An empty write-set still logs the prepare: the vote must
   // survive a crash, because the coordinator may commit on the strength of
   // it.
-  for (const WriteOp& op : t.ops) {
-    const uint64_t lsn = wal_->Append(
-        op.is_delete ? LogRecordType::kDelete : LogRecordType::kUpdate, txn,
-        op.key, ValueOf(t, op));
-    if (t.first_lsn == 0) {
-      t.first_lsn = lsn;
-    }
-  }
+  LogWriteSet(t);
   const uint64_t prep_lsn =
       wal_->Append(LogRecordType::kPrepare, txn, global_id);
   if (t.first_lsn == 0) {
@@ -739,41 +743,7 @@ Task<DbStatus> Database::Prepare(uint64_t txn, uint64_t global_id) {
 }
 
 Task<DbStatus> Database::CommitPrepared(uint64_t txn) {
-  const auto it = txns_.find(txn);
-  if (it == txns_.end()) {
-    co_return DbStatus::kTxnNotActive;
-  }
-  Txn& t = it->second;
-  RL_CHECK_MSG(t.prepared, "CommitPrepared on an unprepared txn " << txn);
-  if (t.deciding) {
-    co_return DbStatus::kTxnNotActive;  // duplicate decision mid-apply
-  }
-  t.deciding = true;
-  const TimePoint start = sim_.now();
-
-  // The write-set is already durable behind the prepare record; only the
-  // commit record is new.
-  const uint64_t commit_lsn = wal_->Append(LogRecordType::kCommit, txn, 0);
-  co_await wal_->WaitDurable(commit_lsn);
-  co_await ThrottleDirtyPages();
-
-  {
-    auto guard = co_await apply_mutex_->Lock();
-    for (const WriteOp& op : t.ops) {
-      if (op.is_delete) {
-        root_ = co_await tree_->Remove(root_, op.key);
-      } else {
-        root_ = co_await tree_->Put(root_, op.key, ValueOf(t, op));
-      }
-    }
-  }
-
-  locks_->ReleaseAll(txn);
-  txns_.erase(it);
-  stats_.commits.Add();
-  stats_.commit_latency.RecordDuration(sim_.now() - start);
-  MaybeScheduleCheckpoint();
-  co_return DbStatus::kOk;
+  return CommitDurably(txn, /*prepared=*/true);
 }
 
 std::vector<uint64_t> Database::InDoubtGlobalIds() const {

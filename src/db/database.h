@@ -178,7 +178,6 @@ class Database {
     // Every put's value, profile.value_bytes each, in op order: one buffer
     // per transaction instead of a vector per put.
     std::vector<uint8_t> values;
-    bool committing = false;
     // 2PC: set once the prepare record is durable; the txn holds its locks
     // and pins the replay point until a decision arrives.
     bool prepared = false;
@@ -192,8 +191,14 @@ class Database {
            rlstor::BlockDevice& data_dev, rlstor::BlockDevice& log_dev,
            DbOptions options);
 
-  // Adds a put of `value` (profile.value_bytes long) to `t`'s write set.
-  void AddPut(Txn& t, uint64_t key, std::span<const uint8_t> value);
+  // Put and Remove: takes `key`'s lock for `txn` and adds the write (a put
+  // of `value`, or a delete) to its write-set.
+  rlsim::Task<DbStatus> Stage(uint64_t txn, uint64_t key,
+                              std::span<const uint8_t> value, bool is_delete);
+  // Adds a delete of `key`, or a put of `value` (profile.value_bytes long),
+  // to `t`'s write-set.
+  void AddOp(Txn& t, bool is_delete, uint64_t key,
+             std::span<const uint8_t> value);
   // The value `op` puts (empty for a delete).
   std::span<const uint8_t> ValueOf(const Txn& t, const WriteOp& op) const;
 
@@ -240,6 +245,16 @@ class Database {
   rlsim::Task<void> Redo(const std::vector<LogRecord>& records,
                          const std::vector<size_t>& candidates,
                          const std::array<uint64_t, kRedoSlices>& horizons);
+  // Appends `t`'s write-set to the WAL, one record per op; the first record
+  // sets t.first_lsn. Commit and Prepare log through here.
+  void LogWriteSet(Txn& t);
+  // Commit (prepared = false: CPU charge, then the write-set is logged) and
+  // CommitPrepared (prepared = true: the write-set is already logged; a
+  // second decision arriving mid-apply gets kTxnNotActive) share one path
+  // from there: append the commit record and wait until it is durable,
+  // apply the write-set to the tree, release the locks, forget the txn and
+  // count the commit. Both forward here, so neither adds a coroutine frame.
+  rlsim::Task<DbStatus> CommitDurably(uint64_t txn, bool prepared);
   rlsim::Task<void> ThrottleDirtyPages();
   StagedCheckpoint StageCheckpoint();  // caller must hold apply_mutex_
   // Writes one page straight to the data device; a failed write means the

@@ -334,7 +334,7 @@ class ClassicEpisode : public Episode {
     if (cfg.replicas > 0) {
       opts.replication.enabled = true;
       opts.replication.replicas = cfg.replicas;
-      opts.replication.shipper.mode = cfg.ship_mode;
+      opts.replication.ship_mode = cfg.ship_mode;
     }
     return opts;
   }
@@ -777,7 +777,7 @@ rlharness::DivergenceReport AuditEpisodeDivergence(const EpisodeConfig& cfg,
       jobs);
 }
 
-ShrinkResult Shrink(const EpisodeConfig& failing, int budget) {
+ShrinkResult Shrink(const EpisodeConfig& failing) {
   ShrinkResult res;
   res.minimal = failing;
   res.outcome = RunEpisode(failing);
@@ -788,9 +788,9 @@ ShrinkResult Shrink(const EpisodeConfig& failing, int budget) {
 
   // "Still failing" = any oracle violation, not necessarily the same string:
   // the minimal schedule for the underlying defect is what we are after.
-  const auto still_fails = [&res, budget](const EpisodeConfig& cand,
-                                          EpisodeOutcome* out) {
-    if (res.replays_used >= budget) {
+  const auto still_fails = [&res](const EpisodeConfig& cand,
+                                  EpisodeOutcome* out) {
+    if (res.replays_used >= kShrinkBudget) {
       return false;
     }
     ++res.replays_used;
@@ -800,10 +800,10 @@ ShrinkResult Shrink(const EpisodeConfig& failing, int budget) {
 
   // Pass 1: ddmin over the event list.
   size_t chunk = std::max<size_t>(1, res.minimal.events.size() / 2);
-  while (res.replays_used < budget) {
+  while (res.replays_used < kShrinkBudget) {
     bool removed_any = false;
-    for (size_t begin = 0;
-         begin < res.minimal.events.size() && res.replays_used < budget;) {
+    for (size_t begin = 0; begin < res.minimal.events.size() &&
+                           res.replays_used < kShrinkBudget;) {
       EpisodeConfig cand = res.minimal;
       const size_t end = std::min(begin + chunk, cand.events.size());
       cand.events.erase(cand.events.begin() + static_cast<long>(begin),
@@ -829,8 +829,9 @@ ShrinkResult Shrink(const EpisodeConfig& failing, int budget) {
   // still fails, so the minimal schedule reads in human units.
   for (const int64_t grain : {int64_t{100'000}, int64_t{10'000},
                               int64_t{1'000}}) {
-    for (size_t i = 0;
-         i < res.minimal.events.size() && res.replays_used < budget; ++i) {
+    for (size_t i = 0; i < res.minimal.events.size() &&
+                       res.replays_used < kShrinkBudget;
+         ++i) {
       const int64_t rounded = res.minimal.events[i].at_us / grain * grain;
       if (rounded == res.minimal.events[i].at_us || rounded <= 0) {
         continue;
@@ -888,7 +889,7 @@ ExplorerReport ChaosExplorer::RunCampaign() {
   if (options_.shrink) {
     shrunk = rlharness::RunJobs<ShrinkResult>(
         jobs, failing.size(), [this, &cfgs, &failing](size_t k) {
-          return Shrink(cfgs[failing[k]], options_.shrink_budget);
+          return Shrink(cfgs[failing[k]]);
         });
   }
   for (size_t k = 0; k < failing.size(); ++k) {

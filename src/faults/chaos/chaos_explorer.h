@@ -102,9 +102,10 @@ struct ShrinkResult {
 // Minimises a failing config: pass 1 is ddmin over the event list (drop
 // chunks, halving the chunk size while removals keep the episode failing);
 // pass 2 coarsens each surviving timestamp to the roundest grain that still
-// fails. Any oracle violation counts as "still failing". `budget` bounds the
-// number of episode replays.
-ShrinkResult Shrink(const EpisodeConfig& failing, int budget = 250);
+// fails. Any oracle violation counts as "still failing". At most
+// kShrinkBudget episode replays.
+inline constexpr int kShrinkBudget = 250;
+ShrinkResult Shrink(const EpisodeConfig& failing);
 
 struct ExplorerOptions {
   uint64_t base_seed = 1;
@@ -112,7 +113,6 @@ struct ExplorerOptions {
   GeneratorOptions gen;
   RunOptions run;
   bool shrink = true;
-  int shrink_budget = 250;
   // Worker threads for the episode fan-out (src/harness/parallel_runner).
   // Episodes are independent seeded simulations; outcomes are reduced in
   // episode-index order, so the report (hashes, violation order, shrunken

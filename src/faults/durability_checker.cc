@@ -238,19 +238,6 @@ Task<VerifyResult> DurabilityChecker::Verify(KeyReader read) {
   co_return result;
 }
 
-std::string ReplicaAudit::Summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "sectors expected=%llu ok=%llu missing=%llu mismatched=%llu "
-                "-> %s",
-                static_cast<unsigned long long>(sectors_expected),
-                static_cast<unsigned long long>(sectors_ok),
-                static_cast<unsigned long long>(sectors_missing),
-                static_cast<unsigned long long>(sectors_mismatched),
-                ok() ? "OK" : "REPLICA DURABILITY VIOLATED");
-  return buf;
-}
-
 namespace {
 
 // True if `seq` fell in a RESET gap: shipped, later crossed by the quorum
@@ -268,38 +255,6 @@ bool InResetGap(const std::vector<std::pair<uint64_t, uint64_t>>& gaps,
 // (seq, CRC-32C) of one shipped version of a sector.
 using SectorVersion = std::pair<uint64_t, uint32_t>;
 
-// Replays the shipped history in sequence order to build each sector's
-// version list (WAL tail rewrites ship the same LBA at several sequence
-// numbers), and calls fn(sector, acceptable) for each sector with a
-// quorum-acked version, in ascending sector order. `acceptable` runs from
-// the newest genuinely acked version (versions in a RESET gap are below the
-// cursor without having been acked) to the newest shipped one: frames in
-// flight at a power cut may land afterwards, and a later version of a WAL
-// block only appends records to it, so it still contains everything that
-// was acked.
-template <typename Fn>
-void ForEachAckedSector(const rlrep::LogShipper& shipper, Fn&& fn) {
-  const uint64_t cursor = shipper.audit_quorum_cursor();
-  std::map<uint64_t, std::vector<SectorVersion>> versions;
-  for (const rlrep::ShippedBlockMeta& block : shipper.shipped_blocks()) {
-    for (size_t i = 0; i < block.sector_crcs.size(); ++i) {
-      versions[block.lba + i].emplace_back(block.seq, block.sector_crcs[i]);
-    }
-  }
-  for (const auto& [sector, history] : versions) {
-    size_t acked = history.size();
-    for (size_t i = 0; i < history.size(); ++i) {
-      if (history[i].first < cursor &&
-          !InResetGap(shipper.reset_gaps(), history[i].first)) {
-        acked = i;
-      }
-    }
-    if (acked < history.size()) {
-      fn(sector, std::span<const SectorVersion>(history).subspan(acked));
-    }
-  }
-}
-
 // Whether `image` durably holds one of the `acceptable` versions of `sector`.
 bool HoldsVersion(const rlstor::DiskImage& image, uint64_t sector,
                   std::span<const SectorVersion> acceptable) {
@@ -314,24 +269,6 @@ bool HoldsVersion(const rlstor::DiskImage& image, uint64_t sector,
 }
 
 }  // namespace
-
-ReplicaAudit AuditReplicaDurability(const rlrep::LogShipper& shipper,
-                                    const rlrep::ReplicaNode& replica) {
-  ReplicaAudit audit;
-  const rlstor::DiskImage& image = replica.disk().image();
-  ForEachAckedSector(shipper, [&](uint64_t sector,
-                                  std::span<const SectorVersion> acceptable) {
-    ++audit.sectors_expected;
-    if (image.state(sector) != rlstor::SectorState::kDurable) {
-      ++audit.sectors_missing;
-    } else if (HoldsVersion(image, sector, acceptable)) {
-      ++audit.sectors_ok;
-    } else {
-      ++audit.sectors_mismatched;
-    }
-  });
-  return audit;
-}
 
 std::string QuorumAudit::Summary() const {
   char buf[160];
@@ -348,22 +285,52 @@ QuorumAudit AuditQuorumDurability(
     const rlrep::LogShipper& shipper,
     const std::vector<const rlrep::ReplicaNode*>& replicas) {
   QuorumAudit audit;
-  const size_t quorum = shipper.quorum_size();
-  ForEachAckedSector(shipper, [&](uint64_t sector,
-                                  std::span<const SectorVersion> acceptable) {
-    ++audit.sectors_expected;
-    size_t holders = 0;
-    for (const rlrep::ReplicaNode* replica : replicas) {
-      if (HoldsVersion(replica->disk().image(), sector, acceptable)) {
-        ++holders;
+  const uint64_t cursor = shipper.audit_quorum_cursor();
+  // Replay the shipped history in sequence order to build each sector's
+  // version list (WAL tail rewrites ship the same LBA at several sequence
+  // numbers).
+  std::map<uint64_t, std::vector<SectorVersion>> versions;
+  for (const rlrep::ShippedBlockMeta& block : shipper.shipped_blocks()) {
+    for (size_t i = 0; i < block.sector_crcs.size(); ++i) {
+      versions[block.lba + i].emplace_back(block.seq, block.sector_crcs[i]);
+    }
+  }
+  std::vector<bool> complete(replicas.size(), true);
+  for (const auto& [sector, history] : versions) {
+    // Acceptable versions run from the newest genuinely acked one (versions
+    // in a RESET gap are below the cursor without having been acked) to the
+    // newest shipped one: frames in flight at a power cut may land
+    // afterwards, and a later version of a WAL block only appends records to
+    // it, so it still contains everything that was acked.
+    size_t acked = history.size();
+    for (size_t i = 0; i < history.size(); ++i) {
+      if (history[i].first < cursor &&
+          !InResetGap(shipper.reset_gaps(), history[i].first)) {
+        acked = i;
       }
     }
-    if (holders >= quorum) {
+    if (acked == history.size()) {
+      continue;  // never quorum-acked
+    }
+    const auto acceptable =
+        std::span<const SectorVersion>(history).subspan(acked);
+    ++audit.sectors_expected;
+    size_t holders = 0;
+    for (size_t r = 0; r < replicas.size(); ++r) {
+      if (HoldsVersion(replicas[r]->disk().image(), sector, acceptable)) {
+        ++holders;
+      } else {
+        complete[r] = false;
+      }
+    }
+    if (holders >= shipper.quorum_size()) {
       ++audit.sectors_ok;
     } else {
       ++audit.sectors_underreplicated;
     }
-  });
+  }
+  audit.complete_replicas = static_cast<size_t>(
+      std::count(complete.begin(), complete.end(), true));
   return audit;
 }
 

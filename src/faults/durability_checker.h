@@ -127,42 +127,26 @@ class DurabilityChecker {
 
 // --- Replicated-durability oracle (src/replica) ------------------------------
 
-// Block-level verdict on one replica: does its disk image durably hold,
-// bit-for-bit, every log block the primary quorum-acknowledged before it
-// died? (The shipper's append-only audit log supplies per-sector CRCs of
-// everything shipped; the quorum cursor is frozen at the instant of the
-// primary's power loss.)
-struct ReplicaAudit {
-  uint64_t sectors_expected = 0;
-  uint64_t sectors_ok = 0;
-  uint64_t sectors_missing = 0;     // not durable on the replica's medium
-  uint64_t sectors_mismatched = 0;  // durable but wrong contents
-
-  bool ok() const { return sectors_missing == 0 && sectors_mismatched == 0; }
-  std::string Summary() const;
-};
-
-// Verifies `replica` against the quorum-acknowledged shipped prefix. A
-// majority of replicas must individually pass for the quorum-ack guarantee
-// to hold; any single passing replica suffices to restore the log.
+// Per-sector quorum verdict across the whole replica set: every sector the
+// primary quorum-acknowledged before it died must be durably held by at
+// least `shipper.quorum_size()` replicas. The shipper's append-only audit
+// log supplies per-sector CRCs of everything shipped; the quorum cursor is
+// frozen at the instant of the primary's power loss. No single replica need
+// hold everything — under fault schedules that kill or partition individual
+// replicas, different sectors may be covered by different replica subsets —
+// but each sector's quorum must survive.
 //
 // Newest-version semantics: when the same sector was shipped more than once
-// (WAL tail rewrites), the replica must hold the newest quorum-acked version
-// — or a newer shipped one, since frames in flight at the cut may still land
+// (WAL tail rewrites), a replica must hold the newest quorum-acked version —
+// or a newer shipped one, since frames in flight at the cut may still land
 // and a later version of a WAL block only appends to the acked records.
-ReplicaAudit AuditReplicaDurability(const rlrep::LogShipper& shipper,
-                                    const rlrep::ReplicaNode& replica);
-
-// Per-sector quorum verdict across the whole replica set: every sector the
-// primary quorum-acknowledged must be durably held (newest-acked-or-newer,
-// as above) by at least `shipper.quorum_size()` replicas. This is the right
-// oracle under fault schedules that kill or partition individual replicas:
-// no single replica need hold everything — different sectors may be covered
-// by different replica subsets — but each sector's quorum must survive.
 struct QuorumAudit {
   uint64_t sectors_expected = 0;
   uint64_t sectors_ok = 0;
   uint64_t sectors_underreplicated = 0;  // held by fewer than quorum replicas
+  // Replicas that hold every acked sector: any one of them alone restores
+  // the acked log.
+  size_t complete_replicas = 0;
 
   bool ok() const { return sectors_underreplicated == 0; }
   std::string Summary() const;

@@ -34,9 +34,9 @@ struct FleetOptions {
   // Flat key space the directory partitions. Workload keys must stay below
   // this.
   uint64_t key_space = 1 << 20;
-  // Template for every shard's testbed; `instance` is overwritten with
-  // "shard-i." per shard. Its `psu` and `rapilog` also build the
-  // coordinator host's PSU and decision-log RapiLog device.
+  // Template for every shard's testbed, used as is for each shard. Its
+  // `psu` and `rapilog` also build the coordinator host's PSU and
+  // decision-log RapiLog device.
   TestbedOptions shard;
   rlshard::CoordinatorOptions coordinator;
 };

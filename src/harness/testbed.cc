@@ -201,7 +201,7 @@ void Testbed::BuildReplication(rlstor::BlockDevice& local_log) {
         "replica disks must cover the primary log's sector range");
   }
   shipper_ = std::make_unique<rlrep::LogShipper>(
-      sim_, *fabric_, "primary", names, local_log, rep.shipper);
+      sim_, *fabric_, "primary", names, local_log, rep.ship_mode);
   for (const std::string& name : names) {
     fabric_->Connect("primary", name, rep.link);
   }

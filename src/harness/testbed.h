@@ -68,7 +68,7 @@ struct ReplicationOptions {
   bool enabled = false;
   size_t replicas = 2;
   rlnet::LinkParams link;          // primary <-> each replica
-  rlrep::ShipperOptions shipper;
+  rlrep::ShipMode ship_mode = rlrep::ShipMode::kAsync;
 };
 
 struct TestbedOptions {

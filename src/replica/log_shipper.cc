@@ -45,13 +45,13 @@ std::string ToString(ShipMode m) {
 LogShipper::LogShipper(rlsim::Simulator& sim, rlnet::NetworkFabric& fabric,
                        const std::string& self_name,
                        std::vector<std::string> replica_names,
-                       rlstor::BlockDevice& local, ShipperOptions options)
+                       rlstor::BlockDevice& local, ShipMode mode)
     : sim_(sim),
       fabric_(fabric),
       self_name_(self_name),
       endpoint_(fabric.CreateEndpoint(self_name)),
       local_(local),
-      options_(options),
+      mode_(mode),
       quorum_wake_(sim),
       retrans_wake_(sim) {
   RL_CHECK_MSG(!replica_names.empty(), "LogShipper needs >= 1 replica");
@@ -113,16 +113,9 @@ Task<BlockStatus> LogShipper::Write(uint64_t lba,
   if (st != BlockStatus::kOk) {
     co_return st;
   }
-  if (options_.mode == ShipMode::kQuorumAck && fua) {
+  if (mode_ == ShipMode::kQuorumAck && fua) {
     // FUA is a durability point: honour it across the quorum as well.
-    rlsim::SpanScope span(sim_, self_name_, "quorum-wait",
-                          static_cast<int64_t>(shipped_upto));
-    const TimePoint t0 = sim_.now();
-    const bool ok = co_await WaitQuorumUpTo(shipped_upto);
-    stats_.quorum_wait.RecordDuration(sim_.now() - t0);
-    if (!ok) {
-      co_return BlockStatus::kDeviceOff;
-    }
+    co_return co_await WaitQuorumUpTo(shipped_upto);
   }
   co_return BlockStatus::kOk;
 }
@@ -136,15 +129,8 @@ Task<BlockStatus> LogShipper::Flush() {
   if (st != BlockStatus::kOk) {
     co_return st;
   }
-  if (options_.mode == ShipMode::kQuorumAck && shipped_upto > 0) {
-    rlsim::SpanScope span(sim_, self_name_, "quorum-wait",
-                          static_cast<int64_t>(shipped_upto));
-    const TimePoint t0 = sim_.now();
-    const bool ok = co_await WaitQuorumUpTo(shipped_upto);
-    stats_.quorum_wait.RecordDuration(sim_.now() - t0);
-    if (!ok) {
-      co_return BlockStatus::kDeviceOff;
-    }
+  if (mode_ == ShipMode::kQuorumAck && shipped_upto > 0) {
+    co_return co_await WaitQuorumUpTo(shipped_upto);
   }
   co_return BlockStatus::kOk;
 }
@@ -153,11 +139,16 @@ Task<BlockStatus> LogShipper::Read(uint64_t lba, std::span<uint8_t> out) {
   co_return co_await local_.Read(lba, out);
 }
 
-Task<bool> LogShipper::WaitQuorumUpTo(uint64_t target) {
+Task<BlockStatus> LogShipper::WaitQuorumUpTo(uint64_t target) {
+  rlsim::SpanScope span(sim_, self_name_, "quorum-wait",
+                        static_cast<int64_t>(target));
+  const TimePoint t0 = sim_.now();
   while (powered_ && quorum_cursor_ < target) {
     co_await quorum_wake_.Wait();
   }
-  co_return quorum_cursor_ >= target;
+  stats_.quorum_wait.RecordDuration(sim_.now() - t0);
+  co_return quorum_cursor_ >= target ? BlockStatus::kOk
+                                     : BlockStatus::kDeviceOff;
 }
 
 void LogShipper::AdvanceQuorum() {

@@ -55,10 +55,6 @@ enum class ShipMode { kAsync, kQuorumAck };
 
 std::string ToString(ShipMode m);
 
-struct ShipperOptions {
-  ShipMode mode = ShipMode::kAsync;
-};
-
 // Everything ever shipped, for block-level durability auditing.
 struct ShippedBlockMeta {
   uint64_t seq = 0;
@@ -86,7 +82,7 @@ class LogShipper : public rlstor::BlockDevice {
   LogShipper(rlsim::Simulator& sim, rlnet::NetworkFabric& fabric,
              const std::string& self_name,
              std::vector<std::string> replica_names,
-             rlstor::BlockDevice& local, ShipperOptions options);
+             rlstor::BlockDevice& local, ShipMode mode);
 
   // --- rlstor::BlockDevice ---------------------------------------------------
 
@@ -106,7 +102,7 @@ class LogShipper : public rlstor::BlockDevice {
   // In quorum mode Flush is the quorum durability point, so it must reach
   // the shipper; in async mode it is only the local device's flush.
   bool volatile_write_cache() const override {
-    return options_.mode == ShipMode::kQuorumAck ||
+    return mode_ == ShipMode::kQuorumAck ||
            local_.volatile_write_cache();
   }
 
@@ -123,7 +119,7 @@ class LogShipper : public rlstor::BlockDevice {
 
   // --- introspection ---------------------------------------------------------
 
-  ShipMode mode() const { return options_.mode; }
+  ShipMode mode() const { return mode_; }
   // Next sequence number to be assigned (== blocks shipped so far).
   uint64_t next_seq() const { return next_seq_; }
   // Blocks [0, quorum_cursor) are durable on a majority of replicas.
@@ -176,8 +172,10 @@ class LogShipper : public rlstor::BlockDevice {
   void AdvanceQuorum();
   void ResendTo(Peer& peer);
   bool AllCaughtUp() const;
-  // Returns false if power was lost while waiting.
-  rlsim::Task<bool> WaitQuorumUpTo(uint64_t target);
+  // Quorum mode's durability point: waits (in a "quorum-wait" span, timed
+  // into stats_.quorum_wait) until blocks [0, target) are majority-durable.
+  // kDeviceOff if power was lost while waiting.
+  rlsim::Task<rlstor::BlockStatus> WaitQuorumUpTo(uint64_t target);
 
   rlsim::Task<void> AckLoop();
   rlsim::Task<void> RetransmitLoop();
@@ -187,7 +185,7 @@ class LogShipper : public rlstor::BlockDevice {
   std::string self_name_;
   rlnet::Endpoint& endpoint_;
   rlstor::BlockDevice& local_;
-  ShipperOptions options_;
+  ShipMode mode_;
 
   std::vector<Peer> peers_;
   std::deque<WindowEntry> window_;

@@ -74,7 +74,7 @@ class Histogram {
 // histograms once, and benches/harnesses print the whole set in one
 // deterministically-ordered (name-sorted) block instead of hand-rolling a
 // printf per stat. The registry does not own the registered objects; they
-// must outlive it (or be Unregistered by prefix first).
+// must outlive it.
 class StatsRegistry {
  public:
   void RegisterCounter(const std::string& name, const Counter* counter);

@@ -134,18 +134,11 @@ template <typename T>
 class Completion {
   // Completion is one-shot, so the only wakeup a waiter gets is the one
   // Complete() sends: no re-check loop, and no coroutine frame.
-  template <bool kCopy>
   struct Awaiter {
     Completion& c;
     bool await_ready() const noexcept { return c.completed(); }
     void await_suspend(std::coroutine_handle<> h) { c.waiters_.Park(h); }
-    auto await_resume() const {
-      if constexpr (kCopy) {
-        return T(c.value());
-      } else {
-        return &c.value();
-      }
-    }
+    T await_resume() const { return c.value(); }
   };
 
  public:
@@ -159,12 +152,8 @@ class Completion {
     waiters_.NotifyAll();
   }
 
-  // Awaitable; resumes once completed and yields a pointer to the stored
-  // value (the Completion must outlive the use of the pointer).
-  Awaiter<false> WaitPtr() { return {*this}; }
-
-  // Convenience: yields a copy of the value.
-  Awaiter<true> Wait() { return {*this}; }
+  // Awaitable; resumes once completed and yields a copy of the value.
+  Awaiter Wait() { return {*this}; }
 
   const T& value() const {
     RL_CHECK(value_.has_value());
@@ -195,8 +184,6 @@ class TaskGroup {
       std::rethrow_exception(first_exception_);
     }
   }
-
-  size_t outstanding() const { return outstanding_; }
 
  private:
   Task<void> Wrap(Task<void> inner) {

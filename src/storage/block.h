@@ -20,8 +20,6 @@ enum class BlockStatus {
 
 std::string ToString(BlockStatus s);
 
-enum class BlockOp { kRead, kWrite, kFlush };
-
 struct Geometry {
   uint64_t sector_count = 0;
   uint32_t sector_size = kSectorSize;

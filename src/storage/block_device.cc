@@ -368,7 +368,7 @@ void SimBlockDevice::PowerLoss() {
                                 ? inflight_medium_write_->lba + 1
                                 : 0));
   }
-  image_.PowerLoss(-1);
+  image_.PowerLoss();
   // Unblock everything so waiters observe powered_ == false.
   destage_wake_.NotifyAll();
   space_available_.NotifyAll();

@@ -107,7 +107,6 @@ class SimBlockDevice : public BlockDevice {
   // The pending budget is cleared by PowerRestore (the power cycle is the
   // repair action the storage stack already understands).
   void InjectWriteFaults(uint32_t count) { write_faults_pending_ += count; }
-  uint32_t write_faults_pending() const { return write_faults_pending_; }
 
   void EnterEmergencyMode() override { emergency_mode_ = true; }
   void ExitEmergencyMode() { emergency_mode_ = false; }

@@ -7,14 +7,6 @@
 
 namespace rlstor {
 
-namespace {
-
-// Pattern written into a torn sector so corruption is recognisable (and so
-// checksum verification in upper layers reliably fails).
-constexpr uint8_t kTornFill = 0xDB;
-
-}  // namespace
-
 DiskImage::DiskImage(uint64_t sector_count) : sector_count_(sector_count) {
   RL_CHECK(sector_count > 0);
 }
@@ -137,10 +129,7 @@ void DiskImage::WriteCached(uint64_t sector, std::span<const uint8_t> data) {
                                    uint64_t n, uint64_t done) {
     Extent& e = cache_nodes_
                     .TryEmplace(cache_, index,
-                                [](Extent& spare) {
-                                  spare.present = 0;
-                                  spare.torn = 0;
-                                })
+                                [](Extent& spare) { spare.present = 0; })
                     .first->second;
     const auto src = data.subspan(done * kSectorSize, n * kSectorSize);
     std::copy(src.begin(), src.end(), e.bytes.begin() + first * kSectorSize);
@@ -148,9 +137,6 @@ void DiskImage::WriteCached(uint64_t sector, std::span<const uint8_t> data) {
     cached_sectors_ += static_cast<size_t>(
         std::popcount(static_cast<uint16_t>(bits & ~e.present)));
     e.present |= bits;
-    if (const auto it = durable_.find(index); it != durable_.end()) {
-      it->second.torn &= static_cast<uint16_t>(~bits);
-    }
   });
 }
 
@@ -163,7 +149,6 @@ void DiskImage::WriteDurable(uint64_t sector, std::span<const uint8_t> data) {
     std::copy(src.begin(), src.end(), e.bytes.begin() + first * kSectorSize);
     const uint16_t bits = Mask(first, n);
     e.present |= bits;
-    e.torn &= static_cast<uint16_t>(~bits);
     DropCached(index, bits);  // the medium now holds the newest contents
   });
 }
@@ -187,23 +172,13 @@ void DiskImage::Harden(uint64_t sector, uint64_t count) {
       }
     }
     durable.present |= bits;
-    durable.torn &= static_cast<uint16_t>(~bits);
     DropCached(index, bits);
   });
 }
 
-void DiskImage::PowerLoss(int64_t torn_sector) {
+void DiskImage::PowerLoss() {
   cache_.clear();
   cached_sectors_ = 0;
-  if (torn_sector >= 0) {
-    const uint64_t sector = static_cast<uint64_t>(torn_sector);
-    CheckRange(sector);
-    Extent& e = durable_[sector / kExtentSectors];
-    const auto bytes = SectorBytes(e, sector);
-    std::fill(bytes.begin(), bytes.end(), kTornFill);
-    e.present |= Bit(sector);
-    e.torn |= Bit(sector);
-  }
 }
 
 SectorState DiskImage::state(uint64_t sector) const {
@@ -211,17 +186,12 @@ SectorState DiskImage::state(uint64_t sector) const {
   if (Find(cache_, sector) != nullptr) {
     return SectorState::kCachedVolatile;
   }
-  const Extent* e = Find(durable_, sector);
-  if (e == nullptr) {
-    return SectorState::kUnwritten;
-  }
-  return (e->torn & Bit(sector)) != 0 ? SectorState::kTorn
-                                      : SectorState::kDurable;
+  return Find(durable_, sector) != nullptr ? SectorState::kDurable
+                                           : SectorState::kUnwritten;
 }
 
 bool DiskImage::IsDurable(uint64_t sector) const {
-  const SectorState s = state(sector);
-  return s == SectorState::kDurable || s == SectorState::kUnwritten;
+  return state(sector) != SectorState::kCachedVolatile;
 }
 
 std::vector<uint64_t> DiskImage::DurableSectorList() const {
@@ -236,7 +206,7 @@ std::vector<uint64_t> DiskImage::DurableSectorList() const {
   for (const uint64_t index : extents) {
     const Extent& e = durable_.at(index);
     for (uint64_t i = 0; i < kExtentSectors; ++i) {
-      if (((e.present & ~e.torn) >> i & 1u) != 0) {
+      if ((e.present >> i & 1u) != 0) {
         sectors.push_back(index * kExtentSectors + i);
       }
     }
@@ -276,7 +246,6 @@ void DiskImage::CopyDurableWindow(const DiskImage& src, uint64_t first,
     Extent& e = durable_.at(index);
     const uint16_t keep = static_cast<uint16_t>(~WindowBits(index, 0, count));
     e.present &= keep;
-    e.torn &= keep;
     if (e.present == 0) {
       durable_.erase(index);
     }
@@ -293,9 +262,6 @@ void DiskImage::CopyDurableWindow(const DiskImage& src, uint64_t first,
       const auto bytes = SectorBytes(from, i);
       std::copy(bytes.begin(), bytes.end(), SectorBytes(to, sector).begin());
       to.present |= Bit(sector);
-      if ((from.torn >> i & 1u) != 0) {
-        to.torn |= Bit(sector);
-      }
     }
   }
 }

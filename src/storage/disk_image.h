@@ -1,6 +1,9 @@
 // The persistent medium: byte-accurate sector contents with a persistence
 // ledger distinguishing durable bytes (survive power loss) from bytes that
-// only exist in a volatile write cache.
+// only exist in a volatile write cache. A sector is written whole, so its
+// durable contents are always one complete write: a power cut mid-request
+// lands a prefix of the request's sectors (SimBlockDevice), never part of
+// one sector.
 //
 // Sparse: unwritten sectors read as zeros. Sectors are held in aligned
 // 16-sector (8 KiB) extents with a presence mask, so an engine page or a run
@@ -27,7 +30,6 @@ enum class SectorState {
   kUnwritten,       // never written; reads as zeros; durable by definition
   kDurable,         // on the medium; survives power loss
   kCachedVolatile,  // newest contents only in volatile cache
-  kTorn,            // write interrupted by power loss; contents undefined
 };
 
 class DiskImage {
@@ -41,7 +43,7 @@ class DiskImage {
   // of sectors and the range must fit the image.
 
   // Newest contents, regardless of durability (read-your-writes: the cache
-  // shadows the medium). A torn sector reads as its corrupted pattern.
+  // shadows the medium).
   void Read(uint64_t sector, std::span<uint8_t> out) const;
 
   // Writes into the volatile cache (not durable until hardened).
@@ -54,10 +56,8 @@ class DiskImage {
   // medium. Sectors that are not cached are left alone.
   void Harden(uint64_t sector, uint64_t count = 1);
 
-  // Drops the volatile cache, as a power cut does. `torn_sector`, if
-  // non-negative, marks a sector whose in-flight write was interrupted: its
-  // durable contents are replaced by a recognisable corruption pattern.
-  void PowerLoss(int64_t torn_sector = -1);
+  // Drops the volatile cache, as a power cut does.
+  void PowerLoss();
 
   SectorState state(uint64_t sector) const;
   bool IsDurable(uint64_t sector) const;
@@ -70,16 +70,15 @@ class DiskImage {
   // a power cut), ignoring the volatile cache.
   void ReadDurable(uint64_t sector, std::span<uint8_t> out) const;
 
-  // Every sector with durable, untorn medium contents, ascending. Only
-  // tests call it, to find a log's newest durable sector.
+  // Every sector with durable medium contents, ascending. Only tests call
+  // it, to find a log's newest durable sector.
   std::vector<uint64_t> DurableSectorList() const;
 
   // Replaces sectors [0, count) of this image with what a power cut would
   // leave of `src`'s sectors [first, first + count): their durable contents,
   // shifted down to sector 0. Cached contents of either image are dropped
-  // from the window; a torn source sector keeps its corruption pattern and
-  // stays torn; a sector `src` never made durable reads as zeros. Sectors
-  // from `count` on are left alone.
+  // from the window; a sector `src` never made durable reads as zeros.
+  // Sectors from `count` on are left alone.
   void CopyDurableWindow(const DiskImage& src, uint64_t first,
                          uint64_t count);
 
@@ -93,7 +92,6 @@ class DiskImage {
     Extent() {}
     std::array<uint8_t, kExtentSectors * kSectorSize> bytes;
     uint16_t present = 0;  // bit i: sector i of the extent holds contents
-    uint16_t torn = 0;     // durable layer only: present sectors a cut tore
   };
   using ExtentMap = std::unordered_map<uint64_t, Extent>;
 

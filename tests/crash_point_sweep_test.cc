@@ -156,13 +156,13 @@ TEST_P(ReplicatedCrashPointTest, QuorumHoldsAtEveryCutInstant) {
   rlwork::KvWorkload kv(sim, rltest::WriteHeavyKv());
   rlfault::DurabilityChecker checker;
   rlfault::VerifyResult verdict;
-  size_t replicas_passing = 0;
+  size_t complete_replicas = 0;
 
   rlwork::ClientDriver clients(sim, &checker);
   sim.Spawn([](Simulator& s, rlharness::Testbed& b, rlwork::KvWorkload& w,
                rlwork::ClientDriver& d, rlfault::DurabilityChecker& chk,
                Duration cut, rlfault::VerifyResult& out,
-               size_t& passing) -> Task<void> {
+               size_t& complete) -> Task<void> {
     co_await b.Start();
     co_await w.Load(b.db(), 300);
     d.Spawn(4, w.Clients(b.db()));
@@ -172,18 +172,14 @@ TEST_P(ReplicatedCrashPointTest, QuorumHoldsAtEveryCutInstant) {
     // Frames already on the wire drain into the replicas; then audit the
     // quorum promise against the cursor frozen at the cut.
     co_await s.Sleep(Duration::Seconds(1));
-    for (size_t r = 0; r < b.replica_count(); ++r) {
-      if (rlfault::AuditReplicaDurability(*b.shipper(), b.replica(r)).ok()) {
-        ++passing;
-      }
-    }
+    complete = rltest::AuditReplicas(b).complete_replicas;
     co_await b.RestorePowerAndRecoverFromReplica();
     out = co_await chk.VerifyAfterRecovery(b.db());
     co_await b.db().CheckTreeStructure();
-  }(sim, bed, kv, clients, checker, cut_at, verdict, replicas_passing));
+  }(sim, bed, kv, clients, checker, cut_at, verdict, complete_replicas));
   sim.Run();
 
-  EXPECT_GE(replicas_passing, bed.shipper()->quorum_size());
+  EXPECT_GE(complete_replicas, bed.shipper()->quorum_size());
   EXPECT_GT(verdict.keys_checked, 0u);
   EXPECT_TRUE(verdict.ok()) << verdict.Summary();
 }

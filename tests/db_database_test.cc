@@ -1183,6 +1183,112 @@ TEST(DatabaseTest, StalledCheckpointEvictsStagedFramesInsteadOfFailing) {
   EXPECT_GT(outcome.staged_evictions, 0);
 }
 
+// --- Two-phase commit, participant half ------------------------------------
+
+// A prepared write-set is durable but undecided: the tree shows none of it
+// until CommitPrepared lands it.
+TEST(DatabaseTest, PreparedWriteSetIsInvisibleUntilDecided) {
+  EngineFixture f;
+  f.sim.Spawn([](EngineFixture& fx) -> Task<void> {
+    co_await fx.OpenDb();
+    const uint64_t seed = fx.db->Begin();
+    co_await fx.db->Put(seed, 42, fx.Value(42));
+    EXPECT_EQ(co_await fx.db->Commit(seed), DbStatus::kOk);
+
+    const uint64_t txn = fx.db->Begin();
+    EXPECT_EQ(co_await fx.db->Put(txn, 41, fx.Value(41)), DbStatus::kOk);
+    EXPECT_EQ(co_await fx.db->Remove(txn, 42), DbStatus::kOk);
+    EXPECT_EQ(co_await fx.db->Prepare(txn, /*global_id=*/7), DbStatus::kOk);
+    EXPECT_EQ(fx.db->InDoubtGlobalIds(), std::vector<uint64_t>{7});
+    EXPECT_FALSE(co_await fx.db->ReadCommitted(41, nullptr));
+    EXPECT_TRUE(co_await fx.db->ReadCommitted(42, nullptr));
+
+    EXPECT_EQ(co_await fx.db->CommitPrepared(txn), DbStatus::kOk);
+    std::vector<uint8_t> got;
+    EXPECT_TRUE(co_await fx.db->ReadCommitted(41, &got));
+    EXPECT_EQ(got, fx.Value(41));
+    EXPECT_FALSE(co_await fx.db->ReadCommitted(42, nullptr));
+    EXPECT_TRUE(fx.db->InDoubtGlobalIds().empty());
+    EXPECT_EQ(fx.db->active_txns(), 0u);
+  }(f));
+  f.sim.Run();
+  EXPECT_EQ(f.db->stats().prepares.value(), 1);
+  EXPECT_EQ(f.db->stats().commits.value(), 2);
+}
+
+// A second commit decision that arrives while the first waits on its commit
+// record's durability is turned away, and the write-set lands once.
+TEST(DatabaseTest, DuplicateCommitPreparedMidApplyIsRefused) {
+  EngineFixture f;
+  DbStatus first = DbStatus::kNotFound;
+  f.sim.Spawn([](EngineFixture& fx, DbStatus& first_out) -> Task<void> {
+    co_await fx.OpenDb();
+    const uint64_t txn = fx.db->Begin();
+    co_await fx.db->Put(txn, 5, fx.Value(5));
+    EXPECT_EQ(co_await fx.db->Prepare(txn, /*global_id=*/3), DbStatus::kOk);
+    // Spawn starts the first decision at once; it runs until it parks on
+    // the commit record's durability.
+    fx.sim.Spawn([](Database& db, uint64_t t, DbStatus& out) -> Task<void> {
+      out = co_await db.CommitPrepared(t);
+    }(*fx.db, txn, first_out));
+    EXPECT_EQ(first_out, DbStatus::kNotFound);  // still waiting
+    EXPECT_TRUE(fx.db->InDoubtGlobalIds().empty());
+    EXPECT_EQ(co_await fx.db->CommitPrepared(txn), DbStatus::kTxnNotActive);
+    EXPECT_EQ(co_await fx.db->ResolveInDoubt(3, /*commit=*/true),
+              DbStatus::kTxnNotActive);
+  }(f, first));
+  f.sim.Run();
+  EXPECT_EQ(first, DbStatus::kOk);
+  EXPECT_EQ(f.db->stats().commits.value(), 1);
+  EXPECT_EQ(f.db->stats().commit_latency.count(), 1);
+  f.sim.Spawn([](EngineFixture& fx) -> Task<void> {
+    std::vector<uint8_t> got;
+    EXPECT_TRUE(co_await fx.db->ReadCommitted(5, &got));
+    EXPECT_EQ(got, fx.Value(5));
+    EXPECT_EQ(co_await fx.db->CommittedCount(), 1u);
+    EXPECT_EQ(fx.db->active_txns(), 0u);
+  }(f));
+  f.sim.Run();
+}
+
+// The resolver's path: decisions routed by global id, not local txn id.
+TEST(DatabaseTest, ResolveInDoubtDecidesByGlobalId) {
+  EngineFixture f;
+  f.sim.Spawn([](EngineFixture& fx) -> Task<void> {
+    co_await fx.OpenDb();
+    const uint64_t yes = fx.db->Begin();
+    co_await fx.db->Put(yes, 11, fx.Value(11));
+    EXPECT_EQ(co_await fx.db->Prepare(yes, /*global_id=*/110), DbStatus::kOk);
+    const uint64_t no = fx.db->Begin();
+    co_await fx.db->Put(no, 12, fx.Value(12));
+    EXPECT_EQ(co_await fx.db->Prepare(no, /*global_id=*/120), DbStatus::kOk);
+    EXPECT_EQ(fx.db->InDoubtGlobalIds(), (std::vector<uint64_t>{110, 120}));
+
+    EXPECT_EQ(co_await fx.db->ResolveInDoubt(999, /*commit=*/true),
+              DbStatus::kTxnNotActive);
+    EXPECT_EQ(co_await fx.db->ResolveInDoubt(110, /*commit=*/true),
+              DbStatus::kOk);
+    EXPECT_EQ(co_await fx.db->ResolveInDoubt(120, /*commit=*/false),
+              DbStatus::kOk);
+    // Each decision applies once; a repeat finds nothing to decide.
+    EXPECT_EQ(co_await fx.db->ResolveInDoubt(110, /*commit=*/true),
+              DbStatus::kTxnNotActive);
+    EXPECT_EQ(co_await fx.db->ResolveInDoubt(120, /*commit=*/false),
+              DbStatus::kTxnNotActive);
+    EXPECT_TRUE(fx.db->InDoubtGlobalIds().empty());
+    EXPECT_TRUE(co_await fx.db->ReadCommitted(11, nullptr));
+    EXPECT_FALSE(co_await fx.db->ReadCommitted(12, nullptr));
+
+    // The abort released the prepared txn's lock.
+    const uint64_t next = fx.db->Begin();
+    EXPECT_EQ(co_await fx.db->Put(next, 12, fx.Value(13)), DbStatus::kOk);
+    EXPECT_EQ(co_await fx.db->Commit(next), DbStatus::kOk);
+  }(f));
+  f.sim.Run();
+  EXPECT_EQ(f.db->stats().commits.value(), 2);
+  EXPECT_EQ(f.db->stats().aborts.value(), 1);
+}
+
 TEST(BufferPoolTest, FrameReadingForAMissIsNotHandedOutAgain) {
   // A miss takes a victim frame and then waits for the device read; until
   // the read lands the frame holds no page. Here the read is held at a gate

@@ -35,11 +35,12 @@ TEST(ReplicationIntegrationTest, QuorumCommitsSurviveTotalPrimaryLoss) {
   rlwork::KvWorkload kv(sim, rltest::WriteHeavyKv());
   rlfault::DurabilityChecker checker;
   rlfault::VerifyResult verdict;
-  size_t replicas_passing_audit = 0;
+  rlfault::QuorumAudit audit;
   rlwork::ClientDriver clients(sim, &checker);
   sim.Spawn([](Simulator& s, Testbed& b, rlwork::KvWorkload& w,
                rlwork::ClientDriver& d, rlfault::DurabilityChecker& chk,
-               rlfault::VerifyResult& out, size_t& passing) -> Task<void> {
+               rlfault::VerifyResult& out,
+               rlfault::QuorumAudit& audit_out) -> Task<void> {
     co_await b.Start();
     co_await w.Load(b.db(), 500);
     d.Spawn(4, w.Clients(b.db()));
@@ -48,24 +49,19 @@ TEST(ReplicationIntegrationTest, QuorumCommitsSurviveTotalPrimaryLoss) {
     d.Stop();
     // Rails are down; frames already on the wire drain into the replicas.
     co_await s.Sleep(Duration::Seconds(1));
-    for (size_t r = 0; r < b.replica_count(); ++r) {
-      const auto audit =
-          rlfault::AuditReplicaDurability(*b.shipper(), b.replica(r));
-      EXPECT_GT(audit.sectors_expected, 0u);
-      if (audit.ok()) {
-        ++passing;
-      }
-    }
+    audit_out = rltest::AuditReplicas(b);
     co_await b.RestorePowerAndRecoverFromReplica();
     out = co_await chk.VerifyAfterRecovery(b.db());
     co_await b.db().CheckTreeStructure();
-  }(sim, bed, kv, clients, checker, verdict, replicas_passing_audit));
+  }(sim, bed, kv, clients, checker, verdict, audit));
   sim.Run();
 
   EXPECT_GT(verdict.keys_checked, 0u);
   EXPECT_TRUE(verdict.ok()) << verdict.Summary();
   // The mode's contract is that a majority holds every acked commit.
-  EXPECT_GE(replicas_passing_audit, bed.shipper()->quorum_size());
+  EXPECT_GT(audit.sectors_expected, 0u);
+  EXPECT_GE(audit.complete_replicas, bed.shipper()->quorum_size())
+      << audit.Summary();
   EXPECT_GT(bed.shipper()->next_seq(), 0u);
 }
 
@@ -106,13 +102,10 @@ TEST(ReplicationIntegrationTest, AsyncLossIsBoundedByReplicationLag) {
 
   EXPECT_GT(lag_at_cut, 0u);
   EXPECT_GT(verdict.lost_writes, 0u) << verdict.Summary();
-  // But everything quorum-acked before the partition is still there: each
-  // replica individually passes the audit against the frozen quorum cursor.
-  for (size_t r = 0; r < bed.replica_count(); ++r) {
-    const auto audit =
-        rlfault::AuditReplicaDurability(*bed.shipper(), bed.replica(r));
-    EXPECT_TRUE(audit.ok()) << "replica " << r << ": " << audit.Summary();
-  }
+  // But everything quorum-acked before the partition is still there: every
+  // replica holds all of it, judged against the frozen quorum cursor.
+  const rlfault::QuorumAudit audit = rltest::AuditReplicas(bed);
+  EXPECT_EQ(audit.complete_replicas, bed.replica_count()) << audit.Summary();
 }
 
 TEST(ReplicationIntegrationTest, PartitionedReplicaCatchesUpAfterHeal) {
@@ -143,11 +136,8 @@ TEST(ReplicationIntegrationTest, PartitionedReplicaCatchesUpAfterHeal) {
   EXPECT_LT(cursor_while_partitioned, bed.shipper()->next_seq());
   EXPECT_EQ(bed.replica(2).cursor(), bed.shipper()->next_seq());
   EXPECT_GT(bed.shipper()->stats().retransmits.value(), 0);
-  for (size_t r = 0; r < bed.replica_count(); ++r) {
-    const auto audit =
-        rlfault::AuditReplicaDurability(*bed.shipper(), bed.replica(r));
-    EXPECT_TRUE(audit.ok()) << "replica " << r << ": " << audit.Summary();
-  }
+  const rlfault::QuorumAudit audit = rltest::AuditReplicas(bed);
+  EXPECT_EQ(audit.complete_replicas, bed.replica_count()) << audit.Summary();
 }
 
 TEST(ReplicationIntegrationTest, RapiLogWithQuorumReplicationRecovers) {

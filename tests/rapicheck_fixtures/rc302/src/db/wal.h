@@ -22,6 +22,7 @@ class Wal {
  public:
   uint64_t Append(LogRecord rec);
   void WaitDurable(uint64_t lsn);
+  void Force();
 };
 
 }  // namespace rldb

@@ -51,10 +51,8 @@ struct Rig {
       replicas.push_back(std::make_unique<ReplicaNode>(
           sim, fabric, names.back(), "primary"));
     }
-    ShipperOptions sopts;
-    sopts.mode = mode;
     shipper = std::make_unique<LogShipper>(sim, fabric, "primary", names,
-                                           *local, sopts);
+                                           *local, mode);
     for (const std::string& name : names) {
       fabric.Connect("primary", name, link);
     }
@@ -309,7 +307,7 @@ TEST(LogShipperTest, VolatileWriteCacheFollowsModeAndLocalDevice) {
                                   .cache_policy = policy},
           rlstor::MakeDefaultSsd());
       const LogShipper shipper(sim, fabric, "primary", {"replica-0"}, local,
-                               ShipperOptions{.mode = mode});
+                               mode);
       EXPECT_EQ(shipper.volatile_write_cache(),
                 mode == ShipMode::kQuorumAck || local.volatile_write_cache())
           << ToString(mode) << " " << rlstor::ToString(policy);

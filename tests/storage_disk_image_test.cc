@@ -110,25 +110,6 @@ TEST(DiskImageTest, CacheShadowsDurableUntilHardened) {
   EXPECT_EQ(out, Pattern(0x01));  // cached version lost
 }
 
-TEST(DiskImageTest, TornSectorMarkedAndCorrupted) {
-  DiskImage img(100);
-  img.WriteDurable(12, Pattern(0x55));
-  img.PowerLoss(/*torn_sector=*/12);
-  EXPECT_EQ(img.state(12), SectorState::kTorn);
-  EXPECT_FALSE(img.IsDurable(12));
-  SectorBuf out{};
-  img.Read(12, out);
-  EXPECT_NE(out, Pattern(0x55));
-}
-
-TEST(DiskImageTest, RewriteClearsTornState) {
-  DiskImage img(100);
-  img.PowerLoss(/*torn_sector=*/12);
-  EXPECT_EQ(img.state(12), SectorState::kTorn);
-  img.WriteDurable(12, Pattern(0x66));
-  EXPECT_EQ(img.state(12), SectorState::kDurable);
-}
-
 TEST(DiskImageTest, OutOfRangeRejected) {
   DiskImage img(10);
   SectorBuf buf{};
@@ -160,21 +141,6 @@ TEST(DiskImageTest, DurableWindowDropsCachedOnlySectors) {
   EXPECT_EQ(out, Pattern(0x01));
   EXPECT_EQ(dst.state(1), SectorState::kUnwritten);
   EXPECT_EQ(dst.cached_sector_count(), 0u);
-}
-
-TEST(DiskImageTest, DurableWindowCarriesATornSector) {
-  DiskImage src(100);
-  src.WriteDurable(44, Pattern(0x55));
-  src.PowerLoss(/*torn_sector=*/44);
-  SectorBuf torn{};
-  src.Read(44, torn);
-  DiskImage dst(10);
-  dst.CopyDurableWindow(src, 40, 10);
-  EXPECT_EQ(dst.state(4), SectorState::kTorn);
-  SectorBuf out{};
-  dst.Read(4, out);
-  EXPECT_EQ(out, torn);
-  EXPECT_NE(out, Pattern(0x55));
 }
 
 TEST(DiskImageTest, DurableWindowIsShiftedToSectorZero) {
@@ -209,7 +175,7 @@ TEST(DiskImageTest, DurableWindowReplacesOnlyTheDestinationRange) {
   src.WriteDurable(3, Pattern(0xAA));
   DiskImage dst(40);
   dst.WriteDurable(2, Pattern(0x02));   // in [0, 20): replaced
-  dst.PowerLoss(/*torn_sector=*/5);     // in [0, 20): replaced
+  dst.WriteDurable(5, Pattern(0x05));   // in [0, 20): replaced
   dst.WriteCached(7, Pattern(0x07));    // in [0, 20): dropped
   dst.WriteDurable(20, Pattern(0x20));  // past the window: kept
   dst.WriteCached(21, Pattern(0x21));   // past the window: kept

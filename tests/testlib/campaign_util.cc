@@ -28,8 +28,16 @@ rlharness::TestbedOptions ReplicatedCampaignOptions(
   opt.db.profile.checkpoint_dirty_pages = 128;
   opt.replication.enabled = true;
   opt.replication.replicas = replicas;
-  opt.replication.shipper.mode = ship;
+  opt.replication.ship_mode = ship;
   return opt;
+}
+
+rlfault::QuorumAudit AuditReplicas(rlharness::Testbed& bed) {
+  std::vector<const rlrep::ReplicaNode*> replicas;
+  for (size_t r = 0; r < bed.replica_count(); ++r) {
+    replicas.push_back(&bed.replica(r));
+  }
+  return rlfault::AuditQuorumDurability(*bed.shipper(), replicas);
 }
 
 rlwork::KvConfig WriteHeavyKv() {

@@ -28,6 +28,10 @@ rlharness::TestbedOptions CampaignOptions(rlharness::DeploymentMode mode,
 rlharness::TestbedOptions ReplicatedCampaignOptions(
     rlharness::DeploymentMode mode, rlrep::ShipMode ship, size_t replicas);
 
+// The replication oracle over every replica of `bed`, judged against the
+// quorum cursor frozen at the primary's last power cut.
+rlfault::QuorumAudit AuditReplicas(rlharness::Testbed& bed);
+
 // 100% writes, 2 ops per transaction: every commit is a durability promise.
 rlwork::KvConfig WriteHeavyKv();
 

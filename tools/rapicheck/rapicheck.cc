@@ -444,9 +444,10 @@ void CheckAckBeforeDurability(const Model& m, const Config& cfg,
   }
 }
 
-void CheckCommitRecordAwaited(const Model& m, const Config& cfg,
-                              const std::vector<char>& durable,
-                              Emitter* e) {
+// Only a direct durability call counts here, not the closure RC301 uses: a
+// helper that merely can reach one (the dirty throttle, through a
+// checkpoint it may schedule) does not make this record durable.
+void CheckCommitRecordAwaited(const Model& m, const Config& cfg, Emitter* e) {
   if (cfg.commit_record_enum.empty()) return;
   for (size_t fi = 0; fi < m.functions.size(); ++fi) {
     const FunctionDef& f = m.functions[fi];
@@ -482,8 +483,11 @@ void CheckCommitRecordAwaited(const Model& m, const Config& cfg,
     if (last_append == 0) continue;  // record built here, appended elsewhere
     bool awaited = false;
     for (const FuncEvent& ev : f.events) {
-      if (ev.line <= last_append) continue;
-      if (DurableCallAt(m, cfg, durable, ev)) {
+      if (ev.line <= last_append || ev.kind != FuncEvent::Kind::kCall) {
+        continue;
+      }
+      if (std::find(cfg.durability_calls.begin(), cfg.durability_calls.end(),
+                    ev.name) != cfg.durability_calls.end()) {
         awaited = true;
         break;
       }
@@ -843,7 +847,7 @@ std::vector<Finding> Analyze(const Model& model, const Config& config) {
   CheckReplyReachability(model, config, &e);
   std::vector<char> durable = DurabilityClosure(model, config);
   CheckAckBeforeDurability(model, config, durable, &e);
-  CheckCommitRecordAwaited(model, config, durable, &e);
+  CheckCommitRecordAwaited(model, config, &e);
   CheckLockOrder(model, &e);
   CheckTrustedCeiling(model, &e);
   std::vector<Finding> findings = e.Take();

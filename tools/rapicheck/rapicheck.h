@@ -43,7 +43,8 @@
 //                                     call (WaitDurable/Force/..., directly
 //                                     or transitively) before it
 //     RC302 commit-record-not-awaited kCommit/kPrepare record appended but
-//                                     no durability call after the append
+//                                     no direct durability call after the
+//                                     append in the same function
 //   RC4xx — lock-order cycles
 //     RC401 lock-order-cycle          cycle in the lock acquisition graph
 //                                     (RAII scopes + one-level call
@@ -115,7 +116,7 @@ struct Config {
   std::vector<std::string> ack_line_markers;
   std::vector<EnumRef> ack_producers;
   // RC302: appending a record of one of these kinds must be followed by a
-  // durability call in the same function.
+  // direct durability call in the same function.
   std::string commit_record_enum;
   std::vector<std::string> commit_record_kinds;
   std::vector<std::string> append_calls;
