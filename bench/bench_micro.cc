@@ -8,7 +8,8 @@
 // vs a naive priority_queue<std::function> baseline), chaos-campaign
 // wall-clock at --jobs 1 vs --jobs N, and the host plane of one OLTP and
 // one fleet (2PC) scenario (host time, heap allocations and coroutine
-// frames per committed transaction; events/s for OLTP). These are the
+// frames per committed transaction, the sector bytes their disk images hold
+// at the window's end; events/s for OLTP). These are the
 // numbers later changes are judged against; the suite also cross-checks
 // that the parallel campaign reproduces the sequential corpus hash.
 #include <benchmark/benchmark.h>
@@ -299,14 +300,25 @@ CampaignTiming TimeCampaign(int jobs, uint64_t episodes) {
 }
 
 // The host plane of a fixed scenario, measured over a 1 s window of virtual
-// time after its warm-up. Allocation and frame counts are deterministic;
-// the host rates are wall-clock.
+// time after its warm-up. Allocation and frame counts and the disk-image
+// size are deterministic; the host rates are wall-clock.
 struct HostScenario {
   double host_us_per_txn = 0;
   double events_per_sec = 0;
   double heap_allocs_per_txn = 0;
   double frames_per_txn = 0;
+  double disk_image_mib = 0;  // sector bytes the disks hold at window end
 };
+
+// Sector bytes held by a testbed's disk images (one image when the log
+// shares the data disk).
+double DiskImageMib(rlharness::Testbed& bed) {
+  uint64_t bytes = bed.data_disk().image().stored_bytes();
+  if (&bed.log_disk_physical() != &bed.data_disk()) {
+    bytes += bed.log_disk_physical().image().stored_bytes();
+  }
+  return static_cast<double>(bytes) / (1 << 20);
+}
 
 // Runs `sim` for the window; `committed` reads the scenario's commit count.
 HostScenario MeasureWindow(rlsim::Simulator& sim,
@@ -349,8 +361,9 @@ HostScenario RunHostScenario() {
     s.Stop();
   }(sim, bed, tpcc, clients));
   sim.Run();
-  const HostScenario out = MeasureWindow(
+  HostScenario out = MeasureWindow(
       sim, [&clients] { return clients.stats().committed.value(); });
+  out.disk_image_mib = DiskImageMib(bed);
   clients.Stop();
   sim.Run();
   return out;
@@ -390,8 +403,11 @@ HostScenario RunFleetHostScenario() {
     co_await f.Shutdown();
   }(sim, fleet, work, clients));
   sim.Run();
-  const HostScenario out = MeasureWindow(
+  HostScenario out = MeasureWindow(
       sim, [&clients] { return clients.stats().committed.value(); });
+  for (size_t i = 0; i < fleet.shard_count(); ++i) {
+    out.disk_image_mib += DiskImageMib(fleet.shard(i));
+  }
   sim.Run();
   return out;
 }
@@ -433,10 +449,12 @@ int RunPerfSuite(const std::string& json_path, int jobs) {
   writer.Add("oltp_heap_allocs_per_txn", oltp.heap_allocs_per_txn,
              "allocs/txn");
   writer.Add("oltp_frames_per_txn", oltp.frames_per_txn, "frames/txn");
+  writer.Add("oltp_disk_image_mib", oltp.disk_image_mib, "MiB");
   writer.Add("fleet_host_us_per_txn", fleet.host_us_per_txn, "us");
   writer.Add("fleet_heap_allocs_per_txn", fleet.heap_allocs_per_txn,
              "allocs/txn");
   writer.Add("fleet_frames_per_txn", fleet.frames_per_txn, "frames/txn");
+  writer.Add("fleet_disk_image_mib", fleet.disk_image_mib, "MiB");
   std::fputs(writer.ToString().c_str(), stdout);
   return writer.WriteFile(json_path) ? 0 : 1;
 }

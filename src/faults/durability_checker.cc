@@ -110,7 +110,8 @@ DurabilityChecker::Committed& DurabilityChecker::FindOrInsert(uint64_t key) {
 
 std::span<const uint8_t> DurabilityChecker::ValueOf(
     const Committed& c) const {
-  return std::span<const uint8_t>(chunks_[c.chunk]).subspan(c.offset, c.size);
+  return std::span<const uint8_t>(chunks_[c.at / kValueChunkBytes])
+      .subspan(c.at % kValueChunkBytes, c.size);
 }
 
 bool DurabilityChecker::Matches(const Committed& c, bool found,
@@ -124,25 +125,31 @@ bool DurabilityChecker::Matches(const Committed& c, bool found,
 
 void DurabilityChecker::Apply(const TrackedWrite& w, uint64_t at) {
   Committed& c = FindOrInsert(w.key);
-  c.acked_at = std::max(c.acked_at, at);
+  if (at > c.acked_at) {
+    c.acked_at = at;
+  }
   c.has_value = !w.is_delete;
   if (w.is_delete) {
     return;
   }
   const size_t size = w.value.size();
+  RL_CHECK_MSG(size < kValueChunkBytes,
+               "tracked value of " << size << " bytes is 64 KiB or more");
   if (c.room == 0 || size > c.room) {
-    if (chunks_.empty() || chunk_used_ + size > chunks_.back().size()) {
-      chunks_.emplace_back(std::max(kValueChunkBytes, size));
+    if (chunks_.empty() || chunk_used_ + size > kValueChunkBytes) {
+      RL_CHECK(chunks_.size() < (uint64_t{1} << 32) / kValueChunkBytes);
+      chunks_.emplace_back(kValueChunkBytes);
       chunk_used_ = 0;
     }
-    c.chunk = static_cast<uint32_t>(chunks_.size() - 1);
-    c.offset = static_cast<uint32_t>(chunk_used_);
-    c.room = static_cast<uint32_t>(size);
+    c.at = static_cast<uint32_t>((chunks_.size() - 1) * kValueChunkBytes +
+                                 chunk_used_);
+    c.room = static_cast<uint16_t>(size);
     chunk_used_ += size;
   }
-  c.size = static_cast<uint32_t>(size);
+  c.size = static_cast<uint16_t>(size);
   std::copy(w.value.begin(), w.value.end(),
-            chunks_[c.chunk].begin() + static_cast<ptrdiff_t>(c.offset));
+            chunks_[c.at / kValueChunkBytes].begin() +
+                static_cast<ptrdiff_t>(c.at % kValueChunkBytes));
 }
 
 void DurabilityChecker::OnCommitAcked(uint64_t token) {

@@ -82,13 +82,15 @@ class DurabilityChecker {
   // checker's event clock.
   struct Committed {
     uint64_t key = 0;
-    uint64_t acked_at = 0;
-    uint32_t chunk = 0;   // value bytes: chunks_[chunk][offset, offset+size)
-    uint32_t offset = 0;
-    uint32_t size = 0;
-    uint32_t room = 0;    // bytes reserved at (chunk, offset)
-    bool has_value = false;
+    uint64_t acked_at : 63 = 0;
+    uint64_t has_value : 1 = 0;
+    // Value bytes: [at, at + size) of the arena, whose chunks are laid end
+    // to end; `room` bytes are reserved there.
+    uint32_t at = 0;
+    uint16_t size = 0;
+    uint16_t room = 0;
   };
+  static_assert(sizeof(Committed) == 24);
   struct Pending {
     uint64_t attempted_at = 0;
     std::vector<TrackedWrite> writes;
@@ -117,9 +119,10 @@ class DurabilityChecker {
   // Key -> committed_ index + 1 (0 = empty slot): open addressing with
   // linear probing, at most half full. Keys are never removed.
   std::vector<uint32_t> slots_;
-  // Value arena: fixed-size chunks, appended to and never moved, so a key's
+  // Value arena: 64 KiB chunks, appended to and never moved, so a key's
   // value costs no heap block of its own. A rewrite reuses the key's room
-  // when the new value fits (values are row slots of one fixed size).
+  // when the new value fits (values are row slots of one fixed size). A
+  // value must be smaller than a chunk.
   std::vector<std::vector<uint8_t>> chunks_;
   size_t chunk_used_ = 0;  // bytes taken in chunks_.back()
   std::unordered_map<uint64_t, Pending> pending_;

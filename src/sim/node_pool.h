@@ -2,8 +2,8 @@
 // table entries, write-back cache extents). Erase() parks the erased
 // entry's node, up to a cap, and the next TryEmplace() of a new key reuses
 // it instead of allocating. The mapped value keeps its own storage (a
-// queue's capacity, an extent's bytes); `reset` clears its state for the new
-// key. Parked nodes hold no state, so a copy of a pool starts empty.
+// queue's capacity); `reset` clears its state for the new key. Parked nodes
+// hold no state, so a copy of a pool starts empty.
 #pragma once
 
 #include <cstddef>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "src/sim/check.h"
 
@@ -23,17 +24,6 @@ uint64_t DiskImage::CheckRange(uint64_t sector, size_t bytes) const {
                "sectors " << sector << "+" << count << " beyond capacity "
                           << sector_count_);
   return count;
-}
-
-std::span<uint8_t> DiskImage::SectorBytes(Extent& e, uint64_t sector) {
-  return std::span<uint8_t>(e.bytes).subspan(
-      (sector % kExtentSectors) * kSectorSize, kSectorSize);
-}
-
-std::span<const uint8_t> DiskImage::SectorBytes(const Extent& e,
-                                                uint64_t sector) {
-  return std::span<const uint8_t>(e.bytes).subspan(
-      (sector % kExtentSectors) * kSectorSize, kSectorSize);
 }
 
 const DiskImage::Extent* DiskImage::Find(const ExtentMap& map,
@@ -65,16 +55,83 @@ uint16_t Mask(uint64_t first, uint64_t n) {
   return static_cast<uint16_t>(((1u << n) - 1) << first);
 }
 
+// Whether a sector holds only zeros. Its last word is tested first: a
+// sector with contents seldom ends in zeros, so most writes skip the scan.
+bool IsZero(std::span<const uint8_t> sector) {
+  constexpr size_t kTail = 8;
+  uint8_t bits = 0;
+  for (const uint8_t b : sector.last(kTail)) {
+    bits |= b;
+  }
+  if (bits != 0) {
+    return false;
+  }
+  for (const uint8_t b : sector.first(kSectorSize - kTail)) {
+    bits |= b;
+  }
+  return bits == 0;
+}
+
 }  // namespace
 
-void DiskImage::DropCached(uint64_t index, uint16_t bits) {
-  const auto it = cache_.find(index);
-  if (it == cache_.end()) {
+std::span<uint8_t> DiskImage::SlotBytes(uint32_t slot) const {
+  return {chunks_[slot / kChunkSlots].get() + slot % kChunkSlots * kSectorSize,
+          kSectorSize};
+}
+
+void DiskImage::Store(uint32_t& slot, std::span<const uint8_t> bytes) {
+  if (IsZero(bytes)) {
+    FreeSlot(slot);
     return;
   }
+  if (slot == 0) {
+    if (free_slots_.empty()) {
+      // A new chunk's slots go on the free list lowest on top; slot 0 of the
+      // first chunk is never handed out.
+      const auto base = static_cast<uint32_t>(chunks_.size() * kChunkSlots);
+      chunks_.push_back(
+          std::make_unique_for_overwrite<uint8_t[]>(kChunkSlots * kSectorSize));
+      for (uint32_t s = base + kChunkSlots; s-- > std::max(base, 1u);) {
+        free_slots_.push_back(s);
+      }
+    }
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    ++live_slots_;
+  }
+  std::copy(bytes.begin(), bytes.end(), SlotBytes(slot).begin());
+}
+
+void DiskImage::Load(uint32_t slot, std::span<uint8_t> out) const {
+  if (slot == 0) {
+    std::fill(out.begin(), out.end(), uint8_t{0});
+    return;
+  }
+  const auto bytes = SlotBytes(slot);
+  std::copy(bytes.begin(), bytes.end(), out.begin());
+}
+
+void DiskImage::FreeSlot(uint32_t& slot) {
+  if (slot != 0) {
+    free_slots_.push_back(slot);
+    --live_slots_;
+    slot = 0;
+  }
+}
+
+void DiskImage::DropCached(uint64_t index, uint16_t bits) {
+  if (const auto it = cache_.find(index); it != cache_.end()) {
+    DropCached(it, bits);
+  }
+}
+
+void DiskImage::DropCached(ExtentMap::iterator it, uint16_t bits) {
   Extent& e = it->second;
-  cached_sectors_ -= static_cast<size_t>(std::popcount(
-      static_cast<uint16_t>(e.present & bits)));
+  const auto dropped = static_cast<uint16_t>(e.present & bits);
+  for (uint16_t rest = dropped; rest != 0; rest &= rest - 1) {
+    FreeSlot(e.slot[std::countr_zero(rest)]);
+  }
+  cached_sectors_ -= static_cast<size_t>(std::popcount(dropped));
   e.present &= static_cast<uint16_t>(~bits);
   if (e.present == 0) {
     cache_nodes_.Erase(cache_, it);
@@ -87,20 +144,12 @@ void DiskImage::Read(uint64_t sector, std::span<uint8_t> out) const {
                                    uint64_t n, uint64_t done) {
     const Extent* cached = FindExtent(cache_, index);
     const Extent* durable = FindExtent(durable_, index);
-    for (uint64_t i = 0; i < n; ++i) {
-      const uint16_t bit = static_cast<uint16_t>(1u << (first + i));
-      const auto dst = out.subspan((done + i) * kSectorSize, kSectorSize);
-      const Extent* from = cached != nullptr && (cached->present & bit) != 0
-                               ? cached
-                           : durable != nullptr && (durable->present & bit) != 0
-                               ? durable
-                               : nullptr;
-      if (from != nullptr) {
-        const auto bytes = SectorBytes(*from, first + i);
-        std::copy(bytes.begin(), bytes.end(), dst.begin());
-      } else {
-        std::fill(dst.begin(), dst.end(), uint8_t{0});
-      }
+    for (uint64_t i = first; i < first + n; ++i) {
+      const uint32_t slot = cached != nullptr && (cached->present >> i & 1u)
+                                ? cached->slot[i]
+                            : durable != nullptr ? durable->slot[i]
+                                                 : 0;
+      Load(slot, out.subspan((done + i - first) * kSectorSize, kSectorSize));
     }
   });
 }
@@ -110,15 +159,9 @@ void DiskImage::ReadDurable(uint64_t sector, std::span<uint8_t> out) const {
   ForEachExtent(sector, count, [&](uint64_t index, uint64_t first,
                                    uint64_t n, uint64_t done) {
     const Extent* durable = FindExtent(durable_, index);
-    for (uint64_t i = 0; i < n; ++i) {
-      const uint16_t bit = static_cast<uint16_t>(1u << (first + i));
-      const auto dst = out.subspan((done + i) * kSectorSize, kSectorSize);
-      if (durable != nullptr && (durable->present & bit) != 0) {
-        const auto bytes = SectorBytes(*durable, first + i);
-        std::copy(bytes.begin(), bytes.end(), dst.begin());
-      } else {
-        std::fill(dst.begin(), dst.end(), uint8_t{0});
-      }
+    for (uint64_t i = first; i < first + n; ++i) {
+      Load(durable != nullptr ? durable->slot[i] : 0,
+           out.subspan((done + i - first) * kSectorSize, kSectorSize));
     }
   });
 }
@@ -127,12 +170,13 @@ void DiskImage::WriteCached(uint64_t sector, std::span<const uint8_t> data) {
   const uint64_t count = CheckRange(sector, data.size());
   ForEachExtent(sector, count, [&](uint64_t index, uint64_t first,
                                    uint64_t n, uint64_t done) {
-    Extent& e = cache_nodes_
-                    .TryEmplace(cache_, index,
-                                [](Extent& spare) { spare.present = 0; })
-                    .first->second;
-    const auto src = data.subspan(done * kSectorSize, n * kSectorSize);
-    std::copy(src.begin(), src.end(), e.bytes.begin() + first * kSectorSize);
+    // A parked node's extent is empty: its slots were freed as it emptied.
+    Extent& e =
+        cache_nodes_.TryEmplace(cache_, index, [](Extent&) {}).first->second;
+    for (uint64_t i = first; i < first + n; ++i) {
+      Store(e.slot[i],
+            data.subspan((done + i - first) * kSectorSize, kSectorSize));
+    }
     const uint16_t bits = Mask(first, n);
     cached_sectors_ += static_cast<size_t>(
         std::popcount(static_cast<uint16_t>(bits & ~e.present)));
@@ -145,8 +189,10 @@ void DiskImage::WriteDurable(uint64_t sector, std::span<const uint8_t> data) {
   ForEachExtent(sector, count, [&](uint64_t index, uint64_t first,
                                    uint64_t n, uint64_t done) {
     Extent& e = durable_[index];
-    const auto src = data.subspan(done * kSectorSize, n * kSectorSize);
-    std::copy(src.begin(), src.end(), e.bytes.begin() + first * kSectorSize);
+    for (uint64_t i = first; i < first + n; ++i) {
+      Store(e.slot[i],
+            data.subspan((done + i - first) * kSectorSize, kSectorSize));
+    }
     const uint16_t bits = Mask(first, n);
     e.present |= bits;
     DropCached(index, bits);  // the medium now holds the newest contents
@@ -158,25 +204,31 @@ void DiskImage::Harden(uint64_t sector, uint64_t count) {
   CheckRange(sector, count * kSectorSize);
   ForEachExtent(sector, count, [&](uint64_t index, uint64_t first,
                                    uint64_t n, uint64_t) {
-    const Extent* cached = FindExtent(cache_, index);
+    const auto it = cache_.find(index);
     const uint16_t bits =
-        cached == nullptr ? 0 : cached->present & Mask(first, n);
+        it == cache_.end() ? 0 : it->second.present & Mask(first, n);
     if (bits == 0) {
       return;
     }
+    Extent& cached = it->second;
     Extent& durable = durable_[index];
-    for (uint64_t i = first; i < first + n; ++i) {
-      if ((bits >> i & 1u) != 0) {
-        const auto src = SectorBytes(*cached, i);
-        std::copy(src.begin(), src.end(), SectorBytes(durable, i).begin());
-      }
+    for (uint16_t rest = bits; rest != 0; rest &= rest - 1) {
+      const int i = std::countr_zero(rest);
+      FreeSlot(durable.slot[i]);
+      durable.slot[i] = std::exchange(cached.slot[i], 0);
     }
     durable.present |= bits;
-    DropCached(index, bits);
+    DropCached(it, bits);  // its slots moved, so it frees none
   });
 }
 
 void DiskImage::PowerLoss() {
+  // rapicheck: ordered-ok (which free slot a later sector gets is invisible)
+  for (auto& [index, e] : cache_) {
+    for (uint32_t& slot : e.slot) {
+      FreeSlot(slot);
+    }
+  }
   cache_.clear();
   cached_sectors_ = 0;
 }
@@ -244,8 +296,11 @@ void DiskImage::CopyDurableWindow(const DiskImage& src, uint64_t first,
   }
   for (const uint64_t index : ExtentsIn(durable_, 0, count)) {
     Extent& e = durable_.at(index);
-    const uint16_t keep = static_cast<uint16_t>(~WindowBits(index, 0, count));
-    e.present &= keep;
+    const uint16_t dropped = e.present & WindowBits(index, 0, count);
+    for (uint16_t rest = dropped; rest != 0; rest &= rest - 1) {
+      FreeSlot(e.slot[std::countr_zero(rest)]);
+    }
+    e.present &= static_cast<uint16_t>(~dropped);
     if (e.present == 0) {
       durable_.erase(index);
     }
@@ -253,14 +308,13 @@ void DiskImage::CopyDurableWindow(const DiskImage& src, uint64_t first,
   for (const uint64_t index : ExtentsIn(src.durable_, first, count)) {
     const Extent& from = src.durable_.at(index);
     const uint16_t bits = from.present & WindowBits(index, first, count);
-    for (uint64_t i = 0; i < kExtentSectors; ++i) {
-      if ((bits >> i & 1u) == 0) {
-        continue;
-      }
+    for (uint16_t rest = bits; rest != 0; rest &= rest - 1) {
+      const int i = std::countr_zero(rest);
       const uint64_t sector = index * kExtentSectors + i - first;
       Extent& to = durable_[sector / kExtentSectors];
-      const auto bytes = SectorBytes(from, i);
-      std::copy(bytes.begin(), bytes.end(), SectorBytes(to, sector).begin());
+      if (from.slot[i] != 0) {
+        Store(to.slot[sector % kExtentSectors], src.SlotBytes(from.slot[i]));
+      }
       to.present |= Bit(sector);
     }
   }

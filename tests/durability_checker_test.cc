@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/sim/check.h"
 #include "src/sim/simulator.h"
 #include "src/storage/block_device.h"
 #include "src/workload/tpcc_lite.h"
@@ -310,6 +311,21 @@ TEST(DurabilityCheckerTest, PartialCommitOverAnOlderAckedValueIsAViolation) {
   EXPECT_EQ(verdict.atomicity_violations, 1u);
   EXPECT_EQ(verdict.violating_tokens, std::vector<uint64_t>{2});
   EXPECT_EQ(verdict.promoted_pending, 0u);
+}
+
+
+TEST(DurabilityCheckerTest, ValueOf64KiBOrMoreIsRefused) {
+  DurabilityChecker checker;
+  // The largest value the model holds, then one byte more.
+  checker.OnCommitAttempt(1, {TrackedWrite{
+                                 .key = 1,
+                                 .value = std::vector<uint8_t>(65535, 7)}});
+  checker.OnCommitAcked(1);
+  EXPECT_EQ(checker.model_size(), 1u);
+  checker.OnCommitAttempt(2, {TrackedWrite{
+                                 .key = 2,
+                                 .value = std::vector<uint8_t>(65536, 7)}});
+  EXPECT_THROW(checker.OnCommitAcked(2), rlsim::CheckFailure);
 }
 
 }  // namespace

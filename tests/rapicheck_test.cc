@@ -188,6 +188,14 @@ TEST(RapicheckFixtures, Rc301AckBeforeDurability) {
   EXPECT_EQ(findings.size(), 1u);
 }
 
+TEST(RapicheckFixtures, Rc301DurabilityOnlyInASpawnedTask) {
+  // The Force the checkpoint task reaches does not precede the ack: the
+  // task runs on its own, so the counter still ticks before WaitDurable.
+  const auto findings = RunTree("rc301_spawn");
+  EXPECT_EQ(CountRule(findings, "RC301"), 1) << lintlib::FormatText(findings);
+  EXPECT_EQ(findings.size(), 1u);
+}
+
 TEST(RapicheckFixtures, Rc302CommitRecordNotAwaited) {
   const auto findings = RunTree("rc302");
   EXPECT_EQ(CountRule(findings, "RC302"), 1) << lintlib::FormatText(findings);

@@ -193,5 +193,117 @@ TEST(DiskImageTest, DurableWindowMustFitBothImages) {
   EXPECT_THROW(dst.CopyDurableWindow(src, 0, 11), rlsim::CheckFailure);
 }
 
+
+// --- All-zero sectors and stored bytes ----------------------------------------
+
+// A sector of zeros with `byte` set to `value`.
+SectorBuf ZerosWith(size_t byte, uint8_t value) {
+  SectorBuf buf = Pattern(0);
+  buf[byte] = value;
+  return buf;
+}
+
+TEST(DiskImageTest, ZeroSectorIsPresentCachedAndDurable) {
+  DiskImage img(100);
+  img.WriteCached(3, Pattern(0));
+  img.WriteDurable(5, Pattern(0));
+  EXPECT_EQ(img.state(3), SectorState::kCachedVolatile);
+  EXPECT_FALSE(img.IsDurable(3));
+  EXPECT_EQ(img.cached_sector_count(), 1u);
+  EXPECT_EQ(img.state(5), SectorState::kDurable);
+  EXPECT_EQ(img.DurableSectorList(), std::vector<uint64_t>{5});
+  EXPECT_EQ(img.stored_bytes(), 0u);  // zeros own no bytes
+  SectorBuf out = Pattern(0xFF);
+  img.Read(3, out);
+  EXPECT_EQ(out, Pattern(0));
+  out = Pattern(0xFF);
+  img.ReadDurable(5, out);
+  EXPECT_EQ(out, Pattern(0));
+  img.Harden(3);
+  EXPECT_EQ(img.state(3), SectorState::kDurable);
+  img.PowerLoss();
+  EXPECT_EQ(img.DurableSectorList(), (std::vector<uint64_t>{3, 5}));
+}
+
+TEST(DiskImageTest, ZeroAndNonZeroOverwriteEachOther) {
+  DiskImage img(100);
+  SectorBuf out{};
+  img.WriteDurable(4, Pattern(0x11));
+  EXPECT_EQ(img.stored_bytes(), kSectorSize);
+  img.WriteDurable(4, Pattern(0));
+  img.Read(4, out);
+  EXPECT_EQ(out, Pattern(0));
+  EXPECT_EQ(img.state(4), SectorState::kDurable);
+  EXPECT_EQ(img.stored_bytes(), 0u);
+  img.WriteDurable(4, Pattern(0x22));
+  img.Read(4, out);
+  EXPECT_EQ(out, Pattern(0x22));
+  EXPECT_EQ(img.stored_bytes(), kSectorSize);
+
+  // In the cache, over the durable 0x22.
+  img.WriteCached(4, Pattern(0));
+  img.Read(4, out);
+  EXPECT_EQ(out, Pattern(0));
+  img.ReadDurable(4, out);
+  EXPECT_EQ(out, Pattern(0x22));
+  EXPECT_EQ(img.stored_bytes(), kSectorSize);
+  img.WriteCached(4, Pattern(0x33));
+  img.Read(4, out);
+  EXPECT_EQ(out, Pattern(0x33));
+  EXPECT_EQ(img.stored_bytes(), 2 * kSectorSize);
+  img.WriteCached(4, Pattern(0));
+  img.Read(4, out);
+  EXPECT_EQ(out, Pattern(0));
+  EXPECT_EQ(img.stored_bytes(), kSectorSize);
+
+  // One non-zero byte at either end is contents, not zeros.
+  for (const uint32_t byte : {0u, kSectorSize - 9, kSectorSize - 1}) {
+    img.WriteDurable(6, ZerosWith(byte, 0x80));
+    img.Read(6, out);
+    EXPECT_EQ(out, ZerosWith(byte, 0x80)) << byte;
+  }
+}
+
+TEST(DiskImageTest, HardenOfAZeroSectorReplacesDurableContents) {
+  DiskImage img(100);
+  img.WriteDurable(9, Pattern(0x44));
+  img.WriteCached(9, Pattern(0));
+  img.Harden(9);
+  EXPECT_EQ(img.state(9), SectorState::kDurable);
+  EXPECT_EQ(img.stored_bytes(), 0u);
+  img.PowerLoss();
+  SectorBuf out{};
+  img.ReadDurable(9, out);
+  EXPECT_EQ(out, Pattern(0));
+}
+
+TEST(DiskImageTest, PowerLossAndDurableWindowKeepOnlyDurableBytes) {
+  DiskImage img(100);
+  img.WriteDurable(1, Pattern(0x01));
+  img.WriteDurable(2, Pattern(0));
+  img.WriteCached(1, Pattern(0x11));  // shadows a durable sector
+  img.WriteCached(20, Pattern(0x20));
+  img.WriteCached(21, Pattern(0));
+  EXPECT_EQ(img.stored_bytes(), 3 * kSectorSize);
+  img.PowerLoss();
+  EXPECT_EQ(img.stored_bytes(), kSectorSize);  // sector 1's durable bytes
+
+  DiskImage src(100);
+  src.WriteDurable(40, Pattern(0x40));
+  src.WriteDurable(41, Pattern(0));
+  src.WriteCached(42, Pattern(0x42));
+  DiskImage dst(40);
+  dst.WriteDurable(0, Pattern(0xA0));   // in the window: replaced
+  dst.WriteCached(1, Pattern(0xA1));    // in the window: dropped
+  dst.WriteDurable(30, Pattern(0xB0));  // past the window: kept
+  dst.CopyDurableWindow(src, 40, 10);
+  // Sector 0 (src 40) and sector 30 hold bytes; sector 1 (src 41) is a
+  // durable zero sector.
+  EXPECT_EQ(dst.stored_bytes(), 2 * kSectorSize);
+  EXPECT_EQ(dst.DurableSectorList(), (std::vector<uint64_t>{0, 1, 30}));
+  EXPECT_EQ(dst.state(2), SectorState::kUnwritten);
+  EXPECT_EQ(src.stored_bytes(), 2 * kSectorSize);  // the source is untouched
+}
+
 }  // namespace
 }  // namespace rlstor

@@ -51,6 +51,8 @@ class Builder {
     scopes_.clear();
     header_.clear();
     enum_piece_.clear();
+    paren_depth_ = 0;
+    spawn_parens_.clear();
     for (size_t i = 0; i < file.code.size(); ++i) {
       const std::string& line = file.code[i];
       const int ln = static_cast<int>(i) + 1;
@@ -253,6 +255,17 @@ class Builder {
 
   void ExtractCalls(const std::string& line, int ln, int fn) {
     for (size_t i = 0; i < line.size(); ++i) {
+      if (line[i] == '(') {
+        ++paren_depth_;
+        continue;
+      }
+      if (line[i] == ')') {
+        if (!spawn_parens_.empty() && spawn_parens_.back() == paren_depth_) {
+          spawn_parens_.pop_back();
+        }
+        --paren_depth_;
+        continue;
+      }
       if (!IsIdentChar(line[i])) continue;
       size_t end = i;
       while (end < line.size() && IsIdentChar(line[end])) ++end;
@@ -265,9 +278,11 @@ class Builder {
         ev.name = std::string(token);
         ev.line = ln;
         ev.scope_ids = ScopeIdsFromFunction();
+        ev.spawned = token == "Spawn" || !spawn_parens_.empty();
         model_->functions[fn].events.push_back(std::move(ev));
+        if (token == "Spawn") spawn_parens_.push_back(paren_depth_ + 1);
       }
-      i = end;
+      i = end - 1;  // the next character may be a call's '('
     }
   }
 
@@ -497,6 +512,9 @@ class Builder {
   std::string enum_piece_;
   int enum_piece_line_ = 0;
   int next_scope_id_ = 0;
+  int paren_depth_ = 0;  // open '(' in the file's function bodies so far
+  // The depth inside each open `Spawn(` call's argument list, innermost last.
+  std::vector<int> spawn_parens_;
 };
 
 }  // namespace

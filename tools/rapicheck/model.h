@@ -64,6 +64,9 @@ struct FuncEvent {
   std::string name;  // callee identifier, or lock node ("apply_mutex_")
   int line = 0;
   bool scoped_lock = false;  // RAII guard (dies with its scope) vs manual
+  // A `Spawn(...)` call or a call inside its arguments: what it starts runs
+  // in a task of its own, not on the enclosing function's path.
+  bool spawned = false;
   std::vector<int> scope_ids;  // innermost last; [0] is the function scope
 };
 

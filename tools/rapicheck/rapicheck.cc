@@ -344,28 +344,32 @@ void CheckReplyReachability(const Model& m, const Config& cfg, Emitter* e) {
 
 // --- RC3xx: durability ordering --------------------------------------------
 
-// Functions that reach a durability point: the base names themselves
-// (WaitDurable, ...) plus, transitively, any function whose body calls a
-// durable function.
+// Whether `ev` calls a durability point: a base name (WaitDurable, ...) or
+// a function `durable` marks. A call handed to `Spawn` runs in a task of its
+// own, so it makes nothing durable on the spawning function's path.
+bool DurableCallAt(const Model& m, const Config& cfg,
+                   const std::vector<char>& durable, const FuncEvent& ev) {
+  if (ev.kind != FuncEvent::Kind::kCall || ev.spawned) return false;
+  for (const std::string& b : cfg.durability_calls) {
+    if (ev.name == b) return true;
+  }
+  for (int gi : m.FunctionsNamed(ev.name)) {
+    if (durable[gi] != 0) return true;
+  }
+  return false;
+}
+
+// Functions that reach a durability point: any function whose body calls
+// one, transitively.
 std::vector<char> DurabilityClosure(const Model& m, const Config& cfg) {
-  std::set<std::string> base(cfg.durability_calls.begin(),
-                             cfg.durability_calls.end());
   std::vector<char> durable(m.functions.size(), 0);
-  auto call_is_durable = [&](const FuncEvent& ev) {
-    if (ev.kind != FuncEvent::Kind::kCall) return false;
-    if (base.count(ev.name) != 0) return true;
-    for (int gi : m.FunctionsNamed(ev.name)) {
-      if (durable[gi] != 0) return true;
-    }
-    return false;
-  };
   bool changed = true;
   while (changed) {
     changed = false;
     for (size_t i = 0; i < m.functions.size(); ++i) {
       if (durable[i] != 0) continue;
       for (const FuncEvent& ev : m.functions[i].events) {
-        if (call_is_durable(ev)) {
+        if (DurableCallAt(m, cfg, durable, ev)) {
           durable[i] = 1;
           changed = true;
           break;
@@ -374,18 +378,6 @@ std::vector<char> DurabilityClosure(const Model& m, const Config& cfg) {
     }
   }
   return durable;
-}
-
-bool DurableCallAt(const Model& m, const Config& cfg,
-                   const std::vector<char>& durable, const FuncEvent& ev) {
-  if (ev.kind != FuncEvent::Kind::kCall) return false;
-  for (const std::string& b : cfg.durability_calls) {
-    if (ev.name == b) return true;
-  }
-  for (int gi : m.FunctionsNamed(ev.name)) {
-    if (durable[gi] != 0) return true;
-  }
-  return false;
 }
 
 void CheckAckBeforeDurability(const Model& m, const Config& cfg,
@@ -483,7 +475,8 @@ void CheckCommitRecordAwaited(const Model& m, const Config& cfg, Emitter* e) {
     if (last_append == 0) continue;  // record built here, appended elsewhere
     bool awaited = false;
     for (const FuncEvent& ev : f.events) {
-      if (ev.line <= last_append || ev.kind != FuncEvent::Kind::kCall) {
+      if (ev.line <= last_append || ev.kind != FuncEvent::Kind::kCall ||
+          ev.spawned) {
         continue;
       }
       if (std::find(cfg.durability_calls.begin(), cfg.durability_calls.end(),
