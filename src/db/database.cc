@@ -382,7 +382,11 @@ Task<void> Database::Recover() {
       // Rebuild the in-doubt write-set instead of applying it.
       Txn& t = doubt->second;
       if (t.first_lsn == 0) {
-        t.first_lsn = rec.lsn;  // records arrive in LSN order
+        // Records arrive in LSN order. Which block a record came from is
+        // not kept, so the txn pins the scan's start block: never later
+        // than its first record, as the replay point requires.
+        t.first_lsn = rec.lsn;
+        t.first_block = meta_.replay_block;
       }
       if (rec.type == LogRecordType::kUpdate ||
           rec.type == LogRecordType::kDelete) {
@@ -412,6 +416,12 @@ Task<void> Database::Recover() {
     horizons = jh.horizons;
   }
 
+  // The writer stands at the recovered replay point, with nothing past LSN
+  // 0, until the redo is done: a checkpoint the redo takes keeps that
+  // replay block and replays every scanned record, and the ring reuses
+  // nothing a recovery may still read.
+  wal_->ResumeAt(meta_.replay_block, /*next_lsn=*/1);
+  wal_->SetReuseFloor(meta_.replay_block);
   co_await Redo(scan.records, candidates, horizons);
   // Resume above every LSN the recovered checkpoint captured. An empty tail
   // (a cut right after a checkpoint whose replay block is still unwritten)
@@ -421,6 +431,7 @@ Task<void> Database::Recover() {
       {scan.next_lsn, meta_.replay_lsn,
        *std::max_element(horizons.begin(), horizons.end()) + 1});
   wal_->ResumeAt(scan.next_block, resume_lsn);
+  checkpoint_start_block_ = scan.next_block;
 
   // Adopt the in-doubt txns before any checkpoint runs: their first_lsn
   // values are what hold the replay point at (or before) their prepare
@@ -539,9 +550,8 @@ Task<void> Database::Redo(const std::vector<LogRecord>& records,
 
 uint64_t Database::Begin() {
   const uint64_t id = next_txn_id_++;
-  Txn t;
-  t.id = id;
-  txns_.emplace(id, std::move(t));
+  txn_pool_.TryEmplace(txns_, id, [](Txn& t) { t.Reset(); })
+      .first->second.id = id;
   return id;
 }
 
@@ -628,12 +638,39 @@ Task<DbStatus> Database::Commit(uint64_t txn) {
 
 void Database::LogWriteSet(Txn& t) {
   for (const WriteOp& op : t.ops) {
-    const uint64_t lsn = wal_->Append(
-        op.is_delete ? LogRecordType::kDelete : LogRecordType::kUpdate, t.id,
-        op.key, ValueOf(t, op));
-    if (t.first_lsn == 0) {
-      t.first_lsn = lsn;
+    NoteFirstRecord(
+        t, wal_->Append(
+               op.is_delete ? LogRecordType::kDelete : LogRecordType::kUpdate,
+               t.id, op.key, ValueOf(t, op)));
+  }
+}
+
+void Database::NoteFirstRecord(Txn& t, uint64_t lsn) {
+  if (t.first_lsn == 0) {
+    t.first_lsn = lsn;
+    t.first_block = wal_->current_block_index();  // the block `lsn` went to
+  }
+}
+
+Task<void> Database::WaitForLogRoom(size_t records) {
+  // Only the records a transaction is about to log wait here. Decision
+  // records (CommitPrepared's commit, Abort's) take the writer's reserve
+  // instead: the room they would wait for is what their own completion
+  // frees.
+  rlsim::SpanScope span(sim_, "db", "log-room-wait",
+                        static_cast<int64_t>(records));
+  stats_.log_room_waits.Add();
+  while (!wal_->HasRoom(records, options_.profile.value_bytes)) {
+    if (closing_ || wal_->halted()) {
+      throw EngineHalted();
     }
+    // With the floor at the tail no checkpoint can free more.
+    RL_CHECK_MSG(wal_->reuse_floor() < wal_->current_block_index(),
+                 "a write-set of " << records << " records does not fit a "
+                                   << wal_->ring().blocks
+                                   << "-block log ring");
+    ScheduleCheckpoint();
+    co_await checkpoint_done_->Wait();
   }
 }
 
@@ -660,12 +697,15 @@ Task<DbStatus> Database::CommitDurably(uint64_t txn, bool prepared) {
     co_await cpu_.Compute(options_.profile.cpu_per_commit);
     if (t.ops.empty()) {
       locks_->ReleaseAll(txn);
-      txns_.erase(it);
+      txn_pool_.Erase(txns_, it);
       // rapicheck: ack-ok (read-only commit: no records were written, so
       // there is nothing to make durable before acknowledging)
       stats_.commits.Add();
       stats_.commit_latency.RecordDuration(sim_.now() - start);
       co_return DbStatus::kOk;
+    }
+    if (!wal_->HasRoom(t.ops.size() + 1, options_.profile.value_bytes)) {
+      co_await WaitForLogRoom(t.ops.size() + 1);
     }
     LogWriteSet(t);
   }
@@ -690,7 +730,7 @@ Task<DbStatus> Database::CommitDurably(uint64_t txn, bool prepared) {
   }
 
   locks_->ReleaseAll(txn);
-  txns_.erase(it);
+  txn_pool_.Erase(txns_, it);
   stats_.commits.Add();
   stats_.commit_latency.RecordDuration(sim_.now() - start);
   MaybeScheduleCheckpoint();
@@ -709,7 +749,7 @@ Task<void> Database::Abort(uint64_t txn) {
     wal_->Append(LogRecordType::kAbort, txn, it->second.global_id);
   }
   locks_->ReleaseAll(txn);
-  txns_.erase(it);
+  txn_pool_.Erase(txns_, it);
   stats_.aborts.Add();
 }
 
@@ -728,12 +768,13 @@ Task<DbStatus> Database::Prepare(uint64_t txn, uint64_t global_id) {
   // the yes-vote. An empty write-set still logs the prepare: the vote must
   // survive a crash, because the coordinator may commit on the strength of
   // it.
+  if (!wal_->HasRoom(t.ops.size() + 1, options_.profile.value_bytes)) {
+    co_await WaitForLogRoom(t.ops.size() + 1);
+  }
   LogWriteSet(t);
   const uint64_t prep_lsn =
       wal_->Append(LogRecordType::kPrepare, txn, global_id);
-  if (t.first_lsn == 0) {
-    t.first_lsn = prep_lsn;
-  }
+  NoteFirstRecord(t, prep_lsn);
   co_await wal_->WaitDurable(prep_lsn);
 
   t.prepared = true;
@@ -780,8 +821,20 @@ Task<DbStatus> Database::ResolveInDoubt(uint64_t global_id, bool commit) {
 // --- Checkpoint ----------------------------------------------------------------
 
 void Database::MaybeScheduleCheckpoint() {
-  if (closing_ || wal_->halted() || checkpoint_pending_ ||
-      pool_->dirty_count() < options_.profile.checkpoint_dirty_pages) {
+  // Log volume is the second trigger, as PostgreSQL's max_wal_size is:
+  // 3/4 of the ring logged since the last checkpoint began, so the next
+  // checkpoint has the last quarter to finish in before a commit must wait
+  // for room. Workloads that dirty pages fast enough checkpoint before it
+  // (InnoDB-like TPC-C-lite logs at most 53% of the ring between them).
+  if (pool_->dirty_count() >= options_.profile.checkpoint_dirty_pages ||
+      wal_->current_block_index() - checkpoint_start_block_ >=
+          wal_->ring().blocks * 3 / 4) {
+    ScheduleCheckpoint();
+  }
+}
+
+void Database::ScheduleCheckpoint() {
+  if (closing_ || wal_->halted() || checkpoint_pending_) {
     return;
   }
   checkpoint_pending_ = true;
@@ -840,18 +893,17 @@ Database::StagedCheckpoint Database::StageCheckpoint() {
 
   // Replay point: everything applied so far is captured by this snapshot;
   // transactions whose records are logged but not yet applied must replay.
+  // The block bound is exact in the same way: the first block of every
+  // such transaction, or the tail block when there is none.
   uint64_t replay_lsn = wal_->next_lsn();
+  uint64_t replay_block = wal_->current_block_index();
   for (const auto& [id, t] : txns_) {
     if (t.first_lsn != 0) {
       replay_lsn = std::min(replay_lsn, t.first_lsn);
+      replay_block = std::min(replay_block, t.first_block);
     }
   }
-  // Block bound: exact when no transaction is mid-commit; otherwise fall
-  // back to the previous checkpoint's start (correct because replay is
-  // idempotent, merely conservative).
-  const uint64_t replay_block = (replay_lsn == wal_->next_lsn())
-                                    ? wal_->current_block_index()
-                                    : meta_.replay_block;
+  checkpoint_start_block_ = wal_->current_block_index();
 
   staged.meta = meta_;
   staged.meta.seq = meta_.seq + 1;
@@ -1006,6 +1058,8 @@ Task<void> Database::PersistCheckpoint(StagedCheckpoint staged) {
   }
   pool_->EndCheckpoint();
   meta_ = staged.meta;
+  // No recovery reads the log below a durable replay block again.
+  wal_->SetReuseFloor(meta_.replay_block);
   stats_.checkpoints.Add();
 }
 

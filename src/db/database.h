@@ -27,6 +27,7 @@
 #include "src/db/lock_manager.h"
 #include "src/db/profile.h"
 #include "src/db/wal.h"
+#include "src/sim/node_pool.h"
 #include "src/sim/simulator.h"
 #include "src/sim/stats.h"
 
@@ -83,6 +84,8 @@ class Database {
     rlsim::Counter repaired_from_journal;
     rlsim::Counter prepares;            // durable 2PC yes-votes
     rlsim::Counter in_doubt_recovered;  // prepared txns rebuilt at recovery
+    // Write-sets that waited for room in the log ring.
+    rlsim::Counter log_room_waits;
     rlsim::Histogram commit_latency;  // ns, Commit() call to return
   };
 
@@ -172,8 +175,22 @@ class Database {
     size_t value_at = 0;  // a put's value: Txn::values from here on
   };
   struct Txn {
+    // Back to a fresh transaction, keeping the buffers' capacity.
+    void Reset() {
+      ops.clear();
+      values.clear();
+      first_lsn = 0;
+      first_block = 0;
+      prepared = false;
+      deciding = false;
+      global_id = 0;
+    }
+
     uint64_t id = 0;
     uint64_t first_lsn = 0;  // 0 until the first record is logged
+    // The log block of the first record: no checkpoint may replay from
+    // past it while the transaction is resident.
+    uint64_t first_block = 0;
     std::vector<WriteOp> ops;
     // Every put's value, profile.value_bytes each, in op order: one buffer
     // per transaction instead of a vector per put.
@@ -186,6 +203,10 @@ class Database {
     bool deciding = false;
     uint64_t global_id = 0;  // kPrepare record payload
   };
+
+  // Transaction nodes parked for reuse: twice the 16 clients of the
+  // largest single-node workload.
+  static constexpr size_t kTxnPoolCap = 32;
 
   Database(rlsim::Simulator& sim, CpuContext& cpu,
            rlstor::BlockDevice& data_dev, rlstor::BlockDevice& log_dev,
@@ -246,8 +267,13 @@ class Database {
                          const std::vector<size_t>& candidates,
                          const std::array<uint64_t, kRedoSlices>& horizons);
   // Appends `t`'s write-set to the WAL, one record per op; the first record
-  // sets t.first_lsn. Commit and Prepare log through here.
+  // sets t.first_lsn and t.first_block. Commit and Prepare log through here.
   void LogWriteSet(Txn& t);
+  // Marks `lsn`, just appended, as `t`'s first record if it has none.
+  void NoteFirstRecord(Txn& t, uint64_t lsn);
+  // Waits until `records` records fit in the log ring, asking for a
+  // checkpoint (which moves the ring's reuse floor) each time round.
+  rlsim::Task<void> WaitForLogRoom(size_t records);
   // Commit (prepared = false: CPU charge, then the write-set is logged) and
   // CommitPrepared (prepared = true: the write-set is already logged; a
   // second decision arriving mid-apply gets kTxnNotActive) share one path
@@ -269,6 +295,10 @@ class Database {
   // pages in place, metadata.
   rlsim::Task<void> PersistCheckpoint(StagedCheckpoint staged);
   rlsim::Task<void> CheckpointLocked();
+  // Starts a background checkpoint unless one is pending; the Maybe form
+  // only once the dirty-page threshold is reached or 3/4 of the log ring
+  // has been written since the last checkpoint began.
+  void ScheduleCheckpoint();
   void MaybeScheduleCheckpoint();
 
   rlsim::Simulator& sim_;
@@ -288,7 +318,11 @@ class Database {
   uint64_t next_free_page_ = 0; // page allocator watermark
 
   uint64_t next_txn_id_ = 1;
-  std::map<uint64_t, Txn> txns_;
+  using TxnMap = std::map<uint64_t, Txn>;
+  TxnMap txns_;
+  // Finished transactions' nodes, write-set buffers included, for Begin to
+  // reuse.
+  rlsim::NodePool<TxnMap> txn_pool_{kTxnPoolCap};
 
   // Dirty-page throttling: commits stall once this many pages are dirty,
   // until a checkpoint retires them. Derived from the journal's capacity
@@ -302,6 +336,9 @@ class Database {
   // Serialises whole checkpoints against each other.
   std::unique_ptr<rlsim::SimMutex> checkpoint_mutex_;
   bool checkpoint_pending_ = false;
+  // The log's tail block when the last checkpoint was staged (or recovery
+  // resumed): the log-volume trigger counts from here.
+  uint64_t checkpoint_start_block_ = 0;
   std::unique_ptr<rlsim::WaitQueue> checkpoint_done_;
 
   Stats stats_;

@@ -11,6 +11,10 @@
 namespace rldb {
 
 // How the engine treats commit durability.
+// The most log space an engine reuses as a ring by default: a fixed-size
+// log, as InnoDB's redo files and PostgreSQL's recycled segments are.
+inline constexpr uint64_t kLogRingBytes = 32ull << 20;
+
 enum class DurabilityMode {
   // Wait until the commit record is on stable storage before acknowledging
   // (the correct setting; what native/virt/rapilog configurations all use —
@@ -31,6 +35,9 @@ struct EngineProfile {
 
   // Log geometry.
   uint32_t log_block_bytes = 8192;
+  // The log's blocks form a ring of this many bytes; a smaller log device
+  // gives all of itself.
+  uint64_t log_ring_bytes = kLogRingBytes;
 
   // Group commit: how long the log writer lingers to batch commits before
   // forcing the log. Zero = force immediately on first waiter.

@@ -90,17 +90,26 @@ std::optional<LogRecord> DecodeRecord(std::span<const uint8_t> buf,
   return rec;
 }
 
+LogRing::LogRing(const rlstor::BlockDevice& device,
+                 const EngineProfile& profile)
+    : blocks(std::min(profile.log_ring_bytes,
+                      device.geometry().sector_count * kSectorSize) /
+             profile.log_block_bytes),
+      sectors_per_block(profile.log_block_bytes / kSectorSize) {}
+
 LogWriter::LogWriter(rlsim::Simulator& sim, rlstor::BlockDevice& device,
                      const EngineProfile& profile, DurabilityMode durability)
     : sim_(sim),
       device_(device),
       profile_(profile),
       durability_(durability),
+      ring_(device, profile),
       work_wake_(sim),
       durable_wake_(sim),
       exited_wake_(sim) {
   RL_CHECK(profile_.log_block_bytes % kSectorSize == 0);
   RL_CHECK(profile_.log_block_bytes > kBlockHeaderBytes + 64);
+  RL_CHECK_MSG(ring_.blocks > 0, "log device smaller than one log block");
   sim_.Spawn(FlusherLoop(), "wal-flusher");
 }
 
@@ -110,6 +119,28 @@ void LogWriter::ResumeAt(uint64_t next_block, uint64_t next_lsn) {
   next_lsn_ = next_lsn;
   durable_lsn_ = next_lsn - 1;
   appended_lsn_ = next_lsn - 1;
+}
+
+void LogWriter::SetReuseFloor(uint64_t block) {
+  RL_CHECK_MSG(block >= floor_ && block <= tail_index_,
+               "reuse floor " << block << " outside [" << floor_ << ", "
+                              << tail_index_ << "]");
+  floor_ = block;
+}
+
+bool LogWriter::HasRoom(size_t records, size_t value_bytes) const {
+  // Every record is taken at the largest size, so the answer may be
+  // conservative, never optimistic.
+  const size_t record_bytes = kRecordOverheadBytes + value_bytes;
+  const size_t per_block = PayloadCapacity() / record_bytes;
+  RL_CHECK_MSG(per_block > 0, "log record larger than a log block");
+  const size_t in_tail =
+      (PayloadCapacity() - tail_payload_.size()) / record_bytes;
+  uint64_t last = tail_index_;
+  if (records > in_tail) {
+    last += (records - in_tail + per_block - 1) / per_block;
+  }
+  return last + kReserveBlocks < floor_ + ring_.blocks;
 }
 
 size_t LogWriter::PayloadCapacity() const {
@@ -123,6 +154,8 @@ void LogWriter::SealTail() {
   tail_payload_.reserve(PayloadCapacity());
   tail_crc_ = 0;
   ++tail_index_;
+  stats_.max_live_blocks =
+      std::max(stats_.max_live_blocks, tail_index_ - floor_);
 }
 
 uint64_t LogWriter::Append(LogRecordType type, uint64_t txn_id, uint64_t key,
@@ -240,28 +273,40 @@ Task<void> LogWriter::FlusherLoop() {
       RenderBlock(tail_index_snapshot, tail_payload_, tail_crc_, tail_image_);
     }
 
+    // Reusing the ring position of a block at or past floor + ring would
+    // overwrite a block a recovery may still start from. That is a sizing
+    // error, not a device failure: halting would read as a power cut the
+    // engine can recover from, and the next incarnation would meet the
+    // same full ring.
+    const uint64_t last_index = tail_pending || batch_.empty()
+                                    ? tail_index_snapshot
+                                    : batch_.back().index;
+    RL_CHECK_MSG(last_index < floor_ + ring_.blocks,
+                 "log area full: the log reached block "
+                     << last_index << " (" << profile_.log_block_bytes
+                     << " B each) of a " << ring_.blocks
+                     << "-block ring whose reuse floor is block " << floor_
+                     << ", on a " << device_.geometry().sector_count
+                     << "-sector log device");
+
     bool ok = true;
-    bool out_of_range = false;
-    const auto note = [&](BlockStatus st) {
+    const auto note = [&ok](BlockStatus st) {
       ok = ok && st == BlockStatus::kOk;
-      out_of_range = out_of_range || st == BlockStatus::kOutOfRange;
     };
-    const uint64_t sectors_per_block =
-        profile_.log_block_bytes / kSectorSize;
     // The flusher must survive the machine dying under it (device failure,
     // or a guest crash unwinding a paravirtual request): the failure halts
     // the writer instead of propagating.
     try {
       for (const SealedBlock& sb : batch_) {
         RenderBlock(sb.index, sb.payload, sb.crc, block_image_);
-        note(co_await device_.Write(sb.index * sectors_per_block,
-                                    block_image_.bytes, false));
+        note(co_await device_.Write(ring_.Lba(sb.index), block_image_.bytes,
+                                    false));
         stats_.blocks_written.Add();
         stats_.bytes_written.Add(
             static_cast<int64_t>(block_image_.bytes.size()));
       }
       if (tail_pending) {
-        note(co_await device_.Write(tail_index_snapshot * sectors_per_block,
+        note(co_await device_.Write(ring_.Lba(tail_index_snapshot),
                                     tail_image_.bytes, false));
         stats_.blocks_written.Add();
         stats_.bytes_written.Add(
@@ -274,14 +319,6 @@ Task<void> LogWriter::FlusherLoop() {
     } catch (...) {
       ok = false;
     }
-    // Running off the end of the log area is a sizing error, not a device
-    // failure: halting would read as a power cut the engine can recover
-    // from, and the next incarnation would run off the same end.
-    RL_CHECK_MSG(!out_of_range,
-                 "log area full: the log reached block "
-                     << tail_index_snapshot << " (" << profile_.log_block_bytes
-                     << " B each) of a " << device_.geometry().sector_count
-                     << "-sector log device");
     if (ok) {
       durable_lsn_ = flush_upto;
       stats_.flush_cycles.Add();
@@ -312,42 +349,44 @@ Task<LogScanResult> ScanLog(rlstor::BlockDevice& device,
                             uint64_t start_block) {
   LogScanResult result;
   result.next_block = start_block;
-  const uint64_t sectors_per_block = profile.log_block_bytes / kSectorSize;
+  const LogRing ring(device, profile);
   std::vector<uint8_t> block(profile.log_block_bytes);
-  for (uint64_t index = start_block;; ++index) {
-    const uint64_t lba = index * sectors_per_block;
-    if (lba + sectors_per_block > device.geometry().sector_count) {
-      break;
-    }
-    const BlockStatus st = co_await device.Read(lba, block);
+  uint64_t last_lsn = 0;
+  bool end = false;
+  for (uint64_t index = start_block;
+       !end && index < start_block + ring.blocks; ++index) {
+    const BlockStatus st = co_await device.Read(ring.Lba(index), block);
     if (st != BlockStatus::kOk) {
       break;
     }
     if (LoadScalar<uint32_t>(block, 0) != kBlockMagic ||
         LoadScalar<uint64_t>(block, 4) != index) {
-      break;
+      break;  // unwritten, or a block from an older lap
     }
     const size_t capacity = profile.log_block_bytes - kBlockHeaderBytes;
     const uint16_t used = std::min<uint16_t>(
         LoadScalar<uint16_t>(block, 12), static_cast<uint16_t>(capacity));
     const auto payload =
         std::span<const uint8_t>(block.data() + kBlockHeaderBytes, used);
-    const bool block_crc_ok =
-        rlsim::Crc32c(payload) == LoadScalar<uint32_t>(block, 14);
     // Whether or not the block checksum holds, salvage the valid record
     // prefix (records carry their own CRCs). A torn in-place rewrite of the
     // tail block leaves exactly the old, previously-durable prefix intact —
     // payload bytes are append-only within a block — so acknowledged
     // records survive even when the block-level CRC does not.
+    end = rlsim::Crc32c(payload) != LoadScalar<uint32_t>(block, 14);
     size_t offset = 0;
     while (auto rec = DecodeRecord(payload, &offset)) {
-      result.next_lsn = std::max(result.next_lsn, rec->lsn + 1);
+      if (rec->lsn <= last_lsn) {
+        // A torn first write of a reused block: past the new prefix lie
+        // an older lap's records, whole and CRC-clean. The log ends here.
+        end = true;
+        break;
+      }
+      last_lsn = rec->lsn;
+      result.next_lsn = rec->lsn + 1;
       result.records.push_back(std::move(*rec));
     }
     result.next_block = index + 1;
-    if (!block_crc_ok) {
-      break;  // torn tail: the log ends here
-    }
   }
   co_return result;
 }

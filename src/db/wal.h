@@ -7,10 +7,17 @@
 // partially-filled tail block and rewrites it as records accumulate — the
 // access pattern whose synchronous-durability cost RapiLog eliminates.
 //
+// The blocks form a ring: block i lives at ring position i mod the ring's
+// size, so the log reuses its area instead of growing across the device.
+// The owner names a reuse floor (the durable checkpoint's replay block);
+// the writer never writes a block at or past floor + ring, so every block
+// a recovery can start from is intact.
+//
 // Recovery scans blocks from a checkpoint-recorded start until the first
 // invalid block; because commits are only acknowledged after a device flush
 // (or a RapiLog ack), every acknowledged commit lies inside the valid
-// prefix.
+// prefix. A block from an older lap carries an older index, and a record
+// left behind a torn rewrite carries an older LSN; either ends the scan.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +66,18 @@ std::vector<uint8_t> EncodeRecord(const LogRecord& rec);
 std::optional<LogRecord> DecodeRecord(std::span<const uint8_t> buf,
                                       size_t* offset);
 
+// Where the log's blocks live on its device: the ring's size in whole log
+// blocks (profile.log_ring_bytes, or the whole device if smaller), and the
+// LBA of block `index`.
+struct LogRing {
+  LogRing(const rlstor::BlockDevice& device, const EngineProfile& profile);
+  uint64_t Lba(uint64_t index) const {
+    return index % blocks * sectors_per_block;
+  }
+  uint64_t blocks = 0;
+  uint64_t sectors_per_block = 0;
+};
+
 class LogWriter {
  public:
   struct Stats {
@@ -69,13 +88,28 @@ class LogWriter {
     rlsim::Histogram flush_latency;     // ns per device flush cycle
     rlsim::Histogram commit_wait;       // ns a WaitDurable spent blocked
     rlsim::Histogram records_per_cycle;
+    uint64_t max_live_blocks = 0;  // largest tail - reuse floor so far
   };
 
   LogWriter(rlsim::Simulator& sim, rlstor::BlockDevice& device,
             const EngineProfile& profile, DurabilityMode durability);
 
+  // Ring blocks that HasRoom keeps free for records that must not wait for
+  // room: a 2PC decision, whose own completion is what frees the ring.
+  static constexpr uint64_t kReserveBlocks = 4;
+
   // Continues an existing log (after recovery): next block index and LSN.
   void ResumeAt(uint64_t next_block, uint64_t next_lsn);
+
+  // Lets the writer reuse the ring positions of blocks below `block`: no
+  // recovery will read them again. The floor only rises, and never past the
+  // tail. A writer whose floor stays put fails a named check when its log
+  // reaches the ring's end.
+  void SetReuseFloor(uint64_t block);
+
+  // Whether `records` more records, of at most `value_bytes` of value each,
+  // fit below the ring's end with kReserveBlocks to spare.
+  bool HasRoom(size_t records, size_t value_bytes) const;
 
   // Assigns the next LSN to a record of `type`, buffers it, and returns the
   // LSN. `value` is the row image of a kUpdate and empty otherwise.
@@ -112,6 +146,8 @@ class LogWriter {
   bool halted() const { return halted_; }
   // Block that would hold the next appended record (checkpoint replay start).
   uint64_t current_block_index() const { return tail_index_; }
+  uint64_t reuse_floor() const { return floor_; }
+  const LogRing& ring() const { return ring_; }
 
   const Stats& stats() const { return stats_; }
   Stats& stats() { return stats_; }
@@ -137,6 +173,8 @@ class LogWriter {
   rlstor::BlockDevice& device_;
   EngineProfile profile_;
   DurabilityMode durability_;
+  LogRing ring_;
+  uint64_t floor_ = 0;
 
   uint64_t next_lsn_ = 1;
   uint64_t durable_lsn_ = 0;
@@ -177,7 +215,9 @@ struct LogScanResult {
   uint64_t next_lsn = 1;           // 1 + highest LSN seen
 };
 
-// Reads the valid prefix of the log starting at `start_block`.
+// Reads the valid prefix of the log starting at `start_block`: at most one
+// lap of the ring, up to the first block that is unwritten, from an older
+// lap or torn, or the first record whose LSN does not rise.
 rlsim::Task<LogScanResult> ScanLog(rlstor::BlockDevice& device,
                                    const EngineProfile& profile,
                                    uint64_t start_block);

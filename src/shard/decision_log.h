@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 
@@ -31,9 +32,14 @@ class DecisionLog {
     rlsim::Counter decisions_recovered;
   };
 
+  // The log never moves its ring's reuse floor (it keeps every decision),
+  // so it takes its whole device as the ring: a cap would only end the run
+  // sooner.
   DecisionLog(rlsim::Simulator& sim, rlstor::BlockDevice& device,
               rldb::EngineProfile profile)
-      : sim_(sim), device_(device), profile_(profile) {}
+      : sim_(sim), device_(device), profile_(profile) {
+    profile_.log_ring_bytes = std::numeric_limits<uint64_t>::max();
+  }
 
   // (Re)builds the committed set from the log's valid prefix and installs a
   // fresh writer resuming at the scan end. Call once before first use and

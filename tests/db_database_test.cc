@@ -125,7 +125,8 @@ class DataDiskProbe : public rlstor::BlockDevice {
 
 struct EngineFixture {
   explicit EngineFixture(EngineProfile profile = PostgresLikeProfile(),
-                         DurabilityMode mode = DurabilityMode::kSync)
+                         DurabilityMode mode = DurabilityMode::kSync,
+                         uint64_t log_sectors = 1 << 20)
       : cpu(sim),
         data(sim,
              SimBlockDevice::Options{.geometry = {.sector_count = 1 << 20},
@@ -134,7 +135,7 @@ struct EngineFixture {
                                      .name = "data"},
              rlstor::MakeDefaultSsd()),
         log(sim,
-            SimBlockDevice::Options{.geometry = {.sector_count = 1 << 20},
+            SimBlockDevice::Options{.geometry = {.sector_count = log_sectors},
                                     .cache_policy =
                                         WriteCachePolicy::kWriteBack,
                                     .name = "log"},
@@ -1287,6 +1288,135 @@ TEST(DatabaseTest, ResolveInDoubtDecidesByGlobalId) {
   f.sim.Run();
   EXPECT_EQ(f.db->stats().commits.value(), 2);
   EXPECT_EQ(f.db->stats().aborts.value(), 1);
+}
+
+// --- The log ring ------------------------------------------------------------
+
+// A log device of 24 Postgres-like 8 KiB blocks: the whole ring.
+constexpr uint64_t kRingBlocks = 24;
+
+// A checkpoint staged while a transaction is mid-commit replays from that
+// transaction's first log block: the exact bound, not the previous
+// checkpoint's block.
+TEST(DatabaseTest, CheckpointMidCommitReplaysFromTheTxnsFirstBlock) {
+  EngineFixture f;
+  uint64_t previous = 0;
+  uint64_t first_block = 0;
+  f.sim.Spawn([](EngineFixture& fx, uint64_t& previous_out,
+                 uint64_t& first_out) -> Task<void> {
+    co_await fx.OpenDb();
+    // Transactions of 40 puts: most of an 8 KiB log block each.
+    const auto commit_batch = [](EngineFixture& e,
+                                 uint64_t base) -> Task<void> {
+      const uint64_t txn = e.db->Begin();
+      for (uint64_t k = 0; k < 40; ++k) {
+        co_await e.db->Put(txn, base + k, e.Value(base + k));
+      }
+      EXPECT_EQ(co_await e.db->Commit(txn), DbStatus::kOk);
+    };
+    co_await commit_batch(fx, 0);
+    co_await fx.db->Checkpoint();
+    previous_out = fx.db->log_writer().reuse_floor();
+    for (uint64_t b = 1; b <= 4; ++b) {
+      co_await commit_batch(fx, b * 100);
+    }
+    // The mid-commit txn appends its records, then parks on their
+    // durability; the checkpoint stages right after the append.
+    const uint64_t txn = fx.db->Begin();
+    co_await fx.db->Put(txn, 7, fx.Value(7));
+    first_out = fx.db->log_writer().current_block_index();
+    const uint64_t appended = fx.db->log_writer().next_lsn();
+    fx.sim.Spawn([](Database& db, uint64_t t) -> Task<void> {
+      EXPECT_EQ(co_await db.Commit(t), DbStatus::kOk);
+    }(*fx.db, txn));
+    while (fx.db->log_writer().next_lsn() == appended) {
+      co_await fx.sim.Sleep(Duration::Micros(1));
+    }
+    EXPECT_LT(fx.db->log_writer().durable_lsn(),
+              fx.db->log_writer().next_lsn() - 1);
+    co_await fx.db->Checkpoint();
+  }(f, previous, first_block));
+  f.sim.Run();
+  EXPECT_GT(first_block, previous);
+  EXPECT_EQ(f.db->log_writer().reuse_floor(), first_block);
+  EXPECT_EQ(f.db->stats().commits.value(), 6);
+}
+
+// Commits that dirty too few pages for a checkpoint still get one from the
+// log they write, in time for no commit to wait for room; the log laps its
+// ring and every commit survives a power cut.
+TEST(DatabaseTest, LogVolumeCheckpointsLetTheLogLapWithoutWaiting) {
+  EngineFixture f(PostgresLikeProfile(), DurabilityMode::kSync,
+                  kRingBlocks * 8192 / rlstor::kSectorSize);
+  f.sim.Spawn([](EngineFixture& fx) -> Task<void> {
+    co_await fx.OpenDb();
+    EXPECT_EQ(fx.db->log_writer().ring().blocks, kRingBlocks);
+    // 100 transactions of 40 puts: about 2.7 laps, and too few dirty pages
+    // for a checkpoint of its own accord.
+    for (uint64_t t = 0; t < 100; ++t) {
+      const uint64_t txn = fx.db->Begin();
+      for (uint64_t k = 0; k < 40; ++k) {
+        co_await fx.db->Put(txn, k, fx.Value(t * 1000 + k));
+      }
+      EXPECT_EQ(co_await fx.db->Commit(txn), DbStatus::kOk);
+    }
+    EXPECT_EQ(fx.db->stats().log_room_waits.value(), 0);
+    EXPECT_GT(fx.db->stats().checkpoints.value(), 2);
+    EXPECT_GT(fx.db->log_writer().current_block_index(), 2 * kRingBlocks);
+    EXPECT_LT(fx.db->log_writer().stats().max_live_blocks, kRingBlocks);
+    co_await fx.PowerFailAndReopen();
+    for (uint64_t k = 0; k < 40; ++k) {
+      std::vector<uint8_t> got;
+      EXPECT_TRUE(co_await fx.db->ReadCommitted(k, &got));
+      EXPECT_EQ(got, fx.Value(99 * 1000 + k)) << k;
+    }
+  }(f));
+  f.sim.Run();
+}
+
+// A prepared transaction pins the ring's floor, so a commit behind it waits
+// however many checkpoints run. The decision for the prepared transaction
+// takes the ring's reserve instead of waiting; once it completes, the
+// waiting commit's next checkpoint moves the floor and the commit goes on.
+TEST(DatabaseTest, CommitPreparedOnAFullRingIsNotBlocked) {
+  EngineFixture f(PostgresLikeProfile(), DurabilityMode::kSync,
+                  kRingBlocks * 8192 / rlstor::kSectorSize);
+  bool filler_done = false;
+  f.sim.Spawn([](EngineFixture& fx, bool& done) -> Task<void> {
+    co_await fx.OpenDb();
+    const uint64_t prepared = fx.db->Begin();
+    co_await fx.db->Put(prepared, 5000, fx.Value(5000));
+    EXPECT_EQ(co_await fx.db->Prepare(prepared, /*global_id=*/9),
+              DbStatus::kOk);
+    fx.sim.Spawn([](EngineFixture& e, bool& d) -> Task<void> {
+      for (uint64_t t = 0; t < 40; ++t) {
+        const uint64_t txn = e.db->Begin();
+        for (uint64_t k = 0; k < 40; ++k) {
+          co_await e.db->Put(txn, k, e.Value(t * 1000 + k));
+        }
+        EXPECT_EQ(co_await e.db->Commit(txn), DbStatus::kOk);
+      }
+      d = true;
+    }(fx, done));
+    // Let the filler reach the ring's end and wait there.
+    while (fx.db->stats().log_room_waits.value() == 0) {
+      co_await fx.sim.Sleep(Duration::Millis(1));
+    }
+    co_await fx.sim.Sleep(Duration::Millis(20));
+    EXPECT_FALSE(done);
+    const int64_t waits = fx.db->stats().log_room_waits.value();
+    const uint64_t pinned_floor = fx.db->log_writer().reuse_floor();
+    EXPECT_EQ(co_await fx.db->CommitPrepared(prepared), DbStatus::kOk);
+    EXPECT_TRUE(co_await fx.db->ReadCommitted(5000, nullptr));
+    EXPECT_EQ(fx.db->stats().log_room_waits.value(), waits);
+    for (int ms = 0; ms < 1000 && !done; ++ms) {
+      co_await fx.sim.Sleep(Duration::Millis(1));
+    }
+    EXPECT_GT(fx.db->log_writer().reuse_floor(), pinned_floor);
+  }(f, filler_done));
+  f.sim.Run();
+  EXPECT_TRUE(filler_done);
+  EXPECT_EQ(f.db->stats().commits.value(), 41);
 }
 
 TEST(BufferPoolTest, FrameReadingForAMissIsNotHandedOutAgain) {

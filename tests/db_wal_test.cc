@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -294,6 +295,32 @@ TEST(LogWriterTest, FullLogAreaIsANamedCheckFailure) {
   // Every record of the four blocks that fit was made durable.
   EXPECT_GT(writer.durable_lsn(), 0u);
   EXPECT_EQ(writer.current_block_index(), 4u);
+}
+
+// The ring is the profile's size in whole blocks, or the whole device if
+// that is smaller; a writer that keeps every record takes the whole device.
+TEST(LogRingTest, RingIsTheProfilesSizeOrTheWholeDevice) {
+  Simulator sim;
+  EngineProfile profile = PostgresLikeProfile();  // 8 KiB blocks
+  const uint64_t sectors_per_block =
+      profile.log_block_bytes / rlstor::kSectorSize;
+  SimBlockDevice large(sim,
+                       SimBlockDevice::Options{
+                           .geometry = {.sector_count =
+                                            8192 * sectors_per_block}},
+                       rlstor::MakeDefaultSsd());
+  SimBlockDevice small(sim,
+                       SimBlockDevice::Options{
+                           .geometry = {.sector_count =
+                                            5 * sectors_per_block - 1}},
+                       rlstor::MakeDefaultSsd());
+  EXPECT_EQ(LogRing(large, profile).blocks,
+            kLogRingBytes / profile.log_block_bytes);
+  EXPECT_EQ(LogRing(small, profile).blocks, 4u);
+  const LogRing ring(large, profile);
+  EXPECT_EQ(ring.Lba(ring.blocks + 3), 3 * sectors_per_block);
+  profile.log_ring_bytes = std::numeric_limits<uint64_t>::max();
+  EXPECT_EQ(LogRing(large, profile).blocks, 8192u);
 }
 
 }  // namespace

@@ -6,13 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/faults/fleet_checker.h"
 #include "src/harness/fleet_testbed.h"
+#include "src/shard/decision_log.h"
 #include "src/shard/shard_directory.h"
 #include "src/shard/wire.h"
 #include "src/sim/simulator.h"
+#include "src/storage/block_device.h"
+#include "src/storage/partition.h"
 #include "src/workload/fleet_workload.h"
 #include "src/workload/tpcc_lite.h"
 
@@ -199,6 +203,43 @@ TEST(WireTest, DecoderIsStrictOverEveryPrefixAndFieldByte) {
   }
   // Only the other seven message types survive a one-byte change.
   EXPECT_EQ(decoded, 7);
+}
+
+// --- Decision log ------------------------------------------------------------
+
+// The decision log keeps every commit decision, so its ring's reuse floor
+// never moves and the ring is its whole device: at the device's end it
+// fails the writer's named check instead of overwriting decisions, and does
+// not halt as if the power had gone.
+TEST(DecisionLogTest, FullRingIsANamedCheckFailure) {
+  Simulator sim;
+  const rldb::EngineProfile profile = rldb::PostgresLikeProfile();
+  rlstor::SimBlockDevice disk(
+      sim,
+      rlstor::SimBlockDevice::Options{.geometry = {.sector_count = 1 << 16},
+                                      .name = "coord-disk"},
+      rlstor::MakeDefaultSsd());
+  rlstor::PartitionDevice area(
+      disk, /*first_lba=*/1024,
+      /*sector_count=*/4 * profile.log_block_bytes / rlstor::kSectorSize);
+  rlshard::DecisionLog log(sim, area, profile);
+  sim.Spawn([](rlshard::DecisionLog& l) -> Task<void> {
+    co_await l.Recover();
+    for (uint64_t global_id = 1;; ++global_id) {
+      co_await l.LogCommit(global_id);
+    }
+  }(log));
+  std::string failure;
+  try {
+    sim.Run();
+  } catch (const rlsim::CheckFailure& e) {
+    failure = e.what();
+  }
+  EXPECT_NE(failure.find("log area full"), std::string::npos) << failure;
+  EXPECT_FALSE(log.halted());
+  // Four blocks of 35-byte commit records were logged before the end.
+  EXPECT_GT(log.stats().decisions_logged.value(), 3 * 8160 / 35);
+  EXPECT_TRUE(log.IsCommitted(1));
 }
 
 TEST(DirectoryTest, PartitionsKeySpace) {

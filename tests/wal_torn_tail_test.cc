@@ -30,6 +30,9 @@ using rlstor::SimBlockDevice;
 // records corrupting one block may take out.
 constexpr size_t kMaxRecordsPerBlock = 16;
 
+// The reused-block case's log device: a ring of four 8 KiB blocks.
+constexpr uint64_t kRingBlocks = 4;
+
 void RunTornTailCase(uint64_t seed) {
   SCOPED_TRACE(::testing::Message() << "seed " << seed);
   Simulator sim(seed);
@@ -129,6 +132,76 @@ TEST(WalTornTailTest, ValidPrefixUnderRandomTailCorruption) {
       return;
     }
   }
+}
+
+// A torn first write of a reused ring block. The new block's first sector
+// lands (header and the first four records); the rest of the block still
+// holds the older lap's block, whose records are whole and CRC-clean, and
+// one of them starts exactly where the new prefix ends. The scan must end
+// at the new prefix: the stale record's LSN does not rise.
+TEST(WalTornTailTest, TornRewriteOfAReusedBlockEndsAtTheNewPrefix) {
+  Simulator sim(1);
+  const EngineProfile profile = PostgresLikeProfile();  // 16-sector blocks
+  const uint64_t sectors_per_block = profile.log_block_bytes / kSectorSize;
+  SimBlockDevice dev(
+      sim,
+      SimBlockDevice::Options{
+          .geometry = {.sector_count = kRingBlocks * sectors_per_block}},
+      rlstor::MakeDefaultSsd());
+  LogWriter writer(sim, dev, profile, DurabilityMode::kSync);
+  writer.ResumeAt(0, 1);
+  ASSERT_EQ(writer.ring().blocks, kRingBlocks);
+  // 120-byte records (35 of framing, 85 of value): 68 fill a block's
+  // payload, and four fill the payload part of its first sector, so in
+  // every lap a record starts at the second sector.
+  const std::vector<uint8_t> value(85, 0x5A);
+  constexpr size_t kPerBlock = 68;
+  constexpr size_t kNewRecords = 8;
+  std::vector<uint8_t> lap1_block0(profile.log_block_bytes);
+  std::vector<uint64_t> new_lsns;
+  sim.Spawn([](LogWriter& w, SimBlockDevice& d, std::vector<uint8_t> v,
+               std::vector<uint8_t>& lap1,
+               std::vector<uint64_t>& lsns) -> Task<void> {
+    // Lap 1 fills blocks 0..3.
+    for (size_t i = 0; i < kRingBlocks * kPerBlock; ++i) {
+      co_await w.WaitDurable(w.Append(LogRecordType::kUpdate, 1, i, v));
+    }
+    EXPECT_EQ(w.current_block_index(), kRingBlocks - 1);
+    co_await d.Read(0, lap1);
+    // Block 0 is no longer needed: block 4 may take its position. All eight
+    // records go into block 4's first write.
+    w.SetReuseFloor(w.current_block_index());
+    for (size_t i = 0; i < kNewRecords; ++i) {
+      lsns.push_back(w.Append(LogRecordType::kUpdate, 2, i, v));
+    }
+    EXPECT_EQ(w.current_block_index(), kRingBlocks);
+    co_await w.WaitDurable(lsns.back());
+    co_await w.Shutdown();
+  }(writer, dev, value, lap1_block0, new_lsns));
+  sim.Run();
+  ASSERT_EQ(new_lsns.size(), kNewRecords);
+
+  // The tear: of block 4's write only the first sector landed.
+  for (uint64_t s = 1; s < sectors_per_block; ++s) {
+    dev.image().WriteDurable(
+        s, std::span<const uint8_t>(lap1_block0).subspan(s * kSectorSize,
+                                                         kSectorSize));
+  }
+  dev.PowerLoss();
+  dev.PowerRestore();
+
+  LogScanResult scan;
+  sim.Spawn([](SimBlockDevice& d, const EngineProfile& p,
+               LogScanResult& out) -> Task<void> {
+    out = co_await ScanLog(d, p, kRingBlocks);
+  }(dev, profile, scan));
+  sim.Run();
+  ASSERT_EQ(scan.records.size(), 4u);
+  for (size_t i = 0; i < scan.records.size(); ++i) {
+    EXPECT_EQ(scan.records[i].lsn, new_lsns[i]);
+  }
+  EXPECT_EQ(scan.next_block, kRingBlocks + 1);
+  EXPECT_EQ(scan.next_lsn, new_lsns[3] + 1);
 }
 
 }  // namespace
