@@ -160,6 +160,22 @@ Task<uint64_t> BTree::DescendToLeaf(uint64_t root, uint64_t key,
   }
 }
 
+uint64_t BTree::FirstMissOnPath(uint64_t from, uint64_t key) const {
+  uint64_t pid = from;
+  while (pid != 0) {
+    const BufferPool::Frame* f = pool_.Peek(pid);
+    if (f == nullptr) {
+      return pid;
+    }
+    const PageHeader h = ReadPageHeader(f->data);
+    if (h.type == PageType::kLeaf) {
+      return 0;
+    }
+    pid = InternalChild(f->data, InternalUpperBound(f->data, h.nkeys, key));
+  }
+  return 0;
+}
+
 Task<bool> BTree::Get(uint64_t root, uint64_t key,
                       std::vector<uint8_t>* value_out) {
   if (root == 0) {

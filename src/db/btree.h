@@ -40,6 +40,13 @@ class BTree {
   rlsim::Task<uint64_t> Put(uint64_t root, uint64_t key,
                             std::span<const uint8_t> value);
 
+  // The first page on `key`'s path down from `from` (the root, or a page on
+  // that path) that is not resident in the pool, or 0 if the whole path is.
+  // Synchronous, over BufferPool::Peek: it pins, latches, writes and counts
+  // nothing, so it is only a hint of what a descent for `key` would read
+  // right now.
+  uint64_t FirstMissOnPath(uint64_t from, uint64_t key) const;
+
   // Removes the key if present. Returns the root (unchanged structure).
   rlsim::Task<uint64_t> Remove(uint64_t root, uint64_t key);
 

@@ -71,8 +71,10 @@ class BufferPool {
 
   void Unpin(Frame* frame, bool mark_dirty);
 
-  // Unpinned read-only lookup for inspection; nullptr if not resident. Only
-  // tests call it: it is the one lookup Database::pool() (const) allows.
+  // Unpinned read-only lookup; nullptr if the page is not resident (or its
+  // read is still in flight). It counts no fetch and leaves the CLOCK bit
+  // alone, so a caller must not keep the frame across a suspension. The
+  // B-tree's read-ahead walk (BTree::FirstMissOnPath) and tests use it.
   const Frame* Peek(uint64_t page_id) const;
 
   // All dirty frames in ascending page_id order (checkpoint input). The

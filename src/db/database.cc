@@ -300,6 +300,7 @@ Task<void> Database::FormatFresh() {
   co_await data_dev_.Flush();
   root_ = 0;
   next_free_page_ = meta_.next_free_page;
+  formatted_fresh_ = true;
   wal_->ResumeAt(/*next_block=*/0, /*next_lsn=*/1);
 }
 
@@ -604,6 +605,19 @@ Task<DbStatus> Database::Stage(uint64_t txn, uint64_t key,
     co_await Abort(txn);
     co_return DbStatus::kLockTimeout;
   }
+  // Read the key's path in now, outside the apply mutex, so the commit's
+  // apply finds it resident. Each walk resumes below the page just read, so
+  // a pool too tight to hold the whole path costs one read per level, not
+  // a loop. The apply still descends the tree itself; a page evicted in
+  // between is read under the mutex (Stats::apply_misses). A tree formatted
+  // in this pool is all resident until the pool first evicts a page, and
+  // the walk would then only cost a descent.
+  if (!formatted_fresh_ || pool_->stats().evictions.value() > 0) {
+    for (uint64_t miss = tree_->FirstMissOnPath(root_, key); miss != 0;
+         miss = tree_->FirstMissOnPath(miss, key)) {
+      pool_->Unpin(co_await pool_->Fetch(miss), /*mark_dirty=*/false);
+    }
+  }
   AddOp(it->second, is_delete, key, value);
   co_return DbStatus::kOk;
 }
@@ -710,16 +724,21 @@ Task<DbStatus> Database::CommitDurably(uint64_t txn, bool prepared) {
     LogWriteSet(t);
   }
 
-  const uint64_t commit_lsn = wal_->Append(LogRecordType::kCommit, txn, 0);
-  co_await wal_->WaitDurable(commit_lsn);
+  t.commit_lsn = wal_->Append(LogRecordType::kCommit, txn, 0);
+  co_await wal_->WaitDurable(t.commit_lsn);
 
   // Dirty-page throttle: never let the apply outrun what a checkpoint can
   // journal (InnoDB-style furious-flushing backstop).
   co_await ThrottleDirtyPages();
 
-  // Apply the write-set to the tree under the apply/checkpoint mutex.
+  // Apply the write-set to the tree under the apply/checkpoint mutex. Stage
+  // read its pages in, so this normally takes no simulated time.
   {
+    if (apply_mutex_->locked()) {
+      stats_.apply_waits.Add();
+    }
     auto guard = co_await apply_mutex_->Lock();
+    const int64_t misses_before = pool_->stats().misses.value();
     for (const WriteOp& op : t.ops) {
       if (op.is_delete) {
         root_ = co_await tree_->Remove(root_, op.key);
@@ -727,6 +746,7 @@ Task<DbStatus> Database::CommitDurably(uint64_t txn, bool prepared) {
         root_ = co_await tree_->Put(root_, op.key, ValueOf(t, op));
       }
     }
+    stats_.apply_misses.Add(pool_->stats().misses.value() - misses_before);
   }
 
   locks_->ReleaseAll(txn);
@@ -801,14 +821,25 @@ std::vector<uint64_t> Database::InDoubtGlobalIds() const {
 Task<DbStatus> Database::ResolveInDoubt(uint64_t global_id, bool commit) {
   uint64_t local = 0;
   bool found = false;
+  uint64_t applying_lsn = 0;  // the commit record of a decision mid-apply
   for (const auto& [id, t] : txns_) {
-    if (t.prepared && !t.deciding && t.global_id == global_id) {
-      local = id;
-      found = true;
+    if (t.prepared && t.global_id == global_id) {
+      if (t.deciding) {
+        applying_lsn = t.commit_lsn;
+      } else {
+        local = id;
+        found = true;
+      }
       break;
     }
   }
   if (!found) {
+    // A shard acks kTxnNotActive, and the coordinator forgets a commit once
+    // every shard has acked it; so a commit already being applied is
+    // answered only once its commit record is durable.
+    if (applying_lsn > wal_->durable_lsn()) {
+      co_await wal_->WaitDurable(applying_lsn);
+    }
     co_return DbStatus::kTxnNotActive;
   }
   if (commit) {

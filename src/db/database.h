@@ -86,6 +86,11 @@ class Database {
     rlsim::Counter in_doubt_recovered;  // prepared txns rebuilt at recovery
     // Write-sets that waited for room in the log ring.
     rlsim::Counter log_room_waits;
+    // Commits that queued on the apply mutex, and pool misses taken while an
+    // apply held it (such as a page the write's Put read in, evicted before
+    // the apply).
+    rlsim::Counter apply_waits;
+    rlsim::Counter apply_misses;
     rlsim::Histogram commit_latency;  // ns, Commit() call to return
   };
 
@@ -142,7 +147,9 @@ class Database {
   // Routes a coordinator decision by global id (the recovery/resolver path,
   // where the local txn id of the old incarnation is meaningless). Returns
   // kTxnNotActive when no prepared txn carries `global_id` — already
-  // resolved, decision already applied, or the prepare never became durable.
+  // resolved, decision already applied, or the prepare never became durable
+  // — and, once its commit record is durable, when a commit of it is being
+  // applied right now.
   rlsim::Task<DbStatus> ResolveInDoubt(uint64_t global_id, bool commit);
 
   // --- Maintenance -----------------------------------------------------------
@@ -184,6 +191,7 @@ class Database {
       prepared = false;
       deciding = false;
       global_id = 0;
+      commit_lsn = 0;
     }
 
     uint64_t id = 0;
@@ -202,6 +210,7 @@ class Database {
     // decisions arriving mid-apply must not double-apply the write-set.
     bool deciding = false;
     uint64_t global_id = 0;  // kPrepare record payload
+    uint64_t commit_lsn = 0;  // 0 until the commit record is appended
   };
 
   // Transaction nodes parked for reuse: twice the 16 clients of the
@@ -212,8 +221,10 @@ class Database {
            rlstor::BlockDevice& data_dev, rlstor::BlockDevice& log_dev,
            DbOptions options);
 
-  // Put and Remove: takes `key`'s lock for `txn` and adds the write (a put
-  // of `value`, or a delete) to its write-set.
+  // Put and Remove: takes `key`'s lock for `txn`, reads in `key`'s
+  // root-to-leaf path, and adds the write (a put of `value`, or a delete)
+  // to its write-set. The read is what keeps disk I/O out of the commit's
+  // apply, which holds the apply mutex.
   rlsim::Task<DbStatus> Stage(uint64_t txn, uint64_t key,
                               std::span<const uint8_t> value, bool is_delete);
   // Adds a delete of `key`, or a put of `value` (profile.value_bytes long),
@@ -316,6 +327,8 @@ class Database {
   MetaContent meta_;            // current (in-memory) metadata
   uint64_t root_ = 0;           // live tree root
   uint64_t next_free_page_ = 0; // page allocator watermark
+  // Set by FormatFresh: every page of the tree was created in this pool.
+  bool formatted_fresh_ = false;
 
   uint64_t next_txn_id_ = 1;
   using TxnMap = std::map<uint64_t, Txn>;

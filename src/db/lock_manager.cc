@@ -48,12 +48,16 @@ Task<bool> LockManager::Acquire(uint64_t txn_id, uint64_t key) {
   const bool ok = co_await granted->Wait();
   stats_.wait_time.RecordDuration(sim_.now() - start);
   if (!ok) {
-    // Timed out: remove ourselves from the queue if still there.
-    LockEntry& e = table_[key];
-    for (size_t i = 0; i < e.waiters.size(); ++i) {
-      if (e.waiters[i].granted == granted) {
-        e.waiters.erase(i);
-        break;
+    // Timed out: remove ourselves from the queue if still there. A release
+    // at the timeout's instant may already have popped us and erased the
+    // entry.
+    if (const auto it = table_.find(key); it != table_.end()) {
+      rlsim::Fifo<Waiter>& waiters = it->second.waiters;
+      for (size_t i = 0; i < waiters.size(); ++i) {
+        if (waiters[i].granted == granted) {
+          waiters.erase(i);
+          break;
+        }
       }
     }
     stats_.timeouts.Add();

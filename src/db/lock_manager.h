@@ -40,6 +40,8 @@ class LockManager {
   void Shutdown();
 
   size_t held_count(uint64_t txn_id) const;
+  // Keys with a holder or a waiter.
+  size_t entry_count() const { return table_.size(); }
   const Stats& stats() const { return stats_; }
 
  private:

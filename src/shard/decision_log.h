@@ -58,6 +58,15 @@ class DecisionLog {
     return committed_.count(global_id) > 0;
   }
 
+  // Every participant has acked the commit of `global_id`, and a shard acks
+  // only once its commit is durable, so no shard can still ask about it:
+  // the coordinator may forget it (presumed abort, as in R*). Only the
+  // in-memory set shrinks; Recover() rebuilds it from the whole log.
+  void Forget(uint64_t global_id) { committed_.erase(global_id); }
+
+  // Commits still remembered: logged or recovered, and not yet forgotten.
+  size_t committed_count() const { return committed_.size(); }
+
   bool halted() const { return writer_ == nullptr || writer_->halted(); }
 
   // Drains the writer so the object (and the simulator) can tear down with

@@ -170,9 +170,11 @@ rlsim::Task<void> ShardNode::HandleDecision(uint64_t global_id, bool commit,
       stats_.decisions_applied.Add();
     } else {
       // Already resolved (duplicate push), decision raced an in-progress
-      // apply, or the prepare never became durable here. All safe to ack:
-      // a COMMIT decision only exists for transactions whose prepare this
-      // shard made durable before voting yes.
+      // apply (answered once that commit record is durable), or the
+      // prepare never became durable here. All safe to ack: a COMMIT
+      // decision only exists for transactions whose prepare this shard
+      // made durable before voting yes, and an ack lets the coordinator
+      // forget the commit only once this shard's commit is durable.
       stats_.decision_dupes.Add();
     }
     Reply(WireMessage::Make(MsgType::kDecisionAck, global_id));

@@ -311,6 +311,9 @@ void TxnCoordinator::HandleMessage(const rlnet::Message& raw) {
       auto it = pushes_.find(msg.global_id);
       if (it != pushes_.end()) {
         it->second.unacked &= ~Bit(shard);
+        if (it->second.commit && it->second.unacked == 0) {
+          dlog_.Forget(msg.global_id);
+        }
       }
       return;
     }

@@ -129,6 +129,47 @@ TEST(BTreeTest, SequentialInsertSplitsAndStaysOrdered) {
   f.sim.Run();
 }
 
+TEST(BTreeTest, FirstMissOnPathNamesTheFirstPageNotResident) {
+  // A three-level tree, written to the device and dropped from the pool:
+  // the walk names the root, then (with only the root read back) the
+  // root's child on the key's path, and 0 once the path is resident. The
+  // walk itself reads, pins and counts nothing.
+  TreeFixture f(/*page_bytes=*/512, /*frames=*/4096);
+  struct Walk {
+    uint64_t root = 0;
+    uint64_t cold = 0, below_root = 0, resident = 0;
+    int64_t walk_fetches = 0;
+  } walk;
+  f.sim.Spawn([](TreeFixture& fx, Walk& out) -> Task<void> {
+    uint64_t root = fx.tree.CreateEmpty();
+    for (uint64_t k = 0; k < 400; ++k) {
+      root = co_await fx.tree.Put(root, k, fx.Value(k));
+    }
+    out.root = root;
+    for (BufferPool::Frame* frame : fx.pool.DirtyFrames()) {
+      std::vector<uint8_t> image = frame->data;
+      SealPage(image, frame->page_id);
+      EXPECT_TRUE(co_await fx.pool.WritePageDirect(frame->page_id, image,
+                                                   /*fua=*/true));
+    }
+    fx.pool.Reset();
+    out.cold = fx.tree.FirstMissOnPath(root, 123);
+    fx.pool.Unpin(co_await fx.pool.Fetch(root), /*mark_dirty=*/false);
+    out.below_root = fx.tree.FirstMissOnPath(root, 123);
+    EXPECT_TRUE(co_await fx.tree.Get(root, 123, nullptr));
+    const int64_t fetches = fx.pool.stats().fetches.value();
+    out.resident = fx.tree.FirstMissOnPath(root, 123);
+    out.walk_fetches = fx.pool.stats().fetches.value() - fetches;
+  }(f, walk));
+  f.sim.Run();
+  EXPECT_EQ(walk.cold, walk.root);
+  EXPECT_NE(walk.below_root, 0u);
+  EXPECT_NE(walk.below_root, walk.root);
+  EXPECT_EQ(f.pool.Peek(walk.below_root)->pins, 0);
+  EXPECT_EQ(walk.resident, 0u);
+  EXPECT_EQ(walk.walk_fetches, 0);
+}
+
 TEST(BTreeTest, ReverseInsert) {
   TreeFixture f;
   f.sim.Spawn([](TreeFixture& fx) -> Task<void> {

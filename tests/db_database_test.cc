@@ -1184,6 +1184,75 @@ TEST(DatabaseTest, StalledCheckpointEvictsStagedFramesInsteadOfFailing) {
   EXPECT_GT(outcome.staged_evictions, 0);
 }
 
+constexpr uint64_t kStagedKeys[] = {0, 150};
+
+TEST(DatabaseTest, ApplyReadsNoPageUnderTheApplyMutex) {
+  // Two transactions write keys whose leaves a 64-frame pool has evicted,
+  // while the data disk holds every read for 50 ms. The writes read their
+  // pages in when they are staged, so the commits apply without a miss;
+  // were the reads left to the apply, the first commit would hold the apply
+  // mutex across its read and the second would queue behind it.
+  EngineFixture f;
+  UseSmallPool(f);
+  struct Outcome {
+    int64_t staged_misses = 0;
+    std::vector<Duration> commit_latency;
+  } outcome;
+  f.sim.Spawn([](EngineFixture& fx, Outcome& out) -> Task<void> {
+    co_await fx.OpenDb();
+    for (uint64_t base = 0; base < kScrambleKeys; base += 100) {
+      const uint64_t txn = fx.db->Begin();
+      for (uint64_t k = base; k < base + 100; ++k) {
+        co_await fx.db->Put(txn, k, fx.Value(k));
+      }
+      EXPECT_EQ(co_await fx.db->Commit(txn), DbStatus::kOk);
+    }
+    co_await fx.db->Checkpoint();
+    const int64_t misses_before = fx.db->pool().stats().misses.value();
+    fx.probe.CloseReadGate();
+    fx.sim.Spawn([](EngineFixture& fx2) -> Task<void> {
+      co_await fx2.sim.Sleep(Duration::Millis(50));
+      fx2.probe.OpenReadGate();
+    }(fx));
+    std::vector<uint64_t> txns;
+    rlsim::TaskGroup writers(fx.sim);
+    for (const uint64_t key : kStagedKeys) {
+      txns.push_back(fx.db->Begin());
+      writers.Spawn([](EngineFixture& fx2, uint64_t txn,
+                       uint64_t k) -> Task<void> {
+        EXPECT_EQ(co_await fx2.db->Put(txn, k, fx2.Value(k + 1)),
+                  DbStatus::kOk);
+      }(fx, txns.back(), key));
+    }
+    co_await writers.Join();
+    out.staged_misses = fx.db->pool().stats().misses.value() - misses_before;
+    rlsim::TaskGroup committers(fx.sim);
+    for (const uint64_t txn : txns) {
+      committers.Spawn([](EngineFixture& fx2, uint64_t t,
+                          std::vector<Duration>& latency) -> Task<void> {
+        const TimePoint start = fx2.sim.now();
+        EXPECT_EQ(co_await fx2.db->Commit(t), DbStatus::kOk);
+        latency.push_back(fx2.sim.now() - start);
+      }(fx, txn, out.commit_latency));
+    }
+    co_await committers.Join();
+    for (const uint64_t key : kStagedKeys) {
+      std::vector<uint8_t> got;
+      EXPECT_TRUE(co_await fx.db->ReadCommitted(key, &got));
+      EXPECT_EQ(got, fx.Value(key + 1));
+    }
+  }(f, outcome));
+  f.sim.Run();
+  // Both leaves (and the path above one of them) were read at Put time.
+  EXPECT_GE(outcome.staged_misses, 2);
+  EXPECT_EQ(f.db->stats().apply_misses.value(), 0);
+  EXPECT_EQ(f.db->stats().apply_waits.value(), 0);
+  ASSERT_EQ(outcome.commit_latency.size(), 2u);
+  for (const Duration latency : outcome.commit_latency) {
+    EXPECT_LT(latency.nanos(), Duration::Millis(5).nanos());
+  }
+}
+
 // --- Two-phase commit, participant half ------------------------------------
 
 // A prepared write-set is durable but undecided: the tree shows none of it
@@ -1234,9 +1303,14 @@ TEST(DatabaseTest, DuplicateCommitPreparedMidApplyIsRefused) {
     }(*fx.db, txn, first_out));
     EXPECT_EQ(first_out, DbStatus::kNotFound);  // still waiting
     EXPECT_TRUE(fx.db->InDoubtGlobalIds().empty());
+    const uint64_t commit_lsn = fx.db->log_writer().next_lsn() - 1;
+    EXPECT_LT(fx.db->log_writer().durable_lsn(), commit_lsn);
     EXPECT_EQ(co_await fx.db->CommitPrepared(txn), DbStatus::kTxnNotActive);
+    // The shard acks this answer, after which the coordinator may forget the
+    // commit: it comes only once the commit record is durable.
     EXPECT_EQ(co_await fx.db->ResolveInDoubt(3, /*commit=*/true),
               DbStatus::kTxnNotActive);
+    EXPECT_GE(fx.db->log_writer().durable_lsn(), commit_lsn);
   }(f, first));
   f.sim.Run();
   EXPECT_EQ(first, DbStatus::kOk);

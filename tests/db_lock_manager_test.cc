@@ -119,6 +119,31 @@ TEST(LockManagerTest, TimedOutWaiterSkippedOnRelease) {
   EXPECT_TRUE(third);
 }
 
+TEST(LockManagerTest, ReleaseAtTheTimeoutInstantLeavesNoEntry) {
+  // The waiter's timeout fires at 10 ms, and the holder releases at 10 ms
+  // too, after the timeout but before the timed-out waiter resumes: the
+  // release pops the waiter and erases the entry. The waiter's clean-up
+  // must not bring the entry back.
+  Simulator sim;
+  LockManager lm(sim, Duration::Millis(10));
+  bool waiter_got = true;
+  sim.Spawn([](Simulator& s, LockManager& l, bool& out) -> Task<void> {
+    co_await l.Acquire(1, 5);
+    s.Spawn([](LockManager& l2, bool& o) -> Task<void> {
+      o = co_await l2.Acquire(2, 5);  // its timeout is due at 10 ms
+    }(l, out));
+    // Scheduled after the waiter's timeout, for the same instant.
+    co_await s.Sleep(Duration::Micros(1));
+    co_await s.Sleep(Duration::Millis(10) - Duration::Micros(1));
+    l.ReleaseAll(1);
+  }(sim, lm, waiter_got));
+  sim.Run();
+  EXPECT_EQ(sim.now(), TimePoint::Origin() + Duration::Millis(10));
+  EXPECT_FALSE(waiter_got);
+  EXPECT_EQ(lm.stats().timeouts.value(), 1);
+  EXPECT_EQ(lm.entry_count(), 0u);
+}
+
 TEST(LockManagerTest, DeadlockBrokenByTimeout) {
   Simulator sim;
   LockManager lm(sim, Duration::Millis(20));

@@ -5,6 +5,7 @@
 // fleet atomicity oracle after every schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "src/shard/shard_directory.h"
 #include "src/shard/wire.h"
 #include "src/sim/simulator.h"
+#include "src/sim/sync.h"
 #include "src/storage/block_device.h"
 #include "src/storage/partition.h"
 #include "src/workload/fleet_workload.h"
@@ -283,6 +285,63 @@ TEST(TwoPcTest, CrossShardCommitLandsOnBothShards) {
   EXPECT_EQ(fleet.coordinator().stats().cross_shard.value(), 1);
   EXPECT_EQ(fleet.coordinator().decision_log().stats().decisions_logged.value(),
             1);
+}
+
+TEST(TwoPcTest, CoordinatorForgetsFullyAckedCommits) {
+  // Four clients run 100 cross-shard commits each. Every commit is acked by
+  // both shards shortly after its decision, so the coordinator's set of
+  // remembered commits stays as small as the commits in flight, not as
+  // large as the run; a kill and recovery rebuilds it from the whole log.
+  constexpr int kClients = 4;
+  constexpr int kTxnsPerClient = 100;
+  Simulator sim;
+  FleetTestbed fleet(sim, SmallFleet(2));
+  struct Run {
+    int committed = 0;
+    size_t most_remembered = 0;
+    size_t remembered_after_drain = 0;
+    size_t remembered_after_recovery = 0;
+  } run;
+  sim.Spawn([](Simulator& s, FleetTestbed& f, Run& out) -> Task<void> {
+    co_await f.Start();
+    rlsim::TaskGroup clients(s);
+    for (int c = 0; c < kClients; ++c) {
+      clients.Spawn([](FleetTestbed& f2, Run& o, int client) -> Task<void> {
+        for (int i = 0; i < kTxnsPerClient; ++i) {
+          const uint64_t key = 1000 + client * kTxnsPerClient + i;
+          std::vector<ShardOps> parts;
+          parts.push_back(ShardOps{.shard = 0, .ops = {Op(key)}});
+          parts.push_back(ShardOps{.shard = 1, .ops = {Op((1 << 19) + key)}});
+          const uint64_t global_id = 1 + client * kTxnsPerClient + i;
+          if (co_await f2.coordinator().Execute(global_id, std::move(parts)) ==
+              TxnOutcome::kCommitted) {
+            ++o.committed;
+          }
+          o.most_remembered = std::max(
+              o.most_remembered,
+              f2.coordinator().decision_log().committed_count());
+        }
+      }(f, out, c));
+    }
+    co_await clients.Join();
+    EXPECT_TRUE(co_await f.ResolveAllInDoubt(Duration::Seconds(5)));
+    co_await s.Sleep(Duration::Seconds(1));
+    out.remembered_after_drain =
+        f.coordinator().decision_log().committed_count();
+    f.KillCoordinator();
+    co_await f.RecoverCoordinator();
+    out.remembered_after_recovery =
+        f.coordinator().decision_log().committed_count();
+    co_await f.Shutdown();
+  }(sim, fleet, run));
+  sim.Run();
+  EXPECT_EQ(run.committed, kClients * kTxnsPerClient);
+  EXPECT_EQ(fleet.coordinator().decision_log().stats().decisions_logged.value(),
+            kClients * kTxnsPerClient);
+  EXPECT_LE(run.most_remembered, 2u * kClients);
+  EXPECT_EQ(run.remembered_after_drain, 0u);
+  EXPECT_EQ(run.remembered_after_recovery,
+            static_cast<size_t>(kClients * kTxnsPerClient));
 }
 
 TEST(TwoPcTest, SingleShardUsesFastPath) {
