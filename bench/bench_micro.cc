@@ -172,14 +172,11 @@ void BM_BTreePut(benchmark::State& state) {
     rldb::BufferPool pool(sim, dev, 8192, 4096);
     uint64_t next_free = 1;
     rldb::BTree tree(pool, 96, &next_free);
-    sim.Spawn([](rldb::BTree& t) -> rlsim::Task<void> {
-      uint64_t root = t.CreateEmpty();
-      const std::vector<uint8_t> value(96, 0x11);
-      for (uint64_t k = 0; k < 2000; ++k) {
-        root = co_await t.Put(root, k * 7919 % 100000, value);
-      }
-    }(tree));
-    sim.Run();
+    uint64_t root = tree.CreateEmpty();
+    const std::vector<uint8_t> value(96, 0x11);
+    for (uint64_t k = 0; k < 2000; ++k) {
+      benchmark::DoNotOptimize(tree.Put(&root, k * 7919 % 100000, value));
+    }
   }
   state.SetItemsProcessed(state.iterations() * 2000);
 }

@@ -264,20 +264,10 @@ int main(int argc, char** argv) {
   opts.jobs = jobs;
   opts.gen.fleet_shards = fleet_shards;
   opts.gen.cross_ratio = cross_ratio;
-  if (ablate_powerguard) {
-    // The ablation: RapiLog without its power guard. A buffered-ack device
-    // whose emergency flush never runs loses acked commits on a plug-pull —
-    // the explorer must find it and shrink it to (at most) a few events.
-    opts.gen.power_guard = false;
-    opts.gen.force_rapilog = true;
-    opts.gen.allow_replication = false;
-    // Longer horizon: guard-off loss needs a cut landing inside the
-    // post-restore recovery/checkpoint churn, so leave room for a full
-    // recovery (restore + 300ms settle + open) inside the workload window —
-    // otherwise the minimal reproducer races the episode wind-down.
-    opts.gen.run_us_min = 600'000;
-    opts.gen.run_us_max = 900'000;
-  }
+  // The ablation: RapiLog without its power guard. A buffered-ack device
+  // whose emergency flush never runs loses acked commits on a plug-pull —
+  // the explorer must find it and shrink it to (at most) a few events.
+  opts.gen.power_guard = !ablate_powerguard;
 
   if (budget > 0) {
     // Nightly mode: a fixed episode budget consumed in batches. Same seed

@@ -33,11 +33,16 @@ void LeafSetEntry(std::span<uint8_t> page, uint32_t value_bytes, uint32_t i,
   std::memcpy(page.data() + off + 8, value.data(), value_bytes);
 }
 
-void LeafShiftRight(std::span<uint8_t> page, uint32_t value_bytes,
-                    uint32_t from, uint32_t count) {
+// Inserts `key` at `pos` of a leaf with room, counting it in `h`.
+void LeafInsert(std::span<uint8_t> page, uint32_t value_bytes, PageHeader* h,
+                uint32_t pos, uint64_t key, std::span<const uint8_t> value) {
   const size_t entry = 8ull + value_bytes;
-  const size_t off = kPageHeaderBytes + from * entry;
-  std::memmove(page.data() + off + entry, page.data() + off, count * entry);
+  const size_t off = kPageHeaderBytes + pos * entry;
+  std::memmove(page.data() + off + entry, page.data() + off,
+               (h->nkeys - pos) * entry);
+  LeafSetEntry(page, value_bytes, pos, key, value);
+  h->nkeys = static_cast<uint16_t>(h->nkeys + 1);
+  WritePageHeader(page, *h);
 }
 
 void LeafShiftLeft(std::span<uint8_t> page, uint32_t value_bytes,
@@ -134,35 +139,36 @@ uint64_t BTree::CreateEmpty() {
   return pid;
 }
 
-Task<uint64_t> BTree::DescendToLeaf(uint64_t root, uint64_t key,
-                                    Path* path) {
-  uint64_t pid = root;
-  while (true) {
+uint64_t BTree::PinPath(uint64_t root, uint64_t key, Path* path) {
+  path->depth = 0;
+  for (uint64_t pid = root;;) {
     BufferPool::Frame* f = pool_.FetchResident(pid);
     if (f == nullptr) {
-      f = co_await pool_.Fetch(pid);
+      UnpinPath(path);
+      return pid;
     }
+    RL_CHECK(path->depth < Path::kMaxDepth);
+    PathEntry& at = path->entries[path->depth++];
+    at.frame = f;
     const PageHeader h = ReadPageHeader(f->data);
     if (h.type == PageType::kLeaf) {
-      pool_.Unpin(f, false);
-      co_return pid;
+      return 0;
     }
     RL_CHECK_MSG(h.type == PageType::kInternal,
                  "unexpected page type on descent");
-    const uint32_t child_idx = InternalUpperBound(f->data, h.nkeys, key);
-    const uint64_t child = InternalChild(f->data, child_idx);
-    pool_.Unpin(f, false);
-    if (path != nullptr) {
-      RL_CHECK(path->depth < Path::kMaxDepth);
-      path->entries[path->depth++] = PathEntry{pid, child_idx};
-    }
-    pid = child;
+    at.child_index = InternalUpperBound(f->data, h.nkeys, key);
+    pid = InternalChild(f->data, at.child_index);
+  }
+}
+
+void BTree::UnpinPath(Path* path) {
+  while (path->depth > 0) {
+    pool_.Unpin(path->entries[--path->depth].frame, false);
   }
 }
 
 uint64_t BTree::FirstMissOnPath(uint64_t from, uint64_t key) const {
-  uint64_t pid = from;
-  while (pid != 0) {
+  for (uint64_t pid = from; pid != 0;) {
     const BufferPool::Frame* f = pool_.Peek(pid);
     if (f == nullptr) {
       return pid;
@@ -181,57 +187,31 @@ Task<bool> BTree::Get(uint64_t root, uint64_t key,
   if (root == 0) {
     co_return false;
   }
-  const uint64_t leaf = co_await DescendToLeaf(root, key, nullptr);
-  BufferPool::Frame* f = pool_.FetchResident(leaf);
-  if (f == nullptr) {
-    f = co_await pool_.Fetch(leaf);
+  Path path;
+  BufferPool::Held held;
+  while (const uint64_t miss = PinPath(root, key, &path)) {
+    held.Add(pool_, co_await pool_.Fetch(miss));
   }
-  const PageHeader h = ReadPageHeader(f->data);
-  const uint32_t pos = LeafLowerBound(f->data, value_bytes_, h.nkeys, key);
-  bool found = false;
-  if (pos < h.nkeys && LeafKey(f->data, value_bytes_, pos) == key) {
-    found = true;
-    if (value_out != nullptr) {
-      const auto v = LeafValue(f->data, value_bytes_, pos);
-      value_out->assign(v.begin(), v.end());
-    }
+  held.Release(pool_);
+  const std::span<const uint8_t> leaf =
+      path.entries[path.depth - 1].frame->data;
+  const PageHeader h = ReadPageHeader(leaf);
+  const uint32_t pos = LeafLowerBound(leaf, value_bytes_, h.nkeys, key);
+  const bool found = pos < h.nkeys && LeafKey(leaf, value_bytes_, pos) == key;
+  if (found && value_out != nullptr) {
+    const auto v = LeafValue(leaf, value_bytes_, pos);
+    value_out->assign(v.begin(), v.end());
   }
-  pool_.Unpin(f, false);
+  UnpinPath(&path);
   co_return found;
 }
 
-Task<uint64_t> BTree::InsertIntoParents(uint64_t root, Path* path,
-                                        uint64_t sep_key,
-                                        uint64_t new_child) {
-  while (true) {
-    if (path->depth == 0) {
-      // Split reached the root: grow the tree by one level.
-      const uint64_t new_root = AllocPage();
-      BufferPool::Frame* f = pool_.Create(new_root);
-      BufferPool::Frame* old = pool_.FetchResident(root);
-      if (old == nullptr) {
-        old = co_await pool_.Fetch(root);
-      }
-      const uint8_t child_level = ReadPageHeader(old->data).level;
-      pool_.Unpin(old, false);
-      PageHeader h;
-      h.page_id = new_root;
-      h.type = PageType::kInternal;
-      h.level = static_cast<uint8_t>(child_level + 1);
-      h.nkeys = 1;
-      WritePageHeader(f->data, h);
-      InternalSetChild(f->data, 0, root);
-      InternalSetKey(f->data, 0, sep_key);
-      InternalSetChild(f->data, 1, new_child);
-      pool_.Unpin(f, true);
-      co_return new_root;
-    }
-
+void BTree::InsertIntoParents(uint64_t* root, Path* path, uint64_t sep_key,
+                              uint64_t new_child) {
+  uint8_t child_level = 0;  // of the page that split last
+  while (path->depth > 0) {
     const PathEntry at = path->entries[--path->depth];
-    BufferPool::Frame* f = pool_.FetchResident(at.page_id);
-    if (f == nullptr) {
-      f = co_await pool_.Fetch(at.page_id);
-    }
+    BufferPool::Frame* f = at.frame;
     PageHeader h = ReadPageHeader(f->data);
     RL_CHECK(h.type == PageType::kInternal);
 
@@ -246,7 +226,8 @@ Task<uint64_t> BTree::InsertIntoParents(uint64_t root, Path* path,
       h.nkeys = static_cast<uint16_t>(h.nkeys + 1);
       WritePageHeader(f->data, h);
       pool_.Unpin(f, true);
-      co_return root;
+      UnpinPath(path);
+      return;
     }
 
     // Split the internal node. Build the logical key/child sequence with
@@ -302,42 +283,57 @@ Task<uint64_t> BTree::InsertIntoParents(uint64_t root, Path* path,
     // Continue inserting `promote` -> right_pid into the grandparent.
     sep_key = promote;
     new_child = right_pid;
+    child_level = h.level;
   }
+
+  // The split reached the root: grow the tree by one level.
+  const uint64_t new_root = AllocPage();
+  BufferPool::Frame* f = pool_.Create(new_root);
+  PageHeader h;
+  h.page_id = new_root;
+  h.type = PageType::kInternal;
+  h.level = static_cast<uint8_t>(child_level + 1);
+  h.nkeys = 1;
+  WritePageHeader(f->data, h);
+  InternalSetChild(f->data, 0, *root);
+  InternalSetKey(f->data, 0, sep_key);
+  InternalSetChild(f->data, 1, new_child);
+  pool_.Unpin(f, true);
+  *root = new_root;
 }
 
-Task<uint64_t> BTree::Put(uint64_t root, uint64_t key,
-                          std::span<const uint8_t> value) {
+uint64_t BTree::Put(uint64_t* root, uint64_t key,
+                    std::span<const uint8_t> value) {
   RL_CHECK_MSG(value.size() == value_bytes_,
                "value size " << value.size() << " != slot size "
                              << value_bytes_);
-  if (root == 0) {
-    root = CreateEmpty();
+  if (*root == 0) {
+    *root = CreateEmpty();
   }
   Path path;
-  const uint64_t leaf_pid = co_await DescendToLeaf(root, key, &path);
-  BufferPool::Frame* f = pool_.FetchResident(leaf_pid);
-  if (f == nullptr) {
-    f = co_await pool_.Fetch(leaf_pid);
+  if (const uint64_t miss = PinPath(*root, key, &path)) {
+    return miss;
   }
+  BufferPool::Frame* f = path.entries[--path.depth].frame;
   PageHeader h = ReadPageHeader(f->data);
   const uint32_t pos = LeafLowerBound(f->data, value_bytes_, h.nkeys, key);
 
   if (pos < h.nkeys && LeafKey(f->data, value_bytes_, pos) == key) {
     LeafSetEntry(f->data, value_bytes_, pos, key, value);  // overwrite
     pool_.Unpin(f, true);
-    co_return root;
+    UnpinPath(&path);
+    return 0;
   }
 
   if (h.nkeys < leaf_capacity_) {
-    LeafShiftRight(f->data, value_bytes_, pos, h.nkeys - pos);
-    LeafSetEntry(f->data, value_bytes_, pos, key, value);
-    h.nkeys = static_cast<uint16_t>(h.nkeys + 1);
-    WritePageHeader(f->data, h);
+    LeafInsert(f->data, value_bytes_, &h, pos, key, value);
     pool_.Unpin(f, true);
-    co_return root;
+    UnpinPath(&path);
+    return 0;
   }
 
-  // Leaf split.
+  // Leaf split. The path above stays pinned, so the new pages' evictions
+  // cannot take a page the split writes.
   const uint64_t right_pid = AllocPage();
   BufferPool::Frame* rf = pool_.Create(right_pid);
   const uint32_t mid = (h.nkeys + 1) / 2;
@@ -360,47 +356,43 @@ Task<uint64_t> BTree::Put(uint64_t root, uint64_t key,
   WritePageHeader(f->data, h);
 
   // Insert into the correct half.
-  const uint64_t right_first = LeafKey(rf->data, value_bytes_, 0);
-  if (key < right_first) {
-    const uint32_t p = LeafLowerBound(f->data, value_bytes_, h.nkeys, key);
-    LeafShiftRight(f->data, value_bytes_, p, h.nkeys - p);
-    LeafSetEntry(f->data, value_bytes_, p, key, value);
-    h.nkeys = static_cast<uint16_t>(h.nkeys + 1);
-    WritePageHeader(f->data, h);
+  if (key < LeafKey(rf->data, value_bytes_, 0)) {
+    LeafInsert(f->data, value_bytes_, &h,
+               LeafLowerBound(f->data, value_bytes_, h.nkeys, key), key, value);
   } else {
-    const uint32_t p = LeafLowerBound(rf->data, value_bytes_, rh.nkeys, key);
-    LeafShiftRight(rf->data, value_bytes_, p, rh.nkeys - p);
-    LeafSetEntry(rf->data, value_bytes_, p, key, value);
-    rh.nkeys = static_cast<uint16_t>(rh.nkeys + 1);
-    WritePageHeader(rf->data, rh);
+    LeafInsert(rf->data, value_bytes_, &rh,
+               LeafLowerBound(rf->data, value_bytes_, rh.nkeys, key), key,
+               value);
   }
 
   const uint64_t sep = LeafKey(rf->data, value_bytes_, 0);
   pool_.Unpin(f, true);
   pool_.Unpin(rf, true);
-  co_return co_await InsertIntoParents(root, &path, sep, right_pid);
+  InsertIntoParents(root, &path, sep, right_pid);
+  return 0;
 }
 
-Task<uint64_t> BTree::Remove(uint64_t root, uint64_t key) {
+uint64_t BTree::Remove(uint64_t root, uint64_t key) {
   if (root == 0) {
-    co_return root;
+    return 0;
   }
-  const uint64_t leaf_pid = co_await DescendToLeaf(root, key, nullptr);
-  BufferPool::Frame* f = pool_.FetchResident(leaf_pid);
-  if (f == nullptr) {
-    f = co_await pool_.Fetch(leaf_pid);
+  Path path;
+  if (const uint64_t miss = PinPath(root, key, &path)) {
+    return miss;
   }
+  BufferPool::Frame* f = path.entries[--path.depth].frame;
   PageHeader h = ReadPageHeader(f->data);
   const uint32_t pos = LeafLowerBound(f->data, value_bytes_, h.nkeys, key);
-  if (pos < h.nkeys && LeafKey(f->data, value_bytes_, pos) == key) {
+  const bool found =
+      pos < h.nkeys && LeafKey(f->data, value_bytes_, pos) == key;
+  if (found) {
     LeafShiftLeft(f->data, value_bytes_, pos + 1, h.nkeys - pos - 1);
     h.nkeys = static_cast<uint16_t>(h.nkeys - 1);
     WritePageHeader(f->data, h);
-    pool_.Unpin(f, true);
-  } else {
-    pool_.Unpin(f, false);
   }
-  co_return root;
+  pool_.Unpin(f, found);
+  UnpinPath(&path);
+  return 0;
 }
 
 Task<void> BTree::Scan(
@@ -409,7 +401,14 @@ Task<void> BTree::Scan(
   if (root == 0) {
     co_return;
   }
-  uint64_t pid = co_await DescendToLeaf(root, from, nullptr);
+  Path path;
+  BufferPool::Held held;
+  while (const uint64_t miss = PinPath(root, from, &path)) {
+    held.Add(pool_, co_await pool_.Fetch(miss));
+  }
+  held.Release(pool_);
+  uint64_t pid = path.entries[path.depth - 1].frame->page_id;
+  UnpinPath(&path);
   while (pid != 0) {
     BufferPool::Frame* f = pool_.FetchResident(pid);
     if (f == nullptr) {

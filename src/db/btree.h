@@ -36,9 +36,15 @@ class BTree {
   rlsim::Task<bool> Get(uint64_t root, uint64_t key,
                         std::vector<uint8_t>* value_out);
 
-  // Inserts or overwrites. Returns the (possibly new) root page id.
-  rlsim::Task<uint64_t> Put(uint64_t root, uint64_t key,
-                            std::span<const uint8_t> value);
+  // Tree writes never suspend. Each one pins `key`'s root-to-leaf path and
+  // returns 0 once the write is applied; or, finding a page on that path
+  // not resident, it changes nothing and returns that page's id, which the
+  // caller reads in (BufferPool::Fetch) before it retries the write.
+  //
+  // Inserts or overwrites, growing *root when the root splits.
+  uint64_t Put(uint64_t* root, uint64_t key, std::span<const uint8_t> value);
+  // Removes the key if present (the root never changes).
+  uint64_t Remove(uint64_t root, uint64_t key);
 
   // The first page on `key`'s path down from `from` (the root, or a page on
   // that path) that is not resident in the pool, or 0 if the whole path is.
@@ -46,9 +52,6 @@ class BTree {
   // nothing, so it is only a hint of what a descent for `key` would read
   // right now.
   uint64_t FirstMissOnPath(uint64_t from, uint64_t key) const;
-
-  // Removes the key if present. Returns the root (unchanged structure).
-  rlsim::Task<uint64_t> Remove(uint64_t root, uint64_t key);
 
   // Visits entries with from <= key <= to in order; the visitor returns
   // false to stop early.
@@ -67,12 +70,12 @@ class BTree {
 
  private:
   struct PathEntry {
-    uint64_t page_id;
-    uint32_t child_index;
+    BufferPool::Frame* frame;
+    uint32_t child_index;  // internal pages: the child the descent took
   };
-  // The internal nodes a descent passed, root first. Fixed capacity, so a
-  // descent allocates nothing: even 4-key nodes (the smallest the
-  // constructor allows) reach 5^16 keys in kMaxDepth levels.
+  // A pinned root-to-leaf path, leaf last. Fixed capacity, so a descent
+  // allocates nothing: even 4-key nodes (the smallest the constructor
+  // allows) reach 5^16 keys in kMaxDepth levels.
   struct Path {
     static constexpr size_t kMaxDepth = 16;
     std::array<PathEntry, kMaxDepth> entries{};
@@ -80,11 +83,16 @@ class BTree {
   };
 
   uint64_t AllocPage();
-  rlsim::Task<uint64_t> DescendToLeaf(uint64_t root, uint64_t key,
-                                      Path* path);
-  rlsim::Task<uint64_t> InsertIntoParents(uint64_t root, Path* path,
-                                          uint64_t sep_key,
-                                          uint64_t new_child);
+  // Pins `key`'s path from `root` into `path` and returns 0; or, at the
+  // first page not resident, unpins what it pinned and returns that page.
+  uint64_t PinPath(uint64_t root, uint64_t key, Path* path);
+  // Unpins every page still on `path`.
+  void UnpinPath(Path* path);
+  // Adds separator `sep_key` for `new_child` to the parent at the end of
+  // the pinned `path` (the page that split is off it), splitting upwards as
+  // needed and unpinning the path; grows a new root when the root splits.
+  void InsertIntoParents(uint64_t* root, Path* path, uint64_t sep_key,
+                         uint64_t new_child);
 
   BufferPool& pool_;
   uint32_t value_bytes_;

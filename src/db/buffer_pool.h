@@ -10,6 +10,7 @@
 // image.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -39,6 +40,33 @@ class BufferPool {
     int pins = 0;
     bool referenced = false;  // CLOCK bit
     std::vector<uint8_t> data;
+  };
+
+  // The pages a retried tree descent has read in (Fetch's pins), held until
+  // it succeeds, so that reading the next missing page cannot evict one: a
+  // pool with room for little more than the path still makes progress. It
+  // allocates nothing and has no destructor, so a coroutine frame destroyed
+  // at teardown never touches the pool; the pins of a fetch that threw die
+  // with the halted engine.
+  class Held {
+   public:
+    // Holds `frame`'s pin, first releasing every held pin when full.
+    void Add(BufferPool& pool, Frame* frame) {
+      if (count_ == frames_.size()) {
+        Release(pool);
+      }
+      frames_[count_++] = frame;
+    }
+    void Release(BufferPool& pool) {
+      for (size_t i = 0; i < count_; ++i) {
+        pool.Unpin(frames_[i], /*mark_dirty=*/false);
+      }
+      count_ = 0;
+    }
+
+   private:
+    std::array<Frame*, 16> frames_{};
+    size_t count_ = 0;
   };
 
   struct Stats {

@@ -83,7 +83,6 @@ Database::Database(rlsim::Simulator& sim, CpuContext& cpu,
   wal_ = std::make_unique<LogWriter>(sim_, log_dev_, options_.profile,
                                      options_.durability);
   locks_ = std::make_unique<LockManager>(sim_, options_.profile.lock_timeout);
-  apply_mutex_ = std::make_unique<rlsim::SimMutex>(sim_);
   checkpoint_mutex_ = std::make_unique<rlsim::SimMutex>(sim_);
   checkpoint_done_ = std::make_unique<rlsim::WaitQueue>(sim_);
 
@@ -412,8 +411,7 @@ Task<void> Database::Recover() {
   // the global replay point, which is always sound (replay is idempotent).
   std::array<uint64_t, kRedoSlices> horizons;
   horizons.fill(meta_.replay_lsn > 0 ? meta_.replay_lsn - 1 : 0);
-  if (options_.recovery.use_fuzzy_horizons && jh.valid &&
-      jh.meta.seq == meta_.seq) {
+  if (jh.valid && jh.meta.seq == meta_.seq) {
     horizons = jh.horizons;
   }
 
@@ -452,27 +450,14 @@ Task<void> Database::Recover() {
 
   // Persist the recovered state so the next crash replays less.
   if (!scan.records.empty() || pool_->dirty_count() > 0) {
-    // rapicheck: lock-ok (the apparent locks_ -> apply_mutex_ inversion is
-    // a name merge: CommitDurably's apply-section calls BTree::Remove,
-    // which rapicheck conflates with Database::Remove's lock acquisition)
-    auto guard = co_await apply_mutex_->Lock();
-    co_await CheckpointLocked();
+    co_await Checkpoint();
   }
 }
 
-Task<void> Database::ApplyRecord(const LogRecord& rec) {
-  switch (rec.type) {
-    case LogRecordType::kUpdate:
-      root_ = co_await tree_->Put(root_, rec.key, rec.value);
-      break;
-    case LogRecordType::kDelete:
-      root_ = co_await tree_->Remove(root_, rec.key);
-      break;
-    case LogRecordType::kCommit:
-    case LogRecordType::kPrepare:
-    case LogRecordType::kAbort:
-      break;  // control records carry no tree mutation
-  }
+uint64_t Database::ApplyWrite(bool is_delete, uint64_t key,
+                              std::span<const uint8_t> value) {
+  return is_delete ? tree_->Remove(root_, key)
+                   : tree_->Put(&root_, key, value);
 }
 
 Task<void> Database::Redo(const std::vector<LogRecord>& records,
@@ -537,12 +522,16 @@ Task<void> Database::Redo(const std::vector<LogRecord>& records,
     net.merge(s.net);
   }
   rlsim::SpanScope install_span(sim_, "db", "redo-install", net.size());
+  BufferPool::Held held;
   for (const auto& [key, rec] : net) {
-    co_await ApplyRecord(*rec);
+    while (const uint64_t miss = ApplyWrite(
+               rec->type == LogRecordType::kDelete, key, rec->value)) {
+      held.Add(*pool_, co_await pool_->Fetch(miss));
+    }
+    held.Release(*pool_);
     stats_.redo_installed_ops.Add();
     if (pool_->dirty_count() >= dirty_throttle_pages_) {
-      auto guard = co_await apply_mutex_->Lock();
-      co_await CheckpointLocked();
+      co_await Checkpoint();
     }
   }
 }
@@ -586,16 +575,16 @@ Task<DbStatus> Database::Get(uint64_t txn, uint64_t key,
 
 Task<DbStatus> Database::Put(uint64_t txn, uint64_t key,
                              std::span<const uint8_t> value) {
-  return Stage(txn, key, value, /*is_delete=*/false);
+  return StageWrite(txn, key, value, /*is_delete=*/false);
 }
 
 Task<DbStatus> Database::Remove(uint64_t txn, uint64_t key) {
-  return Stage(txn, key, {}, /*is_delete=*/true);
+  return StageWrite(txn, key, {}, /*is_delete=*/true);
 }
 
-Task<DbStatus> Database::Stage(uint64_t txn, uint64_t key,
-                               std::span<const uint8_t> value,
-                               bool is_delete) {
+Task<DbStatus> Database::StageWrite(uint64_t txn, uint64_t key,
+                                    std::span<const uint8_t> value,
+                                    bool is_delete) {
   const auto it = txns_.find(txn);
   if (it == txns_.end()) {
     co_return DbStatus::kTxnNotActive;
@@ -605,13 +594,13 @@ Task<DbStatus> Database::Stage(uint64_t txn, uint64_t key,
     co_await Abort(txn);
     co_return DbStatus::kLockTimeout;
   }
-  // Read the key's path in now, outside the apply mutex, so the commit's
+  // Read the key's path in now, while the write is staged, so the commit's
   // apply finds it resident. Each walk resumes below the page just read, so
   // a pool too tight to hold the whole path costs one read per level, not
-  // a loop. The apply still descends the tree itself; a page evicted in
-  // between is read under the mutex (Stats::apply_misses). A tree formatted
-  // in this pool is all resident until the pool first evicts a page, and
-  // the walk would then only cost a descent.
+  // a loop. The apply still descends the tree itself, and reads a page
+  // evicted in between before it retries. A tree formatted in this pool is
+  // all resident until the pool first evicts a page, and the walk would
+  // then only cost a descent.
   if (!formatted_fresh_ || pool_->stats().evictions.value() > 0) {
     for (uint64_t miss = tree_->FirstMissOnPath(root_, key); miss != 0;
          miss = tree_->FirstMissOnPath(miss, key)) {
@@ -731,22 +720,17 @@ Task<DbStatus> Database::CommitDurably(uint64_t txn, bool prepared) {
   // journal (InnoDB-style furious-flushing backstop).
   co_await ThrottleDirtyPages();
 
-  // Apply the write-set to the tree under the apply/checkpoint mutex. Stage
-  // read its pages in, so this normally takes no simulated time.
-  {
-    if (apply_mutex_->locked()) {
-      stats_.apply_waits.Add();
+  // Apply the write-set to the tree. Stage read its pages in, so this
+  // normally runs in this one event; a write that finds a page evicted
+  // since reads it and retries, and a checkpoint staged meanwhile leaves
+  // the transaction to the redo (DESIGN.md, "Tree writes never suspend").
+  BufferPool::Held held;
+  for (const WriteOp& op : t.ops) {
+    while (const uint64_t miss =
+               ApplyWrite(op.is_delete, op.key, ValueOf(t, op))) {
+      held.Add(*pool_, co_await pool_->Fetch(miss));
     }
-    auto guard = co_await apply_mutex_->Lock();
-    const int64_t misses_before = pool_->stats().misses.value();
-    for (const WriteOp& op : t.ops) {
-      if (op.is_delete) {
-        root_ = co_await tree_->Remove(root_, op.key);
-      } else {
-        root_ = co_await tree_->Put(root_, op.key, ValueOf(t, op));
-      }
-    }
-    stats_.apply_misses.Add(pool_->stats().misses.value() - misses_before);
+    held.Release(*pool_);
   }
 
   locks_->ReleaseAll(txn);
@@ -887,16 +871,6 @@ void Database::ScheduleCheckpoint() {
 
 Task<void> Database::Checkpoint() {
   auto ckpt_guard = co_await checkpoint_mutex_->Lock();
-  StagedCheckpoint staged;
-  {
-    auto guard = co_await apply_mutex_->Lock();
-    staged = StageCheckpoint();
-  }
-  co_await PersistCheckpoint(std::move(staged));
-}
-
-Task<void> Database::CheckpointLocked() {
-  // Recovery path: the caller already holds the apply mutex and runs alone.
   co_await PersistCheckpoint(StageCheckpoint());
 }
 

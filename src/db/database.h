@@ -52,10 +52,6 @@ struct RecoveryOptions {
   // net-ops are installed in ascending key order. The recovered tree is
   // byte-identical at every stream count, 1 included.
   uint32_t partitions = 1;
-  // Use the per-slice low-water LSNs persisted in the journal header to skip
-  // records a checkpoint already captured. Off = every slice falls back to
-  // the global replay point (strictly more records replayed; same result).
-  bool use_fuzzy_horizons = true;
 };
 
 struct DbOptions {
@@ -86,11 +82,6 @@ class Database {
     rlsim::Counter in_doubt_recovered;  // prepared txns rebuilt at recovery
     // Write-sets that waited for room in the log ring.
     rlsim::Counter log_room_waits;
-    // Commits that queued on the apply mutex, and pool misses taken while an
-    // apply held it (such as a page the write's Put read in, evicted before
-    // the apply).
-    rlsim::Counter apply_waits;
-    rlsim::Counter apply_misses;
     rlsim::Histogram commit_latency;  // ns, Commit() call to return
   };
 
@@ -224,9 +215,10 @@ class Database {
   // Put and Remove: takes `key`'s lock for `txn`, reads in `key`'s
   // root-to-leaf path, and adds the write (a put of `value`, or a delete)
   // to its write-set. The read is what keeps disk I/O out of the commit's
-  // apply, which holds the apply mutex.
-  rlsim::Task<DbStatus> Stage(uint64_t txn, uint64_t key,
-                              std::span<const uint8_t> value, bool is_delete);
+  // apply.
+  rlsim::Task<DbStatus> StageWrite(uint64_t txn, uint64_t key,
+                                   std::span<const uint8_t> value,
+                                   bool is_delete);
   // Adds a delete of `key`, or a put of `value` (profile.value_bytes long),
   // to `t`'s write-set.
   void AddOp(Txn& t, bool is_delete, uint64_t key,
@@ -242,7 +234,7 @@ class Database {
     std::vector<uint8_t> image;
   };
 
-  // A consistent snapshot taken under the apply mutex: sealed page images,
+  // A consistent snapshot taken in one event: sealed page images,
   // in ascending page id, plus the metadata describing them. Staging copies
   // memory only (zero simulated time); the I/O happens afterwards from the
   // staged images, and commits wait for it only at the dirty throttle.
@@ -273,7 +265,11 @@ class Database {
   rlsim::Task<void> WriteMeta(const MetaContent& meta);
   rlsim::Task<JournalHeaderInfo> ReadJournalHeader(uint64_t durable_seq);
   rlsim::Task<void> ReplayJournal(const JournalHeaderInfo& header);
-  rlsim::Task<void> ApplyRecord(const LogRecord& rec);
+  // Applies a delete of `key`, or a put of `value`, to the tree: 0 once it
+  // is applied, or the page it found missing (BTree::Put), which the caller
+  // awaits Fetch for before it retries. Commit and redo apply through here.
+  uint64_t ApplyWrite(bool is_delete, uint64_t key,
+                      std::span<const uint8_t> value);
   rlsim::Task<void> Redo(const std::vector<LogRecord>& records,
                          const std::vector<size_t>& candidates,
                          const std::array<uint64_t, kRedoSlices>& horizons);
@@ -293,7 +289,8 @@ class Database {
   // count the commit. Both forward here, so neither adds a coroutine frame.
   rlsim::Task<DbStatus> CommitDurably(uint64_t txn, bool prepared);
   rlsim::Task<void> ThrottleDirtyPages();
-  StagedCheckpoint StageCheckpoint();  // caller must hold apply_mutex_
+  // Synchronous, so it always sees whole writes.
+  StagedCheckpoint StageCheckpoint();
   // Writes one page straight to the data device; a failed write means the
   // machine died under the checkpoint.
   rlsim::Task<void> WritePageOrHalt(uint64_t page_id,
@@ -305,7 +302,6 @@ class Database {
   // Forces the log, then writes the staged checkpoint: journal, header,
   // pages in place, metadata.
   rlsim::Task<void> PersistCheckpoint(StagedCheckpoint staged);
-  rlsim::Task<void> CheckpointLocked();
   // Starts a background checkpoint unless one is pending; the Maybe form
   // only once the dirty-page threshold is reached or 3/4 of the log ring
   // has been written since the last checkpoint began.
@@ -344,8 +340,6 @@ class Database {
   // Set by Close(): parked client operations unwind with EngineHalted.
   bool closing_ = false;
 
-  // Serialises tree mutation (commit apply) against checkpoints.
-  std::unique_ptr<rlsim::SimMutex> apply_mutex_;
   // Serialises whole checkpoints against each other.
   std::unique_ptr<rlsim::SimMutex> checkpoint_mutex_;
   bool checkpoint_pending_ = false;

@@ -262,7 +262,13 @@ EpisodeConfig GenerateEpisode(uint64_t seed, const GeneratorOptions& opts) {
   EpisodeConfig cfg;
   cfg.seed = seed;
   cfg.power_guard = opts.power_guard;
-  cfg.run_us = rng.UniformInt(opts.run_us_min, opts.run_us_max);
+  // The ablation's loss needs a cut landing inside the post-restore
+  // recovery/checkpoint churn, so its window leaves room for a full recovery
+  // (restore + 300 ms settle + open); otherwise the minimal reproducer races
+  // the episode wind-down.
+  cfg.run_us = opts.power_guard
+                   ? rng.UniformInt(opts.run_us_min, opts.run_us_max)
+                   : rng.UniformInt(600'000, 900'000);
 
   if (opts.fleet_shards > 0) {
     // Fleet episode (E13): N shard testbeds behind a 2PC coordinator. The
@@ -310,7 +316,7 @@ EpisodeConfig GenerateEpisode(uint64_t seed, const GeneratorOptions& opts) {
     return cfg;
   }
 
-  if (opts.force_rapilog) {
+  if (!opts.power_guard) {
     cfg.mode = DeploymentMode::kRapiLog;
   } else {
     // Bias toward the headline deployment; kUnsafeAsync is excluded because
@@ -324,7 +330,7 @@ EpisodeConfig GenerateEpisode(uint64_t seed, const GeneratorOptions& opts) {
                                        DiskSetup::kSeparateHdd,
                                        DiskSetup::kBbwc, DiskSetup::kSsdLog};
   cfg.disks = kDiskSetups[rng.NextBelow(4)];
-  if (opts.allow_replication && rng.Chance(0.45)) {
+  if (opts.power_guard && rng.Chance(0.45)) {
     if (rng.Chance(0.5)) {
       cfg.replicas = 3;
       cfg.ship_mode = ShipMode::kQuorumAck;

@@ -91,10 +91,10 @@ std::string Serialize(const EpisodeConfig& cfg);
 bool Parse(const std::string& text, EpisodeConfig* out, std::string* error);
 
 struct GeneratorOptions {
-  bool allow_replication = true;
+  // false generates the ablation: RapiLog without its power guard, which
+  // loses acked commits at a cut. Its episodes run RapiLog only, with no
+  // replication, over a 600-900 ms window (run_us_min/max do not apply).
   bool power_guard = true;
-  // Pin the deployment to RapiLog instead of sampling a mode.
-  bool force_rapilog = false;
   int min_faults = 1;   // fault motifs per episode (a motif is 1-4 events)
   int max_faults = 5;
   int64_t run_us_min = 250'000;

@@ -18,16 +18,4 @@ std::string ToString(BlockStatus s) {
   return "unknown";
 }
 
-std::string ToString(WriteCachePolicy p) {
-  switch (p) {
-    case WriteCachePolicy::kWriteBack:
-      return "write-back";
-    case WriteCachePolicy::kWriteThrough:
-      return "write-through";
-    case WriteCachePolicy::kBatteryBackedWriteBack:
-      return "bbwc";
-  }
-  return "unknown";
-}
-
 }  // namespace rlstor

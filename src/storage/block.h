@@ -39,16 +39,11 @@ enum class WriteCachePolicy {
   // Writes land in the device's volatile cache and are acknowledged
   // immediately; they are lost on power failure unless flushed.
   kWriteBack,
-  // Every write goes to the medium before acknowledgement (no volatile
-  // caching). Equivalent to the cache being disabled.
-  kWriteThrough,
   // Battery-backed write-back (RAID controller with BBWC): writes are
   // acknowledged at cache speed and are already durable (the battery
   // preserves the cache across power loss); destaging to the medium only
   // matters for sustained-throughput back-pressure.
   kBatteryBackedWriteBack,
 };
-
-std::string ToString(WriteCachePolicy p);
 
 }  // namespace rlstor

@@ -49,9 +49,7 @@ SimBlockDevice::SimBlockDevice(rlsim::Simulator& sim, Options options,
       flush_done_(sim) {
   RL_CHECK(model_ != nullptr);
   RL_CHECK(options_.geometry.sector_size == kSectorSize);
-  if (options_.cache_policy != WriteCachePolicy::kWriteThrough) {
-    sim_.Spawn(DestageLoop(), options_.name + "-destage");
-  }
+  sim_.Spawn(DestageLoop(), options_.name + "-destage");
 }
 
 bool SimBlockDevice::DirtySet::Contains(uint64_t lba) const {
@@ -132,7 +130,7 @@ Task<BlockStatus> SimBlockDevice::Read(uint64_t lba, std::span<uint8_t> out) {
                         static_cast<int64_t>(lba));
   const uint32_t sectors = static_cast<uint32_t>(out.size() / kSectorSize);
 
-  bool all_cached = options_.cache_policy != WriteCachePolicy::kWriteThrough;
+  bool all_cached = true;
   for (uint32_t i = 0; i < sectors && all_cached; ++i) {
     all_cached = dirty_.Contains(lba + i);
   }
@@ -196,7 +194,7 @@ Task<BlockStatus> SimBlockDevice::Write(uint64_t lba,
   rlsim::SpanScope span(sim_, options_.name, "io-write",
                         static_cast<int64_t>(lba));
   BlockStatus status;
-  if (options_.cache_policy == WriteCachePolicy::kWriteThrough || fua) {
+  if (fua) {
     status = co_await WriteThroughPath(lba, data, fua);
   } else {
     status = co_await CachedPath(lba, data);
@@ -276,7 +274,7 @@ Task<BlockStatus> SimBlockDevice::Flush() {
       co_return BlockStatus::kDeviceOff;
     }
   } else {
-    // Write-through has nothing volatile; BBWC cache is already durable.
+    // A BBWC cache is already durable.
     co_await sim_.Sleep(model_->CacheTransferTime(1));
   }
   stats_.flushes.Add();

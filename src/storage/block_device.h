@@ -90,7 +90,7 @@ class SimBlockDevice : public BlockDevice {
   rlsim::Task<BlockStatus> Write(uint64_t lba, std::span<const uint8_t> data,
                                  bool fua) override;
   rlsim::Task<BlockStatus> Flush() override;
-  // Write-through and battery-backed caches are durable on acknowledgement.
+  // A battery-backed cache is durable on acknowledgement.
   bool volatile_write_cache() const override {
     return options_.cache_policy == WriteCachePolicy::kWriteBack;
   }

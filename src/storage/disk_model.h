@@ -38,7 +38,7 @@ class DiskModel {
 // regimes the paper's results hinge on:
 //   * back-to-back sequential writes stream at near media rate, while
 //   * paced synchronous commits each wait most of a rotation, capping a
-//     write-through log at roughly one commit per revolution.
+//     log of FUA commits at roughly one commit per revolution.
 class HddModel : public DiskModel {
  public:
   // A 7200 rpm spindle.

@@ -15,9 +15,9 @@
 // Like a virtio-blk driver reading the FLUSH feature bit at probe time, the
 // guest device is told once whether its backend keeps acknowledged writes in
 // a volatile cache. A RapiLog backend does not (its buffer is covered by the
-// hold-up guarantee), nor does a write-through or battery-backed disk, so the
-// guest completes their flushes itself, with no VM exit. A write-back backend
-// still receives every flush.
+// hold-up guarantee), nor does a battery-backed disk, so the guest completes
+// their flushes itself, with no VM exit. A write-back backend still receives
+// every flush.
 #pragma once
 
 #include <cstdint>

@@ -93,10 +93,6 @@ TEST(ChaosExplorerTest, AblationFoundShrunkAndReplayable) {
   opts.base_seed = 16;  // first guard-off failure in the nightly seed walk
   opts.episodes = 1;
   opts.gen.power_guard = false;
-  opts.gen.force_rapilog = true;
-  opts.gen.allow_replication = false;
-  opts.gen.run_us_min = 600'000;
-  opts.gen.run_us_max = 900'000;
   const ExplorerReport report = ChaosExplorer(opts).RunCampaign();
   ASSERT_EQ(report.failures.size(), 1u)
       << "the planted guard-off violation was not found";

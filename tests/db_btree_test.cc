@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
 #include <vector>
 
 #include "src/db/buffer_pool.h"
@@ -30,6 +31,15 @@ struct TreeFixture {
             rlstor::MakeDefaultSsd()),
         pool(sim, dev, page_bytes, frames),
         tree(pool, kValueBytes, &next_free_page) {}
+
+  // Writes that expect their path resident, as every page of a tree
+  // built in this pool is until the pool is reset.
+  void Put(uint64_t* root, uint64_t key, std::span<const uint8_t> value) {
+    EXPECT_EQ(tree.Put(root, key, value), 0u) << key;
+  }
+  void Remove(uint64_t root, uint64_t key) {
+    EXPECT_EQ(tree.Remove(root, key), 0u) << key;
+  }
 
   std::vector<uint8_t> Value(uint64_t seed) const {
     std::vector<uint8_t> v(kValueBytes);
@@ -62,7 +72,7 @@ TEST(BTreeTest, PutGetSingle) {
   std::vector<uint8_t> got;
   f.sim.Spawn([](TreeFixture& fx, std::vector<uint8_t>& out) -> Task<void> {
     uint64_t root = fx.tree.CreateEmpty();
-    root = co_await fx.tree.Put(root, 42, fx.Value(7));
+    fx.Put(&root, 42, fx.Value(7));
     const bool found = co_await fx.tree.Get(root, 42, &out);
     EXPECT_TRUE(found);
   }(f, got));
@@ -75,8 +85,8 @@ TEST(BTreeTest, OverwriteReplacesValue) {
   std::vector<uint8_t> got;
   f.sim.Spawn([](TreeFixture& fx, std::vector<uint8_t>& out) -> Task<void> {
     uint64_t root = fx.tree.CreateEmpty();
-    root = co_await fx.tree.Put(root, 1, fx.Value(1));
-    root = co_await fx.tree.Put(root, 1, fx.Value(2));
+    fx.Put(&root, 1, fx.Value(1));
+    fx.Put(&root, 1, fx.Value(2));
     co_await fx.tree.Get(root, 1, &out);
     EXPECT_EQ(co_await fx.tree.Count(root), 1u);
   }(f, got));
@@ -88,9 +98,9 @@ TEST(BTreeTest, RemoveDeletes) {
   TreeFixture f;
   f.sim.Spawn([](TreeFixture& fx) -> Task<void> {
     uint64_t root = fx.tree.CreateEmpty();
-    root = co_await fx.tree.Put(root, 5, fx.Value(5));
-    root = co_await fx.tree.Put(root, 6, fx.Value(6));
-    root = co_await fx.tree.Remove(root, 5);
+    fx.Put(&root, 5, fx.Value(5));
+    fx.Put(&root, 6, fx.Value(6));
+    fx.Remove(root, 5);
     EXPECT_FALSE(co_await fx.tree.Get(root, 5, nullptr));
     EXPECT_TRUE(co_await fx.tree.Get(root, 6, nullptr));
     EXPECT_EQ(co_await fx.tree.Count(root), 1u);
@@ -102,8 +112,8 @@ TEST(BTreeTest, RemoveMissingIsNoOp) {
   TreeFixture f;
   f.sim.Spawn([](TreeFixture& fx) -> Task<void> {
     uint64_t root = fx.tree.CreateEmpty();
-    root = co_await fx.tree.Put(root, 1, fx.Value(1));
-    root = co_await fx.tree.Remove(root, 99);
+    fx.Put(&root, 1, fx.Value(1));
+    fx.Remove(root, 99);
     EXPECT_EQ(co_await fx.tree.Count(root), 1u);
   }(f));
   f.sim.Run();
@@ -115,7 +125,7 @@ TEST(BTreeTest, SequentialInsertSplitsAndStaysOrdered) {
     uint64_t root = fx.tree.CreateEmpty();
     const uint64_t n = fx.tree.leaf_capacity() * 20ull;
     for (uint64_t k = 1; k <= n; ++k) {
-      root = co_await fx.tree.Put(root, k, fx.Value(k));
+      fx.Put(&root, k, fx.Value(k));
     }
     EXPECT_EQ(co_await fx.tree.Count(root), n);
     co_await fx.tree.CheckStructure(root);
@@ -143,7 +153,7 @@ TEST(BTreeTest, FirstMissOnPathNamesTheFirstPageNotResident) {
   f.sim.Spawn([](TreeFixture& fx, Walk& out) -> Task<void> {
     uint64_t root = fx.tree.CreateEmpty();
     for (uint64_t k = 0; k < 400; ++k) {
-      root = co_await fx.tree.Put(root, k, fx.Value(k));
+      fx.Put(&root, k, fx.Value(k));
     }
     out.root = root;
     for (BufferPool::Frame* frame : fx.pool.DirtyFrames()) {
@@ -170,13 +180,94 @@ TEST(BTreeTest, FirstMissOnPathNamesTheFirstPageNotResident) {
   EXPECT_EQ(walk.walk_fetches, 0);
 }
 
+// Every resident page's bytes, dirty bit and pins, by page id.
+struct PoolImage {
+  std::map<uint64_t, std::tuple<std::vector<uint8_t>, bool, int>> frames;
+  size_t dirty = 0;
+  bool operator==(const PoolImage&) const = default;
+};
+
+PoolImage ImageOf(const TreeFixture& fx) {
+  PoolImage image;
+  for (uint64_t page = 0; page < fx.next_free_page; ++page) {
+    if (const BufferPool::Frame* f = fx.pool.Peek(page)) {
+      image.frames.emplace(page, std::make_tuple(f->data, f->dirty, f->pins));
+    }
+  }
+  image.dirty = fx.pool.dirty_count();
+  return image;
+}
+
+TEST(BTreeTest, WriteOverAMissingPageChangesNothingAndNamesIt) {
+  // A three-level tree, written to the device and dropped from the pool;
+  // the root and the inner page on key 123's path are read back, its leaf
+  // is not. A put of 123 (absent) and a remove of 122 (present, in the same
+  // leaf) both return that leaf and leave the tree and every resident page
+  // as they were. Once the leaf is read in, both apply.
+  TreeFixture f(/*page_bytes=*/512, /*frames=*/4096);
+  constexpr uint64_t kKey = 123;
+  struct Outcome {
+    uint64_t leaf = 0, put_miss = 0, remove_miss = 0;
+    bool put_unchanged = false, remove_unchanged = false;
+    uint64_t put_retry = 1, remove_retry = 1;
+  } out;
+  f.sim.Spawn([](TreeFixture& fx, Outcome& o) -> Task<void> {
+    uint64_t root = fx.tree.CreateEmpty();
+    for (uint64_t k = 0; k < 400; ++k) {
+      fx.Put(&root, k * 2, fx.Value(k));
+    }
+    for (BufferPool::Frame* frame : fx.pool.DirtyFrames()) {
+      std::vector<uint8_t> image = frame->data;
+      SealPage(image, frame->page_id);
+      EXPECT_TRUE(co_await fx.pool.WritePageDirect(frame->page_id, image,
+                                                   /*fua=*/true));
+    }
+    fx.pool.Reset();
+    for (int level = 0; level < 2; ++level) {
+      const uint64_t inner = fx.tree.FirstMissOnPath(root, kKey);
+      fx.pool.Unpin(co_await fx.pool.Fetch(inner), /*mark_dirty=*/false);
+    }
+    o.leaf = fx.tree.FirstMissOnPath(root, kKey);
+
+    const uint64_t root_before = root;
+    const uint64_t next_free_before = fx.next_free_page;
+    const PoolImage before = ImageOf(fx);
+    o.put_miss = fx.tree.Put(&root, kKey, fx.Value(7));
+    o.put_unchanged = root == root_before &&
+                      fx.next_free_page == next_free_before &&
+                      ImageOf(fx) == before;
+    o.remove_miss = fx.tree.Remove(root, kKey - 1);
+    o.remove_unchanged = ImageOf(fx) == before;
+
+    fx.pool.Unpin(co_await fx.pool.Fetch(o.leaf), /*mark_dirty=*/false);
+    EXPECT_EQ(ReadPageHeader(fx.pool.Peek(o.leaf)->data).type,
+              PageType::kLeaf);
+    o.put_retry = fx.tree.Put(&root, kKey, fx.Value(7));
+    std::vector<uint8_t> got;
+    EXPECT_TRUE(co_await fx.tree.Get(root, kKey, &got));
+    EXPECT_EQ(got, fx.Value(7));
+    o.remove_retry = fx.tree.Remove(root, kKey - 1);
+    EXPECT_FALSE(co_await fx.tree.Get(root, kKey - 1, nullptr));
+    EXPECT_EQ(co_await fx.tree.Count(root), 400u);
+    co_await fx.tree.CheckStructure(root);
+  }(f, out));
+  f.sim.Run();
+  EXPECT_NE(out.leaf, 0u);
+  EXPECT_EQ(out.put_miss, out.leaf);
+  EXPECT_TRUE(out.put_unchanged);
+  EXPECT_EQ(out.remove_miss, out.leaf);
+  EXPECT_TRUE(out.remove_unchanged);
+  EXPECT_EQ(out.put_retry, 0u);
+  EXPECT_EQ(out.remove_retry, 0u);
+}
+
 TEST(BTreeTest, ReverseInsert) {
   TreeFixture f;
   f.sim.Spawn([](TreeFixture& fx) -> Task<void> {
     uint64_t root = fx.tree.CreateEmpty();
     const uint64_t n = fx.tree.leaf_capacity() * 10ull;
     for (uint64_t k = n; k >= 1; --k) {
-      root = co_await fx.tree.Put(root, k, fx.Value(k));
+      fx.Put(&root, k, fx.Value(k));
     }
     EXPECT_EQ(co_await fx.tree.Count(root), n);
     co_await fx.tree.CheckStructure(root);
@@ -190,7 +281,7 @@ TEST(BTreeTest, ScanRangeInOrder) {
   f.sim.Spawn([](TreeFixture& fx, std::vector<uint64_t>& out) -> Task<void> {
     uint64_t root = fx.tree.CreateEmpty();
     for (uint64_t k = 0; k < 500; ++k) {
-      root = co_await fx.tree.Put(root, k * 2, fx.Value(k));  // even keys
+      fx.Put(&root, k * 2, fx.Value(k));  // even keys
     }
     co_await fx.tree.Scan(root, 100, 200,
                           [&out](uint64_t k, std::span<const uint8_t>) {
@@ -213,7 +304,7 @@ TEST(BTreeTest, ScanEarlyStop) {
   f.sim.Spawn([](TreeFixture& fx, int& out) -> Task<void> {
     uint64_t root = fx.tree.CreateEmpty();
     for (uint64_t k = 0; k < 100; ++k) {
-      root = co_await fx.tree.Put(root, k, fx.Value(k));
+      fx.Put(&root, k, fx.Value(k));
     }
     co_await fx.tree.Scan(root, 0, UINT64_MAX,
                           [&out](uint64_t, std::span<const uint8_t>) {
@@ -242,10 +333,10 @@ TEST_P(BTreeRandomTest, MatchesReferenceModel) {
       const double dice = rng.NextDouble();
       if (dice < 0.65) {
         const auto value = fx.Value(rng.Next());
-        root = co_await fx.tree.Put(root, key, value);
+        fx.Put(&root, key, value);
         reference[key] = value;
       } else if (dice < 0.85) {
-        root = co_await fx.tree.Remove(root, key);
+        fx.Remove(root, key);
         reference.erase(key);
       } else {
         std::vector<uint8_t> got;

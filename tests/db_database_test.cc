@@ -1186,28 +1186,34 @@ TEST(DatabaseTest, StalledCheckpointEvictsStagedFramesInsteadOfFailing) {
 
 constexpr uint64_t kStagedKeys[] = {0, 150};
 
-TEST(DatabaseTest, ApplyReadsNoPageUnderTheApplyMutex) {
+// Opens a database and commits kScrambleKeys keys, 100 per transaction,
+// then checkpoints: every page is clean and most are evicted.
+Task<void> LoadScrambleKeys(EngineFixture& fx) {
+  co_await fx.OpenDb();
+  for (uint64_t base = 0; base < kScrambleKeys; base += 100) {
+    const uint64_t txn = fx.db->Begin();
+    for (uint64_t k = base; k < base + 100; ++k) {
+      co_await fx.db->Put(txn, k, fx.Value(k));
+    }
+    EXPECT_EQ(co_await fx.db->Commit(txn), DbStatus::kOk);
+  }
+  co_await fx.db->Checkpoint();
+}
+
+TEST(DatabaseTest, StagedWritesCommitWithoutAPoolMiss) {
   // Two transactions write keys whose leaves a 64-frame pool has evicted,
   // while the data disk holds every read for 50 ms. The writes read their
   // pages in when they are staged, so the commits apply without a miss;
-  // were the reads left to the apply, the first commit would hold the apply
-  // mutex across its read and the second would queue behind it.
+  // were the reads left to the apply, each commit would wait out a read.
   EngineFixture f;
   UseSmallPool(f);
   struct Outcome {
     int64_t staged_misses = 0;
+    int64_t commit_misses = -1;
     std::vector<Duration> commit_latency;
   } outcome;
   f.sim.Spawn([](EngineFixture& fx, Outcome& out) -> Task<void> {
-    co_await fx.OpenDb();
-    for (uint64_t base = 0; base < kScrambleKeys; base += 100) {
-      const uint64_t txn = fx.db->Begin();
-      for (uint64_t k = base; k < base + 100; ++k) {
-        co_await fx.db->Put(txn, k, fx.Value(k));
-      }
-      EXPECT_EQ(co_await fx.db->Commit(txn), DbStatus::kOk);
-    }
-    co_await fx.db->Checkpoint();
+    co_await LoadScrambleKeys(fx);
     const int64_t misses_before = fx.db->pool().stats().misses.value();
     fx.probe.CloseReadGate();
     fx.sim.Spawn([](EngineFixture& fx2) -> Task<void> {
@@ -1225,7 +1231,8 @@ TEST(DatabaseTest, ApplyReadsNoPageUnderTheApplyMutex) {
       }(fx, txns.back(), key));
     }
     co_await writers.Join();
-    out.staged_misses = fx.db->pool().stats().misses.value() - misses_before;
+    const int64_t misses_staged = fx.db->pool().stats().misses.value();
+    out.staged_misses = misses_staged - misses_before;
     rlsim::TaskGroup committers(fx.sim);
     for (const uint64_t txn : txns) {
       committers.Spawn([](EngineFixture& fx2, uint64_t t,
@@ -1236,6 +1243,7 @@ TEST(DatabaseTest, ApplyReadsNoPageUnderTheApplyMutex) {
       }(fx, txn, out.commit_latency));
     }
     co_await committers.Join();
+    out.commit_misses = fx.db->pool().stats().misses.value() - misses_staged;
     for (const uint64_t key : kStagedKeys) {
       std::vector<uint8_t> got;
       EXPECT_TRUE(co_await fx.db->ReadCommitted(key, &got));
@@ -1245,12 +1253,75 @@ TEST(DatabaseTest, ApplyReadsNoPageUnderTheApplyMutex) {
   f.sim.Run();
   // Both leaves (and the path above one of them) were read at Put time.
   EXPECT_GE(outcome.staged_misses, 2);
-  EXPECT_EQ(f.db->stats().apply_misses.value(), 0);
-  EXPECT_EQ(f.db->stats().apply_waits.value(), 0);
+  EXPECT_EQ(outcome.commit_misses, 0);
   ASSERT_EQ(outcome.commit_latency.size(), 2u);
   for (const Duration latency : outcome.commit_latency) {
     EXPECT_LT(latency.nanos(), Duration::Millis(5).nanos());
   }
+}
+
+TEST(DatabaseTest, CheckpointStagedMidApplyLeavesTheWriteSetToRedo) {
+  // A committing write-set whose second write finds its leaf evicted reads
+  // it in mid-apply, and a checkpoint is staged during that read: its
+  // images hold the first write and not the second. The transaction is
+  // still resident, so the checkpoint's replay point stays at its first
+  // record, and after a power cut the redo restores both writes.
+  EngineFixture f;
+  UseSmallPool(f);
+  constexpr uint64_t kFirst = 0;
+  constexpr uint64_t kSecond = 6000;
+  struct Outcome {
+    uint64_t dirty_at_checkpoint = 0;
+    uint64_t active_at_checkpoint = 0;
+    int64_t commit_misses = 0;
+    int64_t redone = 0;
+  } outcome;
+  f.sim.Spawn([](EngineFixture& fx, Outcome& out) -> Task<void> {
+    co_await LoadScrambleKeys(fx);
+    const uint64_t txn = fx.db->Begin();
+    EXPECT_EQ(co_await fx.db->Put(txn, kFirst, fx.Value(kFirst + 1)),
+              DbStatus::kOk);
+    EXPECT_EQ(co_await fx.db->Put(txn, kSecond, fx.Value(kSecond + 1)),
+              DbStatus::kOk);
+    // Read about 75 other leaves through the 64 frames, which evicts both
+    // written leaves, then read the first one back.
+    for (uint64_t k = 1000; k < 4000; k += 40) {
+      co_await fx.db->ReadCommitted(k, nullptr);
+    }
+    co_await fx.db->ReadCommitted(kFirst, nullptr);
+    const int64_t checkpoints_before = fx.db->stats().checkpoints.value();
+    const int64_t misses_before = fx.db->pool().stats().misses.value();
+    fx.probe.CloseReadGate();
+    rlsim::TaskGroup group(fx.sim);
+    group.Spawn([](EngineFixture& fx2, int64_t misses,
+                   Outcome& o) -> Task<void> {
+      while (fx2.db->pool().stats().misses.value() == misses) {
+        co_await fx2.sim.Sleep(Duration::Micros(10));
+      }
+      o.dirty_at_checkpoint = fx2.db->pool().dirty_count();
+      o.active_at_checkpoint = fx2.db->active_txns();
+      co_await fx2.db->Checkpoint();
+      fx2.probe.OpenReadGate();
+    }(fx, misses_before, out));
+    EXPECT_EQ(co_await fx.db->Commit(txn), DbStatus::kOk);
+    co_await group.Join();
+    out.commit_misses = fx.db->pool().stats().misses.value() - misses_before;
+    EXPECT_EQ(fx.db->stats().checkpoints.value(), checkpoints_before + 1);
+    co_await fx.PowerFailAndReopen();
+    out.redone = fx.db->stats().redo_installed_ops.value();
+    for (const uint64_t key : {kFirst, kSecond}) {
+      std::vector<uint8_t> got;
+      EXPECT_TRUE(co_await fx.db->ReadCommitted(key, &got)) << key;
+      EXPECT_EQ(got, fx.Value(key + 1)) << key;
+    }
+    EXPECT_EQ(co_await fx.db->CommittedCount(), kScrambleKeys);
+    co_await fx.db->CheckTreeStructure();
+  }(f, outcome));
+  f.sim.Run();
+  EXPECT_EQ(outcome.commit_misses, 1);
+  EXPECT_EQ(outcome.dirty_at_checkpoint, 1u);  // the first write's leaf
+  EXPECT_EQ(outcome.active_at_checkpoint, 1u);
+  EXPECT_EQ(outcome.redone, 2);
 }
 
 // --- Two-phase commit, participant half ------------------------------------

@@ -7,8 +7,8 @@
 //   * lock waiters resumed by their stale timeout events after the engine
 //     was freed (use-after-free into the lock table), and
 //   * a commit parked forever on a pending-read completion whose reader
-//     unwound with an exception — its apply-mutex guard then released into
-//     freed memory at simulator destruction.
+//     unwound with an exception, so its frame outlived the engine it
+//     referenced and touched freed memory at simulator destruction.
 #include <gtest/gtest.h>
 
 #include <memory>

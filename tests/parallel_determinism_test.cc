@@ -58,10 +58,6 @@ TEST(ParallelCampaignTest, FailingCampaignShrinksIdenticallyAcrossJobs) {
     opts.episodes = 3;
     opts.jobs = jobs;
     opts.gen.power_guard = false;
-    opts.gen.force_rapilog = true;
-    opts.gen.allow_replication = false;
-    opts.gen.run_us_min = 600'000;
-    opts.gen.run_us_max = 900'000;
     return ChaosExplorer(opts).RunCampaign();
   };
   const ExplorerReport seq = run(1);

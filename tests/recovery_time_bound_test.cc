@@ -7,8 +7,8 @@
 //  2. Fuzzy horizons: with an old in-doubt transaction pinning the replay
 //     point far behind the last checkpoint, per-slice horizons let recovery
 //     skip the already-checkpointed records on every slice the pinned txn
-//     never touched; the single global horizon replays them all. Same final
-//     contents either way, strictly less replay work under fuzzy.
+//     never touched, which the global replay point would replay, and it
+//     still recovers every committed write.
 //
 // Everything runs on the simulator's virtual clock, so the measured times
 // are exact and the assertions are deterministic, not flaky wall-clock
@@ -44,6 +44,7 @@ std::vector<uint8_t> MakeValue(const EngineProfile& profile, uint64_t salt) {
 struct RecoveryMeasurement {
   Duration time;  // virtual time spent inside the recovering Open
   uint64_t content_hash = 0;
+  uint64_t pre_crash_hash = 0;  // the committed contents the cut found
   int64_t recovered_records = 0;
   int64_t redo_skipped_by_horizon = 0;
   std::vector<uint64_t> in_doubt;
@@ -60,8 +61,7 @@ enum class CrashState {
 // Builds the seeded crash state from scratch (pre-crash phase is a pure
 // function of `state`, so every recovery mode sees bit-identical images),
 // then recovers with the given options and measures the reopen.
-RecoveryMeasurement MeasureRecovery(CrashState state, uint32_t partitions,
-                        bool use_fuzzy_horizons) {
+RecoveryMeasurement MeasureRecovery(CrashState state, uint32_t partitions) {
   Simulator sim(7);
   NativeCpu cpu(sim);
   SimBlockDevice data(sim,
@@ -88,7 +88,6 @@ RecoveryMeasurement MeasureRecovery(CrashState state, uint32_t partitions,
 
   DbOptions recover_options = options;
   recover_options.recovery.partitions = partitions;
-  recover_options.recovery.use_fuzzy_horizons = use_fuzzy_horizons;
   RecoveryMeasurement m;
   sim.Spawn([](Simulator& s, NativeCpu& c, SimBlockDevice& d,
                SimBlockDevice& l, DbOptions opt, DbOptions ropt, CrashState st,
@@ -125,6 +124,7 @@ RecoveryMeasurement MeasureRecovery(CrashState state, uint32_t partitions,
         co_await db->Commit(txn);
       }
     }
+    out.pre_crash_hash = co_await db->ContentHash();
     // Mains failure: device caches drop, the dead engine is torn down in
     // the dark, then power returns and the reopen is the measured recovery.
     d.PowerLoss();
@@ -154,7 +154,7 @@ TEST(RecoveryTimeBoundTest, PartitionedRedoScalesSubLinearly) {
   const uint32_t ks[] = {1, 2, 4, 8};
   RecoveryMeasurement m[4];
   for (size_t i = 0; i < 4; ++i) {
-    m[i] = MeasureRecovery(CrashState::kLongWal, ks[i], /*use_fuzzy_horizons=*/true);
+    m[i] = MeasureRecovery(CrashState::kLongWal, ks[i]);
   }
   // The workload is 2000 txns x 8 updates: the whole WAL is live redo work.
   ASSERT_GE(m[0].recovered_records, 16000);
@@ -174,26 +174,19 @@ TEST(RecoveryTimeBoundTest, PartitionedRedoScalesSubLinearly) {
       << m[0].time.micros() << "us";
 }
 
-TEST(RecoveryTimeBoundTest, FuzzyHorizonsStrictlyReduceReplayWork) {
-  const RecoveryMeasurement fuzzy =
-      MeasureRecovery(CrashState::kPinnedCheckpoint, 4, /*use_fuzzy_horizons=*/true);
-  const RecoveryMeasurement global =
-      MeasureRecovery(CrashState::kPinnedCheckpoint, 4, /*use_fuzzy_horizons=*/false);
+TEST(RecoveryTimeBoundTest, FuzzyHorizonsRetireCheckpointedRecords) {
+  const RecoveryMeasurement m =
+      MeasureRecovery(CrashState::kPinnedCheckpoint, 4);
 
-  // Same crash images, same recovered state.
-  EXPECT_EQ(fuzzy.content_hash, global.content_hash);
-  ASSERT_EQ(fuzzy.in_doubt, std::vector<uint64_t>{4242});
-  EXPECT_EQ(global.in_doubt, fuzzy.in_doubt);
+  EXPECT_EQ(m.content_hash, m.pre_crash_hash);
+  EXPECT_EQ(m.in_doubt, std::vector<uint64_t>{4242});
 
-  // The global horizon sits at the pinned replay point, so every scanned
-  // committed record replays; per-slice horizons retire the checkpointed
-  // burst on all slices the pinned txn never touched.
-  EXPECT_EQ(global.redo_skipped_by_horizon, 0);
-  EXPECT_GT(fuzzy.redo_skipped_by_horizon, 0);
-  EXPECT_LT(fuzzy.recovered_records, global.recovered_records);
-  // And the skipped work is exactly the delta in replayed records.
-  EXPECT_EQ(fuzzy.recovered_records + fuzzy.redo_skipped_by_horizon,
-            global.recovered_records + global.redo_skipped_by_horizon);
+  // The replay point sits at the pinned txn's first record, so the global
+  // horizon would replay every committed record after it: the burst's 800
+  // and the tail's 20. Per-slice horizons retire the checkpointed burst on
+  // the slices the pinned txn never touched.
+  EXPECT_GT(m.redo_skipped_by_horizon, 0);
+  EXPECT_EQ(m.recovered_records + m.redo_skipped_by_horizon, 200 * 4 + 20);
 }
 
 }  // namespace

@@ -296,8 +296,9 @@ TEST(LogShipperTest, WritesWhilePoweredOffFail) {
 TEST(LogShipperTest, VolatileWriteCacheFollowsModeAndLocalDevice) {
   // Quorum-ack: Flush is the commit's quorum durability point, so the
   // shipper always asks for it. Async: it answers as its local device does.
-  for (const auto policy : {rlstor::WriteCachePolicy::kWriteBack,
-                            rlstor::WriteCachePolicy::kWriteThrough}) {
+  for (const auto policy :
+       {rlstor::WriteCachePolicy::kWriteBack,
+        rlstor::WriteCachePolicy::kBatteryBackedWriteBack}) {
     for (const ShipMode mode : {ShipMode::kAsync, ShipMode::kQuorumAck}) {
       Simulator sim;
       rlnet::NetworkFabric fabric(sim);
@@ -310,7 +311,8 @@ TEST(LogShipperTest, VolatileWriteCacheFollowsModeAndLocalDevice) {
                                mode);
       EXPECT_EQ(shipper.volatile_write_cache(),
                 mode == ShipMode::kQuorumAck || local.volatile_write_cache())
-          << ToString(mode) << " " << rlstor::ToString(policy);
+          << ToString(mode) << " volatile cache "
+          << local.volatile_write_cache();
     }
   }
 }

@@ -96,18 +96,6 @@ TEST(BlockDeviceTest, FlushHardensCachedWrites) {
   }
 }
 
-TEST(BlockDeviceTest, WriteThroughIsDurableWithoutFlush) {
-  Simulator sim;
-  SimBlockDevice dev(sim, SmallDisk(WriteCachePolicy::kWriteThrough),
-                     MakeDefaultHdd());
-  sim.Spawn([](SimBlockDevice& d) -> Task<void> {
-    co_await d.Write(50, Pattern(512, 3), /*fua=*/false);
-    d.PowerLoss();
-  }(dev));
-  sim.Run();
-  EXPECT_TRUE(dev.image().IsDurable(50));
-}
-
 TEST(BlockDeviceTest, BbwcIsFastAndDurable) {
   Simulator sim;
   SimBlockDevice dev(sim, SmallDisk(WriteCachePolicy::kBatteryBackedWriteBack),
@@ -268,7 +256,7 @@ TEST(BlockDeviceTest, SequentialCachedWritesThroughputReasonable) {
 
 TEST(BlockDeviceTest, SyncCommitPatternLimitedByRotation) {
   Simulator sim;
-  SimBlockDevice dev(sim, SmallDisk(WriteCachePolicy::kWriteThrough),
+  SimBlockDevice dev(sim, SmallDisk(WriteCachePolicy::kWriteBack),
                      MakeDefaultHdd());
   // Sequential-append FUA writes with think time between them: each one
   // should wait for the platter, i.e. ~one commit per revolution.
@@ -293,18 +281,15 @@ TEST(BlockDeviceTest, SyncCommitPatternLimitedByRotation) {
 }
 
 TEST(BlockDeviceTest, OnlyWriteBackReportsAVolatileCache) {
-  // Write-through and battery-backed writes are durable on acknowledgement,
-  // so only a write-back cache needs a flush.
+  // Battery-backed writes are durable on acknowledgement, so only a
+  // write-back cache needs a flush.
   Simulator sim;
   const SimBlockDevice write_back(sim, SmallDisk(WriteCachePolicy::kWriteBack),
                                   MakeDefaultHdd());
-  const SimBlockDevice write_through(
-      sim, SmallDisk(WriteCachePolicy::kWriteThrough), MakeDefaultHdd());
   const SimBlockDevice bbwc(
       sim, SmallDisk(WriteCachePolicy::kBatteryBackedWriteBack),
       MakeDefaultHdd());
   EXPECT_TRUE(write_back.volatile_write_cache());
-  EXPECT_FALSE(write_through.volatile_write_cache());
   EXPECT_FALSE(bbwc.volatile_write_cache());
 }
 

@@ -164,7 +164,7 @@ TEST(VirtualBlockDeviceTest, FlushForwardedToBackend) {
 TEST(VirtualBlockDeviceTest, FlushToCacheFreeBackendCompletesInGuest) {
   // The backend answered "no volatile cache" at probe time: a flush costs no
   // VM exit and no backend request, and takes no time.
-  StackFixture f(rlstor::WriteCachePolicy::kWriteThrough);
+  StackFixture f(rlstor::WriteCachePolicy::kBatteryBackedWriteBack);
   EXPECT_FALSE(f.vdisk->volatile_write_cache());
   BlockStatus fst = BlockStatus::kDeviceOff;
   Duration flush_latency = Duration::Seconds(1);
