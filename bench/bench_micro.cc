@@ -26,6 +26,7 @@
 #include "bench/bench_common.h"
 #include "src/db/btree.h"
 #include "src/db/buffer_pool.h"
+#include "src/db/database.h"
 #include "src/faults/chaos/chaos_explorer.h"
 #include "src/harness/fleet_testbed.h"
 #include "src/harness/parallel_runner.h"
@@ -297,14 +298,28 @@ CampaignTiming TimeCampaign(int jobs, uint64_t episodes) {
 }
 
 // The host plane of a fixed scenario, measured over a 1 s window of virtual
-// time after its warm-up. Allocation and frame counts and the disk-image
-// size are deterministic; the host rates are wall-clock.
+// time after its warm-up. Allocation and frame counts, the staged bytes and
+// the disk-image size are deterministic; the host rates are wall-clock.
 struct HostScenario {
   double host_us_per_txn = 0;
   double events_per_sec = 0;
   double heap_allocs_per_txn = 0;
   double frames_per_txn = 0;
+  // Host memory a checkpoint staged (Database::Stats::staged_bytes), per
+  // checkpoint that completed in the window.
+  double checkpoint_staged_kib = 0;
   double disk_image_mib = 0;  // sector bytes the disks hold at window end
+};
+
+// Checkpoints completed and bytes staged, summed over a scenario's engines.
+struct CheckpointTotals {
+  int64_t checkpoints = 0;
+  int64_t staged_bytes = 0;
+
+  void Add(const rldb::Database& db) {
+    checkpoints += db.stats().checkpoints.value();
+    staged_bytes += db.stats().staged_bytes.value();
+  }
 };
 
 // Sector bytes held by a testbed's disk images (one image when the log
@@ -317,17 +332,26 @@ double DiskImageMib(rlharness::Testbed& bed) {
   return static_cast<double>(bytes) / (1 << 20);
 }
 
-// Runs `sim` for the window; `committed` reads the scenario's commit count.
-HostScenario MeasureWindow(rlsim::Simulator& sim,
-                           const std::function<int64_t()>& committed) {
+// Runs `sim` for the window; `committed` reads the scenario's commit count
+// and `checkpoints` its checkpoint totals.
+HostScenario MeasureWindow(
+    rlsim::Simulator& sim, const std::function<int64_t()>& committed,
+    const std::function<CheckpointTotals()>& checkpoints) {
   const int64_t committed0 = committed();
+  const CheckpointTotals checkpoints0 = checkpoints();
   const uint64_t allocs0 = g_heap_allocations.load();
   const uint64_t frames0 = rlsim::frame_pool::allocations();
   const WallClock::time_point t0 = WallClock::now();
   const size_t events = sim.RunFor(rlsim::Duration::Seconds(1));
   const double secs = SecondsSince(t0);
   const double txns = static_cast<double>(committed() - committed0);
+  const CheckpointTotals checkpoints1 = checkpoints();
   HostScenario out;
+  out.checkpoint_staged_kib =
+      static_cast<double>(checkpoints1.staged_bytes -
+                          checkpoints0.staged_bytes) /
+      1024 /
+      static_cast<double>(checkpoints1.checkpoints - checkpoints0.checkpoints);
   out.host_us_per_txn = secs * 1e6 / txns;
   out.events_per_sec = static_cast<double>(events) / secs;
   out.heap_allocs_per_txn =
@@ -359,7 +383,12 @@ HostScenario RunHostScenario() {
   }(sim, bed, tpcc, clients));
   sim.Run();
   HostScenario out = MeasureWindow(
-      sim, [&clients] { return clients.stats().committed.value(); });
+      sim, [&clients] { return clients.stats().committed.value(); },
+      [&bed] {
+        CheckpointTotals totals;
+        totals.Add(bed.db());
+        return totals;
+      });
   out.disk_image_mib = DiskImageMib(bed);
   clients.Stop();
   sim.Run();
@@ -401,7 +430,14 @@ HostScenario RunFleetHostScenario() {
   }(sim, fleet, work, clients));
   sim.Run();
   HostScenario out = MeasureWindow(
-      sim, [&clients] { return clients.stats().committed.value(); });
+      sim, [&clients] { return clients.stats().committed.value(); },
+      [&fleet] {
+        CheckpointTotals totals;
+        for (size_t i = 0; i < fleet.shard_count(); ++i) {
+          totals.Add(fleet.shard(i).db());
+        }
+        return totals;
+      });
   for (size_t i = 0; i < fleet.shard_count(); ++i) {
     out.disk_image_mib += DiskImageMib(fleet.shard(i));
   }
@@ -446,11 +482,14 @@ int RunPerfSuite(const std::string& json_path, int jobs) {
   writer.Add("oltp_heap_allocs_per_txn", oltp.heap_allocs_per_txn,
              "allocs/txn");
   writer.Add("oltp_frames_per_txn", oltp.frames_per_txn, "frames/txn");
+  writer.Add("oltp_checkpoint_staged_kib", oltp.checkpoint_staged_kib, "KiB");
   writer.Add("oltp_disk_image_mib", oltp.disk_image_mib, "MiB");
   writer.Add("fleet_host_us_per_txn", fleet.host_us_per_txn, "us");
   writer.Add("fleet_heap_allocs_per_txn", fleet.heap_allocs_per_txn,
              "allocs/txn");
   writer.Add("fleet_frames_per_txn", fleet.frames_per_txn, "frames/txn");
+  writer.Add("fleet_checkpoint_staged_kib", fleet.checkpoint_staged_kib,
+             "KiB");
   writer.Add("fleet_disk_image_mib", fleet.disk_image_mib, "MiB");
   std::fputs(writer.ToString().c_str(), stdout);
   return writer.WriteFile(json_path) ? 0 : 1;

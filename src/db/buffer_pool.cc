@@ -22,12 +22,19 @@ BufferPool::BufferPool(rlsim::Simulator& sim, rlstor::BlockDevice& device,
   }
 }
 
+void BufferPool::MapPage(uint64_t page_id, const Frame* f) {
+  if (page_id >= page_to_frame_.size()) {
+    page_to_frame_.resize(page_id + 1, kNoFrame);
+  }
+  page_to_frame_[page_id] = static_cast<uint32_t>(f - frames_.data());
+}
+
 BufferPool::Frame* BufferPool::FindResident(uint64_t page_id) {
-  const auto it = page_to_frame_.find(page_id);
-  if (it == page_to_frame_.end()) {
+  const uint32_t slot = SlotOf(page_id);
+  if (slot == kNoFrame) {
     return nullptr;
   }
-  Frame* f = &frames_[it->second];
+  Frame* f = &frames_[slot];
   ++f->pins;
   f->referenced = true;
   return f;
@@ -43,8 +50,8 @@ BufferPool::Frame* BufferPool::FetchResident(uint64_t page_id) {
 }
 
 const BufferPool::Frame* BufferPool::Peek(uint64_t page_id) const {
-  const auto it = page_to_frame_.find(page_id);
-  return it == page_to_frame_.end() ? nullptr : &frames_[it->second];
+  const uint32_t slot = SlotOf(page_id);
+  return slot == kNoFrame ? nullptr : &frames_[slot];
 }
 
 BufferPool::Frame* BufferPool::EvictOne() {
@@ -67,7 +74,7 @@ BufferPool::Frame* BufferPool::EvictOne() {
       f.referenced = false;
       continue;
     }
-    page_to_frame_.erase(f.page_id);
+    page_to_frame_[f.page_id] = kNoFrame;
     f.valid = false;
     stats_.evictions.Add();
     return &f;
@@ -86,7 +93,7 @@ BufferPool::Frame* BufferPool::EvictOne() {
     }
     f.in_checkpoint = false;
     f.staged = {};
-    page_to_frame_.erase(f.page_id);
+    page_to_frame_[f.page_id] = kNoFrame;
     f.valid = false;
     stats_.evictions.Add();
     stats_.staged_evictions.Add();
@@ -115,11 +122,13 @@ Task<BufferPool::Frame*> BufferPool::Fetch(uint64_t page_id) {
   stats_.misses.Add();
   if (const auto it = evicted_staged_.find(page_id);
       it != evicted_staged_.end()) {
-    // The device still holds the pre-checkpoint version.
+    // The device still holds the pre-checkpoint version. The staged prefix
+    // and a zero tail make the canonical page the in-place write will hold.
     const std::span<const uint8_t> image = it->second;
     evicted_staged_.erase(it);
     Frame* f = EvictOne();
-    std::copy(image.begin(), image.end(), f->data.begin());
+    std::fill(std::copy(image.begin(), image.end(), f->data.begin()),
+              f->data.end(), uint8_t{0});
     f->in_checkpoint = true;
     f->staged = image;
     f->page_id = page_id;
@@ -127,7 +136,7 @@ Task<BufferPool::Frame*> BufferPool::Fetch(uint64_t page_id) {
     f->dirty = false;
     f->pins = 1;
     f->referenced = true;
-    page_to_frame_[page_id] = static_cast<size_t>(f - frames_.data());
+    MapPage(page_id, f);
     co_return f;
   }
   auto completion = std::make_shared<rlsim::Completion<bool>>(sim_);
@@ -169,14 +178,14 @@ Task<BufferPool::Frame*> BufferPool::Fetch(uint64_t page_id) {
   f->dirty = false;
   f->pins = 1;
   f->referenced = true;
-  page_to_frame_[page_id] = static_cast<size_t>(f - frames_.data());
+  MapPage(page_id, f);
   pending_reads_.erase(page_id);
   completion->Complete(true);
   co_return f;
 }
 
 BufferPool::Frame* BufferPool::Create(uint64_t page_id) {
-  RL_CHECK_MSG(page_to_frame_.find(page_id) == page_to_frame_.end(),
+  RL_CHECK_MSG(SlotOf(page_id) == kNoFrame,
                "Create of resident page " << page_id);
   Frame* f = EvictOne();
   std::fill(f->data.begin(), f->data.end(), uint8_t{0});
@@ -186,7 +195,7 @@ BufferPool::Frame* BufferPool::Create(uint64_t page_id) {
   ++dirty_count_;
   f->pins = 1;
   f->referenced = true;
-  page_to_frame_[page_id] = static_cast<size_t>(f - frames_.data());
+  MapPage(page_id, f);
   return f;
 }
 
@@ -223,15 +232,15 @@ void BufferPool::MarkClean(Frame* frame) {
 }
 
 void BufferPool::Stage(Frame* frame, std::span<const uint8_t> image) {
-  RL_CHECK(image.size() == page_bytes_);
+  RL_CHECK(!image.empty() && image.size() <= page_bytes_ &&
+           image.size() % rlstor::kSectorSize == 0);
   frame->in_checkpoint = true;
   frame->staged = image;
 }
 
 void BufferPool::Unstage(uint64_t page_id) {
-  if (const auto it = page_to_frame_.find(page_id);
-      it != page_to_frame_.end()) {
-    frames_[it->second].staged = {};
+  if (const uint32_t slot = SlotOf(page_id); slot != kNoFrame) {
+    frames_[slot].staged = {};
   } else {
     evicted_staged_.erase(page_id);
   }

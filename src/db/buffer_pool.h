@@ -7,7 +7,7 @@
 // checkpoints before the dirty set can exhaust the pool. Frames a running
 // checkpoint has staged are evicted only when nothing else can be; until
 // the page's in-place write lands, the pool then serves it from the staged
-// image.
+// image: its packed prefix, zero-filled back to a page.
 #pragma once
 
 #include <array>
@@ -35,7 +35,9 @@ class BufferPool {
     bool in_checkpoint = false;
     // That image, until its in-place write lands: a re-fetch from the
     // device before then would resurrect the pre-checkpoint version, so an
-    // eviction keeps the image to serve the page from.
+    // eviction keeps the image to serve the page from. The image is the
+    // canonical page's prefix of whole sectors; the rest of the page is
+    // zero.
     std::span<const uint8_t> staged;
     int pins = 0;
     bool referenced = false;  // CLOCK bit
@@ -115,8 +117,9 @@ class BufferPool {
   void MarkClean(Frame* frame);
 
   // A checkpoint staged `image` as the next on-disk version of `frame`'s
-  // page. The image must stay alive until Unstage(page id) or
-  // EndCheckpoint().
+  // page: the sealed page's first whole sectors (at most a page), the rest
+  // of the page being zero. The image must stay alive until Unstage(page
+  // id) or EndCheckpoint().
   void Stage(Frame* frame, std::span<const uint8_t> image);
   // The page's staged image is on the device: a fetch after an eviction
   // reads the device again.
@@ -145,15 +148,28 @@ class BufferPool {
   rlstor::BlockDevice& device() { return device_; }
 
  private:
+  // page_to_frame_'s value for a page that is not resident.
+  static constexpr uint32_t kNoFrame = UINT32_MAX;
+
   Frame* EvictOne();
   // Pinned lookup without I/O or stats; nullptr if not resident.
   Frame* FindResident(uint64_t page_id);
+  // The slot of `page_id`'s frame, or kNoFrame.
+  uint32_t SlotOf(uint64_t page_id) const {
+    return page_id < page_to_frame_.size() ? page_to_frame_[page_id]
+                                           : kNoFrame;
+  }
+  // Makes `f`, which now holds `page_id`, the page's frame.
+  void MapPage(uint64_t page_id, const Frame* f);
 
   rlsim::Simulator& sim_;
   rlstor::BlockDevice& device_;
   uint32_t page_bytes_;
   std::vector<Frame> frames_;
-  std::unordered_map<uint64_t, size_t> page_to_frame_;
+  // Frame slot by page id, kNoFrame for a page that is not resident. Page
+  // ids are bump-allocated from the end of the journal region, so the table
+  // is dense; it grows to the largest page id the pool has held.
+  std::vector<uint32_t> page_to_frame_;
   // In-flight reads so concurrent fetches of one page issue one device read.
   std::unordered_map<uint64_t, std::shared_ptr<rlsim::Completion<bool>>>
       pending_reads_;

@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/db/btree.h"
@@ -77,6 +78,9 @@ class Database {
     // Sectors checkpoints wrote into the journal: header, id pages and the
     // packed page images.
     rlsim::Counter journal_sectors;
+    // Bytes the completed checkpoints staged in host memory: each page's
+    // journal image, its used prefix in whole sectors.
+    rlsim::Counter staged_bytes;
     rlsim::Counter repaired_from_journal;
     rlsim::Counter prepares;            // durable 2PC yes-votes
     rlsim::Counter in_doubt_recovered;  // prepared txns rebuilt at recovery
@@ -162,6 +166,7 @@ class Database {
   const LogWriter& log_writer() const { return *wal_; }
   LogWriter& log_writer() { return *wal_; }
   const BufferPool& pool() const { return *pool_; }
+  BufferPool& pool() { return *pool_; }
   const LockManager& locks() const { return *locks_; }
   const DbOptions& options() const { return options_; }
   uint64_t active_txns() const { return txns_.size(); }
@@ -226,12 +231,12 @@ class Database {
   // The value `op` puts (empty for a delete).
   std::span<const uint8_t> ValueOf(const Txn& t, const WriteOp& op) const;
 
-  // One staged page: its journal entry (the whole sectors of its used
-  // prefix, which is all the journal writes) and its sealed image with the
-  // free tail zeroed.
+  // One staged page: its journal entry and its journal image, the first
+  // entry.sectors sectors of the sealed canonical page (whose free tail is
+  // zero), in the checkpoint's arena.
   struct StagedPage {
     JournalEntry entry;
-    std::vector<uint8_t> image;
+    std::span<const uint8_t> image;
   };
 
   // A consistent snapshot taken in one event: sealed page images,
@@ -244,6 +249,10 @@ class Database {
     // falls in slice s are fully captured by this checkpoint's page images,
     // so a later recovery may skip re-applying them.
     std::array<uint64_t, kRedoSlices> horizons{};
+    // The page images, packed back to back in page order into zeroed
+    // chunks (kStageChunkBytes in database.cc); an image never straddles
+    // two.
+    std::vector<std::unique_ptr<uint8_t[]>> arena;
     std::vector<StagedPage> pages;
   };
 

@@ -22,6 +22,7 @@
 // zero-fills it back under the same CRC.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -92,11 +93,28 @@ inline uint32_t ComputePageCrc(std::span<const uint8_t> page) {
   return crc;
 }
 
+// Stamps page_id + crc into a page held as its first bytes, `prefix`, the
+// rest of its `page_bytes` being zero: the CRC covers the whole page, so the
+// prefix zero-filled back to a page is PageValid. A checkpoint seals the
+// used prefix it stages this way.
+inline void SealPagePrefix(std::span<uint8_t> prefix, uint64_t page_id,
+                           size_t page_bytes) {
+  static constexpr uint8_t kZeros[rlstor::kSectorSize] = {};
+  RL_CHECK(prefix.size() >= kPageHeaderBytes && prefix.size() <= page_bytes);
+  StoreScalar<uint64_t>(prefix, 0, page_id);
+  StoreScalar<uint32_t>(prefix, 8, 0);
+  uint32_t crc = rlsim::Crc32c(prefix);
+  for (size_t left = page_bytes - prefix.size(); left > 0;) {
+    const size_t n = std::min(left, sizeof(kZeros));
+    crc = rlsim::Crc32c(std::span<const uint8_t>(kZeros, n), crc);
+    left -= n;
+  }
+  StoreScalar<uint32_t>(prefix, 8, crc);
+}
+
 // Stamps page_id + crc into the page image (call just before writing out).
 inline void SealPage(std::span<uint8_t> page, uint64_t page_id) {
-  StoreScalar<uint64_t>(page, 0, page_id);
-  StoreScalar<uint32_t>(page, 8, 0);
-  StoreScalar<uint32_t>(page, 8, ComputePageCrc(page));
+  SealPagePrefix(page, page_id, page.size());
 }
 
 inline bool PageValid(std::span<const uint8_t> page, uint64_t expect_id) {

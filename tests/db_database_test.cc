@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
 
@@ -989,6 +990,54 @@ TEST(DatabaseTest, SmallPageJournalPacksImagesPastTheIdPages) {
                           run.header + 1, PowerCut, run.staged, run.content);
 }
 
+TEST(DatabaseTest, CheckpointStagesOnlyTheJournalsSectors) {
+  // Staging copies each dirty page's used prefix, in whole sectors, into
+  // one arena: the bytes the journal writes, not a page per dirty page.
+  // The dirty set is a fresh tree: half-full split leaves, two leaves
+  // trimmed by deletes, the last leaf and the root, each staged at its own
+  // length.
+  EngineFixture f;
+  struct Sizes {
+    uint64_t pages = 0;
+    int64_t want = 0;
+    int64_t staged = 0;
+    std::set<size_t> lengths;
+  } sizes;
+  f.sim.Spawn([](EngineFixture& fx, Sizes& out) -> Task<void> {
+    std::map<uint64_t, uint64_t> expected;
+    co_await DirtySplitLeaves(fx, expected);
+    const uint64_t txn = fx.db->Begin();
+    for (const uint64_t key : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1000, 1001}) {
+      EXPECT_EQ(co_await fx.db->Remove(txn, key), DbStatus::kOk);
+    }
+    EXPECT_EQ(co_await fx.db->Commit(txn), DbStatus::kOk);
+    const uint64_t first = fx.options.journal_pages;
+    for (uint64_t pid = first; pid < first + 1000; ++pid) {
+      const BufferPool::Frame* frame = fx.db->pool().Peek(pid);
+      if (frame == nullptr || !frame->dirty) {
+        continue;
+      }
+      const size_t used =
+          PageUsedBytes(frame->data, fx.options.profile.value_bytes);
+      const size_t sectors =
+          (used + rlstor::kSectorSize - 1) / rlstor::kSectorSize;
+      ++out.pages;
+      out.want += static_cast<int64_t>(sectors * rlstor::kSectorSize);
+      out.lengths.insert(sectors);
+    }
+    EXPECT_EQ(out.pages, fx.db->pool().dirty_count());
+    const int64_t before = fx.db->stats().staged_bytes.value();
+    co_await fx.db->Checkpoint();
+    out.staged = fx.db->stats().staged_bytes.value() - before;
+  }(f, sizes));
+  f.sim.Run();
+  EXPECT_GE(sizes.pages, 20u);
+  EXPECT_EQ(sizes.staged, sizes.want);
+  EXPECT_LT(sizes.staged, static_cast<int64_t>(
+                              sizes.pages * f.options.profile.page_bytes));
+  EXPECT_GT(sizes.lengths.size(), 1u);
+}
+
 TEST(DatabaseTest, OneCommitPastTheJournalPageCapacityStillCheckpoints) {
   // The dirty throttle is soft: it admits a commit while the dirty set is
   // below it, and that commit's whole write-set then applies. Here one
@@ -1135,28 +1184,70 @@ TEST(DatabaseTest, ThrottledCommitEmitsOneDirtyThrottleSpan) {
   EXPECT_GT(span.end, throttled.gate_opened);
 }
 
+// While the stalled checkpoint waits at the gate, re-fetches every page it
+// staged that the pool has since evicted. The pool serves such a page from
+// its staged image, a packed prefix; the frame must hold the canonical page
+// (sealed, zero past its used bytes) that the in-place write will.
+Task<void> RefetchEvictedStagedPages(EngineFixture& fx,
+                                     const bool& gate_open, int& refetched,
+                                     int& noncanonical) {
+  const uint64_t first = fx.options.journal_pages;
+  std::set<uint64_t> staged;
+  while (!gate_open) {
+    for (uint64_t pid = first; pid < first + 1000; ++pid) {
+      const BufferPool::Frame* frame = fx.db->pool().Peek(pid);
+      if (frame != nullptr && !frame->staged.empty()) {
+        staged.insert(pid);
+      }
+    }
+    for (const uint64_t pid : staged) {
+      if (fx.db->pool().Peek(pid) != nullptr) {
+        continue;
+      }
+      BufferPool::Frame* frame = co_await fx.db->pool().Fetch(pid);
+      const size_t used =
+          PageUsedBytes(frame->data, fx.options.profile.value_bytes);
+      if (!PageValid(frame->data, pid) ||
+          !std::all_of(frame->data.begin() + static_cast<ptrdiff_t>(used),
+                       frame->data.end(), [](uint8_t b) { return b == 0; })) {
+        ++noncanonical;
+      }
+      ++refetched;
+      fx.db->pool().Unpin(frame, /*mark_dirty=*/false);
+    }
+    co_await fx.sim.Sleep(Duration::Millis(1));
+  }
+}
+
 TEST(DatabaseTest, StalledCheckpointEvictsStagedFramesInsteadOfFailing) {
   // A checkpoint held at a closed gate keeps its ~90 staged frames until
   // its in-place writes land, while the commits behind it dirty pages up to
   // the throttle (96 pages in a 128-frame pool): staged plus dirty frames
   // outgrow the pool. Fetches must then evict clean staged frames and serve
-  // those pages from the staged images, not fail.
+  // those pages from the staged images, not fail, and a page served that
+  // way must read back as the canonical page.
   EngineFixture f;
   f.options.pool_pages = 128;
   f.options.profile.checkpoint_dirty_pages = 90;
   struct Outcome {
     int commits = 0;
     int64_t staged_evictions = 0;
+    bool gate_open = false;
+    int refetched = 0;
+    int noncanonical = 0;
   } outcome;
   f.sim.Spawn([](EngineFixture& fx, Outcome& out) -> Task<void> {
     std::map<uint64_t, uint64_t> expected;
     co_await DirtyScrambledFrames(fx, expected);
     co_await fx.db->Checkpoint();
     fx.probe.CloseGate();
-    fx.sim.Spawn([](EngineFixture& fx2) -> Task<void> {
+    fx.sim.Spawn([](EngineFixture& fx2, Outcome& o) -> Task<void> {
       co_await fx2.sim.Sleep(Duration::Millis(500));
+      o.gate_open = true;
       fx2.probe.OpenGate();
-    }(fx));
+    }(fx, out));
+    fx.sim.Spawn(RefetchEvictedStagedPages(fx, out.gate_open, out.refetched,
+                                           out.noncanonical));
     for (uint64_t i = 0; i < 600; ++i) {
       const uint64_t key = (i + 31) * 2654435761ull % kScrambleKeys;
       const uint64_t txn = fx.db->Begin();
@@ -1182,6 +1273,8 @@ TEST(DatabaseTest, StalledCheckpointEvictsStagedFramesInsteadOfFailing) {
   f.sim.Run();
   EXPECT_EQ(outcome.commits, 600);
   EXPECT_GT(outcome.staged_evictions, 0);
+  EXPECT_GT(outcome.refetched, 0);
+  EXPECT_EQ(outcome.noncanonical, 0);
 }
 
 constexpr uint64_t kStagedKeys[] = {0, 150};
